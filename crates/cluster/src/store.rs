@@ -63,13 +63,21 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-/// A block plus the CRC-32 recorded when it was written. Reads verify
-/// the payload against `crc` so bit rot surfaces as
-/// [`ClusterError::Corrupt`] instead of silently wrong bytes.
+/// A block, the CRC-32 recorded when it was written, and the verdict of
+/// comparing the two, so bit rot surfaces as [`ClusterError::Corrupt`]
+/// instead of silently wrong bytes.
+///
+/// `intact` is set by a real CRC-32 compare whenever `data` changes:
+/// [`BlockStore::put`] (scrub heals and recovery rewrites included) and
+/// [`BlockStore::corrupt_block`]. `Bytes` is immutable and every mutator
+/// takes `&mut self`, so between those points `intact` equals what a
+/// fresh CRC of `data` against `crc` would say, and probes and reads
+/// consult it instead of hashing the block.
 #[derive(Debug, Clone)]
 struct StoredBlock {
     data: Bytes,
     crc: u32,
+    intact: bool,
 }
 
 #[derive(Debug, Default)]
@@ -193,11 +201,20 @@ impl BlockStore {
             return Err(ClusterError::NodeDown(node));
         }
         let crc = crc32(&data);
-        n.blocks.insert(id, StoredBlock { data, crc });
+        n.blocks.insert(
+            id,
+            StoredBlock {
+                data,
+                crc,
+                intact: true,
+            },
+        );
         Ok(())
     }
 
-    /// Fetches a block, verifying its CRC-32.
+    /// Fetches a block, verified against its CRC-32: the block's intact
+    /// verdict, taken by a CRC compare when its bytes last changed, is
+    /// checked in O(1) instead of re-hashing the block.
     ///
     /// # Errors
     ///
@@ -219,7 +236,7 @@ impl BlockStore {
             .blocks
             .get(&id)
             .ok_or(ClusterError::NoSuchBlock { node, block: id })?;
-        if crc32(&stored.data) != stored.crc {
+        if !stored.intact {
             return Err(ClusterError::Corrupt { node, block: id });
         }
         Ok(stored.data.clone())
@@ -296,7 +313,8 @@ impl BlockStore {
 
     /// Flips one byte of a stored block **without** updating its recorded
     /// checksum — simulated silent bit rot. The next [`BlockStore::get`]
-    /// of this block returns [`ClusterError::Corrupt`].
+    /// of this block returns [`ClusterError::Corrupt`], unless this flip
+    /// undid an earlier one and the bytes match their checksum again.
     ///
     /// # Errors
     ///
@@ -322,6 +340,7 @@ impl BlockStore {
         let i = byte_index % bytes.len();
         bytes[i] ^= 0xA5;
         stored.data = Bytes::from(bytes);
+        stored.intact = crc32(&stored.data) == stored.crc;
         Ok(())
     }
 
@@ -337,13 +356,14 @@ impl BlockStore {
     }
 
     /// Whether `get(node, id)` would succeed right now: node alive,
-    /// block present, checksum intact. Unlike [`BlockStore::get`] this
-    /// moves no data and does not count as a read — planners use it to
-    /// pick shards without touching the disk model.
+    /// block present, checksum intact (the block's verdict, O(1), no
+    /// hashing). Unlike [`BlockStore::get`] this moves no data and does
+    /// not count as a read — planners use it to pick shards without
+    /// touching the disk model.
     pub fn has_block(&self, node: usize, id: BlockId) -> bool {
         self.nodes
             .get(node)
-            .is_some_and(|n| n.alive && n.blocks.get(&id).is_some_and(|b| crc32(&b.data) == b.crc))
+            .is_some_and(|n| n.alive && n.blocks.get(&id).is_some_and(|b| b.intact))
     }
 
     /// Indices of alive nodes.
@@ -501,9 +521,21 @@ mod tests {
                 block: BlockId(1)
             }
         );
+        assert!(!s.has_block(0, BlockId(1)));
+        // Flipping the same byte back restores the block: the verdict
+        // follows the bytes, not the injection.
+        s.corrupt_block(0, BlockId(1), 4).unwrap();
+        assert!(s.has_block(0, BlockId(1)));
+        assert_eq!(s.get(0, BlockId(1)).unwrap().as_ref(), b"hello world");
+        s.corrupt_block(0, BlockId(1), 4).unwrap();
         // Overwriting the block clears the corruption.
         s.put(0, BlockId(1), Bytes::from_static(b"fresh")).unwrap();
         assert_eq!(s.get(0, BlockId(1)).unwrap().as_ref(), b"fresh");
+    }
+
+    #[test]
+    fn verdict_fits_in_block_padding() {
+        assert_eq!(std::mem::size_of::<StoredBlock>(), 40);
     }
 
     #[test]

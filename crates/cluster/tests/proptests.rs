@@ -9,7 +9,9 @@ use fusion_cluster::spec::ClusterSpec;
 use fusion_cluster::store::{BlockId, BlockStore, ClusterError};
 use fusion_cluster::time::Nanos;
 use fusion_cluster::topology::Topology;
+use fusion_format::util::crc32_reference;
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashMap};
 
 /// A 9-node store with a few distinct blocks per node.
 fn seeded_block_store() -> BlockStore {
@@ -22,6 +24,96 @@ fn seeded_block_store() -> BlockStore {
         }
     }
     s
+}
+
+/// One mutation of a 2-node [`BlockStore`] holding blocks 0 and 1.
+#[derive(Debug, Clone)]
+enum BlockOp {
+    Put(usize, u64, Vec<u8>),
+    Corrupt(usize, u64, usize),
+    Delete(usize, u64),
+    Fail(usize),
+    Revive(usize),
+}
+
+fn arb_block_op() -> impl Strategy<Value = BlockOp> {
+    // Few blocks and byte indices, so the same byte is often flipped
+    // twice between writes.
+    let flip = || (0usize..2, 0u64..2, 0usize..3).prop_map(|(n, b, i)| BlockOp::Corrupt(n, b, i));
+    prop_oneof![
+        (
+            0usize..2,
+            0u64..2,
+            prop::collection::vec(any::<u8>(), 0..24)
+        )
+            .prop_map(|(n, b, data)| BlockOp::Put(n, b, data)),
+        flip(),
+        flip(),
+        (0usize..2, 0u64..2).prop_map(|(n, b)| BlockOp::Delete(n, b)),
+        (0usize..2).prop_map(BlockOp::Fail),
+        (0usize..2).prop_map(BlockOp::Revive),
+    ]
+}
+
+/// The block store as plain data: liveness per node, and each block's
+/// current bytes with the CRC recorded when it was put.
+struct BlockModel {
+    alive: Vec<bool>,
+    blocks: HashMap<(usize, u64), (Vec<u8>, u32)>,
+}
+
+impl BlockModel {
+    fn apply(&mut self, op: &BlockOp) -> Result<(), ClusterError> {
+        match *op {
+            BlockOp::Put(n, _, _) | BlockOp::Corrupt(n, _, _) | BlockOp::Delete(n, _)
+                if !self.alive[n] =>
+            {
+                return Err(ClusterError::NodeDown(n));
+            }
+            BlockOp::Put(n, b, ref data) => {
+                self.blocks
+                    .insert((n, b), (data.clone(), crc32_reference(data)));
+            }
+            BlockOp::Corrupt(n, b, i) => {
+                let (data, _) = self
+                    .blocks
+                    .get_mut(&(n, b))
+                    .ok_or(ClusterError::NoSuchBlock {
+                        node: n,
+                        block: BlockId(b),
+                    })?;
+                if !data.is_empty() {
+                    let i = i % data.len();
+                    data[i] ^= 0xA5;
+                }
+            }
+            BlockOp::Delete(n, b) => {
+                self.blocks.remove(&(n, b));
+            }
+            BlockOp::Fail(n) => {
+                self.alive[n] = false;
+                self.blocks.retain(|&(bn, _), _| bn != n);
+            }
+            BlockOp::Revive(n) => self.alive[n] = true,
+        }
+        Ok(())
+    }
+
+    /// What a read must return, judged by re-hashing the current bytes.
+    fn read(&self, n: usize, b: u64) -> Result<Vec<u8>, ClusterError> {
+        if !self.alive[n] {
+            return Err(ClusterError::NodeDown(n));
+        }
+        let block = BlockId(b);
+        let (data, crc) = self
+            .blocks
+            .get(&(n, b))
+            .ok_or(ClusterError::NoSuchBlock { node: n, block })?;
+        if crc32_reference(data) != *crc {
+            return Err(ClusterError::Corrupt { node: n, block });
+        }
+        Ok(data.clone())
+    }
 }
 
 /// Builds a random layered workflow: steps in layer i depend on one random
@@ -340,5 +432,44 @@ proptest! {
         // wrong bytes are never served.
         prop_assert!(!s.has_block(0, BlockId(7)));
         prop_assert!(matches!(s.get(0, BlockId(7)), Err(ClusterError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn block_verdict_equals_a_fresh_crc(
+        ops in prop::collection::vec(arb_block_op(), 1..40),
+        offset in 0usize..8,
+        len in 0usize..16,
+    ) {
+        // The verdict reads use in place of hashing must answer exactly
+        // what re-hashing the block's current bytes would, after any
+        // sequence of writes, flips (double flips included), deletes,
+        // crashes and revivals.
+        let mut s = BlockStore::new(2);
+        let mut model = BlockModel { alive: vec![true; 2], blocks: HashMap::new() };
+        let mut written = BTreeSet::new();
+        for op in &ops {
+            let got = match *op {
+                BlockOp::Put(n, b, ref data) => {
+                    written.insert((n, b));
+                    s.put(n, BlockId(b), Bytes::from(data.clone()))
+                }
+                BlockOp::Corrupt(n, b, i) => s.corrupt_block(n, BlockId(b), i),
+                BlockOp::Delete(n, b) => s.delete(n, BlockId(b)),
+                BlockOp::Fail(n) => s.fail_node(n),
+                BlockOp::Revive(n) => s.revive_node(n).map(|_| ()),
+            };
+            prop_assert_eq!(got, model.apply(op), "op {:?}", op);
+            for &(n, b) in &written {
+                let want = model.read(n, b);
+                let id = BlockId(b);
+                prop_assert_eq!(s.has_block(n, id), want.is_ok());
+                prop_assert_eq!(s.get(n, id).map(|d| d.to_vec()), want.clone());
+                let ranged = want.map(|d| {
+                    let start = offset.min(d.len());
+                    d[start..(offset + len).min(d.len())].to_vec()
+                });
+                prop_assert_eq!(s.get_range(n, id, offset, len).map(|d| d.to_vec()), ranged);
+            }
+        }
     }
 }

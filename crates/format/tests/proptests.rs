@@ -2,6 +2,7 @@
 //! metadata must be internally consistent.
 
 use fusion_format::prelude::*;
+use fusion_format::util::{crc32, crc32_reference};
 use proptest::prelude::*;
 
 /// Strategy producing an arbitrary small table.
@@ -99,6 +100,15 @@ proptest! {
     #[test]
     fn open_never_panics_on_junk(junk in prop::collection::vec(any::<u8>(), 0..600)) {
         let _ = FileReader::open(&junk);
+    }
+
+    #[test]
+    fn crc32_matches_reference(
+        data in prop::collection::vec(any::<u8>(), 0..=65536),
+        start in 0usize..16,
+    ) {
+        let s = &data[start.min(data.len())..];
+        prop_assert_eq!(crc32(s), crc32_reference(s));
     }
 }
 
