@@ -10,20 +10,22 @@
 //! coordinator, where all decoding and evaluation happens.
 
 use super::{
-    assemble_result, degraded_fragment_fetch, result_wire_bytes, row_group_may_match, Ctx, Loc,
-    QueryOutput,
+    agg_label, degraded_fragment_fetch, result_wire_bytes, row_group_may_match, Ctx, Loc,
+    QueryOutput, QueryResult,
 };
 use crate::error::{Result, StoreError};
-use crate::query::fusion::concat_parts;
 use crate::store::Store;
 use fusion_cluster::engine::{CostClass, StepId};
 use fusion_format::chunk::decode_column_chunk;
+use fusion_format::schema::LogicalType;
 use fusion_format::value::ColumnData;
 use fusion_obs::trace::Phase;
 use fusion_sql::bitmap::Bitmap;
-use fusion_sql::eval::{combine, eval_filter, group_aggregate_decoded, stats_all_match};
+use fusion_sql::eval::{
+    combine, eval_aggregate, eval_filter, group_aggregate_decoded, stats_all_match,
+};
 use fusion_sql::partial::GroupedAggs;
-use fusion_sql::plan::QueryPlan;
+use fusion_sql::plan::{OutputItem, QueryPlan};
 
 /// Executes `plan` by reassembling all needed chunks at the coordinator.
 pub fn execute(store: &Store, object: &str, plan: &QueryPlan) -> Result<QueryOutput> {
@@ -320,5 +322,56 @@ pub fn execute(store: &Store, object: &str, plan: &QueryPlan) -> Result<QueryOut
         cache_misses,
         chunks_considered: considered,
         trace: ctx.trace,
+    })
+}
+
+/// Concatenates per-row-group projection parts (possibly none).
+fn concat_parts(ty: LogicalType, parts: Vec<ColumnData>) -> ColumnData {
+    let mut acc = ColumnData::with_capacity(ty, 0);
+    for p in parts {
+        match (&mut acc, p) {
+            (ColumnData::Int64(a), ColumnData::Int64(b)) => a.extend(b),
+            (ColumnData::Float64(a), ColumnData::Float64(b)) => a.extend(b),
+            (ColumnData::Utf8(a), ColumnData::Utf8(b)) => a.extend(b),
+            _ => unreachable!("parts decoded with a single logical type"),
+        }
+    }
+    acc
+}
+
+/// Builds the final result (projected output columns + aggregates) from
+/// the concatenated projections, aggregating with [`eval_aggregate`] —
+/// the oracle the pushdown executor's encoded folds are tested against.
+fn assemble_result(
+    plan: &QueryPlan,
+    projected: &[ColumnData],
+    total_matches: usize,
+) -> Result<QueryResult> {
+    let mut columns = Vec::new();
+    let mut aggregates = Vec::new();
+    for out in &plan.outputs {
+        match out {
+            OutputItem::Projection(pos) => {
+                columns.push((plan.projection_names[*pos].clone(), projected[*pos].clone()));
+            }
+            OutputItem::Aggregate(ai) => {
+                let spec = &plan.aggregates[*ai];
+                let data = spec.column.map(|schema_idx| {
+                    let pos = plan
+                        .projections
+                        .iter()
+                        .position(|&c| c == schema_idx)
+                        .expect("aggregate argument was planned as a projection");
+                    &projected[pos]
+                });
+                let v = eval_aggregate(spec, total_matches, data)?;
+                aggregates.push((agg_label(spec), v));
+            }
+        }
+    }
+    Ok(QueryResult {
+        row_count: total_matches,
+        columns,
+        aggregates,
     })
 }

@@ -17,24 +17,80 @@
 //! `selectivity × compressibility < 1` → push the projection down (the
 //! node sends only the selected values, uncompressed); otherwise fetch the
 //! compressed chunk and project locally at the coordinator.
+//!
+//! Wherever the time plane places that work, the data plane computes
+//! every answer from the encoded chunk views it already holds: projected
+//! rows are gathered straight from dictionary codes and RLE runs into one
+//! output column, ungrouped aggregates fold from the views without
+//! materializing their argument, and GROUP BY runs the encoded grouping
+//! kernel.
 
 use super::{
-    assemble_result, degraded_fragment_fetch, result_wire_bytes, row_group_may_match, Ctx, Loc,
+    agg_label, degraded_fragment_fetch, result_wire_bytes, row_group_may_match, Ctx, Loc,
     ProjectionDecision, QueryOutput, QueryResult,
 };
 use crate::error::{Result, StoreError};
 use crate::store::Store;
 use fusion_cluster::engine::{CostClass, StepId};
-use fusion_format::chunk::{decode_column_chunk, read_encoded_chunk, EncodedChunk};
+use fusion_format::chunk::{read_encoded_chunk, EncodedChunk};
 use fusion_format::schema::LogicalType;
 use fusion_format::value::ColumnData;
 use fusion_obs::trace::Phase;
 use fusion_sql::bitmap::Bitmap;
 use fusion_sql::eval::{
-    combine, eval_filter, eval_filter_encoded, stats_all_match, stats_may_match,
+    combine, eval_aggregate, eval_filter, eval_filter_encoded, select_encoded, selected_plain_size,
+    stats_all_match, stats_may_match, AggFold,
 };
-use fusion_sql::plan::{FilterLeaf, QueryPlan};
+use fusion_sql::partial::GroupedAggs;
+use fusion_sql::plan::{BoolTree, FilterLeaf, OutputItem, QueryPlan};
 use std::sync::Arc;
+
+/// Serialized and Snappy-compressed sizes of a bitmap, `(raw, wire)`.
+fn bitmap_sizes(bm: &Bitmap) -> (u64, u64) {
+    let raw = bm.to_bytes();
+    (raw.len() as u64, fusion_snappy::compress(&raw).len() as u64)
+}
+
+/// The `(raw, wire)` sizes of each row group's final bitmap. The time
+/// plane ships that bitmap to every node that projects or aggregates the
+/// row group, but the bytes never travel for real: each distinct bitmap
+/// is compressed once per query, only to be sized.
+struct RowGroupBitmapSizes(Vec<Option<(u64, u64)>>);
+
+impl RowGroupBitmapSizes {
+    fn get(&mut self, rg: usize, bm: &Bitmap) -> (u64, u64) {
+        *self.0[rg].get_or_insert_with(|| bitmap_sizes(bm))
+    }
+}
+
+/// Reads one chunk's encoded view for the data plane and counts the
+/// access. A `healthy` chunk (whole, on a live node) is served through
+/// its node's chunk cache; any other is parsed from bytes the coordinator
+/// reassembles, rebuilding lost fragments from their stripes — a one-off
+/// view that bypasses the cache but still reads the data plane, so it
+/// counts as a miss. Returns the view and whether it hit.
+fn chunk_view(
+    store: &Store,
+    object: &str,
+    ordinal: usize,
+    ty: LogicalType,
+    healthy: bool,
+    hits: &mut usize,
+    misses: &mut usize,
+) -> Result<(Arc<EncodedChunk>, bool)> {
+    let (chunk, hit) = if healthy {
+        store.encoded_chunk(object, ordinal, ty)?
+    } else {
+        let bytes = store.chunk_bytes(object, ordinal)?;
+        (Arc::new(read_encoded_chunk(&bytes, ty)?), false)
+    };
+    if hit {
+        *hits += 1;
+    } else {
+        *misses += 1;
+    }
+    Ok((chunk, hit))
+}
 
 /// One healthy chunk's filter-scan work unit: assembled serially, scanned
 /// on a pool worker, applied serially. Everything the worker needs lives
@@ -131,6 +187,10 @@ pub fn execute(
     let mut leaf_acc: Vec<Vec<Option<Bitmap>>> = (0..num_rgs)
         .map(|_| (0..plan.filters.len()).map(|_| None).collect())
         .collect();
+    // When the whole predicate is one leaf, a row group's final bitmap is
+    // that leaf's bitmap: keep the sizes the scan already measured.
+    let is_root = |li: usize| matches!(plan.tree, Some(BoolTree::Leaf(id)) if id == li);
+    let mut bm_sizes = RowGroupBitmapSizes(vec![None; num_rgs]);
     let mut tasks: Vec<ScanTask> = Vec::new();
     // `rg` also indexes the footer metadata, not just `leaf_acc`.
     #[allow(clippy::needless_range_loop)]
@@ -205,9 +265,11 @@ pub fn execute(
                 } else {
                     eval_filter(leaf, &view.decode()?)?
                 };
-                let bm_raw = bm.to_bytes();
-                let wire = fusion_snappy::compress(&bm_raw);
-                bitmap_wire_total += wire.len() as u64;
+                let (bm_raw, bm_wire) = bitmap_sizes(&bm);
+                bitmap_wire_total += bm_wire;
+                if is_root(li) {
+                    bm_sizes.0[rg] = Some((bm_raw, bm_wire));
+                }
                 let mut arrived = Vec::new();
                 for f in &frags {
                     if store.blocks().has_block(f.node, f.block) {
@@ -235,7 +297,7 @@ pub fn execute(
                     Loc::Node(coord),
                     cost.decode_at(cm.plain_size, speedup * csp)
                         + cost.eval_at(cm.value_count, speedup)
-                        + cost.compress_at(bm_raw.len() as u64, csp),
+                        + cost.compress_at(bm_raw, csp),
                     CostClass::Processing,
                     &arrived,
                 );
@@ -264,11 +326,13 @@ pub fn execute(
         if !hit {
             store.chunk_cache().insert(object, t.ordinal, chunk);
         }
-        let bm_raw = bm.to_bytes();
-        let wire = fusion_snappy::compress(&bm_raw);
-        bitmap_wire_total += wire.len() as u64;
+        let (bm_raw, bm_wire) = bitmap_sizes(&bm);
+        bitmap_wire_total += bm_wire;
+        if is_root(t.leaf_idx) {
+            bm_sizes.0[t.rg] = Some((bm_raw, bm_wire));
+        }
         // The node compresses its result bitmap before shipping it back.
-        let bm_compress = cost.compress_at(bm_raw.len() as u64, csp);
+        let bm_compress = cost.compress_at(bm_raw, csp);
 
         // Time plane: dispatch the sub-query; a cache hit skips the disk
         // read and the parse and goes straight to the masked scan.
@@ -292,12 +356,7 @@ pub fn execute(
                 &[read],
             )
         };
-        let back = ctx.transfer(
-            Loc::Node(t.node),
-            Loc::Node(coord),
-            wire.len() as u64,
-            &[eval],
-        );
+        let back = ctx.transfer(Loc::Node(t.node), Loc::Node(coord), bm_wire, &[eval]);
         filter_frontier.extend(back);
         decoded_on.insert(t.ordinal, (t.node, eval));
         leaf_acc[t.rg][t.leaf_idx] = Some(bm);
@@ -343,93 +402,99 @@ pub fn execute(
     let total_rows: usize = fm.row_groups.iter().map(|g| g.row_count as usize).sum();
     // Selectivity is measured before any LIMIT: it is the filter-stage
     // statistic the Cost Equation reasons about.
-    let measured_matches: usize = rg_bitmaps.iter().map(Bitmap::count_ones).sum();
+    let measured: Vec<usize> = rg_bitmaps.iter().map(Bitmap::count_ones).collect();
+    let measured_matches: usize = measured.iter().sum();
     let selectivity = if total_rows == 0 {
         0.0
     } else {
         measured_matches as f64 / total_rows as f64
     };
     super::apply_limit(plan, &mut rg_bitmaps);
-    let total_matches: usize = rg_bitmaps.iter().map(Bitmap::count_ones).sum();
-
-    // ---- GROUP BY pushdown (encoded-domain partial aggregation) ----
-    // Grouped queries never ship projected rows: each participating node
-    // reduces its matched rows to keyed `(group_key, PartialAgg)` states
-    // (dictionary codes index the accumulators, RLE runs accumulate whole
-    // spans), and the coordinator merges per-node states in row-group
-    // order so float accumulation stays deterministic. Multi-key grouping
-    // and the pushdown-off ablation fall back to grouping decoded values
-    // at the coordinator.
-    if plan.grouped() {
-        return grouped_aggregate_stage(
-            store,
-            object,
-            plan,
-            AggStageInputs {
-                fm,
-                meta,
-                coord,
-                ctx,
-                combine_step,
-                rg_bitmaps: &rg_bitmaps,
-                decoded_on: &decoded_on,
-                selectivity,
-                total_matches,
-                pruned,
-                cache_hits,
-                cache_misses,
-                considered,
-            },
-        );
+    let rg_matches: Vec<usize> = rg_bitmaps.iter().map(Bitmap::count_ones).collect();
+    let total_matches: usize = rg_matches.iter().sum();
+    // LIMIT only clears bits, so a row group's bitmap is unchanged iff its
+    // match count is; a truncated one is sized afresh.
+    for (rg, (before, after)) in measured.iter().zip(&rg_matches).enumerate() {
+        if before != after {
+            bm_sizes.0[rg] = None;
+        }
     }
 
+    // ---- GROUP BY (encoded-domain partial aggregation) ----
+    // Grouped queries never ship projected rows: each row group's matched
+    // rows reduce to keyed `(group_key, PartialAgg)` states (dictionary
+    // codes index the accumulators, RLE runs accumulate whole spans), and
+    // the coordinator merges them in row-group order so float
+    // accumulation stays deterministic. With aggregate pushdown on, the
+    // chunk-hosting nodes compute the states; otherwise the coordinator
+    // does, with the same kernels.
     // ---- Aggregate pushdown (extension; paper future work) ----
     // For aggregate-only queries the nodes can compute partial aggregates
     // over their matched rows and ship back a handful of bytes instead of
     // the selected values.
-    if store.config().aggregate_pushdown
+    let agg_pushdown = store.config().aggregate_pushdown
         && plan.aggregate_only()
         && !plan.aggregates.is_empty()
-        && total_matches > 0
-    {
-        return aggregate_pushdown_stage(
-            store,
-            object,
-            plan,
-            AggStageInputs {
-                fm,
-                meta,
-                coord,
-                ctx,
-                combine_step,
-                rg_bitmaps: &rg_bitmaps,
-                decoded_on: &decoded_on,
-                selectivity,
-                total_matches,
-                pruned,
-                cache_hits,
-                cache_misses,
-                considered,
-            },
-        );
+        && total_matches > 0;
+    if plan.grouped() || agg_pushdown {
+        let inputs = AggStageInputs {
+            fm,
+            meta,
+            coord,
+            ctx,
+            combine_step,
+            rg_bitmaps: &rg_bitmaps,
+            bm_sizes,
+            decoded_on: &decoded_on,
+            selectivity,
+            total_matches,
+            pruned,
+            cache_hits,
+            cache_misses,
+            considered,
+        };
+        return if plan.grouped() {
+            grouped_aggregate_stage(store, object, plan, inputs)
+        } else {
+            aggregate_pushdown_stage(store, object, plan, inputs)
+        };
     }
 
     // ---- Projection stage ----
-    let mut projected: Vec<ColumnData> = Vec::with_capacity(plan.projections.len());
+    // Data plane: every column the result shows gathers its matched rows
+    // straight from the encoded views into one output column, and every
+    // aggregate folds from the same views without materializing its
+    // argument column. The time plane still models the paper's plan:
+    // ship the selected values, aggregate at the coordinator.
+    let shown: Vec<bool> = (0..plan.projections.len())
+        .map(|pos| plan.outputs.contains(&OutputItem::Projection(pos)))
+        .collect();
+    let mut projected: Vec<ColumnData> = plan
+        .projections
+        .iter()
+        .zip(&shown)
+        .map(|(&c, &shown)| {
+            let rows = if shown { total_matches } else { 0 };
+            ColumnData::with_capacity(fm.schema.fields()[c].ty, rows)
+        })
+        .collect();
+    let mut folds: Vec<Option<AggFold>> = plan
+        .aggregates
+        .iter()
+        .map(|s| {
+            s.column
+                .map(|c| AggFold::new(s.func, fm.schema.fields()[c].ty))
+        })
+        .collect();
     let mut decisions = Vec::new();
     let mut proj_frontier: Vec<StepId> = vec![combine_step];
     ctx.phase(Phase::Project);
     ctx.trace.enter(Phase::Project, "projection_stage");
 
     for (pos, &col_idx) in plan.projections.iter().enumerate() {
-        let _ = pos;
         let ty = fm.schema.fields()[col_idx].ty;
-        let mut parts: Vec<ColumnData> = Vec::with_capacity(num_rgs);
-        // `rg` also indexes the footer metadata, not just the bitmaps.
-        #[allow(clippy::needless_range_loop)]
-        for rg in 0..num_rgs {
-            let matches: Vec<usize> = rg_bitmaps[rg].ones().collect();
-            if matches.is_empty() {
+        for (rg, (filter, &matches)) in rg_bitmaps.iter().zip(&rg_matches).enumerate() {
+            if matches == 0 {
                 continue;
             }
             let cm = fm.chunk(rg, col_idx)?;
@@ -442,25 +507,25 @@ pub fn execute(
             let healthy =
                 frags.len() == 1 && store.blocks().has_block(frags[0].node, frags[0].block);
 
-            // Data plane: healthy chunks are served through the hosting
-            // node's encoded-chunk cache; degraded chunks bypass it (the
-            // coordinator's reassembled view is one-off) but still read
-            // the data plane, so they count as misses.
-            let (col, hit) = if healthy {
-                let (chunk, hit) = store.encoded_chunk(object, ordinal, ty)?;
-                if hit {
-                    cache_hits += 1;
-                } else {
-                    cache_misses += 1;
+            let (chunk, hit) = chunk_view(
+                store,
+                object,
+                ordinal,
+                ty,
+                healthy,
+                &mut cache_hits,
+                &mut cache_misses,
+            )?;
+            if shown[pos] {
+                select_encoded(&chunk, filter, &mut projected[pos])?;
+            }
+            for (spec, fold) in plan.aggregates.iter().zip(&mut folds) {
+                match (spec.column, fold) {
+                    (Some(c), Some(fold)) if c == col_idx => fold.fold(&chunk, filter)?,
+                    _ => {}
                 }
-                (chunk.decode()?, hit)
-            } else {
-                cache_misses += 1;
-                let chunk_bytes = store.chunk_bytes(object, ordinal)?;
-                (decode_column_chunk(&chunk_bytes, ty)?, false)
-            };
-            let part = col.take(&matches);
-            let out_bytes = part.plain_size() as u64;
+            }
+            let out_bytes = selected_plain_size(&chunk, filter)?;
 
             // Cost Equation (paper §4.3): push down only when the
             // uncompressed projection result is smaller than the encoded
@@ -479,14 +544,13 @@ pub fn execute(
             // Time plane.
             if push {
                 let node = frags[0].node;
-                let bm_raw = rg_bitmaps[rg].to_bytes();
-                let bm_wire = fusion_snappy::compress(&bm_raw).len() as u64;
+                let (bm_raw, bm_wire) = bm_sizes.get(rg, filter);
                 let start = ctx.retry(store.retry_penalty(node), &[combine_step]);
                 // The coordinator compresses the bitmap before shipping it
                 // down to the chunk's node.
                 let comp = ctx.cpu(
                     Loc::Node(coord),
-                    cost.compress_at(bm_raw.len() as u64, csp),
+                    cost.compress_at(bm_raw, csp),
                     CostClass::Other,
                     &start,
                 );
@@ -559,9 +623,7 @@ pub fn execute(
                 );
                 proj_frontier.push(work);
             }
-            parts.push(part);
         }
-        projected.push(concat_parts(ty, parts));
     }
     if ctx.trace.enabled() {
         ctx.trace
@@ -570,7 +632,36 @@ pub fn execute(
     ctx.trace.exit(); // projection_stage
 
     // ---- Assemble and reply ----
-    let result = assemble_result(plan, &projected, total_matches)?;
+    let mut columns = Vec::new();
+    let mut aggregates = Vec::new();
+    for (i, out) in plan.outputs.iter().enumerate() {
+        match *out {
+            OutputItem::Projection(pos) => {
+                // Moved out at its last mention; a column selected twice
+                // is cloned for the earlier ones.
+                let col = if plan.outputs[i + 1..].contains(out) {
+                    projected[pos].clone()
+                } else {
+                    std::mem::replace(&mut projected[pos], ColumnData::Int64(Vec::new()))
+                };
+                columns.push((plan.projection_names[pos].clone(), col));
+            }
+            OutputItem::Aggregate(ai) => {
+                let spec = &plan.aggregates[ai];
+                let value = match folds[ai].take() {
+                    Some(fold) => fold.finish()?,
+                    // COUNT(*) needs no column.
+                    None => eval_aggregate(spec, total_matches, None)?,
+                };
+                aggregates.push((agg_label(spec), value));
+            }
+        }
+    }
+    let result = QueryResult {
+        row_count: total_matches,
+        columns,
+        aggregates,
+    };
     let reply_bytes = result_wire_bytes(&result);
     ctx.phase(Phase::Other);
     let assemble = ctx.cpu(
@@ -608,6 +699,7 @@ struct AggStageInputs<'a> {
     ctx: Ctx<'a>,
     combine_step: StepId,
     rg_bitmaps: &'a [Bitmap],
+    bm_sizes: RowGroupBitmapSizes,
     decoded_on: &'a std::collections::HashMap<usize, (usize, StepId)>,
     selectivity: f64,
     total_matches: usize,
@@ -635,6 +727,7 @@ fn aggregate_pushdown_stage(
         mut ctx,
         combine_step,
         rg_bitmaps,
+        mut bm_sizes,
         decoded_on,
         selectivity,
         total_matches,
@@ -682,23 +775,17 @@ fn aggregate_pushdown_stage(
             let healthy =
                 frags.len() == 1 && store.blocks().has_block(frags[0].node, frags[0].block);
 
-            // Data plane: decode once (via the node cache when healthy),
-            // compute every partial. Degraded chunks bypass the cache but
-            // still read the data plane, so they count as misses.
-            let (col, hit) = if healthy {
-                let (chunk, hit) = store.encoded_chunk(object, ordinal, ty)?;
-                if hit {
-                    cache_hits += 1;
-                } else {
-                    cache_misses += 1;
-                }
-                (chunk.decode()?, hit)
-            } else {
-                cache_misses += 1;
-                let chunk_bytes = store.chunk_bytes(object, ordinal)?;
-                (decode_column_chunk(&chunk_bytes, ty)?, false)
-            };
-            let part = col.take(&matches);
+            // Data plane: decode once, compute every partial.
+            let (chunk, hit) = chunk_view(
+                store,
+                object,
+                ordinal,
+                ty,
+                healthy,
+                &mut cache_hits,
+                &mut cache_misses,
+            )?;
+            let part = chunk.decode()?.take(&matches);
             let mut wire = 0u64;
             for &ai in agg_idxs {
                 let p = PartialAgg::compute(plan.aggregates[ai].func, &part)?;
@@ -719,14 +806,13 @@ fn aggregate_pushdown_stage(
             // needs the chunk whole and its hosting node up.
             if healthy {
                 let node = frags[0].node;
-                let bm_raw = rg_bitmaps[rg].to_bytes();
-                let bm_wire = fusion_snappy::compress(&bm_raw).len() as u64;
+                let (bm_raw, bm_wire) = bm_sizes.get(rg, &rg_bitmaps[rg]);
                 let start = ctx.retry(store.retry_penalty(node), &[combine_step]);
                 // The coordinator compresses the bitmap before shipping it
                 // down to the chunk's node.
                 let comp = ctx.cpu(
                     Loc::Node(coord),
-                    cost.compress_at(bm_raw.len() as u64, csp),
+                    cost.compress_at(bm_raw, csp),
                     CostClass::Other,
                     &start,
                 );
@@ -805,11 +891,7 @@ fn aggregate_pushdown_stage(
             (Some(p), _) => p.finalize(),
             (None, Some(_)) => PartialAgg::identity(spec.func, None).finalize(),
         };
-        let label = match &spec.column_name {
-            Some(c) => format!("{}({})", spec.func, c),
-            None => format!("{}(*)", spec.func),
-        };
-        aggregates.push((label, value));
+        aggregates.push((agg_label(spec), value));
     }
     let result = QueryResult {
         row_count: total_matches,
@@ -862,17 +944,17 @@ fn aggregate_pushdown_stage(
 /// argument is the key (or `COUNT(*)`); every other argument column's
 /// node receives the tiny encoded key descriptor plus the filter bitmap
 /// and reduces its own column. Degraded row groups — and multi-key or
-/// pushdown-off queries — fall back to fetching the touched chunks and
-/// running the decoded oracle kernel at the coordinator, so results are
-/// identical either way.
+/// pushdown-off queries — are modelled as fetching the touched chunks and
+/// grouping at the coordinator. Both branches share one data plane
+/// ([`group_views`]), so they differ only in the time-plane steps they
+/// build.
 fn grouped_aggregate_stage(
     store: &Store,
     object: &str,
     plan: &QueryPlan,
     inputs: AggStageInputs<'_>,
 ) -> Result<QueryOutput> {
-    use fusion_sql::eval::{group_aggregate_decoded, group_aggregate_encoded, AggInput};
-    use fusion_sql::partial::{GroupKey, GroupedAggs};
+    use fusion_sql::partial::GroupKey;
     let AggStageInputs {
         fm,
         meta,
@@ -880,6 +962,7 @@ fn grouped_aggregate_stage(
         mut ctx,
         combine_step,
         rg_bitmaps,
+        mut bm_sizes,
         decoded_on,
         selectivity,
         total_matches,
@@ -891,7 +974,6 @@ fn grouped_aggregate_stage(
     let cost = store.config().cluster.cost.clone();
     let csp = store.config().compression_speedup();
     let speedup = store.config().scan_speedup();
-    let num_rgs = fm.row_groups.len();
     ctx.phase(Phase::GroupedAggregate);
     ctx.trace
         .enter(Phase::GroupedAggregate, "grouped_aggregate_stage");
@@ -921,6 +1003,10 @@ fn grouped_aggregate_stage(
         .map(|(ai, _)| ai)
         .collect();
 
+    // Every chunk a row group's grouping reads: the keys, then the other
+    // argument columns.
+    let touched: Vec<usize> = plan.group_by.iter().chain(&arg_cols).copied().collect();
+
     let mut merged: Option<GroupedAggs> = None;
     let mut frontier: Vec<StepId> = vec![combine_step];
     let mut decisions = Vec::new();
@@ -930,108 +1016,50 @@ fn grouped_aggregate_stage(
     // column would have shipped (average encoded-row width × matches).
     let mut row_ship_bytes = 0u64;
 
-    // `rg` also indexes the footer metadata, not just the bitmaps.
-    #[allow(clippy::needless_range_loop)]
-    for rg in 0..num_rgs {
-        let filter = &rg_bitmaps[rg];
+    for (rg, filter) in rg_bitmaps.iter().enumerate() {
         let matches = filter.count_ones();
         if matches == 0 {
             continue;
         }
-        for &col_idx in plan.group_by.iter().chain(&arg_cols) {
+        for &col_idx in &touched {
             let cm = fm.chunk(rg, col_idx)?;
             row_ship_bytes += cm.plain_size * matches as u64 / cm.value_count.max(1);
         }
 
+        // Data plane, the same whichever branch models the row group:
+        // read every touched chunk's view and group the matched rows.
+        let mut views = Vec::with_capacity(touched.len());
         // Pushdown needs every touched chunk whole and its node up.
         let mut healthy = encoded_path;
-        if healthy {
-            for &col_idx in plan.group_by.iter().chain(&arg_cols) {
-                let ordinal = meta
-                    .chunk_ordinal(rg, col_idx)
-                    .ok_or_else(|| StoreError::Internal("chunk ordinal out of range".into()))?;
-                let frags = meta.chunk_fragments(ordinal);
-                healthy &=
-                    frags.len() == 1 && store.blocks().has_block(frags[0].node, frags[0].block);
-            }
+        for &col_idx in &touched {
+            let ordinal = meta
+                .chunk_ordinal(rg, col_idx)
+                .ok_or_else(|| StoreError::Internal("chunk ordinal out of range".into()))?;
+            let frags = meta.chunk_fragments(ordinal);
+            considered += 1;
+            let whole = frags.len() == 1 && store.blocks().has_block(frags[0].node, frags[0].block);
+            healthy &= whole;
+            views.push(chunk_view(
+                store,
+                object,
+                ordinal,
+                fm.schema.fields()[col_idx].ty,
+                whole,
+                &mut cache_hits,
+                &mut cache_misses,
+            )?);
         }
+        let rg_grouped = group_views(plan, &touched, &views, filter)?;
 
-        let rg_grouped = if healthy {
-            // ---- Encoded-domain pushdown for this row group ----
+        if healthy {
+            // ---- Time plane: encoded-domain pushdown ----
             let key_col = plan.group_by[0];
-            let key_ty = fm.schema.fields()[key_col].ty;
             let key_cm = fm.chunk(rg, key_col)?;
             let key_ordinal = meta
                 .chunk_ordinal(rg, key_col)
                 .ok_or_else(|| StoreError::Internal("chunk ordinal out of range".into()))?;
             let key_node = meta.chunk_fragments(key_ordinal)[0].node;
-
-            // Data plane: the key chunk stays encoded (codes index the
-            // accumulators); argument columns decode on their own nodes.
-            considered += 1;
-            let (key_chunk, key_hit) = store.encoded_chunk(object, key_ordinal, key_ty)?;
-            if key_hit {
-                cache_hits += 1;
-            } else {
-                cache_misses += 1;
-            }
-            struct ArgFetch {
-                col: usize,
-                data: ColumnData,
-                hit: bool,
-                node: usize,
-                ordinal: usize,
-                cm_len: u64,
-                cm_plain: u64,
-                aggs: Vec<usize>,
-            }
-            let mut args: Vec<ArgFetch> = Vec::with_capacity(arg_cols.len());
-            for &col_idx in &arg_cols {
-                let ty = fm.schema.fields()[col_idx].ty;
-                let ordinal = meta
-                    .chunk_ordinal(rg, col_idx)
-                    .ok_or_else(|| StoreError::Internal("chunk ordinal out of range".into()))?;
-                considered += 1;
-                let (chunk, hit) = store.encoded_chunk(object, ordinal, ty)?;
-                if hit {
-                    cache_hits += 1;
-                } else {
-                    cache_misses += 1;
-                }
-                let cm = fm.chunk(rg, col_idx)?;
-                args.push(ArgFetch {
-                    col: col_idx,
-                    data: chunk.decode()?,
-                    hit,
-                    node: meta.chunk_fragments(ordinal)[0].node,
-                    ordinal,
-                    cm_len: cm.len,
-                    cm_plain: cm.plain_size,
-                    aggs: plan
-                        .aggregates
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| s.column == Some(col_idx))
-                        .map(|(ai, _)| ai)
-                        .collect(),
-                });
-            }
-            let agg_inputs: Vec<(fusion_sql::ast::AggFunc, AggInput<'_>)> = plan
-                .aggregates
-                .iter()
-                .map(|s| {
-                    let input = match s.column {
-                        None => AggInput::Star,
-                        Some(c) if c == key_col => AggInput::Key,
-                        Some(c) => AggInput::Col(
-                            &args.iter().find(|a| a.col == c).expect("arg fetched").data,
-                        ),
-                    };
-                    (s.func, input)
-                })
-                .collect();
-            let rg_grouped = group_aggregate_encoded(&key_chunk, &agg_inputs, filter)
-                .map_err(StoreError::from)?;
+            let key_hit = views[0].1;
 
             // Per-node wire: every participating node returns the keys
             // plus the states of the aggregates it owns.
@@ -1050,14 +1078,13 @@ fn grouped_aggregate_stage(
                         .sum::<u64>()
             };
 
-            // Time plane: bitmap down to the key node; descriptor + bitmap
-            // to each argument node; only keyed states come back.
-            let bm_raw = filter.to_bytes();
-            let bm_wire = fusion_snappy::compress(&bm_raw).len() as u64;
+            // Bitmap down to the key node; descriptor + bitmap to each
+            // argument node; only keyed states come back.
+            let (bm_raw, bm_wire) = bm_sizes.get(rg, filter);
             let start = ctx.retry(store.retry_penalty(key_node), &[combine_step]);
             let comp = ctx.cpu(
                 Loc::Node(coord),
-                cost.compress_at(bm_raw.len() as u64, csp),
+                cost.compress_at(bm_raw, csp),
                 CostClass::Other,
                 &start,
             );
@@ -1106,93 +1133,76 @@ fn grouped_aggregate_stage(
                 pushed_down: true,
             });
 
-            for arg in &args {
-                let wire = state_bytes_for(&arg.aggs);
+            for (&col_idx, &(_, hit)) in arg_cols.iter().zip(&views[1..]) {
+                let cm = fm.chunk(rg, col_idx)?;
+                let ordinal = meta
+                    .chunk_ordinal(rg, col_idx)
+                    .ok_or_else(|| StoreError::Internal("chunk ordinal out of range".into()))?;
+                let node = meta.chunk_fragments(ordinal)[0].node;
+                let aggs: Vec<usize> = plan
+                    .aggregates
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.column == Some(col_idx))
+                    .map(|(ai, _)| ai)
+                    .collect();
+                let wire = state_bytes_for(&aggs);
                 let mut deps: Vec<StepId> = Vec::new();
-                if arg.node == key_node {
+                if node == key_node {
                     // Same node already holds the parsed key chunk.
                     deps.push(key_work);
                 } else {
                     // Bitmap from the coordinator, encoded key descriptor
                     // from the key node (tiny: the dictionary + runs).
-                    deps.extend(ctx.transfer(
-                        Loc::Node(coord),
-                        Loc::Node(arg.node),
-                        bm_wire,
-                        &[comp],
-                    ));
+                    deps.extend(ctx.transfer(Loc::Node(coord), Loc::Node(node), bm_wire, &[comp]));
                     deps.extend(ctx.transfer(
                         Loc::Node(key_node),
-                        Loc::Node(arg.node),
+                        Loc::Node(node),
                         key_cm.len,
                         &[key_work],
                     ));
                 }
-                let deps = ctx.retry(store.retry_penalty(arg.node), &deps);
-                let arg_cpu = cost.eval_at(matches as u64 * arg.aggs.len() as u64, speedup)
+                let deps = ctx.retry(store.retry_penalty(node), &deps);
+                let arg_cpu = cost.eval_at(matches as u64 * aggs.len() as u64, speedup)
                     + cost.agg_state(wire);
-                let work = match decoded_on.get(&arg.ordinal) {
-                    Some(&(n, eval_step)) if n == arg.node => {
+                let work = match decoded_on.get(&ordinal) {
+                    Some(&(n, eval_step)) if n == node => {
                         let mut deps = deps.clone();
                         deps.push(eval_step);
-                        ctx.cpu(Loc::Node(arg.node), arg_cpu, CostClass::Processing, &deps)
+                        ctx.cpu(Loc::Node(node), arg_cpu, CostClass::Processing, &deps)
                     }
-                    _ if arg.hit => {
-                        ctx.cpu(Loc::Node(arg.node), arg_cpu, CostClass::Processing, &deps)
-                    }
+                    _ if hit => ctx.cpu(Loc::Node(node), arg_cpu, CostClass::Processing, &deps),
                     _ => {
-                        let read = ctx.disk(arg.node, arg.cm_len, &deps);
+                        let read = ctx.disk(node, cm.len, &deps);
                         ctx.cpu(
-                            Loc::Node(arg.node),
-                            cost.decode_at(arg.cm_plain, csp) + arg_cpu,
+                            Loc::Node(node),
+                            cost.decode_at(cm.plain_size, csp) + arg_cpu,
                             CostClass::Processing,
                             &[read],
                         )
                     }
                 };
-                frontier.extend(ctx.transfer(Loc::Node(arg.node), Loc::Node(coord), wire, &[work]));
+                frontier.extend(ctx.transfer(Loc::Node(node), Loc::Node(coord), wire, &[work]));
                 state_wire_total += wire;
                 decisions.push(ProjectionDecision {
                     row_group: rg,
-                    column: arg.col,
-                    cost_product: wire as f64 / arg.cm_len.max(1) as f64,
+                    column: col_idx,
+                    cost_product: wire as f64 / cm.len.max(1) as f64,
                     pushed_down: true,
                 });
             }
-            rg_grouped
         } else {
-            // ---- Coordinator fallback for this row group ----
+            // ---- Time plane: coordinator fallback ----
             // Fetch every touched chunk (rebuilding lost fragments from
-            // their stripes), decode, and run the decoded oracle kernel.
+            // their stripes) and group at the coordinator.
             let mut arrived: Vec<StepId> = Vec::new();
             let mut decode_cost = fusion_cluster::time::Nanos::ZERO;
-            let mut fetched: std::collections::HashMap<usize, ColumnData> =
-                std::collections::HashMap::new();
-            for &col_idx in plan.group_by.iter().chain(&arg_cols) {
+            for &col_idx in &touched {
                 let cm = fm.chunk(rg, col_idx)?;
-                let ty = fm.schema.fields()[col_idx].ty;
                 let ordinal = meta
                     .chunk_ordinal(rg, col_idx)
                     .ok_or_else(|| StoreError::Internal("chunk ordinal out of range".into()))?;
-                let frags = meta.chunk_fragments(ordinal);
-                considered += 1;
-                let chunk_healthy =
-                    frags.len() == 1 && store.blocks().has_block(frags[0].node, frags[0].block);
-                let col = if chunk_healthy {
-                    let (chunk, hit) = store.encoded_chunk(object, ordinal, ty)?;
-                    if hit {
-                        cache_hits += 1;
-                    } else {
-                        cache_misses += 1;
-                    }
-                    chunk.decode()?
-                } else {
-                    cache_misses += 1;
-                    let chunk_bytes = store.chunk_bytes(object, ordinal)?;
-                    decode_column_chunk(&chunk_bytes, ty)?
-                };
-                fetched.insert(col_idx, col);
-                for f in &frags {
+                for f in &meta.chunk_fragments(ordinal) {
                     if store.blocks().has_block(f.node, f.block) {
                         let req = ctx.rpc(Loc::Node(coord), Loc::Node(f.node), &[combine_step]);
                         let req = ctx.retry(store.retry_penalty(f.node), &req);
@@ -1216,32 +1226,13 @@ fn grouped_aggregate_stage(
                 }
                 decode_cost += cost.decode_at(cm.plain_size, csp) + cost.eval(cm.value_count);
             }
-            let keys: Vec<&ColumnData> = plan
-                .group_by
-                .iter()
-                .map(|c| fetched.get(c).expect("key column fetched above"))
-                .collect();
-            let aggs: Vec<(fusion_sql::ast::AggFunc, Option<&ColumnData>)> = plan
-                .aggregates
-                .iter()
-                .map(|s| {
-                    (
-                        s.func,
-                        s.column
-                            .map(|c| fetched.get(&c).expect("aggregate column fetched above")),
-                    )
-                })
-                .collect();
-            let rg_grouped =
-                group_aggregate_decoded(&keys, &aggs, filter).map_err(StoreError::from)?;
             frontier.push(ctx.cpu(
                 Loc::Node(coord),
                 decode_cost + cost.agg_state(rg_grouped.wire_bytes()),
                 CostClass::Processing,
                 &arrived,
             ));
-            rg_grouped
-        };
+        }
 
         groups_emitted += rg_grouped.len() as u64;
         // Merge in row-group order: keyed float states accumulate in a
@@ -1298,24 +1289,55 @@ fn grouped_aggregate_stage(
     })
 }
 
-/// Concatenates per-row-group projection parts (possibly none).
-pub(crate) fn concat_parts(
-    ty: fusion_format::schema::LogicalType,
-    parts: Vec<ColumnData>,
-) -> ColumnData {
-    use fusion_format::schema::LogicalType;
-    let mut acc = match ty {
-        LogicalType::Int64 | LogicalType::Date => ColumnData::Int64(Vec::new()),
-        LogicalType::Float64 => ColumnData::Float64(Vec::new()),
-        LogicalType::Utf8 => ColumnData::Utf8(Vec::new()),
+/// Groups one row group's matched rows from the views of its `touched`
+/// chunks (the group keys, then the other argument columns, as the
+/// grouped stage reads them). A single key groups in the encoded domain:
+/// its codes index the accumulators and its RLE runs fold whole, while
+/// argument columns are decoded for the kernel to read row by row.
+/// Several keys group decoded values with the row-at-a-time oracle.
+fn group_views(
+    plan: &QueryPlan,
+    touched: &[usize],
+    views: &[(Arc<EncodedChunk>, bool)],
+    filter: &Bitmap,
+) -> Result<GroupedAggs> {
+    use fusion_sql::eval::{group_aggregate_decoded, group_aggregate_encoded, AggInput};
+    // With one key, the key view stays encoded and only the argument
+    // columns after it are decoded.
+    let skip = usize::from(plan.group_by.len() == 1);
+    let decoded: Vec<ColumnData> = views[skip..]
+        .iter()
+        .map(|(view, _)| view.decode())
+        .collect::<std::result::Result<_, _>>()?;
+    let col = |c: usize| {
+        &decoded[touched
+            .iter()
+            .position(|&t| t == c)
+            .expect("touched column read")
+            - skip]
     };
-    for p in parts {
-        match (&mut acc, p) {
-            (ColumnData::Int64(a), ColumnData::Int64(b)) => a.extend(b),
-            (ColumnData::Float64(a), ColumnData::Float64(b)) => a.extend(b),
-            (ColumnData::Utf8(a), ColumnData::Utf8(b)) => a.extend(b),
-            _ => unreachable!("parts decoded with a single logical type"),
-        }
-    }
-    acc
+    let grouped = if let [key] = plan.group_by[..] {
+        let inputs: Vec<_> = plan
+            .aggregates
+            .iter()
+            .map(|s| {
+                let input = match s.column {
+                    None => AggInput::Star,
+                    Some(c) if c == key => AggInput::Key,
+                    Some(c) => AggInput::Col(col(c)),
+                };
+                (s.func, input)
+            })
+            .collect();
+        group_aggregate_encoded(&views[0].0, &inputs, filter)
+    } else {
+        let keys: Vec<&ColumnData> = plan.group_by.iter().map(|&c| col(c)).collect();
+        let aggs: Vec<_> = plan
+            .aggregates
+            .iter()
+            .map(|s| (s.func, s.column.map(col)))
+            .collect();
+        group_aggregate_decoded(&keys, &aggs, filter)
+    };
+    grouped.map_err(StoreError::from)
 }

@@ -459,46 +459,12 @@ pub(crate) fn row_group_may_match(
     }
 }
 
-/// Builds the final result (projected output columns + aggregates) from
-/// filtered projection data. Shared by both executors so their outputs are
-/// identical by construction.
-pub(crate) fn assemble_result(
-    plan: &QueryPlan,
-    projected: &[ColumnData],
-    total_matches: usize,
-) -> Result<QueryResult> {
-    use fusion_sql::plan::OutputItem;
-    let mut columns = Vec::new();
-    let mut aggregates = Vec::new();
-    for out in &plan.outputs {
-        match out {
-            OutputItem::Projection(pos) => {
-                columns.push((plan.projection_names[*pos].clone(), projected[*pos].clone()));
-            }
-            OutputItem::Aggregate(ai) => {
-                let spec = &plan.aggregates[*ai];
-                let data = spec.column.map(|schema_idx| {
-                    let pos = plan
-                        .projections
-                        .iter()
-                        .position(|&c| c == schema_idx)
-                        .expect("aggregate argument was planned as a projection");
-                    &projected[pos]
-                });
-                let v = fusion_sql::eval::eval_aggregate(spec, total_matches, data)?;
-                let label = match &spec.column_name {
-                    Some(c) => format!("{}({})", spec.func, c),
-                    None => format!("{}(*)", spec.func),
-                };
-                aggregates.push((label, v));
-            }
-        }
+/// The output label of an aggregate, like `sum(price)` or `count(*)`.
+pub(crate) fn agg_label(spec: &fusion_sql::plan::AggregateSpec) -> String {
+    match &spec.column_name {
+        Some(c) => format!("{}({})", spec.func, c),
+        None => format!("{}(*)", spec.func),
     }
-    Ok(QueryResult {
-        row_count: total_matches,
-        columns,
-        aggregates,
-    })
 }
 
 /// Builds the final result of a *grouped* query from merged keyed
@@ -596,11 +562,7 @@ pub(crate) fn assemble_grouped_result(
                     AggFunc::Min | AggFunc::Max => arg_ty.unwrap_or(LogicalType::Int64),
                 };
                 let values: Vec<Value> = rows.iter().map(|(_, p)| p[*ai].finalize()).collect();
-                let label = match &spec.column_name {
-                    Some(c) => format!("{}({})", spec.func, c),
-                    None => format!("{}(*)", spec.func),
-                };
-                columns.push((label, column_from(out_ty, values)?));
+                columns.push((agg_label(spec), column_from(out_ty, values)?));
             }
         }
     }

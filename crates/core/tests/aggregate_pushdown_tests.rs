@@ -3,8 +3,10 @@
 //! traffic must shrink dramatically for aggregate-only queries.
 
 use fusion_core::config::{QueryMode, StoreConfig};
+use fusion_core::error::StoreError;
 use fusion_core::store::Store;
 use fusion_format::prelude::*;
+use fusion_sql::error::SqlError;
 
 fn table(rows: usize) -> Table {
     let schema = Schema::new(vec![
@@ -150,4 +152,38 @@ fn decisions_report_pushed_aggregates() {
     assert!(out.decisions.iter().all(|d| d.pushed_down));
     // Partials are tiny relative to chunks.
     assert!(out.decisions.iter().all(|d| d.cost_product < 0.5));
+}
+
+/// Ungrouped integer SUM past `i64` is a typed error on every path —
+/// never a wrapped total (release) or a panic (debug) — and AVG over the
+/// same rows is exact: its sum is taken wide enough not to overflow.
+#[test]
+fn ungrouped_sum_overflow_is_typed_error() {
+    let schema = Schema::new(vec![Field::new("v", LogicalType::Int64)]);
+    let t = Table::new(schema, vec![ColumnData::Int64(vec![i64::MAX; 64])]).unwrap();
+    let bytes = write_table(&t, WriteOptions { rows_per_group: 32 }).unwrap();
+    for (agg_pd, mode) in [
+        (true, QueryMode::AdaptivePushdown),
+        (false, QueryMode::AdaptivePushdown),
+        (false, QueryMode::Reassemble),
+    ] {
+        let mut cfg = StoreConfig::fusion().with_aggregate_pushdown(agg_pd);
+        cfg.query_mode = mode;
+        let mut s = Store::new(cfg).unwrap();
+        s.put("t", bytes.clone()).unwrap();
+        let err = s.query("SELECT sum(v) FROM t").unwrap_err();
+        assert!(
+            matches!(err, StoreError::Sql(SqlError::Overflow(_))),
+            "{mode:?} (aggregate pushdown {agg_pd}): expected typed overflow, got {err:?}"
+        );
+        let avg = s.query("SELECT avg(v) FROM t").unwrap();
+        match avg.result.aggregates[0].1 {
+            Value::Float(x) => assert_eq!(
+                x.to_bits(),
+                (i64::MAX as f64).to_bits(),
+                "{mode:?} (aggregate pushdown {agg_pd}): avg = {x}"
+            ),
+            ref other => panic!("avg returned {other:?}"),
+        }
+    }
 }

@@ -3,6 +3,7 @@
 
 use fusion_core::config::{QueryMode, StoreConfig};
 use fusion_core::store::Store;
+use fusion_core::QueryResult;
 use fusion_format::prelude::*;
 
 /// A small synthetic "lineitem-like" table: one well-compressed flag
@@ -63,21 +64,93 @@ const QUERIES: &[&str] = &[
     "SELECT flag FROM t WHERE flag = 'Z'", // zero matches
     "SELECT sum(orderkey) FROM t WHERE orderkey < 0 OR flag = 'F'",
     "SELECT min(shipdate), max(shipdate) FROM t WHERE NOT flag = 'O'",
+    "SELECT sum(amount), min(amount), max(amount) FROM t WHERE flag = 'O'",
+    // Nothing matches: float SUM -0.0, MIN +inf, MAX -inf, AVG NaN.
+    "SELECT sum(amount), min(amount), max(amount), avg(amount) FROM t WHERE amount < 0.0",
+    "SELECT flag, count(*), sum(amount), avg(orderkey), min(shipdate) FROM t \
+     WHERE amount < 700.0 GROUP BY flag",
+    "SELECT flag, shipdate, count(*), max(amount) FROM t WHERE shipdate < '1995-01-01' \
+     GROUP BY flag, shipdate",
 ];
+
+/// A result value in a form whose `==` is bitwise: floats by `to_bits`,
+/// so `-0.0` is not `0.0` (`QueryResult`'s own `==` calls them equal).
+#[derive(Debug, PartialEq)]
+enum Bits {
+    Int(Vec<i64>),
+    Float(Vec<u64>),
+    Str(Vec<String>),
+}
+
+fn column_bits(col: &ColumnData) -> Bits {
+    match col {
+        ColumnData::Int64(v) => Bits::Int(v.clone()),
+        ColumnData::Float64(v) => Bits::Float(v.iter().map(|x| x.to_bits()).collect()),
+        ColumnData::Utf8(v) => Bits::Str(v.clone()),
+    }
+}
+
+fn value_bits(v: &Value) -> Bits {
+    match v {
+        Value::Int(x) => Bits::Int(vec![*x]),
+        Value::Float(x) => Bits::Float(vec![x.to_bits()]),
+        Value::Str(s) => Bits::Str(vec![s.clone()]),
+    }
+}
+
+type ResultBits = (usize, Vec<(String, Bits)>, Vec<(String, Bits)>);
+
+fn result_bits(r: &QueryResult) -> ResultBits {
+    (
+        r.row_count,
+        r.columns
+            .iter()
+            .map(|(n, c)| (n.clone(), column_bits(c)))
+            .collect(),
+        r.aggregates
+            .iter()
+            .map(|(n, v)| (n.clone(), value_bits(v)))
+            .collect(),
+    )
+}
 
 #[test]
 fn fusion_and_baseline_agree_on_all_queries() {
     let table = test_table(3000);
-    let fusion = store_with(QueryMode::AdaptivePushdown, &table, 500);
-    let baseline = store_with(QueryMode::Reassemble, &table, 500);
-    let always = store_with(QueryMode::AlwaysPushdown, &table, 500);
+    let mut fusion = store_with(QueryMode::AdaptivePushdown, &table, 500);
+    let mut baseline = store_with(QueryMode::Reassemble, &table, 500);
+    let mut always = store_with(QueryMode::AlwaysPushdown, &table, 500);
+    let mut expected = Vec::new();
     for sql in QUERIES {
         let a = fusion.query(sql).expect(sql);
         let b = baseline.query(sql).expect(sql);
         let c = always.query(sql).expect(sql);
-        assert_eq!(a.result, b.result, "fusion vs baseline mismatch: {sql}");
-        assert_eq!(a.result, c.result, "adaptive vs always mismatch: {sql}");
+        let want = result_bits(&b.result);
+        assert_eq!(result_bits(&a.result), want, "fusion vs baseline: {sql}");
+        assert_eq!(result_bits(&c.result), want, "always vs baseline: {sql}");
         assert!((a.selectivity - b.selectivity).abs() < 1e-12, "{sql}");
+        expected.push(want);
+    }
+
+    // Degraded: the node holding the first `orderkey` chunk fails in
+    // every store; answers are rebuilt from parity and stay bit-identical.
+    let node = fusion.chunk_node("t", 0).expect("chunk 0 is placed");
+    for store in [&mut fusion, &mut baseline, &mut always] {
+        store.fail_node(node).unwrap();
+    }
+    for (sql, want) in QUERIES.iter().zip(&expected) {
+        for (name, store) in [
+            ("fusion", &fusion),
+            ("baseline", &baseline),
+            ("always", &always),
+        ] {
+            let out = store.query(sql).expect(sql);
+            assert_eq!(
+                &result_bits(&out.result),
+                want,
+                "{name}, node {node} failed: {sql}"
+            );
+        }
     }
 }
 

@@ -111,11 +111,7 @@ pub fn parse_csv(text: &str, schema: &Schema) -> Result<Table> {
     let mut builders: Vec<ColumnData> = schema
         .fields()
         .iter()
-        .map(|f| match f.ty {
-            LogicalType::Int64 | LogicalType::Date => ColumnData::Int64(Vec::new()),
-            LogicalType::Float64 => ColumnData::Float64(Vec::new()),
-            LogicalType::Utf8 => ColumnData::Utf8(Vec::new()),
-        })
+        .map(|f| ColumnData::with_capacity(f.ty, 0))
         .collect();
 
     for (lineno, line) in lines.enumerate() {

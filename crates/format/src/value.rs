@@ -90,6 +90,18 @@ pub enum ColumnData {
 }
 
 impl ColumnData {
+    /// An empty column of the physical type backing `ty`, with room for
+    /// `capacity` values.
+    pub fn with_capacity(ty: LogicalType, capacity: usize) -> ColumnData {
+        match ty {
+            LogicalType::Int64 | LogicalType::Date => {
+                ColumnData::Int64(Vec::with_capacity(capacity))
+            }
+            LogicalType::Float64 => ColumnData::Float64(Vec::with_capacity(capacity)),
+            LogicalType::Utf8 => ColumnData::Utf8(Vec::with_capacity(capacity)),
+        }
+    }
+
     /// Number of values.
     pub fn len(&self) -> usize {
         match self {

@@ -4,10 +4,11 @@
 use crate::ast::AggFunc;
 use crate::bitmap::{or_bits, or_span, Bitmap};
 use crate::error::{Result, SqlError};
-use crate::partial::{GroupKey, GroupedAggs, PartialAgg};
+use crate::partial::{overflow, GroupKey, GroupedAggs, PartialAgg};
 use crate::plan::{AggregateSpec, BoolTree, FilterLeaf};
 use fusion_format::chunk::EncodedChunk;
 use fusion_format::encoding::rle::Run;
+use fusion_format::schema::LogicalType;
 use fusion_format::value::{ColumnData, Value};
 
 /// Builds a bitmap from a typed slice one 64-row word at a time: the
@@ -246,12 +247,19 @@ pub fn eval_aggregate(
         ))),
         (func, Some(c)) => match c {
             ColumnData::Int64(v) => Ok(match func {
-                AggFunc::Sum => Value::Int(v.iter().sum()),
+                AggFunc::Sum => Value::Int(
+                    v.iter()
+                        .try_fold(0i64, |acc, &x| acc.checked_add(x))
+                        .ok_or_else(|| overflow("aggregate"))?,
+                ),
                 AggFunc::Avg => {
                     if v.is_empty() {
                         Value::Float(f64::NAN)
                     } else {
-                        Value::Float(v.iter().sum::<i64>() as f64 / v.len() as f64)
+                        // i128 cannot overflow here; for every sum that
+                        // fits i64 it gives the same bits as an i64 sum.
+                        let sum: i128 = v.iter().map(|&x| x as i128).sum();
+                        Value::Float(sum as f64 / v.len() as f64)
                     }
                 }
                 AggFunc::Min => Value::Int(v.iter().copied().min().unwrap_or(0)),
@@ -267,18 +275,378 @@ pub fn eval_aggregate(
                         Value::Float(v.iter().sum::<f64>() / v.len() as f64)
                     }
                 }
-                AggFunc::Min => Value::Float(v.iter().copied().fold(f64::INFINITY, f64::min)),
-                AggFunc::Max => Value::Float(v.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
+                AggFunc::Min => Value::Float(v.iter().copied().fold(f64::INFINITY, min_f64)),
+                AggFunc::Max => Value::Float(v.iter().copied().fold(f64::NEG_INFINITY, max_f64)),
                 AggFunc::Count => unreachable!("handled above"),
             }),
             ColumnData::Utf8(v) => match func {
                 AggFunc::Min => Ok(Value::Str(v.iter().min().cloned().unwrap_or_default())),
                 AggFunc::Max => Ok(Value::Str(v.iter().max().cloned().unwrap_or_default())),
-                other => Err(SqlError::TypeError(format!(
-                    "{other} is not defined for string columns"
-                ))),
+                other => Err(string_agg_error(other)),
             },
         },
+    }
+}
+
+fn string_agg_error(func: AggFunc) -> SqlError {
+    SqlError::TypeError(format!("{func} is not defined for string columns"))
+}
+
+/// `f64::min` with the `-0.0`/`+0.0` tie resolved to the running value.
+/// `f64::min` may return either operand of an equal pair (LLVM is free
+/// to commute it or to vectorize a fold of it), so two folds over the
+/// same rows could otherwise disagree in the sign of a zero minimum.
+fn min_f64(acc: f64, x: f64) -> f64 {
+    if x < acc || acc.is_nan() {
+        x
+    } else {
+        acc
+    }
+}
+
+/// The `f64::max` counterpart of [`min_f64`].
+fn max_f64(acc: f64, x: f64) -> f64 {
+    if x > acc || acc.is_nan() {
+        x
+    } else {
+        acc
+    }
+}
+
+/// The values a chunk's rows index into: the column itself for a plain
+/// chunk, the dictionary for a dictionary chunk.
+fn chunk_values(chunk: &EncodedChunk) -> &ColumnData {
+    match chunk {
+        EncodedChunk::Plain(col) => col,
+        EncodedChunk::Dictionary { dictionary, .. } => dictionary,
+    }
+}
+
+fn check_filter_len(chunk: &EncodedChunk, filter: &Bitmap) -> Result<()> {
+    if chunk.rows() == filter.len() {
+        Ok(())
+    } else {
+        Err(SqlError::Invalid(format!(
+            "chunk has {} rows but filter has {}",
+            chunk.rows(),
+            filter.len()
+        )))
+    }
+}
+
+/// Visits the rows of `chunk` that `filter` selects, in row order, as
+/// `(i, n)` pairs meaning "`chunk_values(chunk)[i]`, `n` times": an RLE
+/// run contributes its code once with its selected-row count
+/// ([`Bitmap::count_range`]); a literal run or a plain chunk contributes
+/// one pair per selected row.
+///
+/// # Errors
+///
+/// A filter whose length is not the chunk's row count, malformed run
+/// structure, or a code out of range for the dictionary (impossible for
+/// views from `read_encoded_chunk`, which validates codes up front).
+fn for_each_selected(
+    chunk: &EncodedChunk,
+    filter: &Bitmap,
+    mut f: impl FnMut(usize, usize),
+) -> Result<()> {
+    check_filter_len(chunk, filter)?;
+    let (dictionary, runs, rows) = match chunk {
+        EncodedChunk::Plain(_) => {
+            filter.ones().for_each(|row| f(row, 1));
+            return Ok(());
+        }
+        EncodedChunk::Dictionary {
+            dictionary,
+            runs,
+            rows,
+        } => (dictionary, runs, *rows),
+    };
+    // Codes are checked a run at a time (`max` vectorizes), so the
+    // per-row loops below stay tight.
+    let check = |max_code: Option<u32>| -> Result<()> {
+        match max_code {
+            Some(c) if c as usize >= dictionary.len() => Err(SqlError::Invalid(format!(
+                "dictionary code {c} out of range ({} entries)",
+                dictionary.len()
+            ))),
+            _ => Ok(()),
+        }
+    };
+    let mut pos = 0usize;
+    for run in runs {
+        match run {
+            Run::Rle { value, len } => {
+                if pos + len > rows {
+                    return Err(SqlError::Invalid("run structure overflows chunk".into()));
+                }
+                check(Some(*value))?;
+                let n = filter.count_range(pos, *len);
+                if n > 0 {
+                    f(*value as usize, n);
+                }
+                pos += len;
+            }
+            Run::Literal(codes) => {
+                if pos + codes.len() > rows {
+                    return Err(SqlError::Invalid("run structure overflows chunk".into()));
+                }
+                check(codes.iter().copied().max())?;
+                filter
+                    .ones_range(pos, codes.len())
+                    .for_each(|row| f(codes[row - pos] as usize, 1));
+                pos += codes.len();
+            }
+        }
+    }
+    if pos != rows {
+        return Err(SqlError::Invalid(format!(
+            "run structure covers {pos} of {rows} rows"
+        )));
+    }
+    Ok(())
+}
+
+/// Appends the rows of `chunk` that `filter` selects to `out`, in row
+/// order, straight from the encoded view — the same values as
+/// `chunk.decode()?.take(&selected_rows)`, without materializing the
+/// chunk or a row-index vector: a dictionary code resolves to its value,
+/// an RLE run repeats its value once per selected row, and a plain chunk
+/// copies the selected elements.
+///
+/// # Errors
+///
+/// `out` of another physical type than the chunk, or the structural
+/// errors of a malformed view (see [`eval_filter_encoded`]).
+pub fn select_encoded(chunk: &EncodedChunk, filter: &Bitmap, out: &mut ColumnData) -> Result<()> {
+    match (chunk_values(chunk), out) {
+        (ColumnData::Int64(v), ColumnData::Int64(o)) => {
+            for_each_selected(chunk, filter, |i, n| o.extend(std::iter::repeat_n(v[i], n)))
+        }
+        (ColumnData::Float64(v), ColumnData::Float64(o)) => {
+            for_each_selected(chunk, filter, |i, n| o.extend(std::iter::repeat_n(v[i], n)))
+        }
+        (ColumnData::Utf8(v), ColumnData::Utf8(o)) => for_each_selected(chunk, filter, |i, n| {
+            o.extend(std::iter::repeat_n(&v[i], n).cloned())
+        }),
+        (v, o) => Err(SqlError::TypeError(format!(
+            "cannot select {} rows into a {} column",
+            v.physical_name(),
+            o.physical_name()
+        ))),
+    }
+}
+
+/// Plain-encoding size of the rows of `chunk` that `filter` selects —
+/// what [`select_encoded`]'s output would measure with
+/// `ColumnData::plain_size`, computed without building it: 8 bytes per
+/// numeric row, `4 + len` per string.
+///
+/// # Errors
+///
+/// The structural errors of [`select_encoded`].
+pub fn selected_plain_size(chunk: &EncodedChunk, filter: &Bitmap) -> Result<u64> {
+    match chunk_values(chunk) {
+        ColumnData::Utf8(v) => {
+            let mut bytes = 0u64;
+            for_each_selected(chunk, filter, |i, n| {
+                bytes += n as u64 * (4 + v[i].len() as u64)
+            })?;
+            Ok(bytes)
+        }
+        _ => {
+            check_filter_len(chunk, filter)?;
+            Ok(8 * filter.count_ones() as u64)
+        }
+    }
+}
+
+/// One ungrouped aggregate folded over encoded chunks, one row group at a
+/// time in row order — bit-identical to [`eval_aggregate`] over the
+/// concatenation of every selected row, without materializing that
+/// column. (The one exception is the sign and payload of a NaN that a
+/// float sum produces, which Rust leaves unspecified.) The fold keeps the
+/// oracle's identities, so empty input finishes the same way: integer
+/// SUM and MIN/MAX 0, float SUM `-0.0` (`Iterator::sum` starts there),
+/// float MIN/MAX `±inf`, string MIN/MAX `""`, AVG NaN.
+///
+/// Float sums add an RLE run's value once per selected row (repeated
+/// addition rounds differently from a product); MIN/MAX are idempotent,
+/// so a run folds in once. Value errors (integer SUM overflow, SUM/AVG
+/// of strings) are kept and reported by [`AggFold::finish`], so a query
+/// reports the same first error as the oracle.
+#[derive(Debug, Clone)]
+pub struct AggFold(Fold);
+
+#[derive(Debug, Clone)]
+enum Fold {
+    Count(usize),
+    SumInt(i64),
+    AvgInt(i128, usize),
+    MinInt(Option<i64>),
+    MaxInt(Option<i64>),
+    SumFloat(f64),
+    AvgFloat(f64, usize),
+    MinFloat(f64),
+    MaxFloat(f64),
+    MinStr(Option<String>),
+    MaxStr(Option<String>),
+    Failed(SqlError),
+}
+
+impl AggFold {
+    /// An empty fold of `func` over a column of logical type `ty`.
+    pub fn new(func: AggFunc, ty: LogicalType) -> AggFold {
+        use LogicalType::*;
+        AggFold(match (func, ty) {
+            (AggFunc::Count, _) => Fold::Count(0),
+            (AggFunc::Sum, Int64 | Date) => Fold::SumInt(0),
+            (AggFunc::Avg, Int64 | Date) => Fold::AvgInt(0, 0),
+            (AggFunc::Min, Int64 | Date) => Fold::MinInt(None),
+            (AggFunc::Max, Int64 | Date) => Fold::MaxInt(None),
+            (AggFunc::Sum, Float64) => Fold::SumFloat(-0.0),
+            (AggFunc::Avg, Float64) => Fold::AvgFloat(-0.0, 0),
+            (AggFunc::Min, Float64) => Fold::MinFloat(f64::INFINITY),
+            (AggFunc::Max, Float64) => Fold::MaxFloat(f64::NEG_INFINITY),
+            (AggFunc::Min, Utf8) => Fold::MinStr(None),
+            (AggFunc::Max, Utf8) => Fold::MaxStr(None),
+            (func @ (AggFunc::Sum | AggFunc::Avg), Utf8) => Fold::Failed(string_agg_error(func)),
+        })
+    }
+
+    /// Folds in the rows of `chunk` that `filter` selects.
+    ///
+    /// # Errors
+    ///
+    /// A chunk of another physical type than the fold, or the structural
+    /// errors of [`select_encoded`].
+    pub fn fold(&mut self, chunk: &EncodedChunk, filter: &Bitmap) -> Result<()> {
+        // Each arm folds into locals and stores them back once: state
+        // behind `&mut self` would be reloaded on every row.
+        match (&mut self.0, chunk_values(chunk)) {
+            (Fold::Failed(_), _) => Ok(()),
+            (Fold::Count(c), _) => {
+                let mut count = *c;
+                for_each_selected(chunk, filter, |_, n| count += n)?;
+                *c = count;
+                Ok(())
+            }
+            (Fold::SumInt(acc), ColumnData::Int64(v)) => {
+                // A running i128 total cannot overflow, and it leaves the
+                // i64 range exactly when sequential checked i64 adds
+                // would fail: acc + k·x is monotonic in k, so a run's
+                // last prefix is its extreme one.
+                let (mut sum, mut fits) = (*acc as i128, true);
+                for_each_selected(chunk, filter, |i, n| {
+                    sum += v[i] as i128 * n as i128;
+                    fits &= i64::try_from(sum).is_ok();
+                })?;
+                self.0 = match i64::try_from(sum) {
+                    Ok(sum) if fits => Fold::SumInt(sum),
+                    _ => Fold::Failed(overflow("aggregate")),
+                };
+                Ok(())
+            }
+            (Fold::AvgInt(acc, cnt), ColumnData::Int64(v)) => {
+                let (mut sum, mut count) = (*acc, *cnt);
+                for_each_selected(chunk, filter, |i, n| {
+                    sum += v[i] as i128 * n as i128;
+                    count += n;
+                })?;
+                (*acc, *cnt) = (sum, count);
+                Ok(())
+            }
+            (Fold::MinInt(m), ColumnData::Int64(v)) => {
+                let (mut lo, mut seen) = (i64::MAX, false);
+                for_each_selected(chunk, filter, |i, _| {
+                    lo = lo.min(v[i]);
+                    seen = true;
+                })?;
+                if seen {
+                    *m = Some(m.map_or(lo, |m| m.min(lo)));
+                }
+                Ok(())
+            }
+            (Fold::MaxInt(m), ColumnData::Int64(v)) => {
+                let (mut hi, mut seen) = (i64::MIN, false);
+                for_each_selected(chunk, filter, |i, _| {
+                    hi = hi.max(v[i]);
+                    seen = true;
+                })?;
+                if seen {
+                    *m = Some(m.map_or(hi, |m| m.max(hi)));
+                }
+                Ok(())
+            }
+            (Fold::SumFloat(acc), ColumnData::Float64(v)) => {
+                let mut sum = *acc;
+                for_each_selected(chunk, filter, |i, n| {
+                    for _ in 0..n {
+                        sum += v[i];
+                    }
+                })?;
+                *acc = sum;
+                Ok(())
+            }
+            (Fold::AvgFloat(acc, cnt), ColumnData::Float64(v)) => {
+                let (mut sum, mut count) = (*acc, *cnt);
+                for_each_selected(chunk, filter, |i, n| {
+                    for _ in 0..n {
+                        sum += v[i];
+                    }
+                    count += n;
+                })?;
+                (*acc, *cnt) = (sum, count);
+                Ok(())
+            }
+            (Fold::MinFloat(m), ColumnData::Float64(v)) => {
+                let mut lo = *m;
+                for_each_selected(chunk, filter, |i, _| lo = min_f64(lo, v[i]))?;
+                *m = lo;
+                Ok(())
+            }
+            (Fold::MaxFloat(m), ColumnData::Float64(v)) => {
+                let mut hi = *m;
+                for_each_selected(chunk, filter, |i, _| hi = max_f64(hi, v[i]))?;
+                *m = hi;
+                Ok(())
+            }
+            (Fold::MinStr(m), ColumnData::Utf8(v)) => for_each_selected(chunk, filter, |i, _| {
+                if m.as_ref().is_none_or(|m| v[i] < *m) {
+                    *m = Some(v[i].clone());
+                }
+            }),
+            (Fold::MaxStr(m), ColumnData::Utf8(v)) => for_each_selected(chunk, filter, |i, _| {
+                if m.as_ref().is_none_or(|m| v[i] > *m) {
+                    *m = Some(v[i].clone());
+                }
+            }),
+            (state, values) => Err(SqlError::TypeError(format!(
+                "cannot fold {} column into {state:?}",
+                values.physical_name()
+            ))),
+        }
+    }
+
+    /// The aggregate's value, or the first value error met while folding.
+    ///
+    /// # Errors
+    ///
+    /// [`SqlError::Overflow`] for an integer SUM past `i64`;
+    /// [`SqlError::TypeError`] for SUM/AVG of strings.
+    pub fn finish(self) -> Result<AggValue> {
+        let avg = |sum: f64, n: usize| Value::Float(if n == 0 { f64::NAN } else { sum / n as f64 });
+        Ok(match self.0 {
+            Fold::Count(n) => Value::Int(n as i64),
+            Fold::SumInt(s) => Value::Int(s),
+            Fold::AvgInt(s, n) => avg(s as f64, n),
+            Fold::MinInt(m) | Fold::MaxInt(m) => Value::Int(m.unwrap_or(0)),
+            Fold::SumFloat(s) => Value::Float(s),
+            Fold::AvgFloat(s, n) => avg(s, n),
+            Fold::MinFloat(m) | Fold::MaxFloat(m) => Value::Float(m),
+            Fold::MinStr(m) | Fold::MaxStr(m) => Value::Str(m.unwrap_or_default()),
+            Fold::Failed(e) => return Err(e),
+        })
     }
 }
 
@@ -458,11 +826,9 @@ pub fn group_aggregate_encoded(
                             AggInput::Star | AggInput::Key => {
                                 part.accumulate_repeat(dictionary, *code as usize, n)?;
                             }
-                            AggInput::Col(c) => {
-                                for row in filter.ones_range(pos, *len) {
-                                    part.accumulate(c, row)?;
-                                }
-                            }
+                            AggInput::Col(c) => filter
+                                .ones_range(pos, *len)
+                                .try_for_each(|row| part.accumulate(c, row))?,
                         }
                     }
                 }
@@ -472,7 +838,7 @@ pub fn group_aggregate_encoded(
                 if pos + codes.len() > rows {
                     return Err(SqlError::Invalid("run structure overflows chunk".into()));
                 }
-                for row in filter.ones_range(pos, codes.len()) {
+                filter.ones_range(pos, codes.len()).try_for_each(|row| {
                     let code = codes[row - pos];
                     let parts = slot(&mut slots, code, &templates)?;
                     for (part, (_, input)) in parts.iter_mut().zip(aggs) {
@@ -483,7 +849,8 @@ pub fn group_aggregate_encoded(
                             AggInput::Col(c) => part.accumulate(c, row)?,
                         }
                     }
-                }
+                    Ok(())
+                })?;
                 pos += codes.len();
             }
         }
@@ -915,6 +1282,93 @@ mod tests {
     }
 
     #[test]
+    fn select_and_fold_from_encoded_views() {
+        // RLE run, literal run, and a tail that is not a multiple of 64.
+        let mut vals: Vec<i64> = std::iter::repeat_n(7i64, 100).collect();
+        vals.extend((0..37).map(|i| i % 3));
+        let col = ColumnData::Int64(vals);
+        let chunk = encoded(&col);
+        assert!(matches!(chunk, EncodedChunk::Dictionary { .. }));
+        let filter: Bitmap = (0..col.len()).map(|i| i % 5 != 1).collect();
+        let ones: Vec<usize> = filter.ones().collect();
+        let mut out = ColumnData::Int64(vec![-1]);
+        select_encoded(&chunk, &filter, &mut out).unwrap();
+        let mut want = vec![-1];
+        want.extend(col.take(&ones).as_int64().unwrap());
+        assert_eq!(out, ColumnData::Int64(want));
+        assert_eq!(
+            selected_plain_size(&chunk, &filter).unwrap(),
+            8 * ones.len() as u64
+        );
+        let mut sum = AggFold::new(AggFunc::Sum, LogicalType::Int64);
+        sum.fold(&chunk, &filter).unwrap();
+        sum.fold(&chunk, &filter).unwrap();
+        let once: i64 = col.take(&ones).as_int64().unwrap().iter().sum();
+        assert_eq!(sum.finish().unwrap(), Value::Int(2 * once));
+    }
+
+    #[test]
+    fn empty_folds_finish_like_the_oracle() {
+        let spec = |func| AggregateSpec {
+            func,
+            column: Some(0),
+            column_name: Some("c".into()),
+        };
+        for (ty, empty) in [
+            (LogicalType::Int64, ColumnData::Int64(vec![])),
+            (LogicalType::Float64, ColumnData::Float64(vec![])),
+            (LogicalType::Utf8, ColumnData::Utf8(vec![])),
+        ] {
+            for func in [
+                AggFunc::Count,
+                AggFunc::Sum,
+                AggFunc::Avg,
+                AggFunc::Min,
+                AggFunc::Max,
+            ] {
+                let got = AggFold::new(func, ty).finish();
+                let want = eval_aggregate(&spec(func), 0, Some(&empty));
+                match (got, want) {
+                    (Ok(Value::Float(a)), Ok(Value::Float(b))) => {
+                        assert!(a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()));
+                    }
+                    (got, want) => assert_eq!(got, want, "{func} over {ty}"),
+                }
+            }
+        }
+        // Float SUM of nothing is -0.0, as `Iterator::sum` leaves it.
+        let sum = AggFold::new(AggFunc::Sum, LogicalType::Float64).finish();
+        assert!(matches!(sum, Ok(Value::Float(x)) if x.to_bits() == (-0.0f64).to_bits()));
+    }
+
+    #[test]
+    fn select_and_fold_reject_bad_shapes() {
+        let chunk = encoded(&ColumnData::Int64(vec![1, 2, 3]));
+        let short = Bitmap::ones_with_len(2);
+        let mut out = ColumnData::Int64(vec![]);
+        assert!(select_encoded(&chunk, &short, &mut out).is_err());
+        assert!(selected_plain_size(&chunk, &short).is_err());
+        let all = Bitmap::ones_with_len(3);
+        let mut strings = ColumnData::Utf8(vec![]);
+        assert!(select_encoded(&chunk, &all, &mut strings).is_err());
+        let mut float_sum = AggFold::new(AggFunc::Sum, LogicalType::Float64);
+        assert!(float_sum.fold(&chunk, &all).is_err());
+        let bad_code = EncodedChunk::Dictionary {
+            dictionary: ColumnData::Int64(vec![10, 20]),
+            runs: vec![Run::Literal(vec![0, 5, 1])],
+            rows: 3,
+        };
+        assert!(select_encoded(&bad_code, &all, &mut out).is_err());
+        let mut max = AggFold::new(AggFunc::Max, LogicalType::Int64);
+        assert!(max.fold(&bad_code, &all).is_err());
+        // SUM overflow is a value error: kept, then reported by finish.
+        let big = encoded(&ColumnData::Int64(vec![i64::MAX, 1, -5]));
+        let mut sum = AggFold::new(AggFunc::Sum, LogicalType::Int64);
+        sum.fold(&big, &all).unwrap();
+        assert!(matches!(sum.finish(), Err(SqlError::Overflow(_))));
+    }
+
+    #[test]
     fn aggregates() {
         let spec = |func, with_col: bool| AggregateSpec {
             func,
@@ -946,5 +1400,16 @@ mod tests {
         );
         assert!(eval_aggregate(&spec(AggFunc::Sum, true), 2, Some(&scol)).is_err());
         assert!(eval_aggregate(&spec(AggFunc::Sum, true), 2, None).is_err());
+        // Integer SUM past i64 is a typed error; AVG of the same rows is
+        // exact because its sum is taken in i128.
+        let big = ColumnData::Int64(vec![i64::MAX, i64::MAX]);
+        assert!(matches!(
+            eval_aggregate(&spec(AggFunc::Sum, true), 2, Some(&big)),
+            Err(SqlError::Overflow(_))
+        ));
+        assert_eq!(
+            eval_aggregate(&spec(AggFunc::Avg, true), 2, Some(&big)).unwrap(),
+            Value::Float(i64::MAX as f64)
+        );
     }
 }

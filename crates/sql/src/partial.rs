@@ -28,7 +28,7 @@ use fusion_format::value::{ColumnData, Value};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-fn overflow(ctx: &str) -> SqlError {
+pub(crate) fn overflow(ctx: &str) -> SqlError {
     SqlError::Overflow(format!("SUM exceeds i64 range ({ctx})"))
 }
 
@@ -84,9 +84,12 @@ impl PartialAgg {
                     .ok_or_else(|| overflow("compute"))?,
             ),
             (AggFunc::Sum, ColumnData::Float64(v)) => PartialAgg::SumFloat(v.iter().sum()),
-            (AggFunc::Avg, ColumnData::Int64(v)) => {
-                PartialAgg::Avg(v.iter().sum::<i64>() as f64, v.len() as i64)
-            }
+            // Accumulated in i128, which cannot overflow; for every sum
+            // that fits i64 this is the same float as an i64 sum.
+            (AggFunc::Avg, ColumnData::Int64(v)) => PartialAgg::Avg(
+                v.iter().map(|&x| x as i128).sum::<i128>() as f64,
+                v.len() as i64,
+            ),
             (AggFunc::Avg, ColumnData::Float64(v)) => {
                 PartialAgg::Avg(v.iter().sum::<f64>(), v.len() as i64)
             }
@@ -575,6 +578,11 @@ mod tests {
             c.accumulate_repeat(&run, 0, 2),
             Err(SqlError::Overflow(_))
         ));
+        // AVG's sum is taken in i128, so it cannot wrap.
+        match PartialAgg::compute(AggFunc::Avg, &big).unwrap() {
+            PartialAgg::Avg(s, 2) => assert_eq!(s, i64::MAX as f64 + 1.0),
+            other => panic!("unexpected AVG partial {other:?}"),
+        }
         // Negative values may cancel: MAX then MIN is fine.
         let mut d = PartialAgg::SumInt(i64::MAX);
         d.merge(&PartialAgg::SumInt(i64::MIN)).unwrap();

@@ -20,82 +20,8 @@ use fusion_sql::eval::{group_aggregate_decoded, group_aggregate_encoded, AggInpu
 use fusion_sql::partial::{GroupKey, GroupedAggs, PartialAgg};
 use proptest::prelude::*;
 
-/// Run-shaped integers (dictionary + RLE friendly) with i64 extremes
-/// mixed in so SUM overflow paths get exercised.
-fn arb_runs_int() -> impl Strategy<Value = Vec<i64>> {
-    prop::collection::vec(
-        (
-            prop_oneof![
-                (-3i64..4).boxed(),
-                Just(i64::MIN).boxed(),
-                Just(i64::MAX).boxed(),
-            ],
-            1usize..80,
-        ),
-        0..30,
-    )
-    .prop_map(|runs| {
-        runs.into_iter()
-            .flat_map(|(v, n)| std::iter::repeat_n(v, n))
-            .collect()
-    })
-}
-
-/// Run-shaped floats with NaN, infinities, and signed zero.
-fn arb_runs_float() -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec(
-        (
-            prop_oneof![
-                (-2.0f64..3.0).boxed(),
-                Just(f64::NAN).boxed(),
-                Just(f64::INFINITY).boxed(),
-                Just(-0.0f64).boxed(),
-            ],
-            1usize..60,
-        ),
-        0..25,
-    )
-    .prop_map(|runs| {
-        runs.into_iter()
-            .flat_map(|(v, n)| std::iter::repeat_n(v, n))
-            .collect()
-    })
-}
-
-/// Run-shaped strings from a tiny alphabet.
-fn arb_runs_utf8() -> impl Strategy<Value = Vec<String>> {
-    prop::collection::vec(("[a-c]{0,3}", 1usize..60), 0..25).prop_map(|runs| {
-        runs.into_iter()
-            .flat_map(|(v, n)| std::iter::repeat_n(v, n))
-            .collect()
-    })
-}
-
-/// High-cardinality integers the writer keeps plain.
-fn arb_plain_int() -> impl Strategy<Value = Vec<i64>> {
-    prop::collection::vec(-1000i64..1000, 0..250)
-}
-
-/// A filter over `n` rows: random bits, all ones, or all zeros (the 0%
-/// and 100% selectivity edges).
-fn arb_filter(n: usize) -> BoxedStrategy<Vec<bool>> {
-    prop_oneof![
-        prop::collection::vec(any::<bool>(), n..=n).boxed(),
-        Just(vec![true; n]).boxed(),
-        Just(vec![false; n]).boxed(),
-    ]
-    .boxed()
-}
-
-/// Pairs a generated column with a matching-length filter.
-fn with_filter<T: std::fmt::Debug + Clone>(
-    data: impl Strategy<Value = Vec<T>>,
-) -> impl Strategy<Value = (Vec<T>, Vec<bool>)> {
-    data.prop_flat_map(|d| {
-        let n = d.len();
-        (Just(d), arb_filter(n))
-    })
-}
+mod common;
+use common::*;
 
 /// A deterministic float argument column (some NaN rows) so AVG/MIN/MAX
 /// over a non-key column is exercised everywhere.
@@ -111,10 +37,6 @@ fn float_arg(n: usize) -> ColumnData {
             })
             .collect(),
     )
-}
-
-fn bitmap(bits: &[bool]) -> Bitmap {
-    bits.iter().copied().collect()
 }
 
 /// Finalized rows with values wrapped in [`GroupKey`] so floats compare
