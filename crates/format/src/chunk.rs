@@ -220,25 +220,9 @@ pub fn decode_column_chunk_with(
     ty: LogicalType,
     scratch: &mut PageScratch,
 ) -> Result<ColumnData> {
-    let mut c = Cursor::new(bytes);
-    let enc = Encoding::from_tag(c.u8()?)
-        .ok_or_else(|| FormatError::Corrupt("unknown encoding tag".into()))?;
-    match enc {
-        Encoding::Plain => {
-            let page = read_page(&mut c)?;
-            let raw = scratch.page(&page)?;
-            if raw.len() != page.uncompressed_len {
-                return Err(FormatError::Corrupt("page length mismatch".into()));
-            }
-            plain::decode(raw, physical(ty), page.count)
-        }
-        Encoding::Dictionary => {
-            let dict_page = read_page(&mut c)?;
-            let dictionary =
-                plain::decode(scratch.page(&dict_page)?, physical(ty), dict_page.count)?;
-            let idx_page = read_page(&mut c)?;
-            dict::decode(&dictionary, scratch.page(&idx_page)?, idx_page.count)
-        }
+    match read_encoded_chunk_with(bytes, ty, scratch)? {
+        EncodedChunk::Plain(col) => Ok(col),
+        view => view.decode(),
     }
 }
 
@@ -252,16 +236,24 @@ pub enum EncodedChunk {
     /// is materialized and scanned with word-batched typed loops.
     Plain(ColumnData),
     /// Dictionary-encoded chunk: decoded dictionary plus the index stream
-    /// with run structure preserved.
+    /// as run descriptors over one flat buffer of literal codes.
     Dictionary {
         /// Distinct values, indexed by code.
         dictionary: ColumnData,
-        /// The code stream as RLE/literal runs covering `rows` values.
+        /// Every literal run's codes, back to back in stream order.
+        codes: Vec<u32>,
+        /// The code stream as RLE runs and literal spans of `codes`,
+        /// covering `rows` values.
         runs: Vec<Run>,
         /// Total row count.
         rows: usize,
     },
 }
+
+/// Cache weight of one run descriptor: `size_of::<Run>()` when each
+/// literal run owned its own `Vec`. Pinned so the chunk cache admits and
+/// evicts exactly as it did then.
+const RUN_WEIGHT: usize = 24;
 
 impl EncodedChunk {
     /// Number of rows the chunk covers.
@@ -281,49 +273,83 @@ impl EncodedChunk {
     }
 
     /// Fully materializes the column, equivalent to
-    /// [`decode_column_chunk`] on the original bytes.
+    /// [`decode_column_chunk`] on the original bytes: each RLE run
+    /// repeats its dictionary value, each literal span gathers straight
+    /// from `codes`.
     ///
     /// # Errors
     ///
-    /// Fails if a dictionary code is out of range (cannot happen for views
-    /// produced by [`read_encoded_chunk`], which validates codes up front).
+    /// Fails if a dictionary code is out of range or a literal span lies
+    /// outside `codes` (cannot happen for views produced by
+    /// [`read_encoded_chunk`], which validates codes up front).
     pub fn decode(&self) -> Result<ColumnData> {
-        match self {
-            EncodedChunk::Plain(col) => Ok(col.clone()),
+        let (dictionary, codes, runs, rows) = match self {
+            EncodedChunk::Plain(col) => return Ok(col.clone()),
             EncodedChunk::Dictionary {
                 dictionary,
+                codes,
                 runs,
                 rows,
-            } => {
-                let mut codes = Vec::with_capacity(*rows);
-                for r in runs {
-                    match r {
-                        Run::Rle { value, len } => codes.extend(std::iter::repeat_n(*value, *len)),
-                        Run::Literal(v) => codes.extend_from_slice(v),
-                    }
-                }
-                dict::gather(dictionary, &codes)
-            }
-        }
+            } => (dictionary, codes, runs, *rows),
+        };
+        Ok(match dictionary {
+            ColumnData::Int64(d) => ColumnData::Int64(gather_runs(d, codes, runs, rows)?),
+            ColumnData::Float64(d) => ColumnData::Float64(gather_runs(d, codes, runs, rows)?),
+            ColumnData::Utf8(d) => ColumnData::Utf8(gather_runs(d, codes, runs, rows)?),
+        })
     }
 
-    /// Approximate resident size in bytes, used for cache accounting.
+    /// Approximate resident size in bytes, used for cache accounting:
+    /// the dictionary's plain size, 24 bytes per run and 4 per literal
+    /// code.
     pub fn weight_bytes(&self) -> usize {
         match self {
             EncodedChunk::Plain(col) => col.plain_size(),
             EncodedChunk::Dictionary {
-                dictionary, runs, ..
-            } => {
-                let run_bytes: usize = runs
-                    .iter()
-                    .map(|r| match r {
-                        Run::Rle { .. } => std::mem::size_of::<Run>(),
-                        Run::Literal(v) => std::mem::size_of::<Run>() + v.len() * 4,
-                    })
-                    .sum();
-                dictionary.plain_size() + run_bytes
+                dictionary,
+                codes,
+                runs,
+                ..
+            } => dictionary.plain_size() + RUN_WEIGHT * runs.len() + 4 * codes.len(),
+        }
+    }
+}
+
+/// The values of a dictionary view in row order.
+fn gather_runs<T: Clone>(dict: &[T], codes: &[u32], runs: &[Run], rows: usize) -> Result<Vec<T>> {
+    let mut out = Vec::with_capacity(rows);
+    for &run in runs {
+        match run {
+            Run::Rle { value, len } => {
+                check_codes(Some(value), dict.len())?;
+                out.extend(std::iter::repeat_n(&dict[value as usize], len).cloned());
+            }
+            Run::Literal { start, len } => {
+                let span = literal_span(codes, start, len)?;
+                check_codes(span.iter().copied().max(), dict.len())?;
+                out.extend(span.iter().map(|&c| dict[c as usize].clone()));
             }
         }
+    }
+    Ok(out)
+}
+
+/// `codes[start..start + len]`, or an error if the span is out of range.
+fn literal_span(codes: &[u32], start: usize, len: usize) -> Result<&[u32]> {
+    codes
+        .get(start..)
+        .and_then(|c| c.get(..len))
+        .ok_or_else(|| FormatError::Corrupt("literal span outside the code buffer".into()))
+}
+
+/// Rejects a maximum code that does not index a `dict_len`-entry
+/// dictionary (`None`: no codes).
+fn check_codes(max_code: Option<u32>, dict_len: usize) -> Result<()> {
+    match max_code {
+        Some(code) if code as usize >= dict_len => Err(FormatError::Corrupt(format!(
+            "dictionary code {code} out of range ({dict_len} entries)"
+        ))),
+        _ => Ok(()),
     }
 }
 
@@ -374,57 +400,25 @@ pub fn read_encoded_chunk_with(
             let dictionary =
                 plain::decode(scratch.page(&dict_page)?, physical(ty), dict_page.count)?;
             let idx_page = read_page(&mut c)?;
-            let runs = rle::decode_runs(scratch.page(&idx_page)?, idx_page.count)?;
-            let dict_len = dictionary.len() as u32;
-            for r in &runs {
-                let bad = match r {
-                    Run::Rle { value, .. } => *value >= dict_len,
-                    Run::Literal(v) => v.iter().any(|&code| code >= dict_len),
-                };
-                if bad {
-                    return Err(FormatError::Corrupt(format!(
-                        "dictionary code out of range (dict len {dict_len})"
-                    )));
+            let rle::Runs { runs, codes } =
+                rle::decode_runs(scratch.page(&idx_page)?, idx_page.count)?;
+            // One pass over the flat buffer (`max` vectorizes) checks every
+            // literal code; each RLE run checks its one value.
+            let dict_len = dictionary.len();
+            check_codes(codes.iter().copied().max(), dict_len)?;
+            for run in &runs {
+                if let Run::Rle { value, .. } = *run {
+                    check_codes(Some(value), dict_len)?;
                 }
             }
             Ok(EncodedChunk::Dictionary {
                 dictionary,
+                codes,
                 runs,
                 rows: idx_page.count,
             })
         }
     }
-}
-
-/// Decodes only the number of values in a chunk without materializing data
-/// (reads the final page header).
-///
-/// # Errors
-///
-/// Fails on corruption.
-pub fn chunk_value_count(bytes: &[u8], _ty: LogicalType) -> Result<usize> {
-    let mut c = Cursor::new(bytes);
-    let enc = Encoding::from_tag(c.u8()?)
-        .ok_or_else(|| FormatError::Corrupt("unknown encoding tag".into()))?;
-    if enc == Encoding::Dictionary {
-        let _ = read_page(&mut c)?;
-    }
-    let page = read_page(&mut c)?;
-    Ok(page.count)
-}
-
-/// Re-encodes only the dictionary indices of a chunk to count decode work —
-/// exposed for tests and the latency model, which needs decode cost per
-/// chunk. Returns `(is_dictionary, compressed_len)`.
-///
-/// # Errors
-///
-/// Fails on a corrupt header.
-pub fn chunk_layout(bytes: &[u8]) -> Result<(Encoding, usize)> {
-    let mut c = Cursor::new(bytes);
-    let enc = Encoding::from_tag(c.u8()?)
-        .ok_or_else(|| FormatError::Corrupt("unknown encoding tag".into()))?;
-    Ok((enc, bytes.len()))
 }
 
 #[cfg(test)]
@@ -512,13 +506,6 @@ mod tests {
         let col = ColumnData::Int64((0..100).collect());
         let (bytes, _) = encode_column_chunk(&col);
         assert!(decode_column_chunk(&bytes[..bytes.len() / 2], LogicalType::Int64).is_err());
-    }
-
-    #[test]
-    fn value_count_probe() {
-        let col = ColumnData::Utf8((0..321).map(|i| format!("v{}", i % 3)).collect());
-        let (bytes, _) = encode_column_chunk(&col);
-        assert_eq!(chunk_value_count(&bytes, LogicalType::Utf8).unwrap(), 321);
     }
 
     #[test]

@@ -43,12 +43,120 @@ pub fn pack(values: &[u32], width: u32, out: &mut Vec<u8>) {
     }
 }
 
-/// Unpacks `count` values of `width` bits from `input`.
+/// Unpacks the `count` values of `width` bits that start at byte `start`
+/// of `page`, appending them to `out`. Bit-identical to
+/// [`unpack_reference`] on `&page[start..]`.
+///
+/// One const-generic body per width reads each value from the unaligned
+/// little-endian 64-bit window at its first byte: a load, a shift and a
+/// mask, with every offset a compile-time constant within a group of 8
+/// values (`width` bytes). Windows may run past the span's last packed
+/// byte into the rest of `page` (the next run headers, or whatever else
+/// follows in the decompressed page): those trailing bytes are the slack
+/// that keeps the loop free of end checks. Only values whose window
+/// would cross the end of `page` itself take a zero-padded tail.
+///
+/// # Errors
+///
+/// Returns [`FormatError::Truncated`] if `page[start..]` is shorter than
+/// the packed span; `out` does not grow then.
+///
+/// # Panics
+///
+/// Panics if `width > 32`.
+pub fn unpack_into(
+    page: &[u8],
+    start: usize,
+    width: u32,
+    count: usize,
+    out: &mut Vec<u32>,
+) -> Result<()> {
+    assert!(width <= 32, "width must be at most 32");
+    let bytes = page.get(start..).ok_or(FormatError::Truncated)?;
+    let needed = count
+        .checked_mul(width as usize)
+        .ok_or(FormatError::Truncated)?
+        .div_ceil(8);
+    if bytes.len() < needed {
+        return Err(FormatError::Truncated);
+    }
+    // Whole groups of 8 are decoded, the last one's extra values from
+    // slack and then dropped, so a short literal run costs one or two
+    // group steps rather than a value-at-a-time tail.
+    let old = out.len();
+    out.resize(old + count.next_multiple_of(8), 0);
+    let dst = &mut out[old..];
+    macro_rules! dispatch {
+        ($($w:literal)*) => {
+            match width {
+                0 => {}
+                $($w => unpack_width::<$w>(bytes, dst, count),)*
+                _ => unreachable!("width checked above"),
+            }
+        };
+    }
+    dispatch!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32);
+    out.truncate(old + count);
+    Ok(())
+}
+
+/// Decodes the first `count` values packed at `W` bits from the start of
+/// `bytes` (which holds at least their packed span) into `dst`, whose
+/// length is `count` rounded up to a multiple of 8.
+fn unpack_width<const W: usize>(bytes: &[u8], dst: &mut [u32], count: usize) {
+    let mask = u64::MAX >> (64 - W);
+    // A group of 8 values spans W bytes; its last window starts at byte
+    // 7W/8 and needs 8 bytes, so a group needs `reach` bytes from its
+    // start. Groups that have them decode with no bounds check per value.
+    let reach = 7 * W / 8 + 8;
+    let groups = if bytes.len() >= reach {
+        ((bytes.len() - reach) / W + 1).min(dst.len() / 8)
+    } else {
+        0
+    };
+    for (g, group) in dst.chunks_exact_mut(8).take(groups).enumerate() {
+        let src = &bytes[g * W..g * W + reach];
+        for (j, v) in group.iter_mut().enumerate() {
+            let bit = j * W;
+            let at = bit / 8;
+            let w = u64::from_le_bytes(src[at..at + 8].try_into().expect("8-byte window"));
+            *v = ((w >> (bit % 8)) & mask) as u32;
+        }
+    }
+    // Values in groups too close to the page end.
+    for (i, v) in dst.iter_mut().enumerate().take(count).skip(groups * 8) {
+        let bit = i * W;
+        *v = ((window(bytes, bit / 8) >> (bit % 8)) & mask) as u32;
+    }
+}
+
+// Windows zero-padded at the page end, so tests can pin that windows
+// read the page's slack rather than stopping at the span.
+#[cfg(test)]
+thread_local! {
+    static PADDED_WINDOWS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The little-endian word of the 8 bytes of `bytes` at `at`, zero-padded
+/// past the end of `bytes` (`at` itself is in range).
+fn window(bytes: &[u8], at: usize) -> u64 {
+    if let Some(w) = bytes.get(at..at + 8) {
+        return u64::from_le_bytes(w.try_into().expect("8-byte window"));
+    }
+    #[cfg(test)]
+    PADDED_WINDOWS.with(|p| p.set(p.get() + 1));
+    let mut w = [0u8; 8];
+    w[..bytes.len() - at].copy_from_slice(&bytes[at..]);
+    u64::from_le_bytes(w)
+}
+
+/// Unpacks `count` values of `width` bits from `input` one bit-buffer
+/// refill at a time: the plain loop [`unpack_into`] is tested against.
 ///
 /// # Errors
 ///
 /// Returns [`FormatError::Truncated`] if `input` is too short.
-pub fn unpack(input: &[u8], width: u32, count: usize) -> Result<Vec<u32>> {
+pub fn unpack_reference(input: &[u8], width: u32, count: usize) -> Result<Vec<u32>> {
     assert!(width <= 32, "width must be at most 32");
     if width == 0 {
         return Ok(vec![0; count]);
@@ -88,6 +196,12 @@ pub fn packed_len(width: u32, count: usize) -> usize {
 mod tests {
     use super::*;
 
+    fn unpack(input: &[u8], width: u32, count: usize) -> Result<Vec<u32>> {
+        let mut out = Vec::new();
+        unpack_into(input, 0, width, count, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn widths() {
         assert_eq!(bit_width(0), 0);
@@ -120,6 +234,7 @@ mod tests {
                 values,
                 "width {width}"
             );
+            assert_eq!(unpack_reference(&buf, width, values.len()).unwrap(), values);
         }
     }
 
@@ -136,6 +251,42 @@ mod tests {
         let mut buf = Vec::new();
         pack(&[1, 2, 3], 8, &mut buf);
         assert_eq!(unpack(&buf[..2], 8, 3).unwrap_err(), FormatError::Truncated);
+        let mut out = vec![7];
+        assert_eq!(
+            unpack_into(&buf, 1, 8, 3, &mut out).unwrap_err(),
+            FormatError::Truncated
+        );
+        assert_eq!(out, vec![7], "a failed unpack must not grow the buffer");
+        assert_eq!(
+            unpack_into(&buf, 4, 0, 0, &mut out).unwrap_err(),
+            FormatError::Truncated,
+            "a span starting past the page end"
+        );
+    }
+
+    #[test]
+    fn windows_read_the_page_slack_not_just_the_span() {
+        // With 8 bytes of page after the span, every value, ragged tail
+        // included, decodes from a full window; only a span that ends at
+        // the page end pads.
+        for width in 1..=32u32 {
+            for count in [61usize, 64] {
+                let values: Vec<u32> = (0..count as u32).map(|i| i % 2).collect();
+                let mut page = vec![0xFF; 3];
+                pack(&values, width, &mut page);
+                let span_end = page.len();
+                page.extend_from_slice(&[0xFF; 8]);
+                let padded = |page: &[u8]| {
+                    PADDED_WINDOWS.with(|p| p.set(0));
+                    let mut out = Vec::new();
+                    unpack_into(page, 3, width, count, &mut out).unwrap();
+                    assert_eq!(out, values, "width {width} count {count}");
+                    PADDED_WINDOWS.with(|p| p.get())
+                };
+                assert_eq!(padded(&page), 0, "width {width} count {count}");
+                assert!(padded(&page[..span_end]) > 0, "width {width} count {count}");
+            }
+        }
     }
 
     #[test]

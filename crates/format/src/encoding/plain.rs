@@ -2,7 +2,7 @@
 //! dictionary encoding would not pay off, and the definition of a chunk's
 //! "uncompressed size" for compressibility estimates.
 
-use crate::error::Result;
+use crate::error::{FormatError, Result};
 use crate::util::{put, Cursor};
 use crate::value::ColumnData;
 
@@ -43,35 +43,43 @@ pub enum PhysicalType {
 }
 
 /// Decodes `count` plain-encoded values of the given physical type.
+/// Fixed-width values decode straight from the slice, 8 bytes apiece;
+/// strings reserve no more entries than `input` has length prefixes for,
+/// so a corrupt `count` cannot demand memory its bytes do not back.
 ///
 /// # Errors
 ///
 /// Fails on truncation or invalid UTF-8.
 pub fn decode(input: &[u8], ty: PhysicalType, count: usize) -> Result<ColumnData> {
-    let mut c = Cursor::new(input);
     Ok(match ty {
         PhysicalType::Int64 => {
-            let mut v = Vec::with_capacity(count);
-            for _ in 0..count {
-                v.push(c.i64()?);
-            }
-            ColumnData::Int64(v)
+            ColumnData::Int64(words(input, count)?.map(i64::from_le_bytes).collect())
         }
-        PhysicalType::Float64 => {
-            let mut v = Vec::with_capacity(count);
-            for _ in 0..count {
-                v.push(c.f64()?);
-            }
-            ColumnData::Float64(v)
-        }
+        PhysicalType::Float64 => ColumnData::Float64(
+            words(input, count)?
+                .map(|w| f64::from_bits(u64::from_le_bytes(w)))
+                .collect(),
+        ),
         PhysicalType::Utf8 => {
-            let mut v = Vec::with_capacity(count);
+            let mut c = Cursor::new(input);
+            let mut v = Vec::with_capacity(count.min(input.len() / 4));
             for _ in 0..count {
                 v.push(c.string()?);
             }
             ColumnData::Utf8(v)
         }
     })
+}
+
+/// The first `count` 8-byte little-endian words of `input`.
+fn words(input: &[u8], count: usize) -> Result<impl Iterator<Item = [u8; 8]> + '_> {
+    let bytes = count
+        .checked_mul(8)
+        .and_then(|n| input.get(..n))
+        .ok_or(FormatError::Truncated)?;
+    Ok(bytes
+        .chunks_exact(8)
+        .map(|w| w.try_into().expect("chunks_exact(8) yields 8 bytes")))
 }
 
 #[cfg(test)]
@@ -108,7 +116,11 @@ mod tests {
         let col = ColumnData::Int64(vec![1, 2, 3]);
         let mut buf = Vec::new();
         encode(&col, &mut buf);
-        assert!(decode(&buf[..20], PhysicalType::Int64, 3).is_err());
+        assert_eq!(
+            decode(&buf[..20], PhysicalType::Int64, 3).unwrap_err(),
+            FormatError::Truncated
+        );
+        assert!(decode(&buf, PhysicalType::Float64, usize::MAX).is_err());
     }
 
     #[test]

@@ -57,7 +57,10 @@ fn flush_literals(lits: &[u32], width: u32, out: &mut Vec<u8>) {
 /// One run of the hybrid stream, preserved instead of flattened — the
 /// structure the encoded-domain scan kernels exploit: an RLE run is one
 /// predicate evaluation plus one bitmap span fill, however long it is.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A literal run is a span of its stream's flat code buffer
+/// ([`Runs::codes`]), so a run is a `Copy` descriptor with no allocation
+/// of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Run {
     /// `len` repetitions of `value`.
     Rle {
@@ -66,16 +69,21 @@ pub enum Run {
         /// Repetition count.
         len: usize,
     },
-    /// Bit-packed literal values, unpacked.
-    Literal(Vec<u32>),
+    /// `len` bit-packed literal values, unpacked to
+    /// `codes[start..start + len]` of the stream's code buffer.
+    Literal {
+        /// Offset of the first value in the code buffer.
+        start: usize,
+        /// Number of values.
+        len: usize,
+    },
 }
 
 impl Run {
     /// Number of values this run covers.
     pub fn len(&self) -> usize {
-        match self {
-            Run::Rle { len, .. } => *len,
-            Run::Literal(v) => v.len(),
+        match *self {
+            Run::Rle { len, .. } | Run::Literal { len, .. } => len,
         }
     }
 
@@ -85,89 +93,103 @@ impl Run {
     }
 }
 
+/// An index stream parsed once: its runs, plus one flat buffer holding
+/// every literal run's values back to back in stream order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Runs {
+    /// The runs, in stream order.
+    pub runs: Vec<Run>,
+    /// The literal values; each [`Run::Literal`] indexes a span of it.
+    pub codes: Vec<u32>,
+}
+
+impl Runs {
+    /// The stream's values in order: RLE runs repeated, literal spans
+    /// copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a literal span lies outside [`Runs::codes`] (never for
+    /// [`decode_runs`] output).
+    pub fn expand(&self) -> Vec<u32> {
+        let mut out = Vec::with_capacity(self.runs.iter().map(Run::len).sum());
+        for &run in &self.runs {
+            match run {
+                Run::Rle { value, len } => out.extend(std::iter::repeat_n(value, len)),
+                Run::Literal { start, len } => {
+                    out.extend_from_slice(&self.codes[start..start + len]);
+                }
+            }
+        }
+        out
+    }
+}
+
 /// Decodes exactly `count` values from `input`, preserving the run
-/// structure. Flattening the result equals [`decode`] on the same input.
+/// structure: literal runs unpack with the width-specialized
+/// [`bitpack::unpack_into`] straight from `input` (whose later bytes are
+/// its slack) into one code buffer, which grows only after a run's
+/// packed bytes are known to be present. Flattening the result
+/// ([`Runs::expand`]) is [`decode`].
 ///
 /// # Errors
 ///
 /// Fails on truncation or if the stream holds a different number of values.
-pub fn decode_runs(input: &[u8], count: usize) -> Result<Vec<Run>> {
+pub fn decode_runs(input: &[u8], count: usize) -> Result<Runs> {
     let mut c = Cursor::new(input);
     let width = c.u8()? as u32;
     if width > 32 {
         return Err(FormatError::Corrupt(format!("rle width {width} > 32")));
     }
     let value_bytes = width.div_ceil(8) as usize;
-    let mut runs = Vec::new();
+    let mut out = Runs::default();
     let mut covered = 0usize;
     while covered < count {
         let h = c.uvarint()?;
+        let n = (h >> 1) as usize;
         if h & 1 == 0 {
-            let run = (h >> 1) as usize;
             let raw = c.bytes(value_bytes)?;
             let mut le = [0u8; 4];
             le[..value_bytes].copy_from_slice(raw);
-            let v = u32::from_le_bytes(le);
-            if covered + run > count {
+            let value = u32::from_le_bytes(le);
+            if n > count - covered {
                 return Err(FormatError::Corrupt("rle run overflows value count".into()));
             }
-            covered += run;
-            runs.push(Run::Rle { value: v, len: run });
+            out.runs.push(Run::Rle { value, len: n });
         } else {
-            let n = (h >> 1) as usize;
-            if covered + n > count {
+            if n > count - covered {
                 return Err(FormatError::Corrupt(
                     "literal run overflows value count".into(),
                 ));
             }
-            let bytes = bitpack::packed_len(width, n);
-            let raw = c.bytes(bytes)?;
-            covered += n;
-            runs.push(Run::Literal(bitpack::unpack(raw, width, n)?));
+            // Every value of a width-0 stream is 0, so the writer emits a
+            // literal run there only for a stream too short to repeat
+            // (`MIN_RLE_RUN`); a longer one would grow the code buffer with
+            // no bytes behind it.
+            if width == 0 && n >= MIN_RLE_RUN {
+                return Err(FormatError::Corrupt(format!(
+                    "width-0 literal run of {n} values"
+                )));
+            }
+            let start = out.codes.len();
+            bitpack::unpack_into(input, c.position(), width, n, &mut out.codes)?;
+            c.bytes(bitpack::packed_len(width, n))?;
+            out.runs.push(Run::Literal { start, len: n });
         }
+        covered += n;
     }
-    Ok(runs)
+    Ok(out)
 }
 
-/// Decodes exactly `count` values from `input`.
+/// Decodes exactly `count` values from `input`: the expansion of
+/// [`decode_runs`], so nothing is reserved before the stream has shown
+/// that it holds `count` values.
 ///
 /// # Errors
 ///
 /// Fails on truncation or if the stream holds a different number of values.
 pub fn decode(input: &[u8], count: usize) -> Result<Vec<u32>> {
-    let mut c = Cursor::new(input);
-    let width = c.u8()? as u32;
-    if width > 32 {
-        return Err(FormatError::Corrupt(format!("rle width {width} > 32")));
-    }
-    let value_bytes = width.div_ceil(8) as usize;
-    let mut out = Vec::with_capacity(count);
-    while out.len() < count {
-        let h = c.uvarint()?;
-        if h & 1 == 0 {
-            // RLE run.
-            let run = (h >> 1) as usize;
-            let raw = c.bytes(value_bytes)?;
-            let mut le = [0u8; 4];
-            le[..value_bytes].copy_from_slice(raw);
-            let v = u32::from_le_bytes(le);
-            if out.len() + run > count {
-                return Err(FormatError::Corrupt("rle run overflows value count".into()));
-            }
-            out.extend(std::iter::repeat_n(v, run));
-        } else {
-            let n = (h >> 1) as usize;
-            if out.len() + n > count {
-                return Err(FormatError::Corrupt(
-                    "literal run overflows value count".into(),
-                ));
-            }
-            let bytes = bitpack::packed_len(width, n);
-            let raw = c.bytes(bytes)?;
-            out.extend(bitpack::unpack(raw, width, n)?);
-        }
-    }
-    Ok(out)
+    Ok(decode_runs(input, count)?.expand())
 }
 
 #[cfg(test)]
@@ -244,17 +266,6 @@ mod tests {
         assert!(decode(&[60, 2, 0], 1).is_err());
     }
 
-    fn flatten(runs: &[Run]) -> Vec<u32> {
-        let mut out = Vec::new();
-        for r in runs {
-            match r {
-                Run::Rle { value, len } => out.extend(std::iter::repeat_n(*value, *len)),
-                Run::Literal(v) => out.extend_from_slice(v),
-            }
-        }
-        out
-    }
-
     #[test]
     fn decode_runs_matches_decode() {
         let mut values = Vec::new();
@@ -265,12 +276,18 @@ mod tests {
         let mut buf = Vec::new();
         encode(&values, &mut buf);
         let runs = decode_runs(&buf, values.len()).unwrap();
-        assert_eq!(flatten(&runs), values);
-        assert_eq!(flatten(&runs), decode(&buf, values.len()).unwrap());
-        // The long repetitions must survive as RLE runs, not literals.
-        assert!(runs
-            .iter()
-            .any(|r| matches!(r, Run::Rle { value: 7, len: 100 })));
+        assert_eq!(runs.expand(), values);
+        // The long repetitions must survive as RLE runs, not literals,
+        // and the literal spans tile the code buffer in order.
+        assert!(runs.runs.contains(&Run::Rle { value: 7, len: 100 }));
+        let mut next = 0;
+        for run in &runs.runs {
+            if let Run::Literal { start, len } = *run {
+                assert_eq!(start, next);
+                next += len;
+            }
+        }
+        assert_eq!(next, runs.codes.len());
     }
 
     #[test]
@@ -285,7 +302,7 @@ mod tests {
     #[test]
     fn run_len_helpers() {
         assert_eq!(Run::Rle { value: 1, len: 4 }.len(), 4);
-        assert_eq!(Run::Literal(vec![1, 2]).len(), 2);
-        assert!(Run::Literal(Vec::new()).is_empty());
+        assert_eq!(Run::Literal { start: 3, len: 2 }.len(), 2);
+        assert!(Run::Literal { start: 0, len: 0 }.is_empty());
     }
 }

@@ -147,11 +147,15 @@ impl FileMeta {
     pub fn decode(bytes: &[u8]) -> Result<FileMeta> {
         let mut c = Cursor::new(bytes);
         let schema = Schema::decode(&mut c)?;
-        let n_rg = c.uvarint()? as usize;
+        // Counts reserve only what their bytes can back: a row group is at
+        // least its two count varints, a chunk its four varints and three
+        // tags.
+        const MIN_CHUNK_BYTES: usize = 7;
+        let n_rg = c.count(2 + MIN_CHUNK_BYTES * schema.len())?;
         let mut row_groups = Vec::with_capacity(n_rg);
         for _ in 0..n_rg {
             let row_count = c.uvarint()?;
-            let n_chunks = c.uvarint()? as usize;
+            let n_chunks = c.count(MIN_CHUNK_BYTES)?;
             if n_chunks != schema.len() {
                 return Err(FormatError::Corrupt(format!(
                     "row group has {n_chunks} chunks for a {}-column schema",

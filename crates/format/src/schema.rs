@@ -157,7 +157,8 @@ impl Schema {
     ///
     /// Fails on truncation or unknown type tags.
     pub fn decode(c: &mut Cursor<'_>) -> Result<Schema> {
-        let n = c.uvarint()? as usize;
+        // Each field is at least a 4-byte name length and a type tag.
+        let n = c.count(5)?;
         if n == 0 {
             return Err(FormatError::Corrupt("empty schema".into()));
         }

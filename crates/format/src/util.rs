@@ -155,6 +155,17 @@ impl<'a> Cursor<'a> {
         Ok(v)
     }
 
+    /// Reads a varint count of items that each take at least `min_bytes`
+    /// of what follows, so a caller can reserve the count: a count the
+    /// remaining bytes cannot back is [`FormatError::Truncated`].
+    pub fn count(&mut self, min_bytes: usize) -> Result<usize> {
+        let n = self.uvarint()?;
+        match usize::try_from(n) {
+            Ok(n) if n.saturating_mul(min_bytes) <= self.remaining() => Ok(n),
+            _ => Err(FormatError::Truncated),
+        }
+    }
+
     /// Reads a length-prefixed UTF-8 string (u32 length).
     pub fn string(&mut self) -> Result<String> {
         let n = self.u32()? as usize;
@@ -242,6 +253,25 @@ mod tests {
         assert_eq!(c.u32().unwrap_err(), FormatError::Truncated);
         // Failed read must not consume.
         assert_eq!(c.position(), 0);
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_bytes_behind_them() {
+        let mut buf = Vec::new();
+        put::uvarint(&mut buf, 3);
+        buf.extend_from_slice(&[0; 6]);
+        assert_eq!(Cursor::new(&buf).count(2).unwrap(), 3);
+        assert_eq!(
+            Cursor::new(&buf).count(3).unwrap_err(),
+            FormatError::Truncated
+        );
+        let mut huge = Vec::new();
+        put::uvarint(&mut huge, u64::MAX);
+        assert_eq!(Cursor::new(&huge).count(0).unwrap(), usize::MAX);
+        assert_eq!(
+            Cursor::new(&huge).count(1).unwrap_err(),
+            FormatError::Truncated
+        );
     }
 
     #[test]

@@ -148,14 +148,15 @@ mod rle_runs {
             prop_assert_eq!(&flat, &codes);
             let runs = rle::decode_runs(&bytes, codes.len()).unwrap();
             let expanded: Vec<u32> = runs
+                .runs
                 .iter()
-                .flat_map(|r| match r {
-                    Run::Rle { value, len } => vec![*value; *len],
-                    Run::Literal(vs) => vs.clone(),
+                .flat_map(|&r| match r {
+                    Run::Rle { value, len } => vec![value; len],
+                    Run::Literal { start, len } => runs.codes[start..start + len].to_vec(),
                 })
                 .collect();
             prop_assert_eq!(expanded, codes);
-            prop_assert_eq!(runs.iter().map(Run::len).sum::<usize>(), flat.len());
+            prop_assert_eq!(runs.runs.iter().map(Run::len).sum::<usize>(), flat.len());
         }
     }
 }

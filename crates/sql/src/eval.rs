@@ -76,59 +76,94 @@ pub fn eval_filter(leaf: &FilterLeaf, col: &ColumnData) -> Result<Bitmap> {
 /// Type mismatches, or a code out of range for the dictionary (impossible
 /// for views from `read_encoded_chunk`, which validates codes up front).
 pub fn eval_filter_encoded(leaf: &FilterLeaf, chunk: &EncodedChunk) -> Result<Bitmap> {
-    let (dictionary, runs, rows) = match chunk {
+    let (dictionary, codes, runs, rows) = match chunk {
         EncodedChunk::Plain(col) => return eval_filter(leaf, col),
         EncodedChunk::Dictionary {
             dictionary,
+            codes,
             runs,
             rows,
-        } => (dictionary, runs, *rows),
+        } => (dictionary, codes, runs, *rows),
     };
     let dict_bits = eval_filter(leaf, dictionary)?;
     let mask: Vec<bool> = (0..dictionary.len()).map(|i| dict_bits.get(i)).collect();
     let code_match = |code: u32| -> Result<bool> {
-        mask.get(code as usize).copied().ok_or_else(|| {
-            SqlError::Invalid(format!(
-                "dictionary code {code} out of range ({} entries)",
-                mask.len()
-            ))
-        })
+        mask.get(code as usize)
+            .copied()
+            .ok_or_else(|| code_out_of_range(code, mask.len()))
     };
-
     let mut words = vec![0u64; rows.div_ceil(64)];
-    let mut pos = 0usize;
-    for run in runs {
-        match run {
-            Run::Rle { value, len } => {
-                if pos + len > rows {
-                    return Err(SqlError::Invalid("run structure overflows chunk".into()));
+    for_each_span(runs, codes, rows, |pos, span| {
+        match span {
+            Span::Rle(code, len) => {
+                if code_match(code)? {
+                    or_span(&mut words, pos, len);
                 }
-                if code_match(*value)? {
-                    or_span(&mut words, pos, *len);
-                }
-                pos += len;
             }
-            Run::Literal(codes) => {
-                if pos + codes.len() > rows {
-                    return Err(SqlError::Invalid("run structure overflows chunk".into()));
-                }
-                for batch in codes.chunks(64) {
+            Span::Literal(codes) => {
+                for (k, batch) in codes.chunks(64).enumerate() {
                     let mut acc = 0u64;
                     for (bit, &code) in batch.iter().enumerate() {
                         acc |= (code_match(code)? as u64) << bit;
                     }
-                    or_bits(&mut words, pos, acc, batch.len());
-                    pos += batch.len();
+                    or_bits(&mut words, pos + 64 * k, acc, batch.len());
                 }
             }
         }
+        Ok(())
+    })?;
+    Ok(Bitmap::from_words(rows, words))
+}
+
+/// One run of a dictionary view with its literal codes resolved.
+#[derive(Clone, Copy)]
+enum Span<'a> {
+    /// `len` rows of one code.
+    Rle(u32, usize),
+    /// One code per row.
+    Literal(&'a [u32]),
+}
+
+/// Walks a dictionary view's runs in row order, calling `f(first_row,
+/// span)` for each, after checking the structure a hand-built view can
+/// get wrong: runs that overflow or fall short of `rows`, and literal
+/// spans outside `codes`. Each kernel checks codes against the
+/// dictionary in the way its loop affords.
+fn for_each_span<'a>(
+    runs: &[Run],
+    codes: &'a [u32],
+    rows: usize,
+    mut f: impl FnMut(usize, Span<'a>) -> Result<()>,
+) -> Result<()> {
+    let mut pos = 0usize;
+    for &run in runs {
+        if run.len() > rows - pos {
+            return Err(SqlError::Invalid("run structure overflows chunk".into()));
+        }
+        let span = match run {
+            Run::Rle { value, len } => Span::Rle(value, len),
+            Run::Literal { start, len } => {
+                let span = codes.get(start..).and_then(|c| c.get(..len));
+                Span::Literal(span.ok_or_else(|| {
+                    SqlError::Invalid("literal span outside the code buffer".into())
+                })?)
+            }
+        };
+        f(pos, span)?;
+        pos += run.len();
     }
     if pos != rows {
         return Err(SqlError::Invalid(format!(
             "run structure covers {pos} of {rows} rows"
         )));
     }
-    Ok(Bitmap::from_words(rows, words))
+    Ok(())
+}
+
+fn code_out_of_range(code: u32, dict_len: usize) -> SqlError {
+    SqlError::Invalid(format!(
+        "dictionary code {code} out of range ({dict_len} entries)"
+    ))
 }
 
 /// Combines per-leaf bitmaps according to the boolean tree. All bitmaps
@@ -351,60 +386,42 @@ fn for_each_selected(
     mut f: impl FnMut(usize, usize),
 ) -> Result<()> {
     check_filter_len(chunk, filter)?;
-    let (dictionary, runs, rows) = match chunk {
+    let (dictionary, codes, runs, rows) = match chunk {
         EncodedChunk::Plain(_) => {
             filter.ones().for_each(|row| f(row, 1));
             return Ok(());
         }
         EncodedChunk::Dictionary {
             dictionary,
+            codes,
             runs,
             rows,
-        } => (dictionary, runs, *rows),
+        } => (dictionary, codes, runs, *rows),
     };
     // Codes are checked a run at a time (`max` vectorizes), so the
     // per-row loops below stay tight.
-    let check = |max_code: Option<u32>| -> Result<()> {
-        match max_code {
-            Some(c) if c as usize >= dictionary.len() => Err(SqlError::Invalid(format!(
-                "dictionary code {c} out of range ({} entries)",
-                dictionary.len()
-            ))),
-            _ => Ok(()),
-        }
+    let check = |max_code: Option<u32>| match max_code {
+        Some(c) if c as usize >= dictionary.len() => Err(code_out_of_range(c, dictionary.len())),
+        _ => Ok(()),
     };
-    let mut pos = 0usize;
-    for run in runs {
-        match run {
-            Run::Rle { value, len } => {
-                if pos + len > rows {
-                    return Err(SqlError::Invalid("run structure overflows chunk".into()));
-                }
-                check(Some(*value))?;
-                let n = filter.count_range(pos, *len);
+    for_each_span(runs, codes, rows, |pos, span| {
+        match span {
+            Span::Rle(code, len) => {
+                check(Some(code))?;
+                let n = filter.count_range(pos, len);
                 if n > 0 {
-                    f(*value as usize, n);
+                    f(code as usize, n);
                 }
-                pos += len;
             }
-            Run::Literal(codes) => {
-                if pos + codes.len() > rows {
-                    return Err(SqlError::Invalid("run structure overflows chunk".into()));
-                }
+            Span::Literal(codes) => {
                 check(codes.iter().copied().max())?;
                 filter
                     .ones_range(pos, codes.len())
                     .for_each(|row| f(codes[row - pos] as usize, 1));
-                pos += codes.len();
             }
         }
-    }
-    if pos != rows {
-        return Err(SqlError::Invalid(format!(
-            "run structure covers {pos} of {rows} rows"
-        )));
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// Appends the rows of `chunk` that `filter` selects to `out`, in row
@@ -746,7 +763,7 @@ pub fn group_aggregate_encoded(
     aggs: &[(AggFunc, AggInput<'_>)],
     filter: &Bitmap,
 ) -> Result<GroupedAggs> {
-    let (dictionary, runs, rows) = match key {
+    let (dictionary, codes, runs, rows) = match key {
         EncodedChunk::Plain(col) => {
             let decoded: Vec<(AggFunc, Option<&ColumnData>)> = aggs
                 .iter()
@@ -763,9 +780,10 @@ pub fn group_aggregate_encoded(
         }
         EncodedChunk::Dictionary {
             dictionary,
+            codes,
             runs,
             rows,
-        } => (dictionary, runs, *rows),
+        } => (dictionary, codes, runs, *rows),
     };
     if rows != filter.len() {
         return Err(SqlError::Invalid(format!(
@@ -803,63 +821,45 @@ pub fn group_aggregate_encoded(
         code: u32,
         templates: &[PartialAgg],
     ) -> Result<&'s mut Vec<PartialAgg>> {
+        let dict_len = slots.len();
         let entry = slots
             .get_mut(code as usize)
-            .ok_or_else(|| SqlError::Invalid(format!("dictionary code {code} out of range")))?;
+            .ok_or_else(|| code_out_of_range(code, dict_len))?;
         Ok(entry.get_or_insert_with(|| templates.to_vec()))
     }
 
-    let mut pos = 0usize;
-    for run in runs {
-        match run {
-            Run::Rle { value: code, len } => {
-                if pos + len > rows {
-                    return Err(SqlError::Invalid("run structure overflows chunk".into()));
-                }
-                let n = filter.count_range(pos, *len);
-                if n > 0 {
-                    let parts = slot(&mut slots, *code, &templates)?;
-                    for (part, (_, input)) in parts.iter_mut().zip(aggs) {
-                        match input {
-                            // The key value repeats across the run: fold
-                            // all n matches in one call.
-                            AggInput::Star | AggInput::Key => {
-                                part.accumulate_repeat(dictionary, *code as usize, n)?;
-                            }
-                            AggInput::Col(c) => filter
-                                .ones_range(pos, *len)
-                                .try_for_each(|row| part.accumulate(c, row))?,
+    for_each_span(runs, codes, rows, |pos, span| match span {
+        Span::Rle(code, len) => {
+            let n = filter.count_range(pos, len);
+            if n > 0 {
+                let parts = slot(&mut slots, code, &templates)?;
+                for (part, (_, input)) in parts.iter_mut().zip(aggs) {
+                    match input {
+                        // The key value repeats across the run: fold all n
+                        // matches in one call.
+                        AggInput::Star | AggInput::Key => {
+                            part.accumulate_repeat(dictionary, code as usize, n)?;
                         }
+                        AggInput::Col(c) => filter
+                            .ones_range(pos, len)
+                            .try_for_each(|row| part.accumulate(c, row))?,
                     }
                 }
-                pos += len;
             }
-            Run::Literal(codes) => {
-                if pos + codes.len() > rows {
-                    return Err(SqlError::Invalid("run structure overflows chunk".into()));
-                }
-                filter.ones_range(pos, codes.len()).try_for_each(|row| {
-                    let code = codes[row - pos];
-                    let parts = slot(&mut slots, code, &templates)?;
-                    for (part, (_, input)) in parts.iter_mut().zip(aggs) {
-                        match input {
-                            AggInput::Star | AggInput::Key => {
-                                part.accumulate(dictionary, code as usize)?;
-                            }
-                            AggInput::Col(c) => part.accumulate(c, row)?,
-                        }
-                    }
-                    Ok(())
-                })?;
-                pos += codes.len();
-            }
+            Ok(())
         }
-    }
-    if pos != rows {
-        return Err(SqlError::Invalid(format!(
-            "run structure covers {pos} of {rows} rows"
-        )));
-    }
+        Span::Literal(codes) => filter.ones_range(pos, codes.len()).try_for_each(|row| {
+            let code = codes[row - pos];
+            let parts = slot(&mut slots, code, &templates)?;
+            for (part, (_, input)) in parts.iter_mut().zip(aggs) {
+                match input {
+                    AggInput::Star | AggInput::Key => part.accumulate(dictionary, code as usize)?,
+                    AggInput::Col(c) => part.accumulate(c, row)?,
+                }
+            }
+            Ok(())
+        }),
+    })?;
 
     // Resolve codes to key values once — the only decode work the key
     // column ever needs.
@@ -1107,29 +1107,21 @@ mod tests {
         // Hand-built views with out-of-range codes or short run coverage.
         let dict = ColumnData::Int64(vec![10, 20]);
         let l = leaf(CmpOp::Eq, Value::Int(10));
-        let bad_code = EncodedChunk::Dictionary {
+        let view = |codes: Vec<u32>, runs: Vec<Run>, rows| EncodedChunk::Dictionary {
             dictionary: dict.clone(),
-            runs: vec![Run::Rle { value: 9, len: 4 }],
-            rows: 4,
+            codes,
+            runs,
+            rows,
         };
+        let bad_code = view(vec![], vec![Run::Rle { value: 9, len: 4 }], 4);
         assert!(eval_filter_encoded(&l, &bad_code).is_err());
-        let bad_literal = EncodedChunk::Dictionary {
-            dictionary: dict.clone(),
-            runs: vec![Run::Literal(vec![0, 7])],
-            rows: 2,
-        };
+        let bad_literal = view(vec![0, 7], vec![Run::Literal { start: 0, len: 2 }], 2);
         assert!(eval_filter_encoded(&l, &bad_literal).is_err());
-        let short = EncodedChunk::Dictionary {
-            dictionary: dict.clone(),
-            runs: vec![Run::Rle { value: 0, len: 2 }],
-            rows: 5,
-        };
+        let outside = view(vec![0, 1], vec![Run::Literal { start: 1, len: 2 }], 2);
+        assert!(eval_filter_encoded(&l, &outside).is_err());
+        let short = view(vec![], vec![Run::Rle { value: 0, len: 2 }], 5);
         assert!(eval_filter_encoded(&l, &short).is_err());
-        let long = EncodedChunk::Dictionary {
-            dictionary: dict,
-            runs: vec![Run::Rle { value: 0, len: 9 }],
-            rows: 5,
-        };
+        let long = view(vec![], vec![Run::Rle { value: 0, len: 9 }], 5);
         assert!(eval_filter_encoded(&l, &long).is_err());
     }
 
@@ -1270,6 +1262,7 @@ mod tests {
         assert!(group_aggregate_decoded(&[], &[(AggFunc::Count, None)], &short_filter).is_err());
         let chunk = EncodedChunk::Dictionary {
             dictionary: ColumnData::Int64(vec![10, 20]),
+            codes: vec![],
             runs: vec![Run::Rle { value: 9, len: 3 }],
             rows: 3,
         };
@@ -1355,7 +1348,8 @@ mod tests {
         assert!(float_sum.fold(&chunk, &all).is_err());
         let bad_code = EncodedChunk::Dictionary {
             dictionary: ColumnData::Int64(vec![10, 20]),
-            runs: vec![Run::Literal(vec![0, 5, 1])],
+            codes: vec![0, 5, 1],
+            runs: vec![Run::Literal { start: 0, len: 3 }],
             rows: 3,
         };
         assert!(select_encoded(&bad_code, &all, &mut out).is_err());
