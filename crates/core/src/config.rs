@@ -210,13 +210,6 @@ pub struct StoreConfig {
     /// decode-then-filter. `false` selects the scalar ablation path; the
     /// result is bit-identical either way.
     pub encoded_scan: bool,
-    /// Charge compression/decompression CPU at the fast Snappy kernels'
-    /// calibrated rate ([`FAST_SNAPPY_SPEEDUP`]) instead of the scalar
-    /// reference rate. This is a **time-plane** knob only: the data path
-    /// always runs the fast kernels (the differential suite proves them
-    /// byte-compatible with the reference codec), so toggling this changes
-    /// simulated latencies, never bytes.
-    pub fast_snappy: bool,
     /// Record per-query structured trace spans ([`fusion_obs::trace::Trace`])
     /// while executing. Off by default: the hot path then uses the no-op
     /// recorder, which allocates nothing and records nothing, so benches
@@ -255,9 +248,10 @@ pub const ENCODED_SCAN_SPEEDUP: f64 = 6.0;
 /// the memcpy wall on incompressible pages, ~5.0x across all three);
 /// compress measures ~10.1x across all mixes. Blended conservatively to
 /// 6.0 since the time plane charges one rate for both directions across
-/// all page shapes. Used by the simulated time plane to scale
-/// page-decompression and bitmap-compression CPU cost when
-/// [`StoreConfig::fast_snappy`] is on.
+/// all page shapes. The simulated time plane scales page-decompression
+/// and bitmap-compression CPU cost by it: the data path always runs the
+/// fast kernels (the differential suite proves them byte-compatible with
+/// the reference codec).
 pub const FAST_SNAPPY_SPEEDUP: f64 = 6.0;
 
 /// Default per-node chunk-cache capacity: 64 MiB.
@@ -285,7 +279,6 @@ impl Default for StoreConfig {
             ec_threads: default_ec_threads(),
             chunk_cache_bytes: DEFAULT_CHUNK_CACHE_BYTES,
             encoded_scan: true,
-            fast_snappy: true,
             observability: false,
             placement: PlacementPolicy::default(),
         }
@@ -370,13 +363,6 @@ impl StoreConfig {
         self
     }
 
-    /// Selects whether the time plane charges (de)compression at the fast
-    /// Snappy kernels' calibrated rate or the scalar reference rate.
-    pub fn with_fast_snappy(mut self, on: bool) -> StoreConfig {
-        self.fast_snappy = on;
-        self
-    }
-
     /// Enables or disables per-query trace-span recording.
     pub fn with_observability(mut self, on: bool) -> StoreConfig {
         self.observability = on;
@@ -399,19 +385,6 @@ impl StoreConfig {
     pub fn scan_speedup(&self) -> f64 {
         if self.encoded_scan {
             ENCODED_SCAN_SPEEDUP
-        } else {
-            1.0
-        }
-    }
-
-    /// Throughput multiplier of the configured Snappy codec relative to
-    /// the calibrated scalar compression/decompression rates
-    /// (`CostModel::cpu_decode_bps`, `CostModel::cpu_compress_bps`), used
-    /// when the time plane charges page-decompression or
-    /// bitmap-compression CPU.
-    pub fn compression_speedup(&self) -> f64 {
-        if self.fast_snappy {
-            FAST_SNAPPY_SPEEDUP
         } else {
             1.0
         }
@@ -512,11 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn snappy_defaults_and_speedup() {
-        let c = StoreConfig::default();
-        assert!(c.fast_snappy);
-        assert_eq!(c.compression_speedup(), FAST_SNAPPY_SPEEDUP);
-        assert_eq!(c.with_fast_snappy(false).compression_speedup(), 1.0);
+    fn snappy_speedup_floor() {
         // Acceptance floor for the fast Snappy kernels, kept as a const
         // block so the build fails if calibration drops below 3x.
         const { assert!(FAST_SNAPPY_SPEEDUP >= 3.0) };

@@ -9,11 +9,9 @@
 //! is pulled — fragment by fragment, in compressed form — to the
 //! coordinator, where all decoding and evaluation happens.
 
-use super::{
-    agg_label, degraded_fragment_fetch, result_wire_bytes, row_group_may_match, Ctx, Loc,
-    QueryOutput, QueryResult,
-};
-use crate::error::{Result, StoreError};
+use super::{agg_label, row_group_may_match, Ctx, Loc, QueryOutput, QueryResult};
+use crate::config::FAST_SNAPPY_SPEEDUP;
+use crate::error::Result;
 use crate::store::Store;
 use fusion_cluster::engine::{CostClass, StepId};
 use fusion_format::chunk::decode_column_chunk;
@@ -29,20 +27,8 @@ use fusion_sql::plan::{OutputItem, QueryPlan};
 
 /// Executes `plan` by reassembling all needed chunks at the coordinator.
 pub fn execute(store: &Store, object: &str, plan: &QueryPlan) -> Result<QueryOutput> {
-    let meta = store.object(object)?;
-    let fm = meta
-        .file_meta
-        .as_ref()
-        .ok_or_else(|| StoreError::NotAnalytics(object.to_string()))?;
-    let coord = store.coordinator_of(object)?;
-    let cost = &store.config().cluster.cost;
-    // The baseline decodes every fetched chunk at the coordinator; the
-    // Snappy share of that decode runs at the configured kernel's rate.
-    let csp = store.config().compression_speedup();
-    let mut ctx = Ctx::new(cost, store.config().observability);
-    let mut pruned = 0usize;
-    let mut considered = 0usize;
-    let mut cache_misses = 0usize;
+    let mut ctx = Ctx::new(store, object)?;
+    let (meta, fm, coord, cost) = (ctx.meta, ctx.fm, ctx.coord, ctx.cost);
     let mut shard_read_bytes = 0u64;
 
     let arrival = ctx.rpc(Loc::Client, Loc::Node(coord), &[]);
@@ -77,8 +63,8 @@ pub fn execute(store: &Store, object: &str, plan: &QueryPlan) -> Result<QueryOut
     for rg in 0..num_rgs {
         let rows = fm.row_groups[rg].row_count as usize;
         if !row_group_may_match(plan.tree.as_ref(), &plan.filters, &fm.row_groups[rg]) {
-            pruned += needed.len();
-            considered += needed.len();
+            ctx.chunks.pruned += needed.len();
+            ctx.chunks.considered += needed.len();
             rg_bitmaps.push(Bitmap::with_len(rows));
             continue;
         }
@@ -88,48 +74,26 @@ pub fn execute(store: &Store, object: &str, plan: &QueryPlan) -> Result<QueryOut
         for &col_idx in &needed {
             let cm = fm.chunk(rg, col_idx)?;
             let ty = fm.schema.fields()[col_idx].ty;
-            let ordinal = meta
-                .chunk_ordinal(rg, col_idx)
-                .ok_or_else(|| StoreError::Internal("chunk ordinal out of range".into()))?;
+            let ordinal = ctx.ordinal(rg, col_idx)?;
 
             // Data plane: reassemble + decode at the coordinator. Every
             // fetched chunk is a data-plane read — a "miss" in the
             // conservation invariant (the baseline has no node caches to
             // hit).
-            considered += 1;
-            cache_misses += 1;
+            ctx.chunks.considered += 1;
+            ctx.chunks.misses += 1;
             let chunk_bytes = store.chunk_bytes(object, ordinal)?;
             shard_read_bytes += chunk_bytes.len() as u64;
             let col = decode_column_chunk(&chunk_bytes, ty)?;
             decoded.insert((rg, col_idx), col);
 
-            // Time plane: each fragment is read on its node and shipped to
-            // the coordinator in stored (compressed) form; fragments on
-            // dead nodes are rebuilt from their stripe's k surviving
-            // shards (degraded mode).
-            for f in &meta.chunk_fragments(ordinal) {
-                if store.blocks().has_block(f.node, f.block) {
-                    let req = ctx.rpc(Loc::Node(coord), Loc::Node(f.node), &[plan_step]);
-                    let req = ctx.retry(store.retry_penalty(f.node), &req);
-                    let read = ctx.disk(f.node, f.len, &req);
-                    rg_arrived.extend(ctx.transfer(
-                        Loc::Node(f.node),
-                        Loc::Node(coord),
-                        f.len,
-                        &[read],
-                    ));
-                } else {
-                    rg_arrived.push(degraded_fragment_fetch(
-                        store,
-                        meta,
-                        &mut ctx,
-                        coord,
-                        f,
-                        &[plan_step],
-                    )?);
-                }
-            }
-            decode_cost += cost.decode_at(cm.plain_size, csp) + cost.eval(cm.value_count);
+            // Time plane: the chunk's fragments travel to the coordinator
+            // in stored (compressed) form; fragments on dead nodes are
+            // rebuilt from their stripes (degraded mode). The Snappy share
+            // of the decode runs at the fast kernels' rate.
+            rg_arrived.extend(ctx.fetch_fragments(&meta.chunk_fragments(ordinal), plan_step)?);
+            decode_cost +=
+                cost.decode_at(cm.plain_size, FAST_SNAPPY_SPEEDUP) + cost.eval(cm.value_count);
         }
         if rg_arrived.is_empty() {
             rg_arrived.push(plan_step);
@@ -167,9 +131,9 @@ pub fn execute(store: &Store, object: &str, plan: &QueryPlan) -> Result<QueryOut
 
     if ctx.trace.enabled() {
         ctx.trace.enter(Phase::StatsPrune, "stats_prune");
-        ctx.trace.add_count(pruned as u64);
+        ctx.trace.add_count(ctx.chunks.pruned as u64);
         ctx.trace.exit();
-        ctx.trace.add_count(cache_misses as u64);
+        ctx.trace.add_count(ctx.chunks.misses as u64);
         ctx.trace.add_bytes(shard_read_bytes);
     }
     ctx.trace.exit(); // fetch_stage
@@ -236,32 +200,13 @@ pub fn execute(store: &Store, object: &str, plan: &QueryPlan) -> Result<QueryOut
         ctx.trace.exit(); // grouped_aggregate_stage
 
         let result = super::assemble_grouped_result(plan, &fm.schema, grouped, total_matches)?;
-        let reply_bytes = result_wire_bytes(&result);
-        let assemble = ctx.cpu(
-            Loc::Node(coord),
-            group_cost + cost.project(reply_bytes),
-            CostClass::Other,
+        return Ok(ctx.reply(
             &eval_frontier,
-        );
-        ctx.transfer(Loc::Node(coord), Loc::Client, reply_bytes, &[assemble]);
-
-        debug_assert_eq!(
-            pruned + cache_misses,
-            considered,
-            "chunk accounting must conserve"
-        );
-        return Ok(QueryOutput {
+            |reply| group_cost + cost.project(reply),
             result,
             selectivity,
-            workflow: ctx.wf,
-            net_bytes: ctx.net_bytes,
-            decisions: Vec::new(),
-            pruned_chunks: pruned,
-            cache_hits: 0,
-            cache_misses,
-            chunks_considered: considered,
-            trace: ctx.trace,
-        });
+            Vec::new(),
+        ));
     }
 
     // Project locally at the coordinator.
@@ -295,34 +240,13 @@ pub fn execute(store: &Store, object: &str, plan: &QueryPlan) -> Result<QueryOut
     ctx.trace.exit(); // projection_stage
 
     let result = assemble_result(plan, &projected, total_matches)?;
-    let reply_bytes = result_wire_bytes(&result);
-    let assemble = ctx.cpu(
-        Loc::Node(coord),
-        cost.project(project_bytes + reply_bytes),
-        CostClass::Other,
+    Ok(ctx.reply(
         &eval_frontier,
-    );
-    ctx.transfer(Loc::Node(coord), Loc::Client, reply_bytes, &[assemble]);
-
-    debug_assert_eq!(
-        pruned + cache_misses,
-        considered,
-        "chunk accounting must conserve"
-    );
-    Ok(QueryOutput {
+        |reply| cost.project(project_bytes + reply),
         result,
         selectivity,
-        workflow: ctx.wf,
-        net_bytes: ctx.net_bytes,
-        decisions: Vec::new(),
-        pruned_chunks: pruned,
-        // The baseline reassembles at the coordinator and never touches
-        // the node-local chunk caches: every fetched chunk is a miss.
-        cache_hits: 0,
-        cache_misses,
-        chunks_considered: considered,
-        trace: ctx.trace,
-    })
+        Vec::new(),
+    ))
 }
 
 /// Concatenates per-row-group projection parts (possibly none).

@@ -18,6 +18,11 @@
 //! node sends only the selected values, uncompressed); otherwise fetch the
 //! compressed chunk and project locally at the coordinator.
 //!
+//! With aggregate pushdown on (an extension: the paper's §5 future
+//! work), an aggregate-only query runs the same projection stage, but
+//! every healthy chunk's node folds its matched rows and ships back only
+//! partials.
+//!
 //! Wherever the time plane places that work, the data plane computes
 //! every answer from the encoded chunk views it already holds: projected
 //! rows are gathered straight from dictionary codes and RLE runs into one
@@ -26,22 +31,26 @@
 //! kernel.
 
 use super::{
-    agg_label, degraded_fragment_fetch, result_wire_bytes, row_group_may_match, Ctx, Loc,
-    ProjectionDecision, QueryOutput, QueryResult,
+    agg_label, row_group_may_match, Ctx, Loc, ProjectionDecision, QueryOutput, QueryResult,
 };
+use crate::config::FAST_SNAPPY_SPEEDUP;
 use crate::error::{Result, StoreError};
+use crate::object::ChunkFragment;
 use crate::store::Store;
 use fusion_cluster::engine::{CostClass, StepId};
+use fusion_cluster::time::Nanos;
 use fusion_format::chunk::{read_encoded_chunk, EncodedChunk};
+use fusion_format::footer::ChunkMeta;
 use fusion_format::schema::LogicalType;
 use fusion_format::value::ColumnData;
 use fusion_obs::trace::Phase;
+use fusion_sql::ast::AggFunc;
 use fusion_sql::bitmap::Bitmap;
 use fusion_sql::eval::{
     combine, eval_aggregate, eval_filter, eval_filter_encoded, select_encoded, selected_plain_size,
     stats_all_match, stats_may_match, AggFold,
 };
-use fusion_sql::partial::GroupedAggs;
+use fusion_sql::partial::{GroupedAggs, PartialAgg};
 use fusion_sql::plan::{BoolTree, FilterLeaf, OutputItem, QueryPlan};
 use std::sync::Arc;
 
@@ -63,33 +72,105 @@ impl RowGroupBitmapSizes {
     }
 }
 
-/// Reads one chunk's encoded view for the data plane and counts the
-/// access. A `healthy` chunk (whole, on a live node) is served through
-/// its node's chunk cache; any other is parsed from bytes the coordinator
+/// One chunk a stage after the filter stage reads: where it lives and
+/// its encoded view.
+struct Access {
+    ordinal: usize,
+    frags: Vec<ChunkFragment>,
+    /// Whole on a live node, so work can be pushed to `frags[0].node`.
+    healthy: bool,
+    view: Arc<EncodedChunk>,
+    /// The view came from that node's chunk cache.
+    hit: bool,
+}
+
+/// Reads the chunk of column `col` in row group `rg` for the data plane
+/// and counts the access. A healthy chunk is served through its node's
+/// chunk cache; any other is parsed from bytes the coordinator
 /// reassembles, rebuilding lost fragments from their stripes — a one-off
 /// view that bypasses the cache but still reads the data plane, so it
-/// counts as a miss. Returns the view and whether it hit.
-fn chunk_view(
-    store: &Store,
-    object: &str,
-    ordinal: usize,
-    ty: LogicalType,
-    healthy: bool,
-    hits: &mut usize,
-    misses: &mut usize,
-) -> Result<(Arc<EncodedChunk>, bool)> {
-    let (chunk, hit) = if healthy {
+/// counts as a miss.
+fn access(ctx: &mut Ctx<'_>, rg: usize, col: usize) -> Result<Access> {
+    let (store, object) = (ctx.store, ctx.object);
+    let ty = ctx.fm.schema.fields()[col].ty;
+    let ordinal = ctx.ordinal(rg, col)?;
+    let frags = ctx.meta.chunk_fragments(ordinal);
+    let healthy = frags.len() == 1 && store.blocks().has_block(frags[0].node, frags[0].block);
+    let (view, hit) = if healthy {
         store.encoded_chunk(object, ordinal, ty)?
     } else {
         let bytes = store.chunk_bytes(object, ordinal)?;
         (Arc::new(read_encoded_chunk(&bytes, ty)?), false)
     };
+    ctx.chunks.considered += 1;
     if hit {
-        *hits += 1;
+        ctx.chunks.hits += 1;
     } else {
-        *misses += 1;
+        ctx.chunks.misses += 1;
     }
-    Ok((chunk, hit))
+    Ok(Access {
+        ordinal,
+        frags,
+        healthy,
+        view,
+        hit,
+    })
+}
+
+/// Models `work` pushed to the node hosting the healthy chunk `at`, once
+/// `deps` are done. If the filter stage already scanned the chunk there,
+/// the work also waits for that scan; if the node's cache holds the view
+/// it starts at once; otherwise the node first reads the chunk (`cm`)
+/// from disk and decodes it at `decode_speedup`.
+fn node_work(
+    ctx: &mut Ctx<'_>,
+    at: &Access,
+    cm: &ChunkMeta,
+    decode_speedup: f64,
+    work: Nanos,
+    mut deps: Vec<StepId>,
+) -> StepId {
+    let node = at.frags[0].node;
+    match ctx.scanned.get(&at.ordinal) {
+        Some(&(n, scan)) if n == node => {
+            deps.push(scan);
+            ctx.cpu(Loc::Node(node), work, CostClass::Processing, &deps)
+        }
+        _ if at.hit => ctx.cpu(Loc::Node(node), work, CostClass::Processing, &deps),
+        _ => {
+            let read = ctx.disk(node, cm.len, &deps);
+            let decode = ctx.cost.decode_at(cm.plain_size, decode_speedup);
+            ctx.cpu(
+                Loc::Node(node),
+                decode + work,
+                CostClass::Processing,
+                &[read],
+            )
+        }
+    }
+}
+
+/// Wire size of the partial of `func` a node ships for the rows of
+/// `view` that `filter` selects ([`PartialAgg::wire_bytes`]): a string
+/// MIN/MAX carries that chunk's own extreme, every other partial is a
+/// fixed-size scalar.
+fn partial_wire_bytes(
+    func: AggFunc,
+    ty: LogicalType,
+    view: &EncodedChunk,
+    filter: &Bitmap,
+) -> Result<u64> {
+    let own_extreme = || -> Result<_> {
+        let mut fold = AggFold::new(func, ty);
+        fold.fold(view, filter)?;
+        Ok(Some(fold.finish()?))
+    };
+    let partial = match (func, ty) {
+        (AggFunc::Min, LogicalType::Utf8) => PartialAgg::Min(own_extreme()?),
+        (AggFunc::Max, LogicalType::Utf8) => PartialAgg::Max(own_extreme()?),
+        _ => PartialAgg::identity(func, None),
+    };
+    Ok(partial.wire_bytes())
 }
 
 /// One healthy chunk's filter-scan work unit: assembled serially, scanned
@@ -134,16 +215,8 @@ pub fn execute(
     plan: &QueryPlan,
     adaptive: bool,
 ) -> Result<QueryOutput> {
-    let meta = store.object(object)?;
-    let fm = meta
-        .file_meta
-        .as_ref()
-        .ok_or_else(|| StoreError::NotAnalytics(object.to_string()))?;
-    let coord = store.coordinator_of(object)?;
-    let cost = &store.config().cluster.cost;
-    let mut ctx = Ctx::new(cost, store.config().observability);
-    let mut pruned = 0usize;
-    let mut considered = 0usize;
+    let mut ctx = Ctx::new(store, object)?;
+    let (meta, fm, coord, cost) = (ctx.meta, ctx.fm, ctx.coord, ctx.cost);
 
     // Client issues the query.
     let arrival = ctx.rpc(Loc::Client, Loc::Node(coord), &[]);
@@ -159,26 +232,18 @@ pub fn execute(
     // ---- Filter stage ----
     let encoded = store.config().encoded_scan;
     let speedup = store.config().scan_speedup();
-    // Compression-kernel plane: scales the Snappy share of decode
-    // (page decompression) and the bitmap compression before shipping.
-    let csp = store.config().compression_speedup();
+    // Compression-kernel plane: the fast Snappy kernels' rate scales the
+    // Snappy share of decode (page decompression) and the bitmap
+    // compression before shipping.
+    let csp = FAST_SNAPPY_SPEEDUP;
     let mut filter_frontier: Vec<StepId> = vec![plan_step];
     let mut bitmap_wire_total = 0u64;
-    let mut cache_hits = 0usize;
-    let mut cache_misses = 0usize;
     let mut shard_read_bytes = 0u64;
     // Every CPU eval built in the filter stage is filter-phase work on
     // the virtual clock (reads, transfers, retries, and degraded
     // rebuilds tag themselves).
     ctx.phase(Phase::Filter);
     ctx.trace.enter(Phase::Filter, "filter_stage");
-    // Chunks already read + decoded on their node during the filter
-    // stage. The projection stage reuses them instead of re-reading, which
-    // is what makes Fusion's disk/processing time match the baseline's
-    // (paper Fig. 13c: "both systems spend approximately the same amount
-    // of time on disk read and chunk processing").
-    let mut decoded_on: std::collections::HashMap<usize, (usize, StepId)> =
-        std::collections::HashMap::new();
 
     // Phase 1 (serial): prune with stats, resolve cache hits, read raw
     // bytes for misses. Healthy chunks become pool jobs; degraded chunks
@@ -199,9 +264,9 @@ pub fn execute(
         let rg_alive = row_group_may_match(plan.tree.as_ref(), &plan.filters, &fm.row_groups[rg]);
         for (li, leaf) in plan.filters.iter().enumerate() {
             let cm = fm.chunk(rg, leaf.column)?;
-            considered += 1;
+            ctx.chunks.considered += 1;
             if !rg_alive || !stats_may_match(leaf, cm.min.as_ref(), cm.max.as_ref()) {
-                pruned += 1;
+                ctx.chunks.pruned += 1;
                 leaf_acc[rg][li] = Some(Bitmap::with_len(rows));
                 continue;
             }
@@ -210,25 +275,23 @@ pub fn execute(
                 // dispatch — the bitmap is known from the footer alone,
                 // so this counts as a stats-pruned chunk (skipped), not
                 // a cache access.
-                pruned += 1;
+                ctx.chunks.pruned += 1;
                 leaf_acc[rg][li] = Some(Bitmap::ones_with_len(rows));
                 continue;
             }
             let ty = fm.schema.fields()[leaf.column].ty;
-            let ordinal = meta
-                .chunk_ordinal(rg, leaf.column)
-                .ok_or_else(|| StoreError::Internal("chunk ordinal out of range".into()))?;
+            let ordinal = ctx.ordinal(rg, leaf.column)?;
             let frags = meta.chunk_fragments(ordinal);
             let healthy =
                 frags.len() == 1 && store.blocks().has_block(frags[0].node, frags[0].block);
             if healthy {
                 let (cached, raw) = match store.chunk_cache().get(object, ordinal) {
                     Some(c) => {
-                        cache_hits += 1;
+                        ctx.chunks.hits += 1;
                         (Some(c), Vec::new())
                     }
                     None => {
-                        cache_misses += 1;
+                        ctx.chunks.misses += 1;
                         let raw = store.chunk_bytes(object, ordinal)?;
                         shard_read_bytes += raw.len() as u64;
                         (None, raw)
@@ -256,7 +319,7 @@ pub fn execute(
                 // it still reads the data plane, so it counts as a miss
                 // (keeping the hits + misses + pruned == considered
                 // invariant in degraded mode).
-                cache_misses += 1;
+                ctx.chunks.misses += 1;
                 let chunk_bytes = store.chunk_bytes(object, ordinal)?;
                 shard_read_bytes += chunk_bytes.len() as u64;
                 let view = read_encoded_chunk(&chunk_bytes, ty)?;
@@ -270,29 +333,7 @@ pub fn execute(
                 if is_root(li) {
                     bm_sizes.0[rg] = Some((bm_raw, bm_wire));
                 }
-                let mut arrived = Vec::new();
-                for f in &frags {
-                    if store.blocks().has_block(f.node, f.block) {
-                        let req = ctx.rpc(Loc::Node(coord), Loc::Node(f.node), &[plan_step]);
-                        let req = ctx.retry(store.retry_penalty(f.node), &req);
-                        let read = ctx.disk(f.node, f.len, &req);
-                        arrived.extend(ctx.transfer(
-                            Loc::Node(f.node),
-                            Loc::Node(coord),
-                            f.len,
-                            &[read],
-                        ));
-                    } else {
-                        arrived.push(degraded_fragment_fetch(
-                            store,
-                            meta,
-                            &mut ctx,
-                            coord,
-                            f,
-                            &[plan_step],
-                        )?);
-                    }
-                }
+                let arrived = ctx.fetch_fragments(&frags, plan_step)?;
                 let eval = ctx.cpu(
                     Loc::Node(coord),
                     cost.decode_at(cm.plain_size, speedup * csp)
@@ -358,7 +399,7 @@ pub fn execute(
         };
         let back = ctx.transfer(Loc::Node(t.node), Loc::Node(coord), bm_wire, &[eval]);
         filter_frontier.extend(back);
-        decoded_on.insert(t.ordinal, (t.node, eval));
+        ctx.scanned.insert(t.ordinal, (t.node, eval));
         leaf_acc[t.rg][t.leaf_idx] = Some(bm);
     }
 
@@ -378,13 +419,14 @@ pub fn execute(
 
     if ctx.trace.enabled() {
         ctx.trace.enter(Phase::StatsPrune, "stats_prune");
-        ctx.trace.add_count(pruned as u64);
+        ctx.trace.add_count(ctx.chunks.pruned as u64);
         ctx.trace.exit();
         ctx.trace.enter(Phase::CacheLookup, "cache_lookup");
-        ctx.trace.add_count((cache_hits + cache_misses) as u64);
+        ctx.trace
+            .add_count((ctx.chunks.hits + ctx.chunks.misses) as u64);
         ctx.trace.exit();
         ctx.trace.enter(Phase::ShardRead, "shard_read");
-        ctx.trace.add_count(cache_misses as u64);
+        ctx.trace.add_count(ctx.chunks.misses as u64);
         ctx.trace.add_bytes(shard_read_bytes);
         ctx.trace.exit();
     }
@@ -428,44 +470,29 @@ pub fn execute(
     // accumulation stays deterministic. With aggregate pushdown on, the
     // chunk-hosting nodes compute the states; otherwise the coordinator
     // does, with the same kernels.
-    // ---- Aggregate pushdown (extension; paper future work) ----
-    // For aggregate-only queries the nodes can compute partial aggregates
-    // over their matched rows and ship back a handful of bytes instead of
-    // the selected values.
-    let agg_pushdown = store.config().aggregate_pushdown
-        && plan.aggregate_only()
-        && !plan.aggregates.is_empty()
-        && total_matches > 0;
-    if plan.grouped() || agg_pushdown {
+    if plan.grouped() {
         let inputs = AggStageInputs {
-            fm,
-            meta,
-            coord,
             ctx,
             combine_step,
             rg_bitmaps: &rg_bitmaps,
             bm_sizes,
-            decoded_on: &decoded_on,
             selectivity,
             total_matches,
-            pruned,
-            cache_hits,
-            cache_misses,
-            considered,
         };
-        return if plan.grouped() {
-            grouped_aggregate_stage(store, object, plan, inputs)
-        } else {
-            aggregate_pushdown_stage(store, object, plan, inputs)
-        };
+        return grouped_aggregate_stage(plan, inputs);
     }
 
     // ---- Projection stage ----
     // Data plane: every column the result shows gathers its matched rows
     // straight from the encoded views into one output column, and every
     // aggregate folds from the same views without materializing its
-    // argument column. The time plane still models the paper's plan:
-    // ship the selected values, aggregate at the coordinator.
+    // argument column. The time plane models the paper's plan — ship the
+    // selected values, aggregate at the coordinator — unless aggregate
+    // pushdown serves an aggregate-only query: then each healthy chunk's
+    // node aggregates its matched rows and ships back one partial per
+    // aggregate instead of the selected values.
+    let agg_pushdown =
+        store.config().aggregate_pushdown && plan.aggregate_only() && total_matches > 0;
     let shown: Vec<bool> = (0..plan.projections.len())
         .map(|pos| plan.outputs.contains(&OutputItem::Projection(pos)))
         .collect();
@@ -488,8 +515,13 @@ pub fn execute(
         .collect();
     let mut decisions = Vec::new();
     let mut proj_frontier: Vec<StepId> = vec![combine_step];
-    ctx.phase(Phase::Project);
-    ctx.trace.enter(Phase::Project, "projection_stage");
+    let (phase, stage) = if agg_pushdown {
+        (Phase::Aggregate, "aggregate_stage")
+    } else {
+        (Phase::Project, "projection_stage")
+    };
+    ctx.phase(phase);
+    ctx.trace.enter(phase, stage);
 
     for (pos, &col_idx) in plan.projections.iter().enumerate() {
         let ty = fm.schema.fields()[col_idx].ty;
@@ -498,52 +530,55 @@ pub fn execute(
                 continue;
             }
             let cm = fm.chunk(rg, col_idx)?;
-            let ordinal = meta
-                .chunk_ordinal(rg, col_idx)
-                .ok_or_else(|| StoreError::Internal("chunk ordinal out of range".into()))?;
-            let frags = meta.chunk_fragments(ordinal);
-            considered += 1;
-            // Pushdown needs the chunk whole and its hosting node up.
-            let healthy =
-                frags.len() == 1 && store.blocks().has_block(frags[0].node, frags[0].block);
-
-            let (chunk, hit) = chunk_view(
-                store,
-                object,
-                ordinal,
-                ty,
-                healthy,
-                &mut cache_hits,
-                &mut cache_misses,
-            )?;
+            let at = access(&mut ctx, rg, col_idx)?;
             if shown[pos] {
-                select_encoded(&chunk, filter, &mut projected[pos])?;
+                select_encoded(&at.view, filter, &mut projected[pos])?;
             }
+            // With aggregate pushdown the node ships one partial per
+            // aggregate over this column.
+            let (mut col_aggs, mut partial_bytes) = (0u64, 0u64);
             for (spec, fold) in plan.aggregates.iter().zip(&mut folds) {
-                match (spec.column, fold) {
-                    (Some(c), Some(fold)) if c == col_idx => fold.fold(&chunk, filter)?,
-                    _ => {}
+                if let (Some(c), Some(fold)) = (spec.column, fold) {
+                    if c == col_idx {
+                        fold.fold(&at.view, filter)?;
+                        col_aggs += 1;
+                        if agg_pushdown {
+                            partial_bytes += partial_wire_bytes(spec.func, ty, &at.view, filter)?;
+                        }
+                    }
                 }
             }
-            let out_bytes = selected_plain_size(&chunk, filter)?;
+            // What the chunk's node would ship back, the CPU it spends
+            // producing that, and the CPU the coordinator spends instead
+            // once it holds the decoded chunk.
+            let (out_bytes, node_cpu, coord_cpu) = if agg_pushdown {
+                let m = matches as u64;
+                (partial_bytes, cost.eval(m * col_aggs), cost.eval(m))
+            } else {
+                let out = selected_plain_size(&at.view, filter)?;
+                (out, cost.project(out), cost.project(out))
+            };
 
             // Cost Equation (paper §4.3): push down only when the
             // uncompressed projection result is smaller than the encoded
             // chunk. The coordinator knows the exact per-chunk match
             // count from the bitmap, so the product is computed with the
-            // chunk's own selectivity.
+            // chunk's own selectivity. Pushdown needs the chunk whole and
+            // its hosting node up; pushed aggregates then always go down.
+            // With aggregate pushdown on, the decision reads "pushed" even
+            // for a chunk the time plane fetches to the coordinator.
             let product = out_bytes as f64 / cm.len.max(1) as f64;
-            let push = (!adaptive || product < 1.0) && healthy;
+            let push = at.healthy && (agg_pushdown || !adaptive || product < 1.0);
             decisions.push(ProjectionDecision {
                 row_group: rg,
                 column: col_idx,
                 cost_product: product,
-                pushed_down: push,
+                pushed_down: push || agg_pushdown,
             });
 
             // Time plane.
             if push {
-                let node = frags[0].node;
+                let node = at.frags[0].node;
                 let (bm_raw, bm_wire) = bm_sizes.get(rg, filter);
                 let start = ctx.retry(store.retry_penalty(node), &[combine_step]);
                 // The coordinator compresses the bitmap before shipping it
@@ -554,70 +589,17 @@ pub fn execute(
                     CostClass::Other,
                     &start,
                 );
-                let mut deps = ctx.transfer(Loc::Node(coord), Loc::Node(node), bm_wire, &[comp]);
-                let work = match decoded_on.get(&ordinal) {
-                    // The filter stage already read and decoded this chunk
-                    // on this node: only the selection remains (paper
-                    // Fig. 13c shows both systems spending the same time on
-                    // disk read and chunk processing).
-                    Some(&(n, eval_step)) if n == node => {
-                        deps.push(eval_step);
-                        ctx.cpu(
-                            Loc::Node(node),
-                            cost.project(out_bytes),
-                            CostClass::Processing,
-                            &deps,
-                        )
-                    }
-                    // The node's cache holds the parsed view: skip the
-                    // disk read and full decode, gather straight from it.
-                    _ if hit => ctx.cpu(
-                        Loc::Node(node),
-                        cost.project(out_bytes),
-                        CostClass::Processing,
-                        &deps,
-                    ),
-                    _ => {
-                        let read = ctx.disk(node, cm.len, &deps);
-                        ctx.cpu(
-                            Loc::Node(node),
-                            cost.decode_at(cm.plain_size, csp) + cost.project(out_bytes),
-                            CostClass::Processing,
-                            &[read],
-                        )
-                    }
-                };
+                let deps = ctx.transfer(Loc::Node(coord), Loc::Node(node), bm_wire, &[comp]);
+                let work = node_work(&mut ctx, &at, cm, csp, node_cpu, deps);
                 let back = ctx.transfer(Loc::Node(node), Loc::Node(coord), out_bytes, &[work]);
                 proj_frontier.extend(back);
             } else {
                 // Fetch the chunk in compressed form (rebuilding lost
-                // fragments from their stripes); project locally.
-                let mut arrived = Vec::new();
-                for f in &frags {
-                    if store.blocks().has_block(f.node, f.block) {
-                        let req = ctx.rpc(Loc::Node(coord), Loc::Node(f.node), &[combine_step]);
-                        let req = ctx.retry(store.retry_penalty(f.node), &req);
-                        let read = ctx.disk(f.node, f.len, &req);
-                        arrived.extend(ctx.transfer(
-                            Loc::Node(f.node),
-                            Loc::Node(coord),
-                            f.len,
-                            &[read],
-                        ));
-                    } else {
-                        arrived.push(degraded_fragment_fetch(
-                            store,
-                            meta,
-                            &mut ctx,
-                            coord,
-                            f,
-                            &[combine_step],
-                        )?);
-                    }
-                }
+                // fragments from their stripes); finish locally.
+                let arrived = ctx.fetch_fragments(&at.frags, combine_step)?;
                 let work = ctx.cpu(
                     Loc::Node(coord),
-                    cost.decode_at(cm.plain_size, csp) + cost.project(out_bytes),
+                    cost.decode_at(cm.plain_size, csp) + coord_cpu,
                     CostClass::Processing,
                     &arrived,
                 );
@@ -629,7 +611,7 @@ pub fn execute(
         ctx.trace
             .add_count(decisions.iter().filter(|d| d.pushed_down).count() as u64);
     }
-    ctx.trace.exit(); // projection_stage
+    ctx.trace.exit(); // projection_stage or aggregate_stage
 
     // ---- Assemble and reply ----
     let mut columns = Vec::new();
@@ -662,275 +644,24 @@ pub fn execute(
         columns,
         aggregates,
     };
-    let reply_bytes = result_wire_bytes(&result);
     ctx.phase(Phase::Other);
-    let assemble = ctx.cpu(
-        Loc::Node(coord),
-        cost.project(reply_bytes),
-        CostClass::Other,
+    Ok(ctx.reply(
         &proj_frontier,
-    );
-    ctx.transfer(Loc::Node(coord), Loc::Client, reply_bytes, &[assemble]);
-
-    debug_assert_eq!(
-        pruned + cache_hits + cache_misses,
-        considered,
-        "chunk accounting must conserve"
-    );
-    Ok(QueryOutput {
+        |reply| cost.project(reply),
         result,
         selectivity,
-        workflow: ctx.wf,
-        net_bytes: ctx.net_bytes,
         decisions,
-        pruned_chunks: pruned,
-        cache_hits,
-        cache_misses,
-        chunks_considered: considered,
-        trace: ctx.trace,
-    })
+    ))
 }
 
-/// Bundled borrow context for [`aggregate_pushdown_stage`].
+/// What the filter stage hands [`grouped_aggregate_stage`].
 struct AggStageInputs<'a> {
-    fm: &'a fusion_format::footer::FileMeta,
-    meta: &'a crate::object::ObjectMeta,
-    coord: usize,
     ctx: Ctx<'a>,
     combine_step: StepId,
     rg_bitmaps: &'a [Bitmap],
     bm_sizes: RowGroupBitmapSizes,
-    decoded_on: &'a std::collections::HashMap<usize, (usize, StepId)>,
     selectivity: f64,
     total_matches: usize,
-    pruned: usize,
-    cache_hits: usize,
-    cache_misses: usize,
-    considered: usize,
-}
-
-/// Completes an aggregate-only query by pushing partial-aggregate
-/// computation to the chunk-hosting nodes (extension: the paper's §5
-/// future work). Each node visit serves every aggregate over that column;
-/// only tagged scalars return.
-fn aggregate_pushdown_stage(
-    store: &Store,
-    object: &str,
-    plan: &QueryPlan,
-    inputs: AggStageInputs<'_>,
-) -> Result<QueryOutput> {
-    use fusion_sql::partial::PartialAgg;
-    let AggStageInputs {
-        fm,
-        meta,
-        coord,
-        mut ctx,
-        combine_step,
-        rg_bitmaps,
-        mut bm_sizes,
-        decoded_on,
-        selectivity,
-        total_matches,
-        pruned,
-        mut cache_hits,
-        mut cache_misses,
-        mut considered,
-    } = inputs;
-    let cost = store.config().cluster.cost.clone();
-    let csp = store.config().compression_speedup();
-    let num_rgs = fm.row_groups.len();
-    ctx.phase(Phase::Aggregate);
-    ctx.trace.enter(Phase::Aggregate, "aggregate_stage");
-
-    // Group aggregate specs by their argument column.
-    let mut by_col: Vec<(usize, Vec<usize>)> = Vec::new();
-    for (ai, spec) in plan.aggregates.iter().enumerate() {
-        if let Some(col) = spec.column {
-            match by_col.iter_mut().find(|(c, _)| *c == col) {
-                Some((_, v)) => v.push(ai),
-                None => by_col.push((col, vec![ai])),
-            }
-        }
-    }
-
-    let mut acc: Vec<Option<PartialAgg>> = vec![None; plan.aggregates.len()];
-    let mut frontier: Vec<StepId> = vec![combine_step];
-    let mut decisions = Vec::new();
-
-    for (col_idx, agg_idxs) in &by_col {
-        let ty = fm.schema.fields()[*col_idx].ty;
-        // `rg` also indexes the footer metadata, not just the bitmaps.
-        #[allow(clippy::needless_range_loop)]
-        for rg in 0..num_rgs {
-            let matches: Vec<usize> = rg_bitmaps[rg].ones().collect();
-            if matches.is_empty() {
-                continue;
-            }
-            let cm = fm.chunk(rg, *col_idx)?;
-            let ordinal = meta
-                .chunk_ordinal(rg, *col_idx)
-                .ok_or_else(|| StoreError::Internal("chunk ordinal out of range".into()))?;
-            let frags = meta.chunk_fragments(ordinal);
-            considered += 1;
-            let healthy =
-                frags.len() == 1 && store.blocks().has_block(frags[0].node, frags[0].block);
-
-            // Data plane: decode once, compute every partial.
-            let (chunk, hit) = chunk_view(
-                store,
-                object,
-                ordinal,
-                ty,
-                healthy,
-                &mut cache_hits,
-                &mut cache_misses,
-            )?;
-            let part = chunk.decode()?.take(&matches);
-            let mut wire = 0u64;
-            for &ai in agg_idxs {
-                let p = PartialAgg::compute(plan.aggregates[ai].func, &part)?;
-                wire += p.wire_bytes();
-                match &mut acc[ai] {
-                    Some(a) => a.merge(&p)?,
-                    slot => *slot = Some(p),
-                }
-            }
-            decisions.push(ProjectionDecision {
-                row_group: rg,
-                column: *col_idx,
-                cost_product: wire as f64 / cm.len.max(1) as f64,
-                pushed_down: true,
-            });
-
-            // Time plane: bitmap down, partial scalars back. Pushdown
-            // needs the chunk whole and its hosting node up.
-            if healthy {
-                let node = frags[0].node;
-                let (bm_raw, bm_wire) = bm_sizes.get(rg, &rg_bitmaps[rg]);
-                let start = ctx.retry(store.retry_penalty(node), &[combine_step]);
-                // The coordinator compresses the bitmap before shipping it
-                // down to the chunk's node.
-                let comp = ctx.cpu(
-                    Loc::Node(coord),
-                    cost.compress_at(bm_raw, csp),
-                    CostClass::Other,
-                    &start,
-                );
-                let mut deps = ctx.transfer(Loc::Node(coord), Loc::Node(node), bm_wire, &[comp]);
-                let work = match decoded_on.get(&ordinal) {
-                    Some(&(n, eval_step)) if n == node => {
-                        deps.push(eval_step);
-                        ctx.cpu(
-                            Loc::Node(node),
-                            cost.eval(matches.len() as u64 * agg_idxs.len() as u64),
-                            CostClass::Processing,
-                            &deps,
-                        )
-                    }
-                    // Parsed view resident in the node cache: aggregate
-                    // straight from it, no disk read or full decode.
-                    _ if hit => ctx.cpu(
-                        Loc::Node(node),
-                        cost.eval(matches.len() as u64 * agg_idxs.len() as u64),
-                        CostClass::Processing,
-                        &deps,
-                    ),
-                    _ => {
-                        let read = ctx.disk(node, cm.len, &deps);
-                        ctx.cpu(
-                            Loc::Node(node),
-                            cost.decode_at(cm.plain_size, csp)
-                                + cost.eval(matches.len() as u64 * agg_idxs.len() as u64),
-                            CostClass::Processing,
-                            &[read],
-                        )
-                    }
-                };
-                frontier.extend(ctx.transfer(Loc::Node(node), Loc::Node(coord), wire, &[work]));
-            } else {
-                // Split chunk or lost fragments: fetch (or rebuild)
-                // fragments and aggregate locally.
-                let mut arrived = Vec::new();
-                for f in &frags {
-                    if store.blocks().has_block(f.node, f.block) {
-                        let req = ctx.rpc(Loc::Node(coord), Loc::Node(f.node), &[combine_step]);
-                        let req = ctx.retry(store.retry_penalty(f.node), &req);
-                        let read = ctx.disk(f.node, f.len, &req);
-                        arrived.extend(ctx.transfer(
-                            Loc::Node(f.node),
-                            Loc::Node(coord),
-                            f.len,
-                            &[read],
-                        ));
-                    } else {
-                        arrived.push(degraded_fragment_fetch(
-                            store,
-                            meta,
-                            &mut ctx,
-                            coord,
-                            f,
-                            &[combine_step],
-                        )?);
-                    }
-                }
-                frontier.push(ctx.cpu(
-                    Loc::Node(coord),
-                    cost.decode_at(cm.plain_size, csp) + cost.eval(matches.len() as u64),
-                    CostClass::Processing,
-                    &arrived,
-                ));
-            }
-        }
-    }
-
-    // Finalize in output order.
-    let mut aggregates = Vec::with_capacity(plan.aggregates.len());
-    for (ai, spec) in plan.aggregates.iter().enumerate() {
-        let value = match (&acc[ai], spec.column) {
-            (_, None) => fusion_format::value::Value::Int(total_matches as i64),
-            (Some(p), _) => p.finalize(),
-            (None, Some(_)) => PartialAgg::identity(spec.func, None).finalize(),
-        };
-        aggregates.push((agg_label(spec), value));
-    }
-    let result = QueryResult {
-        row_count: total_matches,
-        columns: Vec::new(),
-        aggregates,
-    };
-
-    if ctx.trace.enabled() {
-        ctx.trace.add_count(decisions.len() as u64);
-    }
-    ctx.trace.exit(); // aggregate_stage
-
-    let reply_bytes = result_wire_bytes(&result);
-    ctx.phase(Phase::Other);
-    let assemble = ctx.cpu(
-        Loc::Node(coord),
-        cost.project(reply_bytes),
-        CostClass::Other,
-        &frontier,
-    );
-    ctx.transfer(Loc::Node(coord), Loc::Client, reply_bytes, &[assemble]);
-
-    debug_assert_eq!(
-        pruned + cache_hits + cache_misses,
-        considered,
-        "chunk accounting must conserve"
-    );
-    Ok(QueryOutput {
-        result,
-        selectivity,
-        workflow: ctx.wf,
-        net_bytes: ctx.net_bytes,
-        decisions,
-        pruned_chunks: pruned,
-        cache_hits,
-        cache_misses,
-        chunks_considered: considered,
-        trace: ctx.trace,
-    })
 }
 
 /// Completes a GROUP BY query by pushing keyed partial aggregation to
@@ -948,31 +679,18 @@ fn aggregate_pushdown_stage(
 /// grouping at the coordinator. Both branches share one data plane
 /// ([`group_views`]), so they differ only in the time-plane steps they
 /// build.
-fn grouped_aggregate_stage(
-    store: &Store,
-    object: &str,
-    plan: &QueryPlan,
-    inputs: AggStageInputs<'_>,
-) -> Result<QueryOutput> {
+fn grouped_aggregate_stage(plan: &QueryPlan, inputs: AggStageInputs<'_>) -> Result<QueryOutput> {
     use fusion_sql::partial::GroupKey;
     let AggStageInputs {
-        fm,
-        meta,
-        coord,
         mut ctx,
         combine_step,
         rg_bitmaps,
         mut bm_sizes,
-        decoded_on,
         selectivity,
         total_matches,
-        pruned,
-        mut cache_hits,
-        mut cache_misses,
-        mut considered,
     } = inputs;
-    let cost = store.config().cluster.cost.clone();
-    let csp = store.config().compression_speedup();
+    let (store, fm, coord, cost) = (ctx.store, ctx.fm, ctx.coord, ctx.cost);
+    let csp = FAST_SNAPPY_SPEEDUP;
     let speedup = store.config().scan_speedup();
     ctx.phase(Phase::GroupedAggregate);
     ctx.trace
@@ -1028,38 +746,18 @@ fn grouped_aggregate_stage(
 
         // Data plane, the same whichever branch models the row group:
         // read every touched chunk's view and group the matched rows.
-        let mut views = Vec::with_capacity(touched.len());
-        // Pushdown needs every touched chunk whole and its node up.
-        let mut healthy = encoded_path;
-        for &col_idx in &touched {
-            let ordinal = meta
-                .chunk_ordinal(rg, col_idx)
-                .ok_or_else(|| StoreError::Internal("chunk ordinal out of range".into()))?;
-            let frags = meta.chunk_fragments(ordinal);
-            considered += 1;
-            let whole = frags.len() == 1 && store.blocks().has_block(frags[0].node, frags[0].block);
-            healthy &= whole;
-            views.push(chunk_view(
-                store,
-                object,
-                ordinal,
-                fm.schema.fields()[col_idx].ty,
-                whole,
-                &mut cache_hits,
-                &mut cache_misses,
-            )?);
-        }
+        let views = touched
+            .iter()
+            .map(|&col_idx| access(&mut ctx, rg, col_idx))
+            .collect::<Result<Vec<_>>>()?;
         let rg_grouped = group_views(plan, &touched, &views, filter)?;
 
-        if healthy {
+        // Pushdown needs every touched chunk whole and its node up.
+        if encoded_path && views.iter().all(|at| at.healthy) {
             // ---- Time plane: encoded-domain pushdown ----
-            let key_col = plan.group_by[0];
-            let key_cm = fm.chunk(rg, key_col)?;
-            let key_ordinal = meta
-                .chunk_ordinal(rg, key_col)
-                .ok_or_else(|| StoreError::Internal("chunk ordinal out of range".into()))?;
-            let key_node = meta.chunk_fragments(key_ordinal)[0].node;
-            let key_hit = views[0].1;
+            let key_cm = fm.chunk(rg, plan.group_by[0])?;
+            let key = &views[0];
+            let key_node = key.frags[0].node;
 
             // Per-node wire: every participating node returns the keys
             // plus the states of the aggregates it owns.
@@ -1091,34 +789,8 @@ fn grouped_aggregate_stage(
             let key_wire = state_bytes_for(&key_aggs);
             let key_cpu = cost.eval_at(matches as u64 * key_aggs.len().max(1) as u64, speedup)
                 + cost.agg_state(key_wire);
-            let mut key_deps =
-                ctx.transfer(Loc::Node(coord), Loc::Node(key_node), bm_wire, &[comp]);
-            let key_work = match decoded_on.get(&key_ordinal) {
-                Some(&(n, eval_step)) if n == key_node => {
-                    key_deps.push(eval_step);
-                    ctx.cpu(
-                        Loc::Node(key_node),
-                        key_cpu,
-                        CostClass::Processing,
-                        &key_deps,
-                    )
-                }
-                _ if key_hit => ctx.cpu(
-                    Loc::Node(key_node),
-                    key_cpu,
-                    CostClass::Processing,
-                    &key_deps,
-                ),
-                _ => {
-                    let read = ctx.disk(key_node, key_cm.len, &key_deps);
-                    ctx.cpu(
-                        Loc::Node(key_node),
-                        cost.decode_at(key_cm.plain_size, speedup * csp) + key_cpu,
-                        CostClass::Processing,
-                        &[read],
-                    )
-                }
-            };
+            let key_deps = ctx.transfer(Loc::Node(coord), Loc::Node(key_node), bm_wire, &[comp]);
+            let key_work = node_work(&mut ctx, key, key_cm, speedup * csp, key_cpu, key_deps);
             frontier.extend(ctx.transfer(
                 Loc::Node(key_node),
                 Loc::Node(coord),
@@ -1128,17 +800,14 @@ fn grouped_aggregate_stage(
             state_wire_total += key_wire;
             decisions.push(ProjectionDecision {
                 row_group: rg,
-                column: key_col,
+                column: plan.group_by[0],
                 cost_product: key_wire as f64 / key_cm.len.max(1) as f64,
                 pushed_down: true,
             });
 
-            for (&col_idx, &(_, hit)) in arg_cols.iter().zip(&views[1..]) {
+            for (&col_idx, arg) in arg_cols.iter().zip(&views[1..]) {
                 let cm = fm.chunk(rg, col_idx)?;
-                let ordinal = meta
-                    .chunk_ordinal(rg, col_idx)
-                    .ok_or_else(|| StoreError::Internal("chunk ordinal out of range".into()))?;
-                let node = meta.chunk_fragments(ordinal)[0].node;
+                let node = arg.frags[0].node;
                 let aggs: Vec<usize> = plan
                     .aggregates
                     .iter()
@@ -1165,23 +834,7 @@ fn grouped_aggregate_stage(
                 let deps = ctx.retry(store.retry_penalty(node), &deps);
                 let arg_cpu = cost.eval_at(matches as u64 * aggs.len() as u64, speedup)
                     + cost.agg_state(wire);
-                let work = match decoded_on.get(&ordinal) {
-                    Some(&(n, eval_step)) if n == node => {
-                        let mut deps = deps.clone();
-                        deps.push(eval_step);
-                        ctx.cpu(Loc::Node(node), arg_cpu, CostClass::Processing, &deps)
-                    }
-                    _ if hit => ctx.cpu(Loc::Node(node), arg_cpu, CostClass::Processing, &deps),
-                    _ => {
-                        let read = ctx.disk(node, cm.len, &deps);
-                        ctx.cpu(
-                            Loc::Node(node),
-                            cost.decode_at(cm.plain_size, csp) + arg_cpu,
-                            CostClass::Processing,
-                            &[read],
-                        )
-                    }
-                };
+                let work = node_work(&mut ctx, arg, cm, csp, arg_cpu, deps);
                 frontier.extend(ctx.transfer(Loc::Node(node), Loc::Node(coord), wire, &[work]));
                 state_wire_total += wire;
                 decisions.push(ProjectionDecision {
@@ -1196,34 +849,10 @@ fn grouped_aggregate_stage(
             // Fetch every touched chunk (rebuilding lost fragments from
             // their stripes) and group at the coordinator.
             let mut arrived: Vec<StepId> = Vec::new();
-            let mut decode_cost = fusion_cluster::time::Nanos::ZERO;
-            for &col_idx in &touched {
+            let mut decode_cost = Nanos::ZERO;
+            for (&col_idx, at) in touched.iter().zip(&views) {
                 let cm = fm.chunk(rg, col_idx)?;
-                let ordinal = meta
-                    .chunk_ordinal(rg, col_idx)
-                    .ok_or_else(|| StoreError::Internal("chunk ordinal out of range".into()))?;
-                for f in &meta.chunk_fragments(ordinal) {
-                    if store.blocks().has_block(f.node, f.block) {
-                        let req = ctx.rpc(Loc::Node(coord), Loc::Node(f.node), &[combine_step]);
-                        let req = ctx.retry(store.retry_penalty(f.node), &req);
-                        let read = ctx.disk(f.node, f.len, &req);
-                        arrived.extend(ctx.transfer(
-                            Loc::Node(f.node),
-                            Loc::Node(coord),
-                            f.len,
-                            &[read],
-                        ));
-                    } else {
-                        arrived.push(degraded_fragment_fetch(
-                            store,
-                            meta,
-                            &mut ctx,
-                            coord,
-                            f,
-                            &[combine_step],
-                        )?);
-                    }
-                }
+                arrived.extend(ctx.fetch_fragments(&at.frags, combine_step)?);
                 decode_cost += cost.decode_at(cm.plain_size, csp) + cost.eval(cm.value_count);
             }
             frontier.push(ctx.cpu(
@@ -1259,34 +888,15 @@ fn grouped_aggregate_stage(
     ctx.trace.exit(); // grouped_aggregate_stage
 
     let result = super::assemble_grouped_result(plan, &fm.schema, grouped, total_matches)?;
-    let reply_bytes = result_wire_bytes(&result);
     ctx.phase(Phase::Other);
     // The coordinator merges per-node keyed states, then replies.
-    let assemble = ctx.cpu(
-        Loc::Node(coord),
-        cost.agg_state(state_wire_total) + cost.project(reply_bytes),
-        CostClass::Other,
+    Ok(ctx.reply(
         &frontier,
-    );
-    ctx.transfer(Loc::Node(coord), Loc::Client, reply_bytes, &[assemble]);
-
-    debug_assert_eq!(
-        pruned + cache_hits + cache_misses,
-        considered,
-        "chunk accounting must conserve"
-    );
-    Ok(QueryOutput {
+        |reply| cost.agg_state(state_wire_total) + cost.project(reply),
         result,
         selectivity,
-        workflow: ctx.wf,
-        net_bytes: ctx.net_bytes,
         decisions,
-        pruned_chunks: pruned,
-        cache_hits,
-        cache_misses,
-        chunks_considered: considered,
-        trace: ctx.trace,
-    })
+    ))
 }
 
 /// Groups one row group's matched rows from the views of its `touched`
@@ -1298,7 +908,7 @@ fn grouped_aggregate_stage(
 fn group_views(
     plan: &QueryPlan,
     touched: &[usize],
-    views: &[(Arc<EncodedChunk>, bool)],
+    views: &[Access],
     filter: &Bitmap,
 ) -> Result<GroupedAggs> {
     use fusion_sql::eval::{group_aggregate_decoded, group_aggregate_encoded, AggInput};
@@ -1307,7 +917,7 @@ fn group_views(
     let skip = usize::from(plan.group_by.len() == 1);
     let decoded: Vec<ColumnData> = views[skip..]
         .iter()
-        .map(|(view, _)| view.decode())
+        .map(|at| at.view.decode())
         .collect::<std::result::Result<_, _>>()?;
     let col = |c: usize| {
         &decoded[touched
@@ -1329,7 +939,7 @@ fn group_views(
                 (s.func, input)
             })
             .collect();
-        group_aggregate_encoded(&views[0].0, &inputs, filter)
+        group_aggregate_encoded(&views[0].view, &inputs, filter)
     } else {
         let keys: Vec<&ColumnData> = plan.group_by.iter().map(|&c| col(c)).collect();
         let aggs: Vec<_> = plan

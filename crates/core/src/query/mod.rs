@@ -12,13 +12,16 @@ pub mod baseline;
 pub mod fusion;
 
 use crate::error::{Result, StoreError};
+use crate::object::{ChunkFragment, ObjectMeta};
 use crate::store::Store;
 use fusion_cluster::engine::{CostClass, Engine, ResourceKey, RunReport, StepId, Workflow};
 use fusion_cluster::spec::CostModel;
 use fusion_cluster::time::Nanos;
+use fusion_format::footer::FileMeta;
 use fusion_format::value::{ColumnData, Value};
 use fusion_obs::trace::{Phase, Trace};
 use fusion_sql::plan::{BoolTree, FilterLeaf, QueryPlan};
+use std::collections::HashMap;
 
 /// The rows and aggregates a query returns.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,34 +199,84 @@ impl Loc {
     }
 }
 
-/// Workflow construction context shared by both executors.
+/// One query's chunk accesses. Both executors conserve them, healthy or
+/// degraded: `pruned + hits + misses == considered` (see
+/// [`QueryOutput::chunks_considered`]).
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct ChunkTally {
+    pub considered: usize,
+    pub pruned: usize,
+    pub hits: usize,
+    pub misses: usize,
+}
+
+/// Workflow construction context shared by both executors: the object
+/// being queried, its coordinator, and what the query has modelled and
+/// counted so far.
 #[derive(Debug)]
 pub(crate) struct Ctx<'a> {
+    pub store: &'a Store,
+    pub object: &'a str,
+    pub meta: &'a ObjectMeta,
+    pub fm: &'a FileMeta,
+    pub coord: usize,
     pub cost: &'a CostModel,
     pub wf: Workflow,
     pub net_bytes: u64,
     /// (stripe, lost bin) → decode step of an already-modelled degraded
     /// reconstruction, so several fragments of one lost bin pay for the
     /// repair-set rebuild only once per query.
-    pub degraded: std::collections::HashMap<(usize, usize), StepId>,
+    pub degraded: HashMap<(usize, usize), StepId>,
+    /// Chunk ordinal → (node, step) of the in-situ filter scan already
+    /// modelled on that node. Later work pushed to the same chunk reuses
+    /// the scan's read and decode instead of repeating them (paper
+    /// Fig. 13c: "both systems spend approximately the same amount of
+    /// time on disk read and chunk processing").
+    pub scanned: HashMap<usize, (usize, StepId)>,
+    pub chunks: ChunkTally,
     /// Per-query span recorder (a strict no-op unless the store's
     /// observability flag is on).
     pub trace: Trace,
 }
 
 impl<'a> Ctx<'a> {
-    pub fn new(cost: &'a CostModel, observability: bool) -> Ctx<'a> {
-        Ctx {
-            cost,
+    /// Starts a query on `object`: resolves its metadata and coordinator.
+    ///
+    /// # Errors
+    ///
+    /// Unknown or non-analytics objects, or no alive node to coordinate.
+    pub fn new(store: &'a Store, object: &'a str) -> Result<Ctx<'a>> {
+        let meta = store.object(object)?;
+        let fm = meta
+            .file_meta
+            .as_ref()
+            .ok_or_else(|| StoreError::NotAnalytics(object.to_string()))?;
+        let coord = store.coordinator_of(object)?;
+        Ok(Ctx {
+            store,
+            object,
+            meta,
+            fm,
+            coord,
+            cost: &store.config().cluster.cost,
             wf: Workflow::new(),
             net_bytes: 0,
-            degraded: std::collections::HashMap::new(),
-            trace: if observability {
+            degraded: HashMap::new(),
+            scanned: HashMap::new(),
+            chunks: ChunkTally::default(),
+            trace: if store.config().observability {
                 Trace::new("query")
             } else {
                 Trace::disabled()
             },
-        }
+        })
+    }
+
+    /// Ordinal of the chunk of column `col` in row group `rg`.
+    pub fn ordinal(&self, rg: usize, col: usize) -> Result<usize> {
+        self.meta
+            .chunk_ordinal(rg, col)
+            .ok_or_else(|| StoreError::Internal("chunk ordinal out of range".into()))
     }
 
     /// Sets the ambient phase tagged onto subsequently built steps,
@@ -337,70 +390,138 @@ impl<'a> Ctx<'a> {
         }
         vec![s]
     }
-}
 
-/// Time-plane model of a degraded fragment read (the fragment's block is
-/// on a dead node or lost): the coordinator pulls the code's cheapest
-/// repair set for the lost bin — any `k` survivors for Reed-Solomon, the
-/// lost shard's local group for LRC — decodes on its CPU, and serves the
-/// fragment from the rebuilt bin. Cached per (stripe, bin) in
-/// [`Ctx::degraded`].
-///
-/// # Errors
-///
-/// [`StoreError::Internal`] when the fragment maps to no stripe or too
-/// few shards survive (the data plane fails first in practice).
-pub(crate) fn degraded_fragment_fetch(
-    store: &Store,
-    meta: &crate::object::ObjectMeta,
-    ctx: &mut Ctx<'_>,
-    coord: usize,
-    frag: &crate::object::ChunkFragment,
-    deps: &[StepId],
-) -> Result<StepId> {
-    let (si, bi) = store
-        .stripe_of(meta, frag.block)
-        .ok_or_else(|| StoreError::Internal("fragment without stripe".into()))?;
-    if let Some(&done) = ctx.degraded.get(&(si, bi)) {
-        return Ok(done);
+    /// Models fetching one chunk to the coordinator in stored
+    /// (compressed) form once `after` is done: each fragment is read on
+    /// its node and shipped over, or rebuilt from its stripe when its
+    /// block is lost ([`Ctx::degraded_fetch`]). Returns the arrivals.
+    ///
+    /// # Errors
+    ///
+    /// See [`Ctx::degraded_fetch`].
+    pub fn fetch_fragments(
+        &mut self,
+        frags: &[ChunkFragment],
+        after: StepId,
+    ) -> Result<Vec<StepId>> {
+        let (store, coord) = (self.store, self.coord);
+        let mut arrived = Vec::with_capacity(frags.len());
+        for f in frags {
+            if store.blocks().has_block(f.node, f.block) {
+                let req = self.rpc(Loc::Node(coord), Loc::Node(f.node), &[after]);
+                let req = self.retry(store.retry_penalty(f.node), &req);
+                let read = self.disk(f.node, f.len, &req);
+                arrived.extend(self.transfer(Loc::Node(f.node), Loc::Node(coord), f.len, &[read]));
+            } else {
+                arrived.push(self.degraded_fetch(f, after)?);
+            }
+        }
+        Ok(arrived)
     }
-    let sp = &meta.placement[si];
-    let sources = store.surviving_repair_shards(sp, bi).ok_or_else(|| {
-        StoreError::Internal(format!(
-            "stripe {si} has too few shards to rebuild bin {bi}"
-        ))
-    })?;
-    // Every step of the rebuild — source reads, wire time, decode — is
-    // attributed to the degraded-reconstruct phase.
-    let prev = ctx.phase(Phase::DegradedReconstruct);
-    if ctx.trace.enabled() {
-        ctx.trace
-            .enter(Phase::DegradedReconstruct, "degraded_reconstruct");
-        ctx.trace.add_count(sources.len() as u64);
-        ctx.trace.add_bytes(sp.width * sources.len() as u64);
-        ctx.trace.exit();
+
+    /// Time-plane model of a degraded fragment read (the fragment's block
+    /// is on a dead node or lost): the coordinator pulls the code's
+    /// cheapest repair set for the lost bin — any `k` survivors for
+    /// Reed-Solomon, the lost shard's local group for LRC — decodes on its
+    /// CPU, and serves the fragment from the rebuilt bin. Cached per
+    /// (stripe, bin) in [`Ctx::degraded`].
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Internal`] when the fragment maps to no stripe or too
+    /// few shards survive (the data plane fails first in practice).
+    fn degraded_fetch(&mut self, frag: &ChunkFragment, after: StepId) -> Result<StepId> {
+        let (store, coord) = (self.store, self.coord);
+        let (si, bi) = store
+            .stripe_of(self.meta, frag.block)
+            .ok_or_else(|| StoreError::Internal("fragment without stripe".into()))?;
+        if let Some(&done) = self.degraded.get(&(si, bi)) {
+            return Ok(done);
+        }
+        let sp = &self.meta.placement[si];
+        let sources = store.surviving_repair_shards(sp, bi).ok_or_else(|| {
+            StoreError::Internal(format!(
+                "stripe {si} has too few shards to rebuild bin {bi}"
+            ))
+        })?;
+        // Every step of the rebuild — source reads, wire time, decode — is
+        // attributed to the degraded-reconstruct phase.
+        let prev = self.phase(Phase::DegradedReconstruct);
+        if self.trace.enabled() {
+            self.trace
+                .enter(Phase::DegradedReconstruct, "degraded_reconstruct");
+            self.trace.add_count(sources.len() as u64);
+            self.trace.add_bytes(sp.width * sources.len() as u64);
+            self.trace.exit();
+        }
+        let mut arrived = Vec::new();
+        for &i in &sources {
+            let src = sp.nodes[i];
+            let req = self.rpc(Loc::Node(coord), Loc::Node(src), &[after]);
+            let req = self.retry(store.retry_penalty(src), &req);
+            let read = self.disk(src, sp.width, &req);
+            arrived.extend(self.transfer(Loc::Node(src), Loc::Node(coord), sp.width, &[read]));
+        }
+        let decode_cost = self.cost.ec_at(
+            sp.width * sources.len() as u64,
+            store.config().codec_speedup(),
+        );
+        let decode = self.cpu(
+            Loc::Node(coord),
+            decode_cost,
+            CostClass::Processing,
+            &arrived,
+        );
+        self.phase(prev);
+        self.degraded.insert((si, bi), decode);
+        Ok(decode)
     }
-    let mut arrived = Vec::new();
-    for &i in &sources {
-        let src = sp.nodes[i];
-        let req = ctx.rpc(Loc::Node(coord), Loc::Node(src), deps);
-        let req = ctx.retry(store.retry_penalty(src), &req);
-        let read = ctx.disk(src, sp.width, &req);
-        arrived.extend(ctx.transfer(Loc::Node(src), Loc::Node(coord), sp.width, &[read]));
+
+    /// Ends the query: once `frontier` is done the coordinator spends
+    /// `assemble(reply bytes)` building the reply — the plain-encoding
+    /// size of the result plus a fixed header — and ships it to the
+    /// client. The context becomes the query's output.
+    pub fn reply(
+        mut self,
+        frontier: &[StepId],
+        assemble: impl FnOnce(u64) -> Nanos,
+        result: QueryResult,
+        selectivity: f64,
+        decisions: Vec<ProjectionDecision>,
+    ) -> QueryOutput {
+        let cols: u64 = result
+            .columns
+            .iter()
+            .map(|(_, c)| c.plain_size() as u64)
+            .sum();
+        let reply_bytes = cols + result.aggregates.len() as u64 * 16 + 64;
+        let coord = Loc::Node(self.coord);
+        let step = self.cpu(coord, assemble(reply_bytes), CostClass::Other, frontier);
+        self.transfer(coord, Loc::Client, reply_bytes, &[step]);
+        let ChunkTally {
+            considered,
+            pruned,
+            hits,
+            misses,
+        } = self.chunks;
+        debug_assert_eq!(
+            pruned + hits + misses,
+            considered,
+            "chunk accounting must conserve"
+        );
+        QueryOutput {
+            result,
+            selectivity,
+            workflow: self.wf,
+            net_bytes: self.net_bytes,
+            decisions,
+            pruned_chunks: pruned,
+            cache_hits: hits,
+            cache_misses: misses,
+            chunks_considered: considered,
+            trace: self.trace,
+        }
     }
-    let decode_cost = ctx.cost.ec_at(
-        sp.width * sources.len() as u64,
-        store.config().codec_speedup(),
-    );
-    let decode = ctx.cpu(
-        Loc::Node(coord),
-        decode_cost,
-        CostClass::Processing,
-        &arrived,
-    );
-    ctx.phase(prev);
-    ctx.degraded.insert((si, bi), decode);
-    Ok(decode)
 }
 
 /// Applies a LIMIT by clearing every match bit after the first `limit`
@@ -571,18 +692,6 @@ pub(crate) fn assemble_grouped_result(
         columns,
         aggregates: Vec::new(),
     })
-}
-
-/// Plain-encoding size of the final result payload sent back to the
-/// client.
-pub(crate) fn result_wire_bytes(result: &QueryResult) -> u64 {
-    let cols: u64 = result
-        .columns
-        .iter()
-        .map(|(_, c)| c.plain_size() as u64)
-        .sum();
-    let aggs = result.aggregates.len() as u64 * 16;
-    cols + aggs + 64
 }
 
 #[cfg(test)]

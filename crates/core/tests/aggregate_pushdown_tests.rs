@@ -1,6 +1,7 @@
 //! Tests for the aggregate-pushdown extension (the paper's §5 future
-//! work): results must match the coordinator-side aggregation paths, and
-//! traffic must shrink dramatically for aggregate-only queries.
+//! work): results must match the coordinator-side aggregation paths bit
+//! for bit, and traffic must shrink dramatically for aggregate-only
+//! queries.
 
 use fusion_core::config::{QueryMode, StoreConfig};
 use fusion_core::error::StoreError;
@@ -22,7 +23,9 @@ fn table(rows: usize) -> Table {
                     .map(|i| i.wrapping_mul(48_271) % 10_000)
                     .collect(),
             ),
-            ColumnData::Float64((0..rows).map(|i| (i % 977) as f64 * 1.5 + 0.25).collect()),
+            // Not dyadic: float sums round differently if their
+            // association order changes.
+            ColumnData::Float64((0..rows).map(|i| (i % 977) as f64 * 1.5 + 0.1).collect()),
             ColumnData::Utf8(
                 (0..rows)
                     .map(|i| ["a", "b", "c", "d"][i % 4].into())
@@ -59,11 +62,29 @@ const AGG_QUERIES: &[&str] = &[
     "SELECT sum(k), avg(k) FROM t",
 ];
 
-fn values_close(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Float(x), Value::Float(y)) => (x - y).abs() <= 1e-9 * (1.0 + x.abs().max(y.abs())),
-        _ => a == b,
-    }
+/// An aggregate in a form whose `==` is bitwise: floats by `to_bits`.
+#[derive(Debug, PartialEq)]
+enum Bits {
+    Int(i64),
+    Float(u64),
+    Str(String),
+}
+
+fn aggregate_bits(out: &fusion_core::query::QueryOutput) -> (usize, Vec<(String, Bits)>) {
+    let bits = out
+        .result
+        .aggregates
+        .iter()
+        .map(|(label, v)| {
+            let b = match v {
+                Value::Int(x) => Bits::Int(*x),
+                Value::Float(x) => Bits::Float(x.to_bits()),
+                Value::Str(s) => Bits::Str(s.clone()),
+            };
+            (label.clone(), b)
+        })
+        .collect();
+    (out.result.row_count, bits)
 }
 
 #[test]
@@ -72,30 +93,51 @@ fn pushed_aggregates_match_coordinator_aggregates() {
     let without = store(false, QueryMode::AdaptivePushdown);
     let baseline = store(false, QueryMode::Reassemble);
     for sql in AGG_QUERIES {
-        let a = with.query(sql).expect(sql);
-        let b = without.query(sql).expect(sql);
-        let c = baseline.query(sql).expect(sql);
-        assert_eq!(a.result.row_count, b.result.row_count, "{sql}");
+        let pushed = aggregate_bits(&with.query(sql).expect(sql));
         assert_eq!(
-            a.result.aggregates.len(),
-            b.result.aggregates.len(),
-            "{sql}"
+            pushed,
+            aggregate_bits(&without.query(sql).expect(sql)),
+            "pushed vs local: {sql}"
         );
-        for (i, (label, v)) in a.result.aggregates.iter().enumerate() {
-            assert_eq!(label, &b.result.aggregates[i].0, "{sql}");
-            // Float sums may differ in grouping order only.
-            assert!(
-                values_close(v, &b.result.aggregates[i].1),
-                "{sql}: {label} pushed={v:?} local={:?}",
-                b.result.aggregates[i].1
-            );
-            assert!(
-                values_close(v, &c.result.aggregates[i].1),
-                "{sql}: {label} pushed={v:?} baseline={:?}",
-                c.result.aggregates[i].1
-            );
-        }
+        assert_eq!(
+            pushed,
+            aggregate_bits(&baseline.query(sql).expect(sql)),
+            "pushed vs baseline: {sql}"
+        );
     }
+}
+
+/// Each pushed partial is priced by its own row group: a string MIN
+/// ships that row group's minimum, whatever the running or final one.
+#[test]
+fn string_extreme_partials_are_sized_per_row_group() {
+    let schema = Schema::new(vec![Field::new("cat", LogicalType::Utf8)]);
+    let cat = ["a", "z", "bbbbbbbb", "cccccccc"];
+    let t = Table::new(
+        schema,
+        vec![ColumnData::Utf8(
+            cat.iter().map(|s| s.to_string()).collect(),
+        )],
+    )
+    .unwrap();
+    let bytes = write_table(&t, WriteOptions { rows_per_group: 2 }).unwrap();
+    let mut cfg = StoreConfig::fusion().with_aggregate_pushdown(true);
+    cfg.overhead_threshold = 0.9;
+    let mut s = Store::new(cfg).unwrap();
+    s.put("t", bytes).unwrap();
+    let out = s.query("SELECT min(cat) FROM t").unwrap();
+    assert_eq!(out.result.aggregates[0].1, Value::Str("a".into()));
+    let fm = s.object("t").unwrap().file_meta.clone().unwrap();
+    let wire: Vec<u64> = out
+        .decisions
+        .iter()
+        .map(|d| {
+            let len = fm.chunk(d.row_group, d.column).unwrap().len;
+            (d.cost_product * len as f64).round() as u64
+        })
+        .collect();
+    // A 16-byte tag plus "a", then plus "bbbbbbbb".
+    assert_eq!(wire, vec![17, 24]);
 }
 
 #[test]

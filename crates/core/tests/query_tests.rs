@@ -32,6 +32,15 @@ fn test_table(rows: usize) -> Table {
 }
 
 fn store_with(mode: QueryMode, table: &Table, per_group: usize) -> Store {
+    let mut cfg = match mode {
+        QueryMode::Reassemble => StoreConfig::baseline().with_block_size(16 << 10),
+        _ => StoreConfig::fusion(),
+    };
+    cfg.query_mode = mode;
+    store_from(cfg, table, per_group)
+}
+
+fn store_from(mut cfg: StoreConfig, table: &Table, per_group: usize) -> Store {
     let bytes = write_table(
         table,
         WriteOptions {
@@ -39,11 +48,6 @@ fn store_with(mode: QueryMode, table: &Table, per_group: usize) -> Store {
         },
     )
     .unwrap();
-    let mut cfg = match mode {
-        QueryMode::Reassemble => StoreConfig::baseline().with_block_size(16 << 10),
-        _ => StoreConfig::fusion(),
-    };
-    cfg.query_mode = mode;
     cfg.overhead_threshold = 0.9; // small test files have few chunks
                                   // Scale the cost model as the bench harness does: these tables are
                                   // ~1000x smaller than production files, so throughput rates shrink to
@@ -120,22 +124,32 @@ fn fusion_and_baseline_agree_on_all_queries() {
     let mut fusion = store_with(QueryMode::AdaptivePushdown, &table, 500);
     let mut baseline = store_with(QueryMode::Reassemble, &table, 500);
     let mut always = store_with(QueryMode::AlwaysPushdown, &table, 500);
+    // Aggregate pushdown: nodes ship partials for aggregate-only queries.
+    let mut pushed = store_from(
+        StoreConfig::fusion().with_aggregate_pushdown(true),
+        &table,
+        500,
+    );
     let mut expected = Vec::new();
     for sql in QUERIES {
         let a = fusion.query(sql).expect(sql);
         let b = baseline.query(sql).expect(sql);
         let c = always.query(sql).expect(sql);
+        let d = pushed.query(sql).expect(sql);
         let want = result_bits(&b.result);
         assert_eq!(result_bits(&a.result), want, "fusion vs baseline: {sql}");
         assert_eq!(result_bits(&c.result), want, "always vs baseline: {sql}");
+        assert_eq!(result_bits(&d.result), want, "pushed vs baseline: {sql}");
         assert!((a.selectivity - b.selectivity).abs() < 1e-12, "{sql}");
         expected.push(want);
     }
 
     // Degraded: the node holding the first `orderkey` chunk fails in
-    // every store; answers are rebuilt from parity and stay bit-identical.
+    // every store; answers are rebuilt from parity and stay bit-identical
+    // (pushed aggregates fall back to the coordinator on that node's
+    // chunks).
     let node = fusion.chunk_node("t", 0).expect("chunk 0 is placed");
-    for store in [&mut fusion, &mut baseline, &mut always] {
+    for store in [&mut fusion, &mut baseline, &mut always, &mut pushed] {
         store.fail_node(node).unwrap();
     }
     for (sql, want) in QUERIES.iter().zip(&expected) {
@@ -143,6 +157,7 @@ fn fusion_and_baseline_agree_on_all_queries() {
             ("fusion", &fusion),
             ("baseline", &baseline),
             ("always", &always),
+            ("pushed", &pushed),
         ] {
             let out = store.query(sql).expect(sql);
             assert_eq!(

@@ -1,13 +1,15 @@
-//! Lockdown of the Fusion executor's time plane: for a fixed query set
-//! over a fixed seeded lineitem object, every modelled quantity —
-//! the workflow DAG, network bytes, per-chunk pushdown decisions and the
-//! chunk-access counters — must hash to the digests below.
+//! Lockdown of both executors' time planes: for a fixed query set over a
+//! fixed seeded lineitem object, every modelled quantity — the workflow
+//! DAG, network bytes, per-chunk pushdown decisions and the chunk-access
+//! counters — must hash to the digests below.
 //!
-//! The digests were captured before the default path's data plane moved
-//! onto encoded chunk views (encoded GROUP BY, folded aggregates,
-//! late-materialized projections). The data plane may change how answers
-//! are computed; it must not change what the time plane charges, so
-//! every paper figure stays put.
+//! The Fusion digests were captured before the default path's data plane
+//! moved onto encoded chunk views (encoded GROUP BY, folded aggregates,
+//! late-materialized projections); the baseline digests before its
+//! fragment loop and output tail moved into helpers shared with Fusion.
+//! The code may change how answers are computed and how steps are built;
+//! it must not change what the time plane charges, so every paper figure
+//! stays put.
 
 use fusion_core::config::StoreConfig;
 use fusion_core::query::QueryOutput;
@@ -93,19 +95,18 @@ fn digest(out: &QueryOutput) -> u64 {
 }
 
 /// Storage nodes failed in turn: none, then two nodes (not the
-/// coordinator) that between them host chunks of every column the
-/// queries touch, so each stage meets degraded chunks.
+/// coordinator) that between them host chunks — under the baseline's
+/// 16 KiB blocks, chunk fragments — of every column the queries touch,
+/// so each stage meets degraded chunks.
 const FAILED: [Option<usize>; 3] = [None, Some(2), Some(5)];
 
 /// Digests of one query run cold then warm under each entry of
-/// [`FAILED`]: `[healthy cold, healthy warm, node 2 cold, …]`.
-fn run(bytes: &[u8], sql: &str, agg_pushdown: bool) -> [u64; 6] {
+/// [`FAILED`] on a store built from `cfg`: `[healthy cold, healthy warm,
+/// node 2 cold, …]`.
+fn run(bytes: &[u8], sql: &str, cfg: &StoreConfig) -> [u64; 6] {
     let mut out = [0u64; 6];
     for (i, failed) in FAILED.into_iter().enumerate() {
-        let mut cfg = StoreConfig::fusion().with_aggregate_pushdown(agg_pushdown);
-        // Keep the small test object under FAC (whole chunks).
-        cfg.overhead_threshold = 0.9;
-        let mut store = Store::new(cfg).unwrap();
+        let mut store = Store::new(cfg.clone()).unwrap();
         store.put("lineitem", bytes.to_vec()).unwrap();
         if let Some(node) = failed {
             store.fail_node(node).unwrap();
@@ -118,8 +119,8 @@ fn run(bytes: &[u8], sql: &str, agg_pushdown: bool) -> [u64; 6] {
     out
 }
 
-/// Captured before the encoded-view data plane; one row per query in
-/// [`QUERIES`] order.
+/// Fusion, captured before the encoded-view data plane; one row per
+/// query in [`QUERIES`] order.
 const GOLDEN: [[u64; 6]; 10] = [
     [
         0x8f1f_0974_73d6_f8e5,
@@ -203,21 +204,132 @@ const GOLDEN: [[u64; 6]; 10] = [
     ],
 ];
 
-#[test]
-fn time_plane_matches_golden_digests() {
-    let bytes = lineitem_file(TpchConfig {
+/// The baseline (reassemble at the coordinator, 16 KiB fixed blocks so
+/// chunks split across nodes), captured before its fragment loop and
+/// output tail moved into shared helpers; one row per query in
+/// [`QUERIES`] order.
+const BASELINE_GOLDEN: [[u64; 6]; 10] = [
+    [
+        0x2493_81ba_a750_b485,
+        0x2493_81ba_a750_b485,
+        0x50b1_caa4_e7e6_e1ed,
+        0x50b1_caa4_e7e6_e1ed,
+        0xa9e7_ca95_b2a8_0065,
+        0xa9e7_ca95_b2a8_0065,
+    ],
+    [
+        0x257b_ebb3_9cfb_f10e,
+        0x257b_ebb3_9cfb_f10e,
+        0xa70e_59a6_1c86_cf12,
+        0xa70e_59a6_1c86_cf12,
+        0x3bc5_ed8f_5d71_e51f,
+        0x3bc5_ed8f_5d71_e51f,
+    ],
+    [
+        0x11aa_b831_5401_53bf,
+        0x11aa_b831_5401_53bf,
+        0xe5d2_64e9_7a6f_650b,
+        0xe5d2_64e9_7a6f_650b,
+        0x98fc_851e_7f76_dd49,
+        0x98fc_851e_7f76_dd49,
+    ],
+    [
+        0xc861_d237_f12d_e19d,
+        0xc861_d237_f12d_e19d,
+        0x6be5_b6e5_d7c4_dacc,
+        0x6be5_b6e5_d7c4_dacc,
+        0x9c64_991f_27e1_c3a5,
+        0x9c64_991f_27e1_c3a5,
+    ],
+    [
+        0x64ca_709c_c8f7_c13c,
+        0x64ca_709c_c8f7_c13c,
+        0x2bd1_05c7_18c6_e54e,
+        0x2bd1_05c7_18c6_e54e,
+        0xa152_02e9_c0c6_fdc4,
+        0xa152_02e9_c0c6_fdc4,
+    ],
+    [
+        0xef73_db01_e96b_86d8,
+        0xef73_db01_e96b_86d8,
+        0x178c_c1b4_3892_5478,
+        0x178c_c1b4_3892_5478,
+        0xd2a7_61fa_0d59_05e3,
+        0xd2a7_61fa_0d59_05e3,
+    ],
+    [
+        0x2e2a_06e2_67af_7b02,
+        0x2e2a_06e2_67af_7b02,
+        0x03f5_d9d1_4bb1_2749,
+        0x03f5_d9d1_4bb1_2749,
+        0xc91a_ae17_14c3_b0f2,
+        0xc91a_ae17_14c3_b0f2,
+    ],
+    [
+        0xb003_d03b_6e2f_99ea,
+        0xb003_d03b_6e2f_99ea,
+        0x0feb_2399_c58c_525b,
+        0x0feb_2399_c58c_525b,
+        0x1d20_6c87_55eb_1d60,
+        0x1d20_6c87_55eb_1d60,
+    ],
+    [
+        0x3eb0_9e92_2418_7801,
+        0x3eb0_9e92_2418_7801,
+        0xa3cb_accf_b295_fccd,
+        0xa3cb_accf_b295_fccd,
+        0x0d1b_8e3b_2fea_90f7,
+        0x0d1b_8e3b_2fea_90f7,
+    ],
+    [
+        0xeb6e_862d_a613_1f7c,
+        0xeb6e_862d_a613_1f7c,
+        0xeb6e_862d_a613_1f7c,
+        0xeb6e_862d_a613_1f7c,
+        0xeb6e_862d_a613_1f7c,
+        0xeb6e_862d_a613_1f7c,
+    ],
+];
+
+fn lineitem() -> Vec<u8> {
+    lineitem_file(TpchConfig {
         rows_per_group: 3000,
         row_groups: 4,
         seed: 0x601D,
-    });
-    let got: Vec<[u64; 6]> = QUERIES
-        .iter()
-        .map(|&(sql, agg)| run(&bytes, sql, agg))
-        .collect();
-    for (i, ((sql, _), want)) in QUERIES.iter().zip(GOLDEN).enumerate() {
+    })
+}
+
+fn check(got: &[[u64; 6]], golden: &[[u64; 6]; 10]) {
+    for (i, ((sql, _), want)) in QUERIES.iter().zip(golden).enumerate() {
         assert_eq!(
-            got[i], want,
+            &got[i], want,
             "time plane moved for query {i} ({sql}); all digests: {got:#x?}"
         );
     }
+}
+
+#[test]
+fn time_plane_matches_golden_digests() {
+    let bytes = lineitem();
+    let got: Vec<[u64; 6]> = QUERIES
+        .iter()
+        .map(|&(sql, agg)| {
+            let mut cfg = StoreConfig::fusion().with_aggregate_pushdown(agg);
+            // Keep the small test object under FAC (whole chunks).
+            cfg.overhead_threshold = 0.9;
+            run(&bytes, sql, &cfg)
+        })
+        .collect();
+    check(&got, &GOLDEN);
+}
+
+#[test]
+fn baseline_time_plane_matches_golden_digests() {
+    let bytes = lineitem();
+    let cfg = StoreConfig::baseline().with_block_size(16 << 10);
+    let got: Vec<[u64; 6]> = QUERIES
+        .iter()
+        .map(|&(sql, _)| run(&bytes, sql, &cfg))
+        .collect();
+    check(&got, &BASELINE_GOLDEN);
 }

@@ -1,26 +1,28 @@
-//! Partial (distributable) aggregates — the machinery behind aggregate
-//! pushdown, the extension the paper lists as future work (§5, "SQL
-//! Support": "It currently lacks support for aggregate pushdown such as
-//! SUM and AVG, which we aim to implement in the future").
+//! Partial (distributable) aggregate states — the machinery behind
+//! GROUP BY pushdown, part of the aggregate pushdown the paper lists as
+//! future work (§5, "SQL Support": "It currently lacks support for
+//! aggregate pushdown such as SUM and AVG, which we aim to implement in
+//! the future").
 //!
-//! A storage node computes a [`PartialAgg`] over the matched rows of its
-//! chunk; the coordinator merges partials across chunks and finalizes.
-//! COUNT/SUM/MIN/MAX merge exactly; AVG carries (sum, count).
-//!
-//! For `GROUP BY`, the same states are kept *per group*: a node builds a
-//! [`GroupedAggs`] map from [`GroupKey`] to one state per aggregate, and
-//! the coordinator merges maps key-wise. Integer `SUM` uses checked
+//! A storage node builds a [`GroupedAggs`] map from [`GroupKey`] to one
+//! [`PartialAgg`] state per aggregate over the matched rows of its chunk;
+//! the coordinator merges maps key-wise and finalizes. COUNT/SUM/MIN/MAX
+//! merge exactly; AVG carries (sum, count). Integer `SUM` uses checked
 //! arithmetic throughout ([`SqlError::Overflow`]) so run-length-multiplied
 //! accumulation cannot silently wrap.
+//!
+//! [`PartialAgg::wire_bytes`] is also the wire-size model of ungrouped
+//! aggregate pushdown: the time plane prices each node's partial by it,
+//! while the answer itself folds straight from the encoded chunks
+//! ([`crate::eval::AggFold`]).
 //!
 //! # COUNT semantics
 //!
 //! `COUNT(col)` and `COUNT(*)` are equivalent in this engine: the storage
 //! format has no NULLs, so both count exactly the rows that survive the
-//! filter. [`PartialAgg::compute`] receives the already-filtered column
-//! for `COUNT(col)` and the executors pass the filtered row count for
-//! `COUNT(*)`; the `count_col_equals_count_star` test pins the
-//! equivalence.
+//! filter. [`PartialAgg::accumulate`] counts every filtered row handed in
+//! whatever its value, so `COUNT(col)` and `COUNT(*)` build the same
+//! state; the `count_col_equals_count_star` test pins the equivalence.
 
 use crate::ast::AggFunc;
 use crate::error::{Result, SqlError};
@@ -63,45 +65,6 @@ impl PartialAgg {
             AggFunc::Min => PartialAgg::Min(None),
             AggFunc::Max => PartialAgg::Max(None),
         }
-    }
-
-    /// Computes the partial for `func` over (already filtered) values.
-    ///
-    /// `COUNT` here is `COUNT(col)`: it counts the filtered rows handed
-    /// in, which (NULLs not existing in the format) is exactly what
-    /// `COUNT(*)` reports too.
-    ///
-    /// # Errors
-    ///
-    /// Type errors (e.g. SUM over strings); [`SqlError::Overflow`] when
-    /// an integer SUM exceeds `i64`.
-    pub fn compute(func: AggFunc, col: &ColumnData) -> Result<PartialAgg> {
-        Ok(match (func, col) {
-            (AggFunc::Count, c) => PartialAgg::Count(c.len() as i64),
-            (AggFunc::Sum, ColumnData::Int64(v)) => PartialAgg::SumInt(
-                v.iter()
-                    .try_fold(0i64, |acc, &x| acc.checked_add(x))
-                    .ok_or_else(|| overflow("compute"))?,
-            ),
-            (AggFunc::Sum, ColumnData::Float64(v)) => PartialAgg::SumFloat(v.iter().sum()),
-            // Accumulated in i128, which cannot overflow; for every sum
-            // that fits i64 this is the same float as an i64 sum.
-            (AggFunc::Avg, ColumnData::Int64(v)) => PartialAgg::Avg(
-                v.iter().map(|&x| x as i128).sum::<i128>() as f64,
-                v.len() as i64,
-            ),
-            (AggFunc::Avg, ColumnData::Float64(v)) => {
-                PartialAgg::Avg(v.iter().sum::<f64>(), v.len() as i64)
-            }
-            (AggFunc::Min, c) => PartialAgg::Min(min_max_of(c, true)),
-            (AggFunc::Max, c) => PartialAgg::Max(min_max_of(c, false)),
-            (func, c) => {
-                return Err(SqlError::TypeError(format!(
-                    "{func} is not defined for {} columns",
-                    c.physical_name()
-                )))
-            }
-        })
     }
 
     /// Merges another partial of the same shape into `self`.
@@ -255,10 +218,6 @@ impl PartialAgg {
             _ => 16,
         }
     }
-}
-
-fn min_max_of(col: &ColumnData, want_min: bool) -> Option<Value> {
-    col.min_max().map(|(mn, mx)| if want_min { mn } else { mx })
 }
 
 fn merge_extreme(acc: &mut Option<Value>, other: &Option<Value>, want_min: bool) {
@@ -471,27 +430,35 @@ impl GroupedAggs {
 mod tests {
     use super::*;
 
+    /// The partial of `func` over every row of `col`.
+    fn partial(func: AggFunc, col: &ColumnData) -> Result<PartialAgg> {
+        let mut p = PartialAgg::identity(func, Some(col));
+        for row in 0..col.len() {
+            p.accumulate(col, row)?;
+        }
+        Ok(p)
+    }
+
     #[test]
     fn count_merges() {
-        let mut a = PartialAgg::compute(AggFunc::Count, &ColumnData::Int64(vec![1, 2])).unwrap();
-        let b = PartialAgg::compute(AggFunc::Count, &ColumnData::Int64(vec![3])).unwrap();
+        let mut a = partial(AggFunc::Count, &ColumnData::Int64(vec![1, 2])).unwrap();
+        let b = partial(AggFunc::Count, &ColumnData::Int64(vec![3])).unwrap();
         a.merge(&b).unwrap();
         assert_eq!(a.finalize(), Value::Int(3));
     }
 
     #[test]
     fn sums_merge_exactly_for_ints() {
-        let mut a = PartialAgg::compute(AggFunc::Sum, &ColumnData::Int64(vec![1, 2])).unwrap();
-        let b = PartialAgg::compute(AggFunc::Sum, &ColumnData::Int64(vec![10])).unwrap();
+        let mut a = partial(AggFunc::Sum, &ColumnData::Int64(vec![1, 2])).unwrap();
+        let b = partial(AggFunc::Sum, &ColumnData::Int64(vec![10])).unwrap();
         a.merge(&b).unwrap();
         assert_eq!(a.finalize(), Value::Int(13));
     }
 
     #[test]
     fn avg_carries_sum_and_count() {
-        let mut a =
-            PartialAgg::compute(AggFunc::Avg, &ColumnData::Float64(vec![1.0, 3.0])).unwrap();
-        let b = PartialAgg::compute(AggFunc::Avg, &ColumnData::Float64(vec![8.0])).unwrap();
+        let mut a = partial(AggFunc::Avg, &ColumnData::Float64(vec![1.0, 3.0])).unwrap();
+        let b = partial(AggFunc::Avg, &ColumnData::Float64(vec![8.0])).unwrap();
         a.merge(&b).unwrap();
         assert_eq!(a.finalize(), Value::Float(4.0));
         // Empty average is NaN, not a crash.
@@ -504,17 +471,17 @@ mod tests {
 
     #[test]
     fn min_max_across_partials() {
-        let mut mn = PartialAgg::compute(
+        let mut mn = partial(
             AggFunc::Min,
             &ColumnData::Utf8(vec!["m".into(), "z".into()]),
         )
         .unwrap();
-        let other = PartialAgg::compute(AggFunc::Min, &ColumnData::Utf8(vec!["c".into()])).unwrap();
+        let other = partial(AggFunc::Min, &ColumnData::Utf8(vec!["c".into()])).unwrap();
         mn.merge(&other).unwrap();
         assert_eq!(mn.finalize(), Value::Str("c".into()));
 
         let mut mx = PartialAgg::identity(AggFunc::Max, Some(&ColumnData::Int64(vec![])));
-        mx.merge(&PartialAgg::compute(AggFunc::Max, &ColumnData::Int64(vec![7])).unwrap())
+        mx.merge(&partial(AggFunc::Max, &ColumnData::Int64(vec![7])).unwrap())
             .unwrap();
         mx.merge(&PartialAgg::Max(None)).unwrap();
         assert_eq!(mx.finalize(), Value::Int(7));
@@ -528,7 +495,7 @@ mod tests {
 
     #[test]
     fn sum_over_strings_is_error() {
-        assert!(PartialAgg::compute(AggFunc::Sum, &ColumnData::Utf8(vec!["x".into()])).is_err());
+        assert!(partial(AggFunc::Sum, &ColumnData::Utf8(vec!["x".into()])).is_err());
     }
 
     #[test]
@@ -546,7 +513,7 @@ mod tests {
         // The format has no NULLs, so COUNT(col) over the filtered column
         // must equal COUNT(*) over the filtered row count — pin it.
         let filtered = ColumnData::Float64(vec![1.0, f64::NAN, 3.0]);
-        let count_col = PartialAgg::compute(AggFunc::Count, &filtered).unwrap();
+        let count_col = partial(AggFunc::Count, &filtered).unwrap();
         let count_star = PartialAgg::Count(filtered.len() as i64);
         assert_eq!(count_col, count_star);
         assert_eq!(count_col.finalize(), Value::Int(3));
@@ -554,10 +521,10 @@ mod tests {
 
     #[test]
     fn sum_overflow_is_typed_error() {
-        // compute
+        // a column's rows in turn
         let big = ColumnData::Int64(vec![i64::MAX, 1]);
         assert!(matches!(
-            PartialAgg::compute(AggFunc::Sum, &big),
+            partial(AggFunc::Sum, &big),
             Err(SqlError::Overflow(_))
         ));
         // merge
@@ -578,8 +545,8 @@ mod tests {
             c.accumulate_repeat(&run, 0, 2),
             Err(SqlError::Overflow(_))
         ));
-        // AVG's sum is taken in i128, so it cannot wrap.
-        match PartialAgg::compute(AggFunc::Avg, &big).unwrap() {
+        // AVG's sum is a float, so it cannot wrap.
+        match partial(AggFunc::Avg, &big).unwrap() {
             PartialAgg::Avg(s, 2) => assert_eq!(s, i64::MAX as f64 + 1.0),
             other => panic!("unexpected AVG partial {other:?}"),
         }
@@ -682,12 +649,11 @@ mod tests {
         // associative aggregates.
         let whole = ColumnData::Int64((0..1000).map(|i| i * 3 - 500).collect());
         for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
-            let direct = PartialAgg::compute(func, &whole).unwrap().finalize();
+            let direct = partial(func, &whole).unwrap().finalize();
             let mut acc = PartialAgg::identity(func, Some(&whole));
             for part in [0..100usize, 100..101, 101..1000] {
                 let sub = whole.slice(part);
-                acc.merge(&PartialAgg::compute(func, &sub).unwrap())
-                    .unwrap();
+                acc.merge(&partial(func, &sub).unwrap()).unwrap();
             }
             assert_eq!(acc.finalize(), direct, "{func}");
         }
