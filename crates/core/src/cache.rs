@@ -11,8 +11,8 @@
 //!
 //! Queries run on `&Store`, so the cache uses interior mutability; all
 //! state sits behind one mutex, locked only for the brief lookup/insert
-//! bookkeeping (never across a parse or a scan). Entries are `Arc`s, so a
-//! hit shares the view with the scan fan-out without copying.
+//! bookkeeping (never across a parse or a scan). Entries are `Arc`s, so
+//! concurrent requests that hit share one view without copying.
 //!
 //! Invalidation: anything that rewrites or loses blocks drops the affected
 //! entries — delete and scrub-heal invalidate per object; node failure,

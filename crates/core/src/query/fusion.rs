@@ -8,9 +8,11 @@
 //! (`eval_filter_encoded`: dictionary-mask + RLE-span + word-batched
 //! loops), and returns a Snappy-compressed bitmap. Chunks whose footer
 //! min/max statistics prove no match — or prove *every* row matches — are
-//! skipped entirely. The independent per-chunk scans fan out across the
-//! store's worker pool with the same serial-assemble / parallel-compute /
-//! serial-apply discipline as Put and scrub.
+//! skipped entirely. The per-node parallelism of those sub-queries lives
+//! in the time plane: the data plane scans the chunks inline, one after
+//! another, on the thread running the query, reading each through the
+//! same [`access`] helper as every later stage. A request is the unit of
+//! parallelism (DESIGN.md §10, "Thread model").
 //!
 //! **Projection stage** — the coordinator, now knowing the exact
 //! selectivity, applies the Cost Equation per chunk:
@@ -51,7 +53,7 @@ use fusion_sql::eval::{
     stats_all_match, stats_may_match, AggFold,
 };
 use fusion_sql::partial::{GroupedAggs, PartialAgg};
-use fusion_sql::plan::{BoolTree, FilterLeaf, OutputItem, QueryPlan};
+use fusion_sql::plan::{BoolTree, OutputItem, QueryPlan};
 use std::sync::Arc;
 
 /// Serialized and Snappy-compressed sizes of a bitmap, `(raw, wire)`.
@@ -72,8 +74,7 @@ impl RowGroupBitmapSizes {
     }
 }
 
-/// One chunk a stage after the filter stage reads: where it lives and
-/// its encoded view.
+/// One chunk a stage reads: where it lives and its encoded view.
 struct Access {
     ordinal: usize,
     frags: Vec<ChunkFragment>,
@@ -85,29 +86,31 @@ struct Access {
 }
 
 /// Reads the chunk of column `col` in row group `rg` for the data plane
-/// and counts the access. A healthy chunk is served through its node's
-/// chunk cache; any other is parsed from bytes the coordinator
-/// reassembles, rebuilding lost fragments from their stripes — a one-off
-/// view that bypasses the cache but still reads the data plane, so it
-/// counts as a miss.
+/// and counts the access. A healthy chunk is looked up in its node's
+/// chunk cache and, on a miss, parsed from the bytes the node reads;
+/// [`publish`] caches that view. Any other chunk is parsed from bytes
+/// the coordinator reassembles, rebuilding lost fragments from their
+/// stripes — a one-off view that bypasses the cache but still reads the
+/// data plane, so it counts as a miss.
 fn access(ctx: &mut Ctx<'_>, rg: usize, col: usize) -> Result<Access> {
     let (store, object) = (ctx.store, ctx.object);
-    let ty = ctx.fm.schema.fields()[col].ty;
     let ordinal = ctx.ordinal(rg, col)?;
     let frags = ctx.meta.chunk_fragments(ordinal);
     let healthy = frags.len() == 1 && store.blocks().has_block(frags[0].node, frags[0].block);
-    let (view, hit) = if healthy {
-        store.encoded_chunk(object, ordinal, ty)?
-    } else {
-        let bytes = store.chunk_bytes(object, ordinal)?;
-        (Arc::new(read_encoded_chunk(&bytes, ty)?), false)
-    };
     ctx.chunks.considered += 1;
-    if hit {
-        ctx.chunks.hits += 1;
-    } else {
-        ctx.chunks.misses += 1;
-    }
+    let cached = healthy.then(|| store.chunk_cache().get(object, ordinal));
+    let (view, hit) = match cached.flatten() {
+        Some(view) => {
+            ctx.chunks.hits += 1;
+            (view, true)
+        }
+        None => {
+            ctx.chunks.misses += 1;
+            let bytes = store.chunk_bytes(object, ordinal)?;
+            let ty = ctx.fm.schema.fields()[col].ty;
+            (Arc::new(read_encoded_chunk(&bytes, ty)?), false)
+        }
+    };
     Ok(Access {
         ordinal,
         frags,
@@ -115,6 +118,15 @@ fn access(ctx: &mut Ctx<'_>, rg: usize, col: usize) -> Result<Access> {
         view,
         hit,
     })
+}
+
+/// Caches, on its node, the view [`access`] parsed for a healthy chunk
+/// it missed.
+fn publish(ctx: &Ctx<'_>, at: &Access) {
+    if at.healthy && !at.hit {
+        let cache = ctx.store.chunk_cache();
+        cache.insert(ctx.object, at.ordinal, at.view.clone());
+    }
 }
 
 /// Models `work` pushed to the node hosting the healthy chunk `at`, once
@@ -173,40 +185,6 @@ fn partial_wire_bytes(
     Ok(partial.wire_bytes())
 }
 
-/// One healthy chunk's filter-scan work unit: assembled serially, scanned
-/// on a pool worker, applied serially. Everything the worker needs lives
-/// inside the job — no shared mutable state on the hot path.
-struct ScanTask {
-    rg: usize,
-    leaf_idx: usize,
-    ordinal: usize,
-    node: usize,
-    ty: LogicalType,
-    cm_len: u64,
-    cm_plain: u64,
-    cm_count: u64,
-    /// Cache hit: the resident view (raw bytes stay empty).
-    cached: Option<Arc<EncodedChunk>>,
-    /// Cache miss: the chunk bytes read from the data plane.
-    raw: Vec<u8>,
-    out: Option<Result<(Arc<EncodedChunk>, Bitmap)>>,
-}
-
-/// Phase-2 worker body: parse the chunk on a miss, then scan it with the
-/// encoded-domain kernels (or the decode-then-filter ablation).
-fn scan_one(t: &ScanTask, leaf: &FilterLeaf, encoded: bool) -> Result<(Arc<EncodedChunk>, Bitmap)> {
-    let chunk = match &t.cached {
-        Some(c) => c.clone(),
-        None => Arc::new(read_encoded_chunk(&t.raw, t.ty)?),
-    };
-    let bm = if encoded {
-        eval_filter_encoded(leaf, &chunk)?
-    } else {
-        eval_filter(leaf, &chunk.decode()?)?
-    };
-    Ok((chunk, bm))
-}
-
 /// Executes `plan` with pushdown. `adaptive == false` pushes every
 /// projection down unconditionally (the paper's always-on ablation).
 pub fn execute(
@@ -216,7 +194,7 @@ pub fn execute(
     adaptive: bool,
 ) -> Result<QueryOutput> {
     let mut ctx = Ctx::new(store, object)?;
-    let (meta, fm, coord, cost) = (ctx.meta, ctx.fm, ctx.coord, ctx.cost);
+    let (fm, coord, cost) = (ctx.fm, ctx.coord, ctx.cost);
 
     // Client issues the query.
     let arrival = ctx.rpc(Loc::Client, Loc::Node(coord), &[]);
@@ -245,10 +223,11 @@ pub fn execute(
     ctx.phase(Phase::Filter);
     ctx.trace.enter(Phase::Filter, "filter_stage");
 
-    // Phase 1 (serial): prune with stats, resolve cache hits, read raw
-    // bytes for misses. Healthy chunks become pool jobs; degraded chunks
-    // (split or with lost fragments) stay serial because their data-plane
-    // reads rebuild from stripes through `&Store`.
+    // Every leaf whose chunk the footer statistics cannot settle reads
+    // that chunk through `access` and scans it inline with the
+    // encoded-domain kernels (or the decode-then-filter ablation). In the
+    // time plane a healthy chunk is scanned on its node; a split or
+    // degraded one is reassembled and scanned at the coordinator.
     let mut leaf_acc: Vec<Vec<Option<Bitmap>>> = (0..num_rgs)
         .map(|_| (0..plan.filters.len()).map(|_| None).collect())
         .collect();
@@ -256,7 +235,9 @@ pub fn execute(
     // that leaf's bitmap: keep the sizes the scan already measured.
     let is_root = |li: usize| matches!(plan.tree, Some(BoolTree::Leaf(id)) if id == li);
     let mut bm_sizes = RowGroupBitmapSizes(vec![None; num_rgs]);
-    let mut tasks: Vec<ScanTask> = Vec::new();
+    // Healthy chunks' sub-queries in dispatch order, each with the `(raw,
+    // wire)` sizes of the bitmap it returns.
+    let mut dispatched: Vec<(Access, &ChunkMeta, (u64, u64))> = Vec::new();
     // `rg` also indexes the footer metadata, not just `leaf_acc`.
     #[allow(clippy::needless_range_loop)]
     for rg in 0..num_rgs {
@@ -264,143 +245,92 @@ pub fn execute(
         let rg_alive = row_group_may_match(plan.tree.as_ref(), &plan.filters, &fm.row_groups[rg]);
         for (li, leaf) in plan.filters.iter().enumerate() {
             let cm = fm.chunk(rg, leaf.column)?;
-            ctx.chunks.considered += 1;
-            if !rg_alive || !stats_may_match(leaf, cm.min.as_ref(), cm.max.as_ref()) {
-                ctx.chunks.pruned += 1;
-                leaf_acc[rg][li] = Some(Bitmap::with_len(rows));
-                continue;
-            }
-            if stats_all_match(leaf, cm.min.as_ref(), cm.max.as_ref()) {
-                // Stats prove every row matches: no read, no scan, no
-                // dispatch — the bitmap is known from the footer alone,
-                // so this counts as a stats-pruned chunk (skipped), not
-                // a cache access.
-                ctx.chunks.pruned += 1;
-                leaf_acc[rg][li] = Some(Bitmap::ones_with_len(rows));
-                continue;
-            }
-            let ty = fm.schema.fields()[leaf.column].ty;
-            let ordinal = ctx.ordinal(rg, leaf.column)?;
-            let frags = meta.chunk_fragments(ordinal);
-            let healthy =
-                frags.len() == 1 && store.blocks().has_block(frags[0].node, frags[0].block);
-            if healthy {
-                let (cached, raw) = match store.chunk_cache().get(object, ordinal) {
-                    Some(c) => {
-                        ctx.chunks.hits += 1;
-                        (Some(c), Vec::new())
-                    }
-                    None => {
-                        ctx.chunks.misses += 1;
-                        let raw = store.chunk_bytes(object, ordinal)?;
-                        shard_read_bytes += raw.len() as u64;
-                        (None, raw)
-                    }
-                };
-                tasks.push(ScanTask {
-                    rg,
-                    leaf_idx: li,
-                    ordinal,
-                    node: frags[0].node,
-                    ty,
-                    cm_len: cm.len,
-                    cm_plain: cm.plain_size,
-                    cm_count: cm.value_count,
-                    cached,
-                    raw,
-                    out: None,
-                });
+            let (min, max) = (cm.min.as_ref(), cm.max.as_ref());
+            // Footer statistics that prove no row matches, or every row
+            // does, settle the leaf with no read, scan or dispatch: a
+            // stats-pruned chunk, not a cache access.
+            let settled = if !rg_alive || !stats_may_match(leaf, min, max) {
+                Some(Bitmap::with_len(rows))
+            } else if stats_all_match(leaf, min, max) {
+                Some(Bitmap::ones_with_len(rows))
             } else {
-                // Split chunk (FAC fell back to fixed blocks) or lost
-                // fragments: reassemble at the coordinator — rebuilding
-                // lost fragments from their stripes — evaluate there.
-                // The coordinator runs the same scan kernels but its
-                // one-off reassembled view never enters the node cache;
-                // it still reads the data plane, so it counts as a miss
-                // (keeping the hits + misses + pruned == considered
-                // invariant in degraded mode).
-                ctx.chunks.misses += 1;
-                let chunk_bytes = store.chunk_bytes(object, ordinal)?;
-                shard_read_bytes += chunk_bytes.len() as u64;
-                let view = read_encoded_chunk(&chunk_bytes, ty)?;
-                let bm = if encoded {
-                    eval_filter_encoded(leaf, &view)?
-                } else {
-                    eval_filter(leaf, &view.decode()?)?
-                };
-                let (bm_raw, bm_wire) = bitmap_sizes(&bm);
-                bitmap_wire_total += bm_wire;
-                if is_root(li) {
-                    bm_sizes.0[rg] = Some((bm_raw, bm_wire));
-                }
-                let arrived = ctx.fetch_fragments(&frags, plan_step)?;
-                let eval = ctx.cpu(
-                    Loc::Node(coord),
-                    cost.decode_at(cm.plain_size, speedup * csp)
-                        + cost.eval_at(cm.value_count, speedup)
-                        + cost.compress_at(bm_raw, csp),
-                    CostClass::Processing,
-                    &arrived,
-                );
-                filter_frontier.push(eval);
+                None
+            };
+            if let Some(bm) = settled {
+                ctx.chunks.considered += 1;
+                ctx.chunks.pruned += 1;
                 leaf_acc[rg][li] = Some(bm);
+                continue;
             }
+            let at = access(&mut ctx, rg, leaf.column)?;
+            if !at.hit {
+                shard_read_bytes += at.frags.iter().map(|f| f.len).sum::<u64>();
+            }
+            let bm = if encoded {
+                eval_filter_encoded(leaf, &at.view)?
+            } else {
+                eval_filter(leaf, &at.view.decode()?)?
+            };
+            let sizes = bitmap_sizes(&bm);
+            bitmap_wire_total += sizes.1;
+            if is_root(li) {
+                bm_sizes.0[rg] = Some(sizes);
+            }
+            leaf_acc[rg][li] = Some(bm);
+            if at.healthy {
+                dispatched.push((at, cm, sizes));
+                continue;
+            }
+            // Split chunk (FAC fell back to fixed blocks) or lost
+            // fragments: the coordinator fetches the fragments, rebuilding
+            // lost ones from their stripes, and scans there.
+            let arrived = ctx.fetch_fragments(&at.frags, plan_step)?;
+            let eval = ctx.cpu(
+                Loc::Node(coord),
+                cost.decode_at(cm.plain_size, speedup * csp)
+                    + cost.eval_at(cm.value_count, speedup)
+                    + cost.compress_at(sizes.0, csp),
+                CostClass::Processing,
+                &arrived,
+            );
+            filter_frontier.push(eval);
         }
     }
 
-    // Phase 2 (parallel): parse + scan every healthy chunk across the
-    // worker pool. Pure CPU over job-owned buffers (and shared read-only
-    // cached views), same discipline as Put and scrub.
-    {
-        let filters = &plan.filters;
-        store.pool().for_each_mut(&mut tasks, |_, t| {
-            let r = scan_one(t, &filters[t.leaf_idx], encoded);
-            t.out = Some(r);
-        });
-    }
-
-    // Phase 3 (serial, original dispatch order): populate the cache,
-    // model each in-situ scan on the virtual clock, assemble bitmaps.
-    for t in tasks {
-        let hit = t.cached.is_some();
-        let (chunk, bm) = t.out.expect("scanned in phase 2")?;
-        if !hit {
-            store.chunk_cache().insert(object, t.ordinal, chunk);
-        }
-        let (bm_raw, bm_wire) = bitmap_sizes(&bm);
-        bitmap_wire_total += bm_wire;
-        if is_root(t.leaf_idx) {
-            bm_sizes.0[t.rg] = Some((bm_raw, bm_wire));
-        }
+    // Healthy chunks' views enter the cache only now, in dispatch order,
+    // so a second leaf on a column misses on a cold cache as the first
+    // did.
+    for (at, cm, (bm_raw, bm_wire)) in dispatched {
+        publish(&ctx, &at);
+        let node = at.frags[0].node;
         // The node compresses its result bitmap before shipping it back.
         let bm_compress = cost.compress_at(bm_raw, csp);
 
         // Time plane: dispatch the sub-query; a cache hit skips the disk
         // read and the parse and goes straight to the masked scan.
-        let req = ctx.rpc(Loc::Node(coord), Loc::Node(t.node), &[plan_step]);
-        let req = ctx.retry(store.retry_penalty(t.node), &req);
-        let eval = if hit {
+        let req = ctx.rpc(Loc::Node(coord), Loc::Node(node), &[plan_step]);
+        let req = ctx.retry(store.retry_penalty(node), &req);
+        let eval = if at.hit {
             ctx.cpu(
-                Loc::Node(t.node),
-                cost.eval_at(t.cm_count, speedup) + bm_compress,
+                Loc::Node(node),
+                cost.eval_at(cm.value_count, speedup) + bm_compress,
                 CostClass::Processing,
                 &req,
             )
         } else {
-            let read = ctx.disk(t.node, t.cm_len, &req);
+            let read = ctx.disk(node, cm.len, &req);
             ctx.cpu(
-                Loc::Node(t.node),
-                cost.decode_at(t.cm_plain, speedup * csp)
-                    + cost.eval_at(t.cm_count, speedup)
+                Loc::Node(node),
+                cost.decode_at(cm.plain_size, speedup * csp)
+                    + cost.eval_at(cm.value_count, speedup)
                     + bm_compress,
                 CostClass::Processing,
                 &[read],
             )
         };
-        let back = ctx.transfer(Loc::Node(t.node), Loc::Node(coord), bm_wire, &[eval]);
+        let back = ctx.transfer(Loc::Node(node), Loc::Node(coord), bm_wire, &[eval]);
         filter_frontier.extend(back);
-        ctx.scanned.insert(t.ordinal, (t.node, eval));
-        leaf_acc[t.rg][t.leaf_idx] = Some(bm);
+        ctx.scanned.insert(at.ordinal, (node, eval));
     }
 
     let mut rg_bitmaps: Vec<Bitmap> = Vec::with_capacity(num_rgs);
@@ -531,6 +461,7 @@ pub fn execute(
             }
             let cm = fm.chunk(rg, col_idx)?;
             let at = access(&mut ctx, rg, col_idx)?;
+            publish(&ctx, &at);
             if shown[pos] {
                 select_encoded(&at.view, filter, &mut projected[pos])?;
             }
@@ -748,7 +679,11 @@ fn grouped_aggregate_stage(plan: &QueryPlan, inputs: AggStageInputs<'_>) -> Resu
         // read every touched chunk's view and group the matched rows.
         let views = touched
             .iter()
-            .map(|&col_idx| access(&mut ctx, rg, col_idx))
+            .map(|&col_idx| {
+                let at = access(&mut ctx, rg, col_idx)?;
+                publish(&ctx, &at);
+                Ok(at)
+            })
             .collect::<Result<Vec<_>>>()?;
         let rg_grouped = group_views(plan, &touched, &views, filter)?;
 

@@ -162,8 +162,8 @@ pub struct Store {
     /// Failed-then-revived nodes and how many RPC attempts to them time
     /// out before one succeeds (drives [`fusion_cluster::RetryPolicy`]).
     flaky: HashMap<usize, u32>,
-    /// Worker pool for stripe-level encode/scrub/reconstruct fan-out
-    /// (width = `StoreConfig::ec_threads`).
+    /// Worker pool for the stripe-level fan-out of put encode, scrub and
+    /// recovery, its only users (width = `StoreConfig::ec_threads`).
     pool: WorkerPool,
     /// Recycled parity buffer sets: `encode_into` reuses these across
     /// puts so steady-state encoding allocates nothing per stripe.
@@ -1378,31 +1378,6 @@ impl Store {
     /// The per-node encoded-chunk cache (counters and tests).
     pub fn chunk_cache(&self) -> &ChunkCache {
         &self.chunk_cache
-    }
-
-    /// Reads one column chunk as a parsed [`EncodedChunk`] view, serving
-    /// it from the chunk cache when resident. Returns the view and
-    /// whether the lookup hit. Misses populate the cache.
-    ///
-    /// # Errors
-    ///
-    /// Unknown object/chunk, unrecoverable loss, or chunk corruption.
-    pub fn encoded_chunk(
-        &self,
-        name: &str,
-        ordinal: usize,
-        ty: fusion_format::schema::LogicalType,
-    ) -> Result<(std::sync::Arc<fusion_format::chunk::EncodedChunk>, bool)> {
-        if let Some(chunk) = self.chunk_cache.get(name, ordinal) {
-            return Ok((chunk, true));
-        }
-        let bytes = self.chunk_bytes(name, ordinal)?;
-        let chunk = std::sync::Arc::new(fusion_format::chunk::read_encoded_chunk(&bytes, ty)?);
-        // Race-safe publish: if another worker populated this ordinal
-        // between our miss and here, adopt its view so concurrent misses
-        // converge on one Arc instead of churning the LRU.
-        let chunk = self.chunk_cache.insert_or_get(name, ordinal, chunk);
-        Ok((chunk, false))
     }
 
     /// Reads the full raw bytes of one column chunk (reassembling

@@ -6,10 +6,12 @@
 //! * **persistent hash table** — one 16 K-entry table lives in the
 //!   [`Encoder`] and is reused across fragments *and* across calls (the
 //!   scalar version allocates and memsets `vec![u32::MAX; 16384]` per
-//!   64 KiB fragment). Stale entries are harmless: a candidate is only
-//!   trusted after `cand < p` plus a 4-byte equality check against the
-//!   current input, and a stale-but-matching candidate is simply a valid
-//!   self-referential match.
+//!   64 KiB fragment). Each call stores positions offset by its own base,
+//!   so entries left by earlier calls read as empty without clearing the
+//!   table: a stale entry that happened to match 4 bytes would otherwise
+//!   change the emitted copies, making the output (and its size) depend
+//!   on what the encoder compressed before. Every call emits exactly what
+//!   a fresh [`Encoder`] would.
 //! * **64-bit match probing and extension** — candidate validation loads
 //!   4 bytes at a time and match extension compares 8 bytes at a time,
 //!   locating the first mismatch with `trailing_zeros`.
@@ -70,9 +72,14 @@ fn extend_match(src: &[u8], mut i: usize, mut s: usize, end: usize) -> usize {
 /// [`crate::compress`] keeps one per thread; construct your own to control
 /// table lifetime explicitly (e.g. one per worker in a pool).
 pub struct Encoder {
-    /// table[h] = absolute position of a prior 4-byte sequence with hash h,
-    /// or `u32::MAX` when never written.
+    /// table[h] = `base` + position of the last 4-byte sequence with hash h
+    /// in the call that wrote it. Entries below the current `base` were
+    /// written by earlier calls (or never: the table starts zeroed) and
+    /// read as empty.
     table: Vec<u32>,
+    /// The current call's offset: at least 1, and `base + p` fits in a
+    /// `u32` for every position `p` of the input.
+    base: u32,
 }
 
 impl Default for Encoder {
@@ -85,7 +92,8 @@ impl Encoder {
     /// Creates an encoder with a fresh hash table.
     pub fn new() -> Encoder {
         Encoder {
-            table: vec![u32::MAX; TABLE_SIZE],
+            table: vec![0; TABLE_SIZE],
+            base: 1,
         }
     }
 
@@ -102,12 +110,21 @@ impl Encoder {
         out.clear();
         out.reserve(max_compressed_len(input.len()));
         write_uvarint(out, input.len() as u64);
+        if u64::from(self.base) + input.len() as u64 > u64::from(u32::MAX) {
+            // The base would wrap: clear the table once and start over.
+            self.table.fill(0);
+            self.base = 1;
+        }
         let mut pos = 0;
         while pos < input.len() {
             let end = (pos + FRAGMENT).min(input.len());
             self.fragment(pos, end, input, out);
             pos = end;
         }
+        // Everything this call stored now sits below the next base. Only
+        // a `u32::MAX`-byte input (the format's largest) saturates it,
+        // and then the next non-empty call clears the table.
+        self.base = self.base.saturating_add(input.len() as u32);
     }
 
     /// Compresses one fragment spanning `base..end` of `whole`. Matches may
@@ -119,6 +136,11 @@ impl Encoder {
             return;
         }
         let table = &mut self.table[..];
+        // Positions are stored as `off + p` and read back as `entry -
+        // off`, with `off` this call's base. An entry below `off` wraps to
+        // at least `2^32 - off`, which is past the end of the input, so
+        // `candidate < p` rejects it exactly like an empty slot.
+        let off = self.base;
         // Last position eligible for a probe; probing at p ≤ limit keeps
         // every 4- and 8-byte load inside `end`.
         let limit = end - INPUT_MARGIN;
@@ -147,8 +169,8 @@ impl Encoder {
                 }
                 let h = next_hash;
                 debug_assert_eq!(h, hash(load32(whole, p)));
-                candidate = table[h] as usize;
-                table[h] = p as u32;
+                candidate = table[h].wrapping_sub(off) as usize;
+                table[h] = off + p as u32;
                 next_hash = hash(load32(whole, next_p));
                 if candidate < p && load32(whole, candidate) == load32(whole, p) {
                     break;
@@ -174,10 +196,10 @@ impl Encoder {
                 // so runs and repeated records chain copies without
                 // re-entering the (literal-accumulating) probe phase.
                 let x = load64(whole, p - 1);
-                table[hash(x as u32)] = (p - 1) as u32;
+                table[hash(x as u32)] = off + (p - 1) as u32;
                 let h = hash((x >> 8) as u32);
-                candidate = table[h] as usize;
-                table[h] = p as u32;
+                candidate = table[h].wrapping_sub(off) as usize;
+                table[h] = off + p as u32;
                 if !(candidate < p && load32(whole, candidate) == (x >> 8) as u32) {
                     next_hash = hash((x >> 16) as u32);
                     p += 1;
@@ -192,12 +214,13 @@ impl Encoder {
 mod tests {
     use super::*;
     use crate::{decompress, reference};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn encoder_reuse_across_calls_is_correct() {
         // Reusing the table across unrelated inputs must not corrupt
-        // output: stale candidates point into the *current* input and are
-        // revalidated there.
+        // output.
         let mut enc = Encoder::new();
         let inputs: Vec<Vec<u8>> = vec![
             b"abcdabcdabcdabcdabcdabcdabcd".to_vec(),
@@ -210,6 +233,38 @@ mod tests {
             assert_eq!(decompress(&c).unwrap(), *input);
             assert_eq!(reference::decompress(&c).unwrap(), *input);
         }
+    }
+
+    /// A serialized sparse filter bitmap: 1,880 bytes, about one set bit
+    /// in 90.
+    fn sparse_bitmap(rng: &mut SmallRng) -> Vec<u8> {
+        (0..1880)
+            .map(|_| (0..8).fold(0u8, |b, bit| b | u8::from(rng.gen_range(0..90) == 0) << bit))
+            .collect()
+    }
+
+    #[test]
+    fn output_does_not_depend_on_earlier_calls() {
+        // Sparse bitmaps share many 4-byte windows, so a table entry left
+        // by an earlier input often still matches; the output must be what
+        // a fresh encoder emits all the same.
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        let mut enc = Encoder::new();
+        for _ in 0..2000 {
+            let (y, x) = (sparse_bitmap(&mut rng), sparse_bitmap(&mut rng));
+            enc.compress(&y);
+            assert_eq!(enc.compress(&x), Encoder::new().compress(&x));
+        }
+    }
+
+    #[test]
+    fn base_wrap_clears_the_table() {
+        let input = b"abcdabcdabcdabcdabcdabcdabcd".repeat(4);
+        let mut enc = Encoder::new();
+        enc.base = u32::MAX - 10;
+        assert_eq!(enc.compress(&input), Encoder::new().compress(&input));
+        assert_eq!(enc.base, 1 + input.len() as u32);
+        assert_eq!(enc.compress(&input), Encoder::new().compress(&input));
     }
 
     #[test]

@@ -193,7 +193,8 @@ thread_local! {
 /// Compresses `input` into a fresh buffer using the Snappy block format.
 ///
 /// Uses the fast compressor with a thread-local [`Encoder`], so the hash
-/// table persists across calls as well as across fragments. Incompressible
+/// table's memory persists across calls; entries left by earlier calls
+/// read as empty, so the output depends only on `input`. Incompressible
 /// input degrades gracefully to literal runs (bounded expansion, see
 /// [`max_compressed_len`]).
 ///
