@@ -47,7 +47,7 @@ fn bench_place_stripe(c: &mut Criterion) {
 /// 10k-object namespace on 64 nodes.
 fn bench_chunk_node(c: &mut Criterion) {
     let topo = Topology::racks(64, 8);
-    let ns = Namespace::new(SEED, 64, EcConfig::RS_9_6, Membership::full(topo.clone()))
+    let mut ns = Namespace::new(SEED, 64, EcConfig::RS_9_6, Membership::full(topo.clone()))
         .expect("valid code");
     let mut ids = Vec::with_capacity(OBJECTS);
     for i in 0..OBJECTS {

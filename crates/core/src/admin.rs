@@ -61,13 +61,10 @@ impl ScrubReport {
 impl Store {
     /// Lists stored object names with the given prefix, sorted.
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .object_names()
+        self.object_names()
             .into_iter()
             .filter(|n| n.starts_with(prefix))
-            .collect();
-        names.sort();
-        names
+            .collect()
     }
 
     /// Returns summary metadata for an object.

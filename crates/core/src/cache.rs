@@ -21,7 +21,7 @@
 
 use fusion_format::chunk::EncodedChunk;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Cumulative cache counters (monotonic over the store's lifetime).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -76,13 +76,26 @@ impl ChunkCache {
         self.capacity
     }
 
+    /// Locks the cache state. A panic under the lock poisons it; the
+    /// guard is recovered and the cache emptied, since its byte
+    /// accounting may have drifted and a cache can always be refilled.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|poisoned| {
+            let mut inner = poisoned.into_inner();
+            inner.entries.clear();
+            inner.resident = 0;
+            self.inner.clear_poison();
+            inner
+        })
+    }
+
     /// Looks up a chunk view, counting a hit or miss and refreshing
     /// recency on hit.
     pub fn get(&self, object: &str, ordinal: usize) -> Option<Arc<EncodedChunk>> {
         if self.capacity == 0 {
             return None;
         }
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         // Borrow-split: key lookup needs a owned-ish key; build once.
@@ -132,7 +145,7 @@ impl ChunkCache {
         if self.capacity == 0 || weight > self.capacity {
             return chunk;
         }
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
         let key = (object.to_string(), ordinal);
@@ -175,7 +188,7 @@ impl ChunkCache {
 
     /// Drops every entry of one object (delete, scrub heal, re-put).
     pub fn invalidate_object(&self, object: &str) {
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = self.lock();
         let removed: Vec<(String, usize)> = inner
             .entries
             .keys()
@@ -190,14 +203,14 @@ impl ChunkCache {
 
     /// Drops everything (node failure/recovery, injected faults).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = self.lock();
         inner.entries.clear();
         inner.resident = 0;
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("cache lock");
+        let inner = self.lock();
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
@@ -339,6 +352,25 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.entries, 1);
         assert_eq!(s.resident_bytes, 80);
+    }
+
+    #[test]
+    fn poisoned_lock_recovers_empty() {
+        let c = ChunkCache::new(1 << 20);
+        c.insert("o", 0, chunk(10));
+        let _ = std::panic::catch_unwind(|| {
+            let _guard = c.inner.lock().unwrap();
+            panic!("poison the cache lock");
+        });
+        assert!(c.inner.is_poisoned());
+        // The first lock after the panic empties the cache and clears
+        // the poison; the cache keeps working.
+        assert!(c.get("o", 0).is_none());
+        assert!(!c.inner.is_poisoned());
+        c.insert("o", 1, chunk(10));
+        assert!(c.get("o", 1).is_some());
+        let s = c.stats();
+        assert_eq!((s.entries, s.resident_bytes), (1, 80));
     }
 
     #[test]

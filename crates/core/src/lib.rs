@@ -59,7 +59,6 @@
 //! ```
 
 pub mod admin;
-pub mod backend;
 pub mod cache;
 pub mod config;
 pub mod error;
@@ -72,7 +71,6 @@ pub mod query;
 pub mod store;
 
 pub use admin::{ObjectInfo, ScrubReport};
-pub use backend::{Backend, DesBackend, PutOutcome};
 pub use cache::{CacheStats, ChunkCache};
 pub use config::{EcConfig, LayoutPolicy, PlacementPolicy, QueryMode, StoreConfig};
 pub use error::{Result, StoreError};
@@ -81,4 +79,4 @@ pub use meta::{LayoutRecord, Membership, Namespace, RebalanceReport};
 pub use object::ObjectMeta;
 pub use placement::{object_id, object_key, ObjectId, StripeShape};
 pub use query::{QueryOutput, QueryResult};
-pub use store::{ObjectMetaRecord, PutReport, RecoveryReport, Store};
+pub use store::{ObjectMetaRecord, PutOutcome, PutReport, RecoveryReport, Store};

@@ -23,11 +23,8 @@ use crate::location_map::{LocationEntry, LocationMap, LocationMapError};
 use crate::object::ObjectMeta;
 use crate::placement::{self, ObjectId, StripeShape};
 use fusion_cluster::topology::Topology;
-use fusion_obs::metrics::{Counter, Histogram, MetricsRegistry};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
 
 /// The erasure code of a record, packed to three bytes for the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -386,47 +383,18 @@ impl RebalanceReport {
 /// sized for tens of millions of objects (~56 B + record per entry)
 /// while any single lookup touches one shard.
 ///
-/// # Concurrency
-///
-/// Built for service-mode worker threads: every operation takes `&self`.
-/// Each shard sits behind its own [`RwLock`], so lookups on different
-/// shards never contend and lookups on the same shard share a read lock;
-/// only insert/remove/rebalance write-lock a shard (one at a time).
-///
-/// The membership history is **append-only** `Arc<Membership>`s behind
-/// one `RwLock`: epochs are never edited in place, and a record naming
-/// epoch `e` is only inserted after epoch `e` exists (enforced in
-/// [`Namespace::insert`]). A reader therefore either sees an epoch fully
-/// or not at all — there is no torn state to observe — and resolution
-/// clones the `Arc` so the epoch stays alive without holding any lock
-/// across the placement computation.
-///
-/// Lock poisoning is recovered, not propagated: a panicking writer must
-/// not take the whole metadata plane down with it (the maps are updated
-/// with single `HashMap` calls, so a poisoned guard still holds a
-/// consistent map).
+/// A plain single-threaded index: mutations take `&mut self`. The
+/// membership history is append-only, and a record naming epoch `e` is
+/// only inserted after epoch `e` exists (enforced in
+/// [`Namespace::insert`]), so resolution can index the history directly.
 pub struct Namespace {
     seed: u64,
     ec: EcConfig,
     shape: StripeShape,
     shard_mask: usize,
-    shards: Vec<RwLock<DetMap>>,
-    epochs: RwLock<Vec<Arc<Membership>>>,
-    record_bytes: AtomicU64,
-    metrics: MetricsRegistry,
-    lookups: Arc<Counter>,
-    misses: Arc<Counter>,
-    lookup_ns: Arc<Histogram>,
-}
-
-/// Recovers a read guard from a poisoned lock (see the type docs).
-fn read_lock<T>(l: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Recovers a write guard from a poisoned lock (see the type docs).
-fn write_lock<T>(l: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(std::sync::PoisonError::into_inner)
+    shards: Vec<DetMap>,
+    epochs: Vec<Membership>,
+    record_bytes: u64,
 }
 
 impl Namespace {
@@ -446,10 +414,6 @@ impl Namespace {
         let code = ec.build_codec(fusion_ec::codec::CodecKind::Scalar)?;
         let shape = StripeShape::from_codec(&*code);
         let shards = shard_count.max(1).next_power_of_two();
-        let metrics = MetricsRegistry::new();
-        let lookups = metrics.counter("meta_lookups");
-        let misses = metrics.counter("meta_lookup_misses");
-        let lookup_ns = metrics.histogram("meta_lookup_ns");
         let mut initial = initial;
         initial.members.sort_unstable();
         initial.members.dedup();
@@ -458,15 +422,9 @@ impl Namespace {
             ec,
             shape,
             shard_mask: shards - 1,
-            shards: (0..shards)
-                .map(|_| RwLock::new(DetMap::default()))
-                .collect(),
-            epochs: RwLock::new(vec![Arc::new(initial)]),
-            record_bytes: AtomicU64::new(0),
-            metrics,
-            lookups,
-            misses,
-            lookup_ns,
+            shards: (0..shards).map(|_| DetMap::default()).collect(),
+            epochs: vec![initial],
+            record_bytes: 0,
         })
     }
 
@@ -487,36 +445,27 @@ impl Namespace {
 
     /// The current membership epoch index.
     pub fn current_epoch(&self) -> u32 {
-        (read_lock(&self.epochs).len() - 1) as u32
-    }
-
-    /// The membership of an epoch, if it exists. The `Arc` keeps the
-    /// epoch valid without holding the history lock.
-    pub fn membership(&self, epoch: u32) -> Option<Arc<Membership>> {
-        read_lock(&self.epochs).get(epoch as usize).cloned()
+        (self.epochs.len() - 1) as u32
     }
 
     /// The current membership.
-    pub fn current_membership(&self) -> Arc<Membership> {
-        read_lock(&self.epochs)
-            .last()
-            .expect("at least one epoch")
-            .clone()
+    pub fn current_membership(&self) -> &Membership {
+        self.epochs.last().expect("at least one epoch")
     }
 
     /// Number of objects indexed.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| read_lock(s).len()).sum()
+        self.shards.iter().map(DetMap::len).sum()
     }
 
     /// Whether the namespace is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| read_lock(s).is_empty())
+        self.shards.iter().all(DetMap::is_empty)
     }
 
     /// Total serialized bytes of every record (maintained incrementally).
     pub fn record_bytes(&self) -> u64 {
-        self.record_bytes.load(Ordering::Relaxed)
+        self.record_bytes
     }
 
     /// Number of index shards.
@@ -524,101 +473,69 @@ impl Namespace {
         self.shards.len()
     }
 
-    /// The namespace's metrics registry (`meta_lookups`,
-    /// `meta_lookup_misses` counters and the `meta_lookup_ns` histogram).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
     /// Inserts or replaces a record, returning the previous one.
     ///
     /// # Panics
     ///
     /// Panics if the record names an epoch this namespace has never had —
-    /// the invariant that lets lock-free-reading resolvers trust any
-    /// epoch index they find in a record.
-    pub fn insert(&self, id: ObjectId, record: LayoutRecord) -> Option<LayoutRecord> {
-        let history = read_lock(&self.epochs).len();
+    /// the invariant that lets resolution trust any epoch index it finds
+    /// in a record.
+    pub fn insert(&mut self, id: ObjectId, record: LayoutRecord) -> Option<LayoutRecord> {
         assert!(
-            (record.epoch as usize) < history,
-            "record epoch {} beyond namespace history {history}",
+            (record.epoch as usize) < self.epochs.len(),
+            "record epoch {} beyond namespace history {}",
             record.epoch,
+            self.epochs.len(),
         );
-        let added = record.byte_size();
-        let prev = write_lock(&self.shards[self.shard_of(id)]).insert(id.0, record);
-        self.record_bytes.fetch_add(added, Ordering::Relaxed);
+        self.record_bytes += record.byte_size();
+        let shard = self.shard_of(id);
+        let prev = self.shards[shard].insert(id.0, record);
         if let Some(p) = &prev {
-            self.record_bytes
-                .fetch_sub(p.byte_size(), Ordering::Relaxed);
+            self.record_bytes -= p.byte_size();
         }
         prev
     }
 
-    /// The record for an object, if present (cloned out of the shard so
-    /// no lock is held by the caller).
-    pub fn get(&self, id: ObjectId) -> Option<LayoutRecord> {
-        read_lock(&self.shards[self.shard_of(id)])
-            .get(&id.0)
-            .cloned()
+    /// The record for an object, if present.
+    pub fn get(&self, id: ObjectId) -> Option<&LayoutRecord> {
+        self.shards[self.shard_of(id)].get(&id.0)
     }
 
     /// Removes an object's record.
-    pub fn remove(&self, id: ObjectId) -> Option<LayoutRecord> {
-        let prev = write_lock(&self.shards[self.shard_of(id)]).remove(&id.0);
+    pub fn remove(&mut self, id: ObjectId) -> Option<LayoutRecord> {
+        let shard = self.shard_of(id);
+        let prev = self.shards[shard].remove(&id.0);
         if let Some(p) = &prev {
-            self.record_bytes
-                .fetch_sub(p.byte_size(), Ordering::Relaxed);
+            self.record_bytes -= p.byte_size();
         }
         prev
     }
 
-    /// Resolves the node hosting `chunk` of object `id` — the metadata
-    /// hot path. Counts into `meta_lookups`/`meta_lookup_misses` and
-    /// records wall-clock nanoseconds into `meta_lookup_ns`.
-    ///
-    /// Locking: the shard read lock covers only the record fetch; the
-    /// epoch is cloned out as an `Arc` so the rendezvous computation runs
-    /// lock-free. Because epochs are append-only and records never name a
-    /// not-yet-published epoch, a concurrent `add_node`/`rebalance` can
-    /// change *which* consistent epoch a racing lookup resolves against,
-    /// but never expose a partially-built one.
+    /// Resolves the node hosting `chunk` of object `id` against the
+    /// membership of the record's epoch.
     pub fn chunk_node(&self, id: ObjectId, chunk: u32) -> Option<usize> {
-        let t0 = std::time::Instant::now();
-        let rec = read_lock(&self.shards[self.shard_of(id)])
-            .get(&id.0)
-            .filter(|rec| chunk < rec.chunks)
-            .cloned();
-        let out = rec.map(|rec| {
-            let m = self.membership(rec.epoch).expect("record epoch published");
-            rec.node_of(
-                chunk,
-                self.seed,
-                id.placement_key(),
-                &self.shape,
-                &m.members,
-                &m.topology,
-            )
-        });
-        self.lookups.inc();
-        if out.is_none() {
-            self.misses.inc();
-        }
-        self.lookup_ns.record(t0.elapsed().as_nanos() as u64);
-        out
+        let rec = self.get(id).filter(|rec| chunk < rec.chunks)?;
+        let m = &self.epochs[rec.epoch as usize];
+        Some(rec.node_of(
+            chunk,
+            self.seed,
+            id.placement_key(),
+            &self.shape,
+            &m.members,
+            &m.topology,
+        ))
     }
 
     /// Opens a new membership epoch with one node added in `rack`
     /// (`rack == domains()` opens a new rack). Returns the new node's id.
-    /// No data moves until [`Namespace::rebalance`]. The new epoch is
-    /// built off-lock and published with one append.
-    pub fn add_node(&self, rack: usize) -> usize {
-        let mut epochs = write_lock(&self.epochs);
-        let cur = epochs.last().expect("at least one epoch");
+    /// No data moves until [`Namespace::rebalance`].
+    pub fn add_node(&mut self, rack: usize) -> usize {
+        let cur = self.current_membership();
         let topology = cur.topology.with_added_node(rack);
         let node = topology.nodes() - 1;
         let mut members = cur.members.clone();
         members.push(node);
-        epochs.push(Arc::new(Membership { members, topology }));
+        self.epochs.push(Membership { members, topology });
         node
     }
 
@@ -629,9 +546,8 @@ impl Namespace {
     /// # Panics
     ///
     /// Panics if `node` is not currently a member or is the last one.
-    pub fn remove_node(&self, node: usize) {
-        let mut epochs = write_lock(&self.epochs);
-        let cur = epochs.last().expect("at least one epoch");
+    pub fn remove_node(&mut self, node: usize) {
+        let cur = self.current_membership();
         let mut members = cur.members.clone();
         let i = members
             .binary_search(&node)
@@ -639,7 +555,7 @@ impl Namespace {
         members.remove(i);
         assert!(!members.is_empty(), "cannot remove the last member");
         let topology = cur.topology.clone();
-        epochs.push(Arc::new(Membership { members, topology }));
+        self.epochs.push(Membership { members, topology });
     }
 
     /// Advances up to `limit` stale-epoch records (all of them when
@@ -652,21 +568,13 @@ impl Namespace {
     /// Deterministic: shards and entries are visited in the namespace's
     /// stable iteration order, so a bounded scan always examines the
     /// same objects.
-    pub fn rebalance(&self, chunk_bytes: u64, limit: Option<usize>) -> RebalanceReport {
-        // Snapshot the epoch history once: append-only Arcs, so the
-        // clone is cheap and stays valid however long the scan runs.
-        let epochs: Vec<Arc<Membership>> = read_lock(&self.epochs).clone();
-        let current = (epochs.len() - 1) as u32;
+    pub fn rebalance(&mut self, chunk_bytes: u64, limit: Option<usize>) -> RebalanceReport {
+        let current = self.current_epoch();
         let cap = limit.unwrap_or(usize::MAX);
+        let (seed, shape, epochs) = (self.seed, &self.shape, &self.epochs);
         let new_m = &epochs[current as usize];
-        let seed = self.seed;
-        let shape = self.shape.clone();
         let mut report = RebalanceReport::default();
-        'scan: for shard in &self.shards {
-            // One shard write-locked at a time: concurrent lookups on
-            // other shards proceed; a lookup racing this shard sees the
-            // record wholly before or wholly after its epoch advance.
-            let mut map = write_lock(shard);
+        'scan: for map in &mut self.shards {
             for (key, rec) in map.iter_mut() {
                 if rec.epoch == current {
                     continue;
@@ -681,8 +589,7 @@ impl Namespace {
                 let mut new_cache: Option<(u64, Vec<usize>)> = None;
                 let k = u32::from(rec.code.k.max(1));
                 let mut ex = rec.exceptions.iter().peekable();
-                self.record_bytes
-                    .fetch_sub(rec.byte_size(), Ordering::Relaxed);
+                self.record_bytes -= rec.byte_size();
                 let mut kept = Vec::new();
                 for c in 0..rec.chunks {
                     report.chunks_total += 1;
@@ -697,7 +604,7 @@ impl Namespace {
                                     seed,
                                     okey,
                                     stripe,
-                                    &shape,
+                                    shape,
                                     &m.members,
                                     &m.topology,
                                 );
@@ -723,8 +630,7 @@ impl Namespace {
                 }
                 rec.exceptions = kept;
                 rec.epoch = current;
-                self.record_bytes
-                    .fetch_add(rec.byte_size(), Ordering::Relaxed);
+                self.record_bytes += rec.byte_size();
             }
         }
         report
@@ -815,7 +721,7 @@ mod tests {
     #[test]
     fn namespace_insert_get_remove() {
         let topo = Topology::racks(18, 6);
-        let ns = Namespace::new(1, 8, EcConfig::RS_9_6, Membership::full(topo)).unwrap();
+        let mut ns = Namespace::new(1, 8, EcConfig::RS_9_6, Membership::full(topo)).unwrap();
         assert!(ns.is_empty());
         for i in 0..100 {
             let id = object_id("bucket", &format!("obj-{i}"));
@@ -839,9 +745,9 @@ mod tests {
     }
 
     #[test]
-    fn chunk_node_resolves_and_counts() {
+    fn chunk_node_resolves_exceptions_and_misses() {
         let topo = Topology::racks(18, 6);
-        let ns = Namespace::new(2, 4, EcConfig::RS_9_6, Membership::full(topo)).unwrap();
+        let mut ns = Namespace::new(2, 4, EcConfig::RS_9_6, Membership::full(topo)).unwrap();
         let id = object_id("b", "x");
         ns.insert(
             id,
@@ -858,15 +764,12 @@ mod tests {
         // Out-of-range chunk and unknown object miss.
         assert_eq!(ns.chunk_node(id, 12), None);
         assert_eq!(ns.chunk_node(object_id("b", "y"), 0), None);
-        assert_eq!(ns.metrics().counter("meta_lookups").get(), 7);
-        assert_eq!(ns.metrics().counter("meta_lookup_misses").get(), 2);
-        assert_eq!(ns.metrics().histogram("meta_lookup_ns").count(), 7);
     }
 
     #[test]
     fn membership_changes_open_epochs_lazily() {
         let topo = Topology::racks(12, 4);
-        let ns = Namespace::new(3, 4, EcConfig::RS_9_6, Membership::full(topo)).unwrap();
+        let mut ns = Namespace::new(3, 4, EcConfig::RS_9_6, Membership::full(topo)).unwrap();
         let id = object_id("b", "lazy");
         ns.insert(id, record(0, 24, vec![]));
         let before: Vec<_> = (0..24).map(|c| ns.chunk_node(id, c).unwrap()).collect();
@@ -881,7 +784,7 @@ mod tests {
     #[test]
     fn rebalance_moves_a_small_fraction_on_add() {
         let topo = Topology::racks(24, 6);
-        let ns = Namespace::new(4, 16, EcConfig::RS_9_6, Membership::full(topo)).unwrap();
+        let mut ns = Namespace::new(4, 16, EcConfig::RS_9_6, Membership::full(topo)).unwrap();
         for i in 0..400 {
             let id = object_id("b", &format!("o{i}"));
             ns.insert(id, record(0, 30, vec![]));
@@ -906,7 +809,7 @@ mod tests {
     #[test]
     fn rebalance_heals_stranded_exceptions_and_keeps_live_ones() {
         let topo = Topology::racks(12, 4);
-        let ns = Namespace::new(5, 4, EcConfig::RS_9_6, Membership::full(topo)).unwrap();
+        let mut ns = Namespace::new(5, 4, EcConfig::RS_9_6, Membership::full(topo)).unwrap();
         let id = object_id("b", "exc");
         ns.insert(
             id,
@@ -935,7 +838,7 @@ mod tests {
     #[test]
     fn rebalance_scan_limit_bounds_work_deterministically() {
         let topo = Topology::racks(12, 4);
-        let ns = Namespace::new(6, 8, EcConfig::RS_9_6, Membership::full(topo)).unwrap();
+        let mut ns = Namespace::new(6, 8, EcConfig::RS_9_6, Membership::full(topo)).unwrap();
         for i in 0..50 {
             ns.insert(object_id("b", &format!("o{i}")), record(0, 6, vec![]));
         }
@@ -944,81 +847,5 @@ mod tests {
         assert_eq!(first.objects_scanned, 20);
         let rest = ns.rebalance(1, None);
         assert_eq!(rest.objects_scanned, 30);
-    }
-
-    #[test]
-    fn concurrent_lookups_never_observe_torn_epochs() {
-        // The service-mode contract: reader threads hammer `chunk_node`
-        // and `get` while one writer adds nodes, removes them, and
-        // rebalances. Every resolved node must belong to the membership
-        // of SOME published epoch — a torn epoch (partially-built member
-        // list or topology) would surface as an out-of-range node, a
-        // panic, or a record naming an unpublished epoch.
-        use std::sync::atomic::AtomicBool;
-        let topo = Topology::racks(12, 4);
-        let ns = Arc::new(Namespace::new(7, 8, EcConfig::RS_9_6, Membership::full(topo)).unwrap());
-        let objects = 64;
-        for i in 0..objects {
-            ns.insert(object_id("b", &format!("o{i}")), record(0, 30, vec![]));
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let readers: Vec<_> = (0..4)
-            .map(|t| {
-                let ns = Arc::clone(&ns);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut resolved = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        for i in 0..objects {
-                            let id = object_id("b", &format!("o{i}"));
-                            let chunk = ((i + t) % 30) as u32;
-                            if let Some(node) = ns.chunk_node(id, chunk) {
-                                // The node must exist in the topology of
-                                // the record's (published) epoch.
-                                let rec = ns.get(id).expect("record present");
-                                let m = ns.membership(rec.epoch).expect("epoch published");
-                                assert!(
-                                    node < m.topology.nodes(),
-                                    "node {node} outside epoch topology"
-                                );
-                                resolved += 1;
-                            }
-                        }
-                    }
-                    resolved
-                })
-            })
-            .collect();
-        // Writer: grow, shrink, rebalance — each publishes a new epoch.
-        for round in 0..6 {
-            let added = ns.add_node(round % 4);
-            ns.rebalance(1 << 10, None);
-            if round % 2 == 0 {
-                ns.remove_node(added);
-                ns.rebalance(1 << 10, None);
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        let mut total = 0;
-        for r in readers {
-            total += r.join().expect("reader panicked — torn state observed");
-        }
-        assert!(total > 0, "readers resolved nothing");
-        // After the dust settles every record sits at the current epoch.
-        ns.rebalance(1, None);
-        let cur = ns.current_epoch();
-        for i in 0..objects {
-            let rec = ns.get(object_id("b", &format!("o{i}"))).unwrap();
-            assert_eq!(rec.epoch, cur);
-        }
-        // Byte accounting survived the concurrent churn exactly.
-        let expect: u64 = (0..objects)
-            .map(|i| {
-                ns.get(object_id("b", &format!("o{i}")))
-                    .unwrap()
-                    .byte_size()
-            })
-            .sum();
-        assert_eq!(ns.record_bytes(), expect);
     }
 }

@@ -30,7 +30,7 @@ use fusion_obs::trace::Phase;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// One stripe's shard slots, `None` where the shard was not read.
@@ -57,6 +57,30 @@ pub struct PutReport {
     pub stripes: usize,
     /// Number of column chunks detected (0 for blobs).
     pub chunks: usize,
+}
+
+/// The wire-friendly residue of a [`PutReport`]: what a remote client
+/// can know about its Put. Simulated latency and packer wall-clock stay
+/// behind on the server — they are time-plane observations, not part of
+/// the storage contract.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PutOutcome {
+    /// Total bytes stored (data + padding + parity + metadata replicas).
+    pub stored_bytes: u64,
+    /// Number of stripes created.
+    pub stripes: u64,
+    /// Number of column chunks detected (0 for blobs).
+    pub chunks: u64,
+}
+
+impl From<&PutReport> for PutOutcome {
+    fn from(r: &PutReport) -> PutOutcome {
+        PutOutcome {
+            stored_bytes: r.stored_bytes,
+            stripes: r.stripes as u64,
+            chunks: r.chunks as u64,
+        }
+    }
 }
 
 /// Report returned by [`Store::recover_node`].
@@ -109,11 +133,13 @@ impl ObjectMetaRecord {
     }
 }
 
-/// An object's metadata-plane entry: the record plus where its replicas
-/// live on the data plane — tracked by block id so delete can reclaim
-/// them and recovery can rewrite them in place.
+/// One stored object: its placement metadata, its metadata-plane record,
+/// and where the record's replicas live on the data plane — tracked by
+/// block id so delete can reclaim them and recovery can rewrite them in
+/// place.
 #[derive(Debug, Clone)]
-struct MetaEntry {
+struct Entry {
+    meta: ObjectMeta,
     record: ObjectMetaRecord,
     replicas: Vec<(usize, BlockId)>,
 }
@@ -146,8 +172,10 @@ pub struct Store {
     /// construction (see [`fusion_cluster::spec::ClusterSpec::effective_topology`]).
     topology: Topology,
     blocks: BlockStore,
-    objects: HashMap<String, ObjectMeta>,
-    maps: HashMap<String, MetaEntry>,
+    /// The object table, in name order: an object and its metadata
+    /// record are inserted and removed together, and every whole-store
+    /// walk (recovery, scrub, listing) visits objects in the same order.
+    objects: BTreeMap<String, Entry>,
     /// Membership epochs compact records resolve against: each entry is
     /// the alive-node set some object was placed over (index = epoch).
     epochs: Vec<Vec<usize>>,
@@ -245,8 +273,7 @@ impl Store {
             code,
             topology,
             blocks: BlockStore::new(config.cluster.nodes),
-            objects: HashMap::new(),
-            maps: HashMap::new(),
+            objects: BTreeMap::new(),
             epochs: Vec::new(),
             shape,
             next_block: 0,
@@ -299,10 +326,11 @@ impl Store {
     pub fn object(&self, name: &str) -> Result<&ObjectMeta> {
         self.objects
             .get(name)
+            .map(|e| &e.meta)
             .ok_or_else(|| StoreError::ObjectNotFound(name.to_string()))
     }
 
-    /// Names of stored objects (unordered).
+    /// Names of stored objects, sorted.
     pub fn object_names(&self) -> Vec<String> {
         self.objects.keys().cloned().collect()
     }
@@ -311,68 +339,34 @@ impl Store {
     /// deterministic policy the map is materialized from the compact
     /// record — bit-identical to what a stored map would contain.
     pub fn location_map(&self, name: &str) -> Option<(LocationMap, Vec<usize>)> {
-        let entry = self.maps.get(name)?;
+        let entry = self.objects.get(name)?;
         let nodes = entry.replicas.iter().map(|&(n, _)| n).collect();
         let map = match &entry.record {
             ObjectMetaRecord::Stored(map) => map.clone(),
-            ObjectMetaRecord::Compact(rec) => {
-                let meta = self.objects.get(name)?;
-                rec.materialize(
-                    meta,
+            ObjectMetaRecord::Compact(rec) => rec
+                .materialize(
+                    &entry.meta,
                     self.config.seed,
                     placement::object_key("", name),
                     &self.shape,
                     &self.epochs[rec.epoch as usize],
                     &self.topology,
                 )
-                .ok()?
-            }
+                .ok()?,
         };
         Some((map, nodes))
     }
 
     /// The raw metadata record of an object (stored map or compact).
     pub fn meta_record(&self, name: &str) -> Option<&ObjectMetaRecord> {
-        self.maps.get(name).map(|e| &e.record)
+        self.objects.get(name).map(|e| &e.record)
     }
 
     /// Serialized metadata bytes held for an object across its replicas.
     pub fn metadata_bytes(&self, name: &str) -> Option<u64> {
-        self.maps
+        self.objects
             .get(name)
             .map(|e| e.record.byte_size() * e.replicas.len() as u64)
-    }
-
-    /// Resolves the node hosting chunk `ordinal` of `name` from the
-    /// metadata plane alone — the hot-path lookup the compact record is
-    /// optimized for. Counts into the `meta_lookups` /
-    /// `meta_lookup_misses` counters and the `meta_lookup_ns` histogram
-    /// of the cluster registry.
-    pub fn chunk_node(&self, name: &str, ordinal: usize) -> Option<usize> {
-        let t0 = std::time::Instant::now();
-        let out = self.maps.get(name).and_then(|entry| match &entry.record {
-            ObjectMetaRecord::Stored(map) => map.node_of(ordinal),
-            ObjectMetaRecord::Compact(rec) => {
-                let c = u32::try_from(ordinal).ok().filter(|&c| c < rec.chunks)?;
-                Some(rec.node_of(
-                    c,
-                    self.config.seed,
-                    placement::object_key("", name),
-                    &self.shape,
-                    &self.epochs[rec.epoch as usize],
-                    &self.topology,
-                ))
-            }
-        });
-        let metrics = self.metrics();
-        metrics.counter("meta_lookups").inc();
-        if out.is_none() {
-            metrics.counter("meta_lookup_misses").inc();
-        }
-        metrics
-            .histogram("meta_lookup_ns")
-            .record(t0.elapsed().as_nanos() as u64);
-        out
     }
 
     /// Reads an object's location metadata back off the data plane (first
@@ -388,7 +382,7 @@ impl Store {
     /// replica is readable.
     pub fn read_location_map(&self, name: &str) -> Result<LocationMap> {
         let entry = self
-            .maps
+            .objects
             .get(name)
             .ok_or_else(|| StoreError::ObjectNotFound(name.to_string()))?;
         let nodes = self.config.cluster.nodes;
@@ -400,9 +394,8 @@ impl Store {
                 ObjectMetaRecord::Stored(_) => Ok(LocationMap::from_bytes_checked(&bytes, nodes)?),
                 ObjectMetaRecord::Compact(_) => {
                     let rec = LayoutRecord::from_bytes_checked(&bytes, nodes)?;
-                    let meta = self.object(name)?;
                     Ok(rec.materialize(
-                        meta,
+                        &entry.meta,
                         self.config.seed,
                         placement::object_key("", name),
                         &self.shape,
@@ -448,12 +441,7 @@ impl Store {
         &mut self,
         name: &str,
     ) -> Option<(ObjectMeta, Vec<(usize, BlockId)>)> {
-        let replicas = self
-            .maps
-            .remove(name)
-            .map(|e| e.replicas)
-            .unwrap_or_default();
-        self.objects.remove(name).map(|meta| (meta, replicas))
+        self.objects.remove(name).map(|e| (e.meta, e.replicas))
     }
 
     /// The coordinator node for an object: hash of the name over alive
@@ -828,9 +816,14 @@ impl Store {
 
         let stripes = meta.layout.stripes.len();
         let chunks = meta.num_chunks();
-        self.objects.insert(name.to_string(), meta);
-        self.maps
-            .insert(name.to_string(), MetaEntry { record, replicas });
+        self.objects.insert(
+            name.to_string(),
+            Entry {
+                meta,
+                record,
+                replicas,
+            },
+        );
 
         Ok(PutReport {
             policy_used,
@@ -1187,6 +1180,9 @@ impl Store {
         self.flaky.remove(&node);
         let cost = self.config.cluster.cost.clone();
         let mut wf = Workflow::new();
+        // Name order (the object table is ordered): the walk fixes the
+        // order of the repair workflow's steps, and with it the queueing
+        // on the virtual clock.
         let names: Vec<String> = self.objects.keys().cloned().collect();
 
         // Phase 1 (serial): read each lost block's cheapest repair set,
@@ -1194,7 +1190,7 @@ impl Store {
         // any k survivors for RS.
         let mut jobs: Vec<RepairJob> = Vec::new();
         for name in &names {
-            let meta = self.objects.get(name).expect("object exists");
+            let meta = &self.objects[name].meta;
             for (si, sp) in meta.placement.iter().enumerate() {
                 for (bi, (&bnode, &bid)) in sp.nodes.iter().zip(&sp.block_ids).enumerate() {
                     if bnode != node || self.blocks.get(bnode, bid).is_ok() {
@@ -1309,7 +1305,7 @@ impl Store {
         // record is recomputable from object metadata, so this is a
         // local rewrite; the tracked block id is refreshed in place.
         for name in &names {
-            let todo = self.maps.get(name).and_then(|entry| {
+            let todo = self.objects.get(name).and_then(|entry| {
                 entry
                     .replicas
                     .iter()
@@ -1320,7 +1316,7 @@ impl Store {
                 let id = self.fresh_block();
                 report.bytes_restored += bytes.len() as u64;
                 self.blocks.put(node, id, Bytes::from(bytes))?;
-                if let Some(entry) = self.maps.get_mut(name) {
+                if let Some(entry) = self.objects.get_mut(name) {
                     entry.replicas[i].1 = id;
                 }
             }
@@ -1676,21 +1672,6 @@ mod tests {
         // Reading the replicated record back off the data plane and
         // validating it yields the same map.
         assert_eq!(store.read_location_map("obj").unwrap(), oracle);
-        // The hot-path lookup agrees with the oracle for every chunk.
-        let chunks = store.object("obj").unwrap().num_chunks();
-        for c in 0..chunks {
-            assert_eq!(store.chunk_node("obj", c), map.node_of(c));
-        }
-        assert_eq!(store.chunk_node("obj", chunks), None);
-        assert_eq!(
-            store.metrics().counter("meta_lookups").get(),
-            chunks as u64 + 1
-        );
-        assert_eq!(store.metrics().counter("meta_lookup_misses").get(), 1);
-        assert_eq!(
-            store.metrics().histogram("meta_lookup_ns").count(),
-            chunks as u64 + 1
-        );
     }
 
     #[test]
@@ -1873,6 +1854,28 @@ mod tests {
         }
         for (name, bytes) in &objs {
             assert_eq!(&store.get(name, 0, bytes.len() as u64).unwrap(), bytes);
+        }
+    }
+
+    #[test]
+    fn recovery_is_identical_across_identical_stores() {
+        // Recovery walks the object table to build its repair workflow;
+        // the walk order sets the queueing on the virtual clock, so it
+        // must not depend on anything but the stored objects.
+        let bytes = analytics_bytes(20_000, 2_000);
+        let reports: Vec<RecoveryReport> = (0..4)
+            .map(|_| {
+                let mut store = Store::new(StoreConfig::fusion()).unwrap();
+                for i in 0..8 {
+                    store.put(&format!("obj-{i}"), bytes.clone()).unwrap();
+                }
+                store.fail_node(2).unwrap();
+                store.recover_node(2).unwrap()
+            })
+            .collect();
+        assert!(reports[0].stripes_repaired > 0);
+        for r in &reports[1..] {
+            assert_eq!(r, &reports[0]);
         }
     }
 

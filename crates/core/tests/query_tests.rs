@@ -148,7 +148,7 @@ fn fusion_and_baseline_agree_on_all_queries() {
     // every store; answers are rebuilt from parity and stay bit-identical
     // (pushed aggregates fall back to the coordinator on that node's
     // chunks).
-    let node = fusion.chunk_node("t", 0).expect("chunk 0 is placed");
+    let node = fusion.object("t").unwrap().chunk_fragments(0)[0].node;
     for store in [&mut fusion, &mut baseline, &mut always, &mut pushed] {
         store.fail_node(node).unwrap();
     }

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -193,11 +193,18 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// Locks the name table. A kind-mismatch panic fires while the lock
+    /// is held and poisons it, but never leaves the map half-updated, so
+    /// the guard is recovered rather than failing every later caller.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Metric>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Returns the counter registered under `name`, creating it at zero
     /// on first use. Panics if `name` is already registered as a
     /// different metric kind (a programming error, not an input error).
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = self.lock();
         match inner
             .entry(name.to_string())
             .or_insert_with(|| Metric::Counter(Arc::new(Counter::new())))
@@ -210,7 +217,7 @@ impl MetricsRegistry {
     /// Returns the gauge registered under `name`, creating it on first
     /// use (same kind rules as [`MetricsRegistry::counter`]).
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = self.lock();
         match inner
             .entry(name.to_string())
             .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())))
@@ -223,7 +230,7 @@ impl MetricsRegistry {
     /// Returns the histogram registered under `name`, creating it on
     /// first use (same kind rules as [`MetricsRegistry::counter`]).
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = self.lock();
         match inner
             .entry(name.to_string())
             .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())))
@@ -255,7 +262,7 @@ impl MetricsRegistry {
     /// A snapshot of every counter and gauge value plus histogram
     /// `count`/`sum`, sorted by name.
     pub fn snapshot(&self) -> Vec<(String, i64)> {
-        let inner = self.inner.lock().expect("metrics registry poisoned");
+        let inner = self.lock();
         let mut out = Vec::with_capacity(inner.len());
         for (name, metric) in inner.iter() {
             match metric {
@@ -273,7 +280,7 @@ impl MetricsRegistry {
     /// Renders the registry as a sorted, flat JSON object. Histograms
     /// export `count`, `sum`, and the non-empty buckets.
     pub fn to_json(&self) -> String {
-        let inner = self.inner.lock().expect("metrics registry poisoned");
+        let inner = self.lock();
         let mut out = String::from("{");
         for (i, (name, metric)) in inner.iter().enumerate() {
             if i > 0 {
@@ -427,6 +434,18 @@ mod tests {
         reg.tenant(2).histogram("sojourn_ns").record(1000);
         assert_eq!(reg.counter("tenant2.served").get(), 7);
         assert_eq!(reg.histogram("tenant2.sojourn_ns").count(), 1);
+    }
+
+    #[test]
+    fn kind_mismatch_panic_leaves_registry_usable() {
+        let reg = MetricsRegistry::new();
+        reg.counter("x");
+        let mismatch = std::panic::catch_unwind(|| {
+            reg.histogram("x");
+        });
+        assert!(mismatch.is_err());
+        reg.counter("y").inc();
+        assert_eq!(reg.counter("y").get(), 1);
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! ([`service`]), and clients reach it over an in-process loopback or
 //! TCP ([`transport`], [`client`]).
 //!
-//! The load-bearing invariant: [`ServiceBackend`] and
-//! [`fusion_core::DesBackend`] are the *same* store behind two time
-//! planes, so every query must return **bit-identical** results through
-//! either — healthy or degraded. `tests/equivalence.rs` enforces it;
-//! `tests/stress.rs` hammers the concurrency.
+//! The load-bearing invariant: a [`Client`] talking to a [`Service`]
+//! reaches the *same* store the figures drive in process, so every
+//! query must return **bit-identical** results either way — healthy or
+//! degraded. `tests/equivalence.rs` enforces it against a plain
+//! [`fusion_core::Store`]; `tests/stress.rs` hammers the concurrency.
 
 #![warn(missing_docs)]
 
@@ -24,5 +24,5 @@ pub mod transport;
 
 pub use client::{Client, ClientError, ClientResult};
 pub use proto::{ErrorCode, FrameError, Request, Response, MAX_FRAME};
-pub use service::{Service, ServiceBackend, DEFAULT_QUEUE_DEPTH};
+pub use service::{Service, DEFAULT_QUEUE_DEPTH};
 pub use transport::{Loopback, PipelinedTcp, TcpServer, TcpTransport, Transport};

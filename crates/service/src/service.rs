@@ -24,7 +24,7 @@
 //! produces exactly one response.
 
 use crate::proto::{code_of, ErrorCode, FrameError, Request, Response};
-use fusion_core::{Backend, PutOutcome, Store, StoreError};
+use fusion_core::{PutOutcome, Store, StoreError};
 use fusion_obs::metrics::MetricsRegistry;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -275,7 +275,7 @@ impl Drop for Service {
 fn worker_loop(shared: &Shared, index: usize) {
     let requests = shared.metrics.counter(&format!("worker{index}.requests"));
     loop {
-        let job = {
+        let Job { request, reply } = {
             let q = shared.lock_queue();
             let mut q = shared
                 .cv
@@ -306,21 +306,21 @@ fn worker_loop(shared: &Shared, index: usize) {
         // A panicking request (a bug or adversarial input past the typed
         // checks) must cost only that request, not the worker. The store
         // locks recover from poisoning (see Shared), so the next request
-        // proceeds.
-        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle(shared, &job.request)
-        }))
-        .unwrap_or_else(|_| Response::Err {
-            code: ErrorCode::Internal,
-            message: "request handler panicked".into(),
-        });
+        // proceeds. The request moves into the handler, so a PUT payload
+        // goes to the store without a copy under the write lock.
+        let response =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle(shared, request)))
+                .unwrap_or_else(|_| Response::Err {
+                    code: ErrorCode::Internal,
+                    message: "request handler panicked".into(),
+                });
         shared
             .metrics
             .histogram("service.request_ns")
             .record(t0.elapsed().as_nanos() as u64);
         shared.metrics.counter("service.completed").inc();
         // The client may have given up; a closed channel is not an error.
-        let _ = job.reply.send(response);
+        let _ = reply.send(response);
         {
             let mut q = shared.lock_queue();
             q.in_flight -= 1;
@@ -337,25 +337,25 @@ fn err_of(e: &StoreError) -> Response {
     }
 }
 
-fn handle(shared: &Shared, request: &Request) -> Response {
+fn handle(shared: &Shared, request: Request) -> Response {
     match request {
-        Request::Get { key, offset, len } => match shared.read_store().get(key, *offset, *len) {
+        Request::Get { key, offset, len } => match shared.read_store().get(&key, offset, len) {
             Ok(data) => Response::Get(data),
             Err(e) => err_of(&e),
         },
-        Request::Query { object, sql } => match shared.read_store().query_as(object, sql) {
+        Request::Query { object, sql } => match shared.read_store().query_as(&object, &sql) {
             Ok(out) => Response::Query(out.result),
             Err(e) => err_of(&e),
         },
-        Request::Put { key, data } => match shared.write_store().put(key, data.clone()) {
+        Request::Put { key, data } => match shared.write_store().put(&key, data) {
             Ok(report) => Response::Put(PutOutcome::from(&report)),
             Err(e) => err_of(&e),
         },
-        Request::FailNode(n) => match shared.write_store().fail_node(*n as usize) {
+        Request::FailNode(n) => match shared.write_store().fail_node(n as usize) {
             Ok(()) => Response::Ok,
             Err(e) => err_of(&e),
         },
-        Request::RecoverNode(n) => match shared.write_store().recover_node(*n as usize) {
+        Request::RecoverNode(n) => match shared.write_store().recover_node(n as usize) {
             Ok(_) => Response::Ok,
             Err(e) => err_of(&e),
         },
@@ -379,97 +379,5 @@ pub fn bad_frame(e: &FrameError) -> Response {
     Response::Err {
         code: ErrorCode::BadFrame,
         message: e.to_string(),
-    }
-}
-
-/// [`Backend`] over a service: the trait's calls go through the real
-/// submit/queue/worker path (loopback in-process, no sockets), so
-/// anything written against [`Backend`] exercises service-mode
-/// concurrency unmodified.
-pub struct ServiceBackend {
-    service: Arc<Service>,
-}
-
-impl ServiceBackend {
-    /// Wraps a running service.
-    pub fn new(service: Arc<Service>) -> ServiceBackend {
-        ServiceBackend { service }
-    }
-
-    /// The underlying service.
-    pub fn service(&self) -> &Service {
-        &self.service
-    }
-
-    fn unexpected(what: &Response) -> StoreError {
-        StoreError::Internal(format!("unexpected service response: {what:?}"))
-    }
-
-    fn map_err(code: ErrorCode, message: String) -> StoreError {
-        match code {
-            ErrorCode::ObjectNotFound => StoreError::ObjectNotFound(message),
-            ErrorCode::ObjectExists => StoreError::ObjectExists(message),
-            ErrorCode::InvalidRequest | ErrorCode::BadFrame => StoreError::InvalidRequest(message),
-            ErrorCode::Unavailable | ErrorCode::Overloaded | ErrorCode::ShuttingDown => {
-                StoreError::Unavailable(message)
-            }
-            _ => StoreError::Internal(message),
-        }
-    }
-}
-
-impl Backend for ServiceBackend {
-    fn put(&self, name: &str, data: Vec<u8>) -> fusion_core::Result<PutOutcome> {
-        match self.service.call(Request::Put {
-            key: name.to_string(),
-            data,
-        }) {
-            Response::Put(outcome) => Ok(outcome),
-            Response::Err { code, message } => Err(Self::map_err(code, message)),
-            other => Err(Self::unexpected(&other)),
-        }
-    }
-
-    fn get(&self, name: &str, offset: u64, len: u64) -> fusion_core::Result<Vec<u8>> {
-        match self.service.call(Request::Get {
-            key: name.to_string(),
-            offset,
-            len,
-        }) {
-            Response::Get(data) => Ok(data),
-            Response::Err { code, message } => Err(Self::map_err(code, message)),
-            other => Err(Self::unexpected(&other)),
-        }
-    }
-
-    fn query(&self, object: &str, sql: &str) -> fusion_core::Result<fusion_core::QueryResult> {
-        match self.service.call(Request::Query {
-            object: object.to_string(),
-            sql: sql.to_string(),
-        }) {
-            Response::Query(result) => Ok(result),
-            Response::Err { code, message } => Err(Self::map_err(code, message)),
-            other => Err(Self::unexpected(&other)),
-        }
-    }
-
-    fn fail_node(&self, node: usize) -> fusion_core::Result<()> {
-        match self.service.call(Request::FailNode(node as u32)) {
-            Response::Ok => Ok(()),
-            Response::Err { code, message } => Err(Self::map_err(code, message)),
-            other => Err(Self::unexpected(&other)),
-        }
-    }
-
-    fn recover_node(&self, node: usize) -> fusion_core::Result<()> {
-        match self.service.call(Request::RecoverNode(node as u32)) {
-            Response::Ok => Ok(()),
-            Response::Err { code, message } => Err(Self::map_err(code, message)),
-            other => Err(Self::unexpected(&other)),
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        "service"
     }
 }

@@ -1,19 +1,19 @@
-//! DES-vs-service equivalence: the same store, the same queries, two
-//! time planes — results must be **bit-identical** (ISSUE/DESIGN §17).
+//! Store-vs-service equivalence: the same store, the same queries, two
+//! time planes — results must be **bit-identical** (DESIGN.md §17).
 //!
 //! Each case builds two identically-configured stores from the same
-//! table bytes, wraps one in [`DesBackend`] and runs the other as a
-//! threaded [`Service`] reached through the loopback transport (real
-//! frame codec, real queue, real workers), and compares every query of
-//! the e2e mix — healthy, with a node failed, and with a worker thread
-//! stopped. Both query executors (pushdown and reassemble) are covered.
+//! table bytes, drives one in process as a plain [`Store`] and runs the
+//! other as a threaded [`Service`] reached by a [`Client`] over the
+//! loopback transport (real frame codec, real queue, real workers), and
+//! compares every query of the e2e mix — healthy, with a node failed,
+//! and with a worker thread stopped. Both query executors (pushdown and
+//! reassemble) are covered.
 
 use fusion_core::config::{QueryMode, StoreConfig};
 use fusion_core::query::QueryResult;
 use fusion_core::store::Store;
-use fusion_core::{Backend, DesBackend};
 use fusion_format::prelude::*;
-use fusion_service::{Client, Loopback, Service, ServiceBackend, TcpServer, TcpTransport};
+use fusion_service::{Client, Loopback, Service, TcpServer, TcpTransport};
 use std::sync::Arc;
 
 /// The same lineitem-like table the core e2e suite queries.
@@ -98,15 +98,17 @@ fn assert_bit_identical(a: &QueryResult, b: &QueryResult, ctx: &str) {
     }
 }
 
-/// Runs the full mix through both backends and compares bit-for-bit.
-fn compare_backends(des: &dyn Backend, svc: &dyn Backend, ctx: &str) {
+/// Runs the full mix through the store and the service client and
+/// compares bit-for-bit.
+fn compare(store: &Store, client: &mut Client<Loopback>, ctx: &str) {
     for sql in QUERIES {
-        let a = des
+        let a = store
+            .query_as("t", sql)
+            .unwrap_or_else(|e| panic!("{sql} via store: {e}"))
+            .result;
+        let b = client
             .query("t", sql)
-            .unwrap_or_else(|e| panic!("{sql} via {}: {e}", des.label()));
-        let b = svc
-            .query("t", sql)
-            .unwrap_or_else(|e| panic!("{sql} via {}: {e}", svc.label()));
+            .unwrap_or_else(|e| panic!("{sql} via service: {e}"));
         assert_bit_identical(&a, &b, &format!("{ctx}: {sql}"));
     }
 }
@@ -119,32 +121,34 @@ fn equivalence_for_mode(mode: QueryMode, workers: usize) {
         },
     )
     .unwrap();
-    let des = DesBackend::new(store_with(mode, &bytes));
+    let mut store = store_with(mode, &bytes);
     let service = Arc::new(Service::start(store_with(mode, &bytes), workers));
-    let svc = ServiceBackend::new(Arc::clone(&service));
+    let mut client = Client::new(Loopback::new(Arc::clone(&service)));
 
     // Healthy.
-    compare_backends(&des, &svc, "healthy");
+    compare(&store, &mut client, "healthy");
 
     // GETs agree too (byte plane, not just query plane).
-    let got_des = des.get("t", 100, 4096).unwrap();
-    let got_svc = svc.get("t", 100, 4096).unwrap();
-    assert_eq!(got_des, got_svc, "ranged GET differs");
+    assert_eq!(
+        store.get("t", 100, 4096).unwrap(),
+        client.get("t", 100, 4096).unwrap(),
+        "ranged GET differs"
+    );
 
     // Degraded: fail the same node on both sides; queries reconstruct.
-    des.fail_node(2).unwrap();
-    svc.fail_node(2).unwrap();
-    compare_backends(&des, &svc, "node 2 failed");
+    store.fail_node(2).unwrap();
+    client.fail_node(2).unwrap();
+    compare(&store, &mut client, "node 2 failed");
 
     // One worker thread stopped: the service keeps serving (with fewer
     // workers) and stays bit-identical.
     assert!(service.stop_worker(0));
-    compare_backends(&des, &svc, "node 2 failed + worker 0 stopped");
+    compare(&store, &mut client, "node 2 failed + worker 0 stopped");
 
     // Recovered: both sides heal, still identical.
-    des.recover_node(2).unwrap();
-    svc.recover_node(2).unwrap();
-    compare_backends(&des, &svc, "recovered");
+    store.recover_node(2).unwrap();
+    client.recover_node(2).unwrap();
+    compare(&store, &mut client, "recovered");
 }
 
 #[test]

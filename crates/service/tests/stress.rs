@@ -2,9 +2,8 @@
 //! no deadlock, and conservation counters that balance exactly.
 //!
 //! These tests are what the `service` CI job additionally runs under
-//! ThreadSanitizer: they exercise the RwLock'd store, the sharded
-//! namespace, the chunk cache's insert race, and the bounded queue under
-//! real interleavings.
+//! ThreadSanitizer: they exercise the RwLock'd store, the chunk cache's
+//! insert race, and the bounded queue under real interleavings.
 
 use fusion_core::config::StoreConfig;
 use fusion_core::store::Store;
