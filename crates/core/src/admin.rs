@@ -4,9 +4,10 @@
 //! Put/Get/Query.
 
 use crate::error::{Result, StoreError};
-use crate::store::Store;
+use crate::store::{trim_to_stored, ShardBuf, Store};
 use bytes::Bytes;
 use fusion_cluster::store::ClusterError;
+use fusion_ec::stripe::StripeCodec;
 
 /// Summary of one stored object (a `HEAD` response).
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +45,8 @@ pub struct ScrubReport {
     /// (silent corruption that slipped past the CRC), or with too few
     /// readable shards to rebuild.
     pub stripes_corrupt: usize,
-    /// Blocks rebuilt from parity and rewritten during this pass.
+    /// Blocks rewritten during this pass: stripe blocks rebuilt from
+    /// parity, and location-record replicas restored from the record.
     pub blocks_repaired: usize,
     /// Stripes that had at least one block repaired.
     pub stripes_repaired: usize,
@@ -119,44 +121,45 @@ impl Store {
         Ok(())
     }
 
-    /// Verifies — and where possible **heals** — the parity consistency
-    /// of every stripe of every object.
+    /// Verifies — and where possible **heals** — every stripe of every
+    /// object, and every location-record replica.
     ///
-    /// Reads all blocks of each stripe and re-checks the Reed-Solomon
-    /// relation; detects silent data corruption that checksumless reads
-    /// would miss. Repairs happen in two tiers:
+    /// One pass per stripe, inline on the caller's thread: read every
+    /// block, re-check the code's parity relation (which catches silent
+    /// corruption that checksumless reads would miss), heal or localize,
+    /// then apply. Repairs happen in three tiers:
     ///
     /// * Blocks the data plane itself flags — checksum mismatch
     ///   ([`ClusterError::Corrupt`]) or missing on an alive node — are
-    ///   rebuilt from the stripe's surviving shards and rewritten in
-    ///   place. The healed stripe counts as ok.
+    ///   rebuilt and rewritten in place: a single loss through the
+    ///   store's one repair routine (the code's cheapest repair set, fed
+    ///   the shards already read), several through full reconstruction.
+    ///   The healed stripe counts as ok.
     /// * Parity mismatches among checksum-valid blocks (bit rot that
     ///   also recomputed the CRC, i.e. a tampered write) are localized
     ///   by leave-one-out reconstruction: the one block whose exclusion
     ///   makes the stripe verify again is the culprit and is rewritten.
     ///   The stripe still counts as corrupt so the detection is never
     ///   silent.
+    /// * Location-record replicas an alive node can no longer serve
+    ///   (rotted or missing) are rewritten in place from the record.
     ///
     /// Stripes with a block on a **down** node are counted degraded and
-    /// left for [`Store::recover_node`].
-    ///
-    /// The expensive verify/reconstruct math of each stripe fans out
-    /// across the store's worker pool; block reads and repair writes stay
-    /// serial (the data plane is single-owner).
+    /// left for [`Store::recover_node`], as are replicas on down nodes.
     pub fn scrub(&mut self) -> ScrubReport {
         let mut report = ScrubReport::default();
+        let (n, k) = (self.codec().total_blocks(), self.codec().data_blocks());
         for name in self.object_names() {
             let meta = match self.object(&name) {
                 Ok(m) => m.clone(),
                 Err(_) => continue,
             };
-
-            // Phase 1 (serial): read and classify every block of every
-            // stripe of this object.
-            let mut jobs: Vec<ScrubJob> = Vec::with_capacity(meta.placement.len());
+            let repaired_before = report.blocks_repaired;
             for (si, sp) in meta.placement.iter().enumerate() {
                 let width = sp.width as usize;
-                let mut shards: Vec<Option<Vec<u8>>> = Vec::with_capacity(sp.nodes.len());
+
+                // Read every block of the stripe.
+                let mut shards: ShardBuf = Vec::with_capacity(n);
                 let mut lost: Vec<usize> = Vec::new();
                 let mut degraded = false;
                 for (i, (&node, &block)) in sp.nodes.iter().zip(&sp.block_ids).enumerate() {
@@ -178,138 +181,73 @@ impl Store {
                         }
                     }
                 }
-                jobs.push(ScrubJob {
-                    si,
-                    width,
-                    shards,
-                    lost,
-                    degraded,
-                    verdict: ScrubVerdict::Degraded,
-                    sources: 0,
-                });
-            }
+                if degraded {
+                    report.stripes_degraded += 1;
+                    continue;
+                }
 
-            // Phase 2 (parallel): verify/reconstruct each stripe across
-            // the worker pool. Pure codec math over job-owned buffers.
-            {
-                let rs = self.codec();
-                self.pool().for_each_mut(&mut jobs, |_, job| {
-                    job.verdict = if job.degraded {
-                        ScrubVerdict::Degraded
-                    } else if !job.lost.is_empty() {
-                        // Single losses go through the code's cheapest
-                        // repair path (an LRC local group reads r shards,
-                        // not k); multi-loss falls back to full
-                        // reconstruction.
-                        let avail: Vec<bool> = job.shards.iter().map(|s| s.is_some()).collect();
-                        let healed = if let [single] = job.lost[..] {
-                            job.sources = rs
-                                .repair_sources(single, &avail)
-                                .map_or(rs.data_blocks(), |s| s.len());
-                            rs.repair_one(&mut job.shards, single, job.width)
-                        } else {
-                            job.sources =
-                                avail.iter().filter(|&&a| a).count().min(rs.data_blocks());
-                            rs.reconstruct(&mut job.shards, job.width)
-                        };
-                        match healed {
-                            Ok(()) => ScrubVerdict::Healed,
-                            // Too few readable shards: unrecoverable.
-                            Err(_) => ScrubVerdict::Unrecoverable,
-                        }
-                    } else {
-                        let full: Vec<&[u8]> = job
-                            .shards
+                // Verify, heal or localize: the blocks to rewrite.
+                let heals: Vec<(usize, Vec<u8>)> = match lost[..] {
+                    [] => {
+                        let full: Vec<&[u8]> = shards
                             .iter()
                             .map(|s| s.as_deref().expect("all readable"))
                             .collect();
-                        if rs.verify(&full) {
-                            ScrubVerdict::Ok
-                        } else {
-                            ScrubVerdict::Mismatch
+                        if self.codec().verify(&full) {
+                            report.stripes_ok += 1;
+                            continue;
                         }
-                    };
-                });
-            }
-
-            // Phase 3 (serial): apply verdicts — rewrite healed blocks,
-            // localize tampered ones — and tally the report.
-            let k = self.config().ec.k;
-            let repaired_before = report.blocks_repaired;
-            for job in jobs {
-                let sp = &meta.placement[job.si];
-                match job.verdict {
-                    ScrubVerdict::Degraded => report.stripes_degraded += 1,
-                    ScrubVerdict::Ok => report.stripes_ok += 1,
-                    ScrubVerdict::Unrecoverable => report.stripes_corrupt += 1,
-                    ScrubVerdict::Healed => {
-                        // Repair traffic: the heal read `sources` shards
-                        // off other nodes to rebuild the lost block(s).
+                        // Silent corruption that slipped past the CRC.
+                        report.stripes_corrupt += 1;
+                        localize(self.codec(), &shards, width)
+                            .map(|(c, rebuilt)| (c, trim_to_stored(&meta, si, c, rebuilt)))
+                            .into_iter()
+                            .collect()
+                    }
+                    [single] => match self.rebuild_shard(&meta, si, single, Some(shards)) {
+                        Ok((content, sources)) => {
+                            self.metrics()
+                                .counter("repair_bytes_moved")
+                                .add((sources.len() * width) as u64);
+                            report.stripes_ok += 1;
+                            vec![(single, content)]
+                        }
+                        // Too few readable shards: unrecoverable.
+                        Err(_) => {
+                            report.stripes_corrupt += 1;
+                            continue;
+                        }
+                    },
+                    // Several losses: full reconstruction.
+                    _ => {
+                        if self.codec().reconstruct(&mut shards, width).is_err() {
+                            report.stripes_corrupt += 1;
+                            continue;
+                        }
+                        let sources = (n - lost.len()).min(k);
                         self.metrics()
                             .counter("repair_bytes_moved")
-                            .add((job.sources * job.width) as u64);
-                        for &i in &job.lost {
-                            let content = trim_shard(
-                                job.shards[i].clone().expect("reconstructed"),
-                                &meta,
-                                job.si,
-                                i,
-                                k,
-                            );
-                            report.blocks_repaired += 1;
-                            self.metrics()
-                                .node(sp.nodes[i])
-                                .counter("scrub_heals")
-                                .inc();
-                            let _ = self.blocks_mut().put(
-                                sp.nodes[i],
-                                sp.block_ids[i],
-                                Bytes::from(content),
-                            );
-                        }
-                        report.stripes_repaired += 1;
+                            .add((sources * width) as u64);
                         report.stripes_ok += 1;
+                        lost.iter()
+                            .map(|&i| {
+                                let rebuilt = shards[i].take().expect("reconstructed");
+                                (i, trim_to_stored(&meta, si, i, rebuilt))
+                            })
+                            .collect()
                     }
-                    ScrubVerdict::Mismatch => {
-                        // Silent corruption that slipped past the CRC.
-                        // Localize it: excluding the corrupt block (and
-                        // only it) yields a stripe that reconstructs AND
-                        // verifies. Rare, so stays serial.
-                        report.stripes_corrupt += 1;
-                        let full: Vec<Vec<u8>> = job
-                            .shards
-                            .iter()
-                            .map(|s| s.clone().expect("all readable"))
-                            .collect();
-                        for c in 0..full.len() {
-                            let mut cand: Vec<Option<Vec<u8>>> =
-                                full.iter().cloned().map(Some).collect();
-                            cand[c] = None;
-                            if self.codec().reconstruct(&mut cand, job.width).is_err() {
-                                continue;
-                            }
-                            let rebuilt: Vec<Vec<u8>> = cand
-                                .into_iter()
-                                .map(|s| s.expect("reconstructed"))
-                                .collect();
-                            let refs: Vec<&[u8]> = rebuilt.iter().map(|v| v.as_slice()).collect();
-                            if self.codec().verify(&refs) {
-                                let content = trim_shard(rebuilt[c].clone(), &meta, job.si, c, k);
-                                report.blocks_repaired += 1;
-                                report.stripes_repaired += 1;
-                                self.metrics()
-                                    .node(sp.nodes[c])
-                                    .counter("scrub_heals")
-                                    .inc();
-                                let _ = self.blocks_mut().put(
-                                    sp.nodes[c],
-                                    sp.block_ids[c],
-                                    Bytes::from(content),
-                                );
-                                break;
-                            }
-                        }
-                    }
+                };
+
+                // Apply: rewrite each rebuilt block in place.
+                if heals.is_empty() {
+                    continue;
+                }
+                report.stripes_repaired += 1;
+                for (i, content) in heals {
+                    let (node, block) = (sp.nodes[i], sp.block_ids[i]);
+                    report.blocks_repaired += 1;
+                    self.metrics().node(node).counter("scrub_heals").inc();
+                    let _ = self.blocks_mut().put(node, block, Bytes::from(content));
                 }
             }
             if report.blocks_repaired > repaired_before {
@@ -317,49 +255,34 @@ impl Store {
                 // object may predate the heal.
                 self.chunk_cache().invalidate_object(&name);
             }
+            for node in self.heal_replicas(&name) {
+                report.blocks_repaired += 1;
+                self.metrics().node(node).counter("scrub_heals").inc();
+            }
         }
         report
     }
 }
 
-/// What the parallel verify/reconstruct phase concluded about a stripe.
-enum ScrubVerdict {
-    /// A block sits on a down node; leave for `recover_node`.
-    Degraded,
-    /// Parity checks out.
-    Ok,
-    /// CRC-flagged/missing blocks were rebuilt into `shards`.
-    Healed,
-    /// Fewer than `k` readable shards remain.
-    Unrecoverable,
-    /// All blocks readable but parity disagrees (tampered write).
-    Mismatch,
-}
-
-/// One stripe's scrub work unit; owned buffers so the verify/reconstruct
-/// phase can run on pool workers without shared mutable state.
-struct ScrubJob {
-    si: usize,
+/// Leave-one-out localization of a tampered block in a fully readable
+/// stripe whose parity does not verify: the one shard whose exclusion
+/// yields a stripe that reconstructs **and** verifies is the culprit.
+/// Returns its index and its rebuilt (full-width) bytes.
+fn localize(
+    code: &dyn StripeCodec,
+    shards: &[Option<Vec<u8>>],
     width: usize,
-    shards: Vec<Option<Vec<u8>>>,
-    lost: Vec<usize>,
-    degraded: bool,
-    verdict: ScrubVerdict,
-    /// Shards the heal read as repair sources (repair-traffic tally).
-    sources: usize,
-}
-
-/// Trims a reconstructed shard back to its stored size: data bins are
-/// stored without implicit padding; parity stays at full stripe width.
-fn trim_shard(
-    mut shard: Vec<u8>,
-    meta: &crate::object::ObjectMeta,
-    stripe: usize,
-    bin: usize,
-    k: usize,
-) -> Vec<u8> {
-    if bin < k {
-        shard.truncate(meta.layout.stripes[stripe].bins[bin].stored_len() as usize);
-    }
-    shard
+) -> Option<(usize, Vec<u8>)> {
+    (0..shards.len()).find_map(|c| {
+        let mut cand = shards.to_vec();
+        cand[c] = None;
+        code.reconstruct(&mut cand, width).ok()?;
+        let mut rebuilt: Vec<Vec<u8>> = cand
+            .into_iter()
+            .map(|s| s.expect("reconstructed"))
+            .collect();
+        let refs: Vec<&[u8]> = rebuilt.iter().map(Vec::as_slice).collect();
+        let verified = code.verify(&refs);
+        verified.then(|| (c, rebuilt.swap_remove(c)))
+    })
 }

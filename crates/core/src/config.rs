@@ -196,9 +196,9 @@ pub struct StoreConfig {
     /// [`CodecKind::Fast`] uses the split-nibble SIMD kernels;
     /// [`CodecKind::Scalar`] selects the log/exp reference path.
     pub codec: CodecKind,
-    /// Worker threads for the stripe-level parallelism of put encode,
-    /// scrub and recovery; queries never use them (each runs on its
-    /// caller's thread). Zero is clamped to one; the default is the
+    /// Worker threads for put's stripe-level encode, their only user:
+    /// queries, degraded reads, recovery and scrub each run on their
+    /// caller's thread. Zero is clamped to one; the default is the
     /// machine's available parallelism capped at eight (see DESIGN.md §9).
     pub ec_threads: usize,
     /// Capacity of the per-node encoded-chunk cache in bytes (decoded

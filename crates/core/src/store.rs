@@ -190,19 +190,13 @@ pub struct Store {
     /// Failed-then-revived nodes and how many RPC attempts to them time
     /// out before one succeeds (drives [`fusion_cluster::RetryPolicy`]).
     flaky: HashMap<usize, u32>,
-    /// Worker pool for the stripe-level fan-out of put encode, scrub and
-    /// recovery, its only users (width = `StoreConfig::ec_threads`).
+    /// Worker pool for put's stripe encode, its only user (width =
+    /// `StoreConfig::ec_threads`); every repair runs inline.
     pool: WorkerPool,
-    /// Recycled parity buffer sets: `encode_into` reuses these across
-    /// puts so steady-state encoding allocates nothing per stripe.
-    parity_scratch: Vec<Vec<Vec<u8>>>,
     /// Per-node encoded-chunk cache: repeated queries skip the chunk
     /// read + parse (capacity from [`StoreConfig::chunk_cache_bytes`]).
     chunk_cache: ChunkCache,
 }
-
-/// Cap on recycled parity buffer sets held between puts.
-const PARITY_SCRATCH_CAP: usize = 32;
 
 /// Longest object key the request boundary accepts, in bytes (S3 caps
 /// keys at 1 KiB; anything longer from the wire is hostile or broken).
@@ -226,31 +220,30 @@ pub fn validate_key(name: &str) -> Result<()> {
     Ok(())
 }
 
+/// Trims a shard rebuilt at full stripe width to the bytes stored for
+/// it: a data bin is stored unpadded, parity at the stripe width.
+pub(crate) fn trim_to_stored(
+    meta: &ObjectMeta,
+    stripe: usize,
+    shard: usize,
+    mut bytes: Vec<u8>,
+) -> Vec<u8> {
+    let width = meta.placement[stripe].width;
+    let stored = meta.layout.stripes[stripe]
+        .bins
+        .get(shard)
+        .map_or(width, |b| b.stored_len());
+    debug_assert!(stored <= width && bytes.len() as u64 == width);
+    bytes.truncate(stored as usize);
+    bytes
+}
+
 /// One stripe's encode work unit: assembled data blocks in, parity out.
 /// Jobs are mutated on pool workers, so everything lives inside the job —
 /// no shared mutable state on the hot path.
 struct StripeJob {
     data: Vec<Vec<u8>>,
     parity: Vec<Vec<u8>>,
-}
-
-/// One lost block's repair work unit for [`Store::recover_node`]:
-/// survivors are read serially, reconstruction fans out across the pool,
-/// results are applied serially.
-struct RepairJob {
-    bid: BlockId,
-    bin: usize,
-    width: usize,
-    /// Bytes actually stored for this bin (data bins are unpadded).
-    stored_len: usize,
-    shards: Vec<Option<Vec<u8>>>,
-    /// Nodes the survivor shards were read from (time-plane model and
-    /// repair-traffic accounting) — the code's cheapest repair set, a
-    /// local group for LRC single-shard repair.
-    sources: Vec<usize>,
-    /// Bytes read off those nodes for this repair.
-    bytes_moved: u64,
-    outcome: std::result::Result<(), ReconstructError>,
 }
 
 impl Store {
@@ -281,26 +274,9 @@ impl Store {
             slowdowns: HashMap::new(),
             flaky: HashMap::new(),
             pool: WorkerPool::new(config.ec_threads),
-            parity_scratch: Vec::new(),
             chunk_cache: ChunkCache::new(config.chunk_cache_bytes as usize),
             config,
         })
-    }
-
-    /// The stripe worker pool (shared by put, scrub, and recovery).
-    pub(crate) fn pool(&self) -> &WorkerPool {
-        &self.pool
-    }
-
-    /// Returns a parity buffer set to the scratch pool for reuse by the
-    /// next encode (bounded; excess sets are dropped).
-    fn recycle_parity(&mut self, mut parity: Vec<Vec<u8>>) {
-        if self.parity_scratch.len() < PARITY_SCRATCH_CAP {
-            for p in parity.iter_mut() {
-                p.clear();
-            }
-            self.parity_scratch.push(parity);
-        }
     }
 
     /// The configuration.
@@ -689,7 +665,7 @@ impl Store {
         let mut stored_bytes = 0u64;
 
         // Assemble data block contents (pieces + physical padding) for
-        // every stripe, pairing each with a recycled parity buffer set.
+        // every stripe.
         let mut jobs: Vec<StripeJob> = Vec::with_capacity(layout.stripes.len());
         for stripe in &layout.stripes {
             let data_blocks: Vec<Vec<u8>> = stripe
@@ -706,13 +682,13 @@ impl Store {
                 .collect();
             jobs.push(StripeJob {
                 data: data_blocks,
-                parity: self.parity_scratch.pop().unwrap_or_default(),
+                parity: Vec::new(),
             });
         }
 
         // Encode all stripes across the worker pool. Each job owns its
-        // buffers; the codec (and its coefficient table cache) is shared
-        // read-only, so workers never allocate or synchronize.
+        // buffers, parity included; the codec (and its coefficient table
+        // cache) is shared read-only, so workers never synchronize.
         {
             let code = &self.code;
             self.pool.for_each_mut(&mut jobs, |_, job| {
@@ -735,14 +711,12 @@ impl Store {
                 self.blocks.put(nodes[i], id, Bytes::from(content))?;
                 block_ids.push(id);
             }
-            for (p, content) in parity.iter().enumerate() {
+            for (p, content) in parity.into_iter().enumerate() {
                 let id = self.fresh_block();
                 stored_bytes += content.len() as u64;
-                self.blocks
-                    .put(nodes[ec.k + p], id, Bytes::copy_from_slice(content))?;
+                self.blocks.put(nodes[ec.k + p], id, Bytes::from(content))?;
                 block_ids.push(id);
             }
-            self.recycle_parity(parity);
             placement.push(StripePlacement {
                 nodes,
                 block_ids,
@@ -1029,7 +1003,8 @@ impl Store {
                     let (stripe_idx, bin_idx) = self
                         .stripe_of(meta, frag.block)
                         .ok_or_else(|| StoreError::Internal("fragment without stripe".into()))?;
-                    let rebuilt = self.reconstruct_bin(meta, stripe_idx, bin_idx)?;
+                    let (rebuilt, sources) = self.rebuild_shard(meta, stripe_idx, bin_idx, None)?;
+                    self.account_degraded_read(&meta.placement[stripe_idx], bin_idx, &sources);
                     let s = frag.offset_in_block as usize;
                     let e = s + frag.len as usize;
                     out.extend_from_slice(&rebuilt[s..e]);
@@ -1049,10 +1024,10 @@ impl Store {
         None
     }
 
-    /// The shard indices a degraded read of shard `lost` would fetch
-    /// right now — the code's cheapest repair set against live
-    /// `has_block` probes (for the time-plane model of a degraded read).
-    /// `None` when the stripe is unrecoverable.
+    /// The shard indices a rebuild of shard `lost` reads right now: the
+    /// code's cheapest repair set against live `has_block` probes. Every
+    /// rebuild plans with it, and so does the time-plane model of a
+    /// degraded read. `None` when the stripe is unrecoverable.
     pub fn surviving_repair_shards(&self, sp: &StripePlacement, lost: usize) -> Option<Vec<usize>> {
         let n = self.code.total_blocks();
         let avail: Vec<bool> = (0..n)
@@ -1061,52 +1036,60 @@ impl Store {
         self.code.repair_sources(lost, &avail)
     }
 
-    /// Reads the code's cheapest repair set for shard `lost` of a
-    /// stripe, leaving the other slots `None`. For Reed-Solomon this is
-    /// any `k` survivors (data shards first); for LRC with an intact
-    /// local group it is the group's `r` members — the bandwidth saving
-    /// that motivates locally-repairable codes. The plan comes from
-    /// cheap `has_block` probes; if a planned source then fails to read
-    /// (e.g. bit rot detected on the actual read), it is dropped from
-    /// the mask and the plan recomputed.
-    pub(crate) fn read_repair_shards(
+    /// Rebuilds shard `bin` of stripe `stripe`: the one repair routine
+    /// behind degraded reads, [`Store::recover_node`] and scrub heals. It
+    /// runs inline on the caller's thread, in three steps:
+    ///
+    /// 1. plan the code's cheapest repair set with
+    ///    [`Store::surviving_repair_shards`] — any `k` survivors, data
+    ///    shards first, for Reed-Solomon; the local group for an LRC
+    ///    single loss;
+    /// 2. read exactly those sources, unless the caller passes the
+    ///    stripe's shards it already holds (scrub reads every block). A
+    ///    probe and a read consult the same CRC verdict, so a planned
+    ///    source that fails to read is an error, not a reason to re-plan;
+    /// 3. `repair_one`, then trim to the bytes stored for the shard.
+    ///
+    /// Returns the rebuilt bytes and the source shard indices.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Unrecoverable`] when too few shards survive, or the
+    /// data-plane error of a failed source read.
+    pub(crate) fn rebuild_shard(
         &self,
-        sp: &StripePlacement,
-        lost: usize,
-    ) -> Result<(ShardBuf, Vec<usize>)> {
-        let n = self.code.total_blocks();
-        let mut avail: Vec<bool> = (0..n)
-            .map(|i| i != lost && self.blocks.has_block(sp.nodes[i], sp.block_ids[i]))
-            .collect();
-        loop {
-            let sources = self
-                .code
-                .repair_sources(lost, &avail)
-                .ok_or(StoreError::Unrecoverable(ReconstructError::NotRecoverable))?;
-            let mut shards: Vec<Option<Vec<u8>>> = vec![None; n];
-            let mut dropped = None;
-            for &s in &sources {
-                match self.blocks.get(sp.nodes[s], sp.block_ids[s]) {
-                    Ok(b) => shards[s] = Some(b.to_vec()),
-                    Err(_) => {
-                        dropped = Some(s);
-                        break;
-                    }
+        meta: &ObjectMeta,
+        stripe: usize,
+        bin: usize,
+        held: Option<ShardBuf>,
+    ) -> Result<(Vec<u8>, Vec<usize>)> {
+        let sp = &meta.placement[stripe];
+        let sources = self
+            .surviving_repair_shards(sp, bin)
+            .ok_or(StoreError::Unrecoverable(ReconstructError::NotRecoverable))?;
+        let mut shards = match held {
+            Some(shards) => shards,
+            None => {
+                let mut shards = vec![None; sp.nodes.len()];
+                for &s in &sources {
+                    shards[s] = Some(self.blocks.get(sp.nodes[s], sp.block_ids[s])?.to_vec());
                 }
+                shards
             }
-            match dropped {
-                Some(s) => avail[s] = false,
-                None => return Ok((shards, sources)),
-            }
-        }
+        };
+        self.code.repair_one(&mut shards, bin, sp.width as usize)?;
+        let rebuilt = shards[bin].take().expect("repair_one fills the lost slot");
+        Ok((trim_to_stored(meta, stripe, bin, rebuilt), sources))
     }
 
-    /// Charges one bin repair to the metrics registry: the rebuilt
-    /// shard's node, cluster-wide and per-source repair traffic, and a
-    /// degraded-read latency estimate from the cost model (serial disk
-    /// read + one RPC + the source shards crossing the wire + decode).
-    fn account_repair(&self, sp: &StripePlacement, bin: usize, sources: &[usize], moved: u64) {
+    /// Charges one rebuilt shard to the metrics registry: its home
+    /// node's `shards_reconstructed`, cluster-wide `repair_bytes_moved`
+    /// and each source's `repair_bytes_served`. Traffic is at wire
+    /// granularity — every source moves a full-width block, matching the
+    /// time-plane network charge. Returns the bytes moved.
+    fn account_repair(&self, sp: &StripePlacement, bin: usize, sources: &[usize]) -> u64 {
         let metrics = self.metrics();
+        let moved = sources.len() as u64 * sp.width;
         metrics
             .node(sp.nodes[bin])
             .counter("shards_reconstructed")
@@ -1118,6 +1101,14 @@ impl Store {
                 .counter("repair_bytes_served")
                 .add(sp.width);
         }
+        moved
+    }
+
+    /// Charges a degraded read's rebuild: [`Store::account_repair`] plus
+    /// a `degraded_read_ns` estimate from the cost model (serial disk
+    /// read + one RPC + the source shards crossing the wire + decode).
+    fn account_degraded_read(&self, sp: &StripePlacement, bin: usize, sources: &[usize]) {
+        self.account_repair(sp, bin, sources);
         let cost = &self.config.cluster.cost;
         let ns = cost.disk_read(sp.width).0
             + cost.rpc_overhead.0
@@ -1125,27 +1116,7 @@ impl Store {
             + cost
                 .ec_at(sp.width * sources.len() as u64, self.config.codec_speedup())
                 .0;
-        metrics.histogram("degraded_read_ns").record(ns);
-    }
-
-    /// Reconstructs the full contents of one data bin from the cheapest
-    /// repair set (used by degraded reads and recovery).
-    fn reconstruct_bin(&self, meta: &ObjectMeta, stripe: usize, bin: usize) -> Result<Vec<u8>> {
-        let sp = &meta.placement[stripe];
-        let width = sp.width as usize;
-        let (mut shards, sources) = self.read_repair_shards(sp, bin)?;
-        self.code.repair_one(&mut shards, bin, width)?;
-        // Repair traffic at wire granularity — every fetched shard moves
-        // as a full-width block, matching the time-plane network charge.
-        // (Cold path: the registry lookups are fine here.)
-        let moved = sources.len() as u64 * sp.width;
-        self.account_repair(sp, bin, &sources, moved);
-        let mut rebuilt = shards[bin].take().expect("reconstructed");
-        // Trim back to stored length (implicit padding removed).
-        let stored = meta.layout.stripes[stripe].bins[bin].stored_len() as usize;
-        debug_assert!(stored <= width);
-        rebuilt.truncate(stored);
-        Ok(rebuilt)
+        self.metrics().histogram("degraded_read_ns").record(ns);
     }
 
     /// Marks a node failed. Its blocks are lost until
@@ -1180,130 +1151,70 @@ impl Store {
         self.flaky.remove(&node);
         let cost = self.config.cluster.cost.clone();
         let mut wf = Workflow::new();
-        // Name order (the object table is ordered): the walk fixes the
-        // order of the repair workflow's steps, and with it the queueing
-        // on the virtual clock.
-        let names: Vec<String> = self.objects.keys().cloned().collect();
-
-        // Phase 1 (serial): read each lost block's cheapest repair set,
-        // across all objects — the local group for LRC single losses,
-        // any k survivors for RS.
-        let mut jobs: Vec<RepairJob> = Vec::new();
-        for name in &names {
-            let meta = &self.objects[name].meta;
+        // One loop in name order (the object table is ordered): the walk
+        // fixes the order of the repair workflow's steps, and with it the
+        // queueing on the virtual clock. Each lost block is rebuilt from
+        // its stripe's cheapest repair set, charged, modelled and written
+        // back before the next.
+        for entry in self.objects.values() {
+            let meta = &entry.meta;
             for (si, sp) in meta.placement.iter().enumerate() {
                 for (bi, (&bnode, &bid)) in sp.nodes.iter().zip(&sp.block_ids).enumerate() {
-                    if bnode != node || self.blocks.get(bnode, bid).is_ok() {
+                    if bnode != node || self.blocks.has_block(bnode, bid) {
                         continue;
                     }
-                    let (shards, bytes_moved, source_nodes, outcome) = match self
-                        .read_repair_shards(sp, bi)
-                    {
-                        Ok((shards, sources)) => {
-                            // Wire granularity, as in the DES model:
-                            // full stripe width per fetched shard.
-                            let moved = sources.len() as u64 * sp.width;
-                            let nodes: Vec<usize> = sources.iter().map(|&s| sp.nodes[s]).collect();
-                            (shards, moved, nodes, Ok(()))
-                        }
-                        Err(_) => (
-                            Vec::new(),
-                            0,
-                            Vec::new(),
-                            Err(ReconstructError::NotRecoverable),
-                        ),
-                    };
-                    // Data bins are stored unpadded; parity at full width.
-                    let stored_len = if bi < self.config.ec.k {
-                        meta.layout.stripes[si].bins[bi].stored_len() as usize
-                    } else {
-                        sp.width as usize
-                    };
-                    jobs.push(RepairJob {
-                        bid,
-                        bin: bi,
-                        width: sp.width as usize,
-                        stored_len,
-                        shards,
-                        sources: source_nodes,
-                        bytes_moved,
-                        outcome,
-                    });
+                    let (content, sources) = self.rebuild_shard(meta, si, bi, None)?;
+                    report.stripes_repaired += 1;
+                    report.bytes_restored += content.len() as u64;
+                    report.repair_bytes_moved += self.account_repair(sp, bi, &sources);
+
+                    let width = sp.width;
+                    let mut arrived = Vec::with_capacity(sources.len());
+                    for &s in &sources {
+                        let src = sp.nodes[s];
+                        let read = wf.step(
+                            ResourceKey::Disk(src),
+                            cost.disk_read(width),
+                            CostClass::DiskRead,
+                            &[],
+                        );
+                        let tx = wf.step(
+                            ResourceKey::NicTx(src),
+                            cost.wire(width),
+                            CostClass::Network,
+                            &[read],
+                        );
+                        wf.transfer_bytes(tx, width);
+                        arrived.push(wf.step(
+                            ResourceKey::NicRx(node),
+                            cost.wire(width),
+                            CostClass::Network,
+                            &[tx],
+                        ));
+                    }
+                    // Decode cost scales with the bytes actually combined
+                    // — a local-group repair touches r shards, not k.
+                    let decode = wf.step(
+                        ResourceKey::Cpu(node),
+                        cost.ec_at(width * sources.len() as u64, self.config.codec_speedup()),
+                        CostClass::Processing,
+                        &arrived,
+                    );
+                    wf.step(
+                        ResourceKey::Disk(node),
+                        cost.disk_read(content.len() as u64),
+                        CostClass::DiskRead,
+                        &[decode],
+                    );
+                    self.blocks.put(node, bid, Bytes::from(content))?;
                 }
             }
-        }
-
-        // Phase 2 (parallel): rebuild every lost block across the worker
-        // pool. Each job owns its shard buffers.
-        {
-            let code = &self.code;
-            self.pool.for_each_mut(&mut jobs, |_, job| {
-                if job.outcome.is_ok() {
-                    job.outcome = code.repair_one(&mut job.shards, job.bin, job.width);
-                }
-            });
-        }
-
-        // Phase 3 (serial): surface failures, write rebuilt blocks, and
-        // model each stripe repair on the virtual clock.
-        for mut job in jobs {
-            job.outcome?;
-            let mut content = job.shards[job.bin].take().expect("reconstructed");
-            content.truncate(job.stored_len);
-            report.stripes_repaired += 1;
-            report.bytes_restored += content.len() as u64;
-            report.repair_bytes_moved += job.bytes_moved;
-            let metrics = self.metrics();
-            metrics.node(node).counter("shards_reconstructed").inc();
-            metrics.counter("repair_bytes_moved").add(job.bytes_moved);
-
-            let width = job.width as u64;
-            let mut arrived = Vec::new();
-            for &src in &job.sources {
-                metrics.node(src).counter("repair_bytes_served").add(width);
-                let read = wf.step(
-                    ResourceKey::Disk(src),
-                    cost.disk_read(width),
-                    CostClass::DiskRead,
-                    &[],
-                );
-                let tx = wf.step(
-                    ResourceKey::NicTx(src),
-                    cost.wire(width),
-                    CostClass::Network,
-                    &[read],
-                );
-                wf.transfer_bytes(tx, width);
-                arrived.push(wf.step(
-                    ResourceKey::NicRx(node),
-                    cost.wire(width),
-                    CostClass::Network,
-                    &[tx],
-                ));
-            }
-            // Decode cost scales with the bytes actually combined — a
-            // local-group repair touches r shards, not k.
-            let decode = wf.step(
-                ResourceKey::Cpu(node),
-                cost.ec_at(
-                    width * job.sources.len() as u64,
-                    self.config.codec_speedup(),
-                ),
-                CostClass::Processing,
-                &arrived,
-            );
-            wf.step(
-                ResourceKey::Disk(node),
-                cost.disk_read(content.len() as u64),
-                CostClass::DiskRead,
-                &[decode],
-            );
-            self.blocks.put(node, job.bid, Bytes::from(content))?;
         }
 
         // Restore metadata-record replicas that lived on the node. The
         // record is recomputable from object metadata, so this is a
         // local rewrite; the tracked block id is refreshed in place.
+        let names: Vec<String> = self.objects.keys().cloned().collect();
         for name in &names {
             let todo = self.objects.get(name).and_then(|entry| {
                 entry
@@ -1328,6 +1239,27 @@ impl Store {
             report.simulated_latency = run.stats[0].latency;
         }
         Ok(report)
+    }
+
+    /// Rewrites in place, from the record, every replica of `name`'s
+    /// metadata record that an alive node can no longer serve (rotted or
+    /// missing). Replicas on down nodes wait for [`Store::recover_node`].
+    /// Returns the nodes rewritten.
+    pub(crate) fn heal_replicas(&mut self, name: &str) -> Vec<usize> {
+        let Some(entry) = self.objects.get(name) else {
+            return Vec::new();
+        };
+        let mut healed = Vec::new();
+        for &(node, block) in &entry.replicas {
+            if !self.blocks.is_alive(node) || self.blocks.has_block(node, block) {
+                continue;
+            }
+            let bytes = Bytes::from(entry.record.to_bytes());
+            if self.blocks.put(node, block, bytes).is_ok() {
+                healed.push(node);
+            }
+        }
+        healed
     }
 
     /// Advances a fault injector to virtual time `to` against this
@@ -1842,22 +1774,6 @@ mod tests {
     }
 
     #[test]
-    fn parity_scratch_survives_repeated_puts() {
-        // Several puts through the same store reuse recycled parity
-        // buffers; every object must still roundtrip.
-        let mut store = Store::new(StoreConfig::fusion().with_ec_threads(2)).unwrap();
-        let objs: Vec<(String, Vec<u8>)> = (0..4)
-            .map(|i| (format!("o{i}"), analytics_bytes(1000 + 700 * i, 250)))
-            .collect();
-        for (name, bytes) in &objs {
-            store.put(name, bytes.clone()).unwrap();
-        }
-        for (name, bytes) in &objs {
-            assert_eq!(&store.get(name, 0, bytes.len() as u64).unwrap(), bytes);
-        }
-    }
-
-    #[test]
     fn recovery_is_identical_across_identical_stores() {
         // Recovery walks the object table to build its repair workflow;
         // the walk order sets the queueing on the virtual clock, so it
@@ -1880,26 +1796,38 @@ mod tests {
     }
 
     #[test]
-    fn parallel_recovery_matches_serial() {
-        let bytes = analytics_bytes(4000, 500);
-        for threads in [1usize, 4] {
-            let mut store = Store::new(StoreConfig::fusion().with_ec_threads(threads)).unwrap();
-            store.put("obj", bytes.clone()).unwrap();
-            let node = store.object("obj").unwrap().placement[0].nodes[0];
-            store.fail_node(node).unwrap();
-            let report = store.recover_node(node).unwrap();
-            assert!(report.stripes_repaired > 0, "threads={threads}");
+    fn scrub_rewrites_unreadable_replicas() {
+        // Fault injection rots location-record replicas as readily as
+        // stripe blocks; scrub restores them in place from the record.
+        let bytes = analytics_bytes(4000, 800);
+        let mut store = Store::new(StoreConfig::fusion()).unwrap();
+        store.put("obj", bytes).unwrap();
+        let map = store.read_location_map("obj").unwrap();
+        let record = store.meta_record("obj").unwrap().to_bytes();
+        let replicas = store.objects["obj"].replicas.clone();
+        let (rotted, gone) = (replicas[0], replicas[1]);
+        store
+            .blocks_mut()
+            .corrupt_block(rotted.0, rotted.1, 3)
+            .unwrap();
+        store.blocks_mut().delete(gone.0, gone.1).unwrap();
+        assert!(store.blocks().get(rotted.0, rotted.1).is_err());
+        assert!(store.blocks().get(gone.0, gone.1).is_err());
+
+        let report = store.scrub();
+        assert!(report.is_clean());
+        assert_eq!(report.blocks_repaired, 2);
+        for (node, block) in [rotted, gone] {
             assert_eq!(
-                store.get("obj", 0, bytes.len() as u64).unwrap(),
-                bytes,
-                "threads={threads}"
+                store.blocks().get(node, block).unwrap().as_ref(),
+                &record[..]
             );
-            let meta = store.object("obj").unwrap();
-            for sp in &meta.placement {
-                for (&n, &b) in sp.nodes.iter().zip(&sp.block_ids) {
-                    assert!(store.blocks().get(n, b).is_ok(), "threads={threads}");
-                }
-            }
         }
+        assert_eq!(store.read_location_map("obj").unwrap(), map);
+        assert_eq!(store.scrub().blocks_repaired, 0);
+
+        // Replicas on a down node wait for recovery.
+        store.fail_node(replicas[2].0).unwrap();
+        assert_eq!(store.scrub().blocks_repaired, 0);
     }
 }

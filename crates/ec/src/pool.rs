@@ -1,12 +1,14 @@
 //! A small fork-join worker pool built on scoped std threads.
 //!
-//! `fusion-core` uses this to encode, scrub, and reconstruct stripes in
-//! parallel. The pool is deliberately minimal — no queues, no channels, no
-//! external dependencies: each call to [`WorkerPool::for_each_mut`]
-//! partitions the work slice into contiguous chunks and runs one scoped
-//! thread per chunk. Every item is visited by exactly one thread, so
-//! workers mutate disjoint `&mut` regions and per-item scratch buffers
-//! (e.g. reusable parity vectors) never need synchronization.
+//! `fusion-core` uses this to encode a put's stripes in parallel (every
+//! repair runs inline on its caller's thread), and `fusion-format` to
+//! encode a table's column chunks. The pool is deliberately minimal — no
+//! queues, no channels, no external dependencies: each call to
+//! [`WorkerPool::for_each_mut`] partitions the work slice into contiguous
+//! chunks and runs one scoped thread per chunk. Every item is visited by
+//! exactly one thread, so workers mutate disjoint `&mut` regions and
+//! per-item buffers (e.g. a stripe's parity vectors) never need
+//! synchronization.
 //!
 //! With `threads == 1` (or a single-item slice) no thread is spawned and
 //! the closure runs inline, keeping the sequential path allocation- and

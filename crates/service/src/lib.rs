@@ -25,4 +25,4 @@ pub mod transport;
 pub use client::{Client, ClientError, ClientResult};
 pub use proto::{ErrorCode, FrameError, Request, Response, MAX_FRAME};
 pub use service::{Service, DEFAULT_QUEUE_DEPTH};
-pub use transport::{Loopback, PipelinedTcp, TcpServer, TcpTransport, Transport};
+pub use transport::{Loopback, PipelinedTcp, TcpServer, Transport};

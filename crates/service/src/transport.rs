@@ -5,10 +5,11 @@
 //!   decode → queue → worker → encode → decode path, minus sockets.
 //!   This is what the equivalence suite runs, so wire-codec bugs fail
 //!   tests even on machines where binding a TCP port is not possible.
-//! * [`TcpTransport`] + [`TcpServer`] — the same frames over real
+//! * [`PipelinedTcp`] + [`TcpServer`] — the same frames over real
 //!   sockets, with a bounded pipeline window per connection
 //!   (backpressure: a client can have at most `window` requests in
-//!   flight; the server answers in order).
+//!   flight; the server answers in order). A window of 1 is strict
+//!   request/response.
 
 use crate::proto::{read_frame, write_frame, FrameError, MAX_FRAME};
 use crate::service::{bad_frame, serve_frame, Service};
@@ -130,42 +131,11 @@ fn serve_connection(service: &Service, stream: TcpStream) -> io::Result<()> {
     Ok(())
 }
 
-/// Client-side TCP transport: one connection, strict request/response
-/// alternation. For pipelined traffic use [`PipelinedTcp`].
-pub struct TcpTransport {
-    reader: io::BufReader<TcpStream>,
-    writer: io::BufWriter<TcpStream>,
-}
-
-impl TcpTransport {
-    /// Connects to a [`TcpServer`].
-    ///
-    /// # Errors
-    ///
-    /// Connection failures.
-    pub fn connect(addr: SocketAddr) -> io::Result<TcpTransport> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(TcpTransport {
-            reader: io::BufReader::new(stream.try_clone()?),
-            writer: io::BufWriter::new(stream),
-        })
-    }
-}
-
-impl Transport for TcpTransport {
-    fn call(&mut self, body: &[u8]) -> io::Result<Vec<u8>> {
-        write_frame(&mut self.writer, body)?;
-        read_frame(&mut self.reader)?.ok_or_else(|| {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "server closed mid-request")
-        })
-    }
-}
-
-/// Pipelined TCP client: up to `window` requests in flight on one
-/// connection; responses arrive in request order. `send` blocks once
-/// the window fills — per-connection backpressure, so one client cannot
-/// buffer unboundedly into the server.
+/// TCP client: up to `window` requests in flight on one connection;
+/// responses arrive in request order. `send` blocks once the window
+/// fills — per-connection backpressure, so one client cannot buffer
+/// unboundedly into the server. Through [`Transport::call`] (or with
+/// `window == 1`) it is strict request/response.
 pub struct PipelinedTcp {
     writer: io::BufWriter<TcpStream>,
     /// In-order receivers for outstanding responses.
@@ -300,6 +270,5 @@ impl Drop for PipelinedTcp {
 fn _assert_send() {
     fn is_send<T: Send>() {}
     is_send::<Loopback>();
-    is_send::<TcpTransport>();
     is_send::<PipelinedTcp>();
 }

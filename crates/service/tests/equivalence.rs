@@ -13,7 +13,7 @@ use fusion_core::config::{QueryMode, StoreConfig};
 use fusion_core::query::QueryResult;
 use fusion_core::store::Store;
 use fusion_format::prelude::*;
-use fusion_service::{Client, Loopback, Service, TcpServer, TcpTransport};
+use fusion_service::{Client, Loopback, PipelinedTcp, Service, TcpServer};
 use std::sync::Arc;
 
 /// The same lineitem-like table the core e2e suite queries.
@@ -182,7 +182,7 @@ fn tcp_transport_matches_loopback() {
         4,
     ));
     let server = TcpServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind loopback port");
-    let mut tcp = Client::new(TcpTransport::connect(server.addr()).unwrap());
+    let mut tcp = Client::new(PipelinedTcp::connect(server.addr(), 1).unwrap());
     let mut lo = Client::new(Loopback::new(Arc::clone(&service)));
 
     tcp.ping().unwrap();
@@ -219,7 +219,7 @@ fn service_rejects_malformed_and_hostile_frames_without_dying() {
     let server = TcpServer::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind loopback port");
 
     // A garbage frame gets a typed BadFrame response, not a dead worker.
-    let mut t = TcpTransport::connect(server.addr()).unwrap();
+    let mut t = PipelinedTcp::connect(server.addr(), 1).unwrap();
     use fusion_service::Transport as _;
     let resp = t.call(&[0x7f, 1, 2, 3]).unwrap();
     match fusion_service::Response::decode(&resp).unwrap() {
@@ -234,7 +234,7 @@ fn service_rejects_malformed_and_hostile_frames_without_dying() {
     raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
     raw.flush().unwrap();
     // The server drops the connection; either EOF or reset is fine.
-    let mut probe = TcpTransport::connect(server.addr()).unwrap();
+    let mut probe = PipelinedTcp::connect(server.addr(), 1).unwrap();
     let pong = probe.call(&fusion_service::Request::Ping.encode()).unwrap();
     assert_eq!(
         fusion_service::Response::decode(&pong).unwrap(),

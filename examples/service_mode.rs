@@ -8,7 +8,7 @@
 //! ```
 
 use fusion::prelude::*;
-use fusion_service::{Client, Loopback, Service, TcpServer, TcpTransport};
+use fusion_service::{Client, Loopback, PipelinedTcp, Service, TcpServer};
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("service listening on {}", server.addr());
 
     // 3. Query it over the socket — real frames, real worker threads.
-    let mut tcp = Client::new(TcpTransport::connect(server.addr())?);
+    let mut tcp = Client::new(PipelinedTcp::connect(server.addr(), 1)?);
     let result = tcp.query(
         "Employees",
         "SELECT name FROM Employees WHERE salary = 80000",
