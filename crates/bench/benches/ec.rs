@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fusion_ec::codec::CodecKind;
-use fusion_ec::rs::ReedSolomon;
+use fusion_ec::ErasureCode;
 
 const CODECS: [CodecKind; 2] = [CodecKind::Scalar, CodecKind::Fast];
 
@@ -18,7 +18,7 @@ fn bench_encode(c: &mut Criterion) {
     let mut g = c.benchmark_group("rs_encode");
     for (n, k) in [(9usize, 6usize), (14, 10)] {
         for codec in CODECS {
-            let rs = ReedSolomon::with_codec(n, k, codec).expect("valid params");
+            let rs = ErasureCode::with_codec(n, k, 0, codec).expect("valid params");
             let block = 1 << 20;
             let data = stripe(k, block);
             g.throughput(Throughput::Bytes((k * block) as u64));
@@ -39,7 +39,7 @@ fn bench_encode_into(c: &mut Criterion) {
     // isolates kernel throughput from allocator noise.
     let mut g = c.benchmark_group("rs_encode_into");
     for codec in CODECS {
-        let rs = ReedSolomon::with_codec(9, 6, codec).expect("valid params");
+        let rs = ErasureCode::with_codec(9, 6, 0, codec).expect("valid params");
         let block = 1 << 20;
         let data = stripe(6, block);
         let mut parity = Vec::new();
@@ -61,7 +61,7 @@ fn bench_encode_into(c: &mut Criterion) {
 fn bench_reconstruct(c: &mut Criterion) {
     let mut g = c.benchmark_group("rs_reconstruct");
     for codec in CODECS {
-        let rs = ReedSolomon::with_codec(9, 6, codec).expect("valid params");
+        let rs = ErasureCode::with_codec(9, 6, 0, codec).expect("valid params");
         let block = 1 << 20;
         let data = stripe(6, block);
         let parity = rs.encode(&data);
@@ -99,7 +99,7 @@ fn bench_variable_stripe(c: &mut Criterion) {
     let total: u64 = lens.iter().map(|&l| l as u64).sum();
     let mut g = c.benchmark_group("rs_variable_blocks");
     for codec in CODECS {
-        let rs = ReedSolomon::with_codec(9, 6, codec).expect("valid params");
+        let rs = ErasureCode::with_codec(9, 6, 0, codec).expect("valid params");
         g.throughput(Throughput::Bytes(total));
         g.bench_function(format!("rs(9,6)_{codec}_fac_stripe"), |b| {
             b.iter(|| rs.encode(std::hint::black_box(&data)));

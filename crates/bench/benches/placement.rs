@@ -7,24 +7,21 @@ use fusion_cluster::topology::Topology;
 use fusion_core::config::EcConfig;
 use fusion_core::location_map::LocationMap;
 use fusion_core::meta::{LayoutRecord, Membership, Namespace};
-use fusion_core::placement::{object_id, object_key, place_stripe, StripeShape};
+use fusion_core::placement::{object_id, object_key, place_stripe};
+use fusion_ec::ErasureCode;
 
 const SEED: u64 = 0xF051_0A11;
 const OBJECTS: usize = 10_000;
 const CHUNKS: u32 = 64;
 
-fn shape() -> StripeShape {
-    StripeShape::from_codec(
-        &*EcConfig::RS_9_6
-            .build_codec(fusion_ec::codec::CodecKind::Scalar)
-            .expect("valid code"),
-    )
+fn rs96() -> ErasureCode {
+    EcConfig::RS_9_6.build_codec().expect("valid code")
 }
 
 /// Raw rendezvous placement of one RS(9,6) stripe at growing cluster
 /// sizes — the O(shards × nodes) inner loop of every compact lookup.
 fn bench_place_stripe(c: &mut Criterion) {
-    let shape = shape();
+    let code = rs96();
     let okey = object_key("bench", "obj");
     let mut g = c.benchmark_group("placement_lookup");
     for nodes in [16usize, 64, 256] {
@@ -35,7 +32,7 @@ fn bench_place_stripe(c: &mut Criterion) {
             let mut stripe = 0u64;
             b.iter(|| {
                 stripe = stripe.wrapping_add(1);
-                place_stripe(SEED, okey, stripe, &shape, &members, &topo)
+                place_stripe(SEED, okey, stripe, &code, &members, &topo)
             });
         });
     }
@@ -66,7 +63,7 @@ fn bench_chunk_node(c: &mut Criterion) {
     }
     // The stored-map baseline: one materialized paper-format map per
     // object, resolved by table lookup.
-    let shape = shape();
+    let code = rs96();
     let members: Vec<usize> = (0..64).collect();
     let maps: Vec<LocationMap> = ids
         .iter()
@@ -75,7 +72,7 @@ fn bench_chunk_node(c: &mut Criterion) {
                 .map(|c| {
                     let stripe = u64::from(c / 6);
                     let nodes =
-                        place_stripe(SEED, id.placement_key(), stripe, &shape, &members, &topo);
+                        place_stripe(SEED, id.placement_key(), stripe, &code, &members, &topo);
                     fusion_core::location_map::LocationEntry {
                         chunk_offset: c << 20,
                         node: nodes[(c % 6) as usize] as u32,

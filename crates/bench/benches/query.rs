@@ -5,7 +5,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fusion_bench::harness::{BenchEnv, SystemKind};
 use fusion_core::store::Store;
-use fusion_ec::codec::CodecKind;
 use fusion_format::chunk::{decode_column_chunk, encode_column_chunk, read_encoded_chunk};
 use fusion_format::schema::LogicalType;
 use fusion_format::value::{ColumnData, Value};
@@ -179,20 +178,15 @@ fn bench_put(c: &mut Criterion) {
     let file = env.lineitem_file().to_vec();
     let mut g = c.benchmark_group("put");
     g.sample_size(10);
-    // The put path is encode-bound at large objects, so run it under
-    // both GF(2^8) codecs to expose the kernel difference end-to-end.
-    for codec in [CodecKind::Scalar, CodecKind::Fast] {
-        g.bench_function(format!("fusion_put_160_chunks_{codec}"), |b| {
-            let mut i = 0u64;
-            b.iter(|| {
-                let cfg = BenchEnv::store_config(SystemKind::Fusion, file.len(), 10 << 30)
-                    .with_codec(codec);
-                let mut store = Store::new(cfg).expect("valid config");
-                i += 1;
-                store.put(&format!("obj{i}"), file.clone()).expect("put")
-            });
+    g.bench_function("fusion_put_160_chunks", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            let cfg = BenchEnv::store_config(SystemKind::Fusion, file.len(), 10 << 30);
+            let mut store = Store::new(cfg).expect("valid config");
+            i += 1;
+            store.put(&format!("obj{i}"), file.clone()).expect("put")
         });
-    }
+    });
     g.finish();
 }
 

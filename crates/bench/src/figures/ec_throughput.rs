@@ -12,7 +12,7 @@
 use crate::harness::BenchEnv;
 use crate::report::Table;
 use fusion_ec::codec::CodecKind;
-use fusion_ec::rs::ReedSolomon;
+use fusion_ec::ErasureCode;
 use std::time::Instant;
 
 /// Shard size: the paper's 1 MiB block.
@@ -79,7 +79,7 @@ fn push_cell(
 fn run_code(n: usize, k: usize, cells: &mut Vec<Cell>) {
     let data = stripe(k);
     for codec in [CodecKind::Scalar, CodecKind::Fast] {
-        let rs = ReedSolomon::with_codec(n, k, codec).expect("valid params");
+        let rs = ErasureCode::with_codec(n, k, 0, codec).expect("valid params");
 
         // Encode through the buffer-reusing path the Store uses.
         let mut parity = Vec::new();
@@ -87,7 +87,7 @@ fn run_code(n: usize, k: usize, cells: &mut Vec<Cell>) {
         push_cell(cells, n, k, codec, "encode", iters, ns);
 
         // Reconstruct with all m = n − k data shards lost: the
-        // worst-case decode (full inverse-matrix multiply).
+        // worst-case decode (every lost shard combines k survivors).
         let full: Vec<Vec<u8>> = data.iter().cloned().chain(parity.iter().cloned()).collect();
         let m = n - k;
         let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();

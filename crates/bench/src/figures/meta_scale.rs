@@ -32,8 +32,9 @@ use fusion_cluster::topology::Topology;
 use fusion_core::config::{EcConfig, PlacementPolicy, StoreConfig};
 use fusion_core::location_map::{LocationEntry, LocationMap};
 use fusion_core::meta::{LayoutRecord, Membership, Namespace};
-use fusion_core::placement::{object_id, place_stripe, ObjectId, StripeShape};
+use fusion_core::placement::{object_id, place_stripe, ObjectId};
 use fusion_core::store::Store;
+use fusion_ec::ErasureCode;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -77,12 +78,8 @@ fn record() -> LayoutRecord {
     }
 }
 
-fn stripe_shape() -> StripeShape {
-    StripeShape::from_codec(
-        &*EcConfig::RS_9_6
-            .build_codec(fusion_ec::codec::CodecKind::Scalar)
-            .expect("valid code"),
-    )
+fn rs96() -> ErasureCode {
+    EcConfig::RS_9_6.build_codec().expect("valid code")
 }
 
 /// Builds a namespace preloaded with `objects` synthetic records,
@@ -105,7 +102,7 @@ fn build_namespace(objects: usize) -> (Namespace, Vec<ObjectId>) {
 /// cached per stripe while building.
 fn build_stored_index(ns: &Namespace, ids: &[ObjectId]) -> HashMap<u128, LocationMap> {
     let m = ns.current_membership();
-    let shape = stripe_shape();
+    let code = rs96();
     let mut index = HashMap::with_capacity(ids.len());
     for &id in ids {
         let rec = ns.get(id).expect("inserted");
@@ -117,7 +114,7 @@ fn build_stored_index(ns: &Namespace, ids: &[ObjectId]) -> HashMap<u128, Locatio
             if cached.as_ref().is_none_or(|(s, _)| *s != stripe) {
                 cached = Some((
                     stripe,
-                    place_stripe(ns.seed(), okey, stripe, &shape, &m.members, &m.topology),
+                    place_stripe(ns.seed(), okey, stripe, &code, &m.members, &m.topology),
                 ));
             }
             entries.push(LocationEntry {

@@ -96,7 +96,7 @@ struct CodeRow {
 
 fn run_code(env: &BenchEnv, file: &[u8], ec: EcConfig) -> CodeRow {
     let mut store = build(env, file, ec, PlacementPolicy::DomainAware, 42);
-    let label = store.codec().label();
+    let label = store.codec().to_string();
 
     // --- single_shard_repair: lose the node hosting the fragment at
     // object offset 0 of the first copy; a 1-byte read there must

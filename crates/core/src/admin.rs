@@ -7,7 +7,7 @@ use crate::error::{Result, StoreError};
 use crate::store::{trim_to_stored, ShardBuf, Store};
 use bytes::Bytes;
 use fusion_cluster::store::ClusterError;
-use fusion_ec::stripe::StripeCodec;
+use fusion_ec::ErasureCode;
 
 /// Summary of one stored object (a `HEAD` response).
 #[derive(Debug, Clone, PartialEq)]
@@ -269,7 +269,7 @@ impl Store {
 /// yields a stripe that reconstructs **and** verifies is the culprit.
 /// Returns its index and its rebuilt (full-width) bytes.
 fn localize(
-    code: &dyn StripeCodec,
+    code: &ErasureCode,
     shards: &[Option<Vec<u8>>],
     width: usize,
 ) -> Option<(usize, Vec<u8>)> {

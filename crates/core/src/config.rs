@@ -3,7 +3,8 @@
 
 use fusion_cluster::spec::ClusterSpec;
 use fusion_cluster::time::Nanos;
-use fusion_ec::codec::CodecKind;
+use fusion_ec::rs::CodeParamsError;
+use fusion_ec::ErasureCode;
 
 /// Erasure-code parameters: `(n, k)` plus an optional local-group count
 /// selecting a locally-repairable code.
@@ -65,28 +66,13 @@ impl EcConfig {
         (self.n - self.k) as f64 / self.k as f64
     }
 
-    /// Instantiates the stripe codec this config describes.
+    /// Instantiates the erasure code this config describes.
     ///
     /// # Errors
     ///
-    /// Propagates parameter validation from the codec constructors.
-    pub fn build_codec(
-        &self,
-        kind: fusion_ec::codec::CodecKind,
-    ) -> Result<std::sync::Arc<dyn fusion_ec::stripe::StripeCodec>, fusion_ec::rs::CodeParamsError>
-    {
-        if self.local_groups == 0 {
-            Ok(std::sync::Arc::new(fusion_ec::rs::ReedSolomon::with_codec(
-                self.n, self.k, kind,
-            )?))
-        } else {
-            Ok(std::sync::Arc::new(fusion_ec::lrc::LrcCodec::with_codec(
-                self.n,
-                self.k,
-                self.local_groups,
-                kind,
-            )?))
-        }
+    /// Propagates parameter validation from [`ErasureCode::new`].
+    pub fn build_codec(&self) -> Result<ErasureCode, CodeParamsError> {
+        ErasureCode::new(self.n, self.k, self.local_groups)
     }
 }
 
@@ -192,10 +178,6 @@ pub struct StoreConfig {
     /// (COUNT/SUM/AVG/MIN/MAX) down to storage nodes for aggregate-only
     /// queries, so only tiny partial results cross the network.
     pub aggregate_pushdown: bool,
-    /// Which GF(2^8) kernel the stripe codec multiplies with. The default
-    /// [`CodecKind::Fast`] uses the split-nibble SIMD kernels;
-    /// [`CodecKind::Scalar`] selects the log/exp reference path.
-    pub codec: CodecKind,
     /// Worker threads for put's stripe-level encode, their only user:
     /// queries, degraded reads, recovery and scrub each run on their
     /// caller's thread. Zero is clamped to one; the default is the
@@ -221,12 +203,15 @@ pub struct StoreConfig {
     pub placement: PlacementPolicy,
 }
 
-/// Calibrated throughput ratio of [`CodecKind::Fast`] over
-/// [`CodecKind::Scalar`] at RS(9, 6) with 1 MiB shards — measured by the
-/// `ec_throughput` experiment (see `results/ec_throughput.json`; ~6.5x
-/// encode, ~2.5x worst-case reconstruct, blended to 4.0 since the time
-/// plane charges one rate for both). Used by the simulated time plane to
-/// scale EC CPU cost per configured codec.
+/// Calibrated throughput ratio of the fast GF(2^8) kernels
+/// ([`fusion_ec::FastCodec`]) over the scalar reference
+/// ([`fusion_ec::ScalarCodec`]) at RS(9, 6) with 1 MiB shards — measured
+/// by the `ec_throughput` experiment (see `results/ec_throughput.json`;
+/// ~6.5x encode, ~2.5x worst-case reconstruct, blended to 4.0 since the
+/// time plane charges one rate for both). The simulated time plane
+/// scales erasure-coding CPU cost by it: the data path always runs the
+/// fast kernels (the differential suites prove them byte-identical to
+/// the reference).
 pub const FAST_CODEC_SPEEDUP: f64 = 4.0;
 
 /// Calibrated throughput ratio of the encoded-domain scan kernels over the
@@ -276,7 +261,6 @@ impl Default for StoreConfig {
             cluster: ClusterSpec::default(),
             seed: 0xF051_0A11,
             aggregate_pushdown: false,
-            codec: CodecKind::default(),
             ec_threads: default_ec_threads(),
             chunk_cache_bytes: DEFAULT_CHUNK_CACHE_BYTES,
             encoded_scan: true,
@@ -327,12 +311,6 @@ impl StoreConfig {
         self
     }
 
-    /// Overrides the GF(2^8) stripe codec kernel.
-    pub fn with_codec(mut self, codec: CodecKind) -> StoreConfig {
-        self.codec = codec;
-        self
-    }
-
     /// Overrides the shard-placement policy.
     pub fn with_placement(mut self, placement: PlacementPolicy) -> StoreConfig {
         self.placement = placement;
@@ -368,16 +346,6 @@ impl StoreConfig {
     pub fn with_observability(mut self, on: bool) -> StoreConfig {
         self.observability = on;
         self
-    }
-
-    /// Throughput multiplier of the configured codec relative to the
-    /// calibrated scalar EC rate (`CostModel::cpu_ec_bps`), used when the
-    /// time plane charges erasure-coding CPU.
-    pub fn codec_speedup(&self) -> f64 {
-        match self.codec {
-            CodecKind::Scalar => 1.0,
-            CodecKind::Fast => FAST_CODEC_SPEEDUP,
-        }
     }
 
     /// Throughput multiplier of the configured filter-scan path relative
@@ -416,20 +384,18 @@ mod tests {
         assert_eq!(lrc.tolerance(), 3);
         assert_eq!(EcConfig::RS_9_6.tolerance(), 3);
         assert_eq!(lrc.to_string(), "LRC(10, 6, 2)");
-        let code = lrc.build_codec(CodecKind::Fast).unwrap();
+        let code = lrc.build_codec().unwrap();
         assert_eq!(code.total_blocks(), 10);
         assert_eq!(code.data_blocks(), 6);
         assert_eq!(code.tolerance(), 3);
-        assert_eq!(code.placement_group(0), Some(0));
-        assert_eq!(code.placement_group(9), None);
-        let rs = EcConfig::RS_9_6.build_codec(CodecKind::Fast).unwrap();
+        assert_eq!(code.group_of(0), Some(0));
+        assert_eq!(code.group_of(9), None);
+        let rs = EcConfig::RS_9_6.build_codec().unwrap();
         assert_eq!(rs.tolerance(), 3);
-        assert_eq!(rs.placement_group(0), None);
-        assert_eq!(rs.label(), "RS(9, 6)");
+        assert_eq!(rs.group_of(0), None);
+        assert_eq!(rs.to_string(), "RS(9, 6)");
         // Bad LRC params surface as codec construction errors.
-        assert!(EcConfig::lrc(10, 6, 4)
-            .build_codec(CodecKind::Fast)
-            .is_err());
+        assert!(EcConfig::lrc(10, 6, 4).build_codec().is_err());
     }
 
     #[test]
@@ -450,22 +416,17 @@ mod tests {
             .with_seed(7)
             .with_ec(EcConfig::RS_14_10)
             .with_block_size(1 << 20)
-            .with_codec(CodecKind::Scalar)
             .with_ec_threads(0);
         assert_eq!(c.seed, 7);
         assert_eq!(c.ec, EcConfig::RS_14_10);
         assert_eq!(c.block_size, 1 << 20);
-        assert_eq!(c.codec, CodecKind::Scalar);
         assert_eq!(c.ec_threads, 1, "zero threads clamps to one");
     }
 
     #[test]
     fn codec_defaults_and_speedup() {
         let c = StoreConfig::default();
-        assert_eq!(c.codec, CodecKind::Fast);
         assert!(c.ec_threads >= 1);
-        assert_eq!(c.codec_speedup(), FAST_CODEC_SPEEDUP);
-        assert_eq!(c.with_codec(CodecKind::Scalar).codec_speedup(), 1.0);
         // Acceptance floor for FastCodec, kept as a const block so the
         // build itself fails if the calibration ever drops below 3x.
         const { assert!(FAST_CODEC_SPEEDUP >= 3.0) };

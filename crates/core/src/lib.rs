@@ -77,6 +77,6 @@ pub use error::{Result, StoreError};
 pub use location_map::{LocationMap, LocationMapError};
 pub use meta::{LayoutRecord, Membership, Namespace, RebalanceReport};
 pub use object::ObjectMeta;
-pub use placement::{object_id, object_key, ObjectId, StripeShape};
+pub use placement::{object_id, object_key, ObjectId};
 pub use query::{QueryOutput, QueryResult};
 pub use store::{ObjectMetaRecord, PutOutcome, PutReport, RecoveryReport, Store};

@@ -55,6 +55,32 @@ pub enum LocationMapError {
         /// Index of the first offending exception.
         index: usize,
     },
+    /// A compact layout record names a membership epoch outside the
+    /// store's history.
+    UnknownEpoch {
+        /// Epoch the record carried.
+        epoch: u32,
+        /// Number of epochs the store has.
+        epochs: usize,
+    },
+    /// A compact layout record names an erasure code other than the
+    /// store's.
+    WrongCode {
+        /// Total shards per stripe.
+        n: u8,
+        /// Data shards per stripe.
+        k: u8,
+        /// Local parity groups.
+        local_groups: u8,
+    },
+    /// The metadata describes a different number of chunks than the
+    /// object has.
+    ChunkCount {
+        /// Chunks the metadata describes.
+        got: usize,
+        /// Chunks the object has.
+        expected: usize,
+    },
 }
 
 impl std::fmt::Display for LocationMapError {
@@ -83,6 +109,18 @@ impl std::fmt::Display for LocationMapError {
                     "layout record exception {index} unsorted or out of range"
                 )
             }
+            LocationMapError::UnknownEpoch { epoch, epochs } => write!(
+                f,
+                "layout record names epoch {epoch} of a {epochs}-epoch history"
+            ),
+            LocationMapError::WrongCode { n, k, local_groups } => write!(
+                f,
+                "layout record names code ({n}, {k}, {local_groups}), not the store's"
+            ),
+            LocationMapError::ChunkCount { got, expected } => write!(
+                f,
+                "location metadata describes {got} chunks of an object with {expected}"
+            ),
         }
     }
 }

@@ -21,8 +21,9 @@
 use crate::config::EcConfig;
 use crate::location_map::{LocationEntry, LocationMap, LocationMapError};
 use crate::object::ObjectMeta;
-use crate::placement::{self, ObjectId, StripeShape};
+use crate::placement::{self, ObjectId};
 use fusion_cluster::topology::Topology;
+use fusion_ec::ErasureCode;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -107,7 +108,7 @@ impl LayoutRecord {
         chunk: u32,
         seed: u64,
         okey: u64,
-        shape: &StripeShape,
+        code: &ErasureCode,
         members: &[usize],
         topo: &Topology,
     ) -> usize {
@@ -115,7 +116,7 @@ impl LayoutRecord {
             return self.exceptions[i].node as usize;
         }
         let (stripe, bin) = self.stripe_of(chunk);
-        placement::place_stripe(seed, okey, stripe, shape, members, topo)[bin]
+        placement::place_stripe(seed, okey, stripe, code, members, topo)[bin]
     }
 
     /// Builds the record for a freshly written object: any chunk whose
@@ -130,7 +131,7 @@ impl LayoutRecord {
         ec: EcConfig,
         seed: u64,
         okey: u64,
-        shape: &StripeShape,
+        code: &ErasureCode,
         members: &[usize],
         topo: &Topology,
     ) -> LayoutRecord {
@@ -145,7 +146,7 @@ impl LayoutRecord {
             let canonical = match &cached {
                 Some((s, p)) if *s == stripe => p[(c % k) as usize],
                 _ => {
-                    let p = placement::place_stripe(seed, okey, stripe, shape, members, topo);
+                    let p = placement::place_stripe(seed, okey, stripe, code, members, topo);
                     let node = p[(c % k) as usize];
                     cached = Some((stripe, p));
                     node
@@ -180,7 +181,7 @@ impl LayoutRecord {
         meta: &ObjectMeta,
         seed: u64,
         okey: u64,
-        shape: &StripeShape,
+        code: &ErasureCode,
         members: &[usize],
         topo: &Topology,
     ) -> Result<LocationMap, LocationMapError> {
@@ -195,7 +196,7 @@ impl LayoutRecord {
                 })?;
             entries.push(LocationEntry {
                 chunk_offset,
-                node: self.node_of(c, seed, okey, shape, members, topo) as u32,
+                node: self.node_of(c, seed, okey, code, members, topo) as u32,
             });
         }
         Ok(LocationMap { entries })
@@ -390,7 +391,7 @@ impl RebalanceReport {
 pub struct Namespace {
     seed: u64,
     ec: EcConfig,
-    shape: StripeShape,
+    code: ErasureCode,
     shard_mask: usize,
     shards: Vec<DetMap>,
     epochs: Vec<Membership>,
@@ -411,8 +412,7 @@ impl Namespace {
         ec: EcConfig,
         initial: Membership,
     ) -> crate::error::Result<Namespace> {
-        let code = ec.build_codec(fusion_ec::codec::CodecKind::Scalar)?;
-        let shape = StripeShape::from_codec(&*code);
+        let code = ec.build_codec()?;
         let shards = shard_count.max(1).next_power_of_two();
         let mut initial = initial;
         initial.members.sort_unstable();
@@ -420,7 +420,7 @@ impl Namespace {
         Ok(Namespace {
             seed,
             ec,
-            shape,
+            code,
             shard_mask: shards - 1,
             shards: (0..shards).map(|_| DetMap::default()).collect(),
             epochs: vec![initial],
@@ -520,7 +520,7 @@ impl Namespace {
             chunk,
             self.seed,
             id.placement_key(),
-            &self.shape,
+            &self.code,
             &m.members,
             &m.topology,
         ))
@@ -571,7 +571,7 @@ impl Namespace {
     pub fn rebalance(&mut self, chunk_bytes: u64, limit: Option<usize>) -> RebalanceReport {
         let current = self.current_epoch();
         let cap = limit.unwrap_or(usize::MAX);
-        let (seed, shape, epochs) = (self.seed, &self.shape, &self.epochs);
+        let (seed, code, epochs) = (self.seed, &self.code, &self.epochs);
         let new_m = &epochs[current as usize];
         let mut report = RebalanceReport::default();
         'scan: for map in &mut self.shards {
@@ -604,7 +604,7 @@ impl Namespace {
                                     seed,
                                     okey,
                                     stripe,
-                                    shape,
+                                    code,
                                     &m.members,
                                     &m.topology,
                                 );

@@ -24,7 +24,7 @@
 //! outcome is independent of member ordering.
 
 use fusion_cluster::topology::Topology;
-use fusion_ec::stripe::StripeCodec;
+use fusion_ec::ErasureCode;
 
 /// The stripe-placement "slot" index used for location-record replicas,
 /// chosen so replica scores never collide with a data stripe's stream.
@@ -89,46 +89,10 @@ pub fn object_key(bucket: &str, name: &str) -> u64 {
     object_id(bucket, name).placement_key()
 }
 
-/// The part of a [`StripeCodec`] placement cares about, captured by value
-/// so pure placement functions need no codec instance on the hot path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StripeShape {
-    /// Shards per stripe.
-    pub n: usize,
-    /// Data shards per stripe (the chunk→stripe fold uses this).
-    pub k: usize,
-    /// Guaranteed simultaneous-loss tolerance of the code.
-    pub tolerance: usize,
-    /// Local parity group of each shard (`None` for global shards).
-    pub group_of: Vec<Option<usize>>,
-}
-
-impl StripeShape {
-    /// Captures the placement-relevant shape of a codec.
-    pub fn from_codec(code: &dyn StripeCodec) -> StripeShape {
-        let n = code.total_blocks();
-        StripeShape {
-            n,
-            k: code.data_blocks(),
-            tolerance: code.tolerance(),
-            group_of: (0..n).map(|s| code.placement_group(s)).collect(),
-        }
-    }
-
-    /// Number of local parity groups (0 for plain RS).
-    pub fn groups(&self) -> usize {
-        self.group_of
-            .iter()
-            .filter_map(|g| *g)
-            .max()
-            .map_or(0, |g| g + 1)
-    }
-}
-
-/// Deterministically places one stripe's `shape.n` shards onto distinct
+/// Deterministically places one stripe's `n` shards onto distinct
 /// members, respecting the PR-6 domain invariants where satisfiable:
-/// no failure domain receives more than `shape.tolerance` shards, and no
-/// domain receives two shards of the same local group. When a constraint
+/// no failure domain receives more than the code's tolerance in shards,
+/// and no domain receives two shards of the same local group. When a constraint
 /// cannot be met (fewer domains than the code wants), it is relaxed for
 /// that shard exactly as the stored-map policy relaxes — distinct nodes
 /// are never given up.
@@ -138,38 +102,39 @@ impl StripeShape {
 ///
 /// # Panics
 ///
-/// Panics if `members` has fewer than `shape.n` nodes or contains a node
+/// Panics if `members` has fewer than `n` nodes or contains a node
 /// outside `topo`.
 pub fn place_stripe(
     seed: u64,
     okey: u64,
     stripe: u64,
-    shape: &StripeShape,
+    code: &ErasureCode,
     members: &[usize],
     topo: &Topology,
 ) -> Vec<usize> {
+    let tolerance = code.tolerance().max(1);
     place_slots(
         seed,
         okey,
         stripe,
-        shape.n,
+        code.total_blocks(),
         members,
         topo,
         |per_domain, group_used, shard, d| {
-            if per_domain[d] >= shape.tolerance.max(1) {
+            if per_domain[d] >= tolerance {
                 return false;
             }
-            match shape.group_of[shard] {
+            match code.group_of(shard) {
                 Some(g) => !group_used[g * topo.domains() + d],
                 None => true,
             }
         },
         |group_used, shard, d| {
-            if let Some(g) = shape.group_of[shard] {
+            if let Some(g) = code.group_of(shard) {
                 group_used[g * topo.domains() + d] = true;
             }
         },
-        shape.groups(),
+        code.local_groups(),
     )
 }
 
@@ -266,25 +231,24 @@ fn place_slots(
 mod tests {
     use super::*;
     use crate::config::EcConfig;
-    use fusion_ec::codec::CodecKind;
 
-    fn rs96_shape() -> StripeShape {
-        StripeShape::from_codec(&*EcConfig::RS_9_6.build_codec(CodecKind::Scalar).unwrap())
+    fn rs96_code() -> ErasureCode {
+        EcConfig::RS_9_6.build_codec().unwrap()
     }
 
-    fn lrc_shape() -> StripeShape {
-        StripeShape::from_codec(&*EcConfig::LRC_10_6.build_codec(CodecKind::Scalar).unwrap())
+    fn lrc_code() -> ErasureCode {
+        EcConfig::LRC_10_6.build_codec().unwrap()
     }
 
     #[test]
     fn re_evaluation_is_byte_stable() {
-        let shape = rs96_shape();
+        let code = rs96_code();
         let topo = Topology::racks(18, 6);
         let members: Vec<usize> = (0..18).collect();
         for okey in [0u64, 1, 0xdead_beef] {
             for stripe in 0..4 {
-                let a = place_stripe(7, okey, stripe, &shape, &members, &topo);
-                let b = place_stripe(7, okey, stripe, &shape, &members, &topo);
+                let a = place_stripe(7, okey, stripe, &code, &members, &topo);
+                let b = place_stripe(7, okey, stripe, &code, &members, &topo);
                 assert_eq!(a, b);
             }
         }
@@ -292,10 +256,10 @@ mod tests {
 
     #[test]
     fn nodes_are_distinct_and_in_members() {
-        let shape = rs96_shape();
+        let code = rs96_code();
         let topo = Topology::racks(20, 5);
         let members: Vec<usize> = (0..20).filter(|n| n % 4 != 3).collect(); // 15 members
-        let placed = place_stripe(1, 42, 0, &shape, &members, &topo);
+        let placed = place_stripe(1, 42, 0, &code, &members, &topo);
         assert_eq!(placed.len(), 9);
         let mut uniq = placed.clone();
         uniq.sort_unstable();
@@ -306,44 +270,44 @@ mod tests {
 
     #[test]
     fn domain_constraints_hold_when_satisfiable() {
-        let shape = lrc_shape();
+        let code = lrc_code();
         let topo = Topology::racks(20, 5);
         let members: Vec<usize> = (0..20).collect();
         for okey in 0..50u64 {
-            let placed = place_stripe(3, okey, 0, &shape, &members, &topo);
+            let placed = place_stripe(3, okey, 0, &code, &members, &topo);
             let mut per_domain = vec![0usize; topo.domains()];
             let mut group_domain = std::collections::HashSet::new();
             for (shard, &node) in placed.iter().enumerate() {
                 let d = topo.domain_of(node);
                 per_domain[d] += 1;
-                if let Some(g) = shape.group_of[shard] {
+                if let Some(g) = code.group_of(shard) {
                     assert!(
                         group_domain.insert((g, d)),
                         "group {g} twice in domain {d} (okey {okey})"
                     );
                 }
             }
-            assert!(per_domain.iter().all(|&c| c <= shape.tolerance));
+            assert!(per_domain.iter().all(|&c| c <= code.tolerance()));
         }
     }
 
     #[test]
     fn member_order_is_irrelevant() {
-        let shape = rs96_shape();
+        let code = rs96_code();
         let topo = Topology::racks(16, 4);
         let fwd: Vec<usize> = (0..16).collect();
         let rev: Vec<usize> = (0..16).rev().collect();
         for okey in 0..20u64 {
             assert_eq!(
-                place_stripe(9, okey, 1, &shape, &fwd, &topo),
-                place_stripe(9, okey, 1, &shape, &rev, &topo)
+                place_stripe(9, okey, 1, &code, &fwd, &topo),
+                place_stripe(9, okey, 1, &code, &rev, &topo)
             );
         }
     }
 
     #[test]
     fn node_add_moves_about_one_over_n() {
-        let shape = rs96_shape();
+        let code = rs96_code();
         let topo = Topology::racks(32, 8);
         let grown = topo.with_added_node(0);
         let members: Vec<usize> = (0..32).collect();
@@ -351,8 +315,8 @@ mod tests {
         grown_members.push(32);
         let (mut moved, mut total) = (0usize, 0usize);
         for okey in 0..500u64 {
-            let old = place_stripe(5, okey, 0, &shape, &members, &topo);
-            let new = place_stripe(5, okey, 0, &shape, &grown_members, &grown);
+            let old = place_stripe(5, okey, 0, &code, &members, &topo);
+            let new = place_stripe(5, okey, 0, &code, &grown_members, &grown);
             for (a, b) in old.iter().zip(&new) {
                 total += 1;
                 moved += usize::from(a != b);

@@ -11,6 +11,7 @@
 pub mod baseline;
 pub mod fusion;
 
+use crate::config::FAST_CODEC_SPEEDUP;
 use crate::error::{Result, StoreError};
 use crate::object::{ChunkFragment, ObjectMeta};
 use crate::store::Store;
@@ -462,10 +463,9 @@ impl<'a> Ctx<'a> {
             let read = self.disk(src, sp.width, &req);
             arrived.extend(self.transfer(Loc::Node(src), Loc::Node(coord), sp.width, &[read]));
         }
-        let decode_cost = self.cost.ec_at(
-            sp.width * sources.len() as u64,
-            store.config().codec_speedup(),
-        );
+        let decode_cost = self
+            .cost
+            .ec_at(sp.width * sources.len() as u64, FAST_CODEC_SPEEDUP);
         let decode = self.cpu(
             Loc::Node(coord),
             decode_cost,

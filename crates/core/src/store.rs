@@ -9,13 +9,13 @@
 //! reconstructing from parity when nodes have failed.
 
 use crate::cache::ChunkCache;
-use crate::config::{LayoutPolicy, PlacementPolicy, QueryMode, StoreConfig};
+use crate::config::{LayoutPolicy, PlacementPolicy, QueryMode, StoreConfig, FAST_CODEC_SPEEDUP};
 use crate::error::{Result, StoreError};
 use crate::layout::{fac, fixed, items_from_meta, oracle, padding, Layout, PackItem};
-use crate::location_map::LocationMap;
-use crate::meta::LayoutRecord;
+use crate::location_map::{LocationMap, LocationMapError};
+use crate::meta::{CodeId, LayoutRecord};
 use crate::object::{ObjectMeta, StripePlacement};
-use crate::placement::{self, StripeShape};
+use crate::placement;
 use bytes::Bytes;
 use fusion_cluster::engine::{CostClass, Engine, ResourceKey, Workflow};
 use fusion_cluster::fault::{AppliedFault, FaultInjector};
@@ -24,14 +24,13 @@ use fusion_cluster::time::Nanos;
 use fusion_cluster::topology::Topology;
 use fusion_ec::pool::WorkerPool;
 use fusion_ec::rs::ReconstructError;
-use fusion_ec::stripe::StripeCodec;
+use fusion_ec::ErasureCode;
 use fusion_format::footer::parse_footer;
 use fusion_obs::trace::Phase;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
 
 /// One stripe's shard slots, `None` where the shard was not read.
 pub(crate) type ShardBuf = Vec<Option<Vec<u8>>>;
@@ -167,7 +166,7 @@ struct Entry {
 #[derive(Debug)]
 pub struct Store {
     config: StoreConfig,
-    code: Arc<dyn StripeCodec>,
+    code: ErasureCode,
     /// Failure-domain layout resolved from the cluster spec at
     /// construction (see [`fusion_cluster::spec::ClusterSpec::effective_topology`]).
     topology: Topology,
@@ -179,9 +178,6 @@ pub struct Store {
     /// Membership epochs compact records resolve against: each entry is
     /// the alive-node set some object was placed over (index = epoch).
     epochs: Vec<Vec<usize>>,
-    /// Placement-relevant shape of the configured code, captured by value
-    /// so deterministic placement needs no codec call per slot.
-    shape: StripeShape,
     next_block: u64,
     rng: SmallRng,
     /// Straggler multipliers mirrored from the fault injector; fed into
@@ -253,7 +249,7 @@ impl Store {
     ///
     /// Invalid erasure-code parameters, or fewer cluster nodes than `n`.
     pub fn new(config: StoreConfig) -> Result<Store> {
-        let code = config.ec.build_codec(config.codec)?;
+        let code = config.ec.build_codec()?;
         if config.cluster.nodes < config.ec.n {
             return Err(StoreError::Internal(format!(
                 "cluster has {} nodes but {} needs {}",
@@ -261,14 +257,12 @@ impl Store {
             )));
         }
         let topology = config.cluster.effective_topology();
-        let shape = StripeShape::from_codec(&*code);
         Ok(Store {
             code,
             topology,
             blocks: BlockStore::new(config.cluster.nodes),
             objects: BTreeMap::new(),
             epochs: Vec::new(),
-            shape,
             next_block: 0,
             rng: SmallRng::seed_from_u64(config.seed),
             slowdowns: HashMap::new(),
@@ -284,9 +278,9 @@ impl Store {
         &self.config
     }
 
-    /// The erasure codec.
-    pub fn codec(&self) -> &dyn StripeCodec {
-        &*self.code
+    /// The erasure code.
+    pub fn codec(&self) -> &ErasureCode {
+        &self.code
     }
 
     /// The failure-domain topology this store places shards against.
@@ -324,7 +318,7 @@ impl Store {
                     &entry.meta,
                     self.config.seed,
                     placement::object_key("", name),
-                    &self.shape,
+                    &self.code,
                     &self.epochs[rec.epoch as usize],
                     &self.topology,
                 )
@@ -346,16 +340,16 @@ impl Store {
     }
 
     /// Reads an object's location metadata back off the data plane (first
-    /// readable replica), validating the payload against the cluster size
-    /// before use — an out-of-range node id is a typed error
-    /// ([`crate::location_map::LocationMapError::NodeOutOfRange`]), not a
-    /// silently misrouted read.
+    /// readable replica), validating the payload before use — a node id
+    /// outside the cluster, an epoch outside the store's history, a code
+    /// other than the store's, or a chunk count other than the object's
+    /// is a typed error, not a panic or a silently misrouted read.
     ///
     /// # Errors
     ///
     /// [`StoreError::ObjectNotFound`], [`StoreError::Metadata`] on a
-    /// malformed or out-of-range payload, or an internal error when no
-    /// replica is readable.
+    /// malformed payload or one that does not describe the object, or an
+    /// internal error when no replica is readable.
     pub fn read_location_map(&self, name: &str) -> Result<LocationMap> {
         let entry = self
             .objects
@@ -366,20 +360,38 @@ impl Store {
             let Ok(bytes) = self.blocks.get(node, block) else {
                 continue;
             };
-            return match &entry.record {
-                ObjectMetaRecord::Stored(_) => Ok(LocationMap::from_bytes_checked(&bytes, nodes)?),
+            let map = match &entry.record {
+                ObjectMetaRecord::Stored(_) => LocationMap::from_bytes_checked(&bytes, nodes)?,
                 ObjectMetaRecord::Compact(_) => {
                     let rec = LayoutRecord::from_bytes_checked(&bytes, nodes)?;
-                    Ok(rec.materialize(
+                    let members = self.epochs.get(rec.epoch as usize).ok_or(
+                        LocationMapError::UnknownEpoch {
+                            epoch: rec.epoch,
+                            epochs: self.epochs.len(),
+                        },
+                    )?;
+                    if rec.code != CodeId::from(self.config.ec) {
+                        let CodeId { n, k, local_groups } = rec.code;
+                        return Err(LocationMapError::WrongCode { n, k, local_groups }.into());
+                    }
+                    rec.materialize(
                         &entry.meta,
                         self.config.seed,
                         placement::object_key("", name),
-                        &self.shape,
-                        &self.epochs[rec.epoch as usize],
+                        &self.code,
+                        members,
                         &self.topology,
-                    )?)
+                    )?
                 }
             };
+            if map.entries.len() != entry.meta.num_chunks() {
+                return Err(LocationMapError::ChunkCount {
+                    got: map.entries.len(),
+                    expected: entry.meta.num_chunks(),
+                }
+                .into());
+            }
+            return Ok(map);
         }
         Err(StoreError::Internal(format!(
             "no readable location-map replica for {name}"
@@ -489,7 +501,7 @@ impl Store {
                 self.config.seed,
                 okey,
                 stripe as u64,
-                &self.shape,
+                &self.code,
                 alive,
                 &self.topology,
             );
@@ -522,7 +534,7 @@ impl Store {
         let mut group_domains: std::collections::HashSet<(usize, usize)> =
             std::collections::HashSet::new();
         for shard in 0..n {
-            let group = self.code.placement_group(shard);
+            let group = self.code.group_of(shard);
             let slot = nodes.iter().enumerate().position(|(i, &node)| {
                 if used[i] {
                     return false;
@@ -746,7 +758,7 @@ impl Store {
                 ec,
                 self.config.seed,
                 okey,
-                &self.shape,
+                &self.code,
                 &alive,
                 &self.topology,
             );
@@ -755,7 +767,7 @@ impl Store {
                     &meta,
                     self.config.seed,
                     okey,
-                    &self.shape,
+                    &self.code,
                     &alive,
                     &self.topology
                 ),
@@ -859,7 +871,7 @@ impl Store {
         );
         let encode = wf.step(
             ResourceKey::Cpu(coord),
-            cost.ec_at(stored_bytes, self.config.codec_speedup()),
+            cost.ec_at(stored_bytes, FAST_CODEC_SPEEDUP),
             CostClass::Processing,
             &[pack],
         );
@@ -1114,7 +1126,7 @@ impl Store {
             + cost.rpc_overhead.0
             + cost.wire(sp.width).0 * sources.len() as u64
             + cost
-                .ec_at(sp.width * sources.len() as u64, self.config.codec_speedup())
+                .ec_at(sp.width * sources.len() as u64, FAST_CODEC_SPEEDUP)
                 .0;
         self.metrics().histogram("degraded_read_ns").record(ns);
     }
@@ -1196,7 +1208,7 @@ impl Store {
                     // — a local-group repair touches r shards, not k.
                     let decode = wf.step(
                         ResourceKey::Cpu(node),
-                        cost.ec_at(width * sources.len() as u64, self.config.codec_speedup()),
+                        cost.ec_at(width * sources.len() as u64, FAST_CODEC_SPEEDUP),
                         CostClass::Processing,
                         &arrived,
                     );
@@ -1741,24 +1753,15 @@ mod tests {
     }
 
     #[test]
-    fn stored_blocks_identical_across_codecs_and_threads() {
-        use fusion_ec::codec::CodecKind;
+    fn stored_blocks_identical_across_threads() {
         let bytes = analytics_bytes(4000, 400);
-        let variants = [
-            (CodecKind::Fast, 1),
-            (CodecKind::Fast, 4),
-            (CodecKind::Scalar, 1),
-            (CodecKind::Scalar, 3),
-        ];
         let mut fingerprints = Vec::new();
-        for (codec, threads) in variants {
-            let cfg = StoreConfig::fusion()
-                .with_codec(codec)
-                .with_ec_threads(threads);
+        for threads in [1, 3, 4] {
+            let cfg = StoreConfig::fusion().with_ec_threads(threads);
             let mut store = Store::new(cfg).unwrap();
             store.put("obj", bytes.clone()).unwrap();
             // Same seed => same placement; every block (data AND parity)
-            // must be byte-identical regardless of codec or parallelism.
+            // must be byte-identical regardless of parallelism.
             let meta = store.object("obj").unwrap();
             let mut fp: Vec<Vec<u8>> = Vec::new();
             for sp in &meta.placement {
@@ -1829,5 +1832,54 @@ mod tests {
         // Replicas on a down node wait for recovery.
         store.fail_node(replicas[2].0).unwrap();
         assert_eq!(store.scrub().blocks_repaired, 0);
+    }
+
+    #[test]
+    fn read_location_map_rejects_replicas_of_another_layout() {
+        // Each replica below has a valid CRC (the block store recomputes
+        // it on put) but does not describe the object.
+        fn overwrite_replicas(store: &mut Store, bytes: Vec<u8>) {
+            for (node, block) in store.objects["obj"].replicas.clone() {
+                store
+                    .blocks_mut()
+                    .put(node, block, Bytes::from(bytes.clone()))
+                    .unwrap();
+            }
+        }
+        let bytes = analytics_bytes(4000, 500);
+        let mut cfg = StoreConfig::fusion().with_placement(PlacementPolicy::Deterministic);
+        cfg.overhead_threshold = 0.5;
+        let mut store = Store::new(cfg).unwrap();
+        store.put("obj", bytes.clone()).unwrap();
+        let Some(ObjectMetaRecord::Compact(rec)) = store.meta_record("obj").cloned() else {
+            panic!("deterministic policy must produce a compact record");
+        };
+        // An epoch the store never had.
+        let mut bad = rec.clone();
+        bad.epoch = 7;
+        overwrite_replicas(&mut store, bad.to_bytes());
+        assert!(matches!(
+            store.read_location_map("obj"),
+            Err(StoreError::Metadata(_))
+        ));
+        // Another code.
+        let mut bad = rec.clone();
+        bad.code.k = 3;
+        overwrite_replicas(&mut store, bad.to_bytes());
+        assert!(matches!(
+            store.read_location_map("obj"),
+            Err(StoreError::Metadata(_))
+        ));
+
+        // A stored map one entry short.
+        let mut store = Store::new(StoreConfig::fusion()).unwrap();
+        store.put("obj", bytes).unwrap();
+        let mut map = store.read_location_map("obj").unwrap();
+        map.entries.pop();
+        overwrite_replicas(&mut store, map.to_bytes());
+        assert!(matches!(
+            store.read_location_map("obj"),
+            Err(StoreError::Metadata(_))
+        ));
     }
 }

@@ -1,7 +1,9 @@
 //! Tests for the management surface: list / head / delete / scrub.
 
 use bytes::Bytes;
-use fusion_core::config::StoreConfig;
+use fusion_cluster::spec::ClusterSpec;
+use fusion_cluster::store::BlockId;
+use fusion_core::config::{EcConfig, StoreConfig};
 use fusion_core::store::Store;
 use fusion_format::prelude::*;
 
@@ -153,15 +155,31 @@ fn scrub_repairs_crc_detected_corruption() {
     assert!(r2.is_clean() && r2.blocks_repaired == 0 && r2.stripes_degraded == 0);
 }
 
-#[test]
-fn scrub_localizes_and_repairs_tampered_block() {
-    let mut s = store();
+/// Tampers one byte of `shard` in the widest stripe of a fresh store
+/// coded with `ec` on `nodes` flat nodes, then scrubs twice.
+fn scrub_heals_tampered_shard(ec: EcConfig, nodes: usize, shard: usize) {
+    let mut cfg = StoreConfig::fusion()
+        .with_ec(ec)
+        .with_cluster(ClusterSpec::with_nodes(nodes));
+    cfg.overhead_threshold = 0.9;
+    let mut s = Store::new(cfg).unwrap();
     s.put("a", file(1000)).unwrap();
     let meta = s.object("a").unwrap().clone();
-    let (node, block) = (meta.placement[0].nodes[2], meta.placement[0].block_ids[2]);
-    let original = s.blocks().get(node, block).unwrap();
-    let mut tampered = original.to_vec();
-    tampered[3] ^= 0x55;
+    let blocks: Vec<(usize, BlockId)> = meta
+        .placement
+        .iter()
+        .flat_map(|sp| sp.nodes.iter().copied().zip(sp.block_ids.iter().copied()))
+        .collect();
+    let before: Vec<Bytes> = blocks
+        .iter()
+        .map(|&(node, block)| s.blocks().get(node, block).unwrap())
+        .collect();
+    let widest = meta.placement.iter().max_by_key(|sp| sp.width).unwrap();
+    let (node, block) = (widest.nodes[shard], widest.block_ids[shard]);
+    let mut tampered = s.blocks().get(node, block).unwrap().to_vec();
+    assert!(!tampered.is_empty(), "{ec}: shard {shard} is empty");
+    let at = 3 % tampered.len();
+    tampered[at] ^= 0x55;
     // A tampered put recomputes the CRC, so only parity can catch it.
     s.blocks_mut()
         .put(node, block, Bytes::from(tampered))
@@ -169,9 +187,25 @@ fn scrub_localizes_and_repairs_tampered_block() {
 
     let r = s.scrub();
     // Detection is never silent even though the stripe was healed...
-    assert_eq!(r.stripes_corrupt, 1);
-    assert_eq!(r.blocks_repaired, 1);
-    // ...and the culprit block got its original contents back.
-    assert_eq!(s.blocks().get(node, block).unwrap(), original);
-    assert!(s.scrub().is_clean());
+    assert_eq!(r.stripes_corrupt, 1, "{ec}: shard {shard}");
+    assert_eq!(r.blocks_repaired, 1, "{ec}: shard {shard}");
+    // ...and exactly the culprit block was rewritten, to its original
+    // contents.
+    for (&(node, block), original) in blocks.iter().zip(&before) {
+        assert_eq!(
+            &s.blocks().get(node, block).unwrap(),
+            original,
+            "{ec}: shard {shard}, block {block:?} on node {node}"
+        );
+    }
+    assert!(s.scrub().is_clean(), "{ec}: shard {shard}");
+}
+
+#[test]
+fn scrub_localizes_and_repairs_tampered_block() {
+    for (ec, nodes) in [(EcConfig::RS_9_6, 9), (EcConfig::LRC_10_6, 10)] {
+        for shard in 0..ec.n {
+            scrub_heals_tampered_shard(ec, nodes, shard);
+        }
+    }
 }

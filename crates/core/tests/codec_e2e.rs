@@ -1,16 +1,17 @@
-//! End-to-end codec regression: the full object lifecycle — put, node
-//! failures, degraded query, scrub, recovery — must produce identical
-//! results under `ScalarCodec` and `FastCodec`.
+//! End-to-end erasure-code regression: the full object lifecycle — put,
+//! node failures, degraded query, scrub, recovery — must produce
+//! identical results whatever the number of encode threads.
 //!
-//! The parameterized helper runs the lifecycle once per codec (and under
-//! both query executors) and the test asserts the outputs are equal
-//! field-by-field, so any divergence in the optimized kernels shows up as
-//! a user-visible result diff, not just a unit-test failure.
+//! The parameterized helper runs the lifecycle once per thread count
+//! (and under both query executors) and the test asserts the outputs are
+//! equal field-by-field, so any divergence in the parallel encode shows
+//! up as a user-visible result diff, not just a unit-test failure. The
+//! kernels themselves are pinned fast-vs-scalar by `fusion-ec`'s
+//! differential suites.
 
 use fusion_core::config::{QueryMode, StoreConfig};
 use fusion_core::query::QueryResult;
 use fusion_core::store::Store;
-use fusion_ec::codec::CodecKind;
 use fusion_format::prelude::*;
 
 fn test_table(rows: usize) -> Table {
@@ -48,8 +49,8 @@ struct LifecycleOutcome {
 }
 
 /// put → query → fail m nodes → degraded query → scrub → recover →
-/// scrub again → query → get, all under one codec and query mode.
-fn run_lifecycle(codec: CodecKind, mode: QueryMode, threads: usize) -> LifecycleOutcome {
+/// scrub again → query → get, all under one thread count and query mode.
+fn run_lifecycle(mode: QueryMode, threads: usize) -> LifecycleOutcome {
     let bytes = write_table(
         &test_table(3000),
         WriteOptions {
@@ -63,7 +64,7 @@ fn run_lifecycle(codec: CodecKind, mode: QueryMode, threads: usize) -> Lifecycle
     };
     cfg.query_mode = mode;
     cfg.overhead_threshold = 0.9;
-    let mut store = Store::new(cfg.with_codec(codec).with_ec_threads(threads)).unwrap();
+    let mut store = Store::new(cfg.with_ec_threads(threads)).unwrap();
     store.put("t", bytes.clone()).unwrap();
 
     let healthy_results: Vec<QueryResult> = QUERIES
@@ -84,7 +85,10 @@ fn run_lifecycle(codec: CodecKind, mode: QueryMode, threads: usize) -> Lifecycle
 
     // Scrub sees the down nodes as degraded stripes, nothing corrupt.
     let scrub = store.scrub();
-    assert!(scrub.is_clean(), "{codec}/{mode:?}: scrub found corruption");
+    assert!(
+        scrub.is_clean(),
+        "{threads}/{mode:?}: scrub found corruption"
+    );
 
     for &node in &failed {
         store.recover_node(node).unwrap();
@@ -95,7 +99,7 @@ fn run_lifecycle(codec: CodecKind, mode: QueryMode, threads: usize) -> Lifecycle
         .map(|sql| store.query(sql).expect(sql).result)
         .collect();
     let final_bytes = store.get("t", 0, bytes.len() as u64).unwrap();
-    assert_eq!(final_bytes, bytes, "{codec}/{mode:?}: bytes corrupted");
+    assert_eq!(final_bytes, bytes, "{threads}/{mode:?}: bytes corrupted");
 
     LifecycleOutcome {
         healthy_results,
@@ -108,29 +112,29 @@ fn run_lifecycle(codec: CodecKind, mode: QueryMode, threads: usize) -> Lifecycle
 }
 
 #[test]
-fn lifecycle_identical_under_both_codecs_fusion_executor() {
-    let fast = run_lifecycle(CodecKind::Fast, QueryMode::AdaptivePushdown, 2);
-    let scalar = run_lifecycle(CodecKind::Scalar, QueryMode::AdaptivePushdown, 1);
+fn lifecycle_identical_across_threads_fusion_executor() {
+    let parallel = run_lifecycle(QueryMode::AdaptivePushdown, 2);
+    let serial = run_lifecycle(QueryMode::AdaptivePushdown, 1);
     assert!(
-        fast.scrub_degraded > 0,
+        parallel.scrub_degraded > 0,
         "failures must degrade some stripes"
     );
-    assert!(fast.scrub_clean_after_recovery);
-    assert_eq!(fast, scalar);
+    assert!(parallel.scrub_clean_after_recovery);
+    assert_eq!(parallel, serial);
 }
 
 #[test]
-fn lifecycle_identical_under_both_codecs_baseline_executor() {
-    let fast = run_lifecycle(CodecKind::Fast, QueryMode::Reassemble, 4);
-    let scalar = run_lifecycle(CodecKind::Scalar, QueryMode::Reassemble, 1);
-    assert!(fast.scrub_clean_after_recovery);
-    assert_eq!(fast, scalar);
+fn lifecycle_identical_across_threads_baseline_executor() {
+    let parallel = run_lifecycle(QueryMode::Reassemble, 4);
+    let serial = run_lifecycle(QueryMode::Reassemble, 1);
+    assert!(parallel.scrub_clean_after_recovery);
+    assert_eq!(parallel, serial);
 }
 
 #[test]
 fn degraded_results_match_healthy_results() {
     // Within one run, degraded reads must be invisible to queries.
-    let out = run_lifecycle(CodecKind::Fast, QueryMode::AdaptivePushdown, 2);
+    let out = run_lifecycle(QueryMode::AdaptivePushdown, 2);
     assert_eq!(out.healthy_results, out.degraded_results);
     assert_eq!(out.healthy_results, out.recovered_results);
 }

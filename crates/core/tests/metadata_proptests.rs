@@ -8,7 +8,7 @@ use fusion_cluster::topology::Topology;
 use fusion_core::config::EcConfig;
 use fusion_core::location_map::{LocationEntry, LocationMap, LocationMapError};
 use fusion_core::meta::{ChunkException, LayoutRecord};
-use fusion_core::placement::{object_key, place_stripe, StripeShape};
+use fusion_core::placement::{object_key, place_stripe};
 use proptest::prelude::*;
 
 fn arb_map() -> impl Strategy<Value = LocationMap> {
@@ -127,9 +127,7 @@ proptest! {
     ) {
         let topo = Topology::racks(18, 6);
         let members: Vec<usize> = (0..18).collect();
-        let shape = StripeShape::from_codec(
-            &*EcConfig::RS_9_6.build_codec(fusion_ec::codec::CodecKind::Scalar).unwrap(),
-        );
+        let code = EcConfig::RS_9_6.build_codec().unwrap();
         let okey = object_key("bucket", &name);
         let rec = LayoutRecord {
             epoch: 0,
@@ -140,14 +138,14 @@ proptest! {
         };
         for c in 0..chunks {
             let (stripe, bin) = rec.stripe_of(c);
-            let placed = place_stripe(seed, okey, stripe, &shape, &members, &topo);
+            let placed = place_stripe(seed, okey, stripe, &code, &members, &topo);
             prop_assert_eq!(
-                rec.node_of(c, seed, okey, &shape, &members, &topo),
+                rec.node_of(c, seed, okey, &code, &members, &topo),
                 placed[bin]
             );
             // Re-evaluation returns the identical layout.
             prop_assert_eq!(
-                place_stripe(seed, okey, stripe, &shape, &members, &topo),
+                place_stripe(seed, okey, stripe, &code, &members, &topo),
                 placed
             );
         }

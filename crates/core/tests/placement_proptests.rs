@@ -73,7 +73,7 @@ proptest! {
             // No domain holds two shards of one local group.
             let mut group_domains: Vec<(usize, usize)> = Vec::new();
             for (shard, &node) in sp.nodes.iter().enumerate() {
-                if let Some(g) = store.codec().placement_group(shard) {
+                if let Some(g) = store.codec().group_of(shard) {
                     let d = store.topology().domain_of(node);
                     prop_assert!(
                         !group_domains.contains(&(g, d)),
@@ -122,7 +122,7 @@ proptest! {
             // No domain holds two shards of one local group.
             let mut group_domains: Vec<(usize, usize)> = Vec::new();
             for (shard, &node) in sp.nodes.iter().enumerate() {
-                if let Some(g) = store.codec().placement_group(shard) {
+                if let Some(g) = store.codec().group_of(shard) {
                     let d = store.topology().domain_of(node);
                     prop_assert!(
                         !group_domains.contains(&(g, d)),

@@ -82,7 +82,7 @@ fn stripe_blocks(store: &Store, node: usize) -> BTreeMap<Slot, Vec<u8>> {
 
 fn rebuilt_blocks_match(ec: EcConfig, nodes: usize) {
     let mut store = populated(ec, nodes);
-    let label = store.codec().label();
+    let label = store.codec().to_string();
     let n = store.codec().total_blocks();
 
     // Recovery: every node in turn loses all of its blocks and gets

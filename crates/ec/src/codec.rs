@@ -1,6 +1,6 @@
 //! Pluggable GF(2^8) bulk-multiplication codecs.
 //!
-//! The Reed-Solomon inner loop is `acc[i] ^= c · data[i]` over whole
+//! The erasure code's inner loop is `acc[i] ^= c · data[i]` over whole
 //! shards. Two implementations are provided:
 //!
 //! * [`ScalarCodec`] — the original log/exp path ([`crate::gf`]), kept as
@@ -8,20 +8,19 @@
 //! * [`FastCodec`] — split-nibble kernels ([`crate::kernel`]) with all 256
 //!   coefficient tables precomputed at construction. The full cache is
 //!   8 KiB (256 × 32 B), stays L1-resident, and is shared by every encode
-//!   row and every reconstruct inverse-matrix row of a
-//!   [`crate::rs::ReedSolomon`] instance — tables are never rebuilt on the
-//!   hot path.
+//!   row and every decode coefficient of an [`crate::ErasureCode`]
+//!   instance — tables are never rebuilt on the hot path.
 //!
-//! Both codecs implement identical semantics: the accumulate variant
-//! touches only the common prefix of `acc` and `data` (the implicit
-//! zero-padding rule for variable-length stripes).
+//! Both codecs implement identical semantics: `mul_acc` touches only the
+//! common prefix of `acc` and `data` (the implicit zero-padding rule for
+//! variable-length stripes).
 
 use std::sync::Arc;
 
 use crate::gf::{self, Gf256};
 use crate::kernel::{xor_acc, NibbleTable};
 
-/// Which codec implementation a [`crate::rs::ReedSolomon`] should use.
+/// Which codec implementation an [`crate::ErasureCode`] should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CodecKind {
     /// Log/exp scalar reference path.
@@ -66,9 +65,6 @@ pub trait Codec: std::fmt::Debug + Send + Sync {
     /// `acc[i] ^= c · data[i]` over the common prefix of the slices; any
     /// tail of the longer slice is left untouched.
     fn mul_acc(&self, acc: &mut [u8], data: &[u8], c: Gf256);
-
-    /// `data[i] = c · data[i]` in place.
-    fn mul_slice(&self, data: &mut [u8], c: Gf256);
 }
 
 /// Reference codec: per-call 256-entry product table, one lookup per byte.
@@ -83,10 +79,6 @@ impl Codec for ScalarCodec {
     fn mul_acc(&self, acc: &mut [u8], data: &[u8], c: Gf256) {
         let n = acc.len().min(data.len());
         gf::mul_acc(&mut acc[..n], &data[..n], c);
-    }
-
-    fn mul_slice(&self, data: &mut [u8], c: Gf256) {
-        gf::mul_slice(data, c);
     }
 }
 
@@ -143,17 +135,6 @@ impl Codec for FastCodec {
         }
         self.table(c).mul_acc(acc, data);
     }
-
-    fn mul_slice(&self, data: &mut [u8], c: Gf256) {
-        if c == Gf256::ONE {
-            return;
-        }
-        if c.is_zero() {
-            data.fill(0);
-            return;
-        }
-        self.table(c).mul_slice(data);
-    }
 }
 
 #[cfg(test)]
@@ -188,19 +169,6 @@ mod tests {
                 scalar.mul_acc(&mut b, &data, Gf256(c));
                 assert_eq!(a, b, "c={c} len={len}");
             }
-        }
-    }
-
-    #[test]
-    fn codecs_agree_on_mul_slice() {
-        let fast = FastCodec::new();
-        let scalar = ScalarCodec;
-        for c in 0..=255u8 {
-            let mut a = pattern(77, 5);
-            let mut b = a.clone();
-            fast.mul_slice(&mut a, Gf256(c));
-            scalar.mul_slice(&mut b, Gf256(c));
-            assert_eq!(a, b, "c={c}");
         }
     }
 

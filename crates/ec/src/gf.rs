@@ -235,26 +235,6 @@ pub fn mul_acc(acc: &mut [u8], data: &[u8], c: Gf256) {
     }
 }
 
-/// Multiplies every byte of `data` in place by the constant `c`.
-#[inline]
-pub fn mul_slice(data: &mut [u8], c: Gf256) {
-    if c.0 == 1 {
-        return;
-    }
-    if c.0 == 0 {
-        data.fill(0);
-        return;
-    }
-    let lc = TABLES.log[c.0 as usize] as usize;
-    let mut table = [0u8; 256];
-    for (v, slot) in table.iter_mut().enumerate().skip(1) {
-        *slot = TABLES.exp[lc + TABLES.log[v] as usize];
-    }
-    for d in data.iter_mut() {
-        *d = table[*d as usize];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,16 +328,6 @@ mod tests {
         let mut acc = vec![0x11u8; 8];
         mul_acc(&mut acc, &[0xFF, 0xFF], Gf256(3));
         assert_eq!(&acc[2..], &[0x11; 6]);
-    }
-
-    #[test]
-    fn mul_slice_matches_scalar_path() {
-        let mut data: Vec<u8> = (0..=255).collect();
-        let orig = data.clone();
-        mul_slice(&mut data, Gf256(0x57));
-        for (d, o) in data.iter().zip(&orig) {
-            assert_eq!(*d, (Gf256(0x57) * Gf256(*o)).0);
-        }
     }
 
     #[test]

@@ -73,17 +73,6 @@ impl NibbleTable {
         self.mul_acc_blocks(acc, data);
     }
 
-    /// `data[i] = c · data[i]` in place.
-    pub fn mul_slice(&self, data: &mut [u8]) {
-        #[cfg(target_arch = "x86_64")]
-        if data.len() >= 32 && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { self.mul_slice_avx2(data) };
-            return;
-        }
-        self.mul_slice_blocks(data);
-    }
-
     /// Portable kernel: 8-byte blocks, unrolled lookups, one 64-bit XOR
     /// store per block. Slices must be equal length.
     fn mul_acc_blocks(&self, acc: &mut [u8], data: &[u8]) {
@@ -107,27 +96,6 @@ impl NibbleTable {
         }
         for (a, d) in ac.into_remainder().iter_mut().zip(dc.remainder()) {
             *a ^= self.mul(*d);
-        }
-    }
-
-    /// Portable in-place kernel, same 8-byte block structure.
-    fn mul_slice_blocks(&self, data: &mut [u8]) {
-        let mut dc = data.chunks_exact_mut(8);
-        for d in dc.by_ref() {
-            let prod = [
-                self.mul(d[0]),
-                self.mul(d[1]),
-                self.mul(d[2]),
-                self.mul(d[3]),
-                self.mul(d[4]),
-                self.mul(d[5]),
-                self.mul(d[6]),
-                self.mul(d[7]),
-            ];
-            d.copy_from_slice(&prod);
-        }
-        for d in dc.into_remainder() {
-            *d = self.mul(*d);
         }
     }
 
@@ -188,31 +156,6 @@ impl NibbleTable {
             i += 16;
         }
         self.mul_acc_blocks(&mut acc[i..], &data[i..]);
-    }
-
-    /// AVX2 in-place kernel.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure AVX2 is available.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_slice_avx2(&self, data: &mut [u8]) {
-        use std::arch::x86_64::*;
-        let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(self.lo.as_ptr() as *const __m128i));
-        let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(self.hi.as_ptr() as *const __m128i));
-        let mask = _mm256_set1_epi8(0x0F);
-        let n = data.len();
-        let mut i = 0;
-        while i + 32 <= n {
-            let d = _mm256_loadu_si256(data.as_ptr().add(i) as *const __m256i);
-            let dl = _mm256_and_si256(d, mask);
-            let dh = _mm256_and_si256(_mm256_srli_epi64::<4>(d), mask);
-            let p = _mm256_xor_si256(_mm256_shuffle_epi8(lo, dl), _mm256_shuffle_epi8(hi, dh));
-            _mm256_storeu_si256(data.as_mut_ptr().add(i) as *mut __m256i, p);
-            i += 32;
-        }
-        self.mul_slice_blocks(&mut data[i..]);
     }
 }
 
@@ -275,20 +218,6 @@ mod tests {
                 let mut scalar = fast.clone();
                 t.mul_acc(&mut fast, &data);
                 gf::mul_acc(&mut scalar, &data, Gf256(c));
-                assert_eq!(fast, scalar, "c={c} len={len}");
-            }
-        }
-    }
-
-    #[test]
-    fn mul_slice_matches_scalar_all_lengths() {
-        for c in [0u8, 1, 2, 0x1D, 0xB7, 0xFF] {
-            let t = NibbleTable::new(Gf256(c));
-            for &len in &LENS {
-                let mut fast = pattern(len, 9);
-                let mut scalar = fast.clone();
-                t.mul_slice(&mut fast);
-                gf::mul_slice(&mut scalar, Gf256(c));
                 assert_eq!(fast, scalar, "c={c} len={len}");
             }
         }

@@ -2,19 +2,29 @@
 
 //! # fusion-ec
 //!
-//! Systematic Reed-Solomon erasure coding over GF(2^8), written from
-//! scratch for the Fusion analytics object store (ASPLOS '25).
+//! Systematic erasure coding over GF(2^8), written for the Fusion
+//! analytics object store (ASPLOS '25). One code type, [`ErasureCode`],
+//! covers both codes the store runs: `(n, k, 0)` is Reed-Solomon
+//! RS(n, k) and `(n, k, l)` with `l > 0` is the pyramid
+//! locally-repairable code LRC(n, k, l), whose local parities make a
+//! single-shard repair read `k/l` shards instead of `k`.
 //!
 //! Two properties distinguish this implementation from a generic RS
 //! library, both required by Fusion's file-format-aware coding (FAC):
 //!
-//! 1. **Variable-length data blocks per stripe.** [`rs::ReedSolomon::encode`]
+//! 1. **Variable-length data blocks per stripe.** [`ErasureCode::encode`]
 //!    accepts `k` blocks of different sizes; parity blocks take the size of
 //!    the largest data block, and shorter blocks are treated as implicitly
 //!    zero-padded (the padding is never stored). This is exactly the stripe
 //!    model of the paper's Figure 2.
 //! 2. **Systematic layout.** Data blocks are stored in plaintext, which is
 //!    what makes in-situ computation pushdown on storage nodes possible.
+//!
+//! One decode routine backs both [`ErasureCode::reconstruct`] (every lost
+//! shard) and [`ErasureCode::repair_one`] (one shard, from the sources
+//! [`ErasureCode::repair_sources`] plans): it solves the lost shards'
+//! generator rows over the present shards' rows, coefficients only, then
+//! multiplies and accumulates straight from the present shards.
 //!
 //! The GF(2^8) inner loop is pluggable ([`codec::CodecKind`]): the default
 //! [`codec::FastCodec`] multiplies through split-nibble tables with SIMD
@@ -25,9 +35,9 @@
 //! ## Quickstart
 //!
 //! ```
-//! use fusion_ec::rs::ReedSolomon;
+//! use fusion_ec::ErasureCode;
 //!
-//! let rs = ReedSolomon::new(9, 6)?;                     // the paper's default code
+//! let rs = ErasureCode::new(9, 6, 0)?;                  // the paper's default code
 //! let blocks: Vec<Vec<u8>> = (0..6).map(|i| vec![i; 1024]).collect();
 //! let parity = rs.encode(&blocks);
 //!
@@ -45,12 +55,10 @@ pub mod lrc;
 pub mod matrix;
 pub mod pool;
 pub mod rs;
-pub mod stripe;
 
 pub use codec::{Codec, CodecKind, FastCodec, ScalarCodec};
 pub use gf::Gf256;
-pub use lrc::LrcCodec;
+pub use lrc::ErasureCode;
 pub use matrix::Matrix;
 pub use pool::WorkerPool;
-pub use rs::{CodeParamsError, ReconstructError, ReedSolomon};
-pub use stripe::StripeCodec;
+pub use rs::{CodeParamsError, ReconstructError};

@@ -1,47 +1,57 @@
-//! Locally-repairable codes (LRC) over GF(2^8): Reed-Solomon global
-//! parities plus one local parity per group of data blocks, so the common
-//! failure — a single lost shard — is repaired by reading only its small
-//! local group (`k/l + 1` shards at most) instead of the full `k`
-//! survivors an MDS code needs.
+//! The erasure code: one systematic `(n, k, l)` code over GF(2^8) that
+//! is Reed-Solomon when `l = 0` and a locally-repairable code (LRC) when
+//! `l > 0`. An LRC adds one local parity per group of data blocks, so
+//! the common failure — a single lost shard — is repaired by reading
+//! only its small local group (`k/l + 1` shards at most) instead of the
+//! full `k` survivors an MDS code needs.
 //!
 //! Construction (pyramid style, Huang et al.): start from the systematic
-//! MDS matrix of an `(k + g + 1, k)` Reed-Solomon code and keep its `g +
-//! 1` parity rows `P₀ … P_g`. The first row `P₀` is *split* into `l`
-//! local parities by masking it to each group's columns; `P₁ … P_g`
-//! become the global parities unchanged. Because every local row is a
-//! column-masked MDS parity row, any square submatrix one can face while
-//! decoding a ≤ `g + 1` erasure pattern is a minor of the MDS parity
-//! block — and therefore invertible. The exhaustive loss-mask tests below
-//! verify that guarantee directly for the shipped configurations.
+//! MDS matrix of a Reed-Solomon code. With `l = 0` that is the `(n, k)`
+//! matrix and its parity rows are the code's. With `l > 0` it is the
+//! `(k + g + 1, k)` matrix, `g = n − k − l`: its first parity row `P₀` is
+//! *split* into `l` local parities by masking it to each group's
+//! columns, and the next `g` rows `P₁ … P_g` are the global parities.
+//! The prefix rows of these matrices agree, so RS(9, 6)'s parities are
+//! `P₀ P₁ P₂` and LRC(10, 6, 2)'s globals are its `P₁ P₂`. Because every
+//! local row is a column-masked MDS parity row, any square submatrix one
+//! can face while decoding a ≤ `g + 1` erasure pattern is a minor of the
+//! MDS parity block — and therefore invertible. The exhaustive loss-mask
+//! tests below verify that guarantee directly for the shipped
+//! configurations.
 //!
-//! The code is **not** MDS: `l − 1` parity blocks are "spent" on repair
+//! An LRC is **not** MDS: `l − 1` parity blocks are "spent" on repair
 //! locality, so an `LRC(n, k, l)` stripe guarantees only `n − k − l + 1`
 //! simultaneous losses (three for the default LRC(10, 6, 2), the same as
 //! RS(9, 6)) while paying one extra block of storage. Beyond-guarantee
-//! masks are often still recoverable; [`LrcCodec::reconstruct`] decides
-//! by Gaussian elimination over the surviving generator rows rather than
-//! by count.
+//! masks are often still recoverable, so every decode decides by the
+//! rank of the surviving generator rows rather than by count.
 
 use std::sync::Arc;
 
 use crate::codec::{Codec, CodecKind};
 use crate::gf::Gf256;
 use crate::matrix::Matrix;
-use crate::rs::{pad_eq, CodeParamsError, ReconstructError};
+use crate::rs::{CodeParamsError, ReconstructError};
 
-/// A systematic `LRC(n, k, l)` locally-repairable code: `k` data blocks,
-/// `l` local XOR-style parities (one per group of `k/l` data blocks), and
-/// `g = n − k − l` Reed-Solomon global parities.
+/// A systematic erasure code: `k` data blocks, `l` local parities (one
+/// per group of `k/l` data blocks, each the first MDS parity row masked
+/// to its group) and `g = n − k − l` Reed-Solomon global parities. With
+/// `l = 0` it is the Reed-Solomon code `RS(n, k)`.
 ///
 /// Shard layout: data blocks first (`0..k`), then the local parities
 /// (`k..k+l`, one per group in order), then the global parities.
 ///
+/// Data blocks may have **different lengths**: shorter blocks are
+/// treated as if zero-padded to the longest block in the stripe, and
+/// every parity block has that maximum length (the stripe model of the
+/// paper's §2, Figure 2). The padding is never stored.
+///
 /// # Examples
 ///
 /// ```
-/// use fusion_ec::lrc::LrcCodec;
+/// use fusion_ec::ErasureCode;
 ///
-/// let lrc = LrcCodec::new(10, 6, 2)?; // two groups of three data blocks
+/// let lrc = ErasureCode::new(10, 6, 2)?; // two groups of three data blocks
 /// let data: Vec<Vec<u8>> = (0..6).map(|i| vec![i as u8; 256]).collect();
 /// let parity = lrc.encode(&data);
 /// assert_eq!(parity.len(), 4); // 2 local + 2 global
@@ -50,14 +60,24 @@ use crate::rs::{pad_eq, CodeParamsError, ReconstructError};
 /// let available = vec![true; 10];
 /// let sources = lrc.repair_sources(0, &available).unwrap();
 /// assert_eq!(sources, vec![1, 2, 6]); // group peers + local parity
+///
+/// // Reed-Solomon is the same type with no local groups.
+/// let rs = ErasureCode::new(9, 6, 0)?;
+/// let mut shards: Vec<Option<Vec<u8>>> =
+///     data.iter().cloned().chain(rs.encode(&data)).map(Some).collect();
+/// shards[0] = None;
+/// shards[5] = None;
+/// shards[7] = None;
+/// rs.reconstruct(&mut shards, 256)?;
+/// assert_eq!(shards[0].as_deref(), Some(&[0u8; 256][..]));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct LrcCodec {
+pub struct ErasureCode {
     n: usize,
     k: usize,
-    /// Local groups (`l`); group `j` covers data columns
-    /// `j*group_size .. (j+1)*group_size` plus local parity `k + j`.
+    /// Local groups (`l`, zero for Reed-Solomon); group `j` covers data
+    /// columns `j*k/l .. (j+1)*k/l` plus local parity `k + j`.
     groups: usize,
     /// Global parities (`g = n − k − l`).
     globals: usize,
@@ -66,29 +86,34 @@ pub struct LrcCodec {
     codec: Arc<dyn Codec>,
 }
 
-impl LrcCodec {
-    /// Creates an `LRC(n, k, l)` code with the default GF(2^8) kernel.
+impl ErasureCode {
+    /// Creates an `(n, k, l)` code with the default GF(2^8) kernel
+    /// ([`CodecKind::Fast`]); `l = 0` is `RS(n, k)`.
     ///
     /// # Errors
     ///
     /// Returns [`CodeParamsError`] for degenerate parameters.
-    pub fn new(n: usize, k: usize, groups: usize) -> Result<LrcCodec, CodeParamsError> {
-        LrcCodec::with_codec(n, k, groups, CodecKind::default())
+    pub fn new(n: usize, k: usize, local_groups: usize) -> Result<ErasureCode, CodeParamsError> {
+        ErasureCode::with_codec(n, k, local_groups, CodecKind::default())
     }
 
-    /// Creates an `LRC(n, k, l)` code with an explicit GF(2^8) kernel.
+    /// Creates an `(n, k, l)` code with an explicit GF(2^8) kernel.
+    ///
+    /// The kernel's coefficient tables are built here, once per instance;
+    /// encode and decode never rebuild tables on the hot path.
     ///
     /// # Errors
     ///
-    /// [`CodeParamsError::InvalidLocalGroups`] when `groups` is zero, does
-    /// not divide `k`, or leaves no global parity (`n ≤ k + groups`);
-    /// plus the usual RS parameter checks.
+    /// [`CodeParamsError::ZeroDataBlocks`], [`CodeParamsError::NoParityBlocks`]
+    /// and [`CodeParamsError::TooManyBlocks`] unless `1 ≤ k < n ≤ 256`;
+    /// [`CodeParamsError::InvalidLocalGroups`] when `l > 0` does not
+    /// divide `k` or leaves no global parity (`n ≤ k + l`).
     pub fn with_codec(
         n: usize,
         k: usize,
-        groups: usize,
+        local_groups: usize,
         codec: CodecKind,
-    ) -> Result<LrcCodec, CodeParamsError> {
+    ) -> Result<ErasureCode, CodeParamsError> {
         if k == 0 {
             return Err(CodeParamsError::ZeroDataBlocks);
         }
@@ -98,32 +123,27 @@ impl LrcCodec {
         if n > 256 {
             return Err(CodeParamsError::TooManyBlocks);
         }
-        if groups == 0 || !k.is_multiple_of(groups) || n <= k + groups {
+        if local_groups > 0 && (!k.is_multiple_of(local_groups) || n <= k + local_groups) {
             return Err(CodeParamsError::InvalidLocalGroups);
         }
-        let globals = n - k - groups;
-        // Parity rows of the underlying (k + g + 1, k) MDS code: P0 is
-        // split into the local parities, P1..=Pg are the globals.
-        let base = Matrix::systematic_encode_matrix(k + globals + 1, k);
-        let group_size = k / groups;
+        let globals = n - k - local_groups;
+        // Local groups split one extra MDS parity row between them.
+        let split = usize::from(local_groups > 0);
+        let base = Matrix::systematic_encode_matrix(k + split + globals, k);
         let mut rows = Matrix::zero(n, k);
-        for i in 0..k {
-            rows.set(i, i, Gf256::ONE);
-        }
-        for j in 0..groups {
-            for c in j * group_size..(j + 1) * group_size {
-                rows.set(k + j, c, base.get(k, c));
+        for c in 0..k {
+            rows.set(c, c, Gf256::ONE);
+            if split == 1 {
+                rows.set(k + c / (k / local_groups), c, base.get(k, c));
+            }
+            for p in 0..globals {
+                rows.set(k + local_groups + p, c, base.get(k + split + p, c));
             }
         }
-        for p in 0..globals {
-            for c in 0..k {
-                rows.set(k + groups + p, c, base.get(k + 1 + p, c));
-            }
-        }
-        Ok(LrcCodec {
+        Ok(ErasureCode {
             n,
             k,
-            groups,
+            groups: local_groups,
             globals,
             rows,
             codec: codec.build(),
@@ -145,7 +165,12 @@ impl LrcCodec {
         self.k
     }
 
-    /// Local groups (`l`).
+    /// Optimal storage overhead of this code: `(n − k) / k`.
+    pub fn optimal_overhead(&self) -> f64 {
+        (self.n - self.k) as f64 / self.k as f64
+    }
+
+    /// Local groups (`l`; zero for Reed-Solomon).
     pub fn local_groups(&self) -> usize {
         self.groups
     }
@@ -155,21 +180,27 @@ impl LrcCodec {
         self.globals
     }
 
-    /// Data blocks per local group (`k / l`).
+    /// Data blocks per local group (`k / l`; zero for Reed-Solomon).
     pub fn group_size(&self) -> usize {
-        self.k / self.groups
+        self.k.checked_div(self.groups).unwrap_or(0)
     }
 
-    /// Guaranteed simultaneous-loss tolerance: `g + 1` (any such mask is
-    /// recoverable; verified exhaustively by tests).
+    /// Guaranteed simultaneous-loss tolerance: `n − k` for Reed-Solomon,
+    /// `g + 1` for an LRC (any such mask is recoverable; verified
+    /// exhaustively by tests).
     pub fn tolerance(&self) -> usize {
-        self.globals + 1
+        self.globals + usize::from(self.groups > 0)
     }
 
-    /// The local group of a shard: data and local-parity shards belong to
-    /// a group; global parities to none.
+    /// The local group of a shard: data and local-parity shards of an
+    /// LRC belong to a group; global parities, and every Reed-Solomon
+    /// shard, to none. Shards sharing a group must land in distinct
+    /// failure domains so a domain outage costs each group at most one
+    /// shard.
     pub fn group_of(&self, shard: usize) -> Option<usize> {
-        if shard < self.k {
+        if self.groups == 0 {
+            None
+        } else if shard < self.k {
             Some(shard / self.group_size())
         } else if shard < self.k + self.groups {
             Some(shard - self.k)
@@ -180,6 +211,10 @@ impl LrcCodec {
 
     /// Shard indices of a local group: its data blocks plus its local
     /// parity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group >= l`.
     pub fn group_members(&self, group: usize) -> Vec<usize> {
         assert!(group < self.groups, "group out of range");
         let gs = self.group_size();
@@ -188,9 +223,12 @@ impl LrcCodec {
         m
     }
 
-    /// Encodes `k` (possibly variable-length) data blocks into the `l +
-    /// g` parity blocks, each as long as the longest data block (the same
-    /// variable-width stripe semantics as [`crate::rs::ReedSolomon`]).
+    /// Encodes `k` (possibly variable-length) data blocks into `n − k`
+    /// parity blocks, each as long as the longest data block.
+    ///
+    /// Short data blocks are implicitly zero-padded: the pad bytes never
+    /// need to be materialized or stored, but reconstruction returns
+    /// padded blocks that the caller truncates to the original lengths.
     ///
     /// # Panics
     ///
@@ -201,8 +239,13 @@ impl LrcCodec {
         parity
     }
 
-    /// Like [`LrcCodec::encode`], but writes the parity into
+    /// Like [`ErasureCode::encode`], but writes the parity into
     /// caller-provided buffers so repeated stripes reuse allocations.
+    ///
+    /// `parity` is resized to `n − k` vectors and each vector to the
+    /// stripe width; existing capacity is reused, so a caller encoding
+    /// many stripes of similar width pays no per-stripe allocation. Any
+    /// prior contents of `parity` are overwritten.
     ///
     /// # Panics
     ///
@@ -227,8 +270,8 @@ impl LrcCodec {
         }
     }
 
-    /// Verifies that a full stripe (data, local parities, global
-    /// parities, all implicitly zero-padded) is consistent with this code.
+    /// Verifies that a full stripe (data followed by parity, all
+    /// implicitly zero-padded) is consistent with this code.
     ///
     /// # Panics
     ///
@@ -242,15 +285,23 @@ impl LrcCodec {
             .all(|(e, s)| pad_eq(e, s.as_ref()))
     }
 
-    /// Recovers **all** missing shards in place, deciding recoverability
-    /// by the rank of the surviving generator rows (the code is not MDS,
-    /// so which shards survive matters, not just how many).
+    /// Recovers **all** missing shards in place.
+    ///
+    /// `shards` must have exactly `n` slots. Present shards may be
+    /// shorter than `width` (their implicit zero padding is reinstated
+    /// for the math); rebuilt shards are returned with length exactly
+    /// `width`. Recoverability is decided by the rank of the surviving
+    /// generator rows: for Reed-Solomon any `k` survivors rebuild
+    /// anything; for an LRC which shards survive matters, not just how
+    /// many.
     ///
     /// # Errors
     ///
     /// [`ReconstructError::TooFewBlocks`] below `k` survivors,
     /// [`ReconstructError::NotRecoverable`] when the survivors do not
-    /// span the erased blocks, plus the usual shape checks.
+    /// span the erased blocks, plus the shape checks
+    /// ([`ReconstructError::WrongShardCount`],
+    /// [`ReconstructError::ShardTooLong`]). On error no slot is filled.
     pub fn reconstruct(
         &self,
         shards: &mut [Option<Vec<u8>>],
@@ -258,33 +309,22 @@ impl LrcCodec {
     ) -> Result<(), ReconstructError> {
         self.check_shape(shards, width)?;
         let missing: Vec<usize> = (0..self.n).filter(|&i| shards[i].is_none()).collect();
-        if missing.is_empty() {
-            return Ok(());
-        }
-        let present = self.n - missing.len();
-        if present < self.k {
-            return Err(ReconstructError::TooFewBlocks {
-                present,
-                required: self.k,
-            });
-        }
-        let data_targets: Vec<usize> = missing.iter().copied().filter(|&i| i < self.k).collect();
-        self.solve_data(shards, width, &data_targets)?;
-        for &p in missing.iter().filter(|&&i| i >= self.k) {
-            self.recompute_parity(shards, width, p);
-        }
-        Ok(())
+        self.decode(shards, &missing, width)
     }
 
     /// Repairs exactly one lost shard in place from whatever subset of
-    /// shards is present — the entry point of the *local repair* path:
-    /// hand it just the shard's group members and it solves within the
-    /// group, never touching the rest of the stripe.
+    /// shards is present — typically exactly the set returned by
+    /// [`ErasureCode::repair_sources`] — and fills only slot `lost`. Hand
+    /// it just the shard's local group and it solves within the group,
+    /// never touching the rest of the stripe.
     ///
     /// # Errors
     ///
-    /// [`ReconstructError::NotRecoverable`] when the present shards do
-    /// not determine `lost`, plus the usual shape checks.
+    /// As [`ErasureCode::reconstruct`], for the one shard `lost`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lost >= n`.
     pub fn repair_one(
         &self,
         shards: &mut [Option<Vec<u8>>],
@@ -296,74 +336,38 @@ impl LrcCodec {
         if shards[lost].is_some() {
             return Ok(());
         }
-        if lost < self.k {
-            return self.solve_data(shards, width, &[lost]);
-        }
-        // Parity: recover whatever of its data support is missing, then
-        // re-encode the row.
-        let support: Vec<usize> = (0..self.k)
-            .filter(|&c| !self.rows.get(lost, c).is_zero() && shards[c].is_none())
-            .collect();
-        self.solve_data(shards, width, &support)?;
-        self.recompute_parity(shards, width, lost);
-        Ok(())
+        self.decode(shards, &[lost], width)
     }
 
     /// The cheapest shard set that rebuilds `lost` given which shards are
     /// currently `available`: the shard's local group when it is intact
-    /// (`k/l` reads instead of `k`), the data blocks for a global parity,
-    /// or a rank-spanning survivor set as the multi-failure fallback.
-    /// `None` when the loss is unrecoverable.
+    /// (`k/l` reads instead of `k`), the data blocks for a parity with no
+    /// group, or otherwise the first survivors in index order whose rows
+    /// span the data (data shards first; any `k` for Reed-Solomon).
+    /// The returned indices are what a repair must actually read — their
+    /// count times the stripe width is the repair traffic. `None` when
+    /// the loss is unrecoverable.
     ///
     /// # Panics
     ///
     /// Panics if `available.len() != n`.
     pub fn repair_sources(&self, lost: usize, available: &[bool]) -> Option<Vec<usize>> {
         assert_eq!(available.len(), self.n, "expected n availability flags");
-        if let Some(g) = self.group_of(lost) {
-            let family: Vec<usize> = self
+        let direct: Vec<usize> = match self.group_of(lost) {
+            Some(g) => self
                 .group_members(g)
                 .into_iter()
                 .filter(|&i| i != lost)
-                .collect();
-            if family.iter().all(|&i| available[i]) {
-                return Some(family);
-            }
-        } else if (0..self.k).all(|c| available[c]) {
-            // Global parity with all data intact: re-encode from data.
-            return Some((0..self.k).collect());
+                .collect(),
+            // A global parity re-encodes from the data.
+            None if lost >= self.k => (0..self.k).collect(),
+            None => Vec::new(),
+        };
+        if !direct.is_empty() && direct.iter().all(|&i| available[i]) {
+            return Some(direct);
         }
-        // Fallback: greedily collect survivor rows until they span the
-        // full data space (rank k), preferring data shards whose rows are
-        // unit vectors. Coefficient-only elimination — no byte work.
-        let mut basis: Vec<Vec<Gf256>> = Vec::with_capacity(self.k);
-        let mut pivots: Vec<usize> = Vec::with_capacity(self.k);
-        let mut picked = Vec::with_capacity(self.k);
-        for i in (0..self.n).filter(|&i| available[i] && i != lost) {
-            let mut row: Vec<Gf256> = self.rows.row(i).to_vec();
-            for (b, &p) in basis.iter().zip(&pivots) {
-                let f = row[p];
-                if !f.is_zero() {
-                    for (rc, bc) in row.iter_mut().zip(b) {
-                        *rc += f * *bc;
-                    }
-                }
-            }
-            let Some(p) = row.iter().position(|c| !c.is_zero()) else {
-                continue; // dependent on already-picked rows
-            };
-            let inv = row[p].inverse();
-            for c in row.iter_mut() {
-                *c *= inv;
-            }
-            basis.push(row);
-            pivots.push(p);
-            picked.push(i);
-            if picked.len() == self.k {
-                return Some(picked);
-            }
-        }
-        None
+        let basis = Basis::new(self, (0..self.n).filter(|&i| available[i] && i != lost));
+        (basis.shards.len() == self.k).then_some(basis.shards)
     }
 
     fn check_shape(
@@ -386,108 +390,150 @@ impl LrcCodec {
         Ok(())
     }
 
-    /// Solves for the data shards in `targets` by Gauss-Jordan
-    /// elimination over the generator rows of every present shard,
-    /// applying the same row operations to the shard bytes. A target is
-    /// recovered iff its column ends up with a pivot row that is a unit
-    /// vector (pure — no dependence on other unknowns).
-    fn solve_data(
+    /// The one decode behind [`ErasureCode::reconstruct`] and
+    /// [`ErasureCode::repair_one`]: solves each target's generator row
+    /// over the present shards' rows (taken in index order, dependent
+    /// rows skipped, stopping at rank `k`) once, coefficients only, then
+    /// builds each target with one multiply-accumulate per nonzero
+    /// coefficient straight from the present shards. No slot is written
+    /// unless every target is solvable.
+    fn decode(
         &self,
         shards: &mut [Option<Vec<u8>>],
-        width: usize,
         targets: &[usize],
+        width: usize,
     ) -> Result<(), ReconstructError> {
         if targets.is_empty() {
             return Ok(());
         }
-        // (coefficients over the k data columns, zero-padded bytes)
-        let mut coeff: Vec<Vec<Gf256>> = Vec::new();
-        let mut bytes: Vec<Vec<u8>> = Vec::new();
-        let mut pivot_of: Vec<Option<usize>> = vec![None; self.k];
-        for (i, shard) in shards.iter().enumerate() {
-            let Some(s) = shard else { continue };
-            let mut row: Vec<Gf256> = self.rows.row(i).to_vec();
-            let mut buf = s.clone();
-            buf.resize(width, 0);
-            // Reduce against existing pivots.
-            for c in 0..self.k {
-                if row[c].is_zero() {
-                    continue;
+        let present = shards.iter().filter(|s| s.is_some()).count();
+        let basis = Basis::new(self, (0..self.n).filter(|&i| shards[i].is_some()));
+        let plans: Vec<Vec<Gf256>> = targets
+            .iter()
+            .map(|&t| basis.solve(self.rows.row(t)))
+            .collect::<Option<_>>()
+            .ok_or(if present < self.k {
+                ReconstructError::TooFewBlocks {
+                    present,
+                    required: self.k,
                 }
-                let Some(p) = pivot_of[c] else { continue };
-                let f = row[c];
-                for (rc, pc) in row.iter_mut().zip(&coeff[p]) {
-                    *rc += f * *pc;
+            } else {
+                ReconstructError::NotRecoverable
+            })?;
+        let rebuilt: Vec<Vec<u8>> = plans
+            .iter()
+            .map(|coeffs| {
+                let mut out = vec![0u8; width];
+                for (&s, &c) in basis.shards.iter().zip(coeffs) {
+                    if !c.is_zero() {
+                        let src = shards[s].as_deref().expect("basis shards are present");
+                        self.codec.mul_acc(&mut out, src, c);
+                    }
                 }
-                self.codec.mul_acc(&mut buf, &bytes[p], f);
-            }
-            let Some(lead) = row.iter().position(|c| !c.is_zero()) else {
-                continue; // linearly dependent row
-            };
-            let inv = row[lead].inverse();
-            if inv != Gf256::ONE {
-                for c in row.iter_mut() {
-                    *c *= inv;
-                }
-                self.codec.mul_slice(&mut buf, inv);
-            }
-            // Back-eliminate the new pivot column from earlier rows.
-            // `row`/`buf` are still locals, so no split borrows needed.
-            let new_idx = coeff.len();
-            for p in 0..new_idx {
-                let f = coeff[p][lead];
-                if f.is_zero() {
-                    continue;
-                }
-                for (uc, nc) in coeff[p].iter_mut().zip(&row) {
-                    *uc += f * *nc;
-                }
-                self.codec.mul_acc(&mut bytes[p], &buf, f);
-            }
-            pivot_of[lead] = Some(new_idx);
-            coeff.push(row);
-            bytes.push(buf);
-            if pivot_of.iter().filter(|p| p.is_some()).count() == self.k {
-                break;
-            }
-        }
-        for &t in targets {
-            let Some(p) = pivot_of[t] else {
-                return Err(ReconstructError::NotRecoverable);
-            };
-            // Pure pivot: a unit vector at column t.
-            let pure =
-                coeff[p]
-                    .iter()
-                    .enumerate()
-                    .all(|(c, &v)| if c == t { v == Gf256::ONE } else { v.is_zero() });
-            if !pure {
-                return Err(ReconstructError::NotRecoverable);
-            }
-            shards[t] = Some(bytes[p].clone());
+                out
+            })
+            .collect();
+        for (&t, out) in targets.iter().zip(rebuilt) {
+            shards[t] = Some(out);
         }
         Ok(())
     }
+}
 
-    /// Re-encodes parity shard `p` from its (present) data support.
-    fn recompute_parity(&self, shards: &mut [Option<Vec<u8>>], width: usize, p: usize) {
-        let row = self.rows.row(p).to_vec();
-        let mut out = vec![0u8; width];
-        for (c, &f) in row.iter().enumerate() {
-            if f.is_zero() {
-                continue;
-            }
-            let d = shards[c].as_ref().expect("support data present");
-            self.codec.mul_acc(&mut out[..d.len().min(width)], d, f);
+impl std::fmt::Display for ErasureCode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.groups == 0 {
+            write!(f, "RS({}, {})", self.n, self.k)
+        } else {
+            write!(f, "LRC({}, {}, {})", self.n, self.k, self.groups)
         }
-        shards[p] = Some(out);
     }
 }
 
-impl std::fmt::Display for LrcCodec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "LRC({}, {}, {})", self.n, self.k, self.groups)
+/// The generator rows a decode or a fallback repair reads: candidate
+/// shards taken in order, each kept only if its row is independent of
+/// the rows kept before it, until rank `k`. The kept rows are held in
+/// reduced row-echelon form: `reduced[j]` has a one in column
+/// `pivots[j]` and a zero in every other pivot column, and equals
+/// `Σᵢ combos[j][i] · row(shards[i])`.
+struct Basis {
+    shards: Vec<usize>,
+    pivots: Vec<usize>,
+    reduced: Vec<Vec<Gf256>>,
+    combos: Vec<Vec<Gf256>>,
+}
+
+impl Basis {
+    fn new(code: &ErasureCode, candidates: impl Iterator<Item = usize>) -> Basis {
+        let mut basis = Basis {
+            shards: Vec::with_capacity(code.k),
+            pivots: Vec::with_capacity(code.k),
+            reduced: Vec::with_capacity(code.k),
+            combos: Vec::with_capacity(code.k),
+        };
+        for i in candidates {
+            if basis.shards.len() == code.k {
+                break;
+            }
+            let mut row = code.rows.row(i).to_vec();
+            let mut combo = vec![Gf256::ZERO; code.k];
+            combo[basis.shards.len()] = Gf256::ONE;
+            basis.eliminate(&mut row, &mut combo);
+            let Some(pivot) = row.iter().position(|c| !c.is_zero()) else {
+                continue; // dependent on the rows already kept
+            };
+            let inv = row[pivot].inverse();
+            for c in row.iter_mut().chain(combo.iter_mut()) {
+                *c *= inv;
+            }
+            for (r, m) in basis.reduced.iter_mut().zip(&mut basis.combos) {
+                let f = r[pivot];
+                if !f.is_zero() {
+                    add_scaled(r, f, &row);
+                    add_scaled(m, f, &combo);
+                }
+            }
+            basis.shards.push(i);
+            basis.pivots.push(pivot);
+            basis.reduced.push(row);
+            basis.combos.push(combo);
+        }
+        basis
     }
+
+    /// Clears every pivot column of `row`, applying the same steps to
+    /// its combination `combo` of the kept rows.
+    fn eliminate(&self, row: &mut [Gf256], combo: &mut [Gf256]) {
+        for ((&p, r), m) in self.pivots.iter().zip(&self.reduced).zip(&self.combos) {
+            let f = row[p];
+            if !f.is_zero() {
+                add_scaled(row, f, r);
+                add_scaled(combo, f, m);
+            }
+        }
+    }
+
+    /// `target` as coefficients over the kept rows (indexed like
+    /// `shards`), or `None` when it lies outside their span.
+    fn solve(&self, target: &[Gf256]) -> Option<Vec<Gf256>> {
+        let mut rest = target.to_vec();
+        let mut coeffs = vec![Gf256::ZERO; target.len()];
+        self.eliminate(&mut rest, &mut coeffs);
+        rest.iter().all(|c| c.is_zero()).then_some(coeffs)
+    }
+}
+
+/// `dst += f · src`, elementwise (subtraction is addition in GF(2^8)).
+fn add_scaled(dst: &mut [Gf256], f: Gf256, src: &[Gf256]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += f * s;
+    }
+}
+
+/// Compares two byte strings as if both were zero-padded to equal length.
+fn pad_eq(a: &[u8], b: &[u8]) -> bool {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    long[..short.len()] == *short && long[short.len()..].iter().all(|&x| x == 0)
 }
 
 #[cfg(test)]
@@ -504,7 +550,7 @@ mod tests {
             .collect()
     }
 
-    fn full_stripe(lrc: &LrcCodec, width: usize) -> Vec<Vec<u8>> {
+    fn full_stripe(lrc: &ErasureCode, width: usize) -> Vec<Vec<u8>> {
         let mut data = sample_data(lrc.data_blocks(), width);
         let parity = lrc.encode(&data);
         data.extend(parity);
@@ -537,32 +583,29 @@ mod tests {
     fn rejects_bad_group_counts() {
         // groups must divide k
         assert_eq!(
-            LrcCodec::new(10, 6, 4).unwrap_err(),
+            ErasureCode::new(10, 6, 4).unwrap_err(),
             CodeParamsError::InvalidLocalGroups
         );
-        // zero groups
-        assert_eq!(
-            LrcCodec::new(10, 6, 0).unwrap_err(),
-            CodeParamsError::InvalidLocalGroups
-        );
+        // zero groups is Reed-Solomon
+        assert_eq!(ErasureCode::new(10, 6, 0).unwrap().to_string(), "RS(10, 6)");
         // no room for a global parity: n == k + l
         assert_eq!(
-            LrcCodec::new(8, 6, 2).unwrap_err(),
+            ErasureCode::new(8, 6, 2).unwrap_err(),
             CodeParamsError::InvalidLocalGroups
         );
         assert_eq!(
-            LrcCodec::new(6, 0, 1).unwrap_err(),
+            ErasureCode::new(6, 0, 1).unwrap_err(),
             CodeParamsError::ZeroDataBlocks
         );
         assert_eq!(
-            LrcCodec::new(6, 6, 2).unwrap_err(),
+            ErasureCode::new(6, 6, 2).unwrap_err(),
             CodeParamsError::NoParityBlocks
         );
     }
 
     #[test]
     fn shape_and_groups() {
-        let lrc = LrcCodec::new(10, 6, 2).unwrap();
+        let lrc = ErasureCode::new(10, 6, 2).unwrap();
         assert_eq!(lrc.total_blocks(), 10);
         assert_eq!(lrc.data_blocks(), 6);
         assert_eq!(lrc.local_groups(), 2);
@@ -580,11 +623,16 @@ mod tests {
         assert_eq!(lrc.group_of(9), None);
         assert_eq!(lrc.group_members(0), vec![0, 1, 2, 6]);
         assert_eq!(lrc.group_members(1), vec![3, 4, 5, 7]);
+        // Reed-Solomon: no groups, tolerance n - k.
+        let rs = ErasureCode::new(9, 6, 0).unwrap();
+        assert_eq!(rs.tolerance(), 3);
+        assert_eq!(rs.local_groups(), 0);
+        assert!((0..9).all(|s| rs.group_of(s).is_none()));
     }
 
     #[test]
     fn encode_verify_roundtrip() {
-        let lrc = LrcCodec::new(10, 6, 2).unwrap();
+        let lrc = ErasureCode::new(10, 6, 2).unwrap();
         let stripe = full_stripe(&lrc, 257);
         assert!(lrc.verify(&stripe));
         let mut bad = stripe.clone();
@@ -594,7 +642,7 @@ mod tests {
 
     #[test]
     fn local_parity_depends_only_on_its_group() {
-        let lrc = LrcCodec::new(10, 6, 2).unwrap();
+        let lrc = ErasureCode::new(10, 6, 2).unwrap();
         let width = 64;
         let a = sample_data(6, width);
         let mut b = a.clone();
@@ -611,7 +659,7 @@ mod tests {
     /// C(10,2) + C(10,3) = 175 masks.
     #[test]
     fn all_masks_within_tolerance_recover() {
-        let lrc = LrcCodec::new(10, 6, 2).unwrap();
+        let lrc = ErasureCode::new(10, 6, 2).unwrap();
         let width = 96;
         let stripe = full_stripe(&lrc, width);
         for t in 1..=lrc.tolerance() {
@@ -636,7 +684,7 @@ mod tests {
     #[test]
     fn larger_code_masks_recover() {
         // LRC(14, 10, 2): tolerance 3, exhaustive over all 3-masks.
-        let lrc = LrcCodec::new(14, 10, 2).unwrap();
+        let lrc = ErasureCode::new(14, 10, 2).unwrap();
         let width = 40;
         let stripe = full_stripe(&lrc, width);
         for_each_mask(14, 3, &mut |mask| {
@@ -658,7 +706,7 @@ mod tests {
 
     #[test]
     fn repair_sources_prefers_local_group() {
-        let lrc = LrcCodec::new(10, 6, 2).unwrap();
+        let lrc = ErasureCode::new(10, 6, 2).unwrap();
         let all = vec![true; 10];
         // Data shard: its group peers + local parity, 3 reads instead of 6.
         assert_eq!(lrc.repair_sources(1, &all), Some(vec![0, 2, 6]));
@@ -671,7 +719,7 @@ mod tests {
 
     #[test]
     fn repair_sources_falls_back_when_group_broken() {
-        let lrc = LrcCodec::new(10, 6, 2).unwrap();
+        let lrc = ErasureCode::new(10, 6, 2).unwrap();
         let mut avail = vec![true; 10];
         avail[0] = false;
         avail[6] = false; // group 0 lost a peer and its local parity
@@ -693,7 +741,7 @@ mod tests {
 
     #[test]
     fn repair_sources_none_when_unrecoverable() {
-        let lrc = LrcCodec::new(10, 6, 2).unwrap();
+        let lrc = ErasureCode::new(10, 6, 2).unwrap();
         // Lose all of group 0's data and both globals: rank < k.
         let mut avail = vec![true; 10];
         for i in [0, 1, 2, 8, 9] {
@@ -704,7 +752,7 @@ mod tests {
 
     #[test]
     fn repair_one_from_exact_local_sources() {
-        let lrc = LrcCodec::new(10, 6, 2).unwrap();
+        let lrc = ErasureCode::new(10, 6, 2).unwrap();
         let width = 128;
         let stripe = full_stripe(&lrc, width);
         for lost in 0..10 {
@@ -725,7 +773,7 @@ mod tests {
 
     #[test]
     fn variable_width_blocks_roundtrip() {
-        let lrc = LrcCodec::new(10, 6, 2).unwrap();
+        let lrc = ErasureCode::new(10, 6, 2).unwrap();
         let data: Vec<Vec<u8>> = (0..6).map(|i| vec![i as u8 + 1; 10 + i * 17]).collect();
         let width = data.iter().map(Vec::len).max().unwrap();
         let parity = lrc.encode(&data);
@@ -748,7 +796,7 @@ mod tests {
 
     #[test]
     fn unrecoverable_mask_reports_not_recoverable() {
-        let lrc = LrcCodec::new(10, 6, 2).unwrap();
+        let lrc = ErasureCode::new(10, 6, 2).unwrap();
         let width = 16;
         let stripe = full_stripe(&lrc, width);
         // Four losses concentrated on group 0 data + both globals leave
@@ -765,7 +813,7 @@ mod tests {
 
     #[test]
     fn too_few_blocks_detected() {
-        let lrc = LrcCodec::new(10, 6, 2).unwrap();
+        let lrc = ErasureCode::new(10, 6, 2).unwrap();
         let mut shards: Vec<Option<Vec<u8>>> = vec![None; 10];
         for s in shards.iter_mut().take(5) {
             *s = Some(vec![0u8; 8]);
@@ -781,8 +829,8 @@ mod tests {
 
     #[test]
     fn scalar_and_fast_codecs_agree() {
-        let fast = LrcCodec::with_codec(10, 6, 2, CodecKind::Fast).unwrap();
-        let scalar = LrcCodec::with_codec(10, 6, 2, CodecKind::Scalar).unwrap();
+        let fast = ErasureCode::with_codec(10, 6, 2, CodecKind::Fast).unwrap();
+        let scalar = ErasureCode::with_codec(10, 6, 2, CodecKind::Scalar).unwrap();
         let data = sample_data(6, 333);
         assert_eq!(fast.encode(&data), scalar.encode(&data));
         assert_eq!(fast.codec_kind(), CodecKind::Fast);

@@ -1,4 +1,6 @@
-//! Systematic Reed-Solomon erasure codes over GF(2^8).
+//! Systematic Reed-Solomon erasure codes over GF(2^8): the errors of
+//! [`ErasureCode`](crate::ErasureCode), and the tests of its Reed-Solomon
+//! case (`l = 0`).
 //!
 //! An `(n, k)` code turns `k` data blocks into `n - k` parity blocks such
 //! that the stripe survives the loss of any `n - k` of its `n` blocks.
@@ -6,7 +8,8 @@
 //! the property Fusion relies on to run computations directly on storage
 //! nodes without decoding.
 //!
-//! Unlike textbook implementations, [`ReedSolomon::encode`] accepts data
+//! Unlike textbook implementations,
+//! [`ErasureCode::encode`](crate::ErasureCode::encode) accepts data
 //! blocks of **different lengths**: shorter blocks are treated as if they
 //! were zero-padded to the length of the longest block in the stripe, and
 //! the parity blocks have that maximum length. This matches the stripe
@@ -14,12 +17,7 @@
 //! the storage overhead — of a stripe is dictated solely by its largest
 //! data block.
 
-use std::sync::Arc;
-
-use crate::codec::{Codec, CodecKind};
-use crate::matrix::Matrix;
-
-/// Errors from constructing a [`ReedSolomon`] codec.
+/// Errors from constructing an [`ErasureCode`](crate::ErasureCode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodeParamsError {
     /// `k` was zero.
@@ -29,8 +27,8 @@ pub enum CodeParamsError {
     /// `n > 256`: GF(2^8) supports at most 256 blocks per stripe.
     TooManyBlocks,
     /// Locally-repairable code with a group count that does not divide
-    /// `k`, is zero, or leaves no global parity (see
-    /// [`crate::lrc::LrcCodec::with_codec`]).
+    /// `k` or leaves no global parity (see
+    /// [`ErasureCode::with_codec`](crate::ErasureCode::with_codec)).
     InvalidLocalGroups,
 }
 
@@ -50,7 +48,8 @@ impl std::fmt::Display for CodeParamsError {
 
 impl std::error::Error for CodeParamsError {}
 
-/// Errors from [`ReedSolomon::reconstruct`].
+/// Errors from [`ErasureCode::reconstruct`](crate::ErasureCode::reconstruct)
+/// and [`ErasureCode::repair_one`](crate::ErasureCode::repair_one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReconstructError {
     /// Fewer than `k` blocks survive; the stripe is unrecoverable.
@@ -70,8 +69,8 @@ pub enum ReconstructError {
     /// A present shard is longer than the declared stripe width.
     ShardTooLong,
     /// Enough shards are present by count, but their generator rows do
-    /// not determine the erased blocks (only possible for non-MDS codes
-    /// such as [`crate::lrc::LrcCodec`], where which shards survive
+    /// not determine the erased blocks (only possible for a
+    /// locally-repairable code, `l > 0`, where which shards survive
     /// matters, not just how many).
     NotRecoverable,
 }
@@ -98,275 +97,11 @@ impl std::fmt::Display for ReconstructError {
 
 impl std::error::Error for ReconstructError {}
 
-/// A systematic `(n, k)` Reed-Solomon codec.
-///
-/// The paper's default configuration is RS(9, 6); RS(14, 10) is the other
-/// common production setting. Any `1 ≤ k < n ≤ 256` works.
-///
-/// # Examples
-///
-/// ```
-/// use fusion_ec::rs::ReedSolomon;
-///
-/// let rs = ReedSolomon::new(9, 6)?;
-/// let data: Vec<Vec<u8>> = (0..6).map(|i| vec![i as u8; 64]).collect();
-/// let parity = rs.encode(&data);
-/// assert_eq!(parity.len(), 3);
-///
-/// // Lose three arbitrary blocks and recover them.
-/// let mut shards: Vec<Option<Vec<u8>>> =
-///     data.iter().cloned().map(Some).chain(parity.into_iter().map(Some)).collect();
-/// shards[0] = None;
-/// shards[5] = None;
-/// shards[7] = None;
-/// rs.reconstruct(&mut shards, 64)?;
-/// assert_eq!(shards[0].as_deref(), Some(&[0u8; 64][..]));
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct ReedSolomon {
-    n: usize,
-    k: usize,
-    encode_matrix: Matrix,
-    codec: Arc<dyn Codec>,
-}
-
-impl ReedSolomon {
-    /// Creates an `(n, k)` codec with the default GF(2^8) kernel
-    /// ([`CodecKind::Fast`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeParamsError`] for degenerate parameters.
-    pub fn new(n: usize, k: usize) -> Result<ReedSolomon, CodeParamsError> {
-        ReedSolomon::with_codec(n, k, CodecKind::default())
-    }
-
-    /// Creates an `(n, k)` codec with an explicit GF(2^8) kernel choice.
-    ///
-    /// The codec's coefficient tables are built here, once per instance;
-    /// `encode`/`reconstruct` never rebuild tables on the hot path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeParamsError`] for degenerate parameters.
-    pub fn with_codec(
-        n: usize,
-        k: usize,
-        codec: CodecKind,
-    ) -> Result<ReedSolomon, CodeParamsError> {
-        if k == 0 {
-            return Err(CodeParamsError::ZeroDataBlocks);
-        }
-        if n <= k {
-            return Err(CodeParamsError::NoParityBlocks);
-        }
-        if n > 256 {
-            return Err(CodeParamsError::TooManyBlocks);
-        }
-        Ok(ReedSolomon {
-            n,
-            k,
-            encode_matrix: Matrix::systematic_encode_matrix(n, k),
-            codec: codec.build(),
-        })
-    }
-
-    /// Which GF(2^8) kernel this instance multiplies with.
-    pub fn codec_kind(&self) -> CodecKind {
-        self.codec.kind()
-    }
-
-    /// Total blocks per stripe (`n`).
-    pub fn total_blocks(&self) -> usize {
-        self.n
-    }
-
-    /// Data blocks per stripe (`k`).
-    pub fn data_blocks(&self) -> usize {
-        self.k
-    }
-
-    /// Parity blocks per stripe (`n − k`).
-    pub fn parity_blocks(&self) -> usize {
-        self.n - self.k
-    }
-
-    /// Optimal storage overhead of this code: `(n − k) / k`.
-    pub fn optimal_overhead(&self) -> f64 {
-        (self.n - self.k) as f64 / self.k as f64
-    }
-
-    /// Encodes `k` (possibly variable-length) data blocks into `n − k`
-    /// parity blocks, each as long as the longest data block.
-    ///
-    /// Short data blocks are implicitly zero-padded: the pad bytes never
-    /// need to be materialized or stored, but reconstruction will return
-    /// padded blocks that the caller truncates to the original lengths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != k`.
-    pub fn encode<T: AsRef<[u8]>>(&self, data: &[T]) -> Vec<Vec<u8>> {
-        let mut parity = Vec::new();
-        self.encode_into(data, &mut parity);
-        parity
-    }
-
-    /// Like [`ReedSolomon::encode`], but writes the parity into
-    /// caller-provided buffers so repeated stripes reuse allocations.
-    ///
-    /// `parity` is resized to `n − k` vectors and each vector to the
-    /// stripe width; existing capacity is reused, so a caller encoding
-    /// many stripes of similar width pays no per-stripe allocation. Any
-    /// prior contents of `parity` are overwritten.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != k`.
-    pub fn encode_into<T: AsRef<[u8]>>(&self, data: &[T], parity: &mut Vec<Vec<u8>>) {
-        assert_eq!(data.len(), self.k, "expected exactly k data blocks");
-        let width = data.iter().map(|d| d.as_ref().len()).max().unwrap_or(0);
-        let m = self.n - self.k;
-        parity.truncate(m);
-        parity.resize_with(m, Vec::new);
-        for out in parity.iter_mut() {
-            out.clear();
-            out.resize(width, 0);
-        }
-        for (p, out) in parity.iter_mut().enumerate() {
-            let row = self.encode_matrix.row(self.k + p);
-            for (j, d) in data.iter().enumerate() {
-                self.codec.mul_acc(out, d.as_ref(), row[j]);
-            }
-        }
-    }
-
-    /// Verifies that a full stripe (data followed by parity, all padded to
-    /// equal width) is consistent with this code.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards.len() != n`.
-    pub fn verify<T: AsRef<[u8]>>(&self, shards: &[T]) -> bool {
-        assert_eq!(shards.len(), self.n, "expected n shards");
-        let expected = self.encode(&shards[..self.k]);
-        expected
-            .iter()
-            .zip(&shards[self.k..])
-            .all(|(e, s)| pad_eq(e, s.as_ref()))
-    }
-
-    /// Recovers all missing shards in place.
-    ///
-    /// `shards` must have exactly `n` slots (data blocks first, then
-    /// parity). Present shards may be shorter than `width` (their implicit
-    /// zero padding is reinstated for the math); reconstructed shards are
-    /// returned with length exactly `width`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if fewer than `k` shards are present, the slot count is wrong,
-    /// or a present shard exceeds `width`.
-    pub fn reconstruct(
-        &self,
-        shards: &mut [Option<Vec<u8>>],
-        width: usize,
-    ) -> Result<(), ReconstructError> {
-        if shards.len() != self.n {
-            return Err(ReconstructError::WrongShardCount {
-                got: shards.len(),
-                expected: self.n,
-            });
-        }
-        let present: Vec<usize> = (0..self.n).filter(|&i| shards[i].is_some()).collect();
-        if present.len() < self.k {
-            return Err(ReconstructError::TooFewBlocks {
-                present: present.len(),
-                required: self.k,
-            });
-        }
-        if present
-            .iter()
-            .any(|&i| shards[i].as_ref().is_some_and(|s| s.len() > width))
-        {
-            return Err(ReconstructError::ShardTooLong);
-        }
-        let missing: Vec<usize> = (0..self.n).filter(|&i| shards[i].is_none()).collect();
-        if missing.is_empty() {
-            return Ok(());
-        }
-
-        // Decode matrix: rows of the encode matrix for k surviving shards,
-        // inverted, recovers the original data from those survivors.
-        let chosen = &present[..self.k];
-        let sub = self.encode_matrix.select_rows(chosen);
-        let inv = sub
-            .invert()
-            .expect("any k rows of an MDS encode matrix are invertible");
-
-        // Zero-pad survivors we will read from.
-        let survivors: Vec<Vec<u8>> = chosen
-            .iter()
-            .map(|&i| {
-                let mut s = shards[i].clone().expect("chosen shards are present");
-                s.resize(width, 0);
-                s
-            })
-            .collect();
-
-        // Recover missing *data* shards directly from inv × survivors.
-        for &m in missing.iter().filter(|&&m| m < self.k) {
-            let mut out = vec![0u8; width];
-            for (j, s) in survivors.iter().enumerate() {
-                self.codec.mul_acc(&mut out, s, inv.get(m, j));
-            }
-            shards[m] = Some(out);
-        }
-
-        // Recover missing parity shards by re-encoding: parity row of the
-        // encode matrix times the (now complete) data shards. Compose the
-        // two matrix products so we only touch survivor buffers:
-        // parity_row × (inv × survivors).
-        let missing_parity: Vec<usize> = missing.iter().copied().filter(|&m| m >= self.k).collect();
-        if !missing_parity.is_empty() {
-            // All data shards exist now; use them directly (cheaper and
-            // simpler than composing matrices).
-            let data: Vec<Vec<u8>> = (0..self.k)
-                .map(|i| {
-                    let mut s = shards[i].clone().expect("data shards recovered above");
-                    s.resize(width, 0);
-                    s
-                })
-                .collect();
-            for m in missing_parity {
-                let row = self.encode_matrix.row(m);
-                let mut out = vec![0u8; width];
-                for (j, d) in data.iter().enumerate() {
-                    self.codec.mul_acc(&mut out, d, row[j]);
-                }
-                shards[m] = Some(out);
-            }
-        }
-        Ok(())
-    }
-}
-
-impl std::fmt::Display for ReedSolomon {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RS({}, {})", self.n, self.k)
-    }
-}
-
-/// Compares two byte strings as if both were zero-padded to equal length.
-pub(crate) fn pad_eq(a: &[u8], b: &[u8]) -> bool {
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    long[..short.len()] == *short && long[short.len()..].iter().all(|&x| x == 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::CodecKind;
+    use crate::lrc::ErasureCode;
 
     fn sample_data(k: usize, len: usize, seed: u8) -> Vec<Vec<u8>> {
         (0..k)
@@ -381,27 +116,27 @@ mod tests {
     #[test]
     fn bad_params_rejected() {
         assert_eq!(
-            ReedSolomon::new(9, 0).unwrap_err(),
+            ErasureCode::new(9, 0, 0).unwrap_err(),
             CodeParamsError::ZeroDataBlocks
         );
         assert_eq!(
-            ReedSolomon::new(6, 6).unwrap_err(),
+            ErasureCode::new(6, 6, 0).unwrap_err(),
             CodeParamsError::NoParityBlocks
         );
         assert_eq!(
-            ReedSolomon::new(5, 6).unwrap_err(),
+            ErasureCode::new(5, 6, 0).unwrap_err(),
             CodeParamsError::NoParityBlocks
         );
         assert_eq!(
-            ReedSolomon::new(257, 6).unwrap_err(),
+            ErasureCode::new(257, 6, 0).unwrap_err(),
             CodeParamsError::TooManyBlocks
         );
-        assert!(ReedSolomon::new(9, 6).is_ok());
+        assert!(ErasureCode::new(9, 6, 0).is_ok());
     }
 
     #[test]
     fn encode_produces_expected_counts() {
-        let rs = ReedSolomon::new(9, 6).unwrap();
+        let rs = ErasureCode::new(9, 6, 0).unwrap();
         let data = sample_data(6, 100, 1);
         let parity = rs.encode(&data);
         assert_eq!(parity.len(), 3);
@@ -411,7 +146,7 @@ mod tests {
 
     #[test]
     fn verify_accepts_encoded_stripe() {
-        let rs = ReedSolomon::new(9, 6).unwrap();
+        let rs = ErasureCode::new(9, 6, 0).unwrap();
         let data = sample_data(6, 64, 7);
         let parity = rs.encode(&data);
         let shards: Vec<Vec<u8>> = data.into_iter().chain(parity).collect();
@@ -420,7 +155,7 @@ mod tests {
 
     #[test]
     fn verify_rejects_corruption() {
-        let rs = ReedSolomon::new(9, 6).unwrap();
+        let rs = ErasureCode::new(9, 6, 0).unwrap();
         let data = sample_data(6, 64, 7);
         let parity = rs.encode(&data);
         let mut shards: Vec<Vec<u8>> = data.into_iter().chain(parity).collect();
@@ -430,7 +165,7 @@ mod tests {
 
     #[test]
     fn reconstruct_any_three_losses() {
-        let rs = ReedSolomon::new(9, 6).unwrap();
+        let rs = ErasureCode::new(9, 6, 0).unwrap();
         let data = sample_data(6, 48, 3);
         let parity = rs.encode(&data);
         let full: Vec<Vec<u8>> = data.iter().cloned().chain(parity).collect();
@@ -453,7 +188,7 @@ mod tests {
 
     #[test]
     fn reconstruct_fails_with_too_few() {
-        let rs = ReedSolomon::new(9, 6).unwrap();
+        let rs = ErasureCode::new(9, 6, 0).unwrap();
         let data = sample_data(6, 16, 0);
         let parity = rs.encode(&data);
         let mut shards: Vec<Option<Vec<u8>>> = data
@@ -477,7 +212,7 @@ mod tests {
     fn variable_length_stripe_roundtrip() {
         // The core Fusion property: blocks of unequal size, parity sized to
         // the largest, short blocks recovered after truncation.
-        let rs = ReedSolomon::new(9, 6).unwrap();
+        let rs = ErasureCode::new(9, 6, 0).unwrap();
         let lens = [100usize, 7, 64, 0, 99, 100];
         let data: Vec<Vec<u8>> = lens
             .iter()
@@ -507,7 +242,7 @@ mod tests {
 
     #[test]
     fn reconstruct_noop_when_complete() {
-        let rs = ReedSolomon::new(5, 3).unwrap();
+        let rs = ErasureCode::new(5, 3, 0).unwrap();
         let data = sample_data(3, 10, 9);
         let parity = rs.encode(&data);
         let mut shards: Vec<Option<Vec<u8>>> = data
@@ -523,7 +258,7 @@ mod tests {
 
     #[test]
     fn wrong_shard_count_detected() {
-        let rs = ReedSolomon::new(9, 6).unwrap();
+        let rs = ErasureCode::new(9, 6, 0).unwrap();
         let mut shards: Vec<Option<Vec<u8>>> = vec![Some(vec![0; 4]); 8];
         assert!(matches!(
             rs.reconstruct(&mut shards, 4),
@@ -536,7 +271,7 @@ mod tests {
 
     #[test]
     fn shard_longer_than_width_detected() {
-        let rs = ReedSolomon::new(5, 3).unwrap();
+        let rs = ErasureCode::new(5, 3, 0).unwrap();
         let data = sample_data(3, 10, 2);
         let parity = rs.encode(&data);
         let mut shards: Vec<Option<Vec<u8>>> = data
@@ -553,7 +288,7 @@ mod tests {
 
     #[test]
     fn rs_14_10_roundtrip() {
-        let rs = ReedSolomon::new(14, 10).unwrap();
+        let rs = ErasureCode::new(14, 10, 0).unwrap();
         let data = sample_data(10, 33, 5);
         let parity = rs.encode(&data);
         let full: Vec<Vec<u8>> = data.into_iter().chain(parity).collect();
@@ -569,12 +304,12 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        assert_eq!(ReedSolomon::new(9, 6).unwrap().to_string(), "RS(9, 6)");
+        assert_eq!(ErasureCode::new(9, 6, 0).unwrap().to_string(), "RS(9, 6)");
     }
 
     #[test]
     fn zero_width_stripe() {
-        let rs = ReedSolomon::new(4, 2).unwrap();
+        let rs = ErasureCode::new(4, 2, 0).unwrap();
         let parity = rs.encode(&[vec![], vec![]]);
         assert!(parity.iter().all(|p| p.is_empty()));
     }
@@ -582,10 +317,10 @@ mod tests {
     #[test]
     fn default_codec_is_fast_and_scalar_selectable() {
         assert_eq!(
-            ReedSolomon::new(9, 6).unwrap().codec_kind(),
+            ErasureCode::new(9, 6, 0).unwrap().codec_kind(),
             CodecKind::Fast
         );
-        let rs = ReedSolomon::with_codec(9, 6, CodecKind::Scalar).unwrap();
+        let rs = ErasureCode::with_codec(9, 6, 0, CodecKind::Scalar).unwrap();
         assert_eq!(rs.codec_kind(), CodecKind::Scalar);
         // Cloning shares the codec instance (and its table cache).
         assert_eq!(rs.clone().codec_kind(), CodecKind::Scalar);
@@ -593,7 +328,7 @@ mod tests {
 
     #[test]
     fn encode_into_agrees_with_encode() {
-        let rs = ReedSolomon::new(9, 6).unwrap();
+        let rs = ErasureCode::new(9, 6, 0).unwrap();
         let data = sample_data(6, 100, 4);
         let fresh = rs.encode(&data);
 
@@ -618,7 +353,7 @@ mod tests {
 
     #[test]
     fn encode_into_reuses_capacity() {
-        let rs = ReedSolomon::new(9, 6).unwrap();
+        let rs = ErasureCode::new(9, 6, 0).unwrap();
         let mut parity = Vec::new();
         rs.encode_into(&sample_data(6, 256, 1), &mut parity);
         let ptrs: Vec<*const u8> = parity.iter().map(|p| p.as_ptr()).collect();
@@ -630,8 +365,8 @@ mod tests {
     #[test]
     fn scalar_and_fast_agree_end_to_end() {
         let data = sample_data(6, 97, 8);
-        let scalar = ReedSolomon::with_codec(9, 6, CodecKind::Scalar).unwrap();
-        let fast = ReedSolomon::with_codec(9, 6, CodecKind::Fast).unwrap();
+        let scalar = ErasureCode::with_codec(9, 6, 0, CodecKind::Scalar).unwrap();
+        let fast = ErasureCode::with_codec(9, 6, 0, CodecKind::Fast).unwrap();
         assert_eq!(scalar.encode(&data), fast.encode(&data));
     }
 }

@@ -12,7 +12,7 @@
 //!   sampled otherwise).
 
 use fusion_ec::codec::CodecKind;
-use fusion_ec::rs::ReedSolomon;
+use fusion_ec::ErasureCode;
 use proptest::prelude::*;
 
 /// Number of loss patterns per generated stripe before we switch from
@@ -44,7 +44,7 @@ fn loss_masks(n: usize, m: usize, seed: u64) -> Vec<u32> {
 
 /// Applies one loss mask and reconstructs under the given codec.
 fn reconstruct_under(
-    rs: &ReedSolomon,
+    rs: &ErasureCode,
     full: &[Vec<u8>],
     width: usize,
     mask: u32,
@@ -95,8 +95,8 @@ proptest! {
                     .collect()
             })
             .collect();
-        let scalar = ReedSolomon::with_codec(n, k, CodecKind::Scalar).unwrap();
-        let fast = ReedSolomon::with_codec(n, k, CodecKind::Fast).unwrap();
+        let scalar = ErasureCode::with_codec(n, k, 0, CodecKind::Scalar).unwrap();
+        let fast = ErasureCode::with_codec(n, k, 0, CodecKind::Fast).unwrap();
         let ps = scalar.encode(&data);
         let pf = fast.encode(&data);
         prop_assert_eq!(&ps, &pf);
@@ -128,8 +128,8 @@ proptest! {
             .collect();
         let width = data.iter().map(Vec::len).max().unwrap_or(0);
 
-        let scalar = ReedSolomon::with_codec(n, k, CodecKind::Scalar).unwrap();
-        let fast = ReedSolomon::with_codec(n, k, CodecKind::Fast).unwrap();
+        let scalar = ErasureCode::with_codec(n, k, 0, CodecKind::Scalar).unwrap();
+        let fast = ErasureCode::with_codec(n, k, 0, CodecKind::Fast).unwrap();
         let parity = scalar.encode(&data);
         prop_assert_eq!(&parity, &fast.encode(&data));
 
@@ -174,8 +174,8 @@ fn rs96_all_loss_patterns_exhaustive() {
         .collect();
     let width = 40;
 
-    let scalar = ReedSolomon::with_codec(9, 6, CodecKind::Scalar).unwrap();
-    let fast = ReedSolomon::with_codec(9, 6, CodecKind::Fast).unwrap();
+    let scalar = ErasureCode::with_codec(9, 6, 0, CodecKind::Scalar).unwrap();
+    let fast = ErasureCode::with_codec(9, 6, 0, CodecKind::Fast).unwrap();
     let parity = scalar.encode(&data);
     assert_eq!(parity, fast.encode(&data));
 
@@ -205,7 +205,7 @@ fn rs96_all_loss_patterns_exhaustive() {
 #[test]
 fn zero_width_stripe_agrees() {
     for kind in [CodecKind::Scalar, CodecKind::Fast] {
-        let rs = ReedSolomon::with_codec(4, 2, kind).unwrap();
+        let rs = ErasureCode::with_codec(4, 2, 0, kind).unwrap();
         let parity = rs.encode(&[Vec::new(), Vec::new()]);
         assert!(parity.iter().all(Vec::is_empty), "{kind}");
         let mut shards: Vec<Option<Vec<u8>>> = vec![None, Some(vec![]), Some(vec![]), Some(vec![])];

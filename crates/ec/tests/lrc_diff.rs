@@ -1,8 +1,8 @@
-//! Differential suite for the locally-repairable code: `LrcCodec` is
-//! pinned against `ScalarCodec`-backed runs and against plain
-//! Reed-Solomon semantics across sampled loss masks — including masks
-//! that exceed local repairability and must fall back to global
-//! reconstruction.
+//! Differential suite for the erasure code across its shapes — the
+//! locally-repairable ones and Reed-Solomon (`l = 0`): every shape is
+//! pinned against `ScalarCodec`-backed runs and against ground truth
+//! across sampled loss masks — including masks that exceed local
+//! repairability and must fall back to global reconstruction.
 //!
 //! Three layers of comparison:
 //!
@@ -17,15 +17,16 @@
 //!   intact.
 
 use fusion_ec::codec::CodecKind;
-use fusion_ec::lrc::LrcCodec;
 use fusion_ec::rs::ReconstructError;
-use fusion_ec::stripe::StripeCodec;
+use fusion_ec::ErasureCode;
 use proptest::prelude::*;
 
-/// The LRC shapes under test: (n, k, l). All keep tolerance g + 1 = 3.
-const SHAPES: [(usize, usize, usize); 3] = [(10, 6, 2), (10, 6, 3), (14, 10, 2)];
+/// The shapes under test: (n, k, l), Reed-Solomon at l = 0. Every shape
+/// tolerates the up-to-three losses the strategies below erase.
+const SHAPES: [(usize, usize, usize); 5] =
+    [(10, 6, 2), (10, 6, 3), (14, 10, 2), (9, 6, 0), (14, 10, 0)];
 
-fn stripe_for(lrc: &LrcCodec, data: &[Vec<u8>], width: usize) -> Vec<Vec<u8>> {
+fn stripe_for(lrc: &ErasureCode, data: &[Vec<u8>], width: usize) -> Vec<Vec<u8>> {
     let parity = lrc.encode(data);
     data.iter()
         .map(|d| {
@@ -48,8 +49,8 @@ proptest! {
         erase in prop::collection::btree_set(0usize..14, 1..=3),
     ) {
         let (n, k, l) = SHAPES[shape];
-        let fast = LrcCodec::with_codec(n, k, l, CodecKind::Fast).unwrap();
-        let scalar = LrcCodec::with_codec(n, k, l, CodecKind::Scalar).unwrap();
+        let fast = ErasureCode::with_codec(n, k, l, CodecKind::Fast).unwrap();
+        let scalar = ErasureCode::with_codec(n, k, l, CodecKind::Scalar).unwrap();
         let data: Vec<Vec<u8>> = (0..k)
             .map(|i| {
                 (0..widths[i % widths.len()])
@@ -84,7 +85,7 @@ proptest! {
         erase in prop::collection::btree_set(0usize..14, 1..=3),
     ) {
         let (n, k, l) = SHAPES[shape];
-        let lrc = LrcCodec::new(n, k, l).unwrap();
+        let lrc = ErasureCode::new(n, k, l).unwrap();
         let data = &data[..k];
         let width = data.iter().map(Vec::len).max().unwrap_or(0);
         let stripe = stripe_for(&lrc, data, width);
@@ -110,7 +111,7 @@ proptest! {
         down in prop::collection::btree_set(0usize..14, 1..=3),
     ) {
         let (n, k, l) = SHAPES[shape];
-        let lrc = LrcCodec::new(n, k, l).unwrap();
+        let lrc = ErasureCode::new(n, k, l).unwrap();
         let data = &data[..k];
         let width = data.iter().map(Vec::len).max().unwrap_or(0);
         let stripe = stripe_for(&lrc, data, width);
@@ -159,27 +160,5 @@ proptest! {
         }
         lrc.repair_one(&mut shards, lost, width).unwrap();
         prop_assert_eq!(shards[lost].as_deref(), Some(&stripe[lost][..]));
-    }
-
-    /// The `StripeCodec` trait view agrees with the inherent API.
-    #[test]
-    fn trait_object_matches_inherent(
-        shape in 0usize..SHAPES.len(),
-        data in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..60), 10),
-    ) {
-        let (n, k, l) = SHAPES[shape];
-        let lrc = LrcCodec::new(n, k, l).unwrap();
-        let dyncode: &dyn StripeCodec = &lrc;
-        prop_assert_eq!(dyncode.total_blocks(), n);
-        prop_assert_eq!(dyncode.data_blocks(), k);
-        prop_assert_eq!(dyncode.tolerance(), n - k - l + 1);
-        prop_assert_eq!(dyncode.label(), lrc.to_string());
-        let data = data[..k].to_vec();
-        let mut parity = Vec::new();
-        dyncode.encode_into(&data, &mut parity);
-        prop_assert_eq!(parity, lrc.encode(&data));
-        for shard in 0..n {
-            prop_assert_eq!(dyncode.placement_group(shard), lrc.group_of(shard));
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the GF(2^8) field and the Reed-Solomon codec.
 
 use fusion_ec::gf::Gf256;
-use fusion_ec::rs::ReedSolomon;
+use fusion_ec::ErasureCode;
 use proptest::prelude::*;
 
 proptest! {
@@ -43,7 +43,7 @@ proptest! {
         data in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..200), 6),
         erase in prop::collection::btree_set(0usize..9, 0..=3),
     ) {
-        let rs = ReedSolomon::new(9, 6).unwrap();
+        let rs = ErasureCode::new(9, 6, 0).unwrap();
         let width = data.iter().map(Vec::len).max().unwrap_or(0);
         let parity = rs.encode(&data);
         let mut shards: Vec<Option<Vec<u8>>> = data
@@ -70,7 +70,7 @@ proptest! {
     fn rs_verify_encoded_stripes(
         data in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..64), 4),
     ) {
-        let rs = ReedSolomon::new(6, 4).unwrap();
+        let rs = ErasureCode::new(6, 4, 0).unwrap();
         let width = data.iter().map(Vec::len).max().unwrap();
         let parity = rs.encode(&data);
         let shards: Vec<Vec<u8>> = data
@@ -85,7 +85,7 @@ proptest! {
     fn rs_parity_width_is_max_data_len(
         lens in prop::collection::vec(0usize..500, 6),
     ) {
-        let rs = ReedSolomon::new(9, 6).unwrap();
+        let rs = ErasureCode::new(9, 6, 0).unwrap();
         let data: Vec<Vec<u8>> = lens.iter().map(|&l| vec![0xAB; l]).collect();
         let parity = rs.encode(&data);
         let width = *lens.iter().max().unwrap();

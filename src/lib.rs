@@ -11,7 +11,7 @@
 //! |---|---|
 //! | [`core`] | the Fusion store: FAC stripe construction, adaptive pushdown, baselines, recovery |
 //! | [`mod@format`] | a PAX columnar file format (mini-Parquet): row groups, column chunks, dictionary/RLE encodings, statistics footer |
-//! | [`ec`] | systematic Reed-Solomon over GF(2^8) with variable-length stripes |
+//! | [`ec`] | one systematic erasure code over GF(2^8) — Reed-Solomon and LRC — with variable-length stripes |
 //! | [`snappy`] | the Snappy compression codec |
 //! | [`sql`] | the S3-Select-class SQL frontend: parser, planner, bitmap filter evaluation |
 //! | [`cluster`] | the simulated storage cluster: real data plane, virtual-clock time plane |
