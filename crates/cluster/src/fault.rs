@@ -25,8 +25,9 @@ pub enum FaultKind {
     /// repair (`recover_node`) brings it back.
     Crash,
     /// Crash-stop with a scheduled revival `down_for` later. The node
-    /// comes back **empty** (crash-stop loses its blocks) and is marked
-    /// flaky for retry modeling.
+    /// comes back **empty** (crash-stop loses its blocks); the
+    /// [`AppliedFault::Revived`] event lets the store mark it flaky for
+    /// retry modeling.
     Transient {
         /// How long the node stays down.
         down_for: Nanos,
@@ -497,9 +498,6 @@ pub struct FaultInjector {
     revivals: Vec<(Nanos, usize)>,
     /// Active slowdowns: node → (factor, until).
     slow: HashMap<usize, (f64, Nanos)>,
-    /// Nodes that came back from a transient outage (flaky until the
-    /// caller clears them): node → timed-out attempts to model.
-    flaky: HashMap<usize, u32>,
     /// Faults applied so far, per node (crashes, slowdowns, and
     /// corruptions that actually landed; revivals counted separately).
     faults_injected: HashMap<usize, u64>,
@@ -516,7 +514,6 @@ impl FaultInjector {
             now: Nanos::ZERO,
             revivals: Vec::new(),
             slow: HashMap::new(),
-            flaky: HashMap::new(),
             faults_injected: HashMap::new(),
             revivals_applied: HashMap::new(),
         }
@@ -593,7 +590,6 @@ impl FaultInjector {
                     .expect("revival present");
                 let (rt, node) = self.revivals.swap_remove(i);
                 let lost = store.revive_node(node).unwrap_or(0);
-                self.flaky.insert(node, 1);
                 applied.push(AppliedFault::Revived {
                     at: rt,
                     node,
@@ -698,23 +694,6 @@ impl FaultInjector {
     /// All currently-slow nodes and their multipliers.
     pub fn slowdowns(&self) -> HashMap<usize, f64> {
         self.slow.iter().map(|(&n, &(f, _))| (n, f)).collect()
-    }
-
-    /// Timed-out attempts to charge for a flaky (recently revived)
-    /// node; 0 when healthy.
-    pub fn flaky_attempts(&self, node: usize) -> u32 {
-        self.flaky.get(&node).copied().unwrap_or(0)
-    }
-
-    /// All flaky nodes and their timed-out attempt counts.
-    pub fn flaky_nodes(&self) -> HashMap<usize, u32> {
-        self.flaky.clone()
-    }
-
-    /// Clears the flaky mark of a node (its health is re-established,
-    /// e.g. after the client's first successful retry round).
-    pub fn clear_flaky(&mut self, node: usize) {
-        self.flaky.remove(&node);
     }
 
     /// True once every scheduled event and pending revival has fired.
@@ -838,11 +817,10 @@ mod tests {
                 lost_blocks: 1
             }]
         );
+        // The `Revived` event is the whole report: a consumer marks the
+        // node flaky from it (the injector keeps no flaky state).
         assert!(store.is_alive(1));
         assert!(store.blocks_on(1).is_empty());
-        assert_eq!(inj.flaky_attempts(1), 1);
-        inj.clear_flaky(1);
-        assert_eq!(inj.flaky_attempts(1), 0);
         assert!(inj.exhausted());
         // One crash + one revival counted against node 1.
         assert_eq!(inj.faults_injected(1), 1);

@@ -47,7 +47,8 @@ impl Default for ClusterSpec {
 /// `max_retries` tries, after which the request is routed elsewhere.
 ///
 /// The query executors consult this when a step lands on a node the
-/// fault injector marked flaky, charging `timeout × attempts` of pure
+/// store marked flaky (revived by the fault injector and not yet
+/// recovered), charging `timeout × attempts` of pure
 /// delay ahead of the step — the time-plane cost of discovering a node
 /// is unhealthy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -21,7 +21,7 @@ pub mod fixed;
 pub mod oracle;
 pub mod padding;
 
-use crate::config::EcConfig;
+use crate::config::{EcConfig, LayoutPolicy, StoreConfig};
 
 /// A byte range of the source object placed into a bin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,6 +248,35 @@ pub fn items_from_meta(meta: &fusion_format::footer::FileMeta, object_len: u64) 
         });
     }
     items
+}
+
+/// Packs an object of `size` bytes into stripes under the configured
+/// layout policy, returning the layout and the name of the packer that
+/// produced it (`"fac"`, `"padding"`, `"oracle"` or `"fixed"`). Fixed
+/// blocks are the one fallback: for a blob (no footer, so no `items`),
+/// under [`LayoutPolicy::Fixed`], and — as `"fixed-fallback"` — when
+/// FAC's layout exceeds `overhead_threshold` (paper §4.2).
+pub fn pack(config: &StoreConfig, size: u64, items: &[PackItem]) -> (Layout, &'static str) {
+    let k = config.ec.k;
+    let fallback = match config.layout {
+        _ if items.is_empty() => "fixed",
+        LayoutPolicy::Fixed => "fixed",
+        LayoutPolicy::Padding => {
+            return (padding::pack(config.block_size, k, items).layout, "padding")
+        }
+        LayoutPolicy::Oracle { deadline } => {
+            return (oracle::pack(k, items, deadline).layout, "oracle")
+        }
+        LayoutPolicy::Fac => {
+            let layout = fac::pack(k, items);
+            if layout.overhead_vs_optimal(config.ec) > config.overhead_threshold {
+                "fixed-fallback"
+            } else {
+                return (layout, "fac");
+            }
+        }
+    };
+    (fixed::pack(size, config.block_size, k, items), fallback)
 }
 
 #[cfg(test)]

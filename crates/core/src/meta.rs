@@ -93,19 +93,25 @@ impl LayoutRecord {
         Self::HEADER_BYTES + self.exceptions.len() as u64 * 8
     }
 
-    /// The `(stripe, bin)` a chunk folds to under the canonical layout
-    /// (`k` data bins per stripe, chunks in object order).
+    /// The in-order home of a chunk: `(stripe, bin)` when `k` chunks fill
+    /// each stripe in object order — the rule [`Namespace`]'s synthetic
+    /// objects follow. A stored object's chunks live wherever its layout
+    /// put them (FAC bin-packs them), so the store resolves their homes
+    /// through the layout instead ([`LayoutRecord::from_meta`]).
     #[inline]
     pub fn stripe_of(&self, chunk: u32) -> (u64, usize) {
         let k = u32::from(self.code.k.max(1));
         (u64::from(chunk / k), (chunk % k) as usize)
     }
 
-    /// The node hosting `chunk`: the exception list if the chunk moved,
-    /// otherwise the rendezvous computation for the record's epoch.
+    /// The node hosting `chunk`, whose home is `(stripe, bin)`: the
+    /// exception list if the chunk moved, otherwise the rendezvous
+    /// computation of that home for the record's epoch.
+    #[allow(clippy::too_many_arguments)]
     pub fn node_of(
         &self,
         chunk: u32,
+        (stripe, bin): (u64, usize),
         seed: u64,
         okey: u64,
         code: &ErasureCode,
@@ -115,15 +121,34 @@ impl LayoutRecord {
         if let Ok(i) = self.exceptions.binary_search_by_key(&chunk, |e| e.chunk) {
             return self.exceptions[i].node as usize;
         }
-        let (stripe, bin) = self.stripe_of(chunk);
         placement::place_stripe(seed, okey, stripe, code, members, topo)[bin]
     }
 
-    /// Builds the record for a freshly written object: any chunk whose
-    /// actual home (per the object's placement) differs from the
-    /// computed home becomes an exception. Under the deterministic
-    /// placement policy the store's homes *are* the computed ones, so
-    /// freshly written objects carry zero exceptions by construction.
+    /// Each chunk's home in `meta`'s layout: the `(stripe, bin)` holding
+    /// its first byte. Extents are sorted by offset, so a chunk's first
+    /// extent holds that byte; the footer pseudo-chunk, numbered past
+    /// the chunks, is skipped. A chunk the layout holds no bytes of (a
+    /// record read off the data plane may claim more chunks than its
+    /// object has) keeps its in-order home.
+    fn homes(&self, meta: &ObjectMeta) -> Vec<(u64, usize)> {
+        let mut homes = vec![None; self.chunks as usize];
+        for e in meta.extents() {
+            if let Some(home @ None) = e.chunk.and_then(|c| homes.get_mut(c)) {
+                *home = Some((e.stripe as u64, e.bin));
+            }
+        }
+        (0..self.chunks)
+            .zip(homes)
+            .map(|(c, home)| home.unwrap_or_else(|| self.stripe_of(c)))
+            .collect()
+    }
+
+    /// Builds the record for a freshly written object: every chunk whose
+    /// node (per the object's placement) differs from the rendezvous
+    /// computation of its home in the object's layout becomes an
+    /// exception. Under the deterministic placement policy the store
+    /// placed every stripe by that computation, so a fresh object carries
+    /// zero exceptions; an exception marks a chunk that moved later.
     #[allow(clippy::too_many_arguments)]
     pub fn from_meta(
         meta: &ObjectMeta,
@@ -135,43 +160,33 @@ impl LayoutRecord {
         members: &[usize],
         topo: &Topology,
     ) -> LayoutRecord {
-        let k = (ec.k as u32).max(1);
-        let chunks = meta.num_chunks() as u32;
-        let mut exceptions = Vec::new();
-        let mut cached: Option<(u64, Vec<usize>)> = None;
-        for c in 0..chunks {
-            let frags = meta.chunk_fragments(c as usize);
-            let actual = frags.first().map_or(0, |f| f.node);
-            let stripe = u64::from(c / k);
-            let canonical = match &cached {
-                Some((s, p)) if *s == stripe => p[(c % k) as usize],
-                _ => {
-                    let p = placement::place_stripe(seed, okey, stripe, code, members, topo);
-                    let node = p[(c % k) as usize];
-                    cached = Some((stripe, p));
-                    node
-                }
-            };
-            if actual != canonical {
-                exceptions.push(ChunkException {
+        let mut rec = LayoutRecord {
+            epoch,
+            chunks: meta.num_chunks() as u32,
+            size: meta.size,
+            code: ec.into(),
+            exceptions: Vec::new(),
+        };
+        for (c, home) in (0..rec.chunks).zip(rec.homes(meta)) {
+            let actual = meta
+                .chunk_fragments(c as usize)
+                .first()
+                .map_or(0, |f| f.node);
+            if actual != rec.node_of(c, home, seed, okey, code, members, topo) {
+                rec.exceptions.push(ChunkException {
                     chunk: c,
                     node: actual as u32,
                 });
             }
         }
-        LayoutRecord {
-            epoch,
-            chunks,
-            size: meta.size,
-            code: ec.into(),
-            exceptions,
-        }
+        rec
     }
 
     /// Materializes the paper-format map this record stands for — the
     /// differential oracle. Chunk offsets come from the object's footer
     /// metadata (the record deliberately does not duplicate them), node
-    /// ids from [`LayoutRecord::node_of`].
+    /// ids from [`LayoutRecord::node_of`] at each chunk's home in the
+    /// object's layout.
     ///
     /// # Errors
     ///
@@ -186,7 +201,7 @@ impl LayoutRecord {
         topo: &Topology,
     ) -> Result<LocationMap, LocationMapError> {
         let mut entries = Vec::with_capacity(self.chunks as usize);
-        for c in 0..self.chunks {
+        for (c, home) in (0..self.chunks).zip(self.homes(meta)) {
             let frags = meta.chunk_fragments(c as usize);
             let offset = frags.first().map_or(0, |f| f.object_offset);
             let chunk_offset =
@@ -196,7 +211,7 @@ impl LayoutRecord {
                 })?;
             entries.push(LocationEntry {
                 chunk_offset,
-                node: self.node_of(c, seed, okey, code, members, topo) as u32,
+                node: self.node_of(c, home, seed, okey, code, members, topo) as u32,
             });
         }
         Ok(LocationMap { entries })
@@ -518,6 +533,7 @@ impl Namespace {
         let m = &self.epochs[rec.epoch as usize];
         Some(rec.node_of(
             chunk,
+            rec.stripe_of(chunk),
             self.seed,
             id.placement_key(),
             &self.code,
@@ -587,15 +603,13 @@ impl Namespace {
                 let old_m = &epochs[rec.epoch as usize];
                 let mut old_cache: Option<(u64, Vec<usize>)> = None;
                 let mut new_cache: Option<(u64, Vec<usize>)> = None;
-                let k = u32::from(rec.code.k.max(1));
                 let mut ex = rec.exceptions.iter().peekable();
                 self.record_bytes -= rec.byte_size();
                 let mut kept = Vec::new();
                 for c in 0..rec.chunks {
                     report.chunks_total += 1;
                     let exception = ex.next_if(|e| e.chunk == c);
-                    let stripe = u64::from(c / k);
-                    let bin = (c % k) as usize;
+                    let (stripe, bin) = rec.stripe_of(c);
                     let canonical =
                         |cache: &mut Option<(u64, Vec<usize>)>, m: &Membership| match cache {
                             Some((s, p)) if *s == stripe => p[bin],

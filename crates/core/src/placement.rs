@@ -1,13 +1,18 @@
-//! Deterministic, topology-aware shard placement (DESIGN.md §16).
+//! Shard and replica placement: every node a put writes to comes from
+//! one greedy pass (DESIGN.md §13, §16). For each slot the pass takes
+//! the best-ranked unused member whose failure domain meets the slot's
+//! rule; a policy is a choice of rank, rule and relaxation:
 //!
-//! Instead of remembering where every chunk went, the store can *compute*
-//! it: each `(object, stripe, shard)` slot scores every cluster member
-//! with a seeded rendezvous (highest-random-weight) hash and takes the
-//! best-scoring node that satisfies the failure-domain constraints PR 6
-//! property-tested — at most `tolerance` shards of a stripe per domain,
-//! at most one shard of a local parity group per domain. The result is a
-//! pure function of `(seed, object key, stripe, shard, membership,
-//! topology)`:
+//! | policy | rank | stripe rule | replica rule | slot no member fits |
+//! |---|---|---|---|---|
+//! | `Naive` | position in a shuffle | none | none | — |
+//! | `DomainAware` | position in a shuffle | ≤ tolerance shards per domain, ≤ 1 shard per (local group, domain) | least-loaded domain first | reshuffle (8 attempts), then truncate |
+//! | `Deterministic` | rendezvous score | same as `DomainAware` | a domain's `(q+1)`-th only after `q` rounds | best unused member |
+//!
+//! Under `Deterministic` each `(object, stripe, shard)` slot scores
+//! every cluster member with a seeded rendezvous (highest-random-weight)
+//! hash, so the result is a pure function of `(seed, object key,
+//! stripe, shard, membership, topology)`:
 //!
 //! * **byte-stable** — re-evaluating with the same inputs always yields
 //!   the same layout, so nothing needs to be stored per chunk;
@@ -15,16 +20,18 @@
 //!   changes a slot's winner only when the new node out-scores the old
 //!   one, i.e. with probability `1/(m+1)`, so rebalance moves ~1/n of
 //!   chunks (the CRUSH/rendezvous property);
-//! * **constraint-respecting** — the greedy pick mirrors the stored-map
-//!   policy's invariants, degenerating to "distinct nodes" on a flat
-//!   topology.
+//! * **constraint-respecting** — the same domain rules as `DomainAware`,
+//!   degenerating to "distinct nodes" on a flat topology.
 //!
 //! Scores are compared as `(score, !node)` so ties (vanishingly rare with
 //! 64-bit scores, but possible) break toward the lower node id and the
 //! outcome is independent of member ordering.
 
+use crate::config::PlacementPolicy;
 use fusion_cluster::topology::Topology;
 use fusion_ec::ErasureCode;
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
 
 /// The stripe-placement "slot" index used for location-record replicas,
 /// chosen so replica scores never collide with a data stripe's stream.
@@ -90,12 +97,9 @@ pub fn object_key(bucket: &str, name: &str) -> u64 {
 }
 
 /// Deterministically places one stripe's `n` shards onto distinct
-/// members, respecting the PR-6 domain invariants where satisfiable:
-/// no failure domain receives more than the code's tolerance in shards,
-/// and no domain receives two shards of the same local group. When a constraint
-/// cannot be met (fewer domains than the code wants), it is relaxed for
-/// that shard exactly as the stored-map policy relaxes — distinct nodes
-/// are never given up.
+/// members: the greedy pass ranked by rendezvous score under the stripe
+/// rule, relaxing a slot no member fits to the best unused member —
+/// distinct nodes are never given up.
 ///
 /// The returned layout depends only on the arguments (never on member
 /// ordering or any RNG), which is what makes it safe to *not* store.
@@ -112,37 +116,22 @@ pub fn place_stripe(
     members: &[usize],
     topo: &Topology,
 ) -> Vec<usize> {
-    let tolerance = code.tolerance().max(1);
-    place_slots(
-        seed,
-        okey,
-        stripe,
+    let score =
+        |slot: usize, i: usize| shard_score(seed, okey, stripe, slot as u64, members[i] as u64);
+    greedy(
         code.total_blocks(),
         members,
         topo,
-        |per_domain, group_used, shard, d| {
-            if per_domain[d] >= tolerance {
-                return false;
-            }
-            match code.group_of(shard) {
-                Some(g) => !group_used[g * topo.domains() + d],
-                None => true,
-            }
-        },
-        |group_used, shard, d| {
-            if let Some(g) = code.group_of(shard) {
-                group_used[g * topo.domains() + d] = true;
-            }
-        },
-        code.local_groups(),
+        score,
+        Rule::Stripe(code),
+        true,
     )
+    .expect("a relaxed pass fills every slot")
 }
 
 /// Deterministically places `count` metadata replicas on distinct
 /// members, spreading across failure domains: a domain only receives a
-/// second replica once every domain with capacity holds one (the same
-/// least-loaded-domain discipline as the stored-map path, made
-/// order-free by rendezvous ranking).
+/// `(q+1)`-th replica after `q` full rounds over the domains.
 ///
 /// # Panics
 ///
@@ -154,57 +143,138 @@ pub fn place_replicas(
     members: &[usize],
     topo: &Topology,
 ) -> Vec<usize> {
-    place_slots(
-        seed,
-        okey,
-        REPLICA_STRIPE,
-        count,
-        members,
-        topo,
-        |per_domain, _, slot, d| {
-            // Allow a domain its (q+1)-th replica only after q full
-            // rounds over the domains: cap grows one per exhausted round.
-            per_domain[d] <= slot / topo.domains()
-        },
-        |_, _, _| {},
-        0,
-    )
+    let score = |slot: usize, i: usize| {
+        shard_score(seed, okey, REPLICA_STRIPE, slot as u64, members[i] as u64)
+    };
+    greedy(count, members, topo, score, Rule::Rounds, true)
+        .expect("a relaxed pass fills every slot")
 }
 
-/// Shared greedy core: for each slot, take the feasible unused member
-/// with the best `(score, lowest node)` rank, falling back to the best
-/// unused member when no candidate satisfies `feasible` (constraint
-/// relaxation — distinct nodes are never relaxed).
+/// Places everything a put writes under `policy`: the nodes of each of
+/// `stripes` stripes (shard `i` on the `i`-th node), then of `replicas`
+/// location-record replicas. The shuffled policies draw one shuffle of
+/// `alive` from `rng` per attempt, in that order; `Deterministic`
+/// draws nothing.
 #[allow(clippy::too_many_arguments)]
-fn place_slots(
+pub(crate) fn place_object(
+    policy: PlacementPolicy,
     seed: u64,
+    rng: &mut SmallRng,
     okey: u64,
-    stripe: u64,
+    code: &ErasureCode,
+    topo: &Topology,
+    alive: &[usize],
+    stripes: usize,
+    replicas: usize,
+) -> (Vec<Vec<usize>>, Vec<usize>) {
+    let (stripe_rule, replica_rule) = match policy {
+        PlacementPolicy::Deterministic => {
+            let stripes = (0..stripes as u64)
+                .map(|s| place_stripe(seed, okey, s, code, alive, topo))
+                .collect();
+            return (stripes, place_replicas(seed, okey, replicas, alive, topo));
+        }
+        PlacementPolicy::Naive => (Rule::Any, Rule::Any),
+        PlacementPolicy::DomainAware => (Rule::Stripe(code), Rule::LeastLoaded),
+    };
+    let n = code.total_blocks();
+    let stripes = (0..stripes)
+        .map(|_| shuffled(rng, n, alive, topo, stripe_rule))
+        .collect();
+    (stripes, shuffled(rng, replicas, alive, topo, replica_rule))
+}
+
+/// Fills `slots` ranked by position in a fresh shuffle of `alive`; an
+/// attempt that cannot fill a slot under `rule` reshuffles the same
+/// order, and after eight the last shuffle's first `slots` nodes stand.
+fn shuffled(
+    rng: &mut SmallRng,
+    slots: usize,
+    alive: &[usize],
+    topo: &Topology,
+    rule: Rule,
+) -> Vec<usize> {
+    let mut order = alive.to_vec();
+    for _ in 0..8 {
+        order.shuffle(rng);
+        if let Some(picked) = greedy(slots, &order, topo, |_, i| !(i as u64), rule, false) {
+            return picked;
+        }
+    }
+    order.truncate(slots);
+    order
+}
+
+/// The failure-domain rule a slot's node must meet.
+#[derive(Clone, Copy)]
+enum Rule<'c> {
+    /// Distinct nodes only.
+    Any,
+    /// A stripe's shards: at most the code's tolerance per domain, and
+    /// at most one shard of a local group per domain.
+    Stripe(&'c ErasureCode),
+    /// Replicas, least-loaded domain first.
+    LeastLoaded,
+    /// Replicas, a domain's `(q+1)`-th only after `q` full rounds.
+    Rounds,
+}
+
+/// The one greedy pass behind every placement: for each of `slots`
+/// slots, take the best-ranked unused member whose domain meets `rule`.
+/// `score(slot, i)` ranks member `i` (higher wins; equal scores go to
+/// the lower node id, so a rendezvous ranking ignores member order).
+/// When no unused member meets the rule, `relax` takes the best-ranked
+/// unused member anyway; otherwise the pass gives up with `None`.
+///
+/// # Panics
+///
+/// Panics if `members` has fewer than `slots` nodes.
+fn greedy(
     slots: usize,
     members: &[usize],
     topo: &Topology,
-    feasible: impl Fn(&[usize], &[bool], usize, usize) -> bool,
-    mark: impl Fn(&mut [bool], usize, usize),
-    groups: usize,
-) -> Vec<usize> {
+    score: impl Fn(usize, usize) -> u64,
+    rule: Rule,
+    relax: bool,
+) -> Option<Vec<usize>> {
     assert!(
         members.len() >= slots,
         "placement needs {} members, have {}",
         slots,
         members.len()
     );
+    let domains = topo.domains();
+    // Slots placed and members unused per domain, and the (local
+    // group, domain) pairs taken.
+    let mut load = vec![0usize; domains];
+    let mut free = vec![0usize; domains];
+    let mut grouped: Vec<(usize, usize)> = Vec::new();
+    for &node in members {
+        free[topo.domain_of(node)] += 1;
+    }
     let mut used = vec![false; members.len()];
-    let mut per_domain = vec![0usize; topo.domains()];
-    let mut group_used = vec![false; groups * topo.domains()];
     let mut placed = Vec::with_capacity(slots);
     for slot in 0..slots {
-        let mut best_ok: Option<(u64, usize)> = None; // (score, member idx)
+        let group = match rule {
+            Rule::Stripe(code) => code.group_of(slot),
+            _ => None,
+        };
+        let least = (0..domains).filter(|&d| free[d] > 0).map(|d| load[d]).min();
+        let fits = |d: usize| match rule {
+            Rule::Any => true,
+            Rule::Stripe(code) => {
+                load[d] < code.tolerance() && group.is_none_or(|g| !grouped.contains(&(g, d)))
+            }
+            Rule::LeastLoaded => Some(load[d]) == least,
+            Rule::Rounds => load[d] <= slot / domains,
+        };
+        let mut best_fit: Option<(u64, usize)> = None; // (score, member idx)
         let mut best_any: Option<(u64, usize)> = None;
         for (i, &node) in members.iter().enumerate() {
             if used[i] {
                 continue;
             }
-            let s = shard_score(seed, okey, stripe, slot as u64, node as u64);
+            let s = score(slot, i);
             let beats = |cur: Option<(u64, usize)>| match cur {
                 None => true,
                 Some((cs, ci)) => s > cs || (s == cs && node < members[ci]),
@@ -212,19 +282,19 @@ fn place_slots(
             if beats(best_any) {
                 best_any = Some((s, i));
             }
-            if feasible(&per_domain, &group_used, slot, topo.domain_of(node)) && beats(best_ok) {
-                best_ok = Some((s, i));
+            if fits(topo.domain_of(node)) && beats(best_fit) {
+                best_fit = Some((s, i));
             }
         }
-        let (_, i) = best_ok.or(best_any).expect("enough members");
+        let (_, i) = best_fit.or(best_any.filter(|_| relax))?;
         used[i] = true;
-        let node = members[i];
-        let d = topo.domain_of(node);
-        per_domain[d] += 1;
-        mark(&mut group_used, slot, d);
-        placed.push(node);
+        let d = topo.domain_of(members[i]);
+        load[d] += 1;
+        free[d] -= 1;
+        grouped.extend(group.map(|g| (g, d)));
+        placed.push(members[i]);
     }
-    placed
+    Some(placed)
 }
 
 #[cfg(test)]

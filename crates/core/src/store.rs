@@ -3,15 +3,18 @@
 //!
 //! Every node in Fusion can coordinate any request; the coordinator for an
 //! object is chosen by hashing its name over the alive nodes (paper §5).
-//! `Put` parses the analytics footer, runs the configured packer, erasure
-//! codes the stripes **for real**, and scatters blocks over `n` random
-//! distinct nodes per stripe. `Get` serves ranged reads, transparently
-//! reconstructing from parity when nodes have failed.
+//! `Put` is a pipeline: [`layout::pack`] cuts the object into stripes
+//! (the configured packer over the analytics footer's chunks, fixed
+//! blocks for blobs), [`placement`] picks every stripe's `n` distinct
+//! nodes and the metadata replicas' nodes in one pass, the stripes are
+//! erasure coded **for real** and written, and one workflow models the
+//! fan-out. `Get` serves ranged reads, transparently reconstructing from
+//! parity when nodes have failed.
 
 use crate::cache::ChunkCache;
-use crate::config::{LayoutPolicy, PlacementPolicy, QueryMode, StoreConfig, FAST_CODEC_SPEEDUP};
+use crate::config::{PlacementPolicy, QueryMode, StoreConfig, FAST_CODEC_SPEEDUP};
 use crate::error::{Result, StoreError};
-use crate::layout::{fac, fixed, items_from_meta, oracle, padding, Layout, PackItem};
+use crate::layout::{self, items_from_meta};
 use crate::location_map::{LocationMap, LocationMapError};
 use crate::meta::{CodeId, LayoutRecord};
 use crate::object::{ObjectMeta, StripePlacement};
@@ -28,7 +31,6 @@ use fusion_ec::ErasureCode;
 use fusion_format::footer::parse_footer;
 use fusion_obs::trace::Phase;
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
 
@@ -185,6 +187,8 @@ pub struct Store {
     slowdowns: HashMap<usize, f64>,
     /// Failed-then-revived nodes and how many RPC attempts to them time
     /// out before one succeeds (drives [`fusion_cluster::RetryPolicy`]).
+    /// [`Store::apply_faults`] marks the nodes it revives;
+    /// [`Store::recover_node`] clears a node.
     flaky: HashMap<usize, u32>,
     /// Worker pool for put's stripe encode, its only user (width =
     /// `StoreConfig::ec_threads`); every repair runs inline.
@@ -472,131 +476,6 @@ impl Store {
         }
     }
 
-    /// Picks the `n` nodes of one stripe, shard `i` on the `i`-th
-    /// returned node.
-    ///
-    /// Under [`PlacementPolicy::DomainAware`], a greedy pass over the
-    /// shuffled alive nodes enforces two invariants against the cluster
-    /// topology: no failure domain receives more than `tolerance` shards
-    /// of the stripe (so a whole-domain outage stays within what the
-    /// code guarantees to recover), and no domain receives two shards of
-    /// the same local group (so single-shard repair survives any one
-    /// domain outage). On a flat topology every node is its own domain,
-    /// both constraints are vacuous, and the greedy pass degenerates to
-    /// exactly the naive shuffle-truncate — byte-identical placements
-    /// for the same seed.
-    ///
-    /// If the constraints are infeasible (e.g. too few domains), the
-    /// pass retries with fresh shuffles and finally relaxes to naive
-    /// placement rather than failing the put.
-    ///
-    /// Under [`PlacementPolicy::Deterministic`] the pick is instead a
-    /// pure rendezvous function of `(seed, object key, stripe,
-    /// membership)` — no RNG is consumed, so the Naive/DomainAware
-    /// random streams (and their placements) are untouched by the
-    /// policy existing.
-    fn place_stripe(&mut self, alive: &[usize], okey: u64, stripe: usize) -> Vec<usize> {
-        if self.config.placement == PlacementPolicy::Deterministic {
-            return placement::place_stripe(
-                self.config.seed,
-                okey,
-                stripe as u64,
-                &self.code,
-                alive,
-                &self.topology,
-            );
-        }
-        let n = self.code.total_blocks();
-        let naive = self.config.placement == PlacementPolicy::Naive || self.topology.is_flat();
-        let mut nodes = alive.to_vec();
-        for _ in 0..8 {
-            nodes.shuffle(&mut self.rng);
-            if naive {
-                nodes.truncate(n);
-                return nodes;
-            }
-            if let Some(picked) = self.try_place(&nodes) {
-                return picked;
-            }
-        }
-        // Relaxation: the topology cannot satisfy the invariants.
-        nodes.truncate(n);
-        nodes
-    }
-
-    /// One greedy placement attempt over an already-shuffled node order.
-    fn try_place(&self, nodes: &[usize]) -> Option<Vec<usize>> {
-        let n = self.code.total_blocks();
-        let tolerance = self.code.tolerance();
-        let mut picked = Vec::with_capacity(n);
-        let mut used = vec![false; nodes.len()];
-        let mut per_domain: HashMap<usize, usize> = HashMap::new();
-        let mut group_domains: std::collections::HashSet<(usize, usize)> =
-            std::collections::HashSet::new();
-        for shard in 0..n {
-            let group = self.code.group_of(shard);
-            let slot = nodes.iter().enumerate().position(|(i, &node)| {
-                if used[i] {
-                    return false;
-                }
-                let d = self.topology.domain_of(node);
-                per_domain.get(&d).copied().unwrap_or(0) < tolerance
-                    && group.is_none_or(|g| !group_domains.contains(&(g, d)))
-            })?;
-            used[slot] = true;
-            let node = nodes[slot];
-            let d = self.topology.domain_of(node);
-            *per_domain.entry(d).or_insert(0) += 1;
-            if let Some(g) = group {
-                group_domains.insert((g, d));
-            }
-            picked.push(node);
-        }
-        Some(picked)
-    }
-
-    /// Picks `count` replica nodes for a location map, spread across
-    /// failure domains so no single-domain outage can take every replica
-    /// (domains are filled round-robin, least-loaded first). Flat
-    /// topologies and naive placement reduce to shuffle-truncate.
-    fn place_replicas(&mut self, mut nodes: Vec<usize>, count: usize, okey: u64) -> Vec<usize> {
-        if self.config.placement == PlacementPolicy::Deterministic {
-            return placement::place_replicas(
-                self.config.seed,
-                okey,
-                count,
-                &nodes,
-                &self.topology,
-            );
-        }
-        nodes.shuffle(&mut self.rng);
-        let naive = self.config.placement == PlacementPolicy::Naive || self.topology.is_flat();
-        if naive {
-            nodes.truncate(count);
-            return nodes;
-        }
-        let mut per_domain: HashMap<usize, usize> = HashMap::new();
-        let mut picked = Vec::with_capacity(count);
-        let mut remaining = nodes;
-        while picked.len() < count && !remaining.is_empty() {
-            // Least-loaded domain first; ties broken by shuffle order.
-            let (i, _) = remaining
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &node)| {
-                    per_domain
-                        .get(&self.topology.domain_of(node))
-                        .copied()
-                        .unwrap_or(0)
-                })
-                .expect("nonempty");
-            let node = remaining.remove(i);
-            *per_domain.entry(self.topology.domain_of(node)).or_insert(0) += 1;
-            picked.push(node);
-        }
-        picked
-    }
-
     /// Stores an object. Analytics files (recognized by the trailing
     /// magic) are packed with the configured layout policy; other blobs use
     /// fixed blocks.
@@ -612,58 +491,19 @@ impl Store {
         let size = data.len() as u64;
         let ec = self.config.ec;
 
-        // 1. Identify computable units from the footer, if analytics.
+        // 1. Layout: the configured packer over the footer's column
+        //    chunks, fixed blocks for a blob (timed for Figure 16c).
         let file_meta = parse_footer(&data).ok();
-        let items: Vec<PackItem> = match &file_meta {
-            Some(meta) => items_from_meta(meta, size),
-            None => Vec::new(),
-        };
-
-        // 2. Pack (timed for Figure 16c).
+        let items = file_meta
+            .as_ref()
+            .map_or_else(Vec::new, |meta| items_from_meta(meta, size));
         let t0 = std::time::Instant::now();
-        let (layout, policy_used): (Layout, &'static str) = match self.config.layout {
-            LayoutPolicy::Fixed => (
-                fixed::pack(size, self.config.block_size, ec.k, &items),
-                "fixed",
-            ),
-            LayoutPolicy::Padding if !items.is_empty() => (
-                padding::pack(self.config.block_size, ec.k, &items).layout,
-                "padding",
-            ),
-            LayoutPolicy::Padding => (
-                fixed::pack(size, self.config.block_size, ec.k, &items),
-                "fixed",
-            ),
-            LayoutPolicy::Fac if !items.is_empty() => {
-                let l = fac::pack(ec.k, &items);
-                if l.overhead_vs_optimal(ec) > self.config.overhead_threshold {
-                    // Paper §4.2: fall back to fixed blocks when the
-                    // budget cannot be met.
-                    (
-                        fixed::pack(size, self.config.block_size, ec.k, &items),
-                        "fixed-fallback",
-                    )
-                } else {
-                    (l, "fac")
-                }
-            }
-            LayoutPolicy::Fac => (
-                fixed::pack(size, self.config.block_size, ec.k, &items),
-                "fixed",
-            ),
-            LayoutPolicy::Oracle { deadline } if !items.is_empty() => {
-                (oracle::pack(ec.k, &items, deadline).layout, "oracle")
-            }
-            LayoutPolicy::Oracle { .. } => (
-                fixed::pack(size, self.config.block_size, ec.k, &items),
-                "fixed",
-            ),
-        };
+        let (layout, policy_used) = layout::pack(&self.config, size, &items);
         let pack_runtime = t0.elapsed();
         let overhead = layout.overhead_vs_optimal(ec);
 
-        // 3. Materialize blocks: encode parity for real, place stripes on
-        //    n random distinct nodes.
+        // 2. Placement: the nodes of every stripe and of the metadata
+        //    record's k + 1 replicas, from one pass.
         let alive = self.blocks.alive_nodes();
         if alive.len() < ec.n {
             return Err(StoreError::Internal(format!(
@@ -673,11 +513,20 @@ impl Store {
             )));
         }
         let okey = placement::object_key("", name);
-        let mut placement = Vec::with_capacity(layout.stripes.len());
-        let mut stored_bytes = 0u64;
+        let (stripe_nodes, replica_nodes) = placement::place_object(
+            self.config.placement,
+            self.config.seed,
+            &mut self.rng,
+            okey,
+            &self.code,
+            &self.topology,
+            &alive,
+            layout.stripes.len(),
+            ec.k + 1,
+        );
 
-        // Assemble data block contents (pieces + physical padding) for
-        // every stripe.
+        // 3. Assemble data block contents (pieces + physical padding) for
+        //    every stripe.
         let mut jobs: Vec<StripeJob> = Vec::with_capacity(layout.stripes.len());
         for stripe in &layout.stripes {
             let data_blocks: Vec<Vec<u8>> = stripe
@@ -708,25 +557,18 @@ impl Store {
             });
         }
 
-        // Place each stripe on n random distinct nodes (serial: placement
-        // consumes the store RNG and mutates the data plane).
-        for (si, (stripe, job)) in layout.stripes.iter().zip(jobs).enumerate() {
+        // 4. Write each stripe's k data blocks, then its parity, to its
+        //    nodes in shard order.
+        let mut placement = Vec::with_capacity(layout.stripes.len());
+        let mut stored_bytes = 0u64;
+        for ((stripe, job), nodes) in layout.stripes.iter().zip(jobs).zip(stripe_nodes) {
             let width = stripe.block_size();
-            let StripeJob { data, parity } = job;
-            debug_assert!(parity.iter().all(|p| p.len() as u64 == width));
-
-            let nodes = self.place_stripe(&alive, okey, si);
+            debug_assert!(job.parity.iter().all(|p| p.len() as u64 == width));
             let mut block_ids = Vec::with_capacity(ec.n);
-            for (i, content) in data.into_iter().enumerate() {
+            for (content, &node) in job.data.into_iter().chain(job.parity).zip(&nodes) {
                 let id = self.fresh_block();
                 stored_bytes += content.len() as u64;
-                self.blocks.put(nodes[i], id, Bytes::from(content))?;
-                block_ids.push(id);
-            }
-            for (p, content) in parity.into_iter().enumerate() {
-                let id = self.fresh_block();
-                stored_bytes += content.len() as u64;
-                self.blocks.put(nodes[ec.k + p], id, Bytes::from(content))?;
+                self.blocks.put(node, id, Bytes::from(content))?;
                 block_ids.push(id);
             }
             placement.push(StripePlacement {
@@ -746,10 +588,10 @@ impl Store {
             overhead,
         );
 
-        // 4. Build the metadata record — the paper's full map, or the
+        // 5. Build the metadata record — the paper's full map, or the
         //    compact layout record under deterministic placement (with
         //    the stored map as its differential oracle; DESIGN.md §16) —
-        //    and replicate it to k + 1 nodes spread across domains.
+        //    and write it to its replica nodes.
         let record = if self.config.placement == PlacementPolicy::Deterministic {
             let epoch = self.epoch_of(&alive);
             let rec = LayoutRecord::from_meta(
@@ -779,23 +621,22 @@ impl Store {
             ObjectMetaRecord::Stored(LocationMap::build(&meta)?)
         };
         let map_bytes = record.to_bytes();
-        let map_nodes = self.place_replicas(alive, ec.k + 1, okey);
-        let mut replicas = Vec::with_capacity(map_nodes.len());
-        for &n in &map_nodes {
+        let mut replicas = Vec::with_capacity(replica_nodes.len());
+        for &n in &replica_nodes {
             let id = self.fresh_block();
             stored_bytes += map_bytes.len() as u64;
             self.blocks.put(n, id, Bytes::from(map_bytes.clone()))?;
             replicas.push((n, id));
         }
 
-        // 5. Simulate the Put on the virtual clock.
+        // 6. Simulate the Put on the virtual clock.
         let workflow = self.put_workflow(
             &meta,
             size,
             stored_bytes,
             pack_runtime,
             map_bytes.len() as u64,
-            &map_nodes,
+            &replica_nodes,
         );
         let report = Engine::new(self.config.cluster.clone()).run_closed_loop(vec![vec![workflow]]);
         let simulated_latency = report.stats[0].latency;
@@ -875,19 +716,13 @@ impl Store {
             CostClass::Processing,
             &[pack],
         );
-        // Fan blocks out to their nodes.
-        for sp in &meta.placement {
-            for (&node, _) in sp.nodes.iter().zip(&sp.block_ids) {
-                let bytes = sp.width; // conservative: every block ≤ width
-                if node == coord {
-                    wf.step(
-                        ResourceKey::Disk(node),
-                        cost.disk_read(bytes),
-                        CostClass::DiskRead,
-                        &[encode],
-                    );
-                    continue;
-                }
+        // One coordinator-to-node write: a local disk write when the node
+        // is the coordinator; otherwise the bytes cross its NIC, one RPC
+        // delay and the node's NIC, then hit the node's disk.
+        let write = |wf: &mut Workflow, node: usize, bytes: u64| {
+            let after = if node == coord {
+                encode
+            } else {
                 let tx = wf.step(
                     ResourceKey::NicTx(coord),
                     cost.wire(bytes),
@@ -901,57 +736,31 @@ impl Store {
                     CostClass::Network,
                     &[tx],
                 );
-                let rx = wf.step(
+                wf.step(
                     ResourceKey::NicRx(node),
                     cost.wire(bytes),
                     CostClass::Network,
                     &[lat],
-                );
-                wf.step(
-                    ResourceKey::Disk(node),
-                    cost.disk_read(bytes),
-                    CostClass::DiskRead,
-                    &[rx],
-                );
-            }
-        }
-        // Metadata plane: the location record fans out to its replicas.
-        let prev = wf.set_phase(Phase::Metadata);
-        for &node in replicas {
-            if node == coord {
-                wf.step(
-                    ResourceKey::Disk(node),
-                    cost.disk_read(meta_bytes),
-                    CostClass::DiskRead,
-                    &[encode],
-                );
-                continue;
-            }
-            let tx = wf.step(
-                ResourceKey::NicTx(coord),
-                cost.wire(meta_bytes),
-                CostClass::Network,
-                &[encode],
-            );
-            wf.transfer_bytes(tx, meta_bytes);
-            let lat = wf.step(
-                ResourceKey::Delay,
-                cost.rpc_overhead,
-                CostClass::Network,
-                &[tx],
-            );
-            let rx = wf.step(
-                ResourceKey::NicRx(node),
-                cost.wire(meta_bytes),
-                CostClass::Network,
-                &[lat],
-            );
+                )
+            };
             wf.step(
                 ResourceKey::Disk(node),
-                cost.disk_read(meta_bytes),
+                cost.disk_read(bytes),
                 CostClass::DiskRead,
-                &[rx],
+                &[after],
             );
+        };
+        // Blocks fan out to their nodes, each charged at the stripe width
+        // (conservative: every block is at most that wide); then the
+        // metadata plane's location record fans out to its replicas.
+        for sp in &meta.placement {
+            for &node in &sp.nodes {
+                write(&mut wf, node, sp.width);
+            }
+        }
+        let prev = wf.set_phase(Phase::Metadata);
+        for &node in replicas {
+            write(&mut wf, node, meta_bytes);
         }
         wf.set_phase(prev);
         wf
@@ -1275,9 +1084,10 @@ impl Store {
     }
 
     /// Advances a fault injector to virtual time `to` against this
-    /// store's data plane, then mirrors the injector's straggler and
-    /// flaky-node state so subsequent queries and repairs model
-    /// slowdowns and retry penalties. Returns what fired.
+    /// store's data plane, then mirrors the injector's stragglers and
+    /// marks every node this call revived flaky, so subsequent queries
+    /// and repairs model slowdowns and retry penalties. Returns what
+    /// fired.
     pub fn apply_faults(&mut self, inj: &mut FaultInjector, to: Nanos) -> Vec<AppliedFault> {
         let applied = inj.advance(to, &mut self.blocks);
         if !applied.is_empty() {
@@ -1288,7 +1098,12 @@ impl Store {
         // cluster registry (idempotent delta-add).
         inj.publish_metrics(self.blocks.metrics());
         self.slowdowns = inj.slowdowns();
-        self.flaky = inj.flaky_nodes();
+        for fault in &applied {
+            if let AppliedFault::Revived { node, .. } = *fault {
+                // Its first attempt times out; recover_node clears it.
+                self.flaky.insert(node, 1);
+            }
+        }
         applied
     }
 
@@ -1307,12 +1122,6 @@ impl Store {
     /// (zero for healthy nodes).
     pub fn retry_penalty(&self, node: usize) -> Nanos {
         self.config.cluster.retry.penalty(self.flaky_attempts(node))
-    }
-
-    /// Marks every node healthy for retry accounting (e.g. after a
-    /// health-check sweep confirmed revived nodes).
-    pub fn clear_flaky(&mut self) {
-        self.flaky.clear();
     }
 
     /// The per-node encoded-chunk cache (counters and tests).
@@ -1832,6 +1641,57 @@ mod tests {
         // Replicas on a down node wait for recovery.
         store.fail_node(replicas[2].0).unwrap();
         assert_eq!(store.scrub().blocks_repaired, 0);
+    }
+
+    #[test]
+    fn recovered_node_stays_healthy_across_apply_faults() {
+        // A transient outage leaves node 2 flaky; recovery clears it, and
+        // a later `apply_faults` must not mark it flaky again.
+        use fusion_cluster::fault::FaultSchedule;
+        let mut store = Store::new(StoreConfig::fusion()).unwrap();
+        store.put("obj", analytics_bytes(1000, 250)).unwrap();
+        let schedule = FaultSchedule::new().transient(Nanos(100), 2, Nanos(100));
+        let mut inj = FaultInjector::new(schedule);
+        let applied = store.apply_faults(&mut inj, Nanos(500));
+        assert!(matches!(applied[1], AppliedFault::Revived { node: 2, .. }));
+        assert_eq!(store.flaky_attempts(2), 1);
+        assert!(store.retry_penalty(2) > Nanos::ZERO);
+
+        store.recover_node(2).unwrap();
+        assert!(store.apply_faults(&mut inj, Nanos(1_000)).is_empty());
+        assert_eq!(store.flaky_attempts(2), 0);
+        assert_eq!(store.retry_penalty(2), Nanos::ZERO);
+    }
+
+    #[test]
+    fn deterministic_fac_put_records_no_exceptions() {
+        // FAC bin-packs chunks, so a chunk's home is wherever the layout
+        // put its first byte; the compact record must resolve homes
+        // through that layout and carry no exceptions for a fresh put.
+        use fusion_workloads::tpch::{lineitem_file, TpchConfig};
+        let bytes = lineitem_file(TpchConfig {
+            rows_per_group: 2_000,
+            row_groups: 4,
+            seed: 3,
+        });
+        let mut cfg = StoreConfig::fusion().with_placement(PlacementPolicy::Deterministic);
+        cfg.overhead_threshold = 0.9;
+        let mut store = Store::new(cfg).unwrap();
+        let report = store.put("lineitem", bytes).unwrap();
+        assert_eq!(report.policy_used, "fac");
+        let Some(ObjectMetaRecord::Compact(rec)) = store.meta_record("lineitem") else {
+            panic!("deterministic policy must produce a compact record");
+        };
+        assert_eq!(rec.exceptions, Vec::new());
+        let (map, replicas) = store.location_map("lineitem").unwrap();
+        assert_eq!(
+            map,
+            LocationMap::build(store.object("lineitem").unwrap()).unwrap()
+        );
+        assert_eq!(
+            store.metadata_bytes("lineitem"),
+            Some(LayoutRecord::HEADER_BYTES * replicas.len() as u64)
+        );
     }
 
     #[test]

@@ -140,7 +140,7 @@ proptest! {
             let (stripe, bin) = rec.stripe_of(c);
             let placed = place_stripe(seed, okey, stripe, &code, &members, &topo);
             prop_assert_eq!(
-                rec.node_of(c, seed, okey, &code, &members, &topo),
+                rec.node_of(c, (stripe, bin), seed, okey, &code, &members, &topo),
                 placed[bin]
             );
             // Re-evaluation returns the identical layout.
