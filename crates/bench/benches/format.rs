@@ -1,10 +1,13 @@
 //! Columnar format hot paths: chunk encode/decode for the three column
 //! regimes (low-cardinality dictionary, incompressible numerics, text),
-//! plus footer parse — the only format work on FAC's Put critical path.
+//! footer parse — the only format work on FAC's Put critical path — and
+//! the page CRC-32 on an 85 KB `extendedprice` page.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fusion_format::chunk::{decode_column_chunk, encode_column_chunk};
+use fusion_format::chunk::{decode_column_chunk, encode_column_chunk, pages};
+use fusion_format::footer::parse_footer;
 use fusion_format::schema::LogicalType;
+use fusion_format::util::{crc32, crc32_slicing};
 use fusion_format::value::ColumnData;
 use fusion_workloads::tpch::{lineitem_file, TpchConfig};
 
@@ -71,5 +74,48 @@ fn bench_footer_parse(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_encode, bench_decode, bench_footer_parse);
+/// The compressed `extendedprice` page (plain f64) of one 15k-row
+/// lineitem row group (seed 1): the page every cold scan checks most.
+fn extendedprice_page() -> Vec<u8> {
+    let file = lineitem_file(TpchConfig {
+        rows_per_group: 15_000,
+        row_groups: 1,
+        seed: 1,
+    });
+    let meta = parse_footer(&file).expect("valid footer");
+    let col = meta
+        .schema
+        .index_of("extendedprice")
+        .expect("lineitem column");
+    let cm = &meta.row_groups[0].chunks[col];
+    let chunk = &file[cm.offset as usize..(cm.offset + cm.len) as usize];
+    pages(chunk).expect("valid chunk")[0].to_vec()
+}
+
+fn bench_crc32(c: &mut Criterion) {
+    let page = extendedprice_page();
+    let mut g = c.benchmark_group("crc32");
+    // One CRC takes microseconds; the default 10 iterations time noise.
+    g.sample_size(1000);
+    g.throughput(Throughput::Bytes(page.len() as u64));
+    g.bench_with_input(BenchmarkId::new("crc32", "extendedprice"), &page, |b, p| {
+        b.iter(|| crc32(std::hint::black_box(p)));
+    });
+    g.bench_with_input(
+        BenchmarkId::new("slicing", "extendedprice"),
+        &page,
+        |b, p| {
+            b.iter(|| crc32_slicing(std::hint::black_box(p)));
+        },
+    );
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_encode,
+    bench_decode,
+    bench_footer_parse,
+    bench_crc32
+);
 criterion_main!(benches);

@@ -1,12 +1,17 @@
 //! `compression` criterion group: fast vs scalar-reference Snappy
 //! kernels, both directions, on the three regimes that matter to the
-//! store: highly repetitive pages, text, and incompressible data.
+//! store: highly repetitive pages, text, and incompressible data; and
+//! decode of the two element-dense page shapes cold scans read most,
+//! plain `extendedprice` (f64) and sorted plain `orderkey` (i64).
 //!
 //! `figures -- snappy_throughput` is the committed calibration run;
 //! this group is for interactive kernel work (`cargo bench -p
 //! fusion-bench --bench snappy`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use fusion_format::chunk::pages;
+use fusion_format::footer::parse_footer;
+use fusion_workloads::tpch::{lineitem_file, TpchConfig};
 
 fn inputs() -> Vec<(&'static str, Vec<u8>)> {
     let repetitive: Vec<u8> = (0..1 << 20).map(|i| ((i / 4096) % 7) as u8).collect();
@@ -77,5 +82,46 @@ fn bench_decompress(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(compression, bench_compress, bench_decompress);
+/// The compressed data page of `column` in one 15k-row lineitem row
+/// group (seed 1).
+fn lineitem_page(column: &str) -> Vec<u8> {
+    let file = lineitem_file(TpchConfig {
+        rows_per_group: 15_000,
+        row_groups: 1,
+        seed: 1,
+    });
+    let meta = parse_footer(&file).expect("valid footer");
+    let col = meta.schema.index_of(column).expect("lineitem column");
+    let cm = &meta.row_groups[0].chunks[col];
+    let chunk = &file[cm.offset as usize..(cm.offset + cm.len) as usize];
+    let pages = pages(chunk).expect("valid chunk");
+    pages.last().expect("a data page").to_vec()
+}
+
+fn bench_pages(c: &mut Criterion) {
+    let mut g = c.benchmark_group("compression/decompress_page");
+    // A page decodes in ~0.1 ms; the default 10 iterations time noise.
+    g.sample_size(1000);
+    for name in ["extendedprice", "orderkey"] {
+        let page = lineitem_page(name);
+        let len = fusion_snappy::decompress_len(&page).expect("valid stream");
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_with_input(BenchmarkId::new("scalar", name), &page, |b, d| {
+            b.iter(|| {
+                fusion_snappy::reference::decompress(std::hint::black_box(d)).expect("valid stream")
+            });
+        });
+        g.bench_with_input(BenchmarkId::new("fast", name), &page, |b, d| {
+            let mut out = Vec::new();
+            b.iter(|| {
+                fusion_snappy::decompress_into(std::hint::black_box(d), &mut out)
+                    .expect("valid stream");
+                std::hint::black_box(&out);
+            });
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(compression, bench_compress, bench_decompress, bench_pages);
 criterion_main!(compression);

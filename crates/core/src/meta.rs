@@ -127,9 +127,10 @@ impl LayoutRecord {
     /// Each chunk's home in `meta`'s layout: the `(stripe, bin)` holding
     /// its first byte. Extents are sorted by offset, so a chunk's first
     /// extent holds that byte; the footer pseudo-chunk, numbered past
-    /// the chunks, is skipped. A chunk the layout holds no bytes of (a
-    /// record read off the data plane may claim more chunks than its
-    /// object has) keeps its in-order home.
+    /// the chunks, is skipped. A chunk the layout holds no bytes of keeps
+    /// its in-order home. The table is sized by the record's own count,
+    /// which `Store::read_location_map` checks against the object's
+    /// before it materializes a record read off the data plane.
     fn homes(&self, meta: &ObjectMeta) -> Vec<(u64, usize)> {
         let mut homes = vec![None; self.chunks as usize];
         for e in meta.extents() {

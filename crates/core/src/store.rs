@@ -360,12 +360,24 @@ impl Store {
             .get(name)
             .ok_or_else(|| StoreError::ObjectNotFound(name.to_string()))?;
         let nodes = self.config.cluster.nodes;
+        let expected = entry.meta.num_chunks();
+        let chunk_count = |got: usize| {
+            if got == expected {
+                Ok(())
+            } else {
+                Err(LocationMapError::ChunkCount { got, expected })
+            }
+        };
         for &(node, block) in &entry.replicas {
             let Ok(bytes) = self.blocks.get(node, block) else {
                 continue;
             };
             let map = match &entry.record {
-                ObjectMetaRecord::Stored(_) => LocationMap::from_bytes_checked(&bytes, nodes)?,
+                ObjectMetaRecord::Stored(_) => {
+                    let map = LocationMap::from_bytes_checked(&bytes, nodes)?;
+                    chunk_count(map.entries.len())?;
+                    map
+                }
                 ObjectMetaRecord::Compact(_) => {
                     let rec = LayoutRecord::from_bytes_checked(&bytes, nodes)?;
                     let members = self.epochs.get(rec.epoch as usize).ok_or(
@@ -378,6 +390,9 @@ impl Store {
                         let CodeId { n, k, local_groups } = rec.code;
                         return Err(LocationMapError::WrongCode { n, k, local_groups }.into());
                     }
+                    // `materialize` sizes its entries and homes by the
+                    // record's own count, so check that count first.
+                    chunk_count(rec.chunks as usize)?;
                     rec.materialize(
                         &entry.meta,
                         self.config.seed,
@@ -388,13 +403,6 @@ impl Store {
                     )?
                 }
             };
-            if map.entries.len() != entry.meta.num_chunks() {
-                return Err(LocationMapError::ChunkCount {
-                    got: map.entries.len(),
-                    expected: entry.meta.num_chunks(),
-                }
-                .into());
-            }
             return Ok(map);
         }
         Err(StoreError::Internal(format!(
@@ -1725,6 +1733,14 @@ mod tests {
         // Another code.
         let mut bad = rec.clone();
         bad.code.k = 3;
+        overwrite_replicas(&mut store, bad.to_bytes());
+        assert!(matches!(
+            store.read_location_map("obj"),
+            Err(StoreError::Metadata(_))
+        ));
+        // A chunk count no object has: rejected before it sizes anything.
+        let mut bad = rec.clone();
+        bad.chunks = u32::MAX;
         overwrite_replicas(&mut store, bad.to_bytes());
         assert!(matches!(
             store.read_location_map("obj"),

@@ -154,6 +154,27 @@ fn read_page<'a>(c: &mut Cursor<'a>) -> Result<Page<'a>> {
     })
 }
 
+fn read_encoding(c: &mut Cursor<'_>) -> Result<Encoding> {
+    Encoding::from_tag(c.u8()?).ok_or_else(|| FormatError::Corrupt("unknown encoding tag".into()))
+}
+
+/// The compressed bytes of each page of a chunk, in file order (a
+/// dictionary chunk's dictionary page, then its index page), each checked
+/// against its CRC: the Snappy streams a cache-cold read decodes.
+///
+/// # Errors
+///
+/// Fails on an unknown encoding tag, a truncated page, or a checksum
+/// mismatch.
+pub fn pages(bytes: &[u8]) -> Result<Vec<&[u8]>> {
+    let mut c = Cursor::new(bytes);
+    let n = match read_encoding(&mut c)? {
+        Encoding::Plain => 1,
+        Encoding::Dictionary => 2,
+    };
+    (0..n).map(|_| Ok(read_page(&mut c)?.bytes)).collect()
+}
+
 fn physical(ty: LogicalType) -> plain::PhysicalType {
     match ty {
         LogicalType::Int64 | LogicalType::Date => plain::PhysicalType::Int64,
@@ -380,9 +401,7 @@ pub fn read_encoded_chunk_with(
     scratch: &mut PageScratch,
 ) -> Result<EncodedChunk> {
     let mut c = Cursor::new(bytes);
-    let enc = Encoding::from_tag(c.u8()?)
-        .ok_or_else(|| FormatError::Corrupt("unknown encoding tag".into()))?;
-    match enc {
+    match read_encoding(&mut c)? {
         Encoding::Plain => {
             let page = read_page(&mut c)?;
             let raw = scratch.page(&page)?;

@@ -2,12 +2,36 @@
 
 use crate::error::{FormatError, Result};
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-16: each step
-/// folds 16 input bytes through 16 lookup tables, so the loop carries one
-/// table-lookup dependency per 16 bytes instead of one per byte.
-/// Bit-identical to [`crc32_reference`].
+/// CRC-32 (IEEE 802.3 polynomial, reflected). Bit-identical to
+/// [`crc32_reference`].
+///
+/// Inputs of 128 bytes or more take a carry-less-multiply fold when the
+/// CPU has PCLMULQDQ and SSE4.1 (checked at run time); everything else,
+/// and the fold's last `len % 16` bytes, runs slicing-by-16
+/// ([`crc32_slicing`]), the portable path.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = !0u32;
+    #[cfg(target_arch = "x86_64")]
+    if data.len() >= 128
+        && std::arch::is_x86_feature_detected!("pclmulqdq")
+        && std::arch::is_x86_feature_detected!("sse4.1")
+    {
+        // SAFETY: PCLMULQDQ and SSE4.1 support was just verified at run
+        // time, and `data` holds at least the 64 bytes the fold loads first.
+        return !unsafe { fold_clmul(data) };
+    }
+    crc32_slicing(data)
+}
+
+/// CRC-32 by slicing-by-16 alone: each step folds 16 input bytes through
+/// 16 lookup tables, so the loop carries one table-lookup dependency per
+/// 16 bytes instead of one per byte. The portable path of [`crc32`].
+pub fn crc32_slicing(data: &[u8]) -> u32 {
+    !slice16(!0, data)
+}
+
+/// Advances the raw (uninverted) CRC state `c` over `data`, 16 bytes per
+/// step, then bytewise over the last `len % 16`.
+fn slice16(mut c: u32, data: &[u8]) -> u32 {
     let mut blocks = data.chunks_exact(16);
     for block in &mut blocks {
         let mut w: [u8; 16] = block.try_into().expect("chunks_exact(16) yields 16 bytes");
@@ -22,7 +46,77 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in blocks.remainder() {
         c = SLICES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
+}
+
+/// The raw CRC state after `data` (≥ 64 bytes) by carry-less-multiply
+/// folding (Gopal et al., "Fast CRC Computation for Generic Polynomials
+/// Using PCLMULQDQ Instruction", Intel 2009, bit-reflected form). Four
+/// 128-bit lanes fold 64 bytes per step with `x^(512±64) mod P`
+/// (K1, K2), merge into one lane that folds 16 bytes per step with
+/// `x^(128±64) mod P` (K3, K4), shrink to 64 bits (K4, K5) and finish
+/// with a Barrett reduction by `P` and `μ = ⌊x^64 / P⌋`. The last
+/// `len % 16` bytes go through [`slice16`].
+///
+/// # Safety
+///
+/// The CPU must support PCLMULQDQ and SSE4.1, and `data.len() >= 64`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "pclmulqdq,sse4.1")]
+unsafe fn fold_clmul(data: &[u8]) -> u32 {
+    use std::arch::x86_64::*;
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    const K5: i64 = 0x1_63cd_6124;
+    const P: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+    debug_assert!(data.len() >= 64);
+    let load = |i: usize| _mm_loadu_si128(data[i..i + 16].as_ptr() as *const __m128i);
+    // `x · (hi, lo) ⊕ y`: carry-less products of both halves of `x` with
+    // the fold constants, folded onto the next 16 bytes.
+    let fold = |x: __m128i, y: __m128i, k: __m128i| {
+        _mm_xor_si128(
+            _mm_xor_si128(y, _mm_clmulepi64_si128::<0x00>(x, k)),
+            _mm_clmulepi64_si128::<0x11>(x, k),
+        )
+    };
+    let low32 = _mm_set_epi32(0, 0, 0, -1);
+
+    let mut x = [load(0), load(16), load(32), load(48)];
+    x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(-1));
+    let mut at = 64;
+    let k1k2 = _mm_set_epi64x(K2, K1);
+    while data.len() - at >= 64 {
+        for (lane, x) in x.iter_mut().enumerate() {
+            *x = fold(*x, load(at + 16 * lane), k1k2);
+        }
+        at += 64;
+    }
+    let k3k4 = _mm_set_epi64x(K4, K3);
+    let mut r = fold(fold(fold(x[0], x[1], k3k4), x[2], k3k4), x[3], k3k4);
+    while data.len() - at >= 16 {
+        r = fold(r, load(at), k3k4);
+        at += 16;
+    }
+
+    // 128 → 96 → 64 bits.
+    let r = _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x10>(r, k3k4),
+        _mm_srli_si128::<8>(r),
+    );
+    let r = _mm_xor_si128(
+        _mm_clmulepi64_si128::<0x00>(_mm_and_si128(r, low32), _mm_set_epi64x(0, K5)),
+        _mm_srli_si128::<4>(r),
+    );
+    // Barrett: T1 = (R mod x^32) · μ, T2 = (T1 mod x^32) · P, and the
+    // state is the upper half of R ⊕ T2 (bit-reflected).
+    let pmu = _mm_set_epi64x(MU, P);
+    let t1 = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(r, low32), pmu);
+    let t2 = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t1, low32), pmu);
+    let c = _mm_extract_epi32::<1>(_mm_xor_si128(r, t2)) as u32;
+    slice16(c, &data[at..])
 }
 
 /// `SLICES[0]` is the bytewise CRC table; `SLICES[k][i]` is the CRC state
@@ -211,21 +305,46 @@ mod tests {
     #[test]
     fn crc32_known_vectors() {
         // Standard check value for "123456789".
-        for f in [crc32, crc32_reference] {
+        for f in [crc32, crc32_slicing, crc32_reference] {
             assert_eq!(f(b"123456789"), 0xCBF4_3926);
             assert_eq!(f(b""), 0);
         }
     }
 
+    /// Every length up to 1 KiB at every alignment of the slice start:
+    /// each split of a 16-byte block into body and tail, the fold's
+    /// 128-byte threshold, 64-byte lane steps with every 16-byte and
+    /// sub-16-byte remainder after them.
+    fn buf() -> Vec<u8> {
+        (0..1040u32)
+            .map(|i| ((i * 167 + 13) ^ (i >> 3)) as u8)
+            .collect()
+    }
+
     #[test]
     fn crc32_matches_reference_at_every_short_length_and_offset() {
-        // Every split of a 16-byte block into body and tail, at every
-        // alignment of the slice start.
-        let buf: Vec<u8> = (0..80u32).map(|i| (i * 167 + 13) as u8).collect();
+        let buf = buf();
         for start in 0..16 {
-            for len in 0..=64 {
+            for len in 0..=1024 {
                 let s = &buf[start..start + len];
                 assert_eq!(crc32(s), crc32_reference(s), "start {start} len {len}");
+            }
+        }
+    }
+
+    /// The portable path on its own, so it stays covered on CPUs where
+    /// [`crc32`] folds every long input.
+    #[test]
+    fn crc32_slicing_matches_reference_at_every_length_and_offset() {
+        let buf = buf();
+        for start in 0..16 {
+            for len in 0..=1024 {
+                let s = &buf[start..start + len];
+                assert_eq!(
+                    crc32_slicing(s),
+                    crc32_reference(s),
+                    "start {start} len {len}"
+                );
             }
         }
     }

@@ -15,8 +15,10 @@
 //!
 //! * the default **fast** codec ([`compress`], [`decompress`],
 //!   [`decompress_into`]) — a persistent-hash-table compressor with
-//!   64-bit match probing and a wild-copy decompressor with hoisted
-//!   bounds checks (see [`compress`][mod@crate::compress] and
+//!   64-bit match probing and a decompressor whose element loop loads
+//!   the next tag before it decodes the current element and moves short
+//!   literals and copies 16 bytes at a time (see
+//!   [`compress`][mod@crate::compress] and
 //!   [`decompress`][mod@crate::decompress] module docs);
 //! * the [`reference`] codec — the original safe-but-scalar
 //!   byte-at-a-time implementation, preserved as the differential oracle
