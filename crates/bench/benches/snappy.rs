@@ -2,7 +2,9 @@
 //! kernels, both directions, on the three regimes that matter to the
 //! store: highly repetitive pages, text, and incompressible data; and
 //! decode of the two element-dense page shapes cold scans read most,
-//! plain `extendedprice` (f64) and sorted plain `orderkey` (i64).
+//! plain `extendedprice` (f64) and sorted plain `orderkey` (i64). Each
+//! page case decodes that column's page from every row group in turn,
+//! as a cold scan does, so no single page's branches are learned.
 //!
 //! `figures -- snappy_throughput` is the committed calibration run;
 //! this group is for interactive kernel work (`cargo bench -p
@@ -82,41 +84,56 @@ fn bench_decompress(c: &mut Criterion) {
     g.finish();
 }
 
-/// The compressed data page of `column` in one 15k-row lineitem row
-/// group (seed 1).
-fn lineitem_page(column: &str) -> Vec<u8> {
+/// The compressed data page of `column` in each row group of the
+/// 10 × 15k-row lineitem object (seed 1), in row-group order.
+fn lineitem_pages(column: &str) -> Vec<Vec<u8>> {
     let file = lineitem_file(TpchConfig {
         rows_per_group: 15_000,
-        row_groups: 1,
+        row_groups: 10,
         seed: 1,
     });
     let meta = parse_footer(&file).expect("valid footer");
     let col = meta.schema.index_of(column).expect("lineitem column");
-    let cm = &meta.row_groups[0].chunks[col];
-    let chunk = &file[cm.offset as usize..(cm.offset + cm.len) as usize];
-    let pages = pages(chunk).expect("valid chunk");
-    pages.last().expect("a data page").to_vec()
+    meta.row_groups
+        .iter()
+        .map(|rg| {
+            let cm = &rg.chunks[col];
+            let chunk = &file[cm.offset as usize..(cm.offset + cm.len) as usize];
+            let pages = pages(chunk).expect("valid chunk");
+            pages.last().expect("a data page").to_vec()
+        })
+        .collect()
 }
 
 fn bench_pages(c: &mut Criterion) {
     let mut g = c.benchmark_group("compression/decompress_page");
-    // A page decodes in ~0.1 ms; the default 10 iterations time noise.
+    // One iteration decodes ten ~0.1 ms pages; the default 10 iterations
+    // time noise.
     g.sample_size(1000);
     for name in ["extendedprice", "orderkey"] {
-        let page = lineitem_page(name);
-        let len = fusion_snappy::decompress_len(&page).expect("valid stream");
-        g.throughput(Throughput::Bytes(len as u64));
-        g.bench_with_input(BenchmarkId::new("scalar", name), &page, |b, d| {
+        let pages = lineitem_pages(name);
+        let decoded: usize = pages
+            .iter()
+            .map(|p| fusion_snappy::decompress_len(p).expect("valid stream"))
+            .sum();
+        g.throughput(Throughput::Bytes(decoded as u64));
+        g.bench_with_input(BenchmarkId::new("scalar", name), &pages, |b, pages| {
             b.iter(|| {
-                fusion_snappy::reference::decompress(std::hint::black_box(d)).expect("valid stream")
+                for page in pages {
+                    let out = fusion_snappy::reference::decompress(std::hint::black_box(page))
+                        .expect("valid stream");
+                    std::hint::black_box(out);
+                }
             });
         });
-        g.bench_with_input(BenchmarkId::new("fast", name), &page, |b, d| {
+        g.bench_with_input(BenchmarkId::new("fast", name), &pages, |b, pages| {
             let mut out = Vec::new();
             b.iter(|| {
-                fusion_snappy::decompress_into(std::hint::black_box(d), &mut out)
-                    .expect("valid stream");
-                std::hint::black_box(&out);
+                for page in pages {
+                    fusion_snappy::decompress_into(std::hint::black_box(page), &mut out)
+                        .expect("valid stream");
+                    std::hint::black_box(&out);
+                }
             });
         });
     }

@@ -44,13 +44,12 @@ use fusion_cluster::time::Nanos;
 use fusion_format::chunk::{read_encoded_chunk, EncodedChunk};
 use fusion_format::footer::ChunkMeta;
 use fusion_format::schema::LogicalType;
-use fusion_format::value::ColumnData;
+use fusion_format::value::{ColumnData, Value};
 use fusion_obs::trace::Phase;
-use fusion_sql::ast::AggFunc;
 use fusion_sql::bitmap::Bitmap;
 use fusion_sql::eval::{
-    combine, eval_aggregate, eval_filter, eval_filter_encoded, select_encoded, selected_plain_size,
-    stats_all_match, stats_may_match, AggFold,
+    combine, eval_filter, eval_filter_encoded, select_encoded, selected_plain_size,
+    stats_all_match, stats_may_match,
 };
 use fusion_sql::partial::{GroupedAggs, PartialAgg};
 use fusion_sql::plan::{BoolTree, OutputItem, QueryPlan};
@@ -160,29 +159,6 @@ fn node_work(
             )
         }
     }
-}
-
-/// Wire size of the partial of `func` a node ships for the rows of
-/// `view` that `filter` selects ([`PartialAgg::wire_bytes`]): a string
-/// MIN/MAX carries that chunk's own extreme, every other partial is a
-/// fixed-size scalar.
-fn partial_wire_bytes(
-    func: AggFunc,
-    ty: LogicalType,
-    view: &EncodedChunk,
-    filter: &Bitmap,
-) -> Result<u64> {
-    let own_extreme = || -> Result<_> {
-        let mut fold = AggFold::new(func, ty);
-        fold.fold(view, filter)?;
-        Ok(Some(fold.finish()?))
-    };
-    let partial = match (func, ty) {
-        (AggFunc::Min, LogicalType::Utf8) => PartialAgg::Min(own_extreme()?),
-        (AggFunc::Max, LogicalType::Utf8) => PartialAgg::Max(own_extreme()?),
-        _ => PartialAgg::identity(func, None),
-    };
-    Ok(partial.wire_bytes())
 }
 
 /// Executes `plan` with pushdown. `adaptive == false` pushes every
@@ -435,14 +411,17 @@ pub fn execute(
             ColumnData::with_capacity(fm.schema.fields()[c].ty, rows)
         })
         .collect();
-    let mut folds: Vec<Option<AggFold>> = plan
+    // One state per aggregate; `COUNT(*)` needs none, it is the match
+    // count.
+    let mut folds: Vec<Option<PartialAgg>> = plan
         .aggregates
         .iter()
         .map(|s| {
             s.column
-                .map(|c| AggFold::new(s.func, fm.schema.fields()[c].ty))
+                .map(|c| PartialAgg::new(s.func, fm.schema.fields()[c].ty))
+                .transpose()
         })
-        .collect();
+        .collect::<std::result::Result<_, _>>()?;
     let mut decisions = Vec::new();
     let mut proj_frontier: Vec<StepId> = vec![combine_step];
     let (phase, stage) = if agg_pushdown {
@@ -466,7 +445,8 @@ pub fn execute(
                 select_encoded(&at.view, filter, &mut projected[pos])?;
             }
             // With aggregate pushdown the node ships one partial per
-            // aggregate over this column.
+            // aggregate over this column: a fixed-size scalar, or for a
+            // string extreme the chunk's own extreme.
             let (mut col_aggs, mut partial_bytes) = (0u64, 0u64);
             for (spec, fold) in plan.aggregates.iter().zip(&mut folds) {
                 if let (Some(c), Some(fold)) = (spec.column, fold) {
@@ -474,7 +454,11 @@ pub fn execute(
                         fold.fold(&at.view, filter)?;
                         col_aggs += 1;
                         if agg_pushdown {
-                            partial_bytes += partial_wire_bytes(spec.func, ty, &at.view, filter)?;
+                            let mut part = PartialAgg::new(spec.func, ty)?;
+                            if ty == LogicalType::Utf8 {
+                                part.fold(&at.view, filter)?;
+                            }
+                            partial_bytes += part.wire_bytes();
                         }
                     }
                 }
@@ -561,10 +545,9 @@ pub fn execute(
             }
             OutputItem::Aggregate(ai) => {
                 let spec = &plan.aggregates[ai];
-                let value = match folds[ai].take() {
-                    Some(fold) => fold.finish()?,
-                    // COUNT(*) needs no column.
-                    None => eval_aggregate(spec, total_matches, None)?,
+                let value = match &folds[ai] {
+                    Some(fold) => fold.finalize(),
+                    None => Value::Int(total_matches as i64),
                 };
                 aggregates.push((agg_label(spec), value));
             }

@@ -592,11 +592,14 @@ pub(crate) fn agg_label(spec: &fusion_sql::plan::AggregateSpec) -> String {
 /// aggregate state. Shared by both executors so their outputs are
 /// identical by construction: groups are emitted in [`GroupKey`] sort
 /// order (a total order, floats by `total_cmp`), key columns follow the
-/// schema's types, and each aggregate becomes one typed output column
-/// labelled like `sum(price)`.
+/// schema's types, and each aggregate becomes one output column of its
+/// state's type ([`output_type`]), labelled like `sum(price)`.
 ///
 /// `row_count` stays the *matched row* count (the grouped rows are the
 /// `columns`), mirroring how aggregate-only queries already report it.
+///
+/// [`GroupKey`]: fusion_sql::partial::GroupKey
+/// [`output_type`]: fusion_sql::partial::PartialAgg::output_type
 pub(crate) fn assemble_grouped_result(
     plan: &QueryPlan,
     schema: &fusion_format::schema::Schema,
@@ -604,59 +607,16 @@ pub(crate) fn assemble_grouped_result(
     total_matches: usize,
 ) -> Result<QueryResult> {
     use fusion_format::schema::LogicalType;
-    use fusion_sql::ast::AggFunc;
+    use fusion_sql::partial::PartialAgg;
     use fusion_sql::plan::OutputItem;
 
-    // (key, finalized states) rows in canonical key order.
+    // (key, states) rows in canonical key order.
     let rows = grouped.into_sorted();
-
-    fn column_from(ty: LogicalType, values: Vec<Value>) -> Result<ColumnData> {
-        match ty {
-            LogicalType::Int64 | LogicalType::Date => Ok(ColumnData::Int64(
-                values
-                    .into_iter()
-                    .map(|v| match v {
-                        Value::Int(x) => Ok(x),
-                        other => Err(StoreError::Internal(format!(
-                            "expected int in grouped output, got {other:?}"
-                        ))),
-                    })
-                    .collect::<Result<_>>()?,
-            )),
-            LogicalType::Float64 => Ok(ColumnData::Float64(
-                values
-                    .into_iter()
-                    .map(|v| match v {
-                        Value::Float(x) => Ok(x),
-                        // Integer partials may finalize under a float
-                        // label (e.g. MIN over a Date key) — never the
-                        // other way around.
-                        Value::Int(x) => Ok(x as f64),
-                        other => Err(StoreError::Internal(format!(
-                            "expected float in grouped output, got {other:?}"
-                        ))),
-                    })
-                    .collect::<Result<_>>()?,
-            )),
-            LogicalType::Utf8 => Ok(ColumnData::Utf8(
-                values
-                    .into_iter()
-                    .map(|v| match v {
-                        Value::Str(s) => Ok(s),
-                        other => Err(StoreError::Internal(format!(
-                            "expected string in grouped output, got {other:?}"
-                        ))),
-                    })
-                    .collect::<Result<_>>()?,
-            )),
-        }
-    }
-
     let mut columns = Vec::new();
     for out in &plan.outputs {
-        match out {
+        let (label, ty, values): (String, LogicalType, Vec<Value>) = match *out {
             OutputItem::Projection(pos) => {
-                let schema_idx = plan.projections[*pos];
+                let schema_idx = plan.projections[pos];
                 let key_pos = plan
                     .group_by
                     .iter()
@@ -664,28 +624,39 @@ pub(crate) fn assemble_grouped_result(
                     .ok_or_else(|| {
                         StoreError::Internal("selected column is not a group key".into())
                     })?;
-                let values: Vec<Value> = rows.iter().map(|(k, _)| k.0[key_pos].clone()).collect();
-                columns.push((
-                    plan.projection_names[*pos].clone(),
-                    column_from(schema.fields()[schema_idx].ty, values)?,
-                ));
+                (
+                    plan.projection_names[pos].clone(),
+                    schema.fields()[schema_idx].ty,
+                    rows.iter().map(|(k, _)| k.0[key_pos].clone()).collect(),
+                )
             }
             OutputItem::Aggregate(ai) => {
-                let spec = &plan.aggregates[*ai];
-                let arg_ty = spec.column.map(|idx| schema.fields()[idx].ty);
-                let out_ty = match spec.func {
-                    AggFunc::Count => LogicalType::Int64,
-                    AggFunc::Avg => LogicalType::Float64,
-                    AggFunc::Sum => match arg_ty {
-                        Some(LogicalType::Float64) => LogicalType::Float64,
-                        _ => LogicalType::Int64,
-                    },
-                    AggFunc::Min | AggFunc::Max => arg_ty.unwrap_or(LogicalType::Int64),
-                };
-                let values: Vec<Value> = rows.iter().map(|(_, p)| p[*ai].finalize()).collect();
-                columns.push((agg_label(spec), column_from(out_ty, values)?));
+                let spec = &plan.aggregates[ai];
+                let arg_ty = spec
+                    .column
+                    .map_or(LogicalType::Int64, |c| schema.fields()[c].ty);
+                (
+                    agg_label(spec),
+                    PartialAgg::new(spec.func, arg_ty)?.output_type(),
+                    rows.iter().map(|(_, p)| p[ai].finalize()).collect(),
+                )
+            }
+        };
+        let mut col = ColumnData::with_capacity(ty, values.len());
+        for v in values {
+            match (&mut col, v) {
+                (ColumnData::Int64(c), Value::Int(x)) => c.push(x),
+                (ColumnData::Float64(c), Value::Float(x)) => c.push(x),
+                (ColumnData::Utf8(c), Value::Str(x)) => c.push(x),
+                (c, v) => {
+                    return Err(StoreError::Internal(format!(
+                        "{v:?} in the {} output column {label}",
+                        c.physical_name()
+                    )))
+                }
             }
         }
+        columns.push((label, col));
     }
     Ok(QueryResult {
         row_count: total_matches,

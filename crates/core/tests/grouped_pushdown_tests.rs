@@ -221,3 +221,67 @@ fn grouped_metrics_counters_advance() {
     assert!(pushed.metrics().counter("agg_groups_emitted").get() > 0);
     assert!(pushed.metrics().counter("agg_wire_bytes_saved").get() > 0);
 }
+
+/// An aggregate answer in a form whose `==` is bitwise (`-0.0` is not
+/// `0.0`), except that every NaN is one value.
+fn answer_bits(v: Value) -> Value {
+    match v {
+        Value::Float(x) if x.is_nan() => Value::Int(-1),
+        Value::Float(x) => Value::Int(x.to_bits() as i64),
+        other => other,
+    }
+}
+
+/// One group's aggregate equals the ungrouped aggregate over the same
+/// rows, bit for bit, on every executor. One row group with one key
+/// value holding values that separate the accumulators: integers whose
+/// f64 sum rounds away (`2^60 + 1 − 2^60`), a NaN ahead of the float
+/// extremes, and nothing but `-0.0`.
+#[test]
+fn grouped_and_ungrouped_aggregates_agree() {
+    let schema = Schema::new(vec![
+        Field::new("k", LogicalType::Int64),
+        Field::new("i", LogicalType::Int64),
+        Field::new("f", LogicalType::Float64),
+        Field::new("z", LogicalType::Float64),
+    ]);
+    let t = Table::new(
+        schema,
+        vec![
+            ColumnData::Int64(vec![7; 3]),
+            ColumnData::Int64(vec![1 << 60, 1, -(1 << 60)]),
+            ColumnData::Float64(vec![f64::NAN, 1.0, 2.0]),
+            ColumnData::Float64(vec![-0.0; 3]),
+        ],
+    )
+    .unwrap();
+    let bytes = write_table(&t, WriteOptions { rows_per_group: 3 }).unwrap();
+    let mut differ = Vec::new();
+    for (agg_pd, mode) in [
+        (false, QueryMode::AdaptivePushdown),
+        (true, QueryMode::AdaptivePushdown),
+        (false, QueryMode::Reassemble),
+    ] {
+        let mut cfg = StoreConfig::fusion().with_aggregate_pushdown(agg_pd);
+        cfg.query_mode = mode;
+        let mut s = Store::new(cfg).unwrap();
+        s.put("t", bytes.clone()).unwrap();
+        for func in ["count", "sum", "avg", "min", "max"] {
+            for col in ["i", "f", "z"] {
+                let agg = format!("{func}({col})");
+                let flat = s.query(&format!("SELECT {agg} FROM t")).expect(&agg);
+                let grouped = s
+                    .query(&format!("SELECT k, {agg} FROM t GROUP BY k"))
+                    .expect(&agg);
+                let (label, column) = &grouped.result.columns[1];
+                assert_eq!(label, &agg);
+                assert_eq!(column.len(), 1, "{agg}: one group");
+                let want = answer_bits(flat.result.aggregates[0].1.clone());
+                if answer_bits(column.value(0)) != want {
+                    differ.push(format!("{mode:?}, aggregate pushdown {agg_pd}: {agg}"));
+                }
+            }
+        }
+    }
+    assert!(differ.is_empty(), "grouped answers differ: {differ:#?}");
+}

@@ -338,6 +338,54 @@ fn simulated_latency_is_positive_and_fusion_wins_selective() {
     );
 }
 
+/// A predicate at the parser's depth cap runs through parse, plan, both
+/// executors and drop on a 2 MiB thread, a service worker's default
+/// stack, even in a debug build, and answers as its one-level equivalent.
+#[test]
+fn predicates_at_the_depth_cap_fit_a_worker_stack() {
+    let levels = fusion_sql::parser::MAX_PREDICATE_DEPTH;
+    assert_eq!(levels % 2, 0, "an even NOT count cancels out");
+    let leaf = "flag = 'O'";
+    let chain = |op: &str| vec![leaf; levels + 1].join(op);
+    let deep = [
+        format!("{}{leaf}", "NOT ".repeat(levels)),
+        format!("{}{leaf}{}", "(".repeat(levels), ")".repeat(levels)),
+        chain(" AND "),
+        chain(" OR "),
+    ];
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let table = test_table(600);
+            for mode in [QueryMode::AdaptivePushdown, QueryMode::Reassemble] {
+                let store = store_with(mode, &table, 200);
+                for select in [
+                    "SELECT orderkey FROM t",
+                    "SELECT count(*), sum(orderkey), min(amount) FROM t",
+                    "SELECT flag, count(*), avg(amount) FROM t",
+                ] {
+                    let group_by = if select.contains("flag,") {
+                        " GROUP BY flag"
+                    } else {
+                        ""
+                    };
+                    let want = store
+                        .query(&format!("{select} WHERE {leaf}{group_by}"))
+                        .unwrap()
+                        .result;
+                    for predicate in &deep {
+                        let sql = format!("{select} WHERE {predicate}{group_by}");
+                        let got = store.query(&sql).expect("a predicate at the cap runs");
+                        assert_eq!(got.result, want, "{mode:?}: {}", &sql[..60]);
+                    }
+                }
+            }
+        })
+        .unwrap()
+        .join()
+        .expect("no stack overflow");
+}
+
 #[test]
 fn query_errors() {
     let table = test_table(100);

@@ -249,3 +249,41 @@ fn service_rejects_malformed_and_hostile_frames_without_dying() {
         .unwrap();
     assert_eq!(r.aggregates.len(), 1);
 }
+
+#[test]
+fn service_rejects_hostile_predicates_without_dying() {
+    // Predicates tens of thousands of levels deep overflowed a worker's
+    // stack while parsing, planning or dropping them, which aborts the
+    // whole process. The parser now refuses them with a typed error.
+    let bytes = write_table(
+        &test_table(1000),
+        WriteOptions {
+            rows_per_group: 250,
+        },
+    )
+    .unwrap();
+    let service = Arc::new(Service::start(
+        store_with(QueryMode::AdaptivePushdown, &bytes),
+        2,
+    ));
+    let mut c = Client::new(Loopback::new(Arc::clone(&service)));
+    let ordinary = "SELECT count(*), sum(orderkey) FROM t WHERE flag = 'O'";
+    let want = c.query("t", ordinary).unwrap();
+    let n = 100_000;
+    let chain = |op: &str| vec!["flag = 'O'"; n].join(op);
+    for (form, predicate) in [
+        ("NOT", format!("{}flag = 'O'", "NOT ".repeat(n))),
+        (
+            "parentheses",
+            format!("{}flag = 'O'{}", "(".repeat(n), ")".repeat(n)),
+        ),
+        ("AND chain", chain(" AND ")),
+        ("OR chain", chain(" OR ")),
+    ] {
+        let sql = format!("SELECT count(*) FROM t WHERE {predicate}");
+        let err = c.query("t", &sql).unwrap_err();
+        assert_eq!(err.code(), Some(fusion_service::ErrorCode::Sql), "{form}");
+        let after = c.query("t", ordinary).unwrap();
+        assert_bit_identical(&after, &want, form);
+    }
+}

@@ -1,5 +1,9 @@
 //! Predicate and aggregate evaluation over decoded column chunks — the
 //! code that actually runs *in situ* on a storage node during pushdown.
+//! Every aggregate accumulates in one state type,
+//! [`crate::partial::PartialAgg`]: the GROUP BY kernels here hand it rows
+//! as `(value, count)` pairs, and [`eval_aggregate`] is the ungrouped
+//! oracle it is tested against.
 
 use crate::ast::AggFunc;
 use crate::bitmap::{or_bits, or_span, Bitmap};
@@ -257,9 +261,6 @@ pub fn stats_all_match(leaf: &FilterLeaf, min: Option<&Value>, max: Option<&Valu
     }
 }
 
-/// The result of an aggregate computation.
-pub type AggValue = Value;
-
 /// Computes one aggregate over already-filtered projection data.
 ///
 /// `filtered_rows` is the match count (for `COUNT(*)`); `column` is the
@@ -272,7 +273,7 @@ pub fn eval_aggregate(
     spec: &AggregateSpec,
     filtered_rows: usize,
     column: Option<&ColumnData>,
-) -> Result<AggValue> {
+) -> Result<Value> {
     match (spec.func, column) {
         (AggFunc::Count, None) => Ok(Value::Int(filtered_rows as i64)),
         (AggFunc::Count, Some(c)) => Ok(Value::Int(c.len() as i64)),
@@ -323,7 +324,7 @@ pub fn eval_aggregate(
     }
 }
 
-fn string_agg_error(func: AggFunc) -> SqlError {
+pub(crate) fn string_agg_error(func: AggFunc) -> SqlError {
     SqlError::TypeError(format!("{func} is not defined for string columns"))
 }
 
@@ -331,7 +332,7 @@ fn string_agg_error(func: AggFunc) -> SqlError {
 /// `f64::min` may return either operand of an equal pair (LLVM is free
 /// to commute it or to vectorize a fold of it), so two folds over the
 /// same rows could otherwise disagree in the sign of a zero minimum.
-fn min_f64(acc: f64, x: f64) -> f64 {
+pub(crate) fn min_f64(acc: f64, x: f64) -> f64 {
     if x < acc || acc.is_nan() {
         x
     } else {
@@ -340,7 +341,7 @@ fn min_f64(acc: f64, x: f64) -> f64 {
 }
 
 /// The `f64::max` counterpart of [`min_f64`].
-fn max_f64(acc: f64, x: f64) -> f64 {
+pub(crate) fn max_f64(acc: f64, x: f64) -> f64 {
     if x > acc || acc.is_nan() {
         x
     } else {
@@ -350,7 +351,7 @@ fn max_f64(acc: f64, x: f64) -> f64 {
 
 /// The values a chunk's rows index into: the column itself for a plain
 /// chunk, the dictionary for a dictionary chunk.
-fn chunk_values(chunk: &EncodedChunk) -> &ColumnData {
+pub(crate) fn chunk_values(chunk: &EncodedChunk) -> &ColumnData {
     match chunk {
         EncodedChunk::Plain(col) => col,
         EncodedChunk::Dictionary { dictionary, .. } => dictionary,
@@ -380,7 +381,7 @@ fn check_filter_len(chunk: &EncodedChunk, filter: &Bitmap) -> Result<()> {
 /// A filter whose length is not the chunk's row count, malformed run
 /// structure, or a code out of range for the dictionary (impossible for
 /// views from `read_encoded_chunk`, which validates codes up front).
-fn for_each_selected(
+pub(crate) fn for_each_selected(
     chunk: &EncodedChunk,
     filter: &Bitmap,
     mut f: impl FnMut(usize, usize),
@@ -478,195 +479,6 @@ pub fn selected_plain_size(chunk: &EncodedChunk, filter: &Bitmap) -> Result<u64>
     }
 }
 
-/// One ungrouped aggregate folded over encoded chunks, one row group at a
-/// time in row order — bit-identical to [`eval_aggregate`] over the
-/// concatenation of every selected row, without materializing that
-/// column. (The one exception is the sign and payload of a NaN that a
-/// float sum produces, which Rust leaves unspecified.) The fold keeps the
-/// oracle's identities, so empty input finishes the same way: integer
-/// SUM and MIN/MAX 0, float SUM `-0.0` (`Iterator::sum` starts there),
-/// float MIN/MAX `±inf`, string MIN/MAX `""`, AVG NaN.
-///
-/// Float sums add an RLE run's value once per selected row (repeated
-/// addition rounds differently from a product); MIN/MAX are idempotent,
-/// so a run folds in once. Value errors (integer SUM overflow, SUM/AVG
-/// of strings) are kept and reported by [`AggFold::finish`], so a query
-/// reports the same first error as the oracle.
-#[derive(Debug, Clone)]
-pub struct AggFold(Fold);
-
-#[derive(Debug, Clone)]
-enum Fold {
-    Count(usize),
-    SumInt(i64),
-    AvgInt(i128, usize),
-    MinInt(Option<i64>),
-    MaxInt(Option<i64>),
-    SumFloat(f64),
-    AvgFloat(f64, usize),
-    MinFloat(f64),
-    MaxFloat(f64),
-    MinStr(Option<String>),
-    MaxStr(Option<String>),
-    Failed(SqlError),
-}
-
-impl AggFold {
-    /// An empty fold of `func` over a column of logical type `ty`.
-    pub fn new(func: AggFunc, ty: LogicalType) -> AggFold {
-        use LogicalType::*;
-        AggFold(match (func, ty) {
-            (AggFunc::Count, _) => Fold::Count(0),
-            (AggFunc::Sum, Int64 | Date) => Fold::SumInt(0),
-            (AggFunc::Avg, Int64 | Date) => Fold::AvgInt(0, 0),
-            (AggFunc::Min, Int64 | Date) => Fold::MinInt(None),
-            (AggFunc::Max, Int64 | Date) => Fold::MaxInt(None),
-            (AggFunc::Sum, Float64) => Fold::SumFloat(-0.0),
-            (AggFunc::Avg, Float64) => Fold::AvgFloat(-0.0, 0),
-            (AggFunc::Min, Float64) => Fold::MinFloat(f64::INFINITY),
-            (AggFunc::Max, Float64) => Fold::MaxFloat(f64::NEG_INFINITY),
-            (AggFunc::Min, Utf8) => Fold::MinStr(None),
-            (AggFunc::Max, Utf8) => Fold::MaxStr(None),
-            (func @ (AggFunc::Sum | AggFunc::Avg), Utf8) => Fold::Failed(string_agg_error(func)),
-        })
-    }
-
-    /// Folds in the rows of `chunk` that `filter` selects.
-    ///
-    /// # Errors
-    ///
-    /// A chunk of another physical type than the fold, or the structural
-    /// errors of [`select_encoded`].
-    pub fn fold(&mut self, chunk: &EncodedChunk, filter: &Bitmap) -> Result<()> {
-        // Each arm folds into locals and stores them back once: state
-        // behind `&mut self` would be reloaded on every row.
-        match (&mut self.0, chunk_values(chunk)) {
-            (Fold::Failed(_), _) => Ok(()),
-            (Fold::Count(c), _) => {
-                let mut count = *c;
-                for_each_selected(chunk, filter, |_, n| count += n)?;
-                *c = count;
-                Ok(())
-            }
-            (Fold::SumInt(acc), ColumnData::Int64(v)) => {
-                // A running i128 total cannot overflow, and it leaves the
-                // i64 range exactly when sequential checked i64 adds
-                // would fail: acc + k·x is monotonic in k, so a run's
-                // last prefix is its extreme one.
-                let (mut sum, mut fits) = (*acc as i128, true);
-                for_each_selected(chunk, filter, |i, n| {
-                    sum += v[i] as i128 * n as i128;
-                    fits &= i64::try_from(sum).is_ok();
-                })?;
-                self.0 = match i64::try_from(sum) {
-                    Ok(sum) if fits => Fold::SumInt(sum),
-                    _ => Fold::Failed(overflow("aggregate")),
-                };
-                Ok(())
-            }
-            (Fold::AvgInt(acc, cnt), ColumnData::Int64(v)) => {
-                let (mut sum, mut count) = (*acc, *cnt);
-                for_each_selected(chunk, filter, |i, n| {
-                    sum += v[i] as i128 * n as i128;
-                    count += n;
-                })?;
-                (*acc, *cnt) = (sum, count);
-                Ok(())
-            }
-            (Fold::MinInt(m), ColumnData::Int64(v)) => {
-                let (mut lo, mut seen) = (i64::MAX, false);
-                for_each_selected(chunk, filter, |i, _| {
-                    lo = lo.min(v[i]);
-                    seen = true;
-                })?;
-                if seen {
-                    *m = Some(m.map_or(lo, |m| m.min(lo)));
-                }
-                Ok(())
-            }
-            (Fold::MaxInt(m), ColumnData::Int64(v)) => {
-                let (mut hi, mut seen) = (i64::MIN, false);
-                for_each_selected(chunk, filter, |i, _| {
-                    hi = hi.max(v[i]);
-                    seen = true;
-                })?;
-                if seen {
-                    *m = Some(m.map_or(hi, |m| m.max(hi)));
-                }
-                Ok(())
-            }
-            (Fold::SumFloat(acc), ColumnData::Float64(v)) => {
-                let mut sum = *acc;
-                for_each_selected(chunk, filter, |i, n| {
-                    for _ in 0..n {
-                        sum += v[i];
-                    }
-                })?;
-                *acc = sum;
-                Ok(())
-            }
-            (Fold::AvgFloat(acc, cnt), ColumnData::Float64(v)) => {
-                let (mut sum, mut count) = (*acc, *cnt);
-                for_each_selected(chunk, filter, |i, n| {
-                    for _ in 0..n {
-                        sum += v[i];
-                    }
-                    count += n;
-                })?;
-                (*acc, *cnt) = (sum, count);
-                Ok(())
-            }
-            (Fold::MinFloat(m), ColumnData::Float64(v)) => {
-                let mut lo = *m;
-                for_each_selected(chunk, filter, |i, _| lo = min_f64(lo, v[i]))?;
-                *m = lo;
-                Ok(())
-            }
-            (Fold::MaxFloat(m), ColumnData::Float64(v)) => {
-                let mut hi = *m;
-                for_each_selected(chunk, filter, |i, _| hi = max_f64(hi, v[i]))?;
-                *m = hi;
-                Ok(())
-            }
-            (Fold::MinStr(m), ColumnData::Utf8(v)) => for_each_selected(chunk, filter, |i, _| {
-                if m.as_ref().is_none_or(|m| v[i] < *m) {
-                    *m = Some(v[i].clone());
-                }
-            }),
-            (Fold::MaxStr(m), ColumnData::Utf8(v)) => for_each_selected(chunk, filter, |i, _| {
-                if m.as_ref().is_none_or(|m| v[i] > *m) {
-                    *m = Some(v[i].clone());
-                }
-            }),
-            (state, values) => Err(SqlError::TypeError(format!(
-                "cannot fold {} column into {state:?}",
-                values.physical_name()
-            ))),
-        }
-    }
-
-    /// The aggregate's value, or the first value error met while folding.
-    ///
-    /// # Errors
-    ///
-    /// [`SqlError::Overflow`] for an integer SUM past `i64`;
-    /// [`SqlError::TypeError`] for SUM/AVG of strings.
-    pub fn finish(self) -> Result<AggValue> {
-        let avg = |sum: f64, n: usize| Value::Float(if n == 0 { f64::NAN } else { sum / n as f64 });
-        Ok(match self.0 {
-            Fold::Count(n) => Value::Int(n as i64),
-            Fold::SumInt(s) => Value::Int(s),
-            Fold::AvgInt(s, n) => avg(s as f64, n),
-            Fold::MinInt(m) | Fold::MaxInt(m) => Value::Int(m.unwrap_or(0)),
-            Fold::SumFloat(s) => Value::Float(s),
-            Fold::AvgFloat(s, n) => avg(s, n),
-            Fold::MinFloat(m) | Fold::MaxFloat(m) => Value::Float(m),
-            Fold::MinStr(m) | Fold::MaxStr(m) => Value::Str(m.unwrap_or_default()),
-            Fold::Failed(e) => return Err(e),
-        })
-    }
-}
-
 /// The argument of one aggregate in a grouped computation over a single
 /// group-key column.
 #[derive(Debug, Clone, Copy)]
@@ -680,14 +492,39 @@ pub enum AggInput<'a> {
     Col(&'a ColumnData),
 }
 
+impl<'a> AggInput<'a> {
+    /// The argument's values, given the key's (`None`: `COUNT(*)`).
+    fn values(self, key: &'a ColumnData) -> Option<&'a ColumnData> {
+        match self {
+            AggInput::Star => None,
+            AggInput::Key => Some(key),
+            AggInput::Col(c) => Some(c),
+        }
+    }
+}
+
+/// The empty state of `func` over `values` (`None`: `COUNT(*)`). A
+/// decoded column's physical type stands for its logical one: dates
+/// aggregate as integers.
+fn state_over(func: AggFunc, values: Option<&ColumnData>) -> Result<PartialAgg> {
+    let ty = match values {
+        Some(ColumnData::Float64(_)) => LogicalType::Float64,
+        Some(ColumnData::Utf8(_)) => LogicalType::Utf8,
+        Some(ColumnData::Int64(_)) | None => LogicalType::Int64,
+    };
+    PartialAgg::new(func, ty)
+}
+
 /// Row-at-a-time grouped aggregation over decoded columns — the oracle
 /// the encoded kernel is differentially tested against, and the fallback
 /// for plain encodings and multi-column keys.
 ///
 /// All columns are full chunk length; `filter` selects the rows that
-/// participate. Rows are visited in ascending order, so float sums
-/// accumulate in a fixed association order — [`group_aggregate_encoded`]
-/// reproduces the same order and is bit-identical, not merely close.
+/// participate. Rows are visited in ascending order and each is one
+/// [`PartialAgg::add`], so a group's state sees its rows in row order —
+/// the order [`eval_aggregate`] and [`PartialAgg::fold`] see them in, and
+/// the order [`group_aggregate_encoded`] reproduces: a group's answer is
+/// bit-identical to theirs over the same rows, not merely close.
 ///
 /// A `None` aggregate argument means `COUNT(*)`; since the format has no
 /// NULLs this is interchangeable with `COUNT(col)` (see `partial.rs`),
@@ -719,17 +556,17 @@ pub fn group_aggregate_decoded(
             )));
         }
     }
-    let templates: Vec<PartialAgg> = aggs
+    let templates = aggs
         .iter()
-        .map(|(func, col)| PartialAgg::identity(*func, *col))
-        .collect();
+        .map(|&(func, col)| state_over(func, col))
+        .collect::<Result<_>>()?;
     let mut out = GroupedAggs::new(templates);
     for row in filter.ones() {
         let key = GroupKey(keys.iter().map(|k| k.value(row)).collect());
         let slots = out.slots(key);
         for (slot, (_, col)) in slots.iter_mut().zip(aggs) {
             // COUNT(*) ignores the value; lend it the key column.
-            slot.accumulate(col.unwrap_or(keys[0]), row)?;
+            slot.add(col.unwrap_or(keys[0]), row, 1)?;
         }
     }
     Ok(out)
@@ -743,16 +580,18 @@ pub fn group_aggregate_decoded(
 ///   Codes resolve to key [`Value`]s once, at the end.
 /// * **RLE runs** of codes: the whole run folds in at once — the filter
 ///   bitmap's word-level popcount ([`Bitmap::count_range`]) gives the
-///   match count, and `COUNT`/integer-`SUM` update in O(1) via
-///   [`PartialAgg::accumulate_repeat`]. Non-key aggregate arguments still
-///   visit their matching rows ([`Bitmap::ones_range`]).
+///   match count `n`, and one [`PartialAgg::add`]`(dictionary, code, n)`
+///   takes it (`COUNT` and integer `SUM`/`AVG` in O(1)). Non-key
+///   aggregate arguments still visit their matching rows
+///   ([`Bitmap::ones_range`]).
 /// * **Literal runs**: per matching row, still hash-free through the code
 ///   index.
 /// * **Plain** chunks fall back to [`group_aggregate_decoded`].
 ///
 /// Bit-identical to decode-then-[`group_aggregate_decoded`]: every group
 /// state receives the same sequence of scalar adds in the same order
-/// (float repeats loop rather than multiply — see `accumulate_repeat`).
+/// (a float run loops its adds rather than multiply — see
+/// [`PartialAgg::add`]).
 ///
 /// # Errors
 ///
@@ -765,17 +604,7 @@ pub fn group_aggregate_encoded(
 ) -> Result<GroupedAggs> {
     let (dictionary, codes, runs, rows) = match key {
         EncodedChunk::Plain(col) => {
-            let decoded: Vec<(AggFunc, Option<&ColumnData>)> = aggs
-                .iter()
-                .map(|(func, input)| {
-                    let col = match input {
-                        AggInput::Star => None,
-                        AggInput::Key => Some(col),
-                        AggInput::Col(c) => Some(*c),
-                    };
-                    (*func, col)
-                })
-                .collect();
+            let decoded: Vec<_> = aggs.iter().map(|&(f, arg)| (f, arg.values(col))).collect();
             return group_aggregate_decoded(&[col], &decoded, filter);
         }
         EncodedChunk::Dictionary {
@@ -803,15 +632,8 @@ pub fn group_aggregate_encoded(
     }
     let templates: Vec<PartialAgg> = aggs
         .iter()
-        .map(|(func, input)| {
-            let col = match input {
-                AggInput::Star => None,
-                AggInput::Key => Some(dictionary),
-                AggInput::Col(c) => Some(*c),
-            };
-            PartialAgg::identity(*func, col)
-        })
-        .collect();
+        .map(|&(func, arg)| state_over(func, arg.values(dictionary)))
+        .collect::<Result<_>>()?;
 
     // One accumulator slot vector per dictionary code, allocated lazily:
     // untouched codes never materialize a group.
@@ -837,12 +659,10 @@ pub fn group_aggregate_encoded(
                     match input {
                         // The key value repeats across the run: fold all n
                         // matches in one call.
-                        AggInput::Star | AggInput::Key => {
-                            part.accumulate_repeat(dictionary, code as usize, n)?;
-                        }
+                        AggInput::Star | AggInput::Key => part.add(dictionary, code as usize, n)?,
                         AggInput::Col(c) => filter
                             .ones_range(pos, len)
-                            .try_for_each(|row| part.accumulate(c, row))?,
+                            .try_for_each(|row| part.add(c, row, 1))?,
                     }
                 }
             }
@@ -853,8 +673,8 @@ pub fn group_aggregate_encoded(
             let parts = slot(&mut slots, code, &templates)?;
             for (part, (_, input)) in parts.iter_mut().zip(aggs) {
                 match input {
-                    AggInput::Star | AggInput::Key => part.accumulate(dictionary, code as usize)?,
-                    AggInput::Col(c) => part.accumulate(c, row)?,
+                    AggInput::Star | AggInput::Key => part.add(dictionary, code as usize, 1)?,
+                    AggInput::Col(c) => part.add(c, row, 1)?,
                 }
             }
             Ok(())
@@ -1293,11 +1113,11 @@ mod tests {
             selected_plain_size(&chunk, &filter).unwrap(),
             8 * ones.len() as u64
         );
-        let mut sum = AggFold::new(AggFunc::Sum, LogicalType::Int64);
+        let mut sum = PartialAgg::new(AggFunc::Sum, LogicalType::Int64).unwrap();
         sum.fold(&chunk, &filter).unwrap();
         sum.fold(&chunk, &filter).unwrap();
         let once: i64 = col.take(&ones).as_int64().unwrap().iter().sum();
-        assert_eq!(sum.finish().unwrap(), Value::Int(2 * once));
+        assert_eq!(sum.finalize(), Value::Int(2 * once));
     }
 
     #[test]
@@ -1319,7 +1139,7 @@ mod tests {
                 AggFunc::Min,
                 AggFunc::Max,
             ] {
-                let got = AggFold::new(func, ty).finish();
+                let got = PartialAgg::new(func, ty).map(|p| p.finalize());
                 let want = eval_aggregate(&spec(func), 0, Some(&empty));
                 match (got, want) {
                     (Ok(Value::Float(a)), Ok(Value::Float(b))) => {
@@ -1330,8 +1150,8 @@ mod tests {
             }
         }
         // Float SUM of nothing is -0.0, as `Iterator::sum` leaves it.
-        let sum = AggFold::new(AggFunc::Sum, LogicalType::Float64).finish();
-        assert!(matches!(sum, Ok(Value::Float(x)) if x.to_bits() == (-0.0f64).to_bits()));
+        let sum = PartialAgg::new(AggFunc::Sum, LogicalType::Float64).unwrap();
+        assert!(matches!(sum.finalize(), Value::Float(x) if x.to_bits() == (-0.0f64).to_bits()));
     }
 
     #[test]
@@ -1344,7 +1164,7 @@ mod tests {
         let all = Bitmap::ones_with_len(3);
         let mut strings = ColumnData::Utf8(vec![]);
         assert!(select_encoded(&chunk, &all, &mut strings).is_err());
-        let mut float_sum = AggFold::new(AggFunc::Sum, LogicalType::Float64);
+        let mut float_sum = PartialAgg::new(AggFunc::Sum, LogicalType::Float64).unwrap();
         assert!(float_sum.fold(&chunk, &all).is_err());
         let bad_code = EncodedChunk::Dictionary {
             dictionary: ColumnData::Int64(vec![10, 20]),
@@ -1353,13 +1173,13 @@ mod tests {
             rows: 3,
         };
         assert!(select_encoded(&bad_code, &all, &mut out).is_err());
-        let mut max = AggFold::new(AggFunc::Max, LogicalType::Int64);
+        let mut max = PartialAgg::new(AggFunc::Max, LogicalType::Int64).unwrap();
         assert!(max.fold(&bad_code, &all).is_err());
-        // SUM overflow is a value error: kept, then reported by finish.
+        // SUM overflow is a typed error, even when later rows would
+        // bring the total back into range.
         let big = encoded(&ColumnData::Int64(vec![i64::MAX, 1, -5]));
-        let mut sum = AggFold::new(AggFunc::Sum, LogicalType::Int64);
-        sum.fold(&big, &all).unwrap();
-        assert!(matches!(sum.finish(), Err(SqlError::Overflow(_))));
+        let mut sum = PartialAgg::new(AggFunc::Sum, LogicalType::Int64).unwrap();
+        assert!(matches!(sum.fold(&big, &all), Err(SqlError::Overflow(_))));
     }
 
     #[test]

@@ -4,6 +4,15 @@ use crate::ast::{AggFunc, CmpOp, Expr, Literal, Query, SelectItem};
 use crate::error::{Result, SqlError};
 use crate::lexer::{tokenize, Token};
 
+/// The deepest WHERE predicate [`parse`] accepts. Each `NOT`, each level
+/// of parentheses and each AND/OR link of a chain counts one level, so a
+/// predicate's tree is never deeper than this. Parsing, planning,
+/// scanning and dropping a predicate recurse once per tree level. On a
+/// 2 MiB thread (a service worker's default stack) a debug build runs
+/// parse, plan, both executors and drop at twice this depth and
+/// overflows at four times it; an overflow aborts the process.
+pub const MAX_PREDICATE_DEPTH: usize = 256;
+
 /// Parses one `SELECT` statement.
 ///
 /// # Errors
@@ -24,7 +33,11 @@ use crate::lexer::{tokenize, Token};
 /// ```
 pub fn parse(input: &str) -> Result<Query> {
     let tokens = tokenize(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let q = p.query()?;
     if p.pos != p.tokens.len() {
         return Err(SqlError::Expected {
@@ -38,9 +51,23 @@ pub fn parse(input: &str) -> Result<Query> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Predicate levels open at `pos` (see [`MAX_PREDICATE_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
+    /// Opens one more predicate level, refusing to pass the cap before
+    /// the deeper tree exists.
+    fn deeper(&mut self) -> Result<()> {
+        self.depth += 1;
+        if self.depth > MAX_PREDICATE_DEPTH {
+            return Err(SqlError::Invalid(format!(
+                "predicate nests deeper than {MAX_PREDICATE_DEPTH} levels"
+            )));
+        }
+        Ok(())
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -202,37 +229,50 @@ impl Parser {
     }
 
     /// expr := and_expr (OR and_expr)*
+    ///
+    /// The chain builds a left-deep tree, one level per link.
     fn expr(&mut self) -> Result<Expr> {
+        let depth = self.depth;
         let mut lhs = self.and_expr()?;
         while self.eat_keyword("OR") {
+            self.deeper()?;
             let rhs = self.and_expr()?;
             lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     /// and_expr := unary_expr (AND unary_expr)*
     fn and_expr(&mut self) -> Result<Expr> {
+        let depth = self.depth;
         let mut lhs = self.unary_expr()?;
         while self.eat_keyword("AND") {
+            self.deeper()?;
             let rhs = self.unary_expr()?;
             lhs = Expr::And(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     /// unary_expr := NOT unary_expr | ( expr ) | comparison
     fn unary_expr(&mut self) -> Result<Expr> {
-        if self.eat_keyword("NOT") {
-            return Ok(Expr::Not(Box::new(self.unary_expr()?)));
-        }
-        if self.peek() == Some(&Token::LParen) {
+        let depth = self.depth;
+        let e = if self.eat_keyword("NOT") {
+            self.deeper()?;
+            Expr::Not(Box::new(self.unary_expr()?))
+        } else if self.peek() == Some(&Token::LParen) {
             self.pos += 1;
+            self.deeper()?;
             let e = self.expr()?;
             self.expect(Token::RParen, ")")?;
-            return Ok(e);
-        }
-        self.comparison()
+            e
+        } else {
+            return self.comparison();
+        };
+        self.depth = depth;
+        Ok(e)
     }
 
     /// comparison := column op literal | literal op column
@@ -467,6 +507,42 @@ mod tests {
         // GROUP/BY are reserved words now.
         assert!(parse("SELECT group FROM t").is_err());
         assert!(parse("SELECT a FROM by").is_err());
+    }
+
+    /// One predicate of each deep form, `levels` levels deep.
+    fn deep_predicates(levels: usize) -> [String; 4] {
+        let leaves = |op: &str| vec!["x = 1"; levels + 1].join(op);
+        [
+            format!("{}x = 1", "NOT ".repeat(levels)),
+            format!("{}x = 1{}", "(".repeat(levels), ")".repeat(levels)),
+            leaves(" AND "),
+            leaves(" OR "),
+        ]
+    }
+
+    #[test]
+    fn predicate_depth_is_capped() {
+        for (at_cap, above) in deep_predicates(MAX_PREDICATE_DEPTH)
+            .into_iter()
+            .zip(deep_predicates(MAX_PREDICATE_DEPTH + 1))
+        {
+            let at_cap = format!("SELECT x FROM t WHERE {at_cap}");
+            assert!(parse(&at_cap).is_ok(), "{at_cap}");
+            let above = format!("SELECT x FROM t WHERE {above}");
+            assert!(
+                matches!(parse(&above), Err(SqlError::Invalid(why)) if why.contains("deeper")),
+                "{above}"
+            );
+        }
+        // Levels add up across forms, and a closed level frees its count.
+        let mixed = format!(
+            "SELECT x FROM t WHERE {}(x = 1 AND x = 2)",
+            "NOT ".repeat(MAX_PREDICATE_DEPTH - 2)
+        );
+        assert!(parse(&mixed).is_ok());
+        assert!(parse(&mixed.replacen("NOT ", "NOT NOT ", 1)).is_err());
+        let siblings = vec![format!("({})", "NOT ".repeat(100) + "x = 1"); 20].join(" OR ");
+        assert!(parse(&format!("SELECT x FROM t WHERE {siblings}")).is_ok());
     }
 
     #[test]

@@ -1,32 +1,43 @@
-//! Partial (distributable) aggregate states — the machinery behind
-//! GROUP BY pushdown, part of the aggregate pushdown the paper lists as
-//! future work (§5, "SQL Support": "It currently lacks support for
-//! aggregate pushdown such as SUM and AVG, which we aim to implement in
-//! the future").
+//! Partial (distributable) aggregate states: the one accumulator behind
+//! every aggregate answer, and the machinery of aggregate pushdown, which
+//! the paper lists as future work (§5, "SQL Support": "It currently lacks
+//! support for aggregate pushdown such as SUM and AVG, which we aim to
+//! implement in the future").
+//!
+//! A [`PartialAgg`] takes rows three ways, all with the semantics of the
+//! ungrouped oracle [`crate::eval::eval_aggregate`]: [`PartialAgg::fold`]
+//! folds an encoded chunk's selected rows (the ungrouped projection
+//! stage), [`PartialAgg::add`] one value `n` times (both GROUP BY
+//! kernels), and [`PartialAgg::merge`] another partial (the coordinator).
+//! [`PartialAgg::wire_bytes`] prices every pushed partial.
 //!
 //! A storage node builds a [`GroupedAggs`] map from [`GroupKey`] to one
-//! [`PartialAgg`] state per aggregate over the matched rows of its chunk;
-//! the coordinator merges maps key-wise and finalizes. COUNT/SUM/MIN/MAX
-//! merge exactly; AVG carries (sum, count). Integer `SUM` uses checked
-//! arithmetic throughout ([`SqlError::Overflow`]) so run-length-multiplied
-//! accumulation cannot silently wrap.
-//!
-//! [`PartialAgg::wire_bytes`] is also the wire-size model of ungrouped
-//! aggregate pushdown: the time plane prices each node's partial by it,
-//! while the answer itself folds straight from the encoded chunks
-//! ([`crate::eval::AggFold`]).
+//! state per aggregate over the matched rows of its chunk; the
+//! coordinator merges maps key-wise in row-group order and finalizes.
+//! Within a row group a group's state sees its rows in row order, so its
+//! answer is the ungrouped answer over those rows, bit for bit. Across
+//! row groups COUNT, MIN, MAX and integer AVG (an `i128` sum) merge
+//! exactly; a float SUM/AVG adds per-row-group sums, whose last bits can
+//! differ from one row-order fold; and integer SUM checks every add and
+//! merge ([`SqlError::Overflow`]), so a sum whose running total leaves
+//! `i64` in one order but not the other fails on one path only.
 //!
 //! # COUNT semantics
 //!
 //! `COUNT(col)` and `COUNT(*)` are equivalent in this engine: the storage
 //! format has no NULLs, so both count exactly the rows that survive the
-//! filter. [`PartialAgg::accumulate`] counts every filtered row handed in
-//! whatever its value, so `COUNT(col)` and `COUNT(*)` build the same
-//! state; the `count_col_equals_count_star` test pins the equivalence.
+//! filter. A `Count` state counts every row handed in whatever its value,
+//! so `COUNT(col)` and `COUNT(*)` build the same state; the
+//! `count_col_equals_count_star` test pins the equivalence.
 
 use crate::ast::AggFunc;
+use crate::bitmap::Bitmap;
 use crate::error::{Result, SqlError};
+use crate::eval::{chunk_values, for_each_selected, max_f64, min_f64, string_agg_error};
+use fusion_format::chunk::EncodedChunk;
+use fusion_format::schema::LogicalType;
 use fusion_format::value::{ColumnData, Value};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
@@ -34,40 +45,228 @@ pub(crate) fn overflow(ctx: &str) -> SqlError {
     SqlError::Overflow(format!("SUM exceeds i64 range ({ctx})"))
 }
 
-/// A mergeable partial aggregate state.
+/// A mergeable aggregate state, typed by its function and argument. Its
+/// identities are the oracle's, so an empty state finishes as the oracle
+/// does over no rows: integer SUM and MIN/MAX 0, float SUM `-0.0`
+/// (`Iterator::sum` starts there), float MIN/MAX `±inf`, string MIN/MAX
+/// `""`, AVG NaN.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PartialAgg {
     /// Row count.
     Count(i64),
-    /// Integer sum.
+    /// Int64/Date sum.
     SumInt(i64),
-    /// Float sum.
+    /// Int64/Date average: an exact `(sum, count)`.
+    AvgInt(i128, i64),
+    /// Int64/Date minimum (`None` before any row).
+    MinInt(Option<i64>),
+    /// Int64/Date maximum.
+    MaxInt(Option<i64>),
+    /// Float64 sum.
     SumFloat(f64),
-    /// Running minimum (`None` when no rows seen).
-    Min(Option<Value>),
-    /// Running maximum.
-    Max(Option<Value>),
-    /// Average: (sum, count).
-    Avg(f64, i64),
+    /// Float64 average: `(sum, count)`.
+    AvgFloat(f64, i64),
+    /// Float64 minimum; a NaN row never wins (`min_f64`).
+    MinFloat(f64),
+    /// Float64 maximum (`max_f64`).
+    MaxFloat(f64),
+    /// Utf8 minimum (`None` before any row).
+    MinStr(Option<String>),
+    /// Utf8 maximum.
+    MaxStr(Option<String>),
 }
 
 impl PartialAgg {
-    /// The identity element for `func` over a column of this physical
-    /// type (`col` may be `None` for `COUNT(*)`).
-    pub fn identity(func: AggFunc, col: Option<&ColumnData>) -> PartialAgg {
-        match func {
-            AggFunc::Count => PartialAgg::Count(0),
-            AggFunc::Sum => match col {
-                Some(ColumnData::Float64(_)) => PartialAgg::SumFloat(0.0),
-                _ => PartialAgg::SumInt(0),
-            },
-            AggFunc::Avg => PartialAgg::Avg(0.0, 0),
-            AggFunc::Min => PartialAgg::Min(None),
-            AggFunc::Max => PartialAgg::Max(None),
+    /// The empty state of `func` over a column of logical type `ty`
+    /// (`COUNT` ignores `ty`).
+    ///
+    /// # Errors
+    ///
+    /// [`SqlError::TypeError`] for SUM/AVG of strings, as the oracle.
+    pub fn new(func: AggFunc, ty: LogicalType) -> Result<PartialAgg> {
+        use LogicalType::*;
+        Ok(match (func, ty) {
+            (AggFunc::Count, _) => PartialAgg::Count(0),
+            (AggFunc::Sum, Int64 | Date) => PartialAgg::SumInt(0),
+            (AggFunc::Avg, Int64 | Date) => PartialAgg::AvgInt(0, 0),
+            (AggFunc::Min, Int64 | Date) => PartialAgg::MinInt(None),
+            (AggFunc::Max, Int64 | Date) => PartialAgg::MaxInt(None),
+            (AggFunc::Sum, Float64) => PartialAgg::SumFloat(-0.0),
+            (AggFunc::Avg, Float64) => PartialAgg::AvgFloat(-0.0, 0),
+            (AggFunc::Min, Float64) => PartialAgg::MinFloat(f64::INFINITY),
+            (AggFunc::Max, Float64) => PartialAgg::MaxFloat(f64::NEG_INFINITY),
+            (AggFunc::Min, Utf8) => PartialAgg::MinStr(None),
+            (AggFunc::Max, Utf8) => PartialAgg::MaxStr(None),
+            (func @ (AggFunc::Sum | AggFunc::Avg), Utf8) => return Err(string_agg_error(func)),
+        })
+    }
+
+    /// Folds in the rows of `chunk` that `filter` selects, in row order —
+    /// bit-identical to [`crate::eval::eval_aggregate`] over those rows
+    /// appended to the ones already folded, without materializing them.
+    /// (The one exception is the sign and payload of a NaN that a float
+    /// sum produces, which Rust leaves unspecified.) Float sums add an RLE
+    /// run's value once per selected row (repeated addition rounds
+    /// differently from a product); MIN/MAX are idempotent, so a run
+    /// folds in once.
+    ///
+    /// # Errors
+    ///
+    /// A chunk of another physical type than the state, the structural
+    /// errors of [`crate::eval::select_encoded`], or
+    /// [`SqlError::Overflow`] when an integer SUM leaves `i64`.
+    pub fn fold(&mut self, chunk: &EncodedChunk, filter: &Bitmap) -> Result<()> {
+        use PartialAgg::*;
+        // Each arm folds into locals and stores them back once: state
+        // behind `&mut self` would be reloaded on every row.
+        match (&mut *self, chunk_values(chunk)) {
+            (Count(c), _) => {
+                let mut count = *c;
+                for_each_selected(chunk, filter, |_, n| count += n as i64)?;
+                *c = count;
+                Ok(())
+            }
+            (SumInt(acc), ColumnData::Int64(v)) => {
+                // A running i128 total cannot overflow, and it leaves the
+                // i64 range exactly when sequential checked i64 adds
+                // would fail: acc + k·x is monotonic in k, so a run's
+                // last prefix is its extreme one.
+                let (mut sum, mut fits) = (*acc as i128, true);
+                for_each_selected(chunk, filter, |i, n| {
+                    sum += v[i] as i128 * n as i128;
+                    fits &= i64::try_from(sum).is_ok();
+                })?;
+                match i64::try_from(sum) {
+                    Ok(sum) if fits => *acc = sum,
+                    _ => return Err(overflow("aggregate")),
+                }
+                Ok(())
+            }
+            (AvgInt(acc, cnt), ColumnData::Int64(v)) => {
+                let (mut sum, mut count) = (*acc, *cnt);
+                for_each_selected(chunk, filter, |i, n| {
+                    sum += v[i] as i128 * n as i128;
+                    count += n as i64;
+                })?;
+                (*acc, *cnt) = (sum, count);
+                Ok(())
+            }
+            (MinInt(m), ColumnData::Int64(v)) => {
+                let (mut lo, mut seen) = (i64::MAX, false);
+                for_each_selected(chunk, filter, |i, _| {
+                    lo = lo.min(v[i]);
+                    seen = true;
+                })?;
+                if seen {
+                    *m = Some(m.map_or(lo, |m| m.min(lo)));
+                }
+                Ok(())
+            }
+            (MaxInt(m), ColumnData::Int64(v)) => {
+                let (mut hi, mut seen) = (i64::MIN, false);
+                for_each_selected(chunk, filter, |i, _| {
+                    hi = hi.max(v[i]);
+                    seen = true;
+                })?;
+                if seen {
+                    *m = Some(m.map_or(hi, |m| m.max(hi)));
+                }
+                Ok(())
+            }
+            (SumFloat(acc), ColumnData::Float64(v)) => {
+                let mut sum = *acc;
+                for_each_selected(chunk, filter, |i, n| {
+                    for _ in 0..n {
+                        sum += v[i];
+                    }
+                })?;
+                *acc = sum;
+                Ok(())
+            }
+            (AvgFloat(acc, cnt), ColumnData::Float64(v)) => {
+                let (mut sum, mut count) = (*acc, *cnt);
+                for_each_selected(chunk, filter, |i, n| {
+                    for _ in 0..n {
+                        sum += v[i];
+                    }
+                    count += n as i64;
+                })?;
+                (*acc, *cnt) = (sum, count);
+                Ok(())
+            }
+            (MinFloat(m), ColumnData::Float64(v)) => {
+                let mut lo = *m;
+                for_each_selected(chunk, filter, |i, _| lo = min_f64(lo, v[i]))?;
+                *m = lo;
+                Ok(())
+            }
+            (MaxFloat(m), ColumnData::Float64(v)) => {
+                let mut hi = *m;
+                for_each_selected(chunk, filter, |i, _| hi = max_f64(hi, v[i]))?;
+                *m = hi;
+                Ok(())
+            }
+            (MinStr(m), ColumnData::Utf8(v)) => for_each_selected(chunk, filter, |i, _| {
+                if m.as_ref().is_none_or(|m| v[i] < *m) {
+                    *m = Some(v[i].clone());
+                }
+            }),
+            (MaxStr(m), ColumnData::Utf8(v)) => for_each_selected(chunk, filter, |i, _| {
+                if m.as_ref().is_none_or(|m| v[i] > *m) {
+                    *m = Some(v[i].clone());
+                }
+            }),
+            (state, values) => Err(mismatch(state, values)),
         }
     }
 
-    /// Merges another partial of the same shape into `self`.
+    /// Folds `values[i]` in `n` times, as `n` rows in a row: the `(i, n)`
+    /// shape of an RLE run or a single row. `COUNT`, integer SUM and AVG
+    /// take the run in O(1) (integer SUM overflows exactly when `n`
+    /// sequential checked adds would); float sums loop `n` adds, as
+    /// [`PartialAgg::fold`] does.
+    ///
+    /// # Errors
+    ///
+    /// A value of another physical type than the state, or
+    /// [`SqlError::Overflow`] when an integer SUM leaves `i64`.
+    pub fn add(&mut self, values: &ColumnData, i: usize, n: usize) -> Result<()> {
+        use PartialAgg::*;
+        match (&mut *self, values) {
+            _ if n == 0 => {}
+            (Count(c), _) => *c += n as i64,
+            (SumInt(acc), ColumnData::Int64(v)) => {
+                let sum = *acc as i128 + v[i] as i128 * n as i128;
+                *acc = i64::try_from(sum).map_err(|_| overflow("aggregate"))?;
+            }
+            (AvgInt(acc, cnt), ColumnData::Int64(v)) => {
+                *acc += v[i] as i128 * n as i128;
+                *cnt += n as i64;
+            }
+            (MinInt(m), ColumnData::Int64(v)) => keep(m, &v[i], Ordering::Less),
+            (MaxInt(m), ColumnData::Int64(v)) => keep(m, &v[i], Ordering::Greater),
+            (SumFloat(acc), ColumnData::Float64(v)) => {
+                for _ in 0..n {
+                    *acc += v[i];
+                }
+            }
+            (AvgFloat(acc, cnt), ColumnData::Float64(v)) => {
+                for _ in 0..n {
+                    *acc += v[i];
+                }
+                *cnt += n as i64;
+            }
+            (MinFloat(m), ColumnData::Float64(v)) => *m = min_f64(*m, v[i]),
+            (MaxFloat(m), ColumnData::Float64(v)) => *m = max_f64(*m, v[i]),
+            (MinStr(m), ColumnData::Utf8(v)) => keep(m, &v[i], Ordering::Less),
+            (MaxStr(m), ColumnData::Utf8(v)) => keep(m, &v[i], Ordering::Greater),
+            (state, values) => return Err(mismatch(state, values)),
+        }
+        Ok(())
+    }
+
+    /// Merges another partial of the same shape into `self`, as if its
+    /// rows came after this state's.
     ///
     /// # Errors
     ///
@@ -75,16 +274,18 @@ impl PartialAgg {
     /// when merging integer SUMs overflows `i64`.
     pub fn merge(&mut self, other: &PartialAgg) -> Result<()> {
         use PartialAgg::*;
-        match (self, other) {
+        match (&mut *self, other) {
             (Count(a), Count(b)) => *a += b,
             (SumInt(a), SumInt(b)) => *a = a.checked_add(*b).ok_or_else(|| overflow("merge"))?,
+            (AvgInt(s, n), AvgInt(s2, n2)) => (*s, *n) = (*s + s2, *n + n2),
+            (MinInt(a), MinInt(b)) => b.iter().for_each(|b| keep(a, b, Ordering::Less)),
+            (MaxInt(a), MaxInt(b)) => b.iter().for_each(|b| keep(a, b, Ordering::Greater)),
             (SumFloat(a), SumFloat(b)) => *a += b,
-            (Avg(s, n), Avg(s2, n2)) => {
-                *s += s2;
-                *n += n2;
-            }
-            (Min(a), Min(b)) => merge_extreme(a, b, true),
-            (Max(a), Max(b)) => merge_extreme(a, b, false),
+            (AvgFloat(s, n), AvgFloat(s2, n2)) => (*s, *n) = (*s + s2, *n + n2),
+            (MinFloat(a), MinFloat(b)) => *a = min_f64(*a, *b),
+            (MaxFloat(a), MaxFloat(b)) => *a = max_f64(*a, *b),
+            (MinStr(a), MinStr(b)) => b.iter().for_each(|b| keep(a, b, Ordering::Less)),
+            (MaxStr(a), MaxStr(b)) => b.iter().for_each(|b| keep(a, b, Ordering::Greater)),
             (a, b) => {
                 return Err(SqlError::Invalid(format!(
                     "cannot merge partial aggregates {a:?} and {b:?}"
@@ -94,149 +295,58 @@ impl PartialAgg {
         Ok(())
     }
 
-    /// Folds one row of `col` into this state — the per-row building
-    /// block of grouped aggregation. `Count` ignores the value (the row
-    /// exists, so it counts; see the module notes on `COUNT(col)` vs
-    /// `COUNT(*)`).
-    ///
-    /// # Errors
-    ///
-    /// Type mismatch between the state and the column;
-    /// [`SqlError::Overflow`] on integer SUM overflow.
-    pub fn accumulate(&mut self, col: &ColumnData, row: usize) -> Result<()> {
-        use PartialAgg::*;
-        match (&mut *self, col) {
-            (Count(c), _) => *c += 1,
-            (SumInt(a), ColumnData::Int64(v)) => {
-                *a = a
-                    .checked_add(v[row])
-                    .ok_or_else(|| overflow("accumulate"))?;
-            }
-            (SumFloat(a), ColumnData::Float64(v)) => *a += v[row],
-            (Avg(s, n), ColumnData::Int64(v)) => {
-                *s += v[row] as f64;
-                *n += 1;
-            }
-            (Avg(s, n), ColumnData::Float64(v)) => {
-                *s += v[row];
-                *n += 1;
-            }
-            (Min(m), c) => merge_extreme(m, &Some(c.value(row)), true),
-            (Max(m), c) => merge_extreme(m, &Some(c.value(row)), false),
-            (state, c) => {
-                return Err(SqlError::TypeError(format!(
-                    "cannot accumulate {} column into {state:?}",
-                    c.physical_name()
-                )))
-            }
-        }
-        Ok(())
-    }
-
-    /// Folds row `row` of `col` in `n` times — the run-at-a-time entry
-    /// used when an RLE run of identical values survives the filter as a
-    /// whole span. `COUNT += n` and integer `SUM += n × v` are O(1)
-    /// (the product is taken in `i128` and checked back into `i64`, which
-    /// overflows exactly when `n` sequential checked adds would).
-    ///
-    /// Float sums (`SumFloat`, `Avg`) deliberately loop `n` scalar adds
-    /// instead of multiplying: repeated addition and `n × v` round
-    /// differently, and the grouped kernels must stay bit-identical to
-    /// the row-at-a-time oracle.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PartialAgg::accumulate`].
-    pub fn accumulate_repeat(&mut self, col: &ColumnData, row: usize, n: usize) -> Result<()> {
-        use PartialAgg::*;
-        match (&mut *self, col) {
-            (_, _) if n == 0 => {}
-            (Count(c), _) => *c += n as i64,
-            (SumInt(a), ColumnData::Int64(v)) => {
-                // a + i·v is monotonic in i, so the n sequential adds
-                // overflow iff the i128 total leaves i64 — exactly the
-                // semantics of the row-at-a-time path.
-                let total = *a as i128 + v[row] as i128 * n as i128;
-                *a = i64::try_from(total).map_err(|_| overflow("run accumulate"))?;
-            }
-            (SumFloat(a), ColumnData::Float64(v)) => {
-                for _ in 0..n {
-                    *a += v[row];
-                }
-            }
-            (Avg(s, cnt), ColumnData::Int64(v)) => {
-                for _ in 0..n {
-                    *s += v[row] as f64;
-                }
-                *cnt += n as i64;
-            }
-            (Avg(s, cnt), ColumnData::Float64(v)) => {
-                for _ in 0..n {
-                    *s += v[row];
-                }
-                *cnt += n as i64;
-            }
-            (Min(m), c) => merge_extreme(m, &Some(c.value(row)), true),
-            (Max(m), c) => merge_extreme(m, &Some(c.value(row)), false),
-            (state, c) => {
-                return Err(SqlError::TypeError(format!(
-                    "cannot accumulate {} column into {state:?}",
-                    c.physical_name()
-                )))
-            }
-        }
-        Ok(())
-    }
-
-    /// Finalizes into the result value.
+    /// Finalizes into the result value; its type is
+    /// [`PartialAgg::output_type`].
     pub fn finalize(&self) -> Value {
+        use PartialAgg::*;
+        let avg = |sum: f64, n: i64| Value::Float(if n == 0 { f64::NAN } else { sum / n as f64 });
         match self {
-            PartialAgg::Count(n) => Value::Int(*n),
-            PartialAgg::SumInt(s) => Value::Int(*s),
-            PartialAgg::SumFloat(s) => Value::Float(*s),
-            PartialAgg::Avg(s, n) => {
-                if *n == 0 {
-                    Value::Float(f64::NAN)
-                } else {
-                    Value::Float(s / *n as f64)
-                }
-            }
-            PartialAgg::Min(v) | PartialAgg::Max(v) => match v {
-                Some(v) => v.clone(),
-                None => Value::Int(0),
-            },
+            Count(n) | SumInt(n) => Value::Int(*n),
+            AvgInt(s, n) => avg(*s as f64, *n),
+            MinInt(m) | MaxInt(m) => Value::Int(m.unwrap_or(0)),
+            SumFloat(x) | MinFloat(x) | MaxFloat(x) => Value::Float(*x),
+            AvgFloat(s, n) => avg(*s, *n),
+            MinStr(m) | MaxStr(m) => Value::Str(m.clone().unwrap_or_default()),
         }
     }
 
-    /// Wire size of a partial (for the latency model): a tagged scalar.
+    /// The logical type of the finalized value: the type of the state's
+    /// output column.
+    pub fn output_type(&self) -> LogicalType {
+        use PartialAgg::*;
+        match self {
+            Count(_) | SumInt(_) | MinInt(_) | MaxInt(_) => LogicalType::Int64,
+            AvgInt(..) | SumFloat(_) | AvgFloat(..) | MinFloat(_) | MaxFloat(_) => {
+                LogicalType::Float64
+            }
+            MinStr(_) | MaxStr(_) => LogicalType::Utf8,
+        }
+    }
+
+    /// Wire size of a partial (for the latency model): a tagged scalar,
+    /// AVG's `(sum, count)` pair, or a string extreme with its bytes.
     pub fn wire_bytes(&self) -> u64 {
         match self {
-            PartialAgg::Min(Some(Value::Str(s))) | PartialAgg::Max(Some(Value::Str(s))) => {
-                16 + s.len() as u64
-            }
-            PartialAgg::Avg(..) => 24,
+            PartialAgg::MinStr(Some(s)) | PartialAgg::MaxStr(Some(s)) => 16 + s.len() as u64,
+            PartialAgg::AvgInt(..) | PartialAgg::AvgFloat(..) => 24,
             _ => 16,
         }
     }
 }
 
-fn merge_extreme(acc: &mut Option<Value>, other: &Option<Value>, want_min: bool) {
-    let Some(o) = other else { return };
-    match acc {
-        None => *acc = Some(o.clone()),
-        Some(a) => {
-            if let Some(ord) = o.partial_cmp_value(a) {
-                let replace = if want_min {
-                    ord == std::cmp::Ordering::Less
-                } else {
-                    ord == std::cmp::Ordering::Greater
-                };
-                if replace {
-                    *acc = Some(o.clone());
-                }
-            }
-        }
+/// Replaces the extreme `acc` by `x` when there is none yet or `x`
+/// compares `want` to it.
+fn keep<T: Ord + Clone>(acc: &mut Option<T>, x: &T, want: Ordering) {
+    if acc.as_ref().is_none_or(|a| x.cmp(a) == want) {
+        *acc = Some(x.clone());
     }
+}
+
+fn mismatch(state: &PartialAgg, values: &ColumnData) -> SqlError {
+    SqlError::TypeError(format!(
+        "cannot fold {} column into {state:?}",
+        values.physical_name()
+    ))
 }
 
 /// A group identity: the `GROUP BY` key values for one output row.
@@ -348,7 +458,7 @@ pub struct GroupedAggs {
 
 impl GroupedAggs {
     /// Creates an empty map whose new groups start from `templates`
-    /// (built with [`PartialAgg::identity`] per aggregate).
+    /// (built with [`PartialAgg::new`] per aggregate).
     pub fn new(templates: Vec<PartialAgg>) -> GroupedAggs {
         GroupedAggs {
             templates,
@@ -356,7 +466,7 @@ impl GroupedAggs {
         }
     }
 
-    /// The per-aggregate states for `key`, created from the identity
+    /// The per-aggregate states for `key`, created from the empty
     /// templates on first sight.
     pub fn slots(&mut self, key: GroupKey) -> &mut Vec<PartialAgg> {
         self.groups
@@ -432,9 +542,14 @@ mod tests {
 
     /// The partial of `func` over every row of `col`.
     fn partial(func: AggFunc, col: &ColumnData) -> Result<PartialAgg> {
-        let mut p = PartialAgg::identity(func, Some(col));
+        let ty = match col {
+            ColumnData::Int64(_) => LogicalType::Int64,
+            ColumnData::Float64(_) => LogicalType::Float64,
+            ColumnData::Utf8(_) => LogicalType::Utf8,
+        };
+        let mut p = PartialAgg::new(func, ty)?;
         for row in 0..col.len() {
-            p.accumulate(col, row)?;
+            p.add(col, row, 1)?;
         }
         Ok(p)
     }
@@ -462,7 +577,7 @@ mod tests {
         a.merge(&b).unwrap();
         assert_eq!(a.finalize(), Value::Float(4.0));
         // Empty average is NaN, not a crash.
-        let empty = PartialAgg::identity(AggFunc::Avg, None);
+        let empty = PartialAgg::new(AggFunc::Avg, LogicalType::Float64).unwrap();
         match empty.finalize() {
             Value::Float(x) => assert!(x.is_nan()),
             other => panic!("expected NaN float, got {other:?}"),
@@ -480,10 +595,10 @@ mod tests {
         mn.merge(&other).unwrap();
         assert_eq!(mn.finalize(), Value::Str("c".into()));
 
-        let mut mx = PartialAgg::identity(AggFunc::Max, Some(&ColumnData::Int64(vec![])));
+        let mut mx = PartialAgg::new(AggFunc::Max, LogicalType::Date).unwrap();
         mx.merge(&partial(AggFunc::Max, &ColumnData::Int64(vec![7])).unwrap())
             .unwrap();
-        mx.merge(&PartialAgg::Max(None)).unwrap();
+        mx.merge(&PartialAgg::MaxInt(None)).unwrap();
         assert_eq!(mx.finalize(), Value::Int(7));
     }
 
@@ -491,21 +606,23 @@ mod tests {
     fn shape_mismatch_is_error() {
         let mut a = PartialAgg::Count(1);
         assert!(a.merge(&PartialAgg::SumInt(2)).is_err());
+        let mut f = PartialAgg::SumFloat(0.0);
+        assert!(f.add(&ColumnData::Int64(vec![1]), 0, 1).is_err());
     }
 
     #[test]
     fn sum_over_strings_is_error() {
-        assert!(partial(AggFunc::Sum, &ColumnData::Utf8(vec!["x".into()])).is_err());
+        assert!(PartialAgg::new(AggFunc::Sum, LogicalType::Utf8).is_err());
+        assert!(PartialAgg::new(AggFunc::Avg, LogicalType::Utf8).is_err());
     }
 
     #[test]
     fn wire_sizes() {
         assert_eq!(PartialAgg::Count(5).wire_bytes(), 16);
-        assert_eq!(PartialAgg::Avg(1.0, 2).wire_bytes(), 24);
-        assert_eq!(
-            PartialAgg::Min(Some(Value::Str("abcd".into()))).wire_bytes(),
-            20
-        );
+        assert_eq!(PartialAgg::AvgFloat(1.0, 2).wire_bytes(), 24);
+        assert_eq!(PartialAgg::AvgInt(1, 2).wire_bytes(), 24);
+        assert_eq!(PartialAgg::MinStr(Some("abcd".into())).wire_bytes(), 20);
+        assert_eq!(PartialAgg::MaxStr(None).wire_bytes(), 16);
     }
 
     #[test]
@@ -533,23 +650,15 @@ mod tests {
             a.merge(&PartialAgg::SumInt(1)),
             Err(SqlError::Overflow(_))
         ));
-        // per-row accumulate
-        let mut b = PartialAgg::SumInt(i64::MAX - 1);
-        let col = ColumnData::Int64(vec![2]);
-        assert!(matches!(b.accumulate(&col, 0), Err(SqlError::Overflow(_))));
-        // run-multiplied accumulate: 2 × (i64::MAX/2 + 1) wraps i64 but
-        // not i128 — the product must be checked, not truncated.
+        // run-multiplied add: 2 × (i64::MAX/2 + 1) wraps i64 but not
+        // i128 — the product must be checked, not truncated.
         let mut c = PartialAgg::SumInt(0);
         let run = ColumnData::Int64(vec![i64::MAX / 2 + 1]);
-        assert!(matches!(
-            c.accumulate_repeat(&run, 0, 2),
-            Err(SqlError::Overflow(_))
-        ));
-        // AVG's sum is a float, so it cannot wrap.
-        match partial(AggFunc::Avg, &big).unwrap() {
-            PartialAgg::Avg(s, 2) => assert_eq!(s, i64::MAX as f64 + 1.0),
-            other => panic!("unexpected AVG partial {other:?}"),
-        }
+        assert!(matches!(c.add(&run, 0, 2), Err(SqlError::Overflow(_))));
+        // AVG sums in i128, so it is exact past i64.
+        let avg = partial(AggFunc::Avg, &big).unwrap();
+        assert_eq!(avg, PartialAgg::AvgInt(i64::MAX as i128 + 1, 2));
+        assert_eq!(avg.finalize(), Value::Float((i64::MAX as f64 + 1.0) / 2.0));
         // Negative values may cancel: MAX then MIN is fine.
         let mut d = PartialAgg::SumInt(i64::MAX);
         d.merge(&PartialAgg::SumInt(i64::MIN)).unwrap();
@@ -557,29 +666,61 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_repeat_matches_sequential() {
+    fn add_run_matches_sequential() {
         let col = ColumnData::Float64(vec![0.1]);
-        let mut fast = PartialAgg::SumFloat(0.0);
-        fast.accumulate_repeat(&col, 0, 7).unwrap();
-        let mut slow = PartialAgg::SumFloat(0.0);
+        let mut fast = PartialAgg::SumFloat(-0.0);
+        fast.add(&col, 0, 7).unwrap();
+        let mut slow = PartialAgg::SumFloat(-0.0);
         for _ in 0..7 {
-            slow.accumulate(&col, 0).unwrap();
+            slow.add(&col, 0, 1).unwrap();
         }
-        // Bit-identical, not merely close: the repeat path loops adds.
+        // Bit-identical, not merely close: a run loops adds.
         assert_eq!(fast, slow);
 
         let ints = ColumnData::Int64(vec![-3]);
         let mut fast = PartialAgg::SumInt(0);
-        fast.accumulate_repeat(&ints, 0, 5).unwrap();
+        fast.add(&ints, 0, 5).unwrap();
         assert_eq!(fast.finalize(), Value::Int(-15));
 
-        let mut mn = PartialAgg::Min(None);
-        mn.accumulate_repeat(&ints, 0, 5).unwrap();
+        let mut mn = PartialAgg::MinInt(None);
+        mn.add(&ints, 0, 5).unwrap();
         assert_eq!(mn.finalize(), Value::Int(-3));
 
         let mut zero = PartialAgg::Count(0);
-        zero.accumulate_repeat(&ints, 0, 0).unwrap();
+        zero.add(&ints, 0, 0).unwrap();
         assert_eq!(zero.finalize(), Value::Int(0));
+    }
+
+    #[test]
+    fn float_states_take_the_oracle_semantics() {
+        // NaN rows never win a float extreme, and an empty one is ±inf.
+        let f = ColumnData::Float64(vec![f64::NAN, 1.0, 2.0]);
+        assert_eq!(
+            partial(AggFunc::Min, &f).unwrap().finalize(),
+            Value::Float(1.0)
+        );
+        assert_eq!(
+            partial(AggFunc::Max, &f).unwrap().finalize(),
+            Value::Float(2.0)
+        );
+        let empty = PartialAgg::new(AggFunc::Min, LogicalType::Float64).unwrap();
+        assert_eq!(empty.finalize(), Value::Float(f64::INFINITY));
+        // A sum of negative zeros stays -0.0, across a merge too.
+        let z = ColumnData::Float64(vec![-0.0; 3]);
+        let mut sum = partial(AggFunc::Sum, &z).unwrap();
+        sum.merge(&partial(AggFunc::Sum, &z).unwrap()).unwrap();
+        assert!(matches!(sum.finalize(), Value::Float(x) if x.to_bits() == (-0.0f64).to_bits()));
+        // A tie between zeros keeps the earlier one, as a row-order fold.
+        let mut lo = partial(AggFunc::Min, &z).unwrap();
+        lo.merge(&partial(AggFunc::Min, &ColumnData::Float64(vec![0.0])).unwrap())
+            .unwrap();
+        assert!(matches!(lo.finalize(), Value::Float(x) if x.to_bits() == (-0.0f64).to_bits()));
+        // Integer AVG is exact: 2^60 + 1 - 2^60 averages to 1/3.
+        let i = ColumnData::Int64(vec![1 << 60, 1, -(1 << 60)]);
+        assert_eq!(
+            partial(AggFunc::Avg, &i).unwrap().finalize(),
+            Value::Float(1.0 / 3.0)
+        );
     }
 
     #[test]
@@ -614,14 +755,14 @@ mod tests {
         for row in [0usize, 1] {
             let slots = a.slots(GroupKey(vec![Value::Str("x".into())]));
             for s in slots.iter_mut() {
-                s.accumulate(&col, row).unwrap();
+                s.add(&col, row, 1).unwrap();
             }
         }
         let mut b = GroupedAggs::new(templates);
         for (key, row) in [("x", 2usize), ("y", 0)] {
             let slots = b.slots(GroupKey(vec![Value::Str(key.into())]));
             for s in slots.iter_mut() {
-                s.accumulate(&col, row).unwrap();
+                s.add(&col, row, 1).unwrap();
             }
         }
         a.merge(&b).unwrap();
@@ -646,11 +787,17 @@ mod tests {
     #[test]
     fn merged_equals_whole_for_exact_aggregates() {
         // Partition-then-merge must equal whole-column computation for the
-        // associative aggregates.
+        // aggregates that merge exactly, integer AVG included.
         let whole = ColumnData::Int64((0..1000).map(|i| i * 3 - 500).collect());
-        for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
+        for func in [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+        ] {
             let direct = partial(func, &whole).unwrap().finalize();
-            let mut acc = PartialAgg::identity(func, Some(&whole));
+            let mut acc = PartialAgg::new(func, LogicalType::Int64).unwrap();
             for part in [0..100usize, 100..101, 101..1000] {
                 let sub = whole.slice(part);
                 acc.merge(&partial(func, &sub).unwrap()).unwrap();

@@ -9,15 +9,22 @@
 //! chunks, aggregating each chunk with the encoded kernel, and merging
 //! keyed states in chunk order equals doing the same with the decoded
 //! oracle — the coordinator-side contract of GROUP BY pushdown.
+//!
+//! A third checks grouped against ungrouped: one row group's rows grouped
+//! under a constant key answer every aggregate as `eval_aggregate` does
+//! over the same rows, bit for bit, or with the same error.
 
 use fusion_format::chunk::{decode_column_chunk, encode_column_chunk, read_encoded_chunk};
 use fusion_format::schema::LogicalType;
-use fusion_format::value::ColumnData;
+use fusion_format::value::{ColumnData, Value};
 use fusion_sql::ast::AggFunc;
 use fusion_sql::bitmap::Bitmap;
 use fusion_sql::error::SqlError;
-use fusion_sql::eval::{group_aggregate_decoded, group_aggregate_encoded, AggInput};
+use fusion_sql::eval::{
+    eval_aggregate, group_aggregate_decoded, group_aggregate_encoded, AggInput,
+};
 use fusion_sql::partial::{GroupKey, GroupedAggs, PartialAgg};
+use fusion_sql::plan::AggregateSpec;
 use proptest::prelude::*;
 
 mod common;
@@ -230,10 +237,10 @@ fn chunked_merge_case(
             (AggFunc::Min, Some(&arg_chunk)),
         ];
         let templates = vec![
-            PartialAgg::identity(AggFunc::Count, None),
-            PartialAgg::identity(AggFunc::Sum, Some(&key_chunk)),
-            PartialAgg::identity(AggFunc::Avg, Some(&arg_chunk)),
-            PartialAgg::identity(AggFunc::Min, Some(&arg_chunk)),
+            PartialAgg::new(AggFunc::Count, LogicalType::Int64).unwrap(),
+            PartialAgg::new(AggFunc::Sum, LogicalType::Int64).unwrap(),
+            PartialAgg::new(AggFunc::Avg, LogicalType::Float64).unwrap(),
+            PartialAgg::new(AggFunc::Min, LogicalType::Float64).unwrap(),
         ];
         match group_aggregate_encoded(&view, &aggs_enc, &fchunk) {
             Ok(g) => {
@@ -265,7 +272,76 @@ fn chunked_merge_case(
     Ok(())
 }
 
+/// An aggregate answer whose `==` is bitwise, except that every NaN is
+/// one value (Rust leaves the sign and payload of a NaN that a float sum
+/// produces unspecified).
+fn answer_bits(v: Value) -> GroupKey {
+    match v {
+        Value::Float(x) if x.is_nan() => GroupKey(vec![Value::Float(f64::NAN)]),
+        v => GroupKey(vec![v]),
+    }
+}
+
+// Grouped vs ungrouped: one row group's rows under a constant key form
+// one group (none when the filter selects nothing), whose every
+// aggregate is `eval_aggregate` over the selected rows — or both fail
+// with the same error (SUM/AVG of strings, integer SUM overflow). Both
+// kernels are checked, the encoded one through a dictionary key.
+fn constant_key_case(values: ColumnData, filter: Vec<bool>) -> Result<(), TestCaseError> {
+    let n = values.len();
+    let key = ColumnData::Int64(vec![7; n]);
+    let (bytes, _) = encode_column_chunk(&key);
+    let key_view = read_encoded_chunk(&bytes, LogicalType::Int64).unwrap();
+    let filter = bitmap(&filter);
+    let ones: Vec<usize> = filter.ones().collect();
+    let selected = values.take(&ones);
+    for func in [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Min,
+        AggFunc::Max,
+    ] {
+        let spec = AggregateSpec {
+            func,
+            column: Some(0),
+            column_name: Some("c".into()),
+        };
+        let want = eval_aggregate(&spec, ones.len(), Some(&selected)).map(|v| {
+            if ones.is_empty() {
+                vec![]
+            } else {
+                vec![answer_bits(v)]
+            }
+        });
+        for grouped in [
+            group_aggregate_encoded(&key_view, &[(func, AggInput::Col(&values))], &filter),
+            group_aggregate_decoded(&[&key], &[(func, Some(&values))], &filter),
+        ] {
+            let got = grouped.map(|g| {
+                g.into_sorted()
+                    .into_iter()
+                    .map(|(_, parts)| answer_bits(parts[0].finalize()))
+                    .collect::<Vec<_>>()
+            });
+            prop_assert_eq!(got, want.clone(), "{}", func);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
+    #[test]
+    fn constant_key_groups_answer_like_the_ungrouped_oracle(
+        ints in with_filter(arb_runs_int()),
+        floats in with_filter(arb_runs_float()),
+        strings in with_filter(arb_runs_utf8()),
+    ) {
+        constant_key_case(ColumnData::Int64(ints.0), ints.1)?;
+        constant_key_case(ColumnData::Float64(floats.0), floats.1)?;
+        constant_key_case(ColumnData::Utf8(strings.0), strings.1)?;
+    }
+
     #[test]
     fn int_key_encoded_matches_oracle(case in with_filter(arb_runs_int())) {
         int_key_case(case.0, case.1)?;

@@ -4,10 +4,11 @@
 //! * `select_encoded` over an [`EncodedChunk`] view appends exactly
 //!   `decode()?.take(&selected_rows)`, and `selected_plain_size` is that
 //!   column's plain size;
-//! * an `AggFold` folded over several row groups' views finishes to
+//! * a `PartialAgg` folded over several row groups' views finalizes to
 //!   `eval_aggregate` over the concatenated selections — bitwise (floats
 //!   by `to_bits`, so `-0.0` is not `0.0`; see `value_bits` for NaN), or
-//!   with the same error.
+//!   fails with the same error (SUM/AVG of strings when the state is
+//!   built, integer SUM overflow while it folds).
 //!
 //! Inputs: plain and dictionary chunks (RLE and literal runs) of Int64,
 //! Date, Float64 and Utf8; one to four row groups in sequence; empty,
@@ -19,7 +20,8 @@ use fusion_format::chunk::{encode_column_chunk, read_encoded_chunk};
 use fusion_format::schema::LogicalType;
 use fusion_format::value::{ColumnData, Value};
 use fusion_sql::ast::AggFunc;
-use fusion_sql::eval::{eval_aggregate, select_encoded, selected_plain_size, AggFold};
+use fusion_sql::eval::{eval_aggregate, select_encoded, selected_plain_size};
+use fusion_sql::partial::PartialAgg;
 use fusion_sql::plan::AggregateSpec;
 use proptest::prelude::*;
 
@@ -161,7 +163,7 @@ const FUNCS: [AggFunc; 5] = [
 fn agree(ty: LogicalType, groups: Vec<(ColumnData, Vec<bool>)>) -> Result<(), TestCaseError> {
     let mut selected = ColumnData::with_capacity(ty, 0);
     let mut oracle = ColumnData::with_capacity(ty, 0);
-    let mut folds: Vec<AggFold> = FUNCS.iter().map(|&f| AggFold::new(f, ty)).collect();
+    let mut folds: Vec<_> = FUNCS.iter().map(|&f| PartialAgg::new(f, ty)).collect();
     for (col, filter) in groups {
         let (bytes, _) = encode_column_chunk(&col);
         let view = read_encoded_chunk(&bytes, ty).unwrap();
@@ -179,7 +181,11 @@ fn agree(ty: LogicalType, groups: Vec<(ColumnData, Vec<bool>)>) -> Result<(), Te
 
         select_encoded(&view, &filter, &mut selected).unwrap();
         for fold in &mut folds {
-            fold.fold(&view, &filter).unwrap();
+            if let Ok(state) = fold {
+                if let Err(e) = state.fold(&view, &filter) {
+                    *fold = Err(e);
+                }
+            }
         }
         append(&mut oracle, taken);
     }
@@ -191,7 +197,8 @@ fn agree(ty: LogicalType, groups: Vec<(ColumnData, Vec<bool>)>) -> Result<(), Te
             column_name: Some("c".into()),
         };
         let want = eval_aggregate(&spec, oracle.len(), Some(&oracle)).map(value_bits);
-        prop_assert_eq!(fold.finish().map(value_bits), want, "{}", func);
+        let got = fold.map(|state| value_bits(state.finalize()));
+        prop_assert_eq!(got, want, "{}", func);
     }
     Ok(())
 }
