@@ -4,7 +4,7 @@
 use crate::harness::{reduction, summarize, BenchEnv, SystemKind};
 use crate::microbench::{microbench_on, microbench_query, microbench_sql};
 use crate::report::{fmt_bytes, Table};
-use fusion_cluster::engine::{Breakdown, Engine, Workflow};
+use fusion_cluster::engine::{Breakdown, Engine, Job};
 use fusion_cluster::time::Nanos;
 use fusion_core::store::Store;
 use fusion_workloads::taxi::{q3, q4, taxi_file, TaxiConfig};
@@ -284,17 +284,18 @@ pub fn fig14d(env: &BenchEnv) -> String {
             });
             // Open loop: 10 queries per second of virtual time.
             let n = env.queries.min(300);
-            let arrivals: Vec<(Nanos, Workflow)> = (0..n)
-                .map(|i| {
-                    (
-                        Nanos::from_millis(100 * i as u64),
-                        outputs[i % outputs.len()].workflow.clone(),
-                    )
+            let jobs: Vec<Job> = (0..n)
+                .map(|i| Job {
+                    client: i,
+                    seq: 0,
+                    tenant: 0,
+                    arrival: Nanos::from_millis(100 * i as u64),
+                    workflow: outputs[i % outputs.len()].workflow.clone(),
                 })
                 .collect();
             let spec = store.config().cluster.clone();
             let load_window = Nanos::from_millis(100 * n as u64);
-            let report = Engine::new(spec.clone()).run_open_loop(arrivals);
+            let report = Engine::new(spec.clone()).run_jobs(jobs);
             // Normalize by the fixed offered-load window (not the
             // makespan) so a system that drains its queue faster is not
             // penalized with a smaller denominator.

@@ -52,12 +52,14 @@ pub const ALL_IDS: &[&str] = &[
     "service_throughput",
 ];
 
-/// Runs one artifact by id.
+/// Runs one artifact by id, from cold chunk caches: its output does not
+/// depend on which artifacts ran before it on `env`.
 ///
 /// # Panics
 ///
 /// Panics on an unknown id (the binary validates first).
 pub fn run(id: &str, env: &BenchEnv) -> String {
+    env.clear_chunk_caches();
     match id {
         "table3" => storage::table3(env),
         "table4" => latency::table4(env),
@@ -93,5 +95,35 @@ pub fn run(id: &str, env: &BenchEnv) -> String {
             latency::debug_column(env, col)
         }
         other => panic!("unknown artifact id: {other}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tiny_env() -> BenchEnv {
+        BenchEnv::new(0.02, 2, 20, 4)
+    }
+
+    /// An artifact prints the same text whether it runs alone or after
+    /// other artifacts on the same environment (which share its cached
+    /// lineitem stores).
+    #[test]
+    fn artifact_output_does_not_depend_on_earlier_artifacts() {
+        let mut changed = Vec::new();
+        for (before, id) in [
+            ("table4", "extagg"),
+            ("table4", "ablation"),
+            ("fig13", "fig14d"),
+        ] {
+            let alone = run(id, &tiny_env());
+            let env = tiny_env();
+            run(before, &env);
+            if run(id, &env) != alone {
+                changed.push(format!("{id} after {before}"));
+            }
+        }
+        assert!(changed.is_empty(), "output changed: {changed:?}");
     }
 }

@@ -25,9 +25,7 @@ use fusion_cluster::engine::{
     AdmissionConfig, Engine, ResourceKey, SchedulingPolicy, TenantSummary, Workflow,
 };
 use fusion_cluster::time::{percentile, Nanos};
-use fusion_cluster::traffic::{
-    saturation_knee, ArrivalModel, BurstShape, Traffic, TrafficConfig, TrafficGen,
-};
+use fusion_cluster::traffic::{saturation_knee, TrafficConfig, TrafficGen};
 use fusion_core::store::Store;
 
 /// Tenants sharing the cluster.
@@ -126,14 +124,11 @@ fn run_point(
         seed: 0xF05_1041 ^ fraction.to_bits(),
         tenants: TENANTS,
         zipf_theta: ZIPF_THETA,
-        arrivals: ArrivalModel::OpenPoisson { rate_qps },
-        burst: BurstShape::Steady,
+        rate_qps,
         horizon,
     });
     let shares = gen.shares();
-    let Traffic::Open(jobs) = gen.generate(&[mix.to_vec()]) else {
-        unreachable!("open-loop config generates open traffic")
-    };
+    let jobs = gen.generate(&[mix.to_vec()]);
     let n_jobs = jobs.len();
     // Tenant 3's rate limit is sized to 80% of its capacity-share, so
     // rejections appear as the sweep approaches saturation; tenant 0

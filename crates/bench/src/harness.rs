@@ -172,6 +172,17 @@ impl BenchEnv {
         })
     }
 
+    /// Empties the chunk caches of the cached lineitem stores, so the
+    /// next artifact starts cold, as if it ran alone.
+    pub(crate) fn clear_chunk_caches(&self) {
+        for store in [self.fusion_store.get(), self.baseline_store.get()]
+            .into_iter()
+            .flatten()
+        {
+            store.chunk_cache().clear();
+        }
+    }
+
     /// Builds one query output per copy for the given SQL template
     /// (`{}` is substituted with the copy object name).
     pub fn outputs_per_copy(

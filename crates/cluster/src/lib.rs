@@ -15,9 +15,12 @@
 //! * **Time plane** ([`engine::Engine`]) — a virtual clock. Queries
 //!   compile to DAGs of steps over contended resources (per-node disk, NIC
 //!   tx/rx, CPU pool) whose durations come from a calibrated
-//!   [`spec::CostModel`]. The engine reports per-query latency,
-//!   critical-path breakdowns (disk / processing / network), network
-//!   traffic, and CPU utilization.
+//!   [`spec::CostModel`]. Work enters two ways: closed-loop clients
+//!   ([`engine::Engine::run_closed_loop`], the paper's ten clients) and
+//!   open-loop job streams ([`engine::Engine::run_jobs`], fed by hand or
+//!   by the Poisson [`traffic::TrafficGen`]). The engine reports
+//!   per-query latency, critical-path breakdowns (disk / processing /
+//!   network), network bytes, and per-resource busy time.
 //!
 //! Splitting the planes this way is the substitution documented in
 //! DESIGN.md §3: the paper's headline numbers are latency *ratios* between
@@ -54,15 +57,15 @@ pub mod topology;
 pub mod traffic;
 
 pub use engine::{
-    AdmissionConfig, Breakdown, ClosedClient, CostClass, Engine, Job, ResourceKey, RunReport,
-    SchedulingPolicy, StepId, TenantCounters, TenantSummary, Workflow, WorkflowStats,
+    AdmissionConfig, Breakdown, CostClass, Engine, Job, ResourceKey, RunReport, SchedulingPolicy,
+    StepId, TenantCounters, TenantSummary, Workflow, WorkflowStats,
 };
 pub use fault::{AppliedFault, FaultEvent, FaultInjector, FaultKind, FaultSchedule, ScheduleError};
 pub use spec::{ClusterSpec, CostModel, RetryPolicy};
 pub use store::{BlockId, BlockStore, ClusterError};
 pub use time::{percentile, transfer_time, Nanos};
 pub use topology::Topology;
-pub use traffic::{ArrivalModel, BurstShape, Traffic, TrafficConfig, TrafficGen};
+pub use traffic::{TrafficConfig, TrafficGen};
 
 // Re-exported so workflow builders can tag steps without a direct
 // `fusion-obs` dependency.

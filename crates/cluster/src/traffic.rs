@@ -2,14 +2,9 @@
 //!
 //! A [`TrafficGen`] compiles per-tenant query mixes (vectors of
 //! [`Workflow`] templates, typically built by `fusion-core`'s executors)
-//! into timestamped submission streams for [`Engine::run_jobs`] /
-//! [`Engine::run_closed_clients`](crate::engine::Engine::run_closed_clients):
-//!
-//! * **Open-loop Poisson** arrivals at an offered rate, optionally shaped
-//!   by a diurnal sinusoid (generated by thinning against the peak rate,
-//!   so the process stays a valid inhomogeneous Poisson process).
-//! * **Closed-loop** clients with exponential think times (each client
-//!   waits, issues, blocks until completion, repeats).
+//! into an open-loop job stream for [`Engine::run_jobs`]: Poisson
+//! arrivals at an offered rate (exponential inter-arrival times),
+//! independent of completions, until a horizon.
 //!
 //! Tenants receive traffic shares drawn from a Zipf distribution
 //! (`share_i ∝ 1/(i+1)^θ`): θ = 0 is uniform, θ ≈ 1 gives the heavy skew
@@ -18,49 +13,10 @@
 //!
 //! [`Engine::run_jobs`]: crate::engine::Engine::run_jobs
 
-use crate::engine::{ClosedClient, Job, Workflow};
+use crate::engine::{Job, Workflow};
 use crate::time::Nanos;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// Arrival process for generated traffic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ArrivalModel {
-    /// Open loop: Poisson arrivals at `rate_qps` (aggregate across all
-    /// tenants), independent of completions.
-    OpenPoisson {
-        /// Aggregate offered load in queries per second of virtual time.
-        rate_qps: f64,
-    },
-    /// Closed loop: `clients` concurrent clients, each issuing
-    /// `queries_per_client` queries separated by exponential think times
-    /// with mean `mean_think`.
-    ClosedLoop {
-        /// Number of concurrent clients.
-        clients: usize,
-        /// Mean think time between a completion and the next issue.
-        mean_think: Nanos,
-        /// Queries each client issues before stopping.
-        queries_per_client: usize,
-    },
-}
-
-/// Time-of-day shaping applied to open-loop arrival rates.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BurstShape {
-    /// Constant rate.
-    Steady,
-    /// Sinusoidal modulation: instantaneous rate is
-    /// `rate × (1 + amplitude × sin(2πt/period))`, so load swings
-    /// between `(1 − amplitude)` and `(1 + amplitude)` of nominal over
-    /// each period. Amplitude is clamped to `[0, 1]`.
-    Diurnal {
-        /// Period of one load cycle (a scaled-down "day").
-        period: Nanos,
-        /// Peak-to-mean swing, in `[0, 1]`.
-        amplitude: f64,
-    },
-}
 
 /// Configuration for a [`TrafficGen`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,52 +28,11 @@ pub struct TrafficConfig {
     /// Zipf skew across tenants: 0.0 = uniform shares, larger = more
     /// skew toward tenant 0.
     pub zipf_theta: f64,
-    /// Arrival process.
-    pub arrivals: ArrivalModel,
-    /// Burst shaping (open-loop only; ignored for closed loop).
-    pub burst: BurstShape,
-    /// Open-loop generation horizon: arrivals are generated until the
-    /// horizon is reached. Ignored for closed loop (bounded by
-    /// `queries_per_client`).
+    /// Aggregate offered load across all tenants, in queries per second
+    /// of virtual time.
+    pub rate_qps: f64,
+    /// Arrivals are generated until the horizon is reached.
     pub horizon: Nanos,
-}
-
-impl Default for TrafficConfig {
-    fn default() -> Self {
-        TrafficConfig {
-            seed: 0,
-            tenants: 1,
-            zipf_theta: 0.0,
-            arrivals: ArrivalModel::OpenPoisson { rate_qps: 100.0 },
-            burst: BurstShape::Steady,
-            horizon: Nanos::from_secs(1),
-        }
-    }
-}
-
-/// Generated traffic, ready to hand to the engine.
-#[derive(Debug, Clone)]
-pub enum Traffic {
-    /// Open-loop jobs for [`Engine::run_jobs`](crate::engine::Engine::run_jobs).
-    Open(Vec<Job>),
-    /// Closed-loop clients for
-    /// [`Engine::run_closed_clients`](crate::engine::Engine::run_closed_clients).
-    Closed(Vec<ClosedClient>),
-}
-
-impl Traffic {
-    /// Total workflows in the stream.
-    pub fn len(&self) -> usize {
-        match self {
-            Traffic::Open(jobs) => jobs.len(),
-            Traffic::Closed(clients) => clients.iter().map(|c| c.issues.len()).sum(),
-        }
-    }
-
-    /// True when no workflows were generated.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// A seeded multi-tenant traffic generator (see module docs).
@@ -133,7 +48,7 @@ impl TrafficGen {
     ///
     /// # Panics
     ///
-    /// Panics when `tenants` is 0, an open-loop rate is non-positive or
+    /// Panics when `tenants` is 0, the rate is non-positive or
     /// non-finite, or `zipf_theta` is negative.
     pub fn new(cfg: TrafficConfig) -> TrafficGen {
         assert!(cfg.tenants >= 1, "need at least one tenant");
@@ -141,12 +56,10 @@ impl TrafficGen {
             cfg.zipf_theta >= 0.0 && cfg.zipf_theta.is_finite(),
             "zipf_theta must be finite and non-negative"
         );
-        if let ArrivalModel::OpenPoisson { rate_qps } = cfg.arrivals {
-            assert!(
-                rate_qps > 0.0 && rate_qps.is_finite(),
-                "open-loop rate must be finite and positive"
-            );
-        }
+        assert!(
+            cfg.rate_qps > 0.0 && cfg.rate_qps.is_finite(),
+            "open-loop rate must be finite and positive"
+        );
         let shares = zipf_shares(cfg.tenants, cfg.zipf_theta);
         let mut acc = 0.0;
         let cdf = shares
@@ -157,11 +70,6 @@ impl TrafficGen {
             })
             .collect();
         TrafficGen { cfg, cdf }
-    }
-
-    /// The config this generator was built from.
-    pub fn config(&self) -> &TrafficConfig {
-        &self.cfg
     }
 
     /// Per-tenant traffic shares (sum to 1.0, non-increasing in tenant
@@ -178,100 +86,46 @@ impl TrafficGen {
             .collect()
     }
 
-    /// Generates the traffic stream. `mixes[t]` is tenant `t`'s query
-    /// mix: each submission picks one template uniformly at random from
-    /// the tenant's mix. A single shared mix (`mixes.len() == 1`) is
-    /// used for all tenants.
+    /// Generates the job stream, in arrival order. `mixes[t]` is tenant
+    /// `t`'s query mix: each job picks one template uniformly at random
+    /// from its tenant's mix. A single shared mix (`mixes.len() == 1`)
+    /// is used for all tenants. Each tenant is one client whose jobs
+    /// number from 0.
     ///
     /// # Panics
     ///
     /// Panics when `mixes` is neither length 1 nor length `tenants`, or
     /// when any used mix is empty.
-    pub fn generate(&self, mixes: &[Vec<Workflow>]) -> Traffic {
+    pub fn generate(&self, mixes: &[Vec<Workflow>]) -> Vec<Job> {
         assert!(
             mixes.len() == 1 || mixes.len() == self.cfg.tenants,
             "need one shared mix or one per tenant"
         );
-        let mix_of = |tenant: usize| -> &Vec<Workflow> {
-            let m = if mixes.len() == 1 {
-                &mixes[0]
-            } else {
-                &mixes[tenant]
-            };
-            assert!(!m.is_empty(), "tenant {tenant} has an empty query mix");
-            m
-        };
         let mut rng = SmallRng::seed_from_u64(self.cfg.seed ^ 0x7261_6666_6963); // "raffic"
-        match self.cfg.arrivals {
-            ArrivalModel::OpenPoisson { rate_qps } => {
-                let mut jobs = Vec::new();
-                // Thinning: generate at the peak rate, accept with
-                // probability rate(t)/peak. For Steady the peak equals
-                // the nominal rate and every candidate is accepted.
-                let (peak, shape) = match self.cfg.burst {
-                    BurstShape::Steady => (rate_qps, None),
-                    BurstShape::Diurnal { period, amplitude } => {
-                        let a = amplitude.clamp(0.0, 1.0);
-                        (rate_qps * (1.0 + a), Some((period, a)))
-                    }
-                };
-                let mut t = 0.0f64; // seconds
-                let horizon = self.cfg.horizon.as_secs_f64();
-                let mut seq_of_tenant = vec![0usize; self.cfg.tenants];
-                loop {
-                    t += exponential(&mut rng, peak);
-                    if t >= horizon {
-                        break;
-                    }
-                    if let Some((period, a)) = shape {
-                        let phase =
-                            2.0 * std::f64::consts::PI * t / period.as_secs_f64().max(1e-12);
-                        let accept = (1.0 + a * phase.sin()) / (1.0 + a);
-                        if !rng.gen_bool(accept) {
-                            continue;
-                        }
-                    }
-                    let tenant = self.sample_tenant(&mut rng);
-                    let mix = mix_of(tenant);
-                    let wf = mix[rng.gen_range(0..mix.len())].clone();
-                    let seq = seq_of_tenant[tenant];
-                    seq_of_tenant[tenant] += 1;
-                    jobs.push(Job {
-                        client: tenant,
-                        seq,
-                        tenant,
-                        arrival: Nanos::from_secs_f64(t),
-                        workflow: wf,
-                    });
-                }
-                Traffic::Open(jobs)
+        let horizon = self.cfg.horizon.as_secs_f64();
+        let mut seq_of_tenant = vec![0usize; self.cfg.tenants];
+        let mut jobs = Vec::new();
+        let mut t = 0.0f64; // seconds
+        loop {
+            t += exponential(&mut rng, self.cfg.rate_qps);
+            if t >= horizon {
+                break;
             }
-            ArrivalModel::ClosedLoop {
-                clients,
-                mean_think,
-                queries_per_client,
-            } => {
-                let mean = mean_think.as_secs_f64();
-                let out = (0..clients)
-                    .map(|_| {
-                        let tenant = self.sample_tenant(&mut rng);
-                        let mix = mix_of(tenant);
-                        let issues = (0..queries_per_client)
-                            .map(|_| {
-                                let think = if mean > 0.0 {
-                                    Nanos::from_secs_f64(exponential(&mut rng, 1.0 / mean))
-                                } else {
-                                    Nanos::ZERO
-                                };
-                                (think, mix[rng.gen_range(0..mix.len())].clone())
-                            })
-                            .collect();
-                        ClosedClient { tenant, issues }
-                    })
-                    .collect();
-                Traffic::Closed(out)
-            }
+            let tenant = self.sample_tenant(&mut rng);
+            let mix = &mixes[if mixes.len() == 1 { 0 } else { tenant }];
+            assert!(!mix.is_empty(), "tenant {tenant} has an empty query mix");
+            let workflow = mix[rng.gen_range(0..mix.len())].clone();
+            let seq = seq_of_tenant[tenant];
+            seq_of_tenant[tenant] += 1;
+            jobs.push(Job {
+                client: tenant,
+                seq,
+                tenant,
+                arrival: Nanos::from_secs_f64(t),
+                workflow,
+            });
         }
+        jobs
     }
 
     fn sample_tenant(&self, rng: &mut SmallRng) -> usize {
@@ -326,8 +180,7 @@ mod tests {
             seed: 7,
             tenants: 4,
             zipf_theta: 0.9,
-            arrivals: ArrivalModel::OpenPoisson { rate_qps: 10_000.0 },
-            burst: BurstShape::Steady,
+            rate_qps: 10_000.0,
             horizon: Nanos::from_millis(100),
         }
     }
@@ -336,9 +189,6 @@ mod tests {
     fn generation_is_deterministic_in_seed() {
         let a = TrafficGen::new(open_cfg()).generate(&mix());
         let b = TrafficGen::new(open_cfg()).generate(&mix());
-        let (Traffic::Open(a), Traffic::Open(b)) = (a, b) else {
-            panic!("expected open traffic");
-        };
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!((x.tenant, x.seq, x.arrival), (y.tenant, y.seq, y.arrival));
@@ -349,7 +199,6 @@ mod tests {
             ..open_cfg()
         })
         .generate(&mix());
-        let Traffic::Open(c) = c else { unreachable!() };
         assert!(
             a.len() != c.len() || a.iter().zip(&c).any(|(x, y)| x.arrival != y.arrival),
             "different seeds must differ"
@@ -358,10 +207,7 @@ mod tests {
 
     #[test]
     fn open_loop_respects_horizon_and_rate() {
-        let traffic = TrafficGen::new(open_cfg()).generate(&mix());
-        let Traffic::Open(jobs) = traffic else {
-            unreachable!()
-        };
+        let jobs = TrafficGen::new(open_cfg()).generate(&mix());
         // 10k qps over 100ms ≈ 1000 arrivals; Poisson σ ≈ 32.
         assert!(
             (800..1200).contains(&jobs.len()),
@@ -386,9 +232,7 @@ mod tests {
             "shares non-increasing"
         );
         // And the sampled stream roughly follows them.
-        let Traffic::Open(jobs) = gen.generate(&mix()) else {
-            unreachable!()
-        };
+        let jobs = gen.generate(&mix());
         let mut counts = [0usize; 4];
         for j in &jobs {
             counts[j.tenant] += 1;
@@ -415,71 +259,23 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_thinning_modulates_load() {
-        // One full period over the horizon: the first half (sin > 0)
-        // must carry more arrivals than the second half.
-        let cfg = TrafficConfig {
-            burst: BurstShape::Diurnal {
-                period: Nanos::from_millis(100),
-                amplitude: 0.9,
-            },
-            ..open_cfg()
-        };
-        let Traffic::Open(jobs) = TrafficGen::new(cfg).generate(&mix()) else {
-            unreachable!()
-        };
-        let half = Nanos::from_millis(50);
-        let first = jobs.iter().filter(|j| j.arrival < half).count();
-        let second = jobs.len() - first;
-        assert!(
-            first as f64 > second as f64 * 1.5,
-            "diurnal peak {first} vs trough {second}"
-        );
-    }
-
-    #[test]
-    fn closed_loop_generates_clients_with_think_times() {
-        let cfg = TrafficConfig {
-            arrivals: ArrivalModel::ClosedLoop {
-                clients: 8,
-                mean_think: Nanos::from_micros(50),
-                queries_per_client: 10,
-            },
-            ..open_cfg()
-        };
-        let traffic = TrafficGen::new(cfg).generate(&mix());
-        assert_eq!(traffic.len(), 80);
-        let Traffic::Closed(clients) = traffic else {
-            unreachable!()
-        };
-        assert_eq!(clients.len(), 8);
-        let thinks: Vec<u64> = clients
-            .iter()
-            .flat_map(|c| c.issues.iter().map(|(t, _)| t.0))
-            .collect();
-        assert!(thinks.iter().any(|&t| t > 0), "exponential thinks > 0");
-        let mean = thinks.iter().sum::<u64>() as f64 / thinks.len() as f64;
-        assert!(
-            (mean - 50_000.0).abs() < 25_000.0,
-            "mean think {mean} ≉ 50us"
-        );
-    }
-
-    #[test]
     fn per_tenant_mixes_are_respected() {
-        // Tenant t's workflows all touch Disk(t): verify the mapping.
-        let mixes: Vec<Vec<Workflow>> = (0..4)
+        // Tenant t's one template takes 10(t+1) ns: verify the mapping.
+        let mixes: Vec<Vec<Workflow>> = (0..4u64)
             .map(|t| {
                 let mut wf = Workflow::new();
-                wf.step(ResourceKey::Disk(t), Nanos(10), CostClass::DiskRead, &[]);
+                wf.step(
+                    ResourceKey::Disk(0),
+                    Nanos(10 * (t + 1)),
+                    CostClass::DiskRead,
+                    &[],
+                );
                 vec![wf]
             })
             .collect();
-        let Traffic::Open(jobs) = TrafficGen::new(open_cfg()).generate(&mixes) else {
-            unreachable!()
-        };
+        let jobs = TrafficGen::new(open_cfg()).generate(&mixes);
         for j in &jobs {
-            assert_eq!(j.workflow.len(), 1);
+            assert_eq!(j.workflow.total_work(), Nanos(10 * (j.tenant as u64 + 1)));
         }
     }
 

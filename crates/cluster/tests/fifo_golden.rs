@@ -1,6 +1,7 @@
 //! Differential lockdown of the FIFO scheduler: seeded workloads run
-//! through `run_closed_loop` / `run_open_loop` must produce reports
-//! **bit-for-bit identical** to the pre-scheduling-layer engine.
+//! through `run_closed_loop` / `run_jobs` (single tenant, job `i` as
+//! client `i`) must produce reports **bit-for-bit identical** to the
+//! pre-scheduling-layer engine's closed and open loops.
 //!
 //! The golden digests below were captured from the engine as it existed
 //! before `SchedulingPolicy` / admission control were introduced (PR 7);
@@ -9,7 +10,7 @@
 //! digest. This is what guarantees every existing figure is unchanged by
 //! the concurrent-traffic work.
 
-use fusion_cluster::engine::{CostClass, Engine, ResourceKey, Workflow};
+use fusion_cluster::engine::{CostClass, Engine, Job, ResourceKey, Workflow};
 use fusion_cluster::spec::ClusterSpec;
 use fusion_cluster::time::Nanos;
 use fusion_obs::trace::Phase;
@@ -156,21 +157,27 @@ fn closed_loop_digest(seed: u64) -> u64 {
 fn open_loop_digest(seed: u64) -> u64 {
     let mut rng = Lcg(seed | 1);
     // Nondecreasing arrival times with deliberate equal-timestamp
-    // bursts, as every existing open-loop caller produces.
+    // bursts; job `i` is client `i`, as Figure 14d builds its stream.
     let mut t = 0u64;
-    let arrivals: Vec<(Nanos, Workflow)> = (0..16)
-        .map(|_| {
+    let jobs: Vec<Job> = (0..16)
+        .map(|i| {
             if !rng.next().is_multiple_of(3) {
                 t += rng.next() % 400;
             }
-            (Nanos(t), seeded_workflow(&mut rng))
+            Job {
+                client: i,
+                seq: 0,
+                tenant: 0,
+                arrival: Nanos(t),
+                workflow: seeded_workflow(&mut rng),
+            }
         })
         .collect();
     let mut engine = Engine::new(ClusterSpec::with_nodes(3));
     if seed % 2 == 1 {
         engine = engine.with_slowdowns(HashMap::from([(2, 3.0)]));
     }
-    digest(&engine.run_open_loop(arrivals))
+    digest(&engine.run_jobs(jobs))
 }
 
 /// `(seed, closed-loop digest, open-loop digest)` captured from the
@@ -200,43 +207,7 @@ fn open_loop_matches_pre_scheduling_engine() {
         assert_eq!(
             open_loop_digest(seed),
             open,
-            "run_open_loop diverged from the pre-PR-7 engine (seed {seed})"
-        );
-    }
-}
-
-/// The multi-tenant entry point, restricted to FIFO + a single tenant,
-/// collapses to exactly the old open-loop behavior: same digests.
-#[test]
-fn run_jobs_fifo_single_tenant_matches_open_loop_goldens() {
-    use fusion_cluster::engine::{Job, SchedulingPolicy};
-
-    for (seed, _, open) in GOLDEN {
-        let mut rng = Lcg(seed | 1);
-        let mut t = 0u64;
-        let jobs: Vec<Job> = (0..16)
-            .map(|i| {
-                if !rng.next().is_multiple_of(3) {
-                    t += rng.next() % 400;
-                }
-                Job {
-                    client: i,
-                    seq: 0,
-                    tenant: 0,
-                    arrival: Nanos(t),
-                    workflow: seeded_workflow(&mut rng),
-                }
-            })
-            .collect();
-        let mut engine =
-            Engine::new(ClusterSpec::with_nodes(3)).with_scheduling(SchedulingPolicy::Fifo);
-        if seed % 2 == 1 {
-            engine = engine.with_slowdowns(HashMap::from([(2, 3.0)]));
-        }
-        assert_eq!(
-            digest(&engine.run_jobs(jobs)),
-            open,
-            "run_jobs(Fifo, single tenant) diverged from run_open_loop (seed {seed})"
+            "run_jobs diverged from the pre-scheduling open loop (seed {seed})"
         );
     }
 }

@@ -1,13 +1,14 @@
 //! Property tests for the scheduling layer: weighted-fair service
 //! bounds, token-bucket admission accounting, and traffic-generator
-//! determinism — for any workload shape the generators can produce.
+//! determinism — for any workload shape the generators can produce —
+//! plus a digest golden that pins the generated job stream.
 
 use fusion_cluster::engine::{
     AdmissionConfig, CostClass, Engine, Job, ResourceKey, SchedulingPolicy, Workflow,
 };
 use fusion_cluster::spec::ClusterSpec;
 use fusion_cluster::time::Nanos;
-use fusion_cluster::traffic::{ArrivalModel, BurstShape, Traffic, TrafficConfig, TrafficGen};
+use fusion_cluster::traffic::{TrafficConfig, TrafficGen};
 use proptest::prelude::*;
 
 fn disk_wf(dur: u64) -> Workflow {
@@ -173,8 +174,7 @@ proptest! {
             seed,
             tenants,
             zipf_theta: theta,
-            arrivals: ArrivalModel::OpenPoisson { rate_qps: rate },
-            burst: BurstShape::Steady,
+            rate_qps: rate,
             horizon: Nanos::from_millis(10),
         };
         let mix = vec![vec![disk_wf(100)]];
@@ -182,9 +182,6 @@ proptest! {
             TrafficGen::new(cfg).generate(&mix),
             TrafficGen::new(cfg).generate(&mix),
         );
-        let (Traffic::Open(a), Traffic::Open(b)) = (a, b) else {
-            return Err(TestCaseError::fail("expected open traffic"));
-        };
         prop_assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             prop_assert_eq!((x.tenant, x.seq, x.arrival), (y.tenant, y.seq, y.arrival));
@@ -210,14 +207,10 @@ proptest! {
             seed,
             tenants: 3,
             zipf_theta: theta,
-            arrivals: ArrivalModel::OpenPoisson { rate_qps: 20_000.0 },
-            burst: BurstShape::Steady,
+            rate_qps: 20_000.0,
             horizon: Nanos::from_millis(5),
         };
-        let traffic = TrafficGen::new(cfg).generate(&[vec![disk_wf(40), disk_wf(90)]]);
-        let Traffic::Open(jobs) = traffic else {
-            return Err(TestCaseError::fail("expected open traffic"));
-        };
+        let jobs = TrafficGen::new(cfg).generate(&[vec![disk_wf(40), disk_wf(90)]]);
         let offered = jobs.len() as u64;
         let report = Engine::new(ClusterSpec::with_nodes(1))
             .with_scheduling(SchedulingPolicy::WeightedFair)
@@ -235,5 +228,53 @@ proptest! {
         for s in &report.stats {
             prop_assert_eq!(s.phases.total(), s.latency.0);
         }
+    }
+}
+
+fn fnv(h: &mut u64, v: u64) {
+    *h ^= v;
+    *h = h.wrapping_mul(0x100_0000_01b3);
+}
+
+/// FNV-1a digest of a generated open-loop stream: every job's
+/// `(tenant, client, seq, arrival)` plus the picked template's work, in
+/// generation order.
+fn traffic_digest(seed: u64, tenants: usize, zipf_theta: f64, rate_qps: f64) -> u64 {
+    let cfg = TrafficConfig {
+        seed,
+        tenants,
+        zipf_theta,
+        rate_qps,
+        horizon: Nanos::from_millis(50),
+    };
+    let jobs = TrafficGen::new(cfg).generate(&[vec![disk_wf(40), disk_wf(90)]]);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for j in &jobs {
+        fnv(&mut h, j.tenant as u64);
+        fnv(&mut h, j.client as u64);
+        fnv(&mut h, j.seq as u64);
+        fnv(&mut h, j.arrival.0);
+        fnv(&mut h, j.workflow.total_work().0);
+    }
+    h
+}
+
+/// `(seed, tenants, zipf_theta, rate_qps, digest)` captured from the
+/// generator at commit `06f8d31`, before its closed-loop and diurnal
+/// models were removed: the open-loop Poisson stream must not move.
+const TRAFFIC_GOLDEN: [(u64, usize, f64, f64, u64); 3] = [
+    (7, 1, 0.0, 2_000.0, 0x8efe_088c_b7a7_db1a),
+    (11, 2, 0.0, 5_000.0, 0x0e69_b11c_eaf9_dfe0),
+    (0xF05_1041, 4, 0.9, 20_000.0, 0x733b_14df_e694_14f9),
+];
+
+#[test]
+fn traffic_stream_matches_golden() {
+    for (seed, tenants, theta, rate, golden) in TRAFFIC_GOLDEN {
+        assert_eq!(
+            traffic_digest(seed, tenants, theta, rate),
+            golden,
+            "open-loop stream moved (seed {seed:#x}, {tenants} tenants, theta {theta}, {rate} qps)"
+        );
     }
 }

@@ -138,7 +138,7 @@ impl Store {
     /// templates for the traffic generator
     /// ([`fusion_cluster::traffic::TrafficGen::generate`]). Each query
     /// executes once on the data plane here; the generator then clones
-    /// the resulting workflows into timestamped submission streams.
+    /// the resulting workflows into a timestamped job stream.
     ///
     /// # Errors
     ///
@@ -148,23 +148,6 @@ impl Store {
             .iter()
             .map(|(object, sql)| Ok(self.query_as(object, sql)?.workflow))
             .collect()
-    }
-
-    /// Runs a multi-tenant open-loop job stream on this store's cluster
-    /// spec under `policy`, mirroring fault-injector straggler
-    /// multipliers — the traffic-engine counterpart of
-    /// [`Store::simulate`]. Admission limits and tenant weights beyond
-    /// the defaults are configured by building an
-    /// [`Engine`] directly.
-    pub fn simulate_jobs(
-        &self,
-        jobs: Vec<fusion_cluster::engine::Job>,
-        policy: fusion_cluster::engine::SchedulingPolicy,
-    ) -> RunReport {
-        Engine::new(self.config().cluster.clone())
-            .with_slowdowns(self.slowdowns().clone())
-            .with_scheduling(policy)
-            .run_jobs(jobs)
     }
 }
 

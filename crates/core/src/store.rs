@@ -20,7 +20,7 @@ use crate::meta::{CodeId, LayoutRecord};
 use crate::object::{ObjectMeta, StripePlacement};
 use crate::placement;
 use bytes::Bytes;
-use fusion_cluster::engine::{CostClass, Engine, ResourceKey, Workflow};
+use fusion_cluster::engine::{CostClass, ResourceKey, Workflow};
 use fusion_cluster::fault::{AppliedFault, FaultInjector};
 use fusion_cluster::store::{BlockId, BlockStore, ClusterError};
 use fusion_cluster::time::Nanos;
@@ -49,7 +49,8 @@ pub struct PutReport {
     /// Real wall-clock time the packer took (the paper's Figure 16c
     /// numerator).
     pub pack_runtime: std::time::Duration,
-    /// Simulated end-to-end Put latency on the virtual clock.
+    /// Simulated end-to-end Put latency on the virtual clock (stretched
+    /// by straggler multipliers, like every solo workflow).
     pub simulated_latency: Nanos,
     /// Total bytes stored (data + padding + parity + location map
     /// replicas).
@@ -646,8 +647,7 @@ impl Store {
             map_bytes.len() as u64,
             &replica_nodes,
         );
-        let report = Engine::new(self.config.cluster.clone()).run_closed_loop(vec![vec![workflow]]);
-        let simulated_latency = report.stats[0].latency;
+        let simulated_latency = self.simulate_solo(&workflow);
 
         let stripes = meta.layout.stripes.len();
         let chunks = meta.num_chunks();
@@ -1062,10 +1062,7 @@ impl Store {
             }
         }
         if !wf.is_empty() {
-            let run = Engine::new(self.config.cluster.clone())
-                .with_slowdowns(self.slowdowns.clone())
-                .run_closed_loop(vec![vec![wf]]);
-            report.simulated_latency = run.stats[0].latency;
+            report.simulated_latency = self.simulate_solo(&wf);
         }
         Ok(report)
     }
@@ -1669,6 +1666,36 @@ mod tests {
         assert!(store.apply_faults(&mut inj, Nanos(1_000)).is_empty());
         assert_eq!(store.flaky_attempts(2), 0);
         assert_eq!(store.retry_penalty(2), Nanos::ZERO);
+    }
+
+    #[test]
+    fn put_latency_models_stragglers() {
+        // Every node slowed 4x: a put's simulated latency must stretch
+        // like any other workflow's. Pack runtime is measured wall-clock,
+        // so compare the fastest of three puts per store, as a ratio.
+        use fusion_cluster::fault::FaultSchedule;
+        let bytes = analytics_bytes(20_000, 2_000);
+        let fastest_put = |store: &mut Store| {
+            (0..3)
+                .map(|i| {
+                    let report = store.put(&format!("obj{i}"), bytes.clone()).unwrap();
+                    report.simulated_latency
+                })
+                .min()
+                .unwrap()
+        };
+        let mut healthy = Store::new(StoreConfig::fusion()).unwrap();
+        let mut slowed = Store::new(StoreConfig::fusion()).unwrap();
+        let schedule = (0..slowed.config().cluster.nodes).fold(FaultSchedule::new(), |s, n| {
+            s.slowdown(Nanos(1), n, 4.0, Nanos::from_secs(3600))
+        });
+        slowed.apply_faults(&mut FaultInjector::new(schedule), Nanos(10));
+        assert_eq!(slowed.slowdowns().len(), slowed.config().cluster.nodes);
+        let (fast, slow) = (fastest_put(&mut healthy), fastest_put(&mut slowed));
+        assert!(
+            slow.0 as f64 >= 1.5 * fast.0 as f64,
+            "slowed put {slow:?} vs healthy put {fast:?}"
+        );
     }
 
     #[test]

@@ -497,9 +497,9 @@ fn limit_reduces_transfers() {
 
 #[test]
 fn query_mix_feeds_the_traffic_engine() {
-    use fusion_cluster::engine::SchedulingPolicy;
+    use fusion_cluster::engine::{Engine, SchedulingPolicy};
     use fusion_cluster::time::Nanos;
-    use fusion_cluster::traffic::{ArrivalModel, BurstShape, Traffic, TrafficConfig, TrafficGen};
+    use fusion_cluster::traffic::{TrafficConfig, TrafficGen};
 
     let table = test_table(3000);
     let store = store_with(QueryMode::AdaptivePushdown, &table, 500);
@@ -517,16 +517,16 @@ fn query_mix_feeds_the_traffic_engine() {
         seed: 11,
         tenants: 2,
         zipf_theta: 0.5,
-        arrivals: ArrivalModel::OpenPoisson { rate_qps: 2_000.0 },
-        burst: BurstShape::Steady,
+        rate_qps: 2_000.0,
         horizon: Nanos::from_millis(50),
     });
-    let Traffic::Open(jobs) = gen.generate(&[mix]) else {
-        panic!("expected open-loop traffic");
-    };
+    let jobs = gen.generate(&[mix]);
     assert!(!jobs.is_empty());
     let offered = jobs.len() as u64;
-    let report = store.simulate_jobs(jobs, SchedulingPolicy::WeightedFair);
+    let report = Engine::new(store.config().cluster.clone())
+        .with_slowdowns(store.slowdowns().clone())
+        .with_scheduling(SchedulingPolicy::WeightedFair)
+        .run_jobs(jobs);
     assert_eq!(report.stats.len() as u64, offered);
     let served: u64 = report.tenants.values().map(|c| c.served).sum();
     assert_eq!(served, offered);

@@ -253,12 +253,6 @@ impl MetricsRegistry {
         self.scope(&format!("node{idx}"))
     }
 
-    /// The conventional per-tenant scope: names become
-    /// `tenant<idx>.<name>` (admission counters, sojourn histograms).
-    pub fn tenant(&self, idx: usize) -> Scope<'_> {
-        self.scope(&format!("tenant{idx}"))
-    }
-
     /// A snapshot of every counter and gauge value plus histogram
     /// `count`/`sum`, sorted by name.
     pub fn snapshot(&self) -> Vec<(String, i64)> {
@@ -425,15 +419,6 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.len(), 3);
         assert!(snap.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn tenant_scope_prefixes() {
-        let reg = MetricsRegistry::new();
-        reg.tenant(2).counter("served").add(7);
-        reg.tenant(2).histogram("sojourn_ns").record(1000);
-        assert_eq!(reg.counter("tenant2.served").get(), 7);
-        assert_eq!(reg.histogram("tenant2.sojourn_ns").count(), 1);
     }
 
     #[test]
