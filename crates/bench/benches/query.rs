@@ -150,9 +150,11 @@ fn bench_grouped_aggregate(c: &mut Criterion) {
     let hot = read_encoded_chunk(&bytes, LogicalType::Int64).expect("valid chunk");
     let arg = ColumnData::Float64((0..ROWS).map(|i| i as f64 * 0.25).collect());
     let filter: Bitmap = (0..ROWS).map(|i| i % 10 != 0).collect();
+    // The encoded kernel reads the argument's selected rows only.
+    let arg_sel = arg.take(&filter.ones().collect::<Vec<_>>());
     let aggs_enc = [
         (AggFunc::Count, AggInput::Star),
-        (AggFunc::Sum, AggInput::Col(&arg)),
+        (AggFunc::Sum, AggInput::Col(&arg_sel)),
         (AggFunc::Min, AggInput::Key),
     ];
     let decoded_key = decode_column_chunk(&bytes, LogicalType::Int64).expect("decode");
@@ -161,6 +163,11 @@ fn bench_grouped_aggregate(c: &mut Criterion) {
         (AggFunc::Sum, Some(&arg)),
         (AggFunc::Min, Some(&decoded_key)),
     ];
+    assert_eq!(
+        group_aggregate_encoded(&hot, &aggs_enc, &filter).expect("encoded"),
+        group_aggregate_decoded(&[&decoded_key], &aggs_dec, &filter).expect("decoded"),
+        "the encoded kernel answers as the decoded oracle"
+    );
     g.bench_function("kernel_encoded_hot", |b| {
         b.iter(|| group_aggregate_encoded(&hot, std::hint::black_box(&aggs_enc), &filter))
     });

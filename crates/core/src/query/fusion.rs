@@ -43,7 +43,7 @@ use fusion_cluster::engine::{CostClass, StepId};
 use fusion_cluster::time::Nanos;
 use fusion_format::chunk::{read_encoded_chunk, EncodedChunk};
 use fusion_format::footer::ChunkMeta;
-use fusion_format::schema::LogicalType;
+use fusion_format::schema::{LogicalType, Schema};
 use fusion_format::value::{ColumnData, Value};
 use fusion_obs::trace::Phase;
 use fusion_sql::bitmap::Bitmap;
@@ -51,7 +51,7 @@ use fusion_sql::eval::{
     combine, eval_filter, eval_filter_encoded, select_encoded, selected_plain_size,
     stats_all_match, stats_may_match,
 };
-use fusion_sql::partial::{GroupedAggs, PartialAgg};
+use fusion_sql::partial::{GroupedAggs, PartialAgg, Selection};
 use fusion_sql::plan::{BoolTree, OutputItem, QueryPlan};
 use std::sync::Arc;
 
@@ -448,15 +448,16 @@ pub fn execute(
             // aggregate over this column: a fixed-size scalar, or for a
             // string extreme the chunk's own extreme.
             let (mut col_aggs, mut partial_bytes) = (0u64, 0u64);
+            let rows = Selection::new(&at.view, filter);
             for (spec, fold) in plan.aggregates.iter().zip(&mut folds) {
                 if let (Some(c), Some(fold)) = (spec.column, fold) {
                     if c == col_idx {
-                        fold.fold(&at.view, filter)?;
+                        fold.fold(&rows)?;
                         col_aggs += 1;
                         if agg_pushdown {
                             let mut part = PartialAgg::new(spec.func, ty)?;
                             if ty == LogicalType::Utf8 {
-                                part.fold(&at.view, filter)?;
+                                part.fold(&rows)?;
                             }
                             partial_bytes += part.wire_bytes();
                         }
@@ -580,10 +581,11 @@ struct AggStageInputs<'a> {
 
 /// Completes a GROUP BY query by pushing keyed partial aggregation to
 /// the chunk-hosting nodes (the tentpole extension over scalar aggregate
-/// pushdown). With a single dictionary/RLE group key the nodes accumulate
-/// one slot vector per dictionary code — no per-row hashing — and RLE
-/// runs fold whole spans at a time. The wire carries per-node
-/// `(group_key, PartialAgg)` states instead of projected rows.
+/// pushdown). With a single dictionary/RLE group key the nodes count
+/// each dictionary code's selected rows (an RLE run at a time) and fold
+/// arguments into per-code accumulators — no per-row hashing. The wire
+/// carries per-node `(group_key, PartialAgg)` states instead of
+/// projected rows.
 ///
 /// Per row group, the key chunk's node evaluates the aggregates whose
 /// argument is the key (or `COUNT(*)`); every other argument column's
@@ -668,7 +670,7 @@ fn grouped_aggregate_stage(plan: &QueryPlan, inputs: AggStageInputs<'_>) -> Resu
                 Ok(at)
             })
             .collect::<Result<Vec<_>>>()?;
-        let rg_grouped = group_views(plan, &touched, &views, filter)?;
+        let rg_grouped = group_views(plan, &fm.schema, &touched, &views, filter)?;
 
         // Pushdown needs every touched chunk whole and its node up.
         if encoded_path && views.iter().all(|at| at.healthy) {
@@ -791,13 +793,10 @@ fn grouped_aggregate_stage(plan: &QueryPlan, inputs: AggStageInputs<'_>) -> Resu
     }
 
     let grouped = merged.unwrap_or_else(|| GroupedAggs::new(Vec::new()));
-    store
-        .metrics()
-        .counter("agg_groups_emitted")
-        .add(groups_emitted);
-    store
-        .metrics()
-        .counter("agg_wire_bytes_saved")
+    let counters = store.grouped_counters();
+    counters.groups_emitted.add(groups_emitted);
+    counters
+        .wire_bytes_saved
         .add(row_ship_bytes.saturating_sub(state_wire_total));
     if ctx.trace.enabled() {
         ctx.trace.add_count(groups_emitted);
@@ -821,30 +820,34 @@ fn grouped_aggregate_stage(plan: &QueryPlan, inputs: AggStageInputs<'_>) -> Resu
 /// chunks (the group keys, then the other argument columns, as the
 /// grouped stage reads them). A single key groups in the encoded domain:
 /// its codes index the accumulators and its RLE runs fold whole, while
-/// argument columns are decoded for the kernel to read row by row.
-/// Several keys group decoded values with the row-at-a-time oracle.
+/// each argument column contributes only its selected rows, gathered
+/// from its view in row order ([`select_encoded`]). Several keys group
+/// decoded values with the row-at-a-time oracle.
 fn group_views(
     plan: &QueryPlan,
+    schema: &Schema,
     touched: &[usize],
     views: &[Access],
     filter: &Bitmap,
 ) -> Result<GroupedAggs> {
     use fusion_sql::eval::{group_aggregate_decoded, group_aggregate_encoded, AggInput};
-    // With one key, the key view stays encoded and only the argument
-    // columns after it are decoded.
-    let skip = usize::from(plan.group_by.len() == 1);
-    let decoded: Vec<ColumnData> = views[skip..]
-        .iter()
-        .map(|at| at.view.decode())
-        .collect::<std::result::Result<_, _>>()?;
-    let col = |c: usize| {
-        &decoded[touched
+    let position = |c: usize| {
+        touched
             .iter()
             .position(|&t| t == c)
             .expect("touched column read")
-            - skip]
     };
     let grouped = if let [key] = plan.group_by[..] {
+        let selected = filter.count_ones();
+        let args: Vec<ColumnData> = touched[1..]
+            .iter()
+            .zip(&views[1..])
+            .map(|(&c, at)| {
+                let mut rows = ColumnData::with_capacity(schema.fields()[c].ty, selected);
+                select_encoded(&at.view, filter, &mut rows)?;
+                Ok(rows)
+            })
+            .collect::<Result<_>>()?;
         let inputs: Vec<_> = plan
             .aggregates
             .iter()
@@ -852,13 +855,18 @@ fn group_views(
                 let input = match s.column {
                     None => AggInput::Star,
                     Some(c) if c == key => AggInput::Key,
-                    Some(c) => AggInput::Col(col(c)),
+                    Some(c) => AggInput::Col(&args[position(c) - 1]),
                 };
                 (s.func, input)
             })
             .collect();
         group_aggregate_encoded(&views[0].view, &inputs, filter)
     } else {
+        let decoded: Vec<ColumnData> = views
+            .iter()
+            .map(|at| at.view.decode())
+            .collect::<std::result::Result<_, _>>()?;
+        let col = |c: usize| &decoded[position(c)];
         let keys: Vec<&ColumnData> = plan.group_by.iter().map(|&c| col(c)).collect();
         let aggs: Vec<_> = plan
             .aggregates

@@ -29,10 +29,12 @@ use fusion_ec::pool::WorkerPool;
 use fusion_ec::rs::ReconstructError;
 use fusion_ec::ErasureCode;
 use fusion_format::footer::parse_footer;
+use fusion_obs::metrics::Counter;
 use fusion_obs::trace::Phase;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, OnceLock};
 
 /// One stripe's shard slots, `None` where the shard was not read.
 pub(crate) type ShardBuf = Vec<Option<Vec<u8>>>;
@@ -197,6 +199,19 @@ pub struct Store {
     /// Per-node encoded-chunk cache: repeated queries skip the chunk
     /// read + parse (capacity from [`StoreConfig::chunk_cache_bytes`]).
     chunk_cache: ChunkCache,
+    /// The grouped stage's counters, resolved at the first grouped query
+    /// (a store that never groups exports neither).
+    grouped_counters: OnceLock<GroupedCounters>,
+}
+
+/// Metric handles of the grouped-aggregation stage.
+#[derive(Debug)]
+pub(crate) struct GroupedCounters {
+    /// `agg_groups_emitted`: groups the row groups' partials held.
+    pub(crate) groups_emitted: Arc<Counter>,
+    /// `agg_wire_bytes_saved`: projected-row bytes the keyed states
+    /// replaced.
+    pub(crate) wire_bytes_saved: Arc<Counter>,
 }
 
 /// Longest object key the request boundary accepts, in bytes (S3 caps
@@ -274,6 +289,7 @@ impl Store {
             flaky: HashMap::new(),
             pool: WorkerPool::new(config.ec_threads),
             chunk_cache: ChunkCache::new(config.chunk_cache_bytes as usize),
+            grouped_counters: OnceLock::new(),
             config,
         })
     }
@@ -427,6 +443,14 @@ impl Store {
     /// reconstructions, scrub heals, fault injections — land here too).
     pub fn metrics(&self) -> &fusion_obs::metrics::MetricsRegistry {
         self.blocks.metrics()
+    }
+
+    /// The grouped stage's counters, resolved once.
+    pub(crate) fn grouped_counters(&self) -> &GroupedCounters {
+        self.grouped_counters.get_or_init(|| GroupedCounters {
+            groups_emitted: self.metrics().counter("agg_groups_emitted"),
+            wire_bytes_saved: self.metrics().counter("agg_wire_bytes_saved"),
+        })
     }
 
     /// Mutable access to the data plane (management operations and fault

@@ -285,3 +285,130 @@ fn grouped_and_ungrouped_aggregates_agree() {
     }
     assert!(differ.is_empty(), "grouped answers differ: {differ:#?}");
 }
+
+/// Three 6,000-row row groups: `w` (Int64) and `tag` (Utf8) are
+/// dictionary keys with several hundred codes per row group, in no run
+/// order; `seq` (the row number), `price` (Float64) and `qty` (Int64)
+/// stay plain. Its own fixture, so the data above keeps its bytes.
+fn wide_table() -> Vec<u8> {
+    let rows = 18_000usize;
+    let schema = Schema::new(vec![
+        Field::new("w", LogicalType::Int64),
+        Field::new("tag", LogicalType::Utf8),
+        Field::new("seq", LogicalType::Int64),
+        Field::new("price", LogicalType::Float64),
+        Field::new("qty", LogicalType::Int64),
+    ]);
+    // A multiplicative hash: a periodic key would compress better plain.
+    let hash = |i: usize, m: u64| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % m;
+    let t = Table::new(
+        schema,
+        vec![
+            ColumnData::Int64((0..rows).map(|i| hash(i, 613) as i64).collect()),
+            ColumnData::Utf8(
+                (0..rows)
+                    .map(|i| format!("t{}", hash(i + 7, 401)))
+                    .collect(),
+            ),
+            ColumnData::Int64((0..rows as i64).collect()),
+            ColumnData::Float64(
+                (0..rows)
+                    .map(|i| i as f64 * 0.37 + (i * 7 % 13) as f64 / 1024.0 - 1000.0)
+                    .collect(),
+            ),
+            ColumnData::Int64(
+                (0..rows as i64)
+                    .map(|i| i.wrapping_mul(2_654_435_761) % 1_000_003 - 500_000)
+                    .collect(),
+            ),
+        ],
+    )
+    .unwrap();
+    write_table(
+        &t,
+        WriteOptions {
+            rows_per_group: 6000,
+        },
+    )
+    .unwrap()
+}
+
+/// A result in a form whose `==` is bitwise (floats by `to_bits`).
+fn result_bits(r: &fusion_core::QueryResult) -> Vec<(String, Vec<Value>)> {
+    r.columns
+        .iter()
+        .map(|(name, col)| {
+            let vals = (0..col.len())
+                .map(|i| match col.value(i) {
+                    Value::Float(x) => Value::Int(x.to_bits() as i64),
+                    v => v,
+                })
+                .collect();
+            (name.clone(), vals)
+        })
+        .collect()
+}
+
+/// GROUP BY a dictionary key with hundreds of codes per row group, over
+/// plain Float64 and Int64 arguments, under WHEREs that select long row
+/// ranges starting and ending mid-word: bit-identical on the pushdown
+/// executor, its coordinator fallback and the reassembling baseline.
+#[test]
+fn wide_dictionary_grouped_results_identical_across_executors() {
+    let bytes = wide_table();
+    // The fixture is what it claims: wide dictionary keys, plain
+    // arguments.
+    let meta = parse_footer(&bytes).unwrap();
+    for rg in &meta.row_groups {
+        for (col, ty) in meta.schema.fields().iter().map(|f| f.ty).enumerate() {
+            let cm = &rg.chunks[col];
+            let chunk = &bytes[cm.offset as usize..(cm.offset + cm.len) as usize];
+            let view = fusion_format::chunk::read_encoded_chunk(chunk, ty).unwrap();
+            match view {
+                fusion_format::chunk::EncodedChunk::Dictionary { dictionary, .. } => {
+                    assert!(col < 2 && dictionary.len() >= 400, "column {col}");
+                }
+                fusion_format::chunk::EncodedChunk::Plain(_) => assert!(col >= 2, "column {col}"),
+            }
+        }
+    }
+    let stores: Vec<Store> = [
+        (true, QueryMode::AdaptivePushdown),
+        (false, QueryMode::AdaptivePushdown),
+        (false, QueryMode::Reassemble),
+    ]
+    .into_iter()
+    .map(|(agg_pd, mode)| {
+        let mut cfg = StoreConfig::fusion().with_aggregate_pushdown(agg_pd);
+        cfg.query_mode = mode;
+        let mut s = Store::new(cfg).unwrap();
+        s.put("t", bytes.clone()).unwrap();
+        s
+    })
+    .collect();
+    let queries = [
+        "SELECT w, count(*), sum(price), avg(price), min(price), max(price), count(price) \
+         FROM t WHERE seq < 2500 OR seq >= 3100 AND seq < 11000 GROUP BY w",
+        "SELECT w, count(*), sum(qty), avg(qty), min(qty), max(qty), count(qty) \
+         FROM t WHERE seq >= 64 AND seq < 12800 OR seq >= 13001 GROUP BY w",
+        "SELECT tag, count(*), sum(price), avg(qty), min(qty), max(price) \
+         FROM t WHERE seq >= 100 AND seq < 17000 GROUP BY tag",
+        "SELECT w, sum(qty), avg(price), min(price), max(qty) FROM t GROUP BY w",
+    ];
+    for sql in queries {
+        let outs: Vec<_> = stores.iter().map(|s| s.query(sql).expect(sql)).collect();
+        assert!(outs[0].decisions.iter().all(|d| d.pushed_down), "{sql}");
+        assert!(outs[0].result.columns[0].1.len() >= 400, "{sql}: groups");
+        let want = result_bits(&outs[2].result);
+        assert_eq!(
+            result_bits(&outs[0].result),
+            want,
+            "pushdown vs baseline: {sql}"
+        );
+        assert_eq!(
+            result_bits(&outs[1].result),
+            want,
+            "fallback vs baseline: {sql}"
+        );
+    }
+}

@@ -25,7 +25,7 @@
 
 use crate::proto::{code_of, ErrorCode, FrameError, Request, Response};
 use fusion_core::{PutOutcome, Store, StoreError};
-use fusion_obs::metrics::MetricsRegistry;
+use fusion_obs::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -66,10 +66,36 @@ struct Shared {
     /// Signals workers (new job / state change) and the drain waiter.
     cv: Condvar,
     metrics: MetricsRegistry,
+    /// Handles into `metrics`, resolved once: the request path never
+    /// looks a metric up by name.
+    m: ServiceMetrics,
     /// Per-worker stop flags: `stop_worker(i)` halts one worker without
     /// touching the rest (the "node's worker stopped" failure mode of
     /// the equivalence suite).
     worker_stop: Vec<AtomicBool>,
+}
+
+/// The service's metric handles (names in [`Service::metrics`]).
+struct ServiceMetrics {
+    requests: Arc<Counter>,
+    completed: Arc<Counter>,
+    rejected_overload: Arc<Counter>,
+    rejected_draining: Arc<Counter>,
+    queue_depth: Arc<Gauge>,
+    request_ns: Arc<Histogram>,
+}
+
+impl ServiceMetrics {
+    fn resolve(metrics: &MetricsRegistry) -> ServiceMetrics {
+        ServiceMetrics {
+            requests: metrics.counter("service.requests"),
+            completed: metrics.counter("service.completed"),
+            rejected_overload: metrics.counter("service.rejected_overload"),
+            rejected_draining: metrics.counter("service.rejected_draining"),
+            queue_depth: metrics.gauge("service.queue_depth"),
+            request_ns: metrics.histogram("service.request_ns"),
+        }
+    }
 }
 
 impl Shared {
@@ -110,6 +136,7 @@ impl Service {
     /// `queue_depth` requests before rejecting with `Overloaded`.
     pub fn with_queue_depth(store: Store, workers: usize, queue_depth: usize) -> Service {
         let workers = workers.max(1);
+        let metrics = MetricsRegistry::new();
         let shared = Arc::new(Shared {
             store: RwLock::new(store),
             queue: Mutex::new(Queue {
@@ -118,7 +145,8 @@ impl Service {
                 in_flight: 0,
             }),
             cv: Condvar::new(),
-            metrics: MetricsRegistry::new(),
+            m: ServiceMetrics::resolve(&metrics),
+            metrics,
             worker_stop: (0..workers).map(|_| AtomicBool::new(false)).collect(),
         });
         let handles = (0..workers)
@@ -155,19 +183,19 @@ impl Service {
     /// through the same channel, so callers have one wait path.
     pub fn submit(&self, request: Request) -> mpsc::Receiver<Response> {
         let (tx, rx) = mpsc::channel();
-        let m = &self.shared.metrics;
-        m.counter("service.requests").inc();
+        let m = &self.shared.m;
+        m.requests.inc();
         let mut q = self.shared.lock_queue();
         match q.state {
             State::Running if q.jobs.len() < self.queue_cap => {
                 q.jobs.push_back(Job { request, reply: tx });
-                m.gauge("service.queue_depth").set(q.jobs.len() as i64);
+                m.queue_depth.set(q.jobs.len() as i64);
                 drop(q);
                 self.shared.cv.notify_one();
             }
             State::Running => {
                 drop(q);
-                m.counter("service.rejected_overload").inc();
+                m.rejected_overload.inc();
                 // Receiver outlives us; a dropped receiver is fine.
                 let _ = tx.send(Response::Err {
                     code: ErrorCode::Overloaded,
@@ -176,7 +204,7 @@ impl Service {
             }
             State::Draining | State::Stopped => {
                 drop(q);
-                m.counter("service.rejected_draining").inc();
+                m.rejected_draining.inc();
                 let _ = tx.send(Response::Err {
                     code: ErrorCode::ShuttingDown,
                     message: "service is draining".into(),
@@ -291,10 +319,7 @@ fn worker_loop(shared: &Shared, index: usize) {
             match q.jobs.pop_front() {
                 Some(job) => {
                     q.in_flight += 1;
-                    shared
-                        .metrics
-                        .gauge("service.queue_depth")
-                        .set(q.jobs.len() as i64);
+                    shared.m.queue_depth.set(q.jobs.len() as i64);
                     job
                 }
                 // Empty queue in Draining/Stopped: done.
@@ -314,11 +339,8 @@ fn worker_loop(shared: &Shared, index: usize) {
                     code: ErrorCode::Internal,
                     message: "request handler panicked".into(),
                 });
-        shared
-            .metrics
-            .histogram("service.request_ns")
-            .record(t0.elapsed().as_nanos() as u64);
-        shared.metrics.counter("service.completed").inc();
+        shared.m.request_ns.record(t0.elapsed().as_nanos() as u64);
+        shared.m.completed.inc();
         // The client may have given up; a closed channel is not an error.
         let _ = reply.send(response);
         {

@@ -152,45 +152,42 @@ impl Bitmap {
         n + (self.words[last_w] & tail).count_ones() as usize
     }
 
-    /// Iterates indices of set bits inside `[start, start + len)`, in
-    /// ascending order. Like [`Bitmap::ones`] but clipped to a span, so
-    /// run-at-a-time kernels can visit only the matching rows of one run.
+    /// Calls `f(row)` for every set bit inside `[start, start + len)`, in
+    /// ascending order, a word at a time: a word whose 64 bits are all
+    /// selected runs as a plain 64-row loop, any other word bit by bit
+    /// (one `trailing_zeros` step per set bit). The first and last words
+    /// are masked to the span, so run-at-a-time kernels can visit only
+    /// the selected rows of one run.
     ///
     /// # Panics
     ///
     /// Panics if the range extends past the bitmap.
-    pub fn ones_range(&self, start: usize, len: usize) -> impl Iterator<Item = usize> + '_ {
+    #[inline]
+    pub fn for_each_one(&self, start: usize, len: usize, mut f: impl FnMut(usize)) {
         assert!(start + len <= self.len, "range out of range");
-        let end = start + len;
-        let first_w = start / 64;
-        let last_w = if len == 0 { first_w } else { end.div_ceil(64) };
-        self.words[first_w..last_w]
-            .iter()
-            .enumerate()
-            .flat_map(move |(i, &w)| {
-                let wi = first_w + i;
-                let mut w = w;
-                // Mask off bits before `start` / at-or-after `end`.
-                if wi * 64 < start {
-                    w &= u64::MAX << (start - wi * 64);
-                }
-                if (wi + 1) * 64 > end {
-                    let keep = end - wi * 64;
-                    w &= if keep == 64 {
-                        u64::MAX
-                    } else {
-                        (1u64 << keep) - 1
-                    };
-                }
-                std::iter::from_fn(move || {
-                    if w == 0 {
-                        return None;
-                    }
-                    let bit = w.trailing_zeros() as usize;
+        if len == 0 {
+            return;
+        }
+        let end = start + len; // exclusive
+        let (first_w, last_w) = (start / 64, (end - 1) / 64);
+        for wi in first_w..=last_w {
+            let mut w = self.words[wi];
+            if wi == first_w {
+                w &= u64::MAX << (start % 64);
+            }
+            if wi == last_w {
+                w &= u64::MAX >> (63 - (end - 1) % 64);
+            }
+            let base = wi * 64;
+            if w == u64::MAX {
+                (base..base + 64).for_each(&mut f);
+            } else {
+                while w != 0 {
+                    f(base + w.trailing_zeros() as usize);
                     w &= w - 1;
-                    Some(wi * 64 + bit)
-                })
-            })
+                }
+            }
+        }
     }
 
     /// Fraction of set bits (0.0 for an empty bitmap) — the paper's
@@ -541,8 +538,11 @@ mod tests {
     }
 
     #[test]
-    fn ones_range_matches_per_bit() {
-        let b: Bitmap = (0..200).map(|i| i % 5 == 0 || i % 11 == 0).collect();
+    fn for_each_one_matches_per_bit() {
+        // Whole words, partial words and spans that start or end mid-word.
+        let b: Bitmap = (0..200)
+            .map(|i| (64..128).contains(&i) || i % 5 == 0)
+            .collect();
         for (start, len) in [
             (0, 0),
             (0, 200),
@@ -550,12 +550,14 @@ mod tests {
             (60, 10),
             (63, 2),
             (64, 64),
+            (65, 62),
             (70, 129),
             (128, 72),
             (199, 1),
         ] {
             let want: Vec<usize> = (start..start + len).filter(|&i| b.get(i)).collect();
-            let got: Vec<usize> = b.ones_range(start, len).collect();
+            let mut got = Vec::new();
+            b.for_each_one(start, len, |i| got.push(i));
             assert_eq!(got, want, "range ({start}, {len})");
         }
     }

@@ -1,14 +1,15 @@
 //! Predicate and aggregate evaluation over decoded column chunks — the
 //! code that actually runs *in situ* on a storage node during pushdown.
-//! Every aggregate accumulates in one state type,
-//! [`crate::partial::PartialAgg`]: the GROUP BY kernels here hand it rows
-//! as `(value, count)` pairs, and [`eval_aggregate`] is the ungrouped
-//! oracle it is tested against.
+//! Every aggregate answers in one state type,
+//! [`crate::partial::PartialAgg`]: the decoded GROUP BY kernel hands it
+//! rows as `(value, count)` pairs, the encoded one fills it from typed
+//! per-code accumulators, and [`eval_aggregate`] is the ungrouped oracle
+//! both are tested against.
 
 use crate::ast::AggFunc;
 use crate::bitmap::{or_bits, or_span, Bitmap};
 use crate::error::{Result, SqlError};
-use crate::partial::{overflow, GroupKey, GroupedAggs, PartialAgg};
+use crate::partial::{mismatch, overflow, GroupKey, GroupedAggs, PartialAgg};
 use crate::plan::{AggregateSpec, BoolTree, FilterLeaf};
 use fusion_format::chunk::EncodedChunk;
 use fusion_format::encoding::rle::Run;
@@ -374,7 +375,9 @@ fn check_filter_len(chunk: &EncodedChunk, filter: &Bitmap) -> Result<()> {
 /// `(i, n)` pairs meaning "`chunk_values(chunk)[i]`, `n` times": an RLE
 /// run contributes its code once with its selected-row count
 /// ([`Bitmap::count_range`]); a literal run or a plain chunk contributes
-/// one pair per selected row.
+/// one pair per selected row, walked a word at a time
+/// ([`Bitmap::for_each_one`]: a fully selected 64-row word is a plain
+/// loop, any other word steps from set bit to set bit).
 ///
 /// # Errors
 ///
@@ -389,7 +392,7 @@ pub(crate) fn for_each_selected(
     check_filter_len(chunk, filter)?;
     let (dictionary, codes, runs, rows) = match chunk {
         EncodedChunk::Plain(_) => {
-            filter.ones().for_each(|row| f(row, 1));
+            filter.for_each_one(0, filter.len(), |row| f(row, 1));
             return Ok(());
         }
         EncodedChunk::Dictionary {
@@ -416,9 +419,7 @@ pub(crate) fn for_each_selected(
             }
             Span::Literal(codes) => {
                 check(codes.iter().copied().max())?;
-                filter
-                    .ones_range(pos, codes.len())
-                    .for_each(|row| f(codes[row - pos] as usize, 1));
+                filter.for_each_one(pos, codes.len(), |row| f(codes[row - pos] as usize, 1));
             }
         }
         Ok(())
@@ -439,19 +440,29 @@ pub(crate) fn for_each_selected(
 pub fn select_encoded(chunk: &EncodedChunk, filter: &Bitmap, out: &mut ColumnData) -> Result<()> {
     match (chunk_values(chunk), out) {
         (ColumnData::Int64(v), ColumnData::Int64(o)) => {
-            for_each_selected(chunk, filter, |i, n| o.extend(std::iter::repeat_n(v[i], n)))
+            for_each_selected(chunk, filter, |i, n| push_n(o, v[i], n))
         }
         (ColumnData::Float64(v), ColumnData::Float64(o)) => {
-            for_each_selected(chunk, filter, |i, n| o.extend(std::iter::repeat_n(v[i], n)))
+            for_each_selected(chunk, filter, |i, n| push_n(o, v[i], n))
         }
-        (ColumnData::Utf8(v), ColumnData::Utf8(o)) => for_each_selected(chunk, filter, |i, n| {
-            o.extend(std::iter::repeat_n(&v[i], n).cloned())
-        }),
+        (ColumnData::Utf8(v), ColumnData::Utf8(o)) => {
+            for_each_selected(chunk, filter, |i, n| push_n(o, v[i].clone(), n))
+        }
         (v, o) => Err(SqlError::TypeError(format!(
             "cannot select {} rows into a {} column",
             v.physical_name(),
             o.physical_name()
         ))),
+    }
+}
+
+/// Appends `n` copies of `x`. Most calls append one selected row, which
+/// a `push` takes without `extend`'s per-call reservation.
+fn push_n<T: Clone>(out: &mut Vec<T>, x: T, n: usize) {
+    if n == 1 {
+        out.push(x);
+    } else {
+        out.extend(std::iter::repeat_n(x, n));
     }
 }
 
@@ -488,7 +499,10 @@ pub enum AggInput<'a> {
     /// The argument *is* the group-key column (e.g. `SELECT k, min(k)`),
     /// so the encoded kernel can read it straight from the dictionary.
     Key,
-    /// A separate argument column, decoded, full chunk length.
+    /// A separate argument column holding only the rows the filter
+    /// selects, in row order — what [`select_encoded`] appends: its `k`-th
+    /// value is the `k`-th selected row's, and its length is the filter's
+    /// `count_ones`.
     Col(&'a ColumnData),
 }
 
@@ -573,25 +587,33 @@ pub fn group_aggregate_decoded(
 }
 
 /// Grouped aggregation in the encoded domain over a single group-key
-/// chunk — the node-side kernel of GROUP BY pushdown:
+/// chunk — the node-side kernel of GROUP BY pushdown. `Col` arguments
+/// hold the selected rows only ([`AggInput::Col`]).
 ///
-/// * **Dictionary** keys: group identity *is* the dictionary code, so the
-///   accumulator is a dense `Vec` indexed by code — no per-row hashing.
-///   Codes resolve to key [`Value`]s once, at the end.
-/// * **RLE runs** of codes: the whole run folds in at once — the filter
-///   bitmap's word-level popcount ([`Bitmap::count_range`]) gives the
-///   match count `n`, and one [`PartialAgg::add`]`(dictionary, code, n)`
-///   takes it (`COUNT` and integer `SUM`/`AVG` in O(1)). Non-key
-///   aggregate arguments still visit their matching rows
-///   ([`Bitmap::ones_range`]).
-/// * **Literal runs**: per matching row, still hash-free through the code
-///   index.
-/// * **Plain** chunks fall back to [`group_aggregate_decoded`].
+/// * **Dictionary** keys group by code, never by hashing a value. One
+///   walk of the key's runs ([`for_each_selected`]) counts each code's
+///   selected rows and, when an argument column is folded, notes each
+///   selected row's code. Each aggregate then has one dense accumulator
+///   indexed by code, picked once by its state and argument type, so no
+///   row pays a state dispatch or a `Result`:
+///   * `COUNT` and every aggregate of the key take their state from the
+///     count, as one [`PartialAgg::add`]`(dictionary, code, n)`: a
+///     group's rows all hold its key value, so this is the state that
+///     run-by-run adds leave (a float sum still loops its `n` adds);
+///   * integer SUM/AVG sum in `i128`, and SUM checks every prefix of
+///     every group's sum against `i64` (the [`SqlError::Overflow`] of
+///     sequential checked adds); float SUM/AVG add in row order; MIN/MAX
+///     fold with `min`/`max`, floats with `min_f64`/`max_f64`; a string
+///     extreme takes one `add` per row.
 ///
-/// Bit-identical to decode-then-[`group_aggregate_decoded`]: every group
-/// state receives the same sequence of scalar adds in the same order
-/// (a float run loops its adds rather than multiply — see
-/// [`PartialAgg::add`]).
+///   Codes resolve to key [`Value`]s once, at the end; only codes with
+///   selected rows form a group.
+/// * **Plain** keys group their selected rows with
+///   [`group_aggregate_decoded`].
+///
+/// Bit-identical to [`group_aggregate_decoded`] over the decoded key and
+/// full-length arguments under the same filter: every group state sees
+/// its rows in row order.
 ///
 /// # Errors
 ///
@@ -602,101 +624,73 @@ pub fn group_aggregate_encoded(
     aggs: &[(AggFunc, AggInput<'_>)],
     filter: &Bitmap,
 ) -> Result<GroupedAggs> {
-    let (dictionary, codes, runs, rows) = match key {
-        EncodedChunk::Plain(col) => {
-            let decoded: Vec<_> = aggs.iter().map(|&(f, arg)| (f, arg.values(col))).collect();
-            return group_aggregate_decoded(&[col], &decoded, filter);
-        }
-        EncodedChunk::Dictionary {
-            dictionary,
-            codes,
-            runs,
-            rows,
-        } => (dictionary, codes, runs, *rows),
-    };
-    if rows != filter.len() {
-        return Err(SqlError::Invalid(format!(
-            "encoded key has {rows} rows but filter has {}",
-            filter.len()
-        )));
-    }
+    check_filter_len(key, filter)?;
+    let selected = filter.count_ones();
     for (_, input) in aggs {
         if let AggInput::Col(c) = input {
-            if c.len() != rows {
+            if c.len() != selected {
                 return Err(SqlError::Invalid(format!(
-                    "aggregate column length {} does not match chunk rows {rows}",
+                    "aggregate column has {} rows but the filter selects {selected}",
                     c.len()
                 )));
             }
         }
     }
+    let dictionary = match key {
+        EncodedChunk::Plain(col) => {
+            // The key's selected rows line up with the arguments'.
+            let mut keys = col.slice(0..0);
+            select_encoded(key, filter, &mut keys)?;
+            let decoded: Vec<_> = aggs
+                .iter()
+                .map(|&(f, arg)| (f, arg.values(&keys)))
+                .collect();
+            return group_aggregate_decoded(&[&keys], &decoded, &Bitmap::ones_with_len(selected));
+        }
+        EncodedChunk::Dictionary { dictionary, .. } => dictionary,
+    };
     let templates: Vec<PartialAgg> = aggs
         .iter()
         .map(|&(func, arg)| state_over(func, arg.values(dictionary)))
         .collect::<Result<_>>()?;
 
-    // One accumulator slot vector per dictionary code, allocated lazily:
-    // untouched codes never materialize a group.
-    let mut slots: Vec<Option<Vec<PartialAgg>>> = vec![None; dictionary.len()];
-    fn slot<'s>(
-        slots: &'s mut [Option<Vec<PartialAgg>>],
-        code: u32,
-        templates: &[PartialAgg],
-    ) -> Result<&'s mut Vec<PartialAgg>> {
-        let dict_len = slots.len();
-        let entry = slots
-            .get_mut(code as usize)
-            .ok_or_else(|| code_out_of_range(code, dict_len))?;
-        Ok(entry.get_or_insert_with(|| templates.to_vec()))
-    }
-
-    for_each_span(runs, codes, rows, |pos, span| match span {
-        Span::Rle(code, len) => {
-            let n = filter.count_range(pos, len);
-            if n > 0 {
-                let parts = slot(&mut slots, code, &templates)?;
-                for (part, (_, input)) in parts.iter_mut().zip(aggs) {
-                    match input {
-                        // The key value repeats across the run: fold all n
-                        // matches in one call.
-                        AggInput::Star | AggInput::Key => part.add(dictionary, code as usize, n)?,
-                        AggInput::Col(c) => filter
-                            .ones_range(pos, len)
-                            .try_for_each(|row| part.add(c, row, 1))?,
-                    }
-                }
-            }
-            Ok(())
+    // One walk of the key: selected rows per code, and the code of every
+    // selected row when an argument column is folded.
+    let fold_rows = aggs.iter().any(|(_, arg)| matches!(arg, AggInput::Col(_)));
+    let mut counts = vec![0usize; dictionary.len()];
+    let mut row_codes: Vec<u32> = Vec::with_capacity(if fold_rows { selected } else { 0 });
+    for_each_selected(key, filter, |code, n| {
+        counts[code] += n;
+        if fold_rows {
+            push_n(&mut row_codes, code as u32, n);
         }
-        Span::Literal(codes) => filter.ones_range(pos, codes.len()).try_for_each(|row| {
-            let code = codes[row - pos];
-            let parts = slot(&mut slots, code, &templates)?;
-            for (part, (_, input)) in parts.iter_mut().zip(aggs) {
-                match input {
-                    AggInput::Star | AggInput::Key => part.add(dictionary, code as usize, 1)?,
-                    AggInput::Col(c) => part.add(c, row, 1)?,
-                }
-            }
-            Ok(())
-        }),
     })?;
+    let dense = aggs
+        .iter()
+        .zip(&templates)
+        .map(|(&(_, arg), template)| match arg {
+            AggInput::Col(values) => Dense::fold(template, values, &row_codes, dictionary.len()),
+            AggInput::Star | AggInput::Key => Ok(Dense::Counted),
+        })
+        .collect::<Result<Vec<_>>>()?;
 
-    // Resolve codes to key values once — the only decode work the key
-    // column ever needs.
-    let mut out = GroupedAggs::new(templates);
-    for (code, entry) in slots.into_iter().enumerate() {
-        if let Some(parts) = entry {
-            let key = GroupKey(vec![dictionary.value(code)]);
-            // Dictionaries dedupe by bit pattern so codes map 1:1 to
-            // keys, but merge defensively rather than overwrite.
-            match out.groups.get_mut(&key) {
-                None => {
-                    out.groups.insert(key, parts);
-                }
-                Some(existing) => {
-                    for (a, b) in existing.iter_mut().zip(&parts) {
-                        a.merge(b)?;
-                    }
+    let mut out = GroupedAggs::new(templates.clone());
+    for (code, &n) in counts.iter().enumerate().filter(|&(_, &n)| n > 0) {
+        let parts = templates
+            .iter()
+            .zip(&dense)
+            .map(|(template, acc)| acc.state(template, dictionary, code, n))
+            .collect::<Result<Vec<_>>>()?;
+        let key = GroupKey(vec![dictionary.value(code)]);
+        // Dictionaries dedupe by bit pattern so codes map 1:1 to keys,
+        // but merge defensively rather than overwrite.
+        match out.groups.get_mut(&key) {
+            None => {
+                out.groups.insert(key, parts);
+            }
+            Some(existing) => {
+                for (a, b) in existing.iter_mut().zip(&parts) {
+                    a.merge(b)?;
                 }
             }
         }
@@ -704,10 +698,126 @@ pub fn group_aggregate_encoded(
     Ok(out)
 }
 
+/// One aggregate's accumulator in [`group_aggregate_encoded`]: one slot
+/// per dictionary code.
+enum Dense {
+    /// The state follows from the code's selected-row count: `COUNT`,
+    /// and every aggregate of the key itself.
+    Counted,
+    /// Integer SUM/AVG: exact sums.
+    Int(Vec<i128>),
+    /// Integer MIN/MAX.
+    Extreme(Vec<i64>),
+    /// Float SUM/AVG (row-order sums) and MIN/MAX.
+    Float(Vec<f64>),
+    /// String MIN/MAX, one [`PartialAgg::add`] per row.
+    States(Vec<PartialAgg>),
+}
+
+impl Dense {
+    /// Folds the selected rows of `values` (the `k`-th row's code is
+    /// `codes[k]`) into per-code slots shaped by `template`.
+    fn fold(
+        template: &PartialAgg,
+        values: &ColumnData,
+        codes: &[u32],
+        slots: usize,
+    ) -> Result<Dense> {
+        use PartialAgg::*;
+        Ok(match (template, values) {
+            (Count(_), _) => Dense::Counted,
+            (SumInt(_), ColumnData::Int64(v)) => {
+                let mut fits = true;
+                let sums = per_code(codes, v, slots, 0i128, |s, x| {
+                    let s = s + x as i128;
+                    fits &= i64::try_from(s).is_ok();
+                    s
+                });
+                if !fits {
+                    return Err(overflow("aggregate"));
+                }
+                Dense::Int(sums)
+            }
+            (AvgInt(..), ColumnData::Int64(v)) => {
+                Dense::Int(per_code(codes, v, slots, 0i128, |s, x| s + x as i128))
+            }
+            (MinInt(_), ColumnData::Int64(v)) => {
+                Dense::Extreme(per_code(codes, v, slots, i64::MAX, i64::min))
+            }
+            (MaxInt(_), ColumnData::Int64(v)) => {
+                Dense::Extreme(per_code(codes, v, slots, i64::MIN, i64::max))
+            }
+            (SumFloat(zero) | AvgFloat(zero, _), ColumnData::Float64(v)) => {
+                Dense::Float(per_code(codes, v, slots, *zero, |s, x| s + x))
+            }
+            (MinFloat(inf), ColumnData::Float64(v)) => {
+                Dense::Float(per_code(codes, v, slots, *inf, min_f64))
+            }
+            (MaxFloat(inf), ColumnData::Float64(v)) => {
+                Dense::Float(per_code(codes, v, slots, *inf, max_f64))
+            }
+            (MinStr(_) | MaxStr(_), ColumnData::Utf8(_)) => {
+                let mut states = vec![template.clone(); slots];
+                for (k, &code) in codes.iter().enumerate() {
+                    states[code as usize].add(values, k, 1)?;
+                }
+                Dense::States(states)
+            }
+            (state, values) => return Err(mismatch(state, values)),
+        })
+    }
+
+    /// The state of the group of `code`, which has `n` selected rows.
+    fn state(
+        &self,
+        template: &PartialAgg,
+        dictionary: &ColumnData,
+        code: usize,
+        n: usize,
+    ) -> Result<PartialAgg> {
+        use PartialAgg::*;
+        let mut state = template.clone();
+        match (self, &mut state) {
+            (Dense::Counted, state) => state.add(dictionary, code, n)?,
+            // In range: `fold` checked every prefix.
+            (Dense::Int(s), SumInt(acc)) => *acc = s[code] as i64,
+            (Dense::Int(s), AvgInt(acc, cnt)) => (*acc, *cnt) = (s[code], n as i64),
+            (Dense::Extreme(x), MinInt(m) | MaxInt(m)) => *m = Some(x[code]),
+            (Dense::Float(x), SumFloat(acc) | MinFloat(acc) | MaxFloat(acc)) => *acc = x[code],
+            (Dense::Float(x), AvgFloat(acc, cnt)) => (*acc, *cnt) = (x[code], n as i64),
+            (Dense::States(s), state) => *state = s[code].clone(),
+            (_, state) => {
+                return Err(SqlError::Invalid(format!(
+                    "grouped accumulator does not fit {state:?}"
+                )))
+            }
+        }
+        Ok(state)
+    }
+}
+
+/// Folds `values[k]` into the slot of `codes[k]`, for every `k` in
+/// order, each slot starting from `init`.
+fn per_code<T: Copy, V: Copy>(
+    codes: &[u32],
+    values: &[V],
+    slots: usize,
+    init: T,
+    mut f: impl FnMut(T, V) -> T,
+) -> Vec<T> {
+    let mut acc = vec![init; slots];
+    for (&code, &x) in codes.iter().zip(values) {
+        let slot = &mut acc[code as usize];
+        *slot = f(*slot, x);
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ast::CmpOp;
+    use crate::partial::Selection;
 
     fn leaf(op: CmpOp, constant: Value) -> FilterLeaf {
         FilterLeaf {
@@ -973,11 +1083,13 @@ mod tests {
         assert!(matches!(chunk, EncodedChunk::Dictionary { .. }));
 
         let filter: Bitmap = (0..n).map(|i| i % 3 != 0).collect();
+        // The encoded kernel takes the argument's selected rows only.
+        let arg_sel = arg.take(&filter.ones().collect::<Vec<_>>());
         let aggs_enc = [
             (AggFunc::Count, AggInput::Star),
             (AggFunc::Sum, AggInput::Key),
-            (AggFunc::Avg, AggInput::Col(&arg)),
-            (AggFunc::Min, AggInput::Col(&arg)),
+            (AggFunc::Avg, AggInput::Col(&arg_sel)),
+            (AggFunc::Min, AggInput::Col(&arg_sel)),
             (AggFunc::Max, AggInput::Key),
         ];
         let aggs_dec = [
@@ -1092,6 +1204,23 @@ mod tests {
             &Bitmap::ones_with_len(3)
         )
         .is_err());
+        // An argument column holds the selected rows only: a full-length
+        // one under a filter that drops rows is refused.
+        let key = encoded(&ColumnData::Int64(vec![1, 1, 2]));
+        let some: Bitmap = [true, false, true].into_iter().collect();
+        let full = ColumnData::Int64(vec![5, 6, 7]);
+        assert!(
+            group_aggregate_encoded(&key, &[(AggFunc::Sum, AggInput::Col(&full))], &some).is_err()
+        );
+        // A group's integer SUM overflows when any prefix of it leaves
+        // i64, even if later rows bring it back.
+        let args = ColumnData::Int64(vec![i64::MAX, 1, -5]);
+        let all = Bitmap::ones_with_len(3);
+        let key = encoded(&ColumnData::Int64(vec![4, 4, 4]));
+        assert!(matches!(
+            group_aggregate_encoded(&key, &[(AggFunc::Sum, AggInput::Col(&args))], &all),
+            Err(SqlError::Overflow(_))
+        ));
     }
 
     #[test]
@@ -1114,8 +1243,9 @@ mod tests {
             8 * ones.len() as u64
         );
         let mut sum = PartialAgg::new(AggFunc::Sum, LogicalType::Int64).unwrap();
-        sum.fold(&chunk, &filter).unwrap();
-        sum.fold(&chunk, &filter).unwrap();
+        let rows = Selection::new(&chunk, &filter);
+        sum.fold(&rows).unwrap();
+        sum.fold(&rows).unwrap();
         let once: i64 = col.take(&ones).as_int64().unwrap().iter().sum();
         assert_eq!(sum.finalize(), Value::Int(2 * once));
     }
@@ -1165,7 +1295,7 @@ mod tests {
         let mut strings = ColumnData::Utf8(vec![]);
         assert!(select_encoded(&chunk, &all, &mut strings).is_err());
         let mut float_sum = PartialAgg::new(AggFunc::Sum, LogicalType::Float64).unwrap();
-        assert!(float_sum.fold(&chunk, &all).is_err());
+        assert!(float_sum.fold(&Selection::new(&chunk, &all)).is_err());
         let bad_code = EncodedChunk::Dictionary {
             dictionary: ColumnData::Int64(vec![10, 20]),
             codes: vec![0, 5, 1],
@@ -1174,12 +1304,15 @@ mod tests {
         };
         assert!(select_encoded(&bad_code, &all, &mut out).is_err());
         let mut max = PartialAgg::new(AggFunc::Max, LogicalType::Int64).unwrap();
-        assert!(max.fold(&bad_code, &all).is_err());
+        assert!(max.fold(&Selection::new(&bad_code, &all)).is_err());
         // SUM overflow is a typed error, even when later rows would
         // bring the total back into range.
         let big = encoded(&ColumnData::Int64(vec![i64::MAX, 1, -5]));
         let mut sum = PartialAgg::new(AggFunc::Sum, LogicalType::Int64).unwrap();
-        assert!(matches!(sum.fold(&big, &all), Err(SqlError::Overflow(_))));
+        assert!(matches!(
+            sum.fold(&Selection::new(&big, &all)),
+            Err(SqlError::Overflow(_))
+        ));
     }
 
     #[test]

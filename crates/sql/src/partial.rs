@@ -7,8 +7,10 @@
 //! A [`PartialAgg`] takes rows three ways, all with the semantics of the
 //! ungrouped oracle [`crate::eval::eval_aggregate`]: [`PartialAgg::fold`]
 //! folds an encoded chunk's selected rows (the ungrouped projection
-//! stage), [`PartialAgg::add`] one value `n` times (both GROUP BY
-//! kernels), and [`PartialAgg::merge`] another partial (the coordinator).
+//! stage), [`PartialAgg::add`] one value `n` times (the decoded GROUP BY
+//! kernel's rows; the encoded kernel's counted states and string
+//! extremes), and [`PartialAgg::merge`] another partial (the
+//! coordinator).
 //! [`PartialAgg::wire_bytes`] prices every pushed partial.
 //!
 //! A storage node builds a [`GroupedAggs`] map from [`GroupKey`] to one
@@ -37,6 +39,7 @@ use crate::eval::{chunk_values, for_each_selected, max_f64, min_f64, string_agg_
 use fusion_format::chunk::EncodedChunk;
 use fusion_format::schema::LogicalType;
 use fusion_format::value::{ColumnData, Value};
+use std::cell::OnceCell;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -101,22 +104,25 @@ impl PartialAgg {
         })
     }
 
-    /// Folds in the rows of `chunk` that `filter` selects, in row order —
-    /// bit-identical to [`crate::eval::eval_aggregate`] over those rows
-    /// appended to the ones already folded, without materializing them.
-    /// (The one exception is the sign and payload of a NaN that a float
-    /// sum produces, which Rust leaves unspecified.) Float sums add an RLE
+    /// Folds in the selected rows of `rows`, in row order — bit-identical
+    /// to [`crate::eval::eval_aggregate`] over those rows appended to the
+    /// ones already folded, without materializing them. (The one
+    /// exception is the sign and payload of a NaN that a float sum
+    /// produces, which Rust leaves unspecified.) Float sums add an RLE
     /// run's value once per selected row (repeated addition rounds
-    /// differently from a product); MIN/MAX are idempotent, so a run
-    /// folds in once.
+    /// differently from a product); float MIN/MAX fold a run in once.
+    /// Integer and string MIN/MAX fold the dictionary entries the rows
+    /// use, each once ([`Selection`]): their answer does not depend on
+    /// the order or number of rows holding a value.
     ///
     /// # Errors
     ///
     /// A chunk of another physical type than the state, the structural
     /// errors of [`crate::eval::select_encoded`], or
     /// [`SqlError::Overflow`] when an integer SUM leaves `i64`.
-    pub fn fold(&mut self, chunk: &EncodedChunk, filter: &Bitmap) -> Result<()> {
+    pub fn fold(&mut self, rows: &Selection<'_>) -> Result<()> {
         use PartialAgg::*;
+        let (chunk, filter) = (rows.chunk, rows.filter);
         // Each arm folds into locals and stores them back once: state
         // behind `&mut self` would be reloaded on every row.
         match (&mut *self, chunk_values(chunk)) {
@@ -153,7 +159,7 @@ impl PartialAgg {
             }
             (MinInt(m), ColumnData::Int64(v)) => {
                 let (mut lo, mut seen) = (i64::MAX, false);
-                for_each_selected(chunk, filter, |i, _| {
+                rows.for_each_used(|i| {
                     lo = lo.min(v[i]);
                     seen = true;
                 })?;
@@ -164,7 +170,7 @@ impl PartialAgg {
             }
             (MaxInt(m), ColumnData::Int64(v)) => {
                 let (mut hi, mut seen) = (i64::MIN, false);
-                for_each_selected(chunk, filter, |i, _| {
+                rows.for_each_used(|i| {
                     hi = hi.max(v[i]);
                     seen = true;
                 })?;
@@ -206,16 +212,27 @@ impl PartialAgg {
                 *m = hi;
                 Ok(())
             }
-            (MinStr(m), ColumnData::Utf8(v)) => for_each_selected(chunk, filter, |i, _| {
-                if m.as_ref().is_none_or(|m| v[i] < *m) {
-                    *m = Some(v[i].clone());
-                }
-            }),
-            (MaxStr(m), ColumnData::Utf8(v)) => for_each_selected(chunk, filter, |i, _| {
-                if m.as_ref().is_none_or(|m| v[i] > *m) {
-                    *m = Some(v[i].clone());
-                }
-            }),
+            (MinStr(m), ColumnData::Utf8(v)) => {
+                let mut lo: Option<usize> = None;
+                rows.for_each_used(|i| {
+                    if lo.is_none_or(|lo| v[i] < v[lo]) {
+                        lo = Some(i);
+                    }
+                })?;
+                lo.into_iter().for_each(|i| keep(m, &v[i], Ordering::Less));
+                Ok(())
+            }
+            (MaxStr(m), ColumnData::Utf8(v)) => {
+                let mut hi: Option<usize> = None;
+                rows.for_each_used(|i| {
+                    if hi.is_none_or(|hi| v[i] > v[hi]) {
+                        hi = Some(i);
+                    }
+                })?;
+                hi.into_iter()
+                    .for_each(|i| keep(m, &v[i], Ordering::Greater));
+                Ok(())
+            }
             (state, values) => Err(mismatch(state, values)),
         }
     }
@@ -334,6 +351,50 @@ impl PartialAgg {
     }
 }
 
+/// The rows of one chunk that one filter selects, as
+/// [`PartialAgg::fold`] reads them. The dictionary codes those rows use
+/// are marked once, by the first integer or string extreme folded over
+/// the selection, and shared with the next: `min(c), max(c)` walk the
+/// chunk's rows once.
+#[derive(Debug)]
+pub struct Selection<'a> {
+    chunk: &'a EncodedChunk,
+    filter: &'a Bitmap,
+    used: OnceCell<Vec<bool>>,
+}
+
+impl<'a> Selection<'a> {
+    /// The rows of `chunk` that `filter` selects.
+    pub fn new(chunk: &'a EncodedChunk, filter: &'a Bitmap) -> Selection<'a> {
+        Selection {
+            chunk,
+            filter,
+            used: OnceCell::new(),
+        }
+    }
+
+    /// Visits the entries of `chunk_values(chunk)` the selected rows
+    /// use: a dictionary chunk's used codes, each once, in code order; a
+    /// plain chunk's selected rows in row order. Float extremes do not
+    /// use this: codes follow first occurrence, so a fold in code order
+    /// could pick the other signed zero.
+    fn for_each_used(&self, mut f: impl FnMut(usize)) -> Result<()> {
+        let EncodedChunk::Dictionary { dictionary, .. } = self.chunk else {
+            return for_each_selected(self.chunk, self.filter, |i, _| f(i));
+        };
+        let used = match self.used.get() {
+            Some(used) => used,
+            None => {
+                let mut used = vec![false; dictionary.len()];
+                for_each_selected(self.chunk, self.filter, |i, _| used[i] = true)?;
+                self.used.get_or_init(|| used)
+            }
+        };
+        (0..used.len()).filter(|&i| used[i]).for_each(f);
+        Ok(())
+    }
+}
+
 /// Replaces the extreme `acc` by `x` when there is none yet or `x`
 /// compares `want` to it.
 fn keep<T: Ord + Clone>(acc: &mut Option<T>, x: &T, want: Ordering) {
@@ -342,7 +403,7 @@ fn keep<T: Ord + Clone>(acc: &mut Option<T>, x: &T, want: Ordering) {
     }
 }
 
-fn mismatch(state: &PartialAgg, values: &ColumnData) -> SqlError {
+pub(crate) fn mismatch(state: &PartialAgg, values: &ColumnData) -> SqlError {
     SqlError::TypeError(format!(
         "cannot fold {} column into {state:?}",
         values.physical_name()

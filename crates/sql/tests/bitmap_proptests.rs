@@ -1,10 +1,15 @@
 //! Word-level property tests for [`Bitmap`] against a naive `Vec<bool>`
-//! model: boolean algebra, concatenation, span/bit batch fills, and —
-//! critically — tail-bit hygiene at non-multiple-of-64 lengths (a set
+//! model: boolean algebra, concatenation, span/bit batch fills, the
+//! selected-row walk over run-shaped bitmaps, and — critically —
+//! tail-bit hygiene at non-multiple-of-64 lengths (a set
 //! bit past `len` would corrupt `count_ones`, `not`, and concat).
 
 use fusion_sql::bitmap::{or_bits, or_span, Bitmap};
 use proptest::prelude::*;
+
+#[allow(dead_code)]
+mod common;
+use common::arb_run_filter;
 
 fn from_model(bits: &[bool]) -> Bitmap {
     bits.iter().copied().collect()
@@ -113,6 +118,26 @@ proptest! {
         let bm = Bitmap::from_words(len, words);
         for (i, &b) in model.iter().enumerate() {
             prop_assert_eq!(bm.get(i), b);
+        }
+    }
+
+    #[test]
+    fn for_each_one_matches_per_bit_get_on_runs(
+        bits in (0usize..700).prop_flat_map(arb_run_filter),
+        windows in prop::collection::vec((any::<u64>(), any::<u64>()), 1..9),
+    ) {
+        // Random windows over run-shaped bitmaps: whole words of ones,
+        // partial words, and window edges in mid-word.
+        let bm = from_model(&bits);
+        let n = bits.len();
+        let whole = (0u64, n as u64);
+        for (a, b) in windows.into_iter().chain([whole]) {
+            let start = (a % (n as u64 + 1)) as usize;
+            let len = (b % ((n - start) as u64 + 1)) as usize;
+            let want: Vec<usize> = (start..start + len).filter(|&i| bm.get(i)).collect();
+            let mut got = Vec::new();
+            bm.for_each_one(start, len, |i| got.push(i));
+            prop_assert_eq!(got, want, "window ({}, {}) of {} bits", start, len, n);
         }
     }
 

@@ -61,15 +61,36 @@ pub fn arb_plain_int() -> impl Strategy<Value = Vec<i64>> {
     prop::collection::vec(-1000i64..1000, 0..250)
 }
 
-/// A filter over `n` rows: random bits, all ones, or all zeros (the 0%
-/// and 100% selectivity edges).
+/// A filter over `n` rows: random bits, all ones, all zeros (the 0%
+/// and 100% selectivity edges), or runs of ones and zeros
+/// ([`arb_run_filter`]).
 pub fn arb_filter(n: usize) -> BoxedStrategy<Vec<bool>> {
     prop_oneof![
         prop::collection::vec(any::<bool>(), n..=n).boxed(),
         Just(vec![true; n]).boxed(),
         Just(vec![false; n]).boxed(),
+        arb_run_filter(n).boxed(),
     ]
     .boxed()
+}
+
+/// A filter over `n` rows made of alternating runs of ones and zeros,
+/// 1–200 rows each (the run lengths repeat until `n` rows are covered):
+/// whole 64-row words of ones beside partial ones, and runs that start
+/// and end mid-word — the shapes a range predicate selects.
+pub fn arb_run_filter(n: usize) -> impl Strategy<Value = Vec<bool>> {
+    (any::<bool>(), prop::collection::vec(1usize..201, 1..16)).prop_map(move |(first, runs)| {
+        let mut bits = Vec::with_capacity(n);
+        let mut on = first;
+        for &len in runs.iter().cycle() {
+            if bits.len() == n {
+                break;
+            }
+            bits.extend(std::iter::repeat_n(on, len.min(n - bits.len())));
+            on = !on;
+        }
+        bits
+    })
 }
 
 /// Pairs a generated column with a matching-length filter.

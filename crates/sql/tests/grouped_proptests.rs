@@ -46,6 +46,12 @@ fn float_arg(n: usize) -> ColumnData {
     )
 }
 
+/// The rows of `col` that `filter` selects, in row order: the argument
+/// column [`AggInput::Col`] takes.
+fn selected(col: &ColumnData, filter: &Bitmap) -> ColumnData {
+    col.take(&filter.ones().collect::<Vec<_>>())
+}
+
 /// Finalized rows with values wrapped in [`GroupKey`] so floats compare
 /// by bit pattern — `assert_eq!` on these is a *bitwise* differential.
 fn finalized(g: GroupedAggs) -> Vec<(GroupKey, GroupKey)> {
@@ -91,22 +97,33 @@ fn assert_grouped_agree(
 fn int_key_case(key: Vec<i64>, filter: Vec<bool>) -> Result<(), TestCaseError> {
     let n = key.len();
     let key = ColumnData::Int64(key);
+    let filter = bitmap(&filter);
     let arg = float_arg(n);
+    let arg_sel = selected(&arg, &filter);
+    // SUM of a key holding i64 extremes overflows in most cases, which
+    // would leave the other aggregates uncompared: it runs on its own.
+    assert_grouped_agree(
+        &key,
+        LogicalType::Int64,
+        &[(AggFunc::Sum, AggInput::Key)],
+        &[(AggFunc::Sum, Some(&key))],
+        &filter,
+    )?;
     let aggs_enc = [
         (AggFunc::Count, AggInput::Star),
         (AggFunc::Count, AggInput::Key),
-        (AggFunc::Sum, AggInput::Key),
+        (AggFunc::Avg, AggInput::Key),
         (AggFunc::Min, AggInput::Key),
         (AggFunc::Max, AggInput::Key),
-        (AggFunc::Avg, AggInput::Col(&arg)),
-        (AggFunc::Sum, AggInput::Col(&arg)),
-        (AggFunc::Min, AggInput::Col(&arg)),
-        (AggFunc::Max, AggInput::Col(&arg)),
+        (AggFunc::Avg, AggInput::Col(&arg_sel)),
+        (AggFunc::Sum, AggInput::Col(&arg_sel)),
+        (AggFunc::Min, AggInput::Col(&arg_sel)),
+        (AggFunc::Max, AggInput::Col(&arg_sel)),
     ];
     let aggs_dec = [
         (AggFunc::Count, None),
         (AggFunc::Count, Some(&key)),
-        (AggFunc::Sum, Some(&key)),
+        (AggFunc::Avg, Some(&key)),
         (AggFunc::Min, Some(&key)),
         (AggFunc::Max, Some(&key)),
         (AggFunc::Avg, Some(&arg)),
@@ -114,36 +131,44 @@ fn int_key_case(key: Vec<i64>, filter: Vec<bool>) -> Result<(), TestCaseError> {
         (AggFunc::Min, Some(&arg)),
         (AggFunc::Max, Some(&arg)),
     ];
-    assert_grouped_agree(
-        &key,
-        LogicalType::Int64,
-        &aggs_enc,
-        &aggs_dec,
-        &bitmap(&filter),
-    )
+    assert_grouped_agree(&key, LogicalType::Int64, &aggs_enc, &aggs_dec, &filter)?;
+    // Integer arguments: every integer accumulator and COUNT(col).
+    let ints = ColumnData::Int64((0..n as i64).map(|i| i * 7919 % 2001 - 1000).collect());
+    let ints_sel = selected(&ints, &filter);
+    let aggs_enc = [
+        (AggFunc::Sum, AggInput::Col(&ints_sel)),
+        (AggFunc::Avg, AggInput::Col(&ints_sel)),
+        (AggFunc::Min, AggInput::Col(&ints_sel)),
+        (AggFunc::Max, AggInput::Col(&ints_sel)),
+        (AggFunc::Count, AggInput::Col(&ints_sel)),
+    ];
+    let aggs_dec = [
+        (AggFunc::Sum, Some(&ints)),
+        (AggFunc::Avg, Some(&ints)),
+        (AggFunc::Min, Some(&ints)),
+        (AggFunc::Max, Some(&ints)),
+        (AggFunc::Count, Some(&ints)),
+    ];
+    assert_grouped_agree(&key, LogicalType::Int64, &aggs_enc, &aggs_dec, &filter)
 }
 
 fn plain_int_key_case(key: Vec<i64>, filter: Vec<bool>) -> Result<(), TestCaseError> {
     let n = key.len();
     let key = ColumnData::Int64(key);
+    let filter = bitmap(&filter);
     let arg = float_arg(n);
+    let arg_sel = selected(&arg, &filter);
     let aggs_enc = [
         (AggFunc::Count, AggInput::Star),
         (AggFunc::Sum, AggInput::Key),
-        (AggFunc::Avg, AggInput::Col(&arg)),
+        (AggFunc::Avg, AggInput::Col(&arg_sel)),
     ];
     let aggs_dec = [
         (AggFunc::Count, None),
         (AggFunc::Sum, Some(&key)),
         (AggFunc::Avg, Some(&arg)),
     ];
-    assert_grouped_agree(
-        &key,
-        LogicalType::Int64,
-        &aggs_enc,
-        &aggs_dec,
-        &bitmap(&filter),
-    )
+    assert_grouped_agree(&key, LogicalType::Int64, &aggs_enc, &aggs_dec, &filter)
 }
 
 // NaN / -0.0 keys: GroupKey's bit-pattern identity must group them
@@ -176,13 +201,22 @@ fn float_key_case(key: Vec<f64>, filter: Vec<bool>) -> Result<(), TestCaseError>
 fn utf8_key_case(key: Vec<String>, filter: Vec<bool>) -> Result<(), TestCaseError> {
     let n = key.len();
     let key = ColumnData::Utf8(key);
+    let filter = bitmap(&filter);
     let arg = float_arg(n);
+    // String arguments: the key's own strings, reversed.
+    let strs = match &key {
+        ColumnData::Utf8(v) => ColumnData::Utf8(v.iter().rev().cloned().collect()),
+        _ => unreachable!(),
+    };
+    let (arg_sel, strs_sel) = (selected(&arg, &filter), selected(&strs, &filter));
     let aggs_enc = [
         (AggFunc::Count, AggInput::Star),
         (AggFunc::Min, AggInput::Key),
         (AggFunc::Max, AggInput::Key),
-        (AggFunc::Avg, AggInput::Col(&arg)),
-        (AggFunc::Min, AggInput::Col(&arg)),
+        (AggFunc::Avg, AggInput::Col(&arg_sel)),
+        (AggFunc::Min, AggInput::Col(&arg_sel)),
+        (AggFunc::Min, AggInput::Col(&strs_sel)),
+        (AggFunc::Max, AggInput::Col(&strs_sel)),
     ];
     let aggs_dec = [
         (AggFunc::Count, None),
@@ -190,24 +224,25 @@ fn utf8_key_case(key: Vec<String>, filter: Vec<bool>) -> Result<(), TestCaseErro
         (AggFunc::Max, Some(&key)),
         (AggFunc::Avg, Some(&arg)),
         (AggFunc::Min, Some(&arg)),
+        (AggFunc::Min, Some(&strs)),
+        (AggFunc::Max, Some(&strs)),
     ];
-    assert_grouped_agree(
-        &key,
-        LogicalType::Utf8,
-        &aggs_enc,
-        &aggs_dec,
-        &bitmap(&filter),
-    )
+    assert_grouped_agree(&key, LogicalType::Utf8, &aggs_enc, &aggs_dec, &filter)
 }
 
 // The distributed shape: per-chunk encoded kernels merged in chunk order
 // vs per-chunk decoded oracles merged in the same order. Both sides
 // accumulate and merge identically, so even float sums are bit-equal —
 // and SUM overflow must strike both sides or neither.
+//
+// The key's aggregate is `key_agg`: SUM, which overflows in most cases
+// (the key holds i64 extremes) and then leaves nothing to compare, or
+// AVG, which cannot, so the merged states are compared.
 fn chunked_merge_case(
     key: Vec<i64>,
     filter: Vec<bool>,
     chunk_rows: usize,
+    key_agg: AggFunc,
 ) -> Result<(), TestCaseError> {
     let n = key.len();
     let arg = float_arg(n);
@@ -222,23 +257,24 @@ fn chunked_merge_case(
             _ => unreachable!(),
         };
         let fchunk = bitmap(&filter[start..end]);
+        let arg_sel = selected(&arg_chunk, &fchunk);
         let (bytes, _) = encode_column_chunk(&key_chunk);
         let view = read_encoded_chunk(&bytes, LogicalType::Int64).unwrap();
         let aggs_enc = [
             (AggFunc::Count, AggInput::Star),
-            (AggFunc::Sum, AggInput::Key),
-            (AggFunc::Avg, AggInput::Col(&arg_chunk)),
-            (AggFunc::Min, AggInput::Col(&arg_chunk)),
+            (key_agg, AggInput::Key),
+            (AggFunc::Avg, AggInput::Col(&arg_sel)),
+            (AggFunc::Min, AggInput::Col(&arg_sel)),
         ];
         let aggs_dec = [
             (AggFunc::Count, None),
-            (AggFunc::Sum, Some(&key_chunk)),
+            (key_agg, Some(&key_chunk)),
             (AggFunc::Avg, Some(&arg_chunk)),
             (AggFunc::Min, Some(&arg_chunk)),
         ];
         let templates = vec![
             PartialAgg::new(AggFunc::Count, LogicalType::Int64).unwrap(),
-            PartialAgg::new(AggFunc::Sum, LogicalType::Int64).unwrap(),
+            PartialAgg::new(key_agg, LogicalType::Int64).unwrap(),
             PartialAgg::new(AggFunc::Avg, LogicalType::Float64).unwrap(),
             PartialAgg::new(AggFunc::Min, LogicalType::Float64).unwrap(),
         ];
@@ -315,7 +351,7 @@ fn constant_key_case(values: ColumnData, filter: Vec<bool>) -> Result<(), TestCa
             }
         });
         for grouped in [
-            group_aggregate_encoded(&key_view, &[(func, AggInput::Col(&values))], &filter),
+            group_aggregate_encoded(&key_view, &[(func, AggInput::Col(&selected))], &filter),
             group_aggregate_decoded(&[&key], &[(func, Some(&values))], &filter),
         ] {
             let got = grouped.map(|g| {
@@ -367,6 +403,7 @@ proptest! {
         case in with_filter(arb_runs_int()),
         chunk_rows in 1usize..97,
     ) {
-        chunked_merge_case(case.0, case.1, chunk_rows)?;
+        chunked_merge_case(case.0.clone(), case.1.clone(), chunk_rows, AggFunc::Sum)?;
+        chunked_merge_case(case.0, case.1, chunk_rows, AggFunc::Avg)?;
     }
 }

@@ -21,7 +21,7 @@ use fusion_format::schema::LogicalType;
 use fusion_format::value::{ColumnData, Value};
 use fusion_sql::ast::AggFunc;
 use fusion_sql::eval::{eval_aggregate, select_encoded, selected_plain_size};
-use fusion_sql::partial::PartialAgg;
+use fusion_sql::partial::{PartialAgg, Selection};
 use fusion_sql::plan::AggregateSpec;
 use proptest::prelude::*;
 
@@ -180,9 +180,12 @@ fn agree(ty: LogicalType, groups: Vec<(ColumnData, Vec<bool>)>) -> Result<(), Te
         );
 
         select_encoded(&view, &filter, &mut selected).unwrap();
+        // All five states fold one selection, so MIN and MAX share its
+        // marking of used codes.
+        let rows = Selection::new(&view, &filter);
         for fold in &mut folds {
             if let Ok(state) = fold {
-                if let Err(e) = state.fold(&view, &filter) {
+                if let Err(e) = state.fold(&rows) {
                     *fold = Err(e);
                 }
             }
