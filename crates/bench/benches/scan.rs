@@ -4,6 +4,9 @@
 //! runs its kernel over every row group's view in turn, as a query does,
 //! so divide its ns/iter by 10 for one row group:
 //!
+//! * `parse/<column>`: `read_encoded_chunk` of `quantity`, `returnflag`,
+//!   `shipmode` (u8 codes) and `shipdate` (u16 codes), the chunk-miss
+//!   side of the view layout the other cases scan;
 //! * `filter/<column>`: `eval_filter_encoded` with the mix's predicates
 //!   on `quantity`, `discount`, `returnflag` and `shipmode`;
 //! * `fold/min_max_shipdate`: `PartialAgg::fold` of MIN and MAX of
@@ -37,9 +40,10 @@ use fusion_sql::partial::{PartialAgg, Selection};
 use fusion_sql::plan::{AggregateSpec, FilterLeaf};
 use fusion_workloads::tpch::{lineitem_file, TpchConfig};
 
-/// The parsed views of one lineitem column, one per row group.
+/// One lineitem column's chunk bytes and parsed views, one per row group.
 struct Column {
     ty: LogicalType,
+    chunks: Vec<Vec<u8>>,
     views: Vec<EncodedChunk>,
 }
 
@@ -61,16 +65,19 @@ fn lineitem_columns(names: &[&str]) -> Vec<Column> {
         .map(|name| {
             let col = meta.schema.index_of(name).expect("lineitem column");
             let ty = meta.schema.fields()[col].ty;
-            let views = meta
+            let chunks: Vec<Vec<u8>> = meta
                 .row_groups
                 .iter()
                 .map(|rg| {
                     let cm = &rg.chunks[col];
-                    let bytes = &file[cm.offset as usize..(cm.offset + cm.len) as usize];
-                    read_encoded_chunk(bytes, ty).expect("valid chunk")
+                    file[cm.offset as usize..(cm.offset + cm.len) as usize].to_vec()
                 })
                 .collect();
-            Column { ty, views }
+            let views = chunks
+                .iter()
+                .map(|bytes| read_encoded_chunk(bytes, ty).expect("valid chunk"))
+                .collect();
+            Column { ty, chunks, views }
         })
         .collect()
 }
@@ -113,6 +120,21 @@ fn bench_scan(c: &mut Criterion) {
     };
     let mut g = c.benchmark_group("scan");
     g.sample_size(200);
+
+    for (name, col) in [
+        ("quantity", quantity),
+        ("returnflag", returnflag),
+        ("shipmode", shipmode),
+        ("shipdate", shipdate),
+    ] {
+        g.bench_function(format!("parse/{name}"), |b| {
+            b.iter(|| {
+                for bytes in &col.chunks {
+                    std::hint::black_box(read_encoded_chunk(bytes, col.ty).expect("valid chunk"));
+                }
+            })
+        });
+    }
 
     let leaves = [
         ("quantity", quantity, leaf(CmpOp::Le, Value::Int(10))),

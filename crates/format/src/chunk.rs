@@ -18,6 +18,7 @@
 //! Page bytes are Snappy-compressed encodings; `crc32` covers the
 //! compressed bytes.
 
+use crate::encoding::bitpack::{self, Code};
 use crate::encoding::rle::Run;
 use crate::encoding::{dict, plain, rle, Encoding};
 use crate::error::{FormatError, Result};
@@ -261,20 +262,39 @@ pub enum EncodedChunk {
     Dictionary {
         /// Distinct values, indexed by code.
         dictionary: ColumnData,
-        /// Every literal run's codes, back to back in stream order.
-        codes: Vec<u32>,
+        /// Every literal span's codes, back to back in row order.
+        codes: Codes,
         /// The code stream as RLE runs and literal spans of `codes`,
-        /// covering `rows` values.
+        /// covering `rows` values. A parsed view keeps an RLE run only
+        /// when it fills at least one bitmap word
+        /// ([`rle::FOLD_BELOW`] rows); shorter ones are literal codes,
+        /// merged with the spans beside them.
         runs: Vec<Run>,
         /// Total row count.
         rows: usize,
+        /// The index stream's share of [`EncodedChunk::weight_bytes`],
+        /// counted on the runs the stream itself holds, before folding.
+        stream_weight: usize,
     },
+}
+
+/// A dictionary view's literal codes, at the narrowest width that holds
+/// every code of its dictionary.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Codes {
+    /// One byte per code: a dictionary of at most 256 entries.
+    U8(Vec<u8>),
+    /// Two bytes per code: at most [`MAX_DICT_DISTINCT`] entries.
+    U16(Vec<u16>),
 }
 
 /// Cache weight of one run descriptor: `size_of::<Run>()` when each
 /// literal run owned its own `Vec`. Pinned so the chunk cache admits and
 /// evicts exactly as it did then.
 const RUN_WEIGHT: usize = 24;
+
+/// Cache weight of one literal code: its size when codes were `u32`.
+const CODE_WEIGHT: usize = 4;
 
 impl EncodedChunk {
     /// Number of rows the chunk covers.
@@ -304,51 +324,73 @@ impl EncodedChunk {
     /// outside `codes` (cannot happen for views produced by
     /// [`read_encoded_chunk`], which validates codes up front).
     pub fn decode(&self) -> Result<ColumnData> {
-        let (dictionary, codes, runs, rows) = match self {
-            EncodedChunk::Plain(col) => return Ok(col.clone()),
+        match self {
+            EncodedChunk::Plain(col) => Ok(col.clone()),
             EncodedChunk::Dictionary {
                 dictionary,
-                codes,
+                codes: Codes::U8(codes),
                 runs,
                 rows,
-            } => (dictionary, codes, runs, *rows),
-        };
-        Ok(match dictionary {
-            ColumnData::Int64(d) => ColumnData::Int64(gather_runs(d, codes, runs, rows)?),
-            ColumnData::Float64(d) => ColumnData::Float64(gather_runs(d, codes, runs, rows)?),
-            ColumnData::Utf8(d) => ColumnData::Utf8(gather_runs(d, codes, runs, rows)?),
-        })
+                ..
+            } => gather_column(dictionary, codes, runs, *rows),
+            EncodedChunk::Dictionary {
+                dictionary,
+                codes: Codes::U16(codes),
+                runs,
+                rows,
+                ..
+            } => gather_column(dictionary, codes, runs, *rows),
+        }
     }
 
     /// Approximate resident size in bytes, used for cache accounting:
-    /// the dictionary's plain size, 24 bytes per run and 4 per literal
-    /// code.
+    /// the dictionary's plain size, plus 24 bytes per run and 4 per
+    /// literal code of the index stream as written
+    /// (`stream_weight`), whatever width and runs the view keeps.
     pub fn weight_bytes(&self) -> usize {
         match self {
             EncodedChunk::Plain(col) => col.plain_size(),
             EncodedChunk::Dictionary {
                 dictionary,
-                codes,
-                runs,
+                stream_weight,
                 ..
-            } => dictionary.plain_size() + RUN_WEIGHT * runs.len() + 4 * codes.len(),
+            } => dictionary.plain_size() + stream_weight,
         }
     }
 }
 
+/// The column a dictionary view's runs describe.
+fn gather_column<C: Code>(
+    dictionary: &ColumnData,
+    codes: &[C],
+    runs: &[Run],
+    rows: usize,
+) -> Result<ColumnData> {
+    Ok(match dictionary {
+        ColumnData::Int64(d) => ColumnData::Int64(gather_runs(d, codes, runs, rows)?),
+        ColumnData::Float64(d) => ColumnData::Float64(gather_runs(d, codes, runs, rows)?),
+        ColumnData::Utf8(d) => ColumnData::Utf8(gather_runs(d, codes, runs, rows)?),
+    })
+}
+
 /// The values of a dictionary view in row order.
-fn gather_runs<T: Clone>(dict: &[T], codes: &[u32], runs: &[Run], rows: usize) -> Result<Vec<T>> {
+fn gather_runs<T: Clone, C: Code>(
+    dict: &[T],
+    codes: &[C],
+    runs: &[Run],
+    rows: usize,
+) -> Result<Vec<T>> {
     let mut out = Vec::with_capacity(rows);
     for &run in runs {
         match run {
             Run::Rle { value, len } => {
-                check_codes(Some(value), dict.len())?;
+                check_codes(Some(value as usize), dict.len())?;
                 out.extend(std::iter::repeat_n(&dict[value as usize], len).cloned());
             }
             Run::Literal { start, len } => {
                 let span = literal_span(codes, start, len)?;
-                check_codes(span.iter().copied().max(), dict.len())?;
-                out.extend(span.iter().map(|&c| dict[c as usize].clone()));
+                check_codes(span.iter().copied().max().map(C::index), dict.len())?;
+                out.extend(span.iter().map(|&c| dict[c.index()].clone()));
             }
         }
     }
@@ -356,7 +398,7 @@ fn gather_runs<T: Clone>(dict: &[T], codes: &[u32], runs: &[Run], rows: usize) -
 }
 
 /// `codes[start..start + len]`, or an error if the span is out of range.
-fn literal_span(codes: &[u32], start: usize, len: usize) -> Result<&[u32]> {
+fn literal_span<C>(codes: &[C], start: usize, len: usize) -> Result<&[C]> {
     codes
         .get(start..)
         .and_then(|c| c.get(..len))
@@ -365,9 +407,9 @@ fn literal_span(codes: &[u32], start: usize, len: usize) -> Result<&[u32]> {
 
 /// Rejects a maximum code that does not index a `dict_len`-entry
 /// dictionary (`None`: no codes).
-fn check_codes(max_code: Option<u32>, dict_len: usize) -> Result<()> {
+fn check_codes(max_code: Option<usize>, dict_len: usize) -> Result<()> {
     match max_code {
-        Some(code) if code as usize >= dict_len => Err(FormatError::Corrupt(format!(
+        Some(code) if code >= dict_len => Err(FormatError::Corrupt(format!(
             "dictionary code {code} out of range ({dict_len} entries)"
         ))),
         _ => Ok(()),
@@ -376,16 +418,20 @@ fn check_codes(max_code: Option<u32>, dict_len: usize) -> Result<()> {
 
 /// Parses chunk bytes into an [`EncodedChunk`] view: pages are checksummed
 /// and decompressed, the dictionary is decoded, but the code stream keeps
-/// its run structure and rows are never materialized. Every code is
-/// validated against the dictionary length here, so scan kernels can index
-/// the predicate mask unchecked.
+/// its run structure and rows are never materialized. Literal codes are
+/// stored at the narrowest width their dictionary allows ([`Codes`]), and
+/// RLE runs shorter than a bitmap word are folded into them. Every code
+/// is validated against the dictionary length here, so scan kernels can
+/// index the predicate mask unchecked.
 ///
 /// Uses a thread-local [`PageScratch`], so a chunk-cache miss performs
 /// zero transient page allocations in steady state.
 ///
 /// # Errors
 ///
-/// Fails on corruption, checksum mismatch, or out-of-range codes.
+/// Fails on corruption, checksum mismatch, a dictionary of more than
+/// [`MAX_DICT_DISTINCT`] entries, an index stream wider than its
+/// dictionary needs, or out-of-range codes.
 pub fn read_encoded_chunk(bytes: &[u8], ty: LogicalType) -> Result<EncodedChunk> {
     SCRATCH.with(|s| read_encoded_chunk_with(bytes, ty, &mut s.borrow_mut()))
 }
@@ -394,7 +440,7 @@ pub fn read_encoded_chunk(bytes: &[u8], ty: LogicalType) -> Result<EncodedChunk>
 ///
 /// # Errors
 ///
-/// Fails on corruption, checksum mismatch, or out-of-range codes.
+/// The errors of [`read_encoded_chunk`].
 pub fn read_encoded_chunk_with(
     bytes: &[u8],
     ty: LogicalType,
@@ -416,28 +462,61 @@ pub fn read_encoded_chunk_with(
         }
         Encoding::Dictionary => {
             let dict_page = read_page(&mut c)?;
+            if dict_page.count > MAX_DICT_DISTINCT {
+                return Err(FormatError::Corrupt(format!(
+                    "dictionary of {} entries (at most {MAX_DICT_DISTINCT})",
+                    dict_page.count
+                )));
+            }
             let dictionary =
                 plain::decode(scratch.page(&dict_page)?, physical(ty), dict_page.count)?;
             let idx_page = read_page(&mut c)?;
-            let rle::Runs { runs, codes } =
-                rle::decode_runs(scratch.page(&idx_page)?, idx_page.count)?;
-            // One pass over the flat buffer (`max` vectorizes) checks every
-            // literal code; each RLE run checks its one value.
+            let raw = scratch.page(&idx_page)?;
             let dict_len = dictionary.len();
-            check_codes(codes.iter().copied().max(), dict_len)?;
-            for run in &runs {
-                if let Run::Rle { value, .. } = *run {
-                    check_codes(Some(value), dict_len)?;
-                }
-            }
+            let (codes, runs, stream_weight) = if dict_len <= 1 << u8::BITS {
+                let (codes, runs, weight) = parse_index::<u8>(raw, idx_page.count, dict_len)?;
+                (Codes::U8(codes), runs, weight)
+            } else {
+                let (codes, runs, weight) = parse_index::<u16>(raw, idx_page.count, dict_len)?;
+                (Codes::U16(codes), runs, weight)
+            };
             Ok(EncodedChunk::Dictionary {
                 dictionary,
                 codes,
                 runs,
                 rows: idx_page.count,
+                stream_weight,
             })
         }
     }
+}
+
+/// Parses a `dict_len`-entry dictionary's index stream of `count` codes
+/// into `C` literal codes and folded runs ([`rle::decode_runs`]), plus
+/// the stream's weight, after checking every code against the
+/// dictionary: one pass over the literal buffer (`max` vectorizes) and
+/// each RLE run's one value. The stream may be no wider than the
+/// dictionary's largest code.
+fn parse_index<C: Code>(
+    raw: &[u8],
+    count: usize,
+    dict_len: usize,
+) -> Result<(Vec<C>, Vec<Run>, usize)> {
+    let width = bitpack::bit_width(dict_len.saturating_sub(1) as u32);
+    let rle::Runs {
+        runs,
+        codes,
+        stream_runs,
+        stream_literals,
+    } = rle::decode_runs::<C>(raw, count, width)?;
+    check_codes(codes.iter().copied().max().map(C::index), dict_len)?;
+    for run in &runs {
+        if let Run::Rle { value, .. } = *run {
+            check_codes(Some(value as usize), dict_len)?;
+        }
+    }
+    let stream_weight = RUN_WEIGHT * stream_runs + CODE_WEIGHT * stream_literals;
+    Ok((codes, runs, stream_weight))
 }
 
 #[cfg(test)]
@@ -583,6 +662,111 @@ mod tests {
         assert_eq!(view.encoding(), Encoding::Plain);
         assert_eq!(view.rows(), 200_000);
         assert_eq!(view.decode().unwrap(), col);
+    }
+
+    #[test]
+    fn views_fold_sub_word_runs_into_merged_literal_spans() {
+        // Stream: literal 0..10, 63 x 5, literal 0..10, 64 x 7, literal
+        // 0..10. The 63-row run fills no bitmap word, so it joins both
+        // literal spans beside it; the 64-row run stays a run.
+        let cycle = || (0..10i64).collect::<Vec<_>>();
+        let mut vals = cycle();
+        vals.extend([5; 63]);
+        vals.extend(cycle());
+        vals.extend([7; 64]);
+        vals.extend(cycle());
+        let col = ColumnData::Int64(vals);
+        let (bytes, stats) = encode_column_chunk(&col);
+        assert_eq!(stats.encoding, Encoding::Dictionary);
+        let view = read_encoded_chunk(&bytes, LogicalType::Int64).unwrap();
+        let EncodedChunk::Dictionary {
+            dictionary,
+            codes: Codes::U8(codes),
+            runs,
+            ..
+        } = &view
+        else {
+            panic!("expected a u8 dictionary view, got {view:?}");
+        };
+        assert_eq!(
+            *runs,
+            vec![
+                Run::Literal { start: 0, len: 83 },
+                Run::Rle { value: 7, len: 64 },
+                Run::Literal { start: 83, len: 10 },
+            ]
+        );
+        assert_eq!(codes.len(), 93);
+        assert_eq!(&codes[10..73], &[5; 63][..]);
+        assert_eq!(view.decode().unwrap(), col);
+        // The weight still counts the stream's five runs and 30 packed
+        // literal codes.
+        assert_eq!(
+            view.weight_bytes(),
+            dictionary.plain_size() + 5 * RUN_WEIGHT + 30 * CODE_WEIGHT
+        );
+
+        // A sorted 5,000-row half survives as one run beside u8 literals.
+        let col = ColumnData::Utf8(
+            (0..10_000)
+                .map(|i| {
+                    if i < 5000 {
+                        "RAIL".to_string()
+                    } else {
+                        ["AIR", "SHIP", "TRUCK"][i % 3].to_string()
+                    }
+                })
+                .collect(),
+        );
+        let (bytes, _) = encode_column_chunk(&col);
+        let view = read_encoded_chunk(&bytes, LogicalType::Utf8).unwrap();
+        let EncodedChunk::Dictionary {
+            codes: Codes::U8(codes),
+            runs,
+            ..
+        } = &view
+        else {
+            panic!("expected a u8 dictionary view, got {view:?}");
+        };
+        assert_eq!(
+            *runs,
+            vec![
+                Run::Rle {
+                    value: 0,
+                    len: 5000
+                },
+                Run::Literal {
+                    start: 0,
+                    len: 5000
+                },
+            ]
+        );
+        assert_eq!(codes.len(), 5000);
+    }
+
+    #[test]
+    fn code_width_follows_the_dictionary_size() {
+        // 256 entries fit u8 codes; 257 take u16.
+        for (distinct, wide) in [(255, false), (256, false), (257, true), (3000, true)] {
+            // Every value once, then pseudo-random draws: plain pages
+            // barely compress, so the writer keeps the dictionary.
+            let draws = (0..8 * distinct as u64)
+                .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as i64 % distinct);
+            let col = ColumnData::Int64(
+                (0..distinct)
+                    .chain(draws)
+                    .map(|v| v.wrapping_mul(0x5851_F42D_4C95_7F2D))
+                    .collect(),
+            );
+            let (bytes, stats) = encode_column_chunk(&col);
+            assert_eq!(stats.encoding, Encoding::Dictionary, "{distinct}");
+            let view = read_encoded_chunk(&bytes, LogicalType::Int64).unwrap();
+            let EncodedChunk::Dictionary { codes, .. } = &view else {
+                panic!("expected a dictionary view");
+            };
+            assert_eq!(matches!(codes, Codes::U16(_)), wide, "{distinct}");
+            assert_eq!(view.decode().unwrap(), col, "{distinct}");
+        }
     }
 
     #[test]

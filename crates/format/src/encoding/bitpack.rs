@@ -3,6 +3,35 @@
 
 use crate::error::{FormatError, Result};
 
+/// The integer type unpacked values land in: `u8` or `u16` for a
+/// dictionary view's literal codes (a dictionary has at most
+/// `MAX_DICT_DISTINCT` = 2^16 entries), `u32` for any stream.
+pub trait Code: Copy + Default + Ord + std::fmt::Debug {
+    /// The widest packed width the type holds.
+    const BITS: u32;
+    /// The low [`Code::BITS`] bits of `v`.
+    fn truncate(v: u64) -> Self;
+    /// The value as an index.
+    fn index(self) -> usize;
+}
+
+macro_rules! code {
+    ($($t:ty)*) => {$(
+        impl Code for $t {
+            const BITS: u32 = <$t>::BITS;
+            #[inline(always)]
+            fn truncate(v: u64) -> $t {
+                v as $t
+            }
+            #[inline(always)]
+            fn index(self) -> usize {
+                self as usize
+            }
+        }
+    )*};
+}
+code!(u8 u16 u32);
+
 /// Smallest bit width that can represent `max`.
 ///
 /// `bit_width(0) == 0`: a stream of all-zero values needs no payload bits.
@@ -44,7 +73,7 @@ pub fn pack(values: &[u32], width: u32, out: &mut Vec<u8>) {
 }
 
 /// Unpacks the `count` values of `width` bits that start at byte `start`
-/// of `page`, appending them to `out`. Bit-identical to
+/// of `page`, appending them to `out` at its own width. Bit-identical to
 /// [`unpack_reference`] on `&page[start..]`.
 ///
 /// One const-generic body per width reads each value from the unaligned
@@ -63,15 +92,15 @@ pub fn pack(values: &[u32], width: u32, out: &mut Vec<u8>) {
 ///
 /// # Panics
 ///
-/// Panics if `width > 32`.
-pub fn unpack_into(
+/// Panics if `width > C::BITS`.
+pub fn unpack_into<C: Code>(
     page: &[u8],
     start: usize,
     width: u32,
     count: usize,
-    out: &mut Vec<u32>,
+    out: &mut Vec<C>,
 ) -> Result<()> {
-    assert!(width <= 32, "width must be at most 32");
+    assert!(width <= C::BITS, "width must be at most {}", C::BITS);
     let bytes = page.get(start..).ok_or(FormatError::Truncated)?;
     let needed = count
         .checked_mul(width as usize)
@@ -84,13 +113,13 @@ pub fn unpack_into(
     // slack and then dropped, so a short literal run costs one or two
     // group steps rather than a value-at-a-time tail.
     let old = out.len();
-    out.resize(old + count.next_multiple_of(8), 0);
+    out.resize(old + count.next_multiple_of(8), C::default());
     let dst = &mut out[old..];
     macro_rules! dispatch {
         ($($w:literal)*) => {
             match width {
                 0 => {}
-                $($w => unpack_width::<$w>(bytes, dst, count),)*
+                $($w => unpack_width::<$w, C>(bytes, dst, count),)*
                 _ => unreachable!("width checked above"),
             }
         };
@@ -103,7 +132,7 @@ pub fn unpack_into(
 /// Decodes the first `count` values packed at `W` bits from the start of
 /// `bytes` (which holds at least their packed span) into `dst`, whose
 /// length is `count` rounded up to a multiple of 8.
-fn unpack_width<const W: usize>(bytes: &[u8], dst: &mut [u32], count: usize) {
+fn unpack_width<const W: usize, C: Code>(bytes: &[u8], dst: &mut [C], count: usize) {
     let mask = u64::MAX >> (64 - W);
     // A group of 8 values spans W bytes; its last window starts at byte
     // 7W/8 and needs 8 bytes, so a group needs `reach` bytes from its
@@ -120,13 +149,13 @@ fn unpack_width<const W: usize>(bytes: &[u8], dst: &mut [u32], count: usize) {
             let bit = j * W;
             let at = bit / 8;
             let w = u64::from_le_bytes(src[at..at + 8].try_into().expect("8-byte window"));
-            *v = ((w >> (bit % 8)) & mask) as u32;
+            *v = C::truncate((w >> (bit % 8)) & mask);
         }
     }
     // Values in groups too close to the page end.
     for (i, v) in dst.iter_mut().enumerate().take(count).skip(groups * 8) {
         let bit = i * W;
-        *v = ((window(bytes, bit / 8) >> (bit % 8)) & mask) as u32;
+        *v = C::truncate((window(bytes, bit / 8) >> (bit % 8)) & mask);
     }
 }
 
@@ -203,6 +232,37 @@ mod tests {
     }
 
     #[test]
+    fn narrow_outputs_match_u32() {
+        let values: Vec<u32> = (0..300u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+        for width in 0..=16u32 {
+            let values: Vec<u32> = values.iter().map(|&v| v & ((1 << width) - 1)).collect();
+            let mut buf = vec![0xFF];
+            pack(&values, width, &mut buf);
+            let mut wide = Vec::<u32>::new();
+            unpack_into(&buf, 1, width, values.len(), &mut wide).unwrap();
+            assert_eq!(wide, values, "width {width}");
+            let mut u16s = Vec::<u16>::new();
+            unpack_into(&buf, 1, width, values.len(), &mut u16s).unwrap();
+            assert!(u16s
+                .iter()
+                .map(|&v| u32::from(v))
+                .eq(values.iter().copied()));
+            if width <= 8 {
+                let mut u8s = Vec::<u8>::new();
+                unpack_into(&buf, 1, width, values.len(), &mut u8s).unwrap();
+                assert!(u8s.iter().map(|&v| u32::from(v)).eq(values.iter().copied()));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8")]
+    fn a_width_past_the_output_type_panics() {
+        let mut out = Vec::<u8>::new();
+        let _ = unpack_into(&[0; 8], 0, 9, 1, &mut out);
+    }
+
+    #[test]
     fn widths() {
         assert_eq!(bit_width(0), 0);
         assert_eq!(bit_width(1), 1);
@@ -251,7 +311,7 @@ mod tests {
         let mut buf = Vec::new();
         pack(&[1, 2, 3], 8, &mut buf);
         assert_eq!(unpack(&buf[..2], 8, 3).unwrap_err(), FormatError::Truncated);
-        let mut out = vec![7];
+        let mut out = vec![7u32];
         assert_eq!(
             unpack_into(&buf, 1, 8, 3, &mut out).unwrap_err(),
             FormatError::Truncated
@@ -278,7 +338,7 @@ mod tests {
                 page.extend_from_slice(&[0xFF; 8]);
                 let padded = |page: &[u8]| {
                     PADDED_WINDOWS.with(|p| p.set(0));
-                    let mut out = Vec::new();
+                    let mut out = Vec::<u32>::new();
                     unpack_into(page, 3, width, count, &mut out).unwrap();
                     assert_eq!(out, values, "width {width} count {count}");
                     PADDED_WINDOWS.with(|p| p.get())

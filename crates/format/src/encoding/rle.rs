@@ -10,7 +10,7 @@
 //! * `h & 1 == 1`: a **literal run** — `h >> 1` values, bit-packed at
 //!   `width` bits.
 
-use super::bitpack;
+use super::bitpack::{self, Code};
 use crate::error::{FormatError, Result};
 use crate::util::{put, Cursor};
 
@@ -54,12 +54,16 @@ fn flush_literals(lits: &[u32], width: u32, out: &mut Vec<u8>) {
     bitpack::pack(lits, width, out);
 }
 
-/// One run of the hybrid stream, preserved instead of flattened — the
-/// structure the encoded-domain scan kernels exploit: an RLE run is one
-/// predicate evaluation plus one bitmap span fill, however long it is.
-/// A literal run is a span of its stream's flat code buffer
-/// ([`Runs::codes`]), so a run is a `Copy` descriptor with no allocation
-/// of its own.
+/// RLE runs shorter than this many values, one 64-row bitmap word, are
+/// folded into the literal buffer by [`decode_runs`]: a scan kernel pays
+/// a dispatch per run, and a run that fills no word saves it nothing.
+pub const FOLD_BELOW: usize = 64;
+
+/// One run of a parsed index stream — the structure the encoded-domain
+/// scan kernels exploit: an RLE run is one predicate evaluation plus one
+/// bitmap span fill, however long it is. A literal run is a span of its
+/// stream's flat code buffer ([`Runs::codes`]), so a run is a `Copy`
+/// descriptor with no allocation of its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Run {
     /// `len` repetitions of `value`.
@@ -69,8 +73,8 @@ pub enum Run {
         /// Repetition count.
         len: usize,
     },
-    /// `len` bit-packed literal values, unpacked to
-    /// `codes[start..start + len]` of the stream's code buffer.
+    /// `len` values at `codes[start..start + len]` of the stream's code
+    /// buffer.
     Literal {
         /// Offset of the first value in the code buffer.
         start: usize,
@@ -93,17 +97,22 @@ impl Run {
     }
 }
 
-/// An index stream parsed once: its runs, plus one flat buffer holding
-/// every literal run's values back to back in stream order.
+/// An index stream parsed once: RLE runs of at least [`FOLD_BELOW`]
+/// values, and literal spans of one flat buffer holding every other
+/// value back to back in stream order, at the buffer's own width.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Runs {
-    /// The runs, in stream order.
+pub struct Runs<C> {
+    /// The runs, in stream order; no two literal spans are adjacent.
     pub runs: Vec<Run>,
     /// The literal values; each [`Run::Literal`] indexes a span of it.
-    pub codes: Vec<u32>,
+    pub codes: Vec<C>,
+    /// Runs the stream itself holds, before folding.
+    pub stream_runs: usize,
+    /// Bit-packed values the stream itself holds, before folding.
+    pub stream_literals: usize,
 }
 
-impl Runs {
+impl<C: Code> Runs<C> {
     /// The stream's values in order: RLE runs repeated, literal spans
     /// copied.
     ///
@@ -111,11 +120,13 @@ impl Runs {
     ///
     /// Panics if a literal span lies outside [`Runs::codes`] (never for
     /// [`decode_runs`] output).
-    pub fn expand(&self) -> Vec<u32> {
+    pub fn expand(&self) -> Vec<C> {
         let mut out = Vec::with_capacity(self.runs.iter().map(Run::len).sum());
         for &run in &self.runs {
             match run {
-                Run::Rle { value, len } => out.extend(std::iter::repeat_n(value, len)),
+                Run::Rle { value, len } => {
+                    out.extend(std::iter::repeat_n(C::truncate(value.into()), len))
+                }
                 Run::Literal { start, len } => {
                     out.extend_from_slice(&self.codes[start..start + len]);
                 }
@@ -123,23 +134,48 @@ impl Runs {
         }
         out
     }
+
+    /// Records that the last `n` values of the code buffer are literal:
+    /// they extend the previous run when it is a literal span (which
+    /// then ends where they start), else start a new one.
+    fn push_literal(&mut self, n: usize) {
+        match self.runs.last_mut() {
+            _ if n == 0 => {}
+            Some(Run::Literal { len, .. }) => *len += n,
+            _ => self.runs.push(Run::Literal {
+                start: self.codes.len() - n,
+                len: n,
+            }),
+        }
+    }
 }
 
-/// Decodes exactly `count` values from `input`, preserving the run
-/// structure: literal runs unpack with the width-specialized
+/// Decodes exactly `count` values from `input` into runs of `C` codes.
+/// An RLE run of [`FOLD_BELOW`] values or more stays a run; a shorter one
+/// is written into the code buffer and merged with its literal
+/// neighbours. Literal runs unpack with the width-specialized
 /// [`bitpack::unpack_into`] straight from `input` (whose later bytes are
-/// its slack) into one code buffer, which grows only after a run's
-/// packed bytes are known to be present. Flattening the result
+/// its slack) into the buffer, which grows only after a run's packed
+/// bytes are known to be present. Flattening the result
 /// ([`Runs::expand`]) is [`decode`].
 ///
 /// # Errors
 ///
-/// Fails on truncation or if the stream holds a different number of values.
-pub fn decode_runs(input: &[u8], count: usize) -> Result<Runs> {
+/// Fails on truncation, if the stream holds a different number of
+/// values, if its width exceeds `max_width`, or if an RLE value does not
+/// fit that width.
+///
+/// # Panics
+///
+/// Panics if `max_width > C::BITS`.
+pub fn decode_runs<C: Code>(input: &[u8], count: usize, max_width: u32) -> Result<Runs<C>> {
+    assert!(max_width <= C::BITS, "{max_width}-bit codes do not fit");
     let mut c = Cursor::new(input);
     let width = c.u8()? as u32;
-    if width > 32 {
-        return Err(FormatError::Corrupt(format!("rle width {width} > 32")));
+    if width > max_width {
+        return Err(FormatError::Corrupt(format!(
+            "rle width {width} > {max_width}"
+        )));
     }
     let value_bytes = width.div_ceil(8) as usize;
     let mut out = Runs::default();
@@ -147,21 +183,29 @@ pub fn decode_runs(input: &[u8], count: usize) -> Result<Runs> {
     while covered < count {
         let h = c.uvarint()?;
         let n = (h >> 1) as usize;
+        if n > count - covered {
+            return Err(FormatError::Corrupt("run overflows value count".into()));
+        }
         if h & 1 == 0 {
             let raw = c.bytes(value_bytes)?;
-            let mut le = [0u8; 4];
+            let mut le = [0u8; 8];
             le[..value_bytes].copy_from_slice(raw);
-            let value = u32::from_le_bytes(le);
-            if n > count - covered {
-                return Err(FormatError::Corrupt("rle run overflows value count".into()));
+            let value = u64::from_le_bytes(le);
+            if value >> width != 0 {
+                return Err(FormatError::Corrupt(format!(
+                    "rle value {value} wider than {width} bits"
+                )));
             }
-            out.runs.push(Run::Rle { value, len: n });
+            if n >= FOLD_BELOW {
+                out.runs.push(Run::Rle {
+                    value: value as u32,
+                    len: n,
+                });
+            } else {
+                out.codes.resize(out.codes.len() + n, C::truncate(value));
+                out.push_literal(n);
+            }
         } else {
-            if n > count - covered {
-                return Err(FormatError::Corrupt(
-                    "literal run overflows value count".into(),
-                ));
-            }
             // Every value of a width-0 stream is 0, so the writer emits a
             // literal run there only for a stream too short to repeat
             // (`MIN_RLE_RUN`); a longer one would grow the code buffer with
@@ -171,11 +215,12 @@ pub fn decode_runs(input: &[u8], count: usize) -> Result<Runs> {
                     "width-0 literal run of {n} values"
                 )));
             }
-            let start = out.codes.len();
             bitpack::unpack_into(input, c.position(), width, n, &mut out.codes)?;
             c.bytes(bitpack::packed_len(width, n))?;
-            out.runs.push(Run::Literal { start, len: n });
+            out.push_literal(n);
+            out.stream_literals += n;
         }
+        out.stream_runs += 1;
         covered += n;
     }
     Ok(out)
@@ -189,7 +234,7 @@ pub fn decode_runs(input: &[u8], count: usize) -> Result<Runs> {
 ///
 /// Fails on truncation or if the stream holds a different number of values.
 pub fn decode(input: &[u8], count: usize) -> Result<Vec<u32>> {
-    Ok(decode_runs(input, count)?.expand())
+    Ok(decode_runs::<u32>(input, count, 32)?.expand())
 }
 
 #[cfg(test)]
@@ -275,28 +320,52 @@ mod tests {
         values.extend([1, 2, 1, 2, 1].iter());
         let mut buf = Vec::new();
         encode(&values, &mut buf);
-        let runs = decode_runs(&buf, values.len()).unwrap();
+        let runs = decode_runs::<u32>(&buf, values.len(), 32).unwrap();
         assert_eq!(runs.expand(), values);
-        // The long repetitions must survive as RLE runs, not literals,
-        // and the literal spans tile the code buffer in order.
-        assert!(runs.runs.contains(&Run::Rle { value: 7, len: 100 }));
-        let mut next = 0;
-        for run in &runs.runs {
-            if let Run::Literal { start, len } = *run {
-                assert_eq!(start, next);
-                next += len;
-            }
-        }
-        assert_eq!(next, runs.codes.len());
+        // The long repetition survives as an RLE run; the 9-value one,
+        // shorter than a bitmap word, joins its literal neighbours; the
+        // literal spans tile the code buffer in order.
+        assert_eq!(
+            runs.runs,
+            vec![
+                Run::Rle { value: 7, len: 100 },
+                Run::Literal { start: 0, len: 64 },
+            ]
+        );
+        assert_eq!((runs.stream_runs, runs.stream_literals), (4, 55));
+        // The same stream at u8 width.
+        let narrow = decode_runs::<u8>(&buf, values.len(), 8).unwrap();
+        assert_eq!(narrow.runs, runs.runs);
+        assert!(narrow.codes.iter().map(|&c| u32::from(c)).eq(runs.codes));
     }
 
     #[test]
     fn decode_runs_rejects_truncation_and_overflow() {
         let mut buf = Vec::new();
         encode(&(0..100u32).collect::<Vec<_>>(), &mut buf);
-        assert!(decode_runs(&buf[..buf.len() / 2], 100).is_err());
-        assert!(decode_runs(&buf, 10).is_err(), "runs overflow small count");
-        assert!(decode_runs(&[60, 2, 0], 1).is_err(), "width > 32");
+        assert!(decode_runs::<u32>(&buf[..buf.len() / 2], 100, 32).is_err());
+        assert!(
+            decode_runs::<u32>(&buf, 10, 32).is_err(),
+            "runs overflow small count"
+        );
+        assert!(
+            decode_runs::<u32>(&[60, 2, 0], 1, 32).is_err(),
+            "width > 32"
+        );
+        // Width 7 streams are refused where at most 6 bits are expected.
+        assert!(matches!(
+            decode_runs::<u8>(&buf, 100, 6),
+            Err(FormatError::Corrupt(_))
+        ));
+        assert!(decode_runs::<u8>(&buf, 100, 7).is_ok());
+        // An RLE value wider than the stream's width.
+        let mut wide = vec![2];
+        put::uvarint(&mut wide, 70 << 1);
+        wide.push(4);
+        assert!(matches!(
+            decode_runs::<u8>(&wide, 70, 8),
+            Err(FormatError::Corrupt(_))
+        ));
     }
 
     #[test]

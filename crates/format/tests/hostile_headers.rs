@@ -2,8 +2,8 @@
 //! sizes a reservation must come back as a typed error, never as an
 //! allocation the process cannot survive.
 
-use fusion_format::chunk::{decode_column_chunk, read_encoded_chunk};
-use fusion_format::encoding::plain;
+use fusion_format::chunk::{decode_column_chunk, read_encoded_chunk, MAX_DICT_DISTINCT};
+use fusion_format::encoding::{bitpack, plain};
 use fusion_format::footer::{parse_footer, FileMeta, MAGIC};
 use fusion_format::prelude::*;
 use fusion_format::util::{crc32, put};
@@ -106,12 +106,7 @@ fn a_plain_chunk_declaring_u32_max_values_is_truncated() {
 /// A dictionary chunk over `["x", "y"]` whose index page holds `index`
 /// and declares `rows` values.
 fn dictionary_chunk(index: &[u8], rows: u32) -> Vec<u8> {
-    let mut dict = Vec::new();
-    plain::encode(&ColumnData::Utf8(vec!["x".into(), "y".into()]), &mut dict);
-    let mut chunk = vec![1];
-    page(&mut chunk, &dict, 2);
-    page(&mut chunk, index, rows);
-    chunk
+    chunk_over(&ColumnData::Utf8(vec!["x".into(), "y".into()]), index, rows)
 }
 
 #[test]
@@ -160,4 +155,78 @@ fn a_width_0_literal_run_longer_than_the_writer_emits_is_corrupt() {
         decode_column_chunk(&chunk, LogicalType::Utf8).unwrap(),
         ColumnData::Utf8(vec!["x".into(); 5])
     );
+}
+
+/// A dictionary chunk over `dictionary` whose index page holds `index`
+/// and declares `rows` values.
+fn chunk_over(dictionary: &ColumnData, index: &[u8], rows: u32) -> Vec<u8> {
+    let mut dict = Vec::new();
+    plain::encode(dictionary, &mut dict);
+    let mut chunk = vec![1];
+    page(&mut chunk, &dict, dictionary.len() as u32);
+    page(&mut chunk, index, rows);
+    chunk
+}
+
+#[test]
+fn a_dictionary_of_more_than_max_dict_distinct_entries_is_corrupt() {
+    // Width 16 (the widest a 2^16-entry dictionary needs) and one RLE
+    // run of 70 rows of code 0.
+    let mut index = vec![16];
+    put::uvarint(&mut index, 70 << 1);
+    index.extend_from_slice(&[0, 0]);
+    let fits = ColumnData::Int64((0..MAX_DICT_DISTINCT as i64).collect());
+    let view = read_encoded_chunk(&chunk_over(&fits, &index, 70), LogicalType::Int64).unwrap();
+    assert_eq!(view.decode().unwrap(), ColumnData::Int64(vec![0; 70]));
+    let over = ColumnData::Int64((0..=MAX_DICT_DISTINCT as i64).collect());
+    let chunk = chunk_over(&over, &index, 70);
+    assert!(matches!(
+        read_encoded_chunk(&chunk, LogicalType::Int64).unwrap_err(),
+        FormatError::Corrupt(_)
+    ));
+    assert!(matches!(
+        decode_column_chunk(&chunk, LogicalType::Int64).unwrap_err(),
+        FormatError::Corrupt(_)
+    ));
+    // A page header declaring u32::MAX entries is refused before any
+    // byte of it is decoded.
+    let mut chunk = vec![1];
+    let mut dict = Vec::new();
+    plain::encode(&ColumnData::Int64(vec![1]), &mut dict);
+    page(&mut chunk, &dict, u32::MAX);
+    page(&mut chunk, &index, 70);
+    assert!(matches!(
+        read_encoded_chunk(&chunk, LogicalType::Int64).unwrap_err(),
+        FormatError::Corrupt(_)
+    ));
+}
+
+#[test]
+fn an_index_stream_wider_than_its_dictionary_needs_is_corrupt() {
+    // One 8-value literal run of codes 0 and 1, packed at `width` bits.
+    let index = |width: u32| {
+        let mut index = vec![width as u8];
+        put::uvarint(&mut index, (8 << 1) | 1);
+        bitpack::pack(&[0, 1, 0, 1, 1, 0, 1, 0], width, &mut index);
+        index
+    };
+    for (entries, needed) in [(2usize, 1u32), (256, 8), (257, 9), (MAX_DICT_DISTINCT, 16)] {
+        let dictionary = ColumnData::Int64((0..entries as i64).collect());
+        for width in [needed, needed + 1, 17, 32] {
+            let chunk = chunk_over(&dictionary, &index(width), 8);
+            let got = read_encoded_chunk(&chunk, LogicalType::Int64);
+            if width <= needed {
+                assert_eq!(
+                    got.unwrap().decode().unwrap(),
+                    ColumnData::Int64(vec![0, 1, 0, 1, 1, 0, 1, 0])
+                );
+            } else {
+                assert!(
+                    matches!(got, Err(FormatError::Corrupt(_))),
+                    "{entries} entries, width {width}"
+                );
+                assert!(decode_column_chunk(&chunk, LogicalType::Int64).is_err());
+            }
+        }
+    }
 }

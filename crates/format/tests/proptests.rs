@@ -146,7 +146,7 @@ mod rle_runs {
             rle::encode(&codes, &mut bytes);
             let flat = rle::decode(&bytes, codes.len()).unwrap();
             prop_assert_eq!(&flat, &codes);
-            let runs = rle::decode_runs(&bytes, codes.len()).unwrap();
+            let runs = rle::decode_runs::<u32>(&bytes, codes.len(), 32).unwrap();
             let expanded: Vec<u32> = runs
                 .runs
                 .iter()

@@ -53,7 +53,7 @@ fn unpack_matches_reference_at_every_width_count_and_slack() {
             page.resize(span_end + slack, 0xFF);
             let want = unpack_reference(&page[lead..], width, count).unwrap();
             assert_eq!(want, values, "oracle, width {width} count {count}");
-            let mut got = vec![7, 7];
+            let mut got = vec![7u32, 7];
             unpack_into(&page, lead, width, count, &mut got).unwrap();
             assert_eq!(got[..2], [7, 7], "prefix, width {width} count {count}");
             assert_eq!(
@@ -81,7 +81,7 @@ fn truncated_spans_fail_like_the_reference() {
                 unpack_reference(&short[3..], width, count).unwrap_err(),
                 FormatError::Truncated
             );
-            let mut got = vec![1];
+            let mut got = vec![1u32];
             assert_eq!(
                 unpack_into(short, 3, width, count, &mut got).unwrap_err(),
                 FormatError::Truncated,
@@ -147,12 +147,32 @@ fn code_streams() -> Vec<Vec<u32>> {
     streams
 }
 
+/// The reference parse with every RLE run shorter than a bitmap word
+/// written out as literal values, and adjacent literal runs merged: the
+/// structure `decode_runs` keeps.
+fn folded(runs: Vec<RefRun>) -> Vec<RefRun> {
+    let mut out: Vec<RefRun> = Vec::new();
+    for run in runs {
+        let run = match run {
+            RefRun::Rle(v, n) if n < rle::FOLD_BELOW => RefRun::Literal(vec![v; n]),
+            run => run,
+        };
+        match (out.last_mut(), run) {
+            (_, RefRun::Literal(v)) if v.is_empty() => {}
+            (Some(RefRun::Literal(prev)), RefRun::Literal(v)) => prev.extend(v),
+            (_, run) => out.push(run),
+        }
+    }
+    out
+}
+
 #[test]
-fn decode_runs_matches_the_reference_parse_and_flattens_to_decode() {
+fn decode_runs_matches_the_folded_reference_parse_and_flattens_to_decode() {
     for codes in code_streams() {
         let mut bytes = Vec::new();
         rle::encode(&codes, &mut bytes);
-        let runs = rle::decode_runs(&bytes, codes.len()).unwrap();
+        let reference = reference_runs(&bytes, codes.len());
+        let runs = rle::decode_runs::<u32>(&bytes, codes.len(), 32).unwrap();
         let spans: Vec<RefRun> = runs
             .runs
             .iter()
@@ -163,9 +183,41 @@ fn decode_runs_matches_the_reference_parse_and_flattens_to_decode() {
                 }
             })
             .collect();
-        assert_eq!(spans, reference_runs(&bytes, codes.len()));
+        let literals = |runs: &[RefRun]| -> usize {
+            runs.iter()
+                .map(|r| match r {
+                    RefRun::Rle(..) => 0,
+                    RefRun::Literal(v) => v.len(),
+                })
+                .sum()
+        };
+        assert_eq!(
+            (runs.stream_runs, runs.stream_literals),
+            (reference.len(), literals(&reference))
+        );
+        assert_eq!(spans, folded(reference));
         assert_eq!(runs.expand(), codes);
         assert_eq!(rle::decode(&bytes, codes.len()).unwrap(), codes);
+        // Narrow code buffers hold the same runs and values.
+        let max = codes.iter().copied().max().unwrap_or(0);
+        if max <= u32::from(u16::MAX) {
+            let narrow = rle::decode_runs::<u16>(&bytes, codes.len(), 16).unwrap();
+            assert_eq!(narrow.runs, runs.runs);
+            assert!(narrow
+                .codes
+                .iter()
+                .map(|&c| u32::from(c))
+                .eq(runs.codes.iter().copied()));
+        }
+        if max <= u32::from(u8::MAX) {
+            let narrow = rle::decode_runs::<u8>(&bytes, codes.len(), 8).unwrap();
+            assert_eq!(narrow.runs, runs.runs);
+            assert!(narrow
+                .codes
+                .iter()
+                .map(|&c| u32::from(c))
+                .eq(runs.codes.iter().copied()));
+        }
     }
 }
 
@@ -182,7 +234,7 @@ fn dictionary_chunk(dictionary: &ColumnData, index: &[u8], rows: usize) -> Vec<u
     };
     let mut dict_bytes = Vec::new();
     plain::encode(dictionary, &mut dict_bytes);
-    let mut out = vec![1];
+    let mut out = vec![1u8];
     page(&mut out, &dict_bytes, dictionary.len());
     page(&mut out, index, rows);
     out

@@ -7,11 +7,13 @@
 //! both are tested against.
 
 use crate::ast::AggFunc;
-use crate::bitmap::{or_bits, or_span, Bitmap};
+use crate::bitmap::{or_span, Bitmap};
 use crate::error::{Result, SqlError};
+use crate::kernel::{LiteralPath, MatchTable};
 use crate::partial::{mismatch, overflow, GroupKey, GroupedAggs, PartialAgg};
 use crate::plan::{AggregateSpec, BoolTree, FilterLeaf};
-use fusion_format::chunk::EncodedChunk;
+use fusion_format::chunk::{Codes, EncodedChunk};
+use fusion_format::encoding::bitpack::Code;
 use fusion_format::encoding::rle::Run;
 use fusion_format::schema::LogicalType;
 use fusion_format::value::{ColumnData, Value};
@@ -70,10 +72,15 @@ pub fn eval_filter(leaf: &FilterLeaf, col: &ColumnData) -> Result<Bitmap> {
 /// `decode()`-then-[`eval_filter`] but without materializing rows:
 ///
 /// * **Dictionary** chunks: the predicate runs once per dictionary entry
-///   (the dictionary is tiny — at most `MAX_DICT_DISTINCT` values), then
-///   codes translate to bits through the resulting mask.
-/// * **RLE runs** of codes: one mask lookup sets the whole span word-wise.
-/// * **Literal runs**: mask lookups accumulate into 64-bit words.
+///   (the dictionary is tiny — at most `MAX_DICT_DISTINCT` values), and
+///   its results become a bit table over every code the view's width
+///   can hold. Codes are checked against the dictionary once per call,
+///   so no per-code lookup is bounds-checked or fallible.
+/// * **RLE runs** of codes (each fills at least one bitmap word): one
+///   table lookup sets the whole span word-wise.
+/// * **Literal spans**: each batch of 64 codes becomes one bitmap word.
+///   u8 codes take the AVX2 path when the CPU has it (detected at run
+///   time, [`LiteralPath::detect`]), u16 codes the portable table loop.
 /// * **Plain** chunks fall back to the word-batched [`eval_filter`].
 ///
 /// # Errors
@@ -81,6 +88,20 @@ pub fn eval_filter(leaf: &FilterLeaf, col: &ColumnData) -> Result<Bitmap> {
 /// Type mismatches, or a code out of range for the dictionary (impossible
 /// for views from `read_encoded_chunk`, which validates codes up front).
 pub fn eval_filter_encoded(leaf: &FilterLeaf, chunk: &EncodedChunk) -> Result<Bitmap> {
+    eval_filter_encoded_with(leaf, chunk, LiteralPath::detect())
+}
+
+/// [`eval_filter_encoded`] with u8 literal codes scanned on `path`. Every
+/// path gives the same bitmap; the portable one is the oracle.
+///
+/// # Errors
+///
+/// The errors of [`eval_filter_encoded`].
+pub fn eval_filter_encoded_with(
+    leaf: &FilterLeaf,
+    chunk: &EncodedChunk,
+    path: LiteralPath,
+) -> Result<Bitmap> {
     let (dictionary, codes, runs, rows) = match chunk {
         EncodedChunk::Plain(col) => return eval_filter(leaf, col),
         EncodedChunk::Dictionary {
@@ -88,57 +109,71 @@ pub fn eval_filter_encoded(leaf: &FilterLeaf, chunk: &EncodedChunk) -> Result<Bi
             codes,
             runs,
             rows,
+            ..
         } => (dictionary, codes, runs, *rows),
     };
     let dict_bits = eval_filter(leaf, dictionary)?;
-    let mask: Vec<bool> = (0..dictionary.len()).map(|i| dict_bits.get(i)).collect();
-    let code_match = |code: u32| -> Result<bool> {
-        mask.get(code as usize)
-            .copied()
-            .ok_or_else(|| code_out_of_range(code, mask.len()))
-    };
     let mut words = vec![0u64; rows.div_ceil(64)];
+    match codes {
+        Codes::U8(codes) => {
+            check_view(codes, runs, dictionary.len())?;
+            let table = MatchTable::<4>::new(dict_bits.words());
+            filter_spans(&table, codes, runs, rows, &mut words, |c, w, pos| {
+                table.or_literal_u8(path, c, w, pos)
+            })?;
+        }
+        Codes::U16(codes) => {
+            check_view(codes, runs, dictionary.len())?;
+            let table = MatchTable::<1024>::new(dict_bits.words());
+            filter_spans(&table, codes, runs, rows, &mut words, |c, w, pos| {
+                table.or_literal(c, w, pos)
+            })?;
+        }
+    }
+    Ok(Bitmap::from_words(rows, words))
+}
+
+/// The filter kernel's walk of a checked view: an RLE run ORs its span
+/// when its code matches, a literal span goes through `or_literal`.
+fn filter_spans<C: Code, const N: usize>(
+    table: &MatchTable<N>,
+    codes: &[C],
+    runs: &[Run],
+    rows: usize,
+    words: &mut [u64],
+    or_literal: impl Fn(&[C], &mut [u64], usize),
+) -> Result<()> {
     for_each_span(runs, codes, rows, |pos, span| {
         match span {
             Span::Rle(code, len) => {
-                if code_match(code)? {
-                    or_span(&mut words, pos, len);
+                if table.matches(code) {
+                    or_span(words, pos, len);
                 }
             }
-            Span::Literal(codes) => {
-                for (k, batch) in codes.chunks(64).enumerate() {
-                    let mut acc = 0u64;
-                    for (bit, &code) in batch.iter().enumerate() {
-                        acc |= (code_match(code)? as u64) << bit;
-                    }
-                    or_bits(&mut words, pos + 64 * k, acc, batch.len());
-                }
-            }
+            Span::Literal(codes) => or_literal(codes, words, pos),
         }
         Ok(())
-    })?;
-    Ok(Bitmap::from_words(rows, words))
+    })
 }
 
 /// One run of a dictionary view with its literal codes resolved.
 #[derive(Clone, Copy)]
-enum Span<'a> {
+enum Span<'a, C> {
     /// `len` rows of one code.
-    Rle(u32, usize),
+    Rle(usize, usize),
     /// One code per row.
-    Literal(&'a [u32]),
+    Literal(&'a [C]),
 }
 
 /// Walks a dictionary view's runs in row order, calling `f(first_row,
 /// span)` for each, after checking the structure a hand-built view can
 /// get wrong: runs that overflow or fall short of `rows`, and literal
-/// spans outside `codes`. Each kernel checks codes against the
-/// dictionary in the way its loop affords.
-fn for_each_span<'a>(
+/// spans outside `codes`. Codes are checked by [`check_view`].
+fn for_each_span<'a, C>(
     runs: &[Run],
-    codes: &'a [u32],
+    codes: &'a [C],
     rows: usize,
-    mut f: impl FnMut(usize, Span<'a>) -> Result<()>,
+    mut f: impl FnMut(usize, Span<'a, C>) -> Result<()>,
 ) -> Result<()> {
     let mut pos = 0usize;
     for &run in runs {
@@ -146,7 +181,7 @@ fn for_each_span<'a>(
             return Err(SqlError::Invalid("run structure overflows chunk".into()));
         }
         let span = match run {
-            Run::Rle { value, len } => Span::Rle(value, len),
+            Run::Rle { value, len } => Span::Rle(value as usize, len),
             Run::Literal { start, len } => {
                 let span = codes.get(start..).and_then(|c| c.get(..len));
                 Span::Literal(span.ok_or_else(|| {
@@ -165,7 +200,33 @@ fn for_each_span<'a>(
     Ok(())
 }
 
-fn code_out_of_range(code: u32, dict_len: usize) -> SqlError {
+/// Checks, once per kernel call, that every code of a dictionary view
+/// indexes its `dict_len`-entry dictionary — the maximum of the literal
+/// buffer (`max` vectorizes) and of the RLE runs' values — and that the
+/// dictionary fits the codes' width, so a code indexes a [`MatchTable`]
+/// of that width.
+fn check_view<C: Code>(codes: &[C], runs: &[Run], dict_len: usize) -> Result<()> {
+    if dict_len > 1 << C::BITS {
+        return Err(SqlError::Invalid(format!(
+            "{dict_len}-entry dictionary for {}-bit codes",
+            C::BITS
+        )));
+    }
+    let literal = codes.iter().copied().max().map(C::index);
+    let rle = runs
+        .iter()
+        .filter_map(|run| match *run {
+            Run::Rle { value, .. } => Some(value as usize),
+            Run::Literal { .. } => None,
+        })
+        .max();
+    match literal.max(rle) {
+        Some(code) if code >= dict_len => Err(code_out_of_range(code, dict_len)),
+        _ => Ok(()),
+    }
+}
+
+fn code_out_of_range(code: usize, dict_len: usize) -> SqlError {
     SqlError::Invalid(format!(
         "dictionary code {code} out of range ({dict_len} entries)"
     ))
@@ -373,11 +434,13 @@ fn check_filter_len(chunk: &EncodedChunk, filter: &Bitmap) -> Result<()> {
 
 /// Visits the rows of `chunk` that `filter` selects, in row order, as
 /// `(i, n)` pairs meaning "`chunk_values(chunk)[i]`, `n` times": an RLE
-/// run contributes its code once with its selected-row count
-/// ([`Bitmap::count_range`]); a literal run or a plain chunk contributes
-/// one pair per selected row, walked a word at a time
+/// run (at least one 64-row word long in a parsed view) contributes its
+/// code once with its selected-row count ([`Bitmap::count_range`]); a
+/// literal span of u8 or u16 codes, or a plain chunk, contributes one
+/// pair per selected row, walked a word at a time
 /// ([`Bitmap::for_each_one`]: a fully selected 64-row word is a plain
-/// loop, any other word steps from set bit to set bit).
+/// loop, any other word steps from set bit to set bit). Codes are
+/// checked against the dictionary once per call.
 ///
 /// # Errors
 ///
@@ -390,36 +453,48 @@ pub(crate) fn for_each_selected(
     mut f: impl FnMut(usize, usize),
 ) -> Result<()> {
     check_filter_len(chunk, filter)?;
-    let (dictionary, codes, runs, rows) = match chunk {
+    match chunk {
         EncodedChunk::Plain(_) => {
             filter.for_each_one(0, filter.len(), |row| f(row, 1));
-            return Ok(());
+            Ok(())
         }
         EncodedChunk::Dictionary {
             dictionary,
-            codes,
+            codes: Codes::U8(codes),
             runs,
             rows,
-        } => (dictionary, codes, runs, *rows),
-    };
-    // Codes are checked a run at a time (`max` vectorizes), so the
-    // per-row loops below stay tight.
-    let check = |max_code: Option<u32>| match max_code {
-        Some(c) if c as usize >= dictionary.len() => Err(code_out_of_range(c, dictionary.len())),
-        _ => Ok(()),
-    };
+            ..
+        } => selected_spans(codes, runs, *rows, dictionary.len(), filter, f),
+        EncodedChunk::Dictionary {
+            dictionary,
+            codes: Codes::U16(codes),
+            runs,
+            rows,
+            ..
+        } => selected_spans(codes, runs, *rows, dictionary.len(), filter, f),
+    }
+}
+
+/// [`for_each_selected`] over a dictionary view's runs.
+fn selected_spans<C: Code>(
+    codes: &[C],
+    runs: &[Run],
+    rows: usize,
+    dict_len: usize,
+    filter: &Bitmap,
+    mut f: impl FnMut(usize, usize),
+) -> Result<()> {
+    check_view(codes, runs, dict_len)?;
     for_each_span(runs, codes, rows, |pos, span| {
         match span {
             Span::Rle(code, len) => {
-                check(Some(code))?;
                 let n = filter.count_range(pos, len);
                 if n > 0 {
-                    f(code as usize, n);
+                    f(code, n);
                 }
             }
             Span::Literal(codes) => {
-                check(codes.iter().copied().max())?;
-                filter.for_each_one(pos, codes.len(), |row| f(codes[row - pos] as usize, 1));
+                filter.for_each_one(pos, codes.len(), |row| f(codes[row - pos].index(), 1))
             }
         }
         Ok(())
@@ -1037,11 +1112,12 @@ mod tests {
         // Hand-built views with out-of-range codes or short run coverage.
         let dict = ColumnData::Int64(vec![10, 20]);
         let l = leaf(CmpOp::Eq, Value::Int(10));
-        let view = |codes: Vec<u32>, runs: Vec<Run>, rows| EncodedChunk::Dictionary {
+        let view = |codes: Vec<u8>, runs: Vec<Run>, rows| EncodedChunk::Dictionary {
             dictionary: dict.clone(),
-            codes,
+            codes: Codes::U8(codes),
             runs,
             rows,
+            stream_weight: 0,
         };
         let bad_code = view(vec![], vec![Run::Rle { value: 9, len: 4 }], 4);
         assert!(eval_filter_encoded(&l, &bad_code).is_err());
@@ -1053,6 +1129,25 @@ mod tests {
         assert!(eval_filter_encoded(&l, &short).is_err());
         let long = view(vec![], vec![Run::Rle { value: 0, len: 9 }], 5);
         assert!(eval_filter_encoded(&l, &long).is_err());
+        // A dictionary too large for its code width is refused, not
+        // looked up past its table, by every kernel.
+        let wide = EncodedChunk::Dictionary {
+            dictionary: ColumnData::Int64((0..300).collect()),
+            codes: Codes::U8(vec![0]),
+            runs: vec![
+                Run::Rle {
+                    value: 299,
+                    len: 64,
+                },
+                Run::Literal { start: 0, len: 1 },
+            ],
+            rows: 65,
+            stream_weight: 0,
+        };
+        assert!(eval_filter_encoded(&l, &wide).is_err());
+        let all = Bitmap::ones_with_len(65);
+        assert!(select_encoded(&wide, &all, &mut ColumnData::Int64(vec![])).is_err());
+        assert!(group_aggregate_encoded(&wide, &[(AggFunc::Count, AggInput::Star)], &all).is_err());
     }
 
     // Finalized rows, with the value vector wrapped in GroupKey so floats
@@ -1194,9 +1289,10 @@ mod tests {
         assert!(group_aggregate_decoded(&[], &[(AggFunc::Count, None)], &short_filter).is_err());
         let chunk = EncodedChunk::Dictionary {
             dictionary: ColumnData::Int64(vec![10, 20]),
-            codes: vec![],
+            codes: Codes::U8(vec![]),
             runs: vec![Run::Rle { value: 9, len: 3 }],
             rows: 3,
+            stream_weight: 0,
         };
         assert!(group_aggregate_encoded(
             &chunk,
@@ -1298,9 +1394,10 @@ mod tests {
         assert!(float_sum.fold(&Selection::new(&chunk, &all)).is_err());
         let bad_code = EncodedChunk::Dictionary {
             dictionary: ColumnData::Int64(vec![10, 20]),
-            codes: vec![0, 5, 1],
+            codes: Codes::U16(vec![0, 5, 1]),
             runs: vec![Run::Literal { start: 0, len: 3 }],
             rows: 3,
+            stream_weight: 0,
         };
         assert!(select_encoded(&bad_code, &all, &mut out).is_err());
         let mut max = PartialAgg::new(AggFunc::Max, LogicalType::Int64).unwrap();

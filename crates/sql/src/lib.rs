@@ -38,6 +38,7 @@ pub mod bitmap;
 pub mod date;
 pub mod error;
 pub mod eval;
+pub mod kernel;
 pub mod lexer;
 pub mod parser;
 pub mod partial;

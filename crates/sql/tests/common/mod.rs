@@ -36,7 +36,7 @@ pub fn arb_runs_float() -> impl Strategy<Value = Vec<f64>> {
                 Just(-0.0f64).boxed(),
                 Just(0.0f64).boxed(),
             ],
-            1usize..60,
+            1usize..71,
         ),
         0..25,
     )
@@ -49,11 +49,61 @@ pub fn arb_runs_float() -> impl Strategy<Value = Vec<f64>> {
 
 /// Run-shaped strings from a tiny alphabet.
 pub fn arb_runs_utf8() -> impl Strategy<Value = Vec<String>> {
-    prop::collection::vec(("[a-c]{0,3}", 1usize..60), 0..25).prop_map(|runs| {
+    prop::collection::vec(("[a-c]{0,3}", 1usize..71), 0..25).prop_map(|runs| {
         runs.into_iter()
             .flat_map(|(v, n)| std::iter::repeat_n(v, n))
             .collect()
     })
+}
+
+/// Entry `k` of an [`arb_wide_dict_int`] dictionary: spread over all 64
+/// bits, so a plain page of them barely compresses.
+pub fn wide_dict_value(k: usize) -> i64 {
+    (k as i64 + 1).wrapping_mul(0x5851_F42D_4C95_7F2D)
+}
+
+/// Integers over a dictionary of 255, 256, 257 or about 3,000 entries:
+/// both sides of the u8/u16 code width, and a wide u16 one. Every entry
+/// appears four times in a scattered order, so the writer keeps the
+/// dictionary, and RLE runs of 8–70 rows of one entry are spliced in:
+/// at parse a run shorter than a 64-row word folds into the literal
+/// codes around it, a longer one stays a run.
+pub fn arb_wide_dict_int() -> impl Strategy<Value = Vec<i64>> {
+    (
+        prop_oneof![
+            Just(255usize).boxed(),
+            Just(256usize).boxed(),
+            Just(257usize).boxed(),
+            (2900usize..3100).boxed(),
+        ],
+        0usize..1000,
+        prop::collection::vec((0usize..1 << 16, 8usize..71, 0usize..1 << 16), 0..8),
+    )
+        .prop_map(|(entries, step, runs)| {
+            // Each pass visits every entry once, in the order of an odd
+            // step coprime to `entries`, a different step per pass.
+            let gcd = |mut a: usize, mut b: usize| {
+                while b != 0 {
+                    (a, b) = (b, a % b);
+                }
+                a
+            };
+            let mut step = 2 * step + 1;
+            let mut col = Vec::with_capacity(4 * entries);
+            for _ in 0..4 {
+                while gcd(step, entries) != 1 {
+                    step += 2;
+                }
+                col.extend((0..entries).map(|i| wide_dict_value(i * step % entries)));
+                step += 2;
+            }
+            for (entry, len, at) in runs {
+                let at = at % (col.len() + 1);
+                let run = std::iter::repeat_n(wide_dict_value(entry % entries), len);
+                col.splice(at..at, run);
+            }
+            col
+        })
 }
 
 /// High-cardinality integers the writer keeps plain.

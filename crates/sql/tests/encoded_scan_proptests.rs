@@ -2,15 +2,23 @@
 //! `eval_filter_encoded` over an [`EncodedChunk`] view must be
 //! bit-identical to the decode-then-`eval_filter` path for every
 //! encoding the writer chooses, every comparison operator, and every
-//! edge value (extremes, NaN, empty strings).
+//! edge value (extremes, NaN, empty strings), over u8 and u16 code
+//! widths.
 
-use fusion_format::chunk::{decode_column_chunk, encode_column_chunk, read_encoded_chunk};
+use fusion_format::chunk::{
+    decode_column_chunk, encode_column_chunk, read_encoded_chunk, Codes, EncodedChunk,
+};
 use fusion_format::schema::LogicalType;
 use fusion_format::value::{ColumnData, Value};
 use fusion_sql::ast::CmpOp;
 use fusion_sql::eval::{eval_filter, eval_filter_encoded};
 use fusion_sql::plan::FilterLeaf;
 use proptest::prelude::*;
+
+// The filter kernels take no filter input: only the column generators
+// are used here.
+#[allow(dead_code)]
+mod common;
 
 fn arb_op() -> impl Strategy<Value = CmpOp> {
     prop_oneof![
@@ -178,5 +186,25 @@ proptest! {
         let col = ColumnData::Int64(data);
         // Date shares Int64's physical representation and kernels.
         assert_paths_agree(&col, LogicalType::Date, &leaf(op, Value::Int(c)))?;
+    }
+
+    #[test]
+    fn wide_dictionaries_encoded_match_decoded(
+        data in common::arb_wide_dict_int(),
+        k in 0usize..3200,
+        op in arb_op(),
+    ) {
+        let col = ColumnData::Int64(data);
+        // 256 entries or fewer take u8 codes, more take u16.
+        let distinct = col.as_int64().unwrap().iter().collect::<std::collections::HashSet<_>>().len();
+        let (bytes, _) = encode_column_chunk(&col);
+        match read_encoded_chunk(&bytes, LogicalType::Int64).unwrap() {
+            EncodedChunk::Dictionary { codes, .. } => {
+                prop_assert_eq!(matches!(codes, Codes::U16(_)), distinct > 256);
+            }
+            EncodedChunk::Plain(_) => prop_assert!(false, "{distinct} entries stayed plain"),
+        }
+        let c = common::wide_dict_value(k);
+        assert_paths_agree(&col, LogicalType::Int64, &leaf(op, Value::Int(c)))?;
     }
 }

@@ -1,7 +1,8 @@
 //! Differential property tests for encoded-domain grouped aggregation:
 //! `group_aggregate_encoded` over an [`EncodedChunk`] view must be
 //! *bit-identical* to decode-then-`group_aggregate_decoded` for every
-//! encoding the writer chooses (dictionary/RLE/plain), every key type,
+//! encoding the writer chooses (dictionary/RLE/plain, u8 and u16 codes),
+//! every key type,
 //! NaN MIN/MAX ordering, empty filters, and 0%/100% selectivity — and
 //! must fail identically (SUM overflow) when the oracle fails.
 //!
@@ -380,6 +381,11 @@ proptest! {
 
     #[test]
     fn int_key_encoded_matches_oracle(case in with_filter(arb_runs_int())) {
+        int_key_case(case.0, case.1)?;
+    }
+
+    #[test]
+    fn wide_dictionary_key_encoded_matches_oracle(case in with_filter(arb_wide_dict_int())) {
         int_key_case(case.0, case.1)?;
     }
 

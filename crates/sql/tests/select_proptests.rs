@@ -11,7 +11,8 @@
 //!   built, integer SUM overflow while it folds).
 //!
 //! Inputs: plain and dictionary chunks (RLE and literal runs) of Int64,
-//! Date, Float64 and Utf8; one to four row groups in sequence; empty,
+//! Date, Float64 and Utf8, with u8 and u16 dictionary codes (255- to
+//! about 3,000-entry dictionaries); one to four row groups in sequence; empty,
 //! full and random filters whose lengths are rarely a multiple of 64;
 //! floats with NaN, both zeros and both infinities; integer SUMs at the
 //! edge of `i64`.
@@ -235,6 +236,11 @@ proptest! {
 
     #[test]
     fn int_plain_match_oracle(groups in row_groups(arb_plain_int())) {
+        agree(LogicalType::Int64, ints(groups))?;
+    }
+
+    #[test]
+    fn wide_dictionaries_match_oracle(groups in row_groups(arb_wide_dict_int())) {
         agree(LogicalType::Int64, ints(groups))?;
     }
 
