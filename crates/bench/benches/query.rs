@@ -117,10 +117,9 @@ fn bench_grouped_aggregate(c: &mut Criterion) {
 
     let env = BenchEnv::new(0.05, 1, 1, 1);
     let file = env.lineitem_file().to_vec();
-    let mut cfg = BenchEnv::store_config(SystemKind::Fusion, file.len(), 10 << 30);
-    cfg.aggregate_pushdown = true;
-    let mut fusion = Store::new(cfg).expect("valid config");
-    fusion.put("lineitem_0", file.clone()).expect("put");
+    let cfg = BenchEnv::store_config(SystemKind::Fusion, file.len(), 10 << 30)
+        .with_aggregate_pushdown(true);
+    let fusion = env.store_with(cfg, "lineitem", &file);
     let baseline = env.build_store(SystemKind::Baseline, "lineitem", &file);
     let sql = "SELECT returnflag, count(*), sum(quantity), avg(extendedprice) \
                FROM lineitem_0 WHERE quantity < 25 GROUP BY returnflag";

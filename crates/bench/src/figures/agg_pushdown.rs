@@ -14,7 +14,7 @@
 //! `results/agg_pushdown.json`.
 
 use crate::harness::{BenchEnv, SystemKind};
-use crate::report::Table as Report;
+use crate::report::{json_array, write_json, Table as Report};
 use fusion_core::store::Store;
 use fusion_format::prelude::*;
 
@@ -79,30 +79,6 @@ fn build_store(kind: SystemKind, file: &[u8], pushdown: bool) -> Store {
     s
 }
 
-fn json(cells: &[Cell], rows: usize) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"agg_pushdown\",\n");
-    out.push_str(&format!("  \"rows\": {rows},\n"));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"cardinality\": {}, \"selectivity\": {}, \"groups\": {}, \
-             \"fusion_bytes\": {}, \"baseline_bytes\": {}, \"wire_cut\": {:.1}, \
-             \"fusion_ns\": {}, \"baseline_ns\": {}}}{}\n",
-            c.cardinality,
-            c.selectivity,
-            c.groups,
-            c.fusion_bytes,
-            c.baseline_bytes,
-            c.baseline_bytes as f64 / c.fusion_bytes.max(1) as f64,
-            c.fusion_ns,
-            c.baseline_ns,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Grouped-aggregation wire bytes and latency, fusion vs baseline, over
 /// a cardinality × selectivity sweep.
 pub fn agg_pushdown(env: &BenchEnv) -> String {
@@ -144,9 +120,29 @@ pub fn agg_pushdown(env: &BenchEnv) -> String {
         }
     }
 
-    let _ = std::fs::create_dir_all("results");
-    std::fs::write("results/agg_pushdown.json", json(&cells, rows))
-        .expect("write results/agg_pushdown.json");
+    let json: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"cardinality\": {}, \"selectivity\": {}, \"groups\": {}, \
+                 \"fusion_bytes\": {}, \"baseline_bytes\": {}, \"wire_cut\": {:.1}, \
+                 \"fusion_ns\": {}, \"baseline_ns\": {}}}",
+                c.cardinality,
+                c.selectivity,
+                c.groups,
+                c.fusion_bytes,
+                c.baseline_bytes,
+                c.baseline_bytes as f64 / c.fusion_bytes.max(1) as f64,
+                c.fusion_ns,
+                c.baseline_ns,
+            )
+        })
+        .collect();
+    write_json(
+        "agg_pushdown.json",
+        "agg_pushdown",
+        &[format!("\"rows\": {rows}"), json_array("cells", &json)],
+    );
 
     let mut t = Report::new(&[
         "cardinality",

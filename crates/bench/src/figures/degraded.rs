@@ -12,10 +12,9 @@
 //! Besides the rendered table, this experiment writes machine-readable
 //! JSON to `results/degraded_latency.json`.
 
-use crate::harness::{reduction, summarize, BenchEnv, SystemKind};
-use crate::microbench::microbench_sql;
-use crate::report::Table;
-use fusion_core::query::QueryOutput;
+use crate::harness::{BenchEnv, SystemKind};
+use crate::microbench::{microbench_on, microbench_sql, MicrobenchResult, Pair};
+use crate::report::{json_array, write_json, Table};
 use fusion_core::store::Store;
 
 /// The paper's default microbenchmark selectivity.
@@ -27,83 +26,54 @@ const COLUMNS: [usize; 4] = [0, 4, 5, 9];
 /// failure levels do not concentrate on adjacent placements.
 const KILL_ORDER: [usize; 3] = [0, 4, 8];
 
-struct Cell {
-    failed: usize,
-    system: &'static str,
-    column: usize,
-    p50_ns: u64,
-    p99_ns: u64,
-    net_bytes: u64,
-}
-
-fn run_cells(
-    env: &BenchEnv,
-    store: &Store,
-    system: &'static str,
-    failed: usize,
-    cells: &mut Vec<Cell>,
-) {
-    for &c in &COLUMNS {
-        let outputs: Vec<QueryOutput> =
-            env.outputs_per_copy(store, "lineitem", |obj| microbench_sql(env, c, SEL, obj));
-        let stats = env.replay(store, &outputs);
-        let s = summarize(&stats);
-        cells.push(Cell {
-            failed,
-            system,
-            column: c,
-            p50_ns: s.p50.0,
-            p99_ns: s.p99.0,
-            net_bytes: outputs.iter().map(|o| o.net_bytes).sum::<u64>()
-                / outputs.len().max(1) as u64,
-        });
-    }
-}
-
-fn json(cells: &[Cell]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"degraded_latency\",\n");
-    out.push_str(&format!("  \"selectivity\": {SEL},\n"));
-    out.push_str(&format!(
-        "  \"columns\": [{}],\n  \"cells\": [\n",
-        COLUMNS.map(|c| c.to_string()).join(", ")
-    ));
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"failed_nodes\": {}, \"system\": \"{}\", \"column\": {}, \
-             \"p50_ns\": {}, \"p99_ns\": {}, \"net_bytes\": {}}}{}\n",
-            c.failed,
-            c.system,
-            c.column,
-            c.p50_ns,
-            c.p99_ns,
-            c.net_bytes,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Degraded query latency: Fusion vs baseline at 0–3 failed nodes.
 pub fn degraded_latency(env: &BenchEnv) -> String {
     let file = env.lineitem_file().to_vec();
     let mut fusion = env.build_store(SystemKind::Fusion, "lineitem", &file);
     let mut baseline = env.build_store(SystemKind::Baseline, "lineitem", &file);
 
-    let mut cells = Vec::new();
+    let cells = |store: &Store| {
+        COLUMNS.map(|c| {
+            microbench_on(env, store, "lineitem", |obj| {
+                microbench_sql(env, c, SEL, obj)
+            })
+        })
+    };
+    // Per failure level: every column on Fusion, then on the baseline.
+    let mut levels: Vec<[[MicrobenchResult; 4]; 2]> = Vec::new();
     for failed in 0..=KILL_ORDER.len() {
         if failed > 0 {
             let node = KILL_ORDER[failed - 1];
             fusion.fail_node(node).expect("valid node");
             baseline.fail_node(node).expect("valid node");
         }
-        run_cells(env, &fusion, "fusion", failed, &mut cells);
-        run_cells(env, &baseline, "baseline", failed, &mut cells);
+        levels.push([cells(&fusion), cells(&baseline)]);
     }
 
-    let _ = std::fs::create_dir_all("results");
-    std::fs::write("results/degraded_latency.json", json(&cells))
-        .expect("write results/degraded_latency.json");
+    let mut json = Vec::new();
+    for (failed, systems) in levels.iter().enumerate() {
+        for (system, results) in ["fusion", "baseline"].iter().zip(systems) {
+            for (c, r) in COLUMNS.iter().zip(results) {
+                json.push(format!(
+                    "{{\"failed_nodes\": {failed}, \"system\": \"{system}\", \"column\": {c}, \
+                     \"p50_ns\": {}, \"p99_ns\": {}, \"net_bytes\": {}}}",
+                    r.latency.p50.0, r.latency.p99.0, r.net_bytes
+                ));
+            }
+        }
+    }
+    write_json(
+        "degraded_latency.json",
+        "degraded_latency",
+        &[
+            format!("\"selectivity\": {SEL}"),
+            format!(
+                "\"columns\": [{}]",
+                COLUMNS.map(|c| c.to_string()).join(", ")
+            ),
+            json_array("cells", &json),
+        ],
+    );
 
     let mut t = Table::new(&[
         "failed",
@@ -113,38 +83,16 @@ pub fn degraded_latency(env: &BenchEnv) -> String {
         "p50 reduction",
         "p99 reduction",
     ]);
-    for failed in 0..=KILL_ORDER.len() {
-        for &c in &COLUMNS {
-            let f = cells
-                .iter()
-                .find(|x| x.failed == failed && x.column == c && x.system == "fusion")
-                .expect("fusion cell");
-            let b = cells
-                .iter()
-                .find(|x| x.failed == failed && x.column == c && x.system == "baseline")
-                .expect("baseline cell");
-            t.row(vec![
+    for (failed, [f, b]) in levels.into_iter().enumerate() {
+        for (c, (fusion, baseline)) in COLUMNS.iter().zip(f.into_iter().zip(b)) {
+            let mut row = vec![
                 failed.to_string(),
                 c.to_string(),
-                fusion_cluster::time::Nanos(f.p50_ns).to_string(),
-                fusion_cluster::time::Nanos(b.p50_ns).to_string(),
-                format!(
-                    "{:+.0}%",
-                    100.0
-                        * reduction(
-                            fusion_cluster::time::Nanos(b.p50_ns),
-                            fusion_cluster::time::Nanos(f.p50_ns)
-                        )
-                ),
-                format!(
-                    "{:+.0}%",
-                    100.0
-                        * reduction(
-                            fusion_cluster::time::Nanos(b.p99_ns),
-                            fusion_cluster::time::Nanos(f.p99_ns)
-                        )
-                ),
-            ]);
+                fusion.latency.p50.to_string(),
+                baseline.latency.p50.to_string(),
+            ];
+            row.extend(Pair { fusion, baseline }.cuts());
+            t.row(row);
         }
     }
     format!(

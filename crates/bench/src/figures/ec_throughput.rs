@@ -9,18 +9,20 @@
 //! table, it writes machine-readable JSON to
 //! `results/ec_throughput.json`.
 
-use crate::harness::BenchEnv;
-use crate::report::Table;
+use crate::harness::{measure, speedup, BenchEnv, Timing};
+use crate::report::{json_array, json_object, write_json, Table};
 use fusion_ec::codec::CodecKind;
 use fusion_ec::ErasureCode;
-use std::time::Instant;
+use std::time::Duration;
 
+/// The paper's two production codes, `(n, k)`.
+const CODES: [(usize, usize); 2] = [(9, 6), (14, 10)];
+/// The operations timed per code and codec.
+const OPS: [&str; 2] = ["encode", "reconstruct"];
 /// Shard size: the paper's 1 MiB block.
 const SHARD_BYTES: usize = 1 << 20;
-/// Minimum measurement window per cell.
-const MIN_ELAPSED_NS: u128 = 250_000_000;
-/// Warmup iterations before timing (tables hot, buffers allocated).
-const WARMUP_ITERS: usize = 2;
+/// Measurement window per cell.
+const WINDOW: Duration = Duration::from_millis(250);
 
 struct Cell {
     n: usize,
@@ -28,8 +30,7 @@ struct Cell {
     codec: CodecKind,
     op: &'static str,
     gib_per_s: f64,
-    iters: u64,
-    elapsed_ns: u128,
+    t: Timing,
 }
 
 fn stripe(k: usize) -> Vec<Vec<u8>> {
@@ -38,67 +39,39 @@ fn stripe(k: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Times `body` in batches until the window fills; returns (iters, ns).
-fn measure<F: FnMut()>(mut body: F) -> (u64, u128) {
-    for _ in 0..WARMUP_ITERS {
-        body();
-    }
-    let mut iters = 0u64;
-    let start = Instant::now();
-    loop {
-        body();
-        iters += 1;
-        let elapsed = start.elapsed().as_nanos();
-        if elapsed >= MIN_ELAPSED_NS {
-            return (iters, elapsed);
-        }
-    }
-}
-
-fn push_cell(
-    cells: &mut Vec<Cell>,
-    n: usize,
-    k: usize,
-    codec: CodecKind,
-    op: &'static str,
-    iters: u64,
-    elapsed_ns: u128,
-) {
-    let bytes = (k * SHARD_BYTES) as f64 * iters as f64;
-    cells.push(Cell {
-        n,
-        k,
-        codec,
-        op,
-        gib_per_s: bytes / (1u64 << 30) as f64 / (elapsed_ns as f64 / 1e9),
-        iters,
-        elapsed_ns,
-    });
-}
-
 fn run_code(n: usize, k: usize, cells: &mut Vec<Cell>) {
     let data = stripe(k);
+    // Bandwidth counts the stripe's data bytes, both directions.
+    let stripe_gib = (k * SHARD_BYTES) as f64 / (1u64 << 30) as f64;
     for codec in [CodecKind::Scalar, CodecKind::Fast] {
         let rs = ErasureCode::with_codec(n, k, 0, codec).expect("valid params");
+        let cell = |op, t: Timing| Cell {
+            n,
+            k,
+            codec,
+            op,
+            gib_per_s: t.rate(stripe_gib),
+            t,
+        };
 
         // Encode through the buffer-reusing path the Store uses.
         let mut parity = Vec::new();
-        let (iters, ns) = measure(|| rs.encode_into(&data, &mut parity));
-        push_cell(cells, n, k, codec, "encode", iters, ns);
+        let t = measure(WINDOW, || rs.encode_into(&data, &mut parity));
+        cells.push(cell("encode", t));
 
         // Reconstruct with all m = n − k data shards lost: the
         // worst-case decode (every lost shard combines k survivors).
         let full: Vec<Vec<u8>> = data.iter().cloned().chain(parity.iter().cloned()).collect();
         let m = n - k;
         let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-        let (iters, ns) = measure(|| {
+        let t = measure(WINDOW, || {
             for s in shards.iter_mut().take(m) {
                 *s = None;
             }
             rs.reconstruct(&mut shards, SHARD_BYTES)
                 .expect("recoverable");
         });
-        push_cell(cells, n, k, codec, "reconstruct", iters, ns);
+        cells.push(cell("reconstruct", t));
     }
 }
 
@@ -109,59 +82,57 @@ fn find<'a>(cells: &'a [Cell], n: usize, codec: CodecKind, op: &str) -> &'a Cell
         .expect("cell present")
 }
 
-fn json(cells: &[Cell]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"ec_throughput\",\n");
-    out.push_str(&format!("  \"shard_bytes\": {SHARD_BYTES},\n"));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"code\": \"rs({},{})\", \"codec\": \"{}\", \"op\": \"{}\", \
-             \"gib_per_s\": {:.3}, \"iters\": {}, \"elapsed_ns\": {}}}{}\n",
-            c.n,
-            c.k,
-            c.codec,
-            c.op,
-            c.gib_per_s,
-            c.iters,
-            c.elapsed_ns,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"speedups\": {\n");
-    let mut lines = Vec::new();
-    for (n, k) in [(9usize, 6usize), (14, 10)] {
-        for op in ["encode", "reconstruct"] {
-            let s = find(cells, n, CodecKind::Scalar, op).gib_per_s;
-            let f = find(cells, n, CodecKind::Fast, op).gib_per_s;
-            lines.push(format!("    \"{op}_rs{n}_{k}\": {:.2}", f / s));
-        }
-    }
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n  }\n}\n");
-    out
+/// Fast-over-scalar speedup of one (code, op) cell pair.
+fn fast_speedup(cells: &[Cell], n: usize, op: &str) -> f64 {
+    let s = find(cells, n, CodecKind::Scalar, op).gib_per_s;
+    speedup([(s, find(cells, n, CodecKind::Fast, op).gib_per_s)])
 }
 
 /// Scalar-vs-fast codec bandwidth at RS(9,6) and RS(14,10), 1 MiB shards.
 pub fn ec_throughput(_env: &BenchEnv) -> String {
     let mut cells = Vec::new();
-    run_code(9, 6, &mut cells);
-    run_code(14, 10, &mut cells);
+    for (n, k) in CODES {
+        run_code(n, k, &mut cells);
+    }
 
-    let _ = std::fs::create_dir_all("results");
-    std::fs::write("results/ec_throughput.json", json(&cells))
-        .expect("write results/ec_throughput.json");
+    let json: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"code\": \"rs({},{})\", \"codec\": \"{}\", \"op\": \"{}\", \
+                 \"gib_per_s\": {:.3}, \"iters\": {}, \"elapsed_ns\": {}}}",
+                c.n, c.k, c.codec, c.op, c.gib_per_s, c.t.iters, c.t.elapsed_ns
+            )
+        })
+        .collect();
+    let mut speedups = Vec::new();
+    for (n, k) in CODES {
+        for op in OPS {
+            speedups.push(format!(
+                "\"{op}_rs{n}_{k}\": {:.2}",
+                fast_speedup(&cells, n, op)
+            ));
+        }
+    }
+    write_json(
+        "ec_throughput.json",
+        "ec_throughput",
+        &[
+            format!("\"shard_bytes\": {SHARD_BYTES}"),
+            json_array("cells", &json),
+            json_object("speedups", &speedups),
+        ],
+    );
 
     let mut t = Table::new(&["code", "op", "scalar GiB/s", "fast GiB/s", "speedup"]);
-    for (n, k) in [(9usize, 6usize), (14, 10)] {
-        for op in ["encode", "reconstruct"] {
-            let s = find(&cells, n, CodecKind::Scalar, op);
-            let f = find(&cells, n, CodecKind::Fast, op);
+    for (n, k) in CODES {
+        for op in OPS {
             t.row(vec![
                 format!("rs({n},{k})"),
                 op.to_string(),
-                format!("{:.2}", s.gib_per_s),
-                format!("{:.2}", f.gib_per_s),
-                format!("{:.1}x", f.gib_per_s / s.gib_per_s),
+                format!("{:.2}", find(&cells, n, CodecKind::Scalar, op).gib_per_s),
+                format!("{:.2}", find(&cells, n, CodecKind::Fast, op).gib_per_s),
+                format!("{:.1}x", fast_speedup(&cells, n, op)),
             ]);
         }
     }

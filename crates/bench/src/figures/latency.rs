@@ -1,9 +1,9 @@
 //! Latency-side artifacts: query microbenchmarks, sweeps, real-world
 //! queries (Table 4, Figures 4b, 10b, 13, 14, 15).
 
-use crate::harness::{reduction, summarize, BenchEnv, SystemKind};
-use crate::microbench::{microbench_on, microbench_query, microbench_sql};
-use crate::report::{fmt_bytes, Table};
+use crate::harness::{BenchEnv, SystemKind};
+use crate::microbench::{microbench_on, microbench_query, microbench_sql, Pair};
+use crate::report::{fmt_bytes, fmt_cut, Table};
 use fusion_cluster::engine::{Breakdown, Engine, Job};
 use fusion_cluster::time::Nanos;
 use fusion_core::store::Store;
@@ -20,16 +20,29 @@ fn pct(part: Nanos, total: Nanos) -> String {
     format!("{:.0}%", 100.0 * part.0 as f64 / total.0 as f64)
 }
 
-fn breakdown_row(label: &str, b: &Breakdown) -> Vec<String> {
-    let total = b.total();
-    vec![
-        label.to_string(),
-        pct(b.disk, total),
-        pct(b.processing, total),
-        pct(b.network, total),
-        pct(b.other, total),
-        format!("{total}"),
-    ]
+/// Mean latency breakdowns, one labelled row each; `first` heads the
+/// label column.
+fn breakdown_table(first: &str, rows: &[(String, Breakdown)]) -> String {
+    let mut t = Table::new(&[
+        first,
+        "disk read",
+        "processing",
+        "network",
+        "other",
+        "mean total",
+    ]);
+    for (label, b) in rows {
+        let total = b.total();
+        t.row(vec![
+            label.clone(),
+            pct(b.disk, total),
+            pct(b.processing, total),
+            pct(b.network, total),
+            pct(b.other, total),
+            format!("{total}"),
+        ]);
+    }
+    t.render()
 }
 
 /// Figure 4b: latency breakdown of the microbenchmark on the baseline.
@@ -38,78 +51,37 @@ pub fn fig4b(env: &BenchEnv) -> String {
     // the chunk-splitting baseline; large, poorly compressed column
     // (extendedprice, id 5).
     let r = microbench_query(env, SystemKind::Baseline, 5, DEFAULT_SEL);
-    let mut t = Table::new(&[
-        "system",
-        "disk read",
-        "processing",
-        "network",
-        "other",
-        "mean total",
-    ]);
-    t.row(breakdown_row("baseline", &r.breakdown));
     format!(
         "Figure 4b: latency breakdown of a 1%-selectivity query on the baseline (paper: ~50% network)\n{}",
-        t.render()
+        breakdown_table("system", &[("baseline".into(), r.breakdown)])
     )
 }
 
 /// Table 4: the real-world queries and their measured characteristics.
 pub fn table4(env: &BenchEnv) -> String {
     let mut t = Table::new(&["query", "dataset", "filters", "projections", "selectivity"]);
-    // TPC-H queries on the cached Fusion store.
-    let store = env.lineitem_store(SystemKind::Fusion);
-    for (name, sql) in [
-        ("Q1 (projection heavy)", q1("lineitem_0")),
-        ("Q2 (filter heavy)", q2("lineitem_0")),
-    ] {
-        let out = store.query_as("lineitem_0", &sql).expect("query runs");
+    // TPC-H queries on the cached Fusion store, taxi queries on a fresh
+    // one (smaller copies for speed).
+    let lineitem = env.lineitem_store(SystemKind::Fusion);
+    let [taxi] = taxi_stores(env, [SystemKind::Fusion]);
+    // One fn-pointer type for the four query builders.
+    let q1: fn(&str) -> String = q1;
+    let queries = [
+        ("Q1 (projection heavy)", "tpc-h", lineitem, "lineitem_0", q1),
+        ("Q2 (filter heavy)", "tpc-h", lineitem, "lineitem_0", q2),
+        ("Q3 (high selectivity)", "taxi", &taxi, "taxi_0", q3),
+        ("Q4 (low selectivity)", "taxi", &taxi, "taxi_0", q4),
+    ];
+    for (name, dataset, store, object, sql_for) in queries {
+        let sql = sql_for(object);
+        let out = store.query_as(object, &sql).expect("query runs");
         let q = fusion_sql::parser::parse(&sql).expect("valid sql");
-        let schema = store
-            .object("lineitem_0")
-            .expect("copy 0 exists")
-            .file_meta
-            .as_ref()
-            .expect("analytics file")
-            .schema
-            .clone();
-        let plan = fusion_sql::plan::plan(&q, &schema).expect("valid plan");
+        let meta = store.object(object).expect("copy 0 exists");
+        let schema = &meta.file_meta.as_ref().expect("analytics file").schema;
+        let plan = fusion_sql::plan::plan(&q, schema).expect("valid plan");
         t.row(vec![
             name.into(),
-            "tpc-h".into(),
-            plan.filters.len().to_string(),
-            plan.projections.len().to_string(),
-            format!("{:.1}%", 100.0 * out.selectivity),
-        ]);
-    }
-    // Taxi queries on a fresh store (smaller copies for speed).
-    let taxi_bytes = taxi_file(TaxiConfig {
-        rows_per_group: ((25_000.0 * env.scale) as usize).max(500),
-        ..Default::default()
-    });
-    let store = env.build_store_scaled(
-        SystemKind::Fusion,
-        "taxi",
-        &taxi_bytes,
-        fusion_workloads::Dataset::Taxi.paper_bytes(),
-    );
-    for (name, sql) in [
-        ("Q3 (high selectivity)", q3("taxi_0")),
-        ("Q4 (low selectivity)", q4("taxi_0")),
-    ] {
-        let out = store.query_as("taxi_0", &sql).expect("query runs");
-        let q = fusion_sql::parser::parse(&sql).expect("valid sql");
-        let schema = store
-            .object("taxi_0")
-            .unwrap()
-            .file_meta
-            .as_ref()
-            .unwrap()
-            .schema
-            .clone();
-        let plan = fusion_sql::plan::plan(&q, &schema).expect("valid plan");
-        t.row(vec![
-            name.into(),
-            "taxi".into(),
+            dataset.into(),
             plan.filters.len().to_string(),
             plan.projections.len().to_string(),
             format!("{:.1}%", 100.0 * out.selectivity),
@@ -121,25 +93,30 @@ pub fn table4(env: &BenchEnv) -> String {
     )
 }
 
+/// One store per `kinds` entry holding copies of the taxi file (smaller
+/// copies than lineitem's, for speed).
+fn taxi_stores<const N: usize>(env: &BenchEnv, kinds: [SystemKind; N]) -> [Store; N] {
+    let file = taxi_file(TaxiConfig {
+        rows_per_group: ((25_000.0 * env.scale) as usize).max(500),
+        ..Default::default()
+    });
+    let paper_len = fusion_workloads::Dataset::Taxi.paper_bytes();
+    kinds.map(|kind| env.build_store_scaled(kind, "taxi", &file, paper_len))
+}
+
 /// Figure 10b: pushdown trade-off — p50 improvement over a
 /// (selectivity × column) grid for columns c5, c0, c4, c7.
 pub fn fig10b(env: &BenchEnv) -> String {
     let cols = [5usize, 0, 4, 7];
     let sels = [0.01, 0.10, 0.50, 1.00];
-    let schema = env.lineitem_table().schema().clone();
     let mut t = Table::new(&["selectivity", "c5", "c0", "c4", "c7"]);
     // Cache per-column results across selectivity rows.
     let mut grid: Vec<Vec<String>> = vec![Vec::new(); sels.len()];
     for &c in &cols {
         for (si, &sel) in sels.iter().enumerate() {
-            let f = microbench_query(env, SystemKind::Fusion, c, sel);
-            let b = microbench_query(env, SystemKind::Baseline, c, sel);
-            grid[si].push(format!(
-                "{:+.0}%",
-                100.0 * reduction(b.latency.p50, f.latency.p50)
-            ));
+            let [p50, _] = Pair::microbench(env, c, sel).cuts();
+            grid[si].push(p50);
         }
-        let _ = &schema;
     }
     for (si, &sel) in sels.iter().enumerate() {
         let mut cells = vec![format!("{:.0}%", sel * 100.0)];
@@ -163,42 +140,31 @@ pub fn fig13(env: &BenchEnv) -> String {
         "p50 reduction",
         "p99 reduction",
     ]);
-    let mut col5 = None;
-    let mut col9 = None;
-    for c in 0..schema.len() {
-        let f = microbench_query(env, SystemKind::Fusion, c, DEFAULT_SEL);
-        let b = microbench_query(env, SystemKind::Baseline, c, DEFAULT_SEL);
-        t.row(vec![
+    let pairs: Vec<Pair> = (0..schema.len())
+        .map(|c| Pair::microbench(env, c, DEFAULT_SEL))
+        .collect();
+    for (c, pair) in pairs.iter().enumerate() {
+        let mut row = vec![
             c.to_string(),
             schema.fields()[c].name.clone(),
-            format!("{:.2}%", 100.0 * f.achieved_selectivity),
-            format!("{:+.0}%", 100.0 * reduction(b.latency.p50, f.latency.p50)),
-            format!("{:+.0}%", 100.0 * reduction(b.latency.p99, f.latency.p99)),
-        ]);
-        if c == 5 {
-            col5 = Some((f.breakdown, b.breakdown));
-        } else if c == 9 {
-            col9 = Some((f.breakdown, b.breakdown));
-        }
+            format!("{:.2}%", 100.0 * pair.fusion.achieved_selectivity),
+        ];
+        row.extend(pair.cuts());
+        t.row(row);
     }
-    let mut bt = Table::new(&[
-        "case",
-        "disk read",
-        "processing",
-        "network",
-        "other",
-        "mean total",
-    ]);
-    let (f5, b5) = col5.expect("column 5 ran");
-    let (f9, b9) = col9.expect("column 9 ran");
-    bt.row(breakdown_row("col 5 / fusion", &f5));
-    bt.row(breakdown_row("col 5 / baseline", &b5));
-    bt.row(breakdown_row("col 9 / fusion", &f9));
-    bt.row(breakdown_row("col 9 / baseline", &b9));
+    let breakdowns: Vec<(String, Breakdown)> = [5, 9]
+        .into_iter()
+        .flat_map(|c| {
+            [
+                (format!("col {c} / fusion"), pairs[c].fusion.breakdown),
+                (format!("col {c} / baseline"), pairs[c].baseline.breakdown),
+            ]
+        })
+        .collect();
     format!(
         "Figure 13a/b: per-column latency reduction, 1% selectivity (paper: up to 65% p50 / 81% p99 on cols 0,1,2,5,15; modest on 3,4,9,10,11)\n{}\nFigure 13c/d: latency breakdown for columns 5 and 9 (paper: baseline col 5 ≈57% network; col 9 ≤3% network)\n{}",
         t.render(),
-        bt.render()
+        breakdown_table("case", &breakdowns)
     )
 }
 
@@ -214,17 +180,8 @@ pub fn fig14ab(env: &BenchEnv) -> String {
     ]);
     for &sel in &sels {
         let mut cells = vec![format!("{:.1}%", sel * 100.0)];
-        for &c in &[5usize, 9] {
-            let f = microbench_query(env, SystemKind::Fusion, c, sel);
-            let b = microbench_query(env, SystemKind::Baseline, c, sel);
-            cells.push(format!(
-                "{:+.0}%",
-                100.0 * reduction(b.latency.p50, f.latency.p50)
-            ));
-            cells.push(format!(
-                "{:+.0}%",
-                100.0 * reduction(b.latency.p99, f.latency.p99)
-            ));
+        for c in [5, 9] {
+            cells.extend(Pair::microbench(env, c, sel).cuts());
         }
         t.row(cells);
     }
@@ -237,8 +194,8 @@ pub fn fig14ab(env: &BenchEnv) -> String {
 /// Figure 14c: network bandwidth sweep for column 5.
 pub fn fig14c(env: &BenchEnv) -> String {
     let mut t = Table::new(&["NIC bandwidth", "p50 reduction", "p99 reduction"]);
+    let file = env.lineitem_file();
     for gbps in [10.0, 25.0, 40.0, 100.0] {
-        let file = env.lineitem_file().to_vec();
         let mk = |kind: SystemKind| -> Store {
             let mut cfg = BenchEnv::store_config(kind, file.len(), 10 << 30);
             // Set the shaped NIC rate first, then re-apply the data-scale
@@ -247,23 +204,15 @@ pub fn fig14c(env: &BenchEnv) -> String {
             cfg.cluster.cost = fusion_cluster::spec::CostModel::default()
                 .with_nic_gbps(gbps)
                 .scaled_down(factor);
-            let mut store = Store::new(cfg).expect("valid config");
-            for i in 0..env.copies {
-                store
-                    .put(&format!("lineitem_{i}"), file.clone())
-                    .expect("put");
-            }
-            store
+            env.store_with(cfg, "lineitem", file)
         };
-        let fusion = mk(SystemKind::Fusion);
-        let baseline = mk(SystemKind::Baseline);
-        let f = microbench_on(env, &fusion, 5, DEFAULT_SEL);
-        let b = microbench_on(env, &baseline, 5, DEFAULT_SEL);
-        t.row(vec![
-            format!("{gbps:.0} Gbps"),
-            format!("{:+.0}%", 100.0 * reduction(b.latency.p50, f.latency.p50)),
-            format!("{:+.0}%", 100.0 * reduction(b.latency.p99, f.latency.p99)),
-        ]);
+        let (fusion, baseline) = (mk(SystemKind::Fusion), mk(SystemKind::Baseline));
+        let pair = Pair::on(env, &fusion, &baseline, "lineitem", |obj| {
+            microbench_sql(env, 5, DEFAULT_SEL, obj)
+        });
+        let mut row = vec![format!("{gbps:.0} Gbps")];
+        row.extend(pair.cuts());
+        t.row(row);
     }
     format!(
         "Figure 14c: bandwidth sweep, column 5 at 1% selectivity (paper: bigger gains on slower networks)\n{}",
@@ -331,64 +280,28 @@ pub fn fig15(env: &BenchEnv) -> String {
         "ratio",
     ]);
 
-    // TPC-H Q1/Q2 on the cached stores.
+    // TPC-H Q1/Q2 on the cached stores, taxi Q3/Q4 on fresh ones.
     let fusion = env.lineitem_store(SystemKind::Fusion);
     let baseline = env.lineitem_store(SystemKind::Baseline);
-    let run_pair = |label: &str,
-                    fusion: &Store,
-                    baseline: &Store,
-                    name: &str,
-                    sql_for: &dyn Fn(&str) -> String,
-                    lat: &mut Table,
-                    net: &mut Table| {
-        let fo = env.outputs_per_copy(fusion, name, sql_for);
-        let bo = env.outputs_per_copy(baseline, name, sql_for);
-        let fs = summarize(&env.replay(fusion, &fo));
-        let bs = summarize(&env.replay(baseline, &bo));
-        lat.row(vec![
-            label.into(),
-            format!("{:+.0}%", 100.0 * reduction(bs.p50, fs.p50)),
-            format!("{:+.0}%", 100.0 * reduction(bs.p99, fs.p99)),
-        ]);
-        let fb = fo.iter().map(|o| o.net_bytes).sum::<u64>() / fo.len() as u64;
-        let bb = bo.iter().map(|o| o.net_bytes).sum::<u64>() / bo.len() as u64;
+    let mut pairs = vec![
+        ("Q1", Pair::on(env, fusion, baseline, "lineitem", q1)),
+        ("Q2", Pair::on(env, fusion, baseline, "lineitem", q2)),
+    ];
+    let [tf, tb] = taxi_stores(env, [SystemKind::Fusion, SystemKind::Baseline]);
+    pairs.push(("Q3", Pair::on(env, &tf, &tb, "taxi", q3)));
+    pairs.push(("Q4", Pair::on(env, &tf, &tb, "taxi", q4)));
+    for (label, pair) in &pairs {
+        let mut row = vec![label.to_string()];
+        row.extend(pair.cuts());
+        lat.row(row);
+        let (fb, bb) = (pair.fusion.net_bytes, pair.baseline.net_bytes);
         net.row(vec![
-            label.into(),
+            label.to_string(),
             fmt_bytes(fb),
             fmt_bytes(bb),
             format!("{:.1}x", bb as f64 / fb.max(1) as f64),
         ]);
-    };
-
-    run_pair(
-        "Q1",
-        fusion,
-        baseline,
-        "lineitem",
-        &|o| q1(o),
-        &mut lat,
-        &mut net,
-    );
-    run_pair(
-        "Q2",
-        fusion,
-        baseline,
-        "lineitem",
-        &|o| q2(o),
-        &mut lat,
-        &mut net,
-    );
-
-    // Taxi Q3/Q4 on fresh stores.
-    let taxi_bytes = taxi_file(TaxiConfig {
-        rows_per_group: ((25_000.0 * env.scale) as usize).max(500),
-        ..Default::default()
-    });
-    let taxi_paper = fusion_workloads::Dataset::Taxi.paper_bytes();
-    let tf = env.build_store_scaled(SystemKind::Fusion, "taxi", &taxi_bytes, taxi_paper);
-    let tb = env.build_store_scaled(SystemKind::Baseline, "taxi", &taxi_bytes, taxi_paper);
-    run_pair("Q3", &tf, &tb, "taxi", &|o| q3(o), &mut lat, &mut net);
-    run_pair("Q4", &tf, &tb, "taxi", &|o| q4(o), &mut lat, &mut net);
+    }
 
     format!(
         "Figure 15a: real-world query latency reduction (paper: up to 48% p50 / 40% p99 on Q1-Q2; up to 32%/48% on Q3-Q4)\n{}\nFigure 15b: network traffic (paper: up to 8.9x lower for Fusion)\n{}",
@@ -407,7 +320,9 @@ pub fn debug_column(env: &BenchEnv, column: usize) -> String {
             microbench_sql(env, column, DEFAULT_SEL, obj)
         });
         let solo = store.simulate_solo(&outputs[0].workflow);
-        let r = microbench_on(env, store, column, DEFAULT_SEL);
+        let r = microbench_on(env, store, "lineitem", |obj| {
+            microbench_sql(env, column, DEFAULT_SEL, obj)
+        });
         out.push_str(&format!(
             "{}: solo={} p50={} p99={} net/query={} sel={:.3}% steps={} decisions={:?}\n  breakdown: disk={} proc={} net={} other={}\n",
             kind.name(),
@@ -453,20 +368,18 @@ pub fn ablation_adaptive(env: &BenchEnv) -> String {
         "adaptive vs always",
     ]);
     for cutoff in [2i64, 10, 25, 40, 50] {
-        let tmpl = |o: &str| format!("SELECT sum(quantity) FROM {o} WHERE quantity <= {cutoff}");
         let run = |store: &Store| {
-            let outs = env.outputs_per_copy(store, "lineitem", tmpl);
-            (summarize(&env.replay(store, &outs)), outs[0].selectivity)
+            microbench_on(env, store, "lineitem", |o| {
+                format!("SELECT sum(quantity) FROM {o} WHERE quantity <= {cutoff}")
+            })
         };
-        let (a, sel) = run(adaptive);
-        let (w, _) = run(&always);
-        let (b, _) = run(baseline);
+        let (a, w, b) = (run(adaptive), run(&always), run(baseline));
         t.row(vec![
-            format!("{:.0}%", 100.0 * sel),
-            a.p50.to_string(),
-            w.p50.to_string(),
-            b.p50.to_string(),
-            format!("{:+.0}%", 100.0 * reduction(w.p50, a.p50)),
+            format!("{:.0}%", 100.0 * a.achieved_selectivity),
+            a.latency.p50.to_string(),
+            w.latency.p50.to_string(),
+            b.latency.p50.to_string(),
+            fmt_cut(w.latency.p50, a.latency.p50),
         ]);
     }
     format!(
@@ -479,17 +392,10 @@ pub fn ablation_adaptive(env: &BenchEnv) -> String {
 /// aggregate-only queries — partial aggregates from the nodes instead of
 /// selected values.
 pub fn ext_aggregate_pushdown(env: &BenchEnv) -> String {
-    let file = env.lineitem_file().to_vec();
-    let with = {
-        let mut cfg = BenchEnv::store_config(SystemKind::Fusion, file.len(), 10 << 30)
-            .with_aggregate_pushdown(true);
-        cfg.overhead_threshold = 0.02;
-        let mut s = Store::new(cfg).expect("valid config");
-        for i in 0..env.copies {
-            s.put(&format!("lineitem_{i}"), file.clone()).expect("put");
-        }
-        s
-    };
+    let file = env.lineitem_file();
+    let cfg = BenchEnv::store_config(SystemKind::Fusion, file.len(), 10 << 30)
+        .with_aggregate_pushdown(true);
+    let with = env.store_with(cfg, "lineitem", file);
     let without = env.lineitem_store(SystemKind::Fusion);
     let queries = [
         (
@@ -513,18 +419,17 @@ pub fn ext_aggregate_pushdown(env: &BenchEnv) -> String {
         "traffic ratio",
     ]);
     for (label, tmpl) in queries {
-        let wq = env.outputs_per_copy(&with, "lineitem", |o| tmpl.replace("{}", o));
-        let nq = env.outputs_per_copy(without, "lineitem", |o| tmpl.replace("{}", o));
-        let ws = summarize(&env.replay(&with, &wq));
-        let ns = summarize(&env.replay(without, &nq));
-        let wb = wq.iter().map(|o| o.net_bytes).sum::<u64>().max(1);
-        let nb = nq.iter().map(|o| o.net_bytes).sum::<u64>();
+        let w = microbench_on(env, &with, "lineitem", |o| tmpl.replace("{}", o));
+        let n = microbench_on(env, without, "lineitem", |o| tmpl.replace("{}", o));
         t.row(vec![
             label.into(),
-            ws.p50.to_string(),
-            ns.p50.to_string(),
-            format!("{:+.0}%", 100.0 * reduction(ns.p50, ws.p50)),
-            format!("{:.1}x", nb as f64 / wb as f64),
+            w.latency.p50.to_string(),
+            n.latency.p50.to_string(),
+            fmt_cut(n.latency.p50, w.latency.p50),
+            format!(
+                "{:.1}x",
+                n.net_bytes_total as f64 / w.net_bytes_total.max(1) as f64
+            ),
         ]);
     }
     format!(

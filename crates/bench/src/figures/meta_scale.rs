@@ -26,7 +26,7 @@
 //! Machine-readable output goes to `results/meta_scale.json`.
 
 use crate::harness::BenchEnv;
-use crate::report::Table;
+use crate::report::{write_json, Table};
 use fusion_cluster::spec::ClusterSpec;
 use fusion_cluster::topology::Topology;
 use fusion_core::config::{EcConfig, PlacementPolicy, StoreConfig};
@@ -162,49 +162,6 @@ struct PathStats {
     rpc_ns: u64,
 }
 
-fn json(
-    objects: usize,
-    compact: &PathStats,
-    stored: &PathStats,
-    ratio: f64,
-    add: (f64, f64, u64, u64),
-    remove: (f64, f64),
-    oracle: (usize, usize),
-) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"meta_scale\",\n");
-    out.push_str(&format!(
-        "  \"cluster\": {{\"nodes\": {NODES}, \"racks\": {RACKS}}},\n"
-    ));
-    out.push_str(&format!(
-        "  \"objects\": {objects}, \"chunks_per_object\": {CHUNKS_PER_OBJECT}, \
-         \"chunk_bytes\": {CHUNK_BYTES},\n"
-    ));
-    for (name, s) in [("compact", compact), ("stored_map", stored)] {
-        out.push_str(&format!(
-            "  \"{name}\": {{\"bytes_per_object\": {:.1}, \"lookups_per_sec\": {:.0}, \
-             \"lookup_p50_ns\": {}, \"lookup_p99_ns\": {}, \"meta_rpc_ns\": {}}},\n",
-            s.bytes_per_object, s.lookups_per_sec, s.p50_ns, s.p99_ns, s.rpc_ns
-        ));
-    }
-    out.push_str(&format!(
-        "  \"bytes_ratio_stored_over_compact\": {ratio:.2},\n"
-    ));
-    out.push_str(&format!(
-        "  \"rebalance_add\": {{\"moved_fraction\": {:.5}, \"expected_fraction\": {:.5}, \
-         \"bytes_moved\": {}, \"chunks_total\": {}}},\n",
-        add.0, add.1, add.2, add.3
-    ));
-    out.push_str(&format!(
-        "  \"rebalance_remove\": {{\"moved_fraction\": {:.5}, \"expected_fraction\": {:.5}}},\n",
-        remove.0, remove.1
-    ));
-    out.push_str(&format!(
-        "  \"oracle_spot_check\": {{\"chunks\": {}, \"mismatches\": {}}}\n}}\n",
-        oracle.0, oracle.1
-    ));
-    out
-}
-
 /// Metadata plane at 10M-object scale: compact records vs stored maps.
 pub fn meta_scale(env: &BenchEnv) -> String {
     let objects = ((10_000_000f64 * env.scale) as usize).max(10_000);
@@ -286,25 +243,41 @@ pub fn meta_scale(env: &BenchEnv) -> String {
     // --- end-to-end differential oracle on a real store.
     let (oracle_chunks, oracle_mismatches) = oracle_spot_check(env);
 
-    let _ = std::fs::create_dir_all("results");
-    std::fs::write(
-        "results/meta_scale.json",
-        json(
-            objects,
-            &compact,
-            &stored,
-            ratio,
-            (
-                add_frac,
-                add_expected,
-                add_report.bytes_moved,
-                add_report.chunks_total,
+    let path = |name: &str, s: &PathStats| {
+        format!(
+            "\"{name}\": {{\"bytes_per_object\": {:.1}, \"lookups_per_sec\": {:.0}, \
+             \"lookup_p50_ns\": {}, \"lookup_p99_ns\": {}, \"meta_rpc_ns\": {}}}",
+            s.bytes_per_object, s.lookups_per_sec, s.p50_ns, s.p99_ns, s.rpc_ns
+        )
+    };
+    write_json(
+        "meta_scale.json",
+        "meta_scale",
+        &[
+            format!("\"cluster\": {{\"nodes\": {NODES}, \"racks\": {RACKS}}}"),
+            format!(
+                "\"objects\": {objects}, \"chunks_per_object\": {CHUNKS_PER_OBJECT}, \
+                 \"chunk_bytes\": {CHUNK_BYTES}"
             ),
-            (remove_frac, remove_expected),
-            (oracle_chunks, oracle_mismatches),
-        ),
-    )
-    .expect("write results/meta_scale.json");
+            path("compact", &compact),
+            path("stored_map", &stored),
+            format!("\"bytes_ratio_stored_over_compact\": {ratio:.2}"),
+            format!(
+                "\"rebalance_add\": {{\"moved_fraction\": {add_frac:.5}, \
+                 \"expected_fraction\": {add_expected:.5}, \"bytes_moved\": {}, \
+                 \"chunks_total\": {}}}",
+                add_report.bytes_moved, add_report.chunks_total
+            ),
+            format!(
+                "\"rebalance_remove\": {{\"moved_fraction\": {remove_frac:.5}, \
+                 \"expected_fraction\": {remove_expected:.5}}}"
+            ),
+            format!(
+                "\"oracle_spot_check\": {{\"chunks\": {oracle_chunks}, \
+                 \"mismatches\": {oracle_mismatches}}}"
+            ),
+        ],
+    );
 
     let mut t = Table::new(&[
         "path",

@@ -10,7 +10,7 @@
 //! alongside the timings to `results/query_trace.json`.
 
 use crate::harness::{BenchEnv, SystemKind};
-use crate::report::Table;
+use crate::report::{json_array, json_object, write_json, Table};
 use fusion_cluster::time::Nanos;
 use fusion_core::store::Store;
 use fusion_obs::trace::{Phase, PhaseBreakdown};
@@ -73,40 +73,6 @@ fn run_mix(store: &Store, system: &'static str, mode: &'static str, cells: &mut 
     }
 }
 
-fn json(cells: &[Cell], fusion: &Store, baseline: &Store) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"observability\",\n  \"queries\": [\n");
-    for (i, q) in QUERIES.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{q}\"{}\n",
-            if i + 1 == QUERIES.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"system\": \"{}\", \"mode\": \"{}\", \"query\": {}, \
-             \"latency_ns\": {}, \"pruned\": {}, \"cache_hits\": {}, \
-             \"cache_misses\": {}, \"phases_ns\": {}, \"trace\": {}}}{}\n",
-            c.system,
-            c.mode,
-            c.query,
-            c.latency_ns,
-            c.pruned,
-            c.cache_hits,
-            c.cache_misses,
-            c.phases.to_json(),
-            c.trace_json,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str(&format!(
-        "  ],\n  \"counters\": {{\n    \"fusion\": {},\n    \"baseline\": {}\n  }}\n}}\n",
-        fusion.metrics().to_json(),
-        baseline.metrics().to_json()
-    ));
-    out
-}
-
 /// Sums a set of phases from a breakdown.
 fn sum(bd: &PhaseBreakdown, phases: &[Phase]) -> Nanos {
     Nanos(phases.iter().map(|&p| bd.get(p)).sum())
@@ -126,9 +92,41 @@ pub fn observability(env: &BenchEnv) -> String {
     run_mix(&fusion, "fusion", "degraded", &mut cells);
     run_mix(&baseline, "baseline", "degraded", &mut cells);
 
-    let _ = std::fs::create_dir_all("results");
-    std::fs::write("results/query_trace.json", json(&cells, &fusion, &baseline))
-        .expect("write results/query_trace.json");
+    let queries: Vec<String> = QUERIES.iter().map(|q| format!("\"{q}\"")).collect();
+    let json: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"system\": \"{}\", \"mode\": \"{}\", \"query\": {}, \
+                 \"latency_ns\": {}, \"pruned\": {}, \"cache_hits\": {}, \
+                 \"cache_misses\": {}, \"phases_ns\": {}, \"trace\": {}}}",
+                c.system,
+                c.mode,
+                c.query,
+                c.latency_ns,
+                c.pruned,
+                c.cache_hits,
+                c.cache_misses,
+                c.phases.to_json(),
+                c.trace_json,
+            )
+        })
+        .collect();
+    write_json(
+        "query_trace.json",
+        "observability",
+        &[
+            json_array("queries", &queries),
+            json_array("cells", &json),
+            json_object(
+                "counters",
+                &[
+                    format!("\"fusion\": {}", fusion.metrics().to_json()),
+                    format!("\"baseline\": {}", baseline.metrics().to_json()),
+                ],
+            ),
+        ],
+    );
 
     let mut t = Table::new(&[
         "system",

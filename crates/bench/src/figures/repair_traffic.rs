@@ -23,13 +23,14 @@
 //! including a metrics snapshot (repair bytes moved, degraded-read
 //! latency histogram quantiles).
 
-use crate::harness::{summarize, BenchEnv, SystemKind};
-use crate::report::Table;
+use crate::harness::{BenchEnv, SystemKind};
+use crate::microbench::microbench_on;
+use crate::report::{json_array, json_object, write_json, Table};
 use fusion_cluster::fault::{FaultInjector, FaultSchedule};
 use fusion_cluster::spec::ClusterSpec;
 use fusion_cluster::time::Nanos;
 use fusion_cluster::topology::Topology;
-use fusion_core::config::{EcConfig, PlacementPolicy, StoreConfig};
+use fusion_core::config::{EcConfig, PlacementPolicy};
 use fusion_core::store::Store;
 
 /// Cluster shape: 4 racks of 4 nodes. Both codes fit (n ≤ 10 < 16) and
@@ -44,19 +45,9 @@ fn topo() -> Topology {
     Topology::racks(NODES, RACKS)
 }
 
-/// A Fusion store config on the rack topology with the given code, the
-/// cost model scaled exactly like every other lineitem experiment.
-fn config(file_len: usize, ec: EcConfig, placement: PlacementPolicy, seed: u64) -> StoreConfig {
-    let mut cfg = BenchEnv::store_config(SystemKind::Fusion, file_len, 10 << 30)
-        .with_ec(ec)
-        .with_placement(placement)
-        .with_seed(seed);
-    let cost = cfg.cluster.cost.clone();
-    cfg.cluster = ClusterSpec::with_topology(topo());
-    cfg.cluster.cost = cost;
-    cfg
-}
-
+/// A Fusion store of lineitem copies on the rack topology with the given
+/// code, the cost model scaled exactly like every other lineitem
+/// experiment.
 fn build(
     env: &BenchEnv,
     file: &[u8],
@@ -64,13 +55,14 @@ fn build(
     placement: PlacementPolicy,
     seed: u64,
 ) -> Store {
-    let mut store = Store::new(config(file.len(), ec, placement, seed)).expect("valid config");
-    for i in 0..env.copies {
-        store
-            .put(&format!("lineitem_{i}"), file.to_vec())
-            .expect("put succeeds");
-    }
-    store
+    let mut cfg = BenchEnv::store_config(SystemKind::Fusion, file.len(), 10 << 30)
+        .with_ec(ec)
+        .with_placement(placement)
+        .with_seed(seed);
+    let cost = cfg.cluster.cost.clone();
+    cfg.cluster = ClusterSpec::with_topology(topo());
+    cfg.cluster.cost = cost;
+    env.store_with(cfg, "lineitem", file)
 }
 
 /// Results of the single-shard and node-rebuild scenarios for one code.
@@ -127,11 +119,10 @@ fn run_code(env: &BenchEnv, file: &[u8], ec: EcConfig) -> CodeRow {
 
     // --- degraded query latency: scan-heavy queries over every copy
     // while the node is still down, replayed on the virtual clock.
-    let outputs = env.outputs_per_copy(&store, "lineitem", |obj| {
+    let s = microbench_on(env, &store, "lineitem", |obj| {
         format!("SELECT sum(extendedprice) FROM {obj} WHERE quantity < 25")
-    });
-    let stats = env.replay(&store, &outputs);
-    let s = summarize(&stats);
+    })
+    .latency;
 
     // --- node_rebuild: bring the replacement up and rebuild it.
     let report = store.recover_node(victim).expect("recoverable");
@@ -188,58 +179,6 @@ fn rack_outage(env: &BenchEnv, file: &[u8], ec: EcConfig) -> (u64, u64) {
     (readable[0], readable[1])
 }
 
-fn json(
-    rows: &[CodeRow],
-    ratio: f64,
-    aware_readable: u64,
-    naive_readable: u64,
-    snapshot: &[(String, i64)],
-) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"repair_traffic\",\n");
-    out.push_str(&format!(
-        "  \"cluster\": {{\"nodes\": {NODES}, \"racks\": {RACKS}}},\n"
-    ));
-    out.push_str("  \"codes\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"code\": \"{}\", \"single_shard_bytes_moved\": {}, \
-             \"single_shard_sources\": {}, \"rebuild_bytes_moved\": {}, \
-             \"rebuild_bytes_restored\": {}, \"rebuild_ns\": {}, \
-             \"degraded_p50_ns\": {}, \"degraded_p99_ns\": {}, \
-             \"degraded_read_hist_p50_ns\": {}, \"degraded_read_hist_p99_ns\": {}}}{}\n",
-            r.label,
-            r.single_moved,
-            r.single_sources,
-            r.rebuild_moved,
-            r.rebuild_restored,
-            r.rebuild_ns,
-            r.degraded_p50_ns,
-            r.degraded_p99_ns,
-            r.hist_p50_ns,
-            r.hist_p99_ns,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"single_shard_traffic_ratio_rs_over_lrc\": {ratio:.3},\n"
-    ));
-    out.push_str(&format!(
-        "  \"rack_outage\": {{\"seeds\": {NAIVE_SEEDS}, \
-         \"domain_aware_readable\": {aware_readable}, \
-         \"naive_readable\": {naive_readable}}},\n"
-    ));
-    out.push_str("  \"metrics_snapshot\": {\n");
-    for (i, (name, v)) in snapshot.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{name}\": {v}{}\n",
-            if i + 1 == snapshot.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  }\n}\n");
-    out
-}
-
 /// Repair traffic: LRC vs RS across failure scenarios.
 pub fn repair_traffic(env: &BenchEnv) -> String {
     let file = env.lineitem_file().to_vec();
@@ -275,12 +214,47 @@ pub fn repair_traffic(env: &BenchEnv) -> String {
         .collect();
 
     let rows = [lrc, rs];
-    let _ = std::fs::create_dir_all("results");
-    std::fs::write(
-        "results/repair_traffic.json",
-        json(&rows, ratio, aware_readable, naive_readable, &snapshot),
-    )
-    .expect("write results/repair_traffic.json");
+    let codes: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"code\": \"{}\", \"single_shard_bytes_moved\": {}, \
+                 \"single_shard_sources\": {}, \"rebuild_bytes_moved\": {}, \
+                 \"rebuild_bytes_restored\": {}, \"rebuild_ns\": {}, \
+                 \"degraded_p50_ns\": {}, \"degraded_p99_ns\": {}, \
+                 \"degraded_read_hist_p50_ns\": {}, \"degraded_read_hist_p99_ns\": {}}}",
+                r.label,
+                r.single_moved,
+                r.single_sources,
+                r.rebuild_moved,
+                r.rebuild_restored,
+                r.rebuild_ns,
+                r.degraded_p50_ns,
+                r.degraded_p99_ns,
+                r.hist_p50_ns,
+                r.hist_p99_ns,
+            )
+        })
+        .collect();
+    let snapshot: Vec<String> = snapshot
+        .iter()
+        .map(|(name, v)| format!("\"{name}\": {v}"))
+        .collect();
+    write_json(
+        "repair_traffic.json",
+        "repair_traffic",
+        &[
+            format!("\"cluster\": {{\"nodes\": {NODES}, \"racks\": {RACKS}}}"),
+            json_array("codes", &codes),
+            format!("\"single_shard_traffic_ratio_rs_over_lrc\": {ratio:.3}"),
+            format!(
+                "\"rack_outage\": {{\"seeds\": {NAIVE_SEEDS}, \
+                 \"domain_aware_readable\": {aware_readable}, \
+                 \"naive_readable\": {naive_readable}}}"
+            ),
+            json_object("metrics_snapshot", &snapshot),
+        ],
+    );
 
     let mut t = Table::new(&[
         "code",

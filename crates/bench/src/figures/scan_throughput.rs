@@ -17,22 +17,20 @@
 //! Besides the rendered table, it writes machine-readable JSON to
 //! `results/scan_throughput.json`.
 
-use crate::harness::BenchEnv;
-use crate::report::Table;
+use crate::harness::{measure, speedup, BenchEnv, Timing};
+use crate::report::{json_array, json_object, write_json, Table};
 use fusion_format::chunk::{decode_column_chunk, encode_column_chunk, read_encoded_chunk};
 use fusion_format::schema::LogicalType;
 use fusion_format::value::{ColumnData, Value};
 use fusion_sql::ast::CmpOp;
 use fusion_sql::eval::{eval_filter, eval_filter_encoded};
 use fusion_sql::plan::FilterLeaf;
-use std::time::Instant;
+use std::time::Duration;
 
 /// Rows per column chunk (a production-sized row group).
 const ROWS: usize = 1 << 18;
-/// Minimum measurement window per cell.
-const MIN_ELAPSED_NS: u128 = 150_000_000;
-/// Warmup iterations before timing.
-const WARMUP_ITERS: usize = 2;
+/// Measurement window per cell.
+const WINDOW: Duration = Duration::from_millis(150);
 /// Predicate selectivities swept (fraction of rows expected to match).
 const SELECTIVITIES: &[f64] = &[0.001, 0.01, 0.1, 0.5, 1.0];
 
@@ -74,46 +72,7 @@ struct Cell {
     selectivity: f64,
     variant: &'static str,
     mrows_per_s: f64,
-    iters: u64,
-    elapsed_ns: u128,
-}
-
-/// Times `body` in batches until the window fills; returns (iters, ns).
-fn measure<F: FnMut()>(mut body: F) -> (u64, u128) {
-    for _ in 0..WARMUP_ITERS {
-        body();
-    }
-    let mut iters = 0u64;
-    let start = Instant::now();
-    loop {
-        body();
-        iters += 1;
-        let elapsed = start.elapsed().as_nanos();
-        if elapsed >= MIN_ELAPSED_NS {
-            return (iters, elapsed);
-        }
-    }
-}
-
-fn push_cell(
-    cells: &mut Vec<Cell>,
-    shape: &'static str,
-    encoding: &'static str,
-    selectivity: f64,
-    variant: &'static str,
-    iters: u64,
-    elapsed_ns: u128,
-) {
-    let rows = ROWS as f64 * iters as f64;
-    cells.push(Cell {
-        shape,
-        encoding,
-        selectivity,
-        variant,
-        mrows_per_s: rows / 1e6 / (elapsed_ns as f64 / 1e9),
-        iters,
-        elapsed_ns,
-    });
+    t: Timing,
 }
 
 fn run_shape(shape: &Shape, cells: &mut Vec<Cell>) {
@@ -145,22 +104,30 @@ fn run_shape(shape: &Shape, cells: &mut Vec<Cell>) {
             shape.name
         );
 
-        let (iters, ns) = measure(|| {
-            let decoded = decode_column_chunk(&bytes, LogicalType::Int64).expect("decode");
-            std::hint::black_box(eval_filter(&leaf, &decoded).expect("eval"));
-        });
-        push_cell(cells, shape.name, encoding, sel, "decoded", iters, ns);
-
-        let (iters, ns) = measure(|| {
-            let view = read_encoded_chunk(&bytes, LogicalType::Int64).expect("parse");
-            std::hint::black_box(eval_filter_encoded(&leaf, &view).expect("eval"));
-        });
-        push_cell(cells, shape.name, encoding, sel, "encoded_cold", iters, ns);
-
-        let (iters, ns) = measure(|| {
-            std::hint::black_box(eval_filter_encoded(&leaf, &hot).expect("eval"));
-        });
-        push_cell(cells, shape.name, encoding, sel, "encoded_hot", iters, ns);
+        let variants: [(&str, &mut dyn FnMut()); 3] = [
+            ("decoded", &mut || {
+                let decoded = decode_column_chunk(&bytes, LogicalType::Int64).expect("decode");
+                std::hint::black_box(eval_filter(&leaf, &decoded).expect("eval"));
+            }),
+            ("encoded_cold", &mut || {
+                let view = read_encoded_chunk(&bytes, LogicalType::Int64).expect("parse");
+                std::hint::black_box(eval_filter_encoded(&leaf, &view).expect("eval"));
+            }),
+            ("encoded_hot", &mut || {
+                std::hint::black_box(eval_filter_encoded(&leaf, &hot).expect("eval"));
+            }),
+        ];
+        for (variant, body) in variants {
+            let t = measure(WINDOW, body);
+            cells.push(Cell {
+                shape: shape.name,
+                encoding,
+                selectivity: sel,
+                variant,
+                mrows_per_s: t.rate(ROWS as f64 / 1e6),
+                t,
+            });
+        }
     }
 }
 
@@ -171,50 +138,14 @@ fn find<'a>(cells: &'a [Cell], shape: &str, sel: f64, variant: &str) -> &'a Cell
         .expect("cell present")
 }
 
-/// Geometric mean of encoded-vs-decoded speedup across the sweep.
-fn geomean_speedup(cells: &[Cell], shape: &str, variant: &str) -> f64 {
-    let logs: Vec<f64> = SELECTIVITIES
-        .iter()
-        .map(|&s| {
-            let d = find(cells, shape, s, "decoded").mrows_per_s;
-            let e = find(cells, shape, s, variant).mrows_per_s;
-            (e / d).ln()
-        })
-        .collect();
-    (logs.iter().sum::<f64>() / logs.len() as f64).exp()
-}
-
-fn json(cells: &[Cell]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"scan_throughput\",\n");
-    out.push_str(&format!("  \"rows\": {ROWS},\n"));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"shape\": \"{}\", \"encoding\": \"{}\", \"selectivity\": {}, \
-             \"variant\": \"{}\", \"mrows_per_s\": {:.2}, \"iters\": {}, \"elapsed_ns\": {}}}{}\n",
-            c.shape,
-            c.encoding,
-            c.selectivity,
-            c.variant,
-            c.mrows_per_s,
-            c.iters,
-            c.elapsed_ns,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"speedups\": {\n");
-    let mut lines = Vec::new();
-    for shape in ["dictionary", "rle", "plain"] {
-        for variant in ["encoded_cold", "encoded_hot"] {
-            lines.push(format!(
-                "    \"{shape}_{variant}\": {:.2}",
-                geomean_speedup(cells, shape, variant)
-            ));
-        }
-    }
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n  }\n}\n");
-    out
+/// Encoded-vs-decoded speedup of `variant` across the sweep.
+fn variant_speedup(cells: &[Cell], shape: &str, variant: &str) -> f64 {
+    speedup(SELECTIVITIES.iter().map(|&s| {
+        (
+            find(cells, shape, s, "decoded").mrows_per_s,
+            find(cells, shape, s, variant).mrows_per_s,
+        )
+    }))
 }
 
 /// Decode-then-filter vs encoded-domain kernels over a selectivity sweep.
@@ -224,9 +155,41 @@ pub fn scan_throughput(_env: &BenchEnv) -> String {
         run_shape(shape, &mut cells);
     }
 
-    let _ = std::fs::create_dir_all("results");
-    std::fs::write("results/scan_throughput.json", json(&cells))
-        .expect("write results/scan_throughput.json");
+    let json: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"shape\": \"{}\", \"encoding\": \"{}\", \"selectivity\": {}, \
+                 \"variant\": \"{}\", \"mrows_per_s\": {:.2}, \"iters\": {}, \"elapsed_ns\": {}}}",
+                c.shape,
+                c.encoding,
+                c.selectivity,
+                c.variant,
+                c.mrows_per_s,
+                c.t.iters,
+                c.t.elapsed_ns
+            )
+        })
+        .collect();
+    let mut speedups = Vec::new();
+    for shape in SHAPES {
+        for variant in ["encoded_cold", "encoded_hot"] {
+            speedups.push(format!(
+                "\"{}_{variant}\": {:.2}",
+                shape.name,
+                variant_speedup(&cells, shape.name, variant)
+            ));
+        }
+    }
+    write_json(
+        "scan_throughput.json",
+        "scan_throughput",
+        &[
+            format!("\"rows\": {ROWS}"),
+            json_array("cells", &json),
+            json_object("speedups", &speedups),
+        ],
+    );
 
     let mut t = Table::new(&[
         "shape",

@@ -15,7 +15,7 @@
 //! `results/service_throughput.json`.
 
 use crate::harness::{BenchEnv, SystemKind};
-use crate::report::Table;
+use crate::report::{json_array, write_json, Table};
 use fusion_core::store::Store;
 use fusion_service::{Client, Loopback, Service};
 use std::sync::Arc;
@@ -110,32 +110,28 @@ fn drive(env: &BenchEnv, workers: usize) -> Cell {
     cell
 }
 
-fn json(cells: &[Cell], clients: usize) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"service_throughput\",\n");
-    out.push_str(&format!("  \"clients\": {clients},\n  \"cells\": [\n"));
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workers\": {}, \"ops\": {}, \"qps\": {:.1}, \
-             \"p50_us\": {:.1}, \"p99_us\": {:.1}}}{}\n",
-            c.workers,
-            c.ops,
-            c.qps,
-            c.p50_us,
-            c.p99_us,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 /// Service-mode wall-clock throughput vs worker count.
 pub fn service_throughput(env: &BenchEnv) -> String {
     let cells: Vec<Cell> = WORKER_COUNTS.iter().map(|&w| drive(env, w)).collect();
 
-    let _ = std::fs::create_dir_all("results");
-    std::fs::write("results/service_throughput.json", json(&cells, env.clients))
-        .expect("write results/service_throughput.json");
+    let json: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"workers\": {}, \"ops\": {}, \"qps\": {:.1}, \
+                 \"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
+                c.workers, c.ops, c.qps, c.p50_us, c.p99_us
+            )
+        })
+        .collect();
+    write_json(
+        "service_throughput.json",
+        "service_throughput",
+        &[
+            format!("\"clients\": {}", env.clients),
+            json_array("cells", &json),
+        ],
+    );
 
     let mut table = Table::new(&["workers", "ops", "QPS", "p50 (µs)", "p99 (µs)"]);
     for c in &cells {

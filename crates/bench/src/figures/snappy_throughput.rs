@@ -20,18 +20,19 @@
 //! Besides the rendered table, it writes machine-readable JSON to
 //! `results/snappy_throughput.json`.
 
-use crate::harness::BenchEnv;
-use crate::report::Table;
-use std::time::Instant;
+use crate::harness::{measure, speedup, BenchEnv, Timing};
+use crate::report::{json_array, json_object, write_json, Table};
+use std::time::Duration;
 
 /// Bytes per input buffer (a production-sized page run: 4 MiB spans
 /// many 64 KiB Snappy fragments, so the persistent-hash-table reuse in
 /// the fast encoder is exercised).
 const BYTES: usize = 4 << 20;
-/// Minimum measurement window per cell.
-const MIN_ELAPSED_NS: u128 = 150_000_000;
-/// Warmup iterations before timing.
-const WARMUP_ITERS: usize = 2;
+/// Measurement window per cell.
+const WINDOW: Duration = Duration::from_millis(150);
+
+/// The compressible mixes the headline speedup is taken over.
+const COMPRESSIBLE: &[&str] = &["run_heavy", "text"];
 
 struct Mix {
     name: &'static str,
@@ -83,50 +84,7 @@ struct Cell {
     direction: &'static str,
     gib_per_s: f64,
     ratio: f64,
-    iters: u64,
-    elapsed_ns: u128,
-}
-
-/// Times `body` in batches until the window fills; returns (iters, ns).
-fn measure<F: FnMut()>(mut body: F) -> (u64, u128) {
-    for _ in 0..WARMUP_ITERS {
-        body();
-    }
-    let mut iters = 0u64;
-    let start = Instant::now();
-    loop {
-        body();
-        iters += 1;
-        let elapsed = start.elapsed().as_nanos();
-        if elapsed >= MIN_ELAPSED_NS {
-            return (iters, elapsed);
-        }
-    }
-}
-
-impl Cell {
-    // Throughput is always over *uncompressed* bytes, both directions:
-    // that is the rate the read/write paths observe.
-    fn new(
-        mix: &'static str,
-        codec: &'static str,
-        direction: &'static str,
-        uncompressed: usize,
-        ratio: f64,
-        iters: u64,
-        elapsed_ns: u128,
-    ) -> Cell {
-        let bytes = uncompressed as f64 * iters as f64;
-        Cell {
-            mix,
-            codec,
-            direction,
-            gib_per_s: bytes / (1u64 << 30) as f64 / (elapsed_ns as f64 / 1e9),
-            ratio,
-            iters,
-            elapsed_ns,
-        }
-    }
+    t: Timing,
 }
 
 fn run_mix(mix: &Mix, cells: &mut Vec<Cell>) {
@@ -136,6 +94,7 @@ fn run_mix(mix: &Mix, cells: &mut Vec<Cell>) {
 
     // Both codecs must agree with the input before we time anything.
     let ref_stream = fusion_snappy::reference::compress(&data);
+    let ref_ratio = ref_stream.len() as f64 / data.len() as f64;
     assert_eq!(
         fusion_snappy::decompress(&stream).expect("fast stream"),
         data,
@@ -149,70 +108,47 @@ fn run_mix(mix: &Mix, cells: &mut Vec<Cell>) {
         mix.name
     );
 
-    let (iters, ns) = measure(|| {
-        std::hint::black_box(fusion_snappy::reference::compress(std::hint::black_box(
-            &data,
-        )));
-    });
-    cells.push(Cell::new(
-        mix.name,
-        "scalar",
-        "compress",
-        data.len(),
-        ref_stream.len() as f64 / data.len() as f64,
-        iters,
-        ns,
-    ));
-
     let mut enc = fusion_snappy::Encoder::new();
     let mut out = Vec::new();
-    let (iters, ns) = measure(|| {
-        enc.compress_into(std::hint::black_box(&data), &mut out);
-        std::hint::black_box(&out);
-    });
-    cells.push(Cell::new(
-        mix.name,
-        "fast",
-        "compress",
-        data.len(),
-        ratio,
-        iters,
-        ns,
-    ));
-
+    let mut scratch = Vec::new();
     // Each decoder times its own compressor's stream (what that
     // configuration would actually read back).
-    let (iters, ns) = measure(|| {
-        std::hint::black_box(
-            fusion_snappy::reference::decompress(std::hint::black_box(&ref_stream))
-                .expect("valid stream"),
-        );
-    });
-    cells.push(Cell::new(
-        mix.name,
-        "scalar",
-        "decompress",
-        data.len(),
-        ref_stream.len() as f64 / data.len() as f64,
-        iters,
-        ns,
-    ));
-
-    let mut scratch = Vec::new();
-    let (iters, ns) = measure(|| {
-        fusion_snappy::decompress_into(std::hint::black_box(&stream), &mut scratch)
-            .expect("valid stream");
-        std::hint::black_box(&scratch);
-    });
-    cells.push(Cell::new(
-        mix.name,
-        "fast",
-        "decompress",
-        data.len(),
-        ratio,
-        iters,
-        ns,
-    ));
+    let variants: [(&str, &str, f64, &mut dyn FnMut()); 4] = [
+        ("scalar", "compress", ref_ratio, &mut || {
+            std::hint::black_box(fusion_snappy::reference::compress(std::hint::black_box(
+                &data,
+            )));
+        }),
+        ("fast", "compress", ratio, &mut || {
+            enc.compress_into(std::hint::black_box(&data), &mut out);
+            std::hint::black_box(&out);
+        }),
+        ("scalar", "decompress", ref_ratio, &mut || {
+            std::hint::black_box(
+                fusion_snappy::reference::decompress(std::hint::black_box(&ref_stream))
+                    .expect("valid stream"),
+            );
+        }),
+        ("fast", "decompress", ratio, &mut || {
+            fusion_snappy::decompress_into(std::hint::black_box(&stream), &mut scratch)
+                .expect("valid stream");
+            std::hint::black_box(&scratch);
+        }),
+    ];
+    // Throughput is always over *uncompressed* bytes, both directions:
+    // that is the rate the read/write paths observe.
+    let gib = data.len() as f64 / (1u64 << 30) as f64;
+    for (codec, direction, ratio, body) in variants {
+        let t = measure(WINDOW, body);
+        cells.push(Cell {
+            mix: mix.name,
+            codec,
+            direction,
+            gib_per_s: t.rate(gib),
+            ratio,
+            t,
+        });
+    }
 }
 
 fn find<'a>(cells: &'a [Cell], mix: &str, codec: &str, direction: &str) -> &'a Cell {
@@ -222,54 +158,14 @@ fn find<'a>(cells: &'a [Cell], mix: &str, codec: &str, direction: &str) -> &'a C
         .expect("cell present")
 }
 
-/// Geometric-mean fast-vs-scalar speedup for one direction over `mixes`.
-fn geomean_speedup(cells: &[Cell], direction: &str, mixes: &[&str]) -> f64 {
-    let logs: Vec<f64> = mixes
-        .iter()
-        .map(|mix| {
-            let s = find(cells, mix, "scalar", direction).gib_per_s;
-            let f = find(cells, mix, "fast", direction).gib_per_s;
-            (f / s).ln()
-        })
-        .collect();
-    (logs.iter().sum::<f64>() / logs.len() as f64).exp()
-}
-
-fn json(cells: &[Cell]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"snappy_throughput\",\n");
-    out.push_str(&format!("  \"bytes\": {BYTES},\n"));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mix\": \"{}\", \"codec\": \"{}\", \"direction\": \"{}\", \
-             \"gib_per_s\": {:.3}, \"ratio\": {:.4}, \"iters\": {}, \"elapsed_ns\": {}}}{}\n",
-            c.mix,
-            c.codec,
-            c.direction,
-            c.gib_per_s,
-            c.ratio,
-            c.iters,
-            c.elapsed_ns,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"speedups\": {\n");
-    let compressible = &["run_heavy", "text"];
-    let all: Vec<&str> = MIXES.iter().map(|m| m.name).collect();
-    out.push_str(&format!(
-        "    \"decompress_geomean_compressible\": {:.2},\n",
-        geomean_speedup(cells, "decompress", compressible)
-    ));
-    out.push_str(&format!(
-        "    \"decompress_geomean_all\": {:.2},\n",
-        geomean_speedup(cells, "decompress", &all)
-    ));
-    out.push_str(&format!(
-        "    \"compress_geomean_all\": {:.2}\n",
-        geomean_speedup(cells, "compress", &all)
-    ));
-    out.push_str("  }\n}\n");
-    out
+/// Fast-vs-scalar speedup for one direction over `mixes`.
+fn fast_speedup(cells: &[Cell], direction: &str, mixes: &[&str]) -> f64 {
+    speedup(mixes.iter().map(|mix| {
+        (
+            find(cells, mix, "scalar", direction).gib_per_s,
+            find(cells, mix, "fast", direction).gib_per_s,
+        )
+    }))
 }
 
 /// Fast vs scalar Snappy kernels over the store's three page regimes.
@@ -279,9 +175,40 @@ pub fn snappy_throughput(_env: &BenchEnv) -> String {
         run_mix(mix, &mut cells);
     }
 
-    let _ = std::fs::create_dir_all("results");
-    std::fs::write("results/snappy_throughput.json", json(&cells))
-        .expect("write results/snappy_throughput.json");
+    let json: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            format!(
+                "{{\"mix\": \"{}\", \"codec\": \"{}\", \"direction\": \"{}\", \
+                 \"gib_per_s\": {:.3}, \"ratio\": {:.4}, \"iters\": {}, \"elapsed_ns\": {}}}",
+                c.mix, c.codec, c.direction, c.gib_per_s, c.ratio, c.t.iters, c.t.elapsed_ns
+            )
+        })
+        .collect();
+    let all: Vec<&str> = MIXES.iter().map(|m| m.name).collect();
+    let headline = fast_speedup(&cells, "decompress", COMPRESSIBLE);
+    write_json(
+        "snappy_throughput.json",
+        "snappy_throughput",
+        &[
+            format!("\"bytes\": {BYTES}"),
+            json_array("cells", &json),
+            json_object(
+                "speedups",
+                &[
+                    format!("\"decompress_geomean_compressible\": {headline:.2}"),
+                    format!(
+                        "\"decompress_geomean_all\": {:.2}",
+                        fast_speedup(&cells, "decompress", &all)
+                    ),
+                    format!(
+                        "\"compress_geomean_all\": {:.2}",
+                        fast_speedup(&cells, "compress", &all)
+                    ),
+                ],
+            ),
+        ],
+    );
 
     let mut t = Table::new(&[
         "mix",
@@ -312,7 +239,7 @@ pub fn snappy_throughput(_env: &BenchEnv) -> String {
          (also written to results/snappy_throughput.json; calibrates FAST_SNAPPY_SPEEDUP)\n\
          decompress geomean speedup, compressible mixes: {:.2}x\n{}",
         BYTES >> 20,
-        geomean_speedup(&cells, "decompress", &["run_heavy", "text"]),
+        headline,
         t.render()
     )
 }

@@ -20,7 +20,7 @@
 //! Machine-readable output goes to `results/traffic_load.json`.
 
 use crate::harness::{BenchEnv, SystemKind};
-use crate::report::Table;
+use crate::report::{json_array, json_lines, write_json, Table};
 use fusion_cluster::engine::{
     AdmissionConfig, Engine, ResourceKey, SchedulingPolicy, TenantSummary, Workflow,
 };
@@ -168,54 +168,51 @@ fn sweep(env: &BenchEnv, store: &Store, label: &'static str, capacity: f64) -> S
     }
 }
 
-fn json(capacity: f64, scenarios: &[Scenario]) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"traffic_load\",\n");
-    out.push_str(&format!(
-        "  \"tenants\": {TENANTS}, \"zipf_theta\": {ZIPF_THETA}, \
-         \"knee_factor\": {KNEE_FACTOR}, \"capacity_qps\": {capacity:.1},\n"
-    ));
-    out.push_str("  \"scenarios\": [\n");
-    for (si, sc) in scenarios.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"knee_fraction\": {},\n     \"points\": [\n",
-            sc.label,
-            sc.knee.map_or("null".to_string(), |k| format!("{k:.2}")),
-        ));
-        for (pi, p) in sc.points.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"load_fraction\": {:.2}, \"offered_qps\": {:.1}, \"jobs\": {}, \
-                 \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"tenants\": [",
-                p.fraction, p.offered_qps, p.jobs, p.agg_p50.0, p.agg_p99.0, p.agg_p999.0
-            ));
-            for (ti, t) in p.tenants.iter().enumerate() {
-                out.push_str(&format!(
-                    "{{\"tenant\": {}, \"offered\": {}, \"served\": {}, \"rejected\": {}, \
-                     \"queued\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
-                     \"goodput_qps\": {:.1}}}{}",
-                    t.tenant,
-                    t.counters.offered,
-                    t.counters.served,
-                    t.counters.rejected,
-                    t.counters.queued,
-                    t.p50.0,
-                    t.p99.0,
-                    t.p999.0,
-                    t.goodput_qps,
-                    if ti + 1 == p.tenants.len() { "" } else { ", " }
-                ));
-            }
-            out.push_str(&format!(
-                "]}}{}\n",
-                if pi + 1 == sc.points.len() { "" } else { "," }
-            ));
-        }
-        out.push_str(&format!(
-            "    ]}}{}\n",
-            if si + 1 == scenarios.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// One scenario's JSON cell: its knee, then one load point per line.
+fn scenario_json(sc: &Scenario) -> String {
+    let points: Vec<String> = sc
+        .points
+        .iter()
+        .map(|p| {
+            let tenants: Vec<String> = p
+                .tenants
+                .iter()
+                .map(|t| {
+                    format!(
+                        "{{\"tenant\": {}, \"offered\": {}, \"served\": {}, \"rejected\": {}, \
+                         \"queued\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
+                         \"goodput_qps\": {:.1}}}",
+                        t.tenant,
+                        t.counters.offered,
+                        t.counters.served,
+                        t.counters.rejected,
+                        t.counters.queued,
+                        t.p50.0,
+                        t.p99.0,
+                        t.p999.0,
+                        t.goodput_qps,
+                    )
+                })
+                .collect();
+            format!(
+                "{{\"load_fraction\": {:.2}, \"offered_qps\": {:.1}, \"jobs\": {}, \
+                 \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"tenants\": [{}]}}",
+                p.fraction,
+                p.offered_qps,
+                p.jobs,
+                p.agg_p50.0,
+                p.agg_p99.0,
+                p.agg_p999.0,
+                tenants.join(", ")
+            )
+        })
+        .collect();
+    format!(
+        "{{\"scenario\": \"{}\", \"knee_fraction\": {},\n     \"points\": [\n{}    ]}}",
+        sc.label,
+        sc.knee.map_or("null".to_string(), |k| format!("{k:.2}")),
+        json_lines(&points, "      ")
+    )
 }
 
 /// Concurrent traffic sweep: offered load vs per-tenant tail latency,
@@ -240,9 +237,18 @@ pub fn traffic_load(env: &BenchEnv) -> String {
         sweep(env, &degraded_store, "degraded_1_node", capacity),
     ];
 
-    let _ = std::fs::create_dir_all("results");
-    std::fs::write("results/traffic_load.json", json(capacity, &scenarios))
-        .expect("write results/traffic_load.json");
+    let json: Vec<String> = scenarios.iter().map(scenario_json).collect();
+    write_json(
+        "traffic_load.json",
+        "traffic_load",
+        &[
+            format!(
+                "\"tenants\": {TENANTS}, \"zipf_theta\": {ZIPF_THETA}, \
+                 \"knee_factor\": {KNEE_FACTOR}, \"capacity_qps\": {capacity:.1}"
+            ),
+            json_array("scenarios", &json),
+        ],
+    );
 
     let mut t = Table::new(&[
         "scenario",

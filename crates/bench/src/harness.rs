@@ -1,14 +1,15 @@
 //! Shared experiment environment: scaled datasets, store construction with
-//! object copies, and closed-loop query replay.
+//! object copies, closed-loop query replay, and the timed loop of the
+//! wall-clock kernel experiments.
 
 use fusion_cluster::engine::{Workflow, WorkflowStats};
-use fusion_cluster::spec::ClusterSpec;
 use fusion_cluster::time::{percentile, Nanos};
 use fusion_core::config::{QueryMode, StoreConfig};
 use fusion_core::query::QueryOutput;
 use fusion_core::store::Store;
 use fusion_format::table::Table;
 use fusion_workloads::tpch::{lineitem, TpchConfig};
+use std::time::{Duration, Instant};
 
 /// Which system executes the workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -132,6 +133,18 @@ impl BenchEnv {
         cfg
     }
 
+    /// Builds a store with `cfg` holding `copies` copies of `file` named
+    /// `{name}_{i}`.
+    pub fn store_with(&self, cfg: StoreConfig, name: &str, file: &[u8]) -> Store {
+        let mut store = Store::new(cfg).expect("valid store config");
+        for i in 0..self.copies {
+            store
+                .put(&format!("{name}_{i}"), file.to_vec())
+                .expect("put succeeds");
+        }
+        store
+    }
+
     /// Builds a store holding `copies` copies of `file` named
     /// `{name}_{i}`; `paper_len` scales the cost model (see
     /// [`BenchEnv::store_config`]).
@@ -142,14 +155,7 @@ impl BenchEnv {
         file: &[u8],
         paper_len: u64,
     ) -> Store {
-        let cfg = Self::store_config(kind, file.len(), paper_len);
-        let mut store = Store::new(cfg).expect("valid store config");
-        for i in 0..self.copies {
-            store
-                .put(&format!("{name}_{i}"), file.to_vec())
-                .expect("put succeeds");
-        }
-        store
+        self.store_with(Self::store_config(kind, file.len(), paper_len), name, file)
     }
 
     /// Builds a store assuming a lineitem-sized paper file (10 GB).
@@ -203,27 +209,16 @@ impl BenchEnv {
     }
 
     /// Replays `self.queries` queries over the per-copy workflows with
-    /// `self.clients` closed-loop clients, mixing copies per query as the
-    /// paper's client driver does.
+    /// `self.clients` closed-loop clients on `store`'s cluster, mixing
+    /// copies per query as the paper's client driver does.
     pub fn replay(&self, store: &Store, outputs: &[QueryOutput]) -> Vec<WorkflowStats> {
-        self.replay_with_spec(&store.config().cluster, outputs)
-    }
-
-    /// Like [`BenchEnv::replay`] but with an explicit cluster spec (for
-    /// bandwidth sweeps the workflows must have been built by a store
-    /// carrying the same cost model).
-    pub fn replay_with_spec(
-        &self,
-        spec: &ClusterSpec,
-        outputs: &[QueryOutput],
-    ) -> Vec<WorkflowStats> {
         let mut clients: Vec<Vec<Workflow>> = vec![Vec::new(); self.clients];
         for q in 0..self.queries {
             // Spread copies across clients and time.
             let copy = (q * 7 + q / self.clients) % outputs.len();
             clients[q % self.clients].push(outputs[copy].workflow.clone());
         }
-        fusion_cluster::engine::Engine::new(spec.clone())
+        fusion_cluster::engine::Engine::new(store.config().cluster.clone())
             .run_closed_loop(clients)
             .stats
     }
@@ -256,6 +251,53 @@ pub fn reduction(base: Nanos, new: Nanos) -> f64 {
     (base.0 as f64 - new.0 as f64) / base.0 as f64
 }
 
+/// What [`measure`] timed for one kernel cell.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Timing {
+    /// Timed calls (the warm-up calls excluded).
+    pub iters: u64,
+    /// Wall-clock nanoseconds the timed calls took.
+    pub elapsed_ns: u128,
+}
+
+impl Timing {
+    /// Throughput per second, for `units` of work per call.
+    pub(crate) fn rate(&self, units: f64) -> f64 {
+        units * self.iters as f64 / (self.elapsed_ns as f64 / 1e9)
+    }
+}
+
+/// Times one kernel cell of a wall-clock experiment: two warm-up calls
+/// of `body` (tables hot, buffers allocated), then calls until `window`
+/// has elapsed.
+pub(crate) fn measure(window: Duration, mut body: impl FnMut()) -> Timing {
+    body();
+    body();
+    let mut iters = 0u64;
+    let start = Instant::now();
+    loop {
+        body();
+        iters += 1;
+        let elapsed = start.elapsed();
+        if elapsed >= window {
+            return Timing {
+                iters,
+                elapsed_ns: elapsed.as_nanos(),
+            };
+        }
+    }
+}
+
+/// Speedup over matched cells: the geometric mean of their `(base, new)`
+/// rate ratios (one pair gives its plain ratio).
+pub(crate) fn speedup(pairs: impl IntoIterator<Item = (f64, f64)>) -> f64 {
+    let logs: Vec<f64> = pairs
+        .into_iter()
+        .map(|(base, new)| (new / base).ln())
+        .collect();
+    (logs.iter().sum::<f64>() / logs.len() as f64).exp()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,6 +327,36 @@ mod tests {
         assert!((reduction(Nanos(100), Nanos(40)) - 0.6).abs() < 1e-12);
         assert_eq!(reduction(Nanos::ZERO, Nanos(5)), 0.0);
         assert!(reduction(Nanos(100), Nanos(150)) < 0.0);
+    }
+
+    #[test]
+    fn measure_warms_up_then_fills_the_window() {
+        // A zero window: the two warm-up calls, then one timed call.
+        let mut calls = 0u64;
+        let t = measure(Duration::ZERO, || calls += 1);
+        assert_eq!((calls, t.iters), (3, 1));
+        // Every call sleeps at least 1 ms, so a 10 ms window fills within
+        // ten timed calls, and the loop stops there.
+        let mut calls = 0u64;
+        let t = measure(Duration::from_millis(10), || {
+            calls += 1;
+            std::thread::sleep(Duration::from_millis(1));
+        });
+        assert_eq!(calls, t.iters + 2);
+        assert!((1..=10).contains(&t.iters), "{t:?}");
+        assert!(t.elapsed_ns >= 10_000_000, "{t:?}");
+        // Rates are per second of the timed calls.
+        let t = Timing {
+            iters: 4,
+            elapsed_ns: 2_000_000_000,
+        };
+        assert_eq!(t.rate(3.0), 6.0);
+    }
+
+    #[test]
+    fn speedup_is_the_geomean_of_matched_ratios() {
+        assert!((speedup([(2.0, 6.0)]) - 3.0).abs() < 1e-12);
+        assert!((speedup([(2.0, 4.0), (1.0, 8.0)]) - 4.0).abs() < 1e-12);
     }
 
     #[test]

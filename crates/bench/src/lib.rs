@@ -23,4 +23,4 @@ pub mod report;
 
 pub use harness::{reduction, summarize, BenchEnv, LatencySummary, SystemKind};
 pub use microbench::{microbench_on, microbench_query, microbench_sql, MicrobenchResult};
-pub use report::{fmt_bytes, fmt_pct, fmt_reduction, Table as ReportTable};
+pub use report::{fmt_bytes, fmt_cut, Table as ReportTable};

@@ -1,32 +1,76 @@
-//! The paper's microbenchmark (§6): `SELECT column FROM lineitem WHERE
-//! column < value`, with the cutoff chosen per column to hit a target
-//! selectivity (default 1%, as in production traces).
+//! The query cell every latency experiment runs (§6): one live query
+//! per object copy, replayed by closed-loop clients, summarized as
+//! p50/p99, a mean breakdown, network bytes and selectivity. The
+//! paper's microbenchmark is one such cell: `SELECT column FROM lineitem
+//! WHERE column < value`, with the cutoff chosen per column to hit a
+//! target selectivity (default 1%, as in production traces).
 
-use crate::harness::{reduction, summarize, BenchEnv, LatencySummary, SystemKind};
+use crate::harness::{summarize, BenchEnv, LatencySummary, SystemKind};
+use crate::report::fmt_cut;
 use fusion_cluster::engine::Breakdown;
 use fusion_cluster::time::Nanos;
-use fusion_core::query::QueryOutput;
 use fusion_core::store::Store;
 use fusion_format::schema::LogicalType;
 use fusion_format::table::Table;
 use fusion_format::value::ColumnData;
 use fusion_sql::date::format_date;
 
-/// Outcome of one microbenchmark cell (one column × one system ×
-/// one selectivity).
+/// Outcome of one query cell (one query template × one store).
 #[derive(Debug, Clone)]
 pub struct MicrobenchResult {
-    /// Column swept.
-    pub column: usize,
-    /// Selectivity actually achieved (discrete domains cannot hit an
-    /// arbitrary target exactly).
+    /// Selectivity the first copy's query achieved (discrete domains
+    /// cannot hit an arbitrary target exactly).
     pub achieved_selectivity: f64,
     /// Latency percentiles over the replayed queries.
     pub latency: LatencySummary,
     /// Mean critical-path breakdown.
     pub breakdown: Breakdown,
-    /// Network bytes per query (identical across replays).
+    /// Network bytes per query: the integer mean over the copies.
     pub net_bytes: u64,
+    /// Network bytes summed over the copies' queries.
+    pub net_bytes_total: u64,
+}
+
+/// One query cell measured on Fusion and on the baseline.
+#[derive(Debug, Clone)]
+pub(crate) struct Pair {
+    /// The cell on the Fusion store.
+    pub fusion: MicrobenchResult,
+    /// The cell on the baseline store.
+    pub baseline: MicrobenchResult,
+}
+
+impl Pair {
+    /// The microbenchmark cell for `column` at `target_selectivity` on
+    /// the cached Fusion store, then on the cached baseline store.
+    pub(crate) fn microbench(env: &BenchEnv, column: usize, target_selectivity: f64) -> Pair {
+        Pair {
+            fusion: microbench_query(env, SystemKind::Fusion, column, target_selectivity),
+            baseline: microbench_query(env, SystemKind::Baseline, column, target_selectivity),
+        }
+    }
+
+    /// The query cell of `sql_for` over the copies of `name` on `fusion`,
+    /// then on `baseline`.
+    pub(crate) fn on(
+        env: &BenchEnv,
+        fusion: &Store,
+        baseline: &Store,
+        name: &str,
+        sql_for: impl Fn(&str) -> String,
+    ) -> Pair {
+        Pair {
+            fusion: microbench_on(env, fusion, name, &sql_for),
+            baseline: microbench_on(env, baseline, name, &sql_for),
+        }
+    }
+
+    /// Fusion's p50 and p99 latency cuts against the baseline, as
+    /// rendered in the figures (`+42%`).
+    pub(crate) fn cuts(&self) -> [String; 2] {
+        let (f, b) = (self.fusion.latency, self.baseline.latency);
+        [fmt_cut(b.p50, f.p50), fmt_cut(b.p99, f.p99)]
+    }
 }
 
 /// Renders a SQL literal for a cutoff value of the given column type.
@@ -101,52 +145,40 @@ pub fn microbench_query(
     column: usize,
     target_selectivity: f64,
 ) -> MicrobenchResult {
-    let store = env.lineitem_store(kind);
-    microbench_on(env, store, column, target_selectivity)
+    microbench_on(env, env.lineitem_store(kind), "lineitem", |obj| {
+        microbench_sql(env, column, target_selectivity, obj)
+    })
 }
 
-/// Runs the microbenchmark for one column on an explicit store (used by
-/// the bandwidth sweep, which needs stores with modified cost models).
+/// Runs one query cell on `store`: one live query per copy of `name`
+/// (`sql_for` maps a copy's object name to its SQL), then
+/// [`BenchEnv::replay`] over their workflows.
 pub fn microbench_on(
     env: &BenchEnv,
     store: &Store,
-    column: usize,
-    target_selectivity: f64,
+    name: &str,
+    sql_for: impl Fn(&str) -> String,
 ) -> MicrobenchResult {
-    let outputs: Vec<QueryOutput> = env.outputs_per_copy(store, "lineitem", |obj| {
-        microbench_sql(env, column, target_selectivity, obj)
-    });
+    let outputs = env.outputs_per_copy(store, name, sql_for);
     let stats = env.replay(store, &outputs);
-    let latency = summarize(&stats);
     let n = stats.len().max(1) as u64;
-    let mut breakdown = Breakdown::default();
-    for s in &stats {
-        breakdown.disk += s.breakdown.disk;
-        breakdown.processing += s.breakdown.processing;
-        breakdown.network += s.breakdown.network;
-        breakdown.other += s.breakdown.other;
-    }
-    breakdown.disk = Nanos(breakdown.disk.0 / n);
-    breakdown.processing = Nanos(breakdown.processing.0 / n);
-    breakdown.network = Nanos(breakdown.network.0 / n);
-    breakdown.other = Nanos(breakdown.other.0 / n);
+    let mean = |part: fn(&Breakdown) -> Nanos| {
+        Nanos(stats.iter().map(|s| part(&s.breakdown).0).sum::<u64>() / n)
+    };
+    let breakdown = Breakdown {
+        disk: mean(|b| b.disk),
+        processing: mean(|b| b.processing),
+        network: mean(|b| b.network),
+        other: mean(|b| b.other),
+    };
+    let net_bytes_total = outputs.iter().map(|o| o.net_bytes).sum::<u64>();
     MicrobenchResult {
-        column,
         achieved_selectivity: outputs[0].selectivity,
-        latency,
+        latency: summarize(&stats),
         breakdown,
-        net_bytes: outputs.iter().map(|o| o.net_bytes).sum::<u64>() / outputs.len() as u64,
+        net_bytes: net_bytes_total / outputs.len() as u64,
+        net_bytes_total,
     }
-}
-
-/// Convenience: p50/p99 reduction of Fusion vs the baseline on a column.
-pub fn column_reduction(env: &BenchEnv, column: usize, sel: f64) -> (f64, f64) {
-    let f = microbench_query(env, SystemKind::Fusion, column, sel);
-    let b = microbench_query(env, SystemKind::Baseline, column, sel);
-    (
-        reduction(b.latency.p50, f.latency.p50),
-        reduction(b.latency.p99, f.latency.p99),
-    )
 }
 
 #[cfg(test)]

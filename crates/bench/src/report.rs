@@ -1,4 +1,8 @@
-//! Plain-text table rendering for figure/table reproductions.
+//! Rendering for figure/table reproductions: aligned text tables, number
+//! formats, and the experiments' machine-readable JSON documents.
+
+use crate::harness::reduction;
+use fusion_cluster::time::Nanos;
 
 /// A simple aligned text table.
 ///
@@ -84,14 +88,54 @@ pub fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// Formats a fraction as a percentage with one decimal.
-pub fn fmt_pct(f: f64) -> String {
-    format!("{:.1}%", f * 100.0)
+/// Formats the latency cut of `new` against `base` (see
+/// [`reduction`]) as a signed whole percentage, e.g. `+42%`.
+pub fn fmt_cut(base: Nanos, new: Nanos) -> String {
+    format!("{:+.0}%", 100.0 * reduction(base, new))
 }
 
-/// Formats a fraction as a signed improvement percentage.
-pub fn fmt_reduction(f: f64) -> String {
-    format!("{:+.1}%", f * 100.0)
+/// `items` one per line after `indent`, comma-separated: the body of a
+/// multi-line JSON array or object.
+pub(crate) fn json_lines(items: &[String], indent: &str) -> String {
+    let mut out = String::new();
+    for (i, item) in items.iter().enumerate() {
+        let sep = if i + 1 == items.len() { "" } else { "," };
+        out.push_str(&format!("{indent}{item}{sep}\n"));
+    }
+    out
+}
+
+/// A document section holding an array, one pre-formatted item per line
+/// (an experiment's cells).
+pub(crate) fn json_array(key: &str, items: &[String]) -> String {
+    format!("\"{key}\": [\n{}  ]", json_lines(items, "    "))
+}
+
+/// A document section holding an object, one pre-formatted
+/// `"name": value` entry per line.
+pub(crate) fn json_object(key: &str, entries: &[String]) -> String {
+    format!("\"{key}\": {{\n{}  }}", json_lines(entries, "    "))
+}
+
+/// An experiment's JSON document: its `"experiment"` name, then each
+/// section (`"name": value`, pre-formatted: head fields, the cells
+/// [`json_array`], tail sections) on its own line.
+pub(crate) fn json_document(experiment: &str, sections: &[String]) -> String {
+    let mut all = vec![format!("\"experiment\": \"{experiment}\"")];
+    all.extend_from_slice(sections);
+    format!("{{\n{}}}\n", json_lines(&all, "  "))
+}
+
+/// Writes [`json_document`] to `results/<file>`.
+///
+/// # Panics
+///
+/// Panics if the file cannot be written.
+pub(crate) fn write_json(file: &str, experiment: &str, sections: &[String]) {
+    let path = format!("results/{file}");
+    let _ = std::fs::create_dir_all("results");
+    std::fs::write(&path, json_document(experiment, sections))
+        .unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
 #[cfg(test)]
@@ -124,9 +168,64 @@ mod tests {
     }
 
     #[test]
-    fn pct_formatting() {
-        assert_eq!(fmt_pct(0.1234), "12.3%");
-        assert_eq!(fmt_reduction(0.5), "+50.0%");
-        assert_eq!(fmt_reduction(-0.05), "-5.0%");
+    fn cut_formatting() {
+        assert_eq!(fmt_cut(Nanos(200), Nanos(100)), "+50%");
+        assert_eq!(fmt_cut(Nanos(100), Nanos(105)), "-5%");
+        assert_eq!(fmt_cut(Nanos::ZERO, Nanos(5)), "+0%");
+    }
+
+    #[test]
+    fn json_document_without_cells() {
+        let doc = json_document("e", &[json_array("cells", &[])]);
+        assert_eq!(doc, "{\n  \"experiment\": \"e\",\n  \"cells\": [\n  ]\n}\n");
+    }
+
+    #[test]
+    fn json_document_with_one_cell() {
+        let doc = json_document(
+            "e",
+            &[
+                "\"rows\": 3".into(),
+                json_array("cells", &["{\"a\": 1}".into()]),
+            ],
+        );
+        assert_eq!(
+            doc,
+            "{\n  \"experiment\": \"e\",\n  \"rows\": 3,\n  \"cells\": [\n    {\"a\": 1}\n  ]\n}\n"
+        );
+    }
+
+    #[test]
+    fn json_document_with_head_cells_and_tail() {
+        let cells = [
+            "{\"a\": 1}".to_string(),
+            "{\"a\": 2}".into(),
+            "{\"a\": 3}".into(),
+        ];
+        let doc = json_document(
+            "e",
+            &[
+                "\"n\": 1, \"m\": 2".into(),
+                json_array("codes", &cells),
+                "\"ratio\": 2.50".into(),
+                json_object("speedups", &["\"x\": 1.00".into(), "\"y\": 2.00".into()]),
+                json_object("empty", &[]),
+            ],
+        );
+        assert_eq!(
+            doc,
+            "{\n  \"experiment\": \"e\",\n  \"n\": 1, \"m\": 2,\n  \"codes\": [\n    {\"a\": 1},\n    \
+             {\"a\": 2},\n    {\"a\": 3}\n  ],\n  \"ratio\": 2.50,\n  \"speedups\": {\n    \
+             \"x\": 1.00,\n    \"y\": 2.00\n  },\n  \"empty\": {\n  }\n}\n"
+        );
+    }
+
+    #[test]
+    fn json_lines_take_any_indent() {
+        assert_eq!(json_lines(&[], "  "), "");
+        assert_eq!(
+            json_lines(&["1".into(), "2".into()], "      "),
+            "      1,\n      2\n"
+        );
     }
 }

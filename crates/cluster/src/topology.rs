@@ -3,13 +3,13 @@
 //! Real clusters fail in correlated units — a rack loses power, a PDU
 //! takes down every host behind it — so placement and fault injection
 //! both need to know which simulated nodes share a failure domain. The
-//! model is deliberately simple: every node has a rack and a host
-//! coordinate, and the *failure domain* used for placement constraints
-//! and correlated outage counting is the rack. A [`Topology::flat`]
-//! cluster puts each node in its own rack, which reproduces the
-//! pre-topology behavior exactly (every node an independent domain).
+//! model is deliberately simple: every node has a rack, and the
+//! *failure domain* used for placement constraints and correlated outage
+//! counting is the rack. A [`Topology::flat`] cluster puts each node in
+//! its own rack, which reproduces the pre-topology behavior exactly
+//! (every node an independent domain).
 
-/// Rack/host coordinates for every node in a cluster.
+/// The rack of every node in a cluster.
 ///
 /// # Examples
 ///
@@ -26,9 +26,6 @@
 pub struct Topology {
     /// `rack[i]` = failure domain (rack) of node `i`.
     rack: Vec<usize>,
-    /// `host[i]` = host index of node `i` within the cluster (distinct
-    /// hosts may share a rack; kept for finer-grained future domains).
-    host: Vec<usize>,
     domains: usize,
 }
 
@@ -39,14 +36,12 @@ impl Topology {
     pub fn flat(nodes: usize) -> Topology {
         Topology {
             rack: (0..nodes).collect(),
-            host: (0..nodes).collect(),
             domains: nodes,
         }
     }
 
     /// Nodes split into `racks` contiguous, near-equal racks (the first
-    /// `nodes % racks` racks take one extra node). Each node is its own
-    /// host.
+    /// `nodes % racks` racks take one extra node).
     ///
     /// # Panics
     ///
@@ -63,7 +58,6 @@ impl Topology {
         }
         Topology {
             rack,
-            host: (0..nodes).collect(),
             domains: racks,
         }
     }
@@ -80,12 +74,7 @@ impl Topology {
         for d in 0..domains {
             assert!(rack.contains(&d), "rack labels must be dense from 0");
         }
-        let host = (0..rack.len()).collect();
-        Topology {
-            rack,
-            host,
-            domains,
-        }
+        Topology { rack, domains }
     }
 
     /// Number of nodes described.
@@ -106,16 +95,6 @@ impl Topology {
     #[inline]
     pub fn domain_of(&self, node: usize) -> usize {
         self.rack[node]
-    }
-
-    /// The host coordinate of a node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    #[inline]
-    pub fn host_of(&self, node: usize) -> usize {
-        self.host[node]
     }
 
     /// All nodes in a failure domain, ascending.
@@ -139,8 +118,8 @@ impl Topology {
     }
 
     /// A copy of this topology with one new node appended in `rack`.
-    /// The new node gets id `nodes()` and a fresh host coordinate; a
-    /// `rack` equal to `domains()` opens a new failure domain.
+    /// The new node gets id `nodes()`; a `rack` equal to `domains()`
+    /// opens a new failure domain.
     ///
     /// This is the membership-change primitive for rebalance
     /// experiments: the identity of every existing node is preserved,
@@ -154,7 +133,6 @@ impl Topology {
         assert!(rack <= self.domains, "rack labels must stay dense");
         let mut t = self.clone();
         t.rack.push(rack);
-        t.host.push(t.host.len());
         t.domains = t.domains.max(rack + 1);
         t
     }
@@ -172,7 +150,6 @@ impl Topology {
         assert!(self.nodes() > 1, "cannot empty the topology");
         let mut t = self.clone();
         let gone = t.rack.pop().expect("nonempty");
-        t.host.pop();
         if !t.rack.contains(&gone) {
             assert!(
                 gone + 1 == self.domains,

@@ -188,10 +188,12 @@ pub struct StoreConfig {
     /// Repeated queries over the same chunks then skip the read + parse
     /// entirely. Zero disables caching.
     pub chunk_cache_bytes: u64,
-    /// Evaluate filters with the encoded-domain scan kernels
-    /// (dictionary-mask + RLE-span + word-batched plain loops) instead of
-    /// decode-then-filter. `false` selects the scalar ablation path; the
-    /// result is bit-identical either way.
+    /// Charge the filter stage at the encoded-domain scan kernels' rate
+    /// (dictionary-mask + RLE-span + word-batched plain loops): the time
+    /// plane scales filter-stage CPU by [`StoreConfig::scan_speedup`].
+    /// `false` models the decode-then-filter ablation at the calibrated
+    /// decode + per-row eval rates. The data plane always runs the
+    /// encoded kernels, so answers are the same either way.
     pub encoded_scan: bool,
     /// Record per-query structured trace spans ([`fusion_obs::trace::Trace`])
     /// while executing. Off by default: the hot path then uses the no-op
@@ -336,15 +338,9 @@ impl StoreConfig {
         self
     }
 
-    /// Enables or disables the encoded-domain scan kernels.
+    /// Sets [`StoreConfig::encoded_scan`], the modelled filter-scan rate.
     pub fn with_encoded_scan(mut self, on: bool) -> StoreConfig {
         self.encoded_scan = on;
-        self
-    }
-
-    /// Enables or disables per-query trace-span recording.
-    pub fn with_observability(mut self, on: bool) -> StoreConfig {
-        self.observability = on;
         self
     }
 

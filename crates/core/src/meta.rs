@@ -48,17 +48,6 @@ impl From<EcConfig> for CodeId {
     }
 }
 
-impl CodeId {
-    /// Back to the full config.
-    pub fn to_ec(self) -> EcConfig {
-        EcConfig {
-            n: self.n as usize,
-            k: self.k as usize,
-            local_groups: self.local_groups as usize,
-        }
-    }
-}
-
 /// One chunk that no longer lives at its computed home.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkException {

@@ -48,8 +48,8 @@ use fusion_format::value::{ColumnData, Value};
 use fusion_obs::trace::Phase;
 use fusion_sql::bitmap::Bitmap;
 use fusion_sql::eval::{
-    combine, eval_filter, eval_filter_encoded, select_encoded, selected_plain_size,
-    stats_all_match, stats_may_match,
+    combine, eval_filter_encoded, select_encoded, selected_plain_size, stats_all_match,
+    stats_may_match,
 };
 use fusion_sql::partial::{GroupedAggs, PartialAgg, Selection};
 use fusion_sql::plan::{BoolTree, OutputItem, QueryPlan};
@@ -184,7 +184,6 @@ pub fn execute(
     let num_rgs = fm.row_groups.len();
 
     // ---- Filter stage ----
-    let encoded = store.config().encoded_scan;
     let speedup = store.config().scan_speedup();
     // Compression-kernel plane: the fast Snappy kernels' rate scales the
     // Snappy share of decode (page decompression) and the bitmap
@@ -201,9 +200,9 @@ pub fn execute(
 
     // Every leaf whose chunk the footer statistics cannot settle reads
     // that chunk through `access` and scans it inline with the
-    // encoded-domain kernels (or the decode-then-filter ablation). In the
-    // time plane a healthy chunk is scanned on its node; a split or
-    // degraded one is reassembled and scanned at the coordinator.
+    // encoded-domain kernels. In the time plane a healthy chunk is
+    // scanned on its node; a split or degraded one is reassembled and
+    // scanned at the coordinator.
     let mut leaf_acc: Vec<Vec<Option<Bitmap>>> = (0..num_rgs)
         .map(|_| (0..plan.filters.len()).map(|_| None).collect())
         .collect();
@@ -242,11 +241,7 @@ pub fn execute(
             if !at.hit {
                 shard_read_bytes += at.frags.iter().map(|f| f.len).sum::<u64>();
             }
-            let bm = if encoded {
-                eval_filter_encoded(leaf, &at.view)?
-            } else {
-                eval_filter(leaf, &at.view.decode()?)?
-            };
+            let bm = eval_filter_encoded(leaf, &at.view)?;
             let sizes = bitmap_sizes(&bm);
             bitmap_wire_total += sizes.1;
             if is_root(li) {

@@ -95,6 +95,15 @@ fn encoded_scan_toggle_changes_no_results() {
         let b = off.query(sql).expect(sql);
         assert_eq!(a.result, b.result, "encoded vs scalar mismatch: {sql}");
         assert_eq!(a.selectivity, b.selectivity, "{sql}");
+        if sql == SQL {
+            // The toggle moves only the time plane: this query scans
+            // `flag` in situ, charged at the modelled scan rate.
+            assert_ne!(
+                on.simulate_solo(&a.workflow),
+                off.simulate_solo(&b.workflow),
+                "{sql}"
+            );
+        }
     }
 }
 

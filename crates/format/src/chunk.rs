@@ -188,26 +188,21 @@ fn physical(ty: LogicalType) -> plain::PhysicalType {
 ///
 /// Page decode is the hottest allocation site on the read path: every
 /// chunk-cache miss used to allocate one `Vec` per page just to hold the
-/// decompressed bytes between Snappy and the typed decoder. A
-/// `PageScratch` owns that buffer instead, so a caller (or the
-/// thread-local used by [`decode_column_chunk`] / [`read_encoded_chunk`])
-/// that decodes pages in a loop reaches steady state with **zero**
-/// transient page allocations.
+/// decompressed bytes between Snappy and the typed decoder. The
+/// thread-local `PageScratch` used by [`decode_column_chunk`] /
+/// [`read_encoded_chunk`] owns that buffer instead, so a thread that
+/// decodes pages in a loop reaches steady state with **zero** transient
+/// page allocations.
 ///
 /// One buffer suffices for dictionary chunks because the dictionary page
 /// is fully decoded into an owned [`ColumnData`] before the index page is
 /// decompressed into the same buffer.
 #[derive(Default)]
-pub struct PageScratch {
+struct PageScratch {
     buf: Vec<u8>,
 }
 
 impl PageScratch {
-    /// Creates an empty scratch; the buffer grows to the largest page seen.
-    pub fn new() -> PageScratch {
-        PageScratch::default()
-    }
-
     /// Decompresses `page` into the scratch buffer and returns the bytes.
     fn page<'a>(&'a mut self, page: &Page<'_>) -> Result<&'a [u8]> {
         fusion_snappy::decompress_into(page.bytes, &mut self.buf)?;
@@ -217,32 +212,18 @@ impl PageScratch {
 
 thread_local! {
     static SCRATCH: std::cell::RefCell<PageScratch> =
-        std::cell::RefCell::new(PageScratch::new());
+        std::cell::RefCell::new(PageScratch::default());
 }
 
-/// Decodes chunk bytes back into a column using a thread-local
-/// [`PageScratch`], so repeated decodes on one thread do not allocate
+/// Decodes chunk bytes back into a column using a thread-local page
+/// scratch buffer, so repeated decodes on one thread do not allocate
 /// transient page buffers.
 ///
 /// # Errors
 ///
 /// Fails on corruption, checksum mismatch, or type inconsistencies.
 pub fn decode_column_chunk(bytes: &[u8], ty: LogicalType) -> Result<ColumnData> {
-    SCRATCH.with(|s| decode_column_chunk_with(bytes, ty, &mut s.borrow_mut()))
-}
-
-/// [`decode_column_chunk`] with an explicit caller-owned scratch buffer,
-/// for callers that manage their own per-worker scratch.
-///
-/// # Errors
-///
-/// Fails on corruption, checksum mismatch, or type inconsistencies.
-pub fn decode_column_chunk_with(
-    bytes: &[u8],
-    ty: LogicalType,
-    scratch: &mut PageScratch,
-) -> Result<ColumnData> {
-    match read_encoded_chunk_with(bytes, ty, scratch)? {
+    match read_encoded_chunk(bytes, ty)? {
         EncodedChunk::Plain(col) => Ok(col),
         view => view.decode(),
     }
@@ -424,8 +405,8 @@ fn check_codes(max_code: Option<usize>, dict_len: usize) -> Result<()> {
 /// is validated against the dictionary length here, so scan kernels can
 /// index the predicate mask unchecked.
 ///
-/// Uses a thread-local [`PageScratch`], so a chunk-cache miss performs
-/// zero transient page allocations in steady state.
+/// Uses a thread-local page scratch buffer, so a chunk-cache miss
+/// performs zero transient page allocations in steady state.
 ///
 /// # Errors
 ///
@@ -436,12 +417,8 @@ pub fn read_encoded_chunk(bytes: &[u8], ty: LogicalType) -> Result<EncodedChunk>
     SCRATCH.with(|s| read_encoded_chunk_with(bytes, ty, &mut s.borrow_mut()))
 }
 
-/// [`read_encoded_chunk`] with an explicit caller-owned scratch buffer.
-///
-/// # Errors
-///
-/// The errors of [`read_encoded_chunk`].
-pub fn read_encoded_chunk_with(
+/// [`read_encoded_chunk`] over an explicit scratch buffer.
+fn read_encoded_chunk_with(
     bytes: &[u8],
     ty: LogicalType,
     scratch: &mut PageScratch,
@@ -780,39 +757,33 @@ mod tests {
     }
 
     #[test]
-    fn scratch_variants_match_and_reuse() {
+    fn thread_local_scratch_decodes_and_reuses() {
         let dict_col = ColumnData::Utf8(
             (0..10_000)
                 .map(|i| ["AIR", "RAIL", "SHIP", "TRUCK"][i % 4].to_string())
                 .collect(),
         );
         let plain_col = ColumnData::Int64((0..50_000).map(|i| i * 7919 % 1_000_003).collect());
-        let mut scratch = PageScratch::new();
         for (col, ty) in [
             (&dict_col, LogicalType::Utf8),
             (&plain_col, LogicalType::Int64),
         ] {
             let (bytes, _) = encode_column_chunk(col);
-            assert_eq!(
-                decode_column_chunk_with(&bytes, ty, &mut scratch).unwrap(),
-                *col
-            );
-            assert_eq!(
-                read_encoded_chunk_with(&bytes, ty, &mut scratch)
-                    .unwrap()
-                    .decode()
-                    .unwrap(),
-                *col
-            );
-            // The thread-local variants must agree.
             assert_eq!(decode_column_chunk(&bytes, ty).unwrap(), *col);
+            assert_eq!(
+                read_encoded_chunk(&bytes, ty).unwrap().decode().unwrap(),
+                *col
+            );
         }
         // The scratch buffer has grown to the largest page; decoding the
         // small chunk again must not reallocate.
+        let capacity = || SCRATCH.with(|s| s.borrow().buf.capacity());
+        let cap = capacity();
+        assert!(cap > 0, "the thread-local scratch holds the last page");
         let (bytes, _) = encode_column_chunk(&dict_col);
-        let cap = scratch.buf.capacity();
-        decode_column_chunk_with(&bytes, LogicalType::Utf8, &mut scratch).unwrap();
-        assert_eq!(scratch.buf.capacity(), cap);
+        decode_column_chunk(&bytes, LogicalType::Utf8).unwrap();
+        read_encoded_chunk(&bytes, LogicalType::Utf8).unwrap();
+        assert_eq!(capacity(), cap);
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl ChunkMeta {
         }
         self.plain_size as f64 / self.len as f64
     }
-
-    /// The byte range of this chunk within the file.
-    pub fn byte_range(&self) -> std::ops::Range<u64> {
-        self.offset..self.offset + self.len
-    }
 }
 
 /// Footer metadata for one row group.
