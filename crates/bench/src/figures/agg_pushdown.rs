@@ -139,6 +139,7 @@ pub fn agg_pushdown(env: &BenchEnv) -> String {
         })
         .collect();
     write_json(
+        env,
         "agg_pushdown.json",
         "agg_pushdown",
         &[format!("\"rows\": {rows}"), json_array("cells", &json)],

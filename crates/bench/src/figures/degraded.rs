@@ -63,6 +63,7 @@ pub fn degraded_latency(env: &BenchEnv) -> String {
         }
     }
     write_json(
+        env,
         "degraded_latency.json",
         "degraded_latency",
         &[

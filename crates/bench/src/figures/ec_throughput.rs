@@ -89,7 +89,7 @@ fn fast_speedup(cells: &[Cell], n: usize, op: &str) -> f64 {
 }
 
 /// Scalar-vs-fast codec bandwidth at RS(9,6) and RS(14,10), 1 MiB shards.
-pub fn ec_throughput(_env: &BenchEnv) -> String {
+pub fn ec_throughput(env: &BenchEnv) -> String {
     let mut cells = Vec::new();
     for (n, k) in CODES {
         run_code(n, k, &mut cells);
@@ -115,6 +115,7 @@ pub fn ec_throughput(_env: &BenchEnv) -> String {
         }
     }
     write_json(
+        env,
         "ec_throughput.json",
         "ec_throughput",
         &[

@@ -251,6 +251,7 @@ pub fn meta_scale(env: &BenchEnv) -> String {
         )
     };
     write_json(
+        env,
         "meta_scale.json",
         "meta_scale",
         &[

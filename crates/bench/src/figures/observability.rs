@@ -113,6 +113,7 @@ pub fn observability(env: &BenchEnv) -> String {
         })
         .collect();
     write_json(
+        env,
         "query_trace.json",
         "observability",
         &[

@@ -241,6 +241,7 @@ pub fn repair_traffic(env: &BenchEnv) -> String {
         .map(|(name, v)| format!("\"{name}\": {v}"))
         .collect();
     write_json(
+        env,
         "repair_traffic.json",
         "repair_traffic",
         &[

@@ -149,7 +149,7 @@ fn variant_speedup(cells: &[Cell], shape: &str, variant: &str) -> f64 {
 }
 
 /// Decode-then-filter vs encoded-domain kernels over a selectivity sweep.
-pub fn scan_throughput(_env: &BenchEnv) -> String {
+pub fn scan_throughput(env: &BenchEnv) -> String {
     let mut cells = Vec::new();
     for shape in SHAPES {
         run_shape(shape, &mut cells);
@@ -182,6 +182,7 @@ pub fn scan_throughput(_env: &BenchEnv) -> String {
         }
     }
     write_json(
+        env,
         "scan_throughput.json",
         "scan_throughput",
         &[

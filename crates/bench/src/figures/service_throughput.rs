@@ -125,6 +125,7 @@ pub fn service_throughput(env: &BenchEnv) -> String {
         })
         .collect();
     write_json(
+        env,
         "service_throughput.json",
         "service_throughput",
         &[

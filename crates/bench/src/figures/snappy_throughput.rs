@@ -169,7 +169,7 @@ fn fast_speedup(cells: &[Cell], direction: &str, mixes: &[&str]) -> f64 {
 }
 
 /// Fast vs scalar Snappy kernels over the store's three page regimes.
-pub fn snappy_throughput(_env: &BenchEnv) -> String {
+pub fn snappy_throughput(env: &BenchEnv) -> String {
     let mut cells = Vec::new();
     for mix in MIXES {
         run_mix(mix, &mut cells);
@@ -188,6 +188,7 @@ pub fn snappy_throughput(_env: &BenchEnv) -> String {
     let all: Vec<&str> = MIXES.iter().map(|m| m.name).collect();
     let headline = fast_speedup(&cells, "decompress", COMPRESSIBLE);
     write_json(
+        env,
         "snappy_throughput.json",
         "snappy_throughput",
         &[

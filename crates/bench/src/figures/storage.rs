@@ -319,7 +319,7 @@ pub fn fig16bc(env: &BenchEnv) -> String {
         ))
         .expect("valid config");
         let put = store.put("obj", file.clone()).expect("put succeeds");
-        let put_secs = put.simulated_latency.as_secs_f64();
+        let put_secs = store.simulate_solo(&put.workflow).as_secs_f64();
 
         let oracle_label = if o.proven_optimal {
             format!("{:.2}%", 100.0 * o.layout.overhead_vs_optimal(ec))

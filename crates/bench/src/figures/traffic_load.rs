@@ -239,6 +239,7 @@ pub fn traffic_load(env: &BenchEnv) -> String {
 
     let json: Vec<String> = scenarios.iter().map(scenario_json).collect();
     write_json(
+        env,
         "traffic_load.json",
         "traffic_load",
         &[

@@ -47,6 +47,9 @@ pub struct BenchEnv {
     pub queries: usize,
     /// Concurrent closed-loop clients (paper: 10).
     pub clients: usize,
+    /// Where experiments write their JSON (default `results`); the
+    /// `figures` binary writes each text artifact there too.
+    pub out_dir: std::path::PathBuf,
     lineitem_table: std::cell::OnceCell<Table>,
     lineitem_file: std::cell::OnceCell<Vec<u8>>,
     fusion_store: std::cell::OnceCell<Store>,
@@ -67,6 +70,7 @@ impl BenchEnv {
             copies,
             queries,
             clients,
+            out_dir: "results".into(),
             lineitem_table: std::cell::OnceCell::new(),
             lineitem_file: std::cell::OnceCell::new(),
             fusion_store: std::cell::OnceCell::new(),

@@ -1,7 +1,7 @@
 //! Rendering for figure/table reproductions: aligned text tables, number
 //! formats, and the experiments' machine-readable JSON documents.
 
-use crate::harness::reduction;
+use crate::harness::{reduction, BenchEnv};
 use fusion_cluster::time::Nanos;
 
 /// A simple aligned text table.
@@ -126,16 +126,17 @@ pub(crate) fn json_document(experiment: &str, sections: &[String]) -> String {
     format!("{{\n{}}}\n", json_lines(&all, "  "))
 }
 
-/// Writes [`json_document`] to `results/<file>`.
+/// Writes [`json_document`] to `<file>` in the environment's output
+/// directory ([`BenchEnv::out_dir`]), beside the experiment's text.
 ///
 /// # Panics
 ///
 /// Panics if the file cannot be written.
-pub(crate) fn write_json(file: &str, experiment: &str, sections: &[String]) {
-    let path = format!("results/{file}");
-    let _ = std::fs::create_dir_all("results");
+pub(crate) fn write_json(env: &BenchEnv, file: &str, experiment: &str, sections: &[String]) {
+    let path = env.out_dir.join(file);
+    let _ = std::fs::create_dir_all(&env.out_dir);
     std::fs::write(&path, json_document(experiment, sections))
-        .unwrap_or_else(|e| panic!("write {path}: {e}"));
+        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
 }
 
 #[cfg(test)]

@@ -114,18 +114,49 @@ struct StepSpec {
 /// let cpu = wf.step(ResourceKey::Cpu(0), Nanos::from_micros(50), CostClass::Processing, &[read]);
 /// wf.transfer_bytes(cpu, 4096);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Workflow {
     steps: Vec<StepSpec>,
     /// Phase recorded onto steps added from here on (ambient, so call
     /// sites don't have to thread a phase through every `step()` call).
     cur_phase: Phase,
+    /// Built by [`Workflow::disabled`]: stores no step.
+    disabled: bool,
+}
+
+/// The steps and phase only: a workflow's `Debug` text is what the
+/// time-plane golden digests hash, and a disabled workflow holds no step.
+impl std::fmt::Debug for Workflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Workflow")
+            .field("steps", &self.steps)
+            .field("cur_phase", &self.cur_phase)
+            .finish()
+    }
 }
 
 impl Workflow {
     /// An empty workflow (completes instantly).
     pub fn new() -> Workflow {
         Workflow::default()
+    }
+
+    /// A workflow that records nothing, as `Trace::disabled()` records no
+    /// span: [`Workflow::step`] stores no step and hands back a
+    /// placeholder id, [`Workflow::transfer_bytes`] is a no-op, and the
+    /// workflow stays empty. For callers that build a time plane only to
+    /// discard it.
+    pub fn disabled() -> Workflow {
+        Workflow {
+            disabled: true,
+            ..Workflow::default()
+        }
+    }
+
+    /// False for a [`Workflow::disabled`] workflow, whose callers can skip
+    /// computing inputs only the time plane reads.
+    pub fn is_recording(&self) -> bool {
+        !self.disabled
     }
 
     /// Adds a step that holds one server of `resource` for `duration` once
@@ -137,6 +168,9 @@ impl Workflow {
         class: CostClass,
         deps: &[StepId],
     ) -> StepId {
+        if self.disabled {
+            return StepId(0);
+        }
         for d in deps {
             assert!(d.0 < self.steps.len(), "dependency on a future step");
         }
@@ -167,7 +201,9 @@ impl Workflow {
     /// Tags a step as moving `bytes` over the network (for traffic
     /// accounting; idempotent per step).
     pub fn transfer_bytes(&mut self, step: StepId, bytes: u64) {
-        self.steps[step.0].net_bytes = bytes;
+        if !self.disabled {
+            self.steps[step.0].net_bytes = bytes;
+        }
     }
 
     /// Number of steps.
@@ -1157,6 +1193,23 @@ mod tests {
         assert_eq!(s.breakdown.network, Nanos(25));
         assert_eq!(s.breakdown.total(), s.latency);
         assert_eq!(s.net_bytes, 1234);
+    }
+
+    #[test]
+    fn disabled_workflow_records_no_step() {
+        let mut wf = Workflow::disabled();
+        assert!(!wf.is_recording());
+        let prev = wf.set_phase(Phase::Filter);
+        let a = wf.step(ResourceKey::Disk(0), Nanos(100), CostClass::DiskRead, &[]);
+        let b = wf.step(ResourceKey::Cpu(0), Nanos(50), CostClass::Processing, &[a]);
+        wf.transfer_bytes(b, 1234);
+        wf.set_phase(prev);
+        assert!(wf.is_empty());
+        assert_eq!(wf.total_work(), Nanos::ZERO);
+        assert_eq!(wf.critical_work(), Nanos::ZERO);
+        let report = engine().run_closed_loop(vec![vec![wf]]);
+        assert_eq!(report.stats[0].latency, Nanos::ZERO);
+        assert!(Workflow::new().is_recording());
     }
 
     #[test]

@@ -12,7 +12,6 @@
 use super::{agg_label, row_group_may_match, Ctx, Loc, QueryOutput, QueryResult};
 use crate::config::FAST_SNAPPY_SPEEDUP;
 use crate::error::Result;
-use crate::store::Store;
 use fusion_cluster::engine::{CostClass, StepId};
 use fusion_format::chunk::decode_column_chunk;
 use fusion_format::schema::LogicalType;
@@ -26,8 +25,8 @@ use fusion_sql::partial::GroupedAggs;
 use fusion_sql::plan::{OutputItem, QueryPlan};
 
 /// Executes `plan` by reassembling all needed chunks at the coordinator.
-pub fn execute(store: &Store, object: &str, plan: &QueryPlan) -> Result<QueryOutput> {
-    let mut ctx = Ctx::new(store, object)?;
+pub(crate) fn execute(mut ctx: Ctx<'_>, plan: &QueryPlan) -> Result<QueryOutput> {
+    let (store, object) = (ctx.store, ctx.object);
     let (meta, fm, coord, cost) = (ctx.meta, ctx.fm, ctx.coord, ctx.cost);
     let mut shard_read_bytes = 0u64;
 

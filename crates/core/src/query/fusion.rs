@@ -38,12 +38,11 @@ use super::{
 use crate::config::FAST_SNAPPY_SPEEDUP;
 use crate::error::{Result, StoreError};
 use crate::object::ChunkFragment;
-use crate::store::Store;
 use fusion_cluster::engine::{CostClass, StepId};
 use fusion_cluster::time::Nanos;
 use fusion_format::chunk::{read_encoded_chunk, EncodedChunk};
 use fusion_format::footer::ChunkMeta;
-use fusion_format::schema::{LogicalType, Schema};
+use fusion_format::schema::LogicalType;
 use fusion_format::value::{ColumnData, Value};
 use fusion_obs::trace::Phase;
 use fusion_sql::bitmap::Bitmap;
@@ -55,8 +54,13 @@ use fusion_sql::partial::{GroupedAggs, PartialAgg, Selection};
 use fusion_sql::plan::{BoolTree, OutputItem, QueryPlan};
 use std::sync::Arc;
 
-/// Serialized and Snappy-compressed sizes of a bitmap, `(raw, wire)`.
-fn bitmap_sizes(bm: &Bitmap) -> (u64, u64) {
+/// Serialized and Snappy-compressed sizes of a bitmap, `(raw, wire)`,
+/// when the time plane is recorded (`record`), which alone reads them;
+/// `(0, 0)` otherwise.
+fn bitmap_sizes(record: bool, bm: &Bitmap) -> (u64, u64) {
+    if !record {
+        return (0, 0);
+    }
     let raw = bm.to_bytes();
     (raw.len() as u64, fusion_snappy::compress(&raw).len() as u64)
 }
@@ -64,12 +68,16 @@ fn bitmap_sizes(bm: &Bitmap) -> (u64, u64) {
 /// The `(raw, wire)` sizes of each row group's final bitmap. The time
 /// plane ships that bitmap to every node that projects or aggregates the
 /// row group, but the bytes never travel for real: each distinct bitmap
-/// is compressed once per query, only to be sized.
-struct RowGroupBitmapSizes(Vec<Option<(u64, u64)>>);
+/// is compressed once per recorded query, only to be sized.
+struct RowGroupBitmapSizes {
+    record: bool,
+    sizes: Vec<Option<(u64, u64)>>,
+}
 
 impl RowGroupBitmapSizes {
     fn get(&mut self, rg: usize, bm: &Bitmap) -> (u64, u64) {
-        *self.0[rg].get_or_insert_with(|| bitmap_sizes(bm))
+        let record = self.record;
+        *self.sizes[rg].get_or_insert_with(|| bitmap_sizes(record, bm))
     }
 }
 
@@ -163,13 +171,8 @@ fn node_work(
 
 /// Executes `plan` with pushdown. `adaptive == false` pushes every
 /// projection down unconditionally (the paper's always-on ablation).
-pub fn execute(
-    store: &Store,
-    object: &str,
-    plan: &QueryPlan,
-    adaptive: bool,
-) -> Result<QueryOutput> {
-    let mut ctx = Ctx::new(store, object)?;
+pub(crate) fn execute(mut ctx: Ctx<'_>, plan: &QueryPlan, adaptive: bool) -> Result<QueryOutput> {
+    let store = ctx.store;
     let (fm, coord, cost) = (ctx.fm, ctx.coord, ctx.cost);
 
     // Client issues the query.
@@ -209,7 +212,10 @@ pub fn execute(
     // When the whole predicate is one leaf, a row group's final bitmap is
     // that leaf's bitmap: keep the sizes the scan already measured.
     let is_root = |li: usize| matches!(plan.tree, Some(BoolTree::Leaf(id)) if id == li);
-    let mut bm_sizes = RowGroupBitmapSizes(vec![None; num_rgs]);
+    let mut bm_sizes = RowGroupBitmapSizes {
+        record: ctx.recording(),
+        sizes: vec![None; num_rgs],
+    };
     // Healthy chunks' sub-queries in dispatch order, each with the `(raw,
     // wire)` sizes of the bitmap it returns.
     let mut dispatched: Vec<(Access, &ChunkMeta, (u64, u64))> = Vec::new();
@@ -242,10 +248,10 @@ pub fn execute(
                 shard_read_bytes += at.frags.iter().map(|f| f.len).sum::<u64>();
             }
             let bm = eval_filter_encoded(leaf, &at.view)?;
-            let sizes = bitmap_sizes(&bm);
+            let sizes = bitmap_sizes(ctx.recording(), &bm);
             bitmap_wire_total += sizes.1;
             if is_root(li) {
-                bm_sizes.0[rg] = Some(sizes);
+                bm_sizes.sizes[rg] = Some(sizes);
             }
             leaf_acc[rg][li] = Some(bm);
             if at.healthy {
@@ -359,7 +365,7 @@ pub fn execute(
     // match count is; a truncated one is sized afresh.
     for (rg, (before, after)) in measured.iter().zip(&rg_matches).enumerate() {
         if before != after {
-            bm_sizes.0[rg] = None;
+            bm_sizes.sizes[rg] = None;
         }
     }
 
@@ -441,7 +447,8 @@ pub fn execute(
             }
             // With aggregate pushdown the node ships one partial per
             // aggregate over this column: a fixed-size scalar, or for a
-            // string extreme the chunk's own extreme.
+            // string extreme the chunk's own extreme (sized only for a
+            // recorded time plane).
             let (mut col_aggs, mut partial_bytes) = (0u64, 0u64);
             let rows = Selection::new(&at.view, filter);
             for (spec, fold) in plan.aggregates.iter().zip(&mut folds) {
@@ -451,7 +458,7 @@ pub fn execute(
                         col_aggs += 1;
                         if agg_pushdown {
                             let mut part = PartialAgg::new(spec.func, ty)?;
-                            if ty == LogicalType::Utf8 {
+                            if ty == LogicalType::Utf8 && ctx.recording() {
                                 part.fold(&rows)?;
                             }
                             partial_bytes += part.wire_bytes();
@@ -465,9 +472,11 @@ pub fn execute(
             let (out_bytes, node_cpu, coord_cpu) = if agg_pushdown {
                 let m = matches as u64;
                 (partial_bytes, cost.eval(m * col_aggs), cost.eval(m))
-            } else {
+            } else if ctx.recording() {
                 let out = selected_plain_size(&at.view, filter)?;
                 (out, cost.project(out), cost.project(out))
+            } else {
+                (0, Nanos::ZERO, Nanos::ZERO)
             };
 
             // Cost Equation (paper §4.3): push down only when the
@@ -665,7 +674,7 @@ fn grouped_aggregate_stage(plan: &QueryPlan, inputs: AggStageInputs<'_>) -> Resu
                 Ok(at)
             })
             .collect::<Result<Vec<_>>>()?;
-        let rg_grouped = group_views(plan, &fm.schema, &touched, &views, filter)?;
+        let rg_grouped = group_views(plan, &touched, &views, filter)?;
 
         // Pushdown needs every touched chunk whole and its node up.
         if encoded_path && views.iter().all(|at| at.healthy) {
@@ -814,13 +823,15 @@ fn grouped_aggregate_stage(plan: &QueryPlan, inputs: AggStageInputs<'_>) -> Resu
 /// Groups one row group's matched rows from the views of its `touched`
 /// chunks (the group keys, then the other argument columns, as the
 /// grouped stage reads them). A single key groups in the encoded domain:
-/// its codes index the accumulators and its RLE runs fold whole, while
-/// each argument column contributes only its selected rows, gathered
-/// from its view in row order ([`select_encoded`]). Several keys group
-/// decoded values with the row-at-a-time oracle.
+/// its codes index the accumulators and its RLE runs fold whole, and
+/// each argument column is handed over as its view, from which the
+/// kernel counts (key code, argument code) pairs or gathers the selected
+/// rows ([`AggInput::View`]). Several keys group decoded values with the
+/// row-at-a-time oracle.
+///
+/// [`AggInput::View`]: fusion_sql::eval::AggInput::View
 fn group_views(
     plan: &QueryPlan,
-    schema: &Schema,
     touched: &[usize],
     views: &[Access],
     filter: &Bitmap,
@@ -833,16 +844,6 @@ fn group_views(
             .expect("touched column read")
     };
     let grouped = if let [key] = plan.group_by[..] {
-        let selected = filter.count_ones();
-        let args: Vec<ColumnData> = touched[1..]
-            .iter()
-            .zip(&views[1..])
-            .map(|(&c, at)| {
-                let mut rows = ColumnData::with_capacity(schema.fields()[c].ty, selected);
-                select_encoded(&at.view, filter, &mut rows)?;
-                Ok(rows)
-            })
-            .collect::<Result<_>>()?;
         let inputs: Vec<_> = plan
             .aggregates
             .iter()
@@ -850,7 +851,7 @@ fn group_views(
                 let input = match s.column {
                     None => AggInput::Star,
                     Some(c) if c == key => AggInput::Key,
-                    Some(c) => AggInput::Col(&args[position(c) - 1]),
+                    Some(c) => AggInput::View(&views[position(c)].view),
                 };
                 (s.func, input)
             })

@@ -7,6 +7,13 @@
 //! travels and how long each stage occupies disks, CPUs, and NICs. The
 //! two executors must produce identical [`QueryResult`]s; only their
 //! workflows (and therefore latency and traffic) differ.
+//!
+//! [`Store::query_as`] returns the whole [`QueryOutput`];
+//! [`Store::answer`] runs the same executors over a
+//! [`Workflow::disabled`] time plane and returns only the result, so it
+//! skips every input only the model reads (bitmap and projection sizing,
+//! degraded repair planning) while reading, caching and counting exactly
+//! what `query_as` does.
 
 pub mod baseline;
 pub mod fusion;
@@ -102,6 +109,25 @@ impl Store {
     ///
     /// See [`Store::query`].
     pub fn query_as(&self, object: &str, sql: &str) -> Result<QueryOutput> {
+        self.run_query(object, sql, true)
+    }
+
+    /// The answer [`Store::query_as`] gives, without building the time
+    /// plane: the service's query path. The data plane is the same — the
+    /// same chunks are read, cached and counted in the same order, and
+    /// errors are the same — but no workflow, bitmap size or repair plan
+    /// is computed.
+    ///
+    /// # Errors
+    ///
+    /// See [`Store::query`].
+    pub fn answer(&self, object: &str, sql: &str) -> Result<QueryResult> {
+        Ok(self.run_query(object, sql, false)?.result)
+    }
+
+    /// Parses, plans and dispatches `sql` on `object` to the configured
+    /// executor, recording the time plane iff `record`.
+    fn run_query(&self, object: &str, sql: &str, record: bool) -> Result<QueryOutput> {
         crate::store::validate_key(object)?;
         let meta = self.object(object)?;
         let fm = meta
@@ -110,12 +136,11 @@ impl Store {
             .ok_or_else(|| StoreError::NotAnalytics(object.to_string()))?;
         let q = fusion_sql::parser::parse(sql)?;
         let plan = fusion_sql::plan::plan(&q, &fm.schema)?;
+        let ctx = Ctx::new(self, object, record)?;
         match self.query_mode() {
-            crate::config::QueryMode::Reassemble => baseline::execute(self, object, &plan),
-            crate::config::QueryMode::AdaptivePushdown => {
-                fusion::execute(self, object, &plan, true)
-            }
-            crate::config::QueryMode::AlwaysPushdown => fusion::execute(self, object, &plan, false),
+            crate::config::QueryMode::Reassemble => baseline::execute(ctx, &plan),
+            crate::config::QueryMode::AdaptivePushdown => fusion::execute(ctx, &plan, true),
+            crate::config::QueryMode::AlwaysPushdown => fusion::execute(ctx, &plan, false),
         }
     }
 
@@ -205,6 +230,8 @@ pub(crate) struct Ctx<'a> {
     pub fm: &'a FileMeta,
     pub coord: usize,
     pub cost: &'a CostModel,
+    /// The modelled time plane, or a [`Workflow::disabled`] one when the
+    /// caller wants only the answer.
     pub wf: Workflow,
     pub net_bytes: u64,
     /// (stripe, lost bin) → decode step of an already-modelled degraded
@@ -225,11 +252,12 @@ pub(crate) struct Ctx<'a> {
 
 impl<'a> Ctx<'a> {
     /// Starts a query on `object`: resolves its metadata and coordinator.
+    /// The time plane is built iff `record`.
     ///
     /// # Errors
     ///
     /// Unknown or non-analytics objects, or no alive node to coordinate.
-    pub fn new(store: &'a Store, object: &'a str) -> Result<Ctx<'a>> {
+    pub fn new(store: &'a Store, object: &'a str, record: bool) -> Result<Ctx<'a>> {
         let meta = store.object(object)?;
         let fm = meta
             .file_meta
@@ -243,7 +271,11 @@ impl<'a> Ctx<'a> {
             fm,
             coord,
             cost: &store.config().cluster.cost,
-            wf: Workflow::new(),
+            wf: if record {
+                Workflow::new()
+            } else {
+                Workflow::disabled()
+            },
             net_bytes: 0,
             degraded: HashMap::new(),
             scanned: HashMap::new(),
@@ -254,6 +286,12 @@ impl<'a> Ctx<'a> {
                 Trace::disabled()
             },
         })
+    }
+
+    /// Whether the time plane is being built. When it is not, the
+    /// executors skip the inputs only the model reads.
+    pub fn recording(&self) -> bool {
+        self.wf.is_recording()
     }
 
     /// Ordinal of the chunk of column `col` in row group `rg`.
@@ -388,6 +426,11 @@ impl<'a> Ctx<'a> {
         frags: &[ChunkFragment],
         after: StepId,
     ) -> Result<Vec<StepId>> {
+        if !self.recording() {
+            // The data plane has read (or rebuilt) these fragments
+            // already; only the model plans their repair.
+            return Ok(vec![after]);
+        }
         let (store, coord) = (self.store, self.coord);
         let mut arrived = Vec::with_capacity(frags.len());
         for f in frags {
@@ -472,15 +515,17 @@ impl<'a> Ctx<'a> {
         selectivity: f64,
         decisions: Vec<ProjectionDecision>,
     ) -> QueryOutput {
-        let cols: u64 = result
-            .columns
-            .iter()
-            .map(|(_, c)| c.plain_size() as u64)
-            .sum();
-        let reply_bytes = cols + result.aggregates.len() as u64 * 16 + 64;
-        let coord = Loc::Node(self.coord);
-        let step = self.cpu(coord, assemble(reply_bytes), CostClass::Other, frontier);
-        self.transfer(coord, Loc::Client, reply_bytes, &[step]);
+        if self.recording() {
+            let cols: u64 = result
+                .columns
+                .iter()
+                .map(|(_, c)| c.plain_size() as u64)
+                .sum();
+            let reply_bytes = cols + result.aggregates.len() as u64 * 16 + 64;
+            let coord = Loc::Node(self.coord);
+            let step = self.cpu(coord, assemble(reply_bytes), CostClass::Other, frontier);
+            self.transfer(coord, Loc::Client, reply_bytes, &[step]);
+        }
         let ChunkTally {
             considered,
             pruned,

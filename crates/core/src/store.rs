@@ -51,9 +51,11 @@ pub struct PutReport {
     /// Real wall-clock time the packer took (the paper's Figure 16c
     /// numerator).
     pub pack_runtime: std::time::Duration,
-    /// Simulated end-to-end Put latency on the virtual clock (stretched
-    /// by straggler multipliers, like every solo workflow).
-    pub simulated_latency: Nanos,
+    /// The virtual-time workflow modelling this Put. `Store::put` does not
+    /// run it: a caller that wants the Put's latency simulates it
+    /// ([`Store::simulate_solo`], stretched by straggler multipliers like
+    /// every solo workflow).
+    pub workflow: Workflow,
     /// Total bytes stored (data + padding + parity + location map
     /// replicas).
     pub stored_bytes: u64,
@@ -64,9 +66,9 @@ pub struct PutReport {
 }
 
 /// The wire-friendly residue of a [`PutReport`]: what a remote client
-/// can know about its Put. Simulated latency and packer wall-clock stay
-/// behind on the server — they are time-plane observations, not part of
-/// the storage contract.
+/// can know about its Put. The modelled workflow and packer wall-clock
+/// stay behind on the server — they are time-plane observations, not
+/// part of the storage contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PutOutcome {
     /// Total bytes stored (data + padding + parity + metadata replicas).
@@ -662,7 +664,7 @@ impl Store {
             replicas.push((n, id));
         }
 
-        // 6. Simulate the Put on the virtual clock.
+        // 6. Model the Put on the virtual clock (the caller simulates it).
         let workflow = self.put_workflow(
             &meta,
             size,
@@ -671,7 +673,6 @@ impl Store {
             map_bytes.len() as u64,
             &replica_nodes,
         );
-        let simulated_latency = self.simulate_solo(&workflow);
 
         let stripes = meta.layout.stripes.len();
         let chunks = meta.num_chunks();
@@ -688,7 +689,7 @@ impl Store {
             policy_used,
             overhead_vs_optimal: overhead,
             pack_runtime,
-            simulated_latency,
+            workflow,
             stored_bytes,
             stripes,
             chunks,
@@ -1585,9 +1586,26 @@ mod tests {
         let bytes = analytics_bytes(2000, 500);
         let mut store = Store::new(StoreConfig::fusion()).unwrap();
         let report = store.put("obj", bytes).unwrap();
-        assert!(report.simulated_latency > Nanos::ZERO);
+        assert!(store.simulate_solo(&report.workflow) > Nanos::ZERO);
         assert!(report.stored_bytes > 0);
         assert!(report.stripes >= 1);
+    }
+
+    #[test]
+    fn simulated_put_latency_is_unchanged() {
+        // The latency `put` reported when it simulated itself, less its
+        // wall-clock pack step (the one input that varies run to run):
+        // simulating the report's workflow must give exactly that.
+        for (rows, per_group, rest) in [(2_000, 500, 593_724), (20_000, 5_000, 876_441)] {
+            let mut store = Store::new(StoreConfig::fusion()).unwrap();
+            let report = store.put("obj", analytics_bytes(rows, per_group)).unwrap();
+            let pack = Nanos::from_secs_f64(report.pack_runtime.as_secs_f64());
+            assert_eq!(
+                store.simulate_solo(&report.workflow),
+                Nanos(rest) + pack,
+                "{rows} rows"
+            );
+        }
     }
 
     #[test]
@@ -1703,7 +1721,7 @@ mod tests {
             (0..3)
                 .map(|i| {
                     let report = store.put(&format!("obj{i}"), bytes.clone()).unwrap();
-                    report.simulated_latency
+                    store.simulate_solo(&report.workflow)
                 })
                 .min()
                 .unwrap()

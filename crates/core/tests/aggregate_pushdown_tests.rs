@@ -3,6 +3,8 @@
 //! for bit, and traffic must shrink dramatically for aggregate-only
 //! queries.
 
+mod common;
+
 use fusion_core::config::{QueryMode, StoreConfig};
 use fusion_core::error::StoreError;
 use fusion_core::store::Store;
@@ -61,6 +63,11 @@ const AGG_QUERIES: &[&str] = &[
     "SELECT min(cat), max(cat) FROM t WHERE k >= 0",
     "SELECT sum(k), avg(k) FROM t",
 ];
+
+#[test]
+fn answer_path_matches_query_as() {
+    common::answer_matches_query_as(|mode| store(true, mode), AGG_QUERIES);
+}
 
 /// An aggregate in a form whose `==` is bitwise: floats by `to_bits`.
 #[derive(Debug, PartialEq)]

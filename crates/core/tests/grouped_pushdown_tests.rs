@@ -5,6 +5,8 @@
 //! rows, cutting wire traffic by an order of magnitude at low group
 //! cardinality.
 
+mod common;
+
 use fusion_core::config::{QueryMode, StoreConfig};
 use fusion_core::error::StoreError;
 use fusion_core::store::Store;
@@ -65,6 +67,11 @@ const GROUPED_QUERIES: &[&str] = &[
     "SELECT cat, bucket, count(*), sum(price) FROM t WHERE k < 8000 GROUP BY cat, bucket",
     "SELECT cat, count(*) FROM t WHERE cat = 'zzz' GROUP BY cat",
 ];
+
+#[test]
+fn answer_path_matches_query_as() {
+    common::answer_matches_query_as(|mode| store(true, mode), GROUPED_QUERIES);
+}
 
 /// Every executor path — encoded pushdown, coordinator fallback
 /// (pushdown off), and the reassembling baseline — must produce exactly

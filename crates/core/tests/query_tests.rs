@@ -1,6 +1,8 @@
 //! End-to-end query tests: Fusion vs baseline result parity, pushdown
 //! decisions, pruning, selectivity, and traffic accounting.
 
+mod common;
+
 use fusion_core::config::{QueryMode, StoreConfig};
 use fusion_core::store::Store;
 use fusion_core::QueryResult;
@@ -167,6 +169,12 @@ fn fusion_and_baseline_agree_on_all_queries() {
             );
         }
     }
+}
+
+#[test]
+fn answer_path_matches_query_as() {
+    let table = test_table(3000);
+    common::answer_matches_query_as(|mode| store_with(mode, &table, 500), QUERIES);
 }
 
 #[test]

@@ -25,6 +25,7 @@ use crate::error::{FormatError, Result};
 use crate::schema::LogicalType;
 use crate::util::{crc32, put, Cursor};
 use crate::value::{ColumnData, Value};
+use std::sync::OnceLock;
 
 /// Maximum distinct values before dictionary encoding is abandoned,
 /// mirroring Parquet's bounded dictionary pages.
@@ -256,7 +257,54 @@ pub enum EncodedChunk {
         /// The index stream's share of [`EncodedChunk::weight_bytes`],
         /// counted on the runs the stream itself holds, before folding.
         stream_weight: usize,
+        /// Which dictionary entries the rows use, once a caller has
+        /// asked ([`UsedEntries`]): derived data, outside equality and
+        /// weight.
+        used: UsedEntries,
     },
+}
+
+/// A dictionary view's memo of the entries its rows use: filled by one
+/// walk of the view's codes the first time a caller needs it (an
+/// all-rows MIN or MAX), then read for the view's life. The chunk cache
+/// shares views across threads, so it is a [`OnceLock`]; threads that
+/// race to fill it compute the same answer and one of them stores it.
+///
+/// It is derived from the view, so it takes no part in the view's
+/// equality (any two memos compare equal) or in
+/// [`EncodedChunk::weight_bytes`].
+#[derive(Debug, Clone, Default)]
+pub struct UsedEntries(OnceLock<Box<[bool]>>);
+
+impl PartialEq for UsedEntries {
+    fn eq(&self, _: &UsedEntries) -> bool {
+        true
+    }
+}
+
+impl UsedEntries {
+    /// `used[i]` for each dictionary entry `i`, filled by `walk` on the
+    /// first call. A failed walk stores nothing: every call on a
+    /// malformed view returns the walk's error.
+    ///
+    /// # Errors
+    ///
+    /// The error of `walk`.
+    pub fn get_or_walk<E>(
+        &self,
+        walk: impl FnOnce() -> std::result::Result<Vec<bool>, E>,
+    ) -> std::result::Result<&[bool], E> {
+        if let Some(used) = self.0.get() {
+            return Ok(used);
+        }
+        let used = walk()?.into_boxed_slice();
+        Ok(self.0.get_or_init(|| used))
+    }
+
+    /// The memo, if a walk has filled it.
+    pub fn get(&self) -> Option<&[bool]> {
+        self.0.get().map(|used| &used[..])
+    }
 }
 
 /// A dictionary view's literal codes, at the narrowest width that holds
@@ -463,6 +511,7 @@ fn read_encoded_chunk_with(
                 runs,
                 rows: idx_page.count,
                 stream_weight,
+                used: UsedEntries::default(),
             })
         }
     }

@@ -365,8 +365,8 @@ fn handle(shared: &Shared, request: Request) -> Response {
             Ok(data) => Response::Get(data),
             Err(e) => err_of(&e),
         },
-        Request::Query { object, sql } => match shared.read_store().query_as(&object, &sql) {
-            Ok(out) => Response::Query(out.result),
+        Request::Query { object, sql } => match shared.read_store().answer(&object, &sql) {
+            Ok(result) => Response::Query(result),
             Err(e) => err_of(&e),
         },
         Request::Put { key, data } => match shared.write_store().put(&key, data) {

@@ -1,13 +1,14 @@
 //! Store-vs-service equivalence: the same store, the same queries, two
-//! time planes — results must be **bit-identical** (DESIGN.md §17).
+//! paths — results must be **bit-identical** (DESIGN.md §17).
 //!
 //! Each case builds two identically-configured stores from the same
-//! table bytes, drives one in process as a plain [`Store`] and runs the
-//! other as a threaded [`Service`] reached by a [`Client`] over the
-//! loopback transport (real frame codec, real queue, real workers), and
-//! compares every query of the e2e mix — healthy, with a node failed,
-//! and with a worker thread stopped. Both query executors (pushdown and
-//! reassemble) are covered.
+//! table bytes, drives one in process as a plain [`Store`] through
+//! `Store::query_as` (which models the time plane) and runs the other as
+//! a threaded [`Service`] reached by a [`Client`] over the loopback
+//! transport (real frame codec, real queue, real workers), which answers
+//! through `Store::answer` (no time plane), and compares every query of
+//! the e2e mix — healthy, with a node failed, and with a worker thread
+//! stopped. Both query executors (pushdown and reassemble) are covered.
 
 use fusion_core::config::{QueryMode, StoreConfig};
 use fusion_core::query::QueryResult;

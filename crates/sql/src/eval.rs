@@ -165,6 +165,24 @@ enum Span<'a, C> {
     Literal(&'a [C]),
 }
 
+impl<'a, C> Span<'a, C> {
+    /// Rows the span covers.
+    fn len(&self) -> usize {
+        match self {
+            Span::Rle(_, len) => *len,
+            Span::Literal(codes) => codes.len(),
+        }
+    }
+
+    /// The `len` rows from the span's row `start` on.
+    fn cut(self, start: usize, len: usize) -> Span<'a, C> {
+        match self {
+            Span::Rle(code, _) => Span::Rle(code, len),
+            Span::Literal(codes) => Span::Literal(&codes[start..start + len]),
+        }
+    }
+}
+
 /// Walks a dictionary view's runs in row order, calling `f(first_row,
 /// span)` for each, after checking the structure a hand-built view can
 /// get wrong: runs that overflow or fall short of `rows`, and literal
@@ -579,15 +597,22 @@ pub enum AggInput<'a> {
     /// value is the `k`-th selected row's, and its length is the filter's
     /// `count_ones`.
     Col(&'a ColumnData),
+    /// A separate argument column's whole chunk view, one row per key
+    /// row, under the same filter. The kernel counts (key code, argument
+    /// code) pairs when it can ([`group_aggregate_encoded`]) and gathers
+    /// the selected rows ([`select_encoded`]) when it must.
+    View(&'a EncodedChunk),
 }
 
 impl<'a> AggInput<'a> {
-    /// The argument's values, given the key's (`None`: `COUNT(*)`).
+    /// The argument's values, given the key's (`None`: `COUNT(*)`): a
+    /// view's dictionary or plain column.
     fn values(self, key: &'a ColumnData) -> Option<&'a ColumnData> {
         match self {
             AggInput::Star => None,
             AggInput::Key => Some(key),
             AggInput::Col(c) => Some(c),
+            AggInput::View(v) => Some(chunk_values(v)),
         }
     }
 }
@@ -663,23 +688,39 @@ pub fn group_aggregate_decoded(
 
 /// Grouped aggregation in the encoded domain over a single group-key
 /// chunk — the node-side kernel of GROUP BY pushdown. `Col` arguments
-/// hold the selected rows only ([`AggInput::Col`]).
+/// hold the selected rows only ([`AggInput::Col`]); `View` arguments are
+/// whole chunks under the key's filter ([`AggInput::View`]).
 ///
-/// * **Dictionary** keys group by code, never by hashing a value. One
-///   walk of the key's runs ([`for_each_selected`]) counts each code's
-///   selected rows and, when an argument column is folded, notes each
-///   selected row's code. Each aggregate then has one dense accumulator
-///   indexed by code, picked once by its state and argument type, so no
-///   row pays a state dispatch or a `Result`:
+/// * **Dictionary** keys group by code, never by hashing a value. Each
+///   aggregate has one dense accumulator indexed by code, picked once by
+///   its state and argument type, so no row pays a state dispatch or a
+///   `Result`:
 ///   * `COUNT` and every aggregate of the key take their state from the
-///     count, as one [`PartialAgg::add`]`(dictionary, code, n)`: a
-///     group's rows all hold its key value, so this is the state that
-///     run-by-run adds leave (a float sum still loops its `n` adds);
-///   * integer SUM/AVG sum in `i128`, and SUM checks every prefix of
-///     every group's sum against `i64` (the [`SqlError::Overflow`] of
-///     sequential checked adds); float SUM/AVG add in row order; MIN/MAX
-///     fold with `min`/`max`, floats with `min_f64`/`max_f64`; a string
-///     extreme takes one `add` per row.
+///     code's selected-row count, as one [`PartialAgg::add`]`(dictionary,
+///     code, n)`: a group's rows all hold its key value, so this is the
+///     state that run-by-run adds leave (a float sum still loops its `n`
+///     adds);
+///   * an aggregate whose answer does not depend on row order — integer
+///     SUM and AVG, integer and string MIN and MAX — over a dictionary
+///     `View` takes its state from **pair counts**: one walk of the filter
+///     over both views' spans (RLE runs and literal spans, u8 or u16
+///     codes) counts the selected rows of every (key code, argument code)
+///     pair, and each group's state follows from its counts and the
+///     argument's dictionary. Only when the pair table is no larger than
+///     the selected rows (key entries × argument entries ≤ selected rows;
+///     wider tables gather). An integer SUM is exact from counts when a
+///     group's positive terms sum to at most `i64::MAX` and its negative
+///     ones to at least `i64::MIN`, as then no prefix of the row-order sum
+///     leaves `i64`; otherwise that aggregate takes the row-order fold,
+///     which decides the overflow as sequential checked adds do;
+///   * every other aggregate folds the argument's selected rows in row
+///     order (a `View` is gathered first): integer SUM/AVG sum in `i128`,
+///     and SUM checks every prefix of every group's sum against `i64`
+///     (the [`SqlError::Overflow`] of sequential checked adds); float
+///     SUM/AVG add in row order; MIN/MAX fold with `min`/`max`, floats
+///     with `min_f64`/`max_f64`; a string extreme takes one `add` per row.
+///     The key's walk ([`for_each_selected`]) notes each selected row's
+///     code for them.
 ///
 ///   Codes resolve to key [`Value`]s once, at the end; only codes with
 ///   selected rows form a group.
@@ -687,8 +728,8 @@ pub fn group_aggregate_decoded(
 ///   [`group_aggregate_decoded`].
 ///
 /// Bit-identical to [`group_aggregate_decoded`] over the decoded key and
-/// full-length arguments under the same filter: every group state sees
-/// its rows in row order.
+/// full-length arguments under the same filter: every group state is the
+/// one its rows leave in row order.
 ///
 /// # Errors
 ///
@@ -702,23 +743,37 @@ pub fn group_aggregate_encoded(
     check_filter_len(key, filter)?;
     let selected = filter.count_ones();
     for (_, input) in aggs {
-        if let AggInput::Col(c) = input {
-            if c.len() != selected {
+        match input {
+            AggInput::Col(c) if c.len() != selected => {
                 return Err(SqlError::Invalid(format!(
                     "aggregate column has {} rows but the filter selects {selected}",
                     c.len()
-                )));
+                )))
             }
+            AggInput::View(v) => check_filter_len(v, filter)?,
+            _ => {}
         }
     }
+    let mut gathered = Gathered(Vec::new());
     let dictionary = match key {
         EncodedChunk::Plain(col) => {
             // The key's selected rows line up with the arguments'.
             let mut keys = col.slice(0..0);
             select_encoded(key, filter, &mut keys)?;
+            let mut slots = Vec::with_capacity(aggs.len());
+            for &(_, arg) in aggs {
+                slots.push(match arg {
+                    AggInput::View(v) => Some(gathered.gather(v, filter, selected)?),
+                    _ => None,
+                });
+            }
             let decoded: Vec<_> = aggs
                 .iter()
-                .map(|&(f, arg)| (f, arg.values(&keys)))
+                .zip(&slots)
+                .map(|(&(f, arg), slot)| match slot {
+                    Some(i) => (f, Some(&gathered.0[*i].1)),
+                    None => (f, arg.values(&keys)),
+                })
                 .collect();
             return group_aggregate_decoded(&[&keys], &decoded, &Bitmap::ones_with_len(selected));
         }
@@ -729,31 +784,70 @@ pub fn group_aggregate_encoded(
         .map(|&(func, arg)| state_over(func, arg.values(dictionary)))
         .collect::<Result<_>>()?;
 
-    // One walk of the key: selected rows per code, and the code of every
-    // selected row when an argument column is folded.
-    let fold_rows = aggs.iter().any(|(_, arg)| matches!(arg, AggInput::Col(_)));
-    let mut counts = vec![0usize; dictionary.len()];
-    let mut row_codes: Vec<u32> = Vec::with_capacity(if fold_rows { selected } else { 0 });
-    for_each_selected(key, filter, |code, n| {
-        counts[code] += n;
-        if fold_rows {
-            push_n(&mut row_codes, code as u32, n);
+    // Pair counts, one table per argument view that some aggregate
+    // counts; `None` marks an aggregate that folds rows instead.
+    let mut tables: Vec<(&EncodedChunk, PairCounts)> = Vec::new();
+    let mut dense = Vec::with_capacity(aggs.len());
+    for (&(_, arg), template) in aggs.iter().zip(&templates) {
+        let acc = match arg {
+            AggInput::Star | AggInput::Key => Some(Dense::Counted),
+            _ if matches!(template, PartialAgg::Count(_)) => Some(Dense::Counted),
+            AggInput::View(view) if counts_pairs(template, dictionary, view, selected) => {
+                let i = match tables.iter().position(|(v, _)| std::ptr::eq(*v, view)) {
+                    Some(i) => i,
+                    None => {
+                        tables.push((view, count_pairs(key, view, filter)?));
+                        tables.len() - 1
+                    }
+                };
+                Dense::from_pairs(template, chunk_values(view), &tables[i].1)
+            }
+            AggInput::Col(_) | AggInput::View(_) => None,
+        };
+        dense.push(acc);
+    }
+
+    // One walk of the key, unless a pair table already holds its counts:
+    // selected rows per code, and the code of every selected row when an
+    // argument folds rows.
+    let fold_rows = dense.iter().any(Option::is_none);
+    let mut row_codes: Vec<u32> = Vec::new();
+    let counts = match &tables[..] {
+        [(_, pairs), ..] if !fold_rows => pairs.key_counts(),
+        _ => {
+            let mut counts = vec![0usize; dictionary.len()];
+            row_codes.reserve(if fold_rows { selected } else { 0 });
+            for_each_selected(key, filter, |code, n| {
+                counts[code] += n;
+                if fold_rows {
+                    push_n(&mut row_codes, code as u32, n);
+                }
+            })?;
+            counts
         }
-    })?;
-    let dense = aggs
-        .iter()
-        .zip(&templates)
-        .map(|(&(_, arg), template)| match arg {
-            AggInput::Col(values) => Dense::fold(template, values, &row_codes, dictionary.len()),
-            AggInput::Star | AggInput::Key => Ok(Dense::Counted),
-        })
-        .collect::<Result<Vec<_>>>()?;
+    };
+    let mut accs = Vec::with_capacity(aggs.len());
+    for ((&(_, arg), template), acc) in aggs.iter().zip(&templates).zip(dense) {
+        accs.push(match (acc, arg) {
+            (Some(acc), _) => acc,
+            (None, AggInput::View(view)) => {
+                let i = gathered.gather(view, filter, selected)?;
+                Dense::fold(template, &gathered.0[i].1, &row_codes, dictionary.len())?
+            }
+            (None, arg) => {
+                let values = arg
+                    .values(dictionary)
+                    .expect("a folded aggregate has an argument");
+                Dense::fold(template, values, &row_codes, dictionary.len())?
+            }
+        });
+    }
 
     let mut out = GroupedAggs::new(templates.clone());
     for (code, &n) in counts.iter().enumerate().filter(|&(_, &n)| n > 0) {
         let parts = templates
             .iter()
-            .zip(&dense)
+            .zip(&accs)
             .map(|(template, acc)| acc.state(template, dictionary, code, n))
             .collect::<Result<Vec<_>>>()?;
         let key = GroupKey(vec![dictionary.value(code)]);
@@ -770,6 +864,171 @@ pub fn group_aggregate_encoded(
             }
         }
     }
+    Ok(out)
+}
+
+/// The selected rows of [`AggInput::View`] arguments that fold rows,
+/// gathered once per view.
+struct Gathered<'v>(Vec<(&'v EncodedChunk, ColumnData)>);
+
+impl<'v> Gathered<'v> {
+    /// The index of `view`'s `selected` rows under `filter`, gathered on
+    /// first use.
+    fn gather(
+        &mut self,
+        view: &'v EncodedChunk,
+        filter: &Bitmap,
+        selected: usize,
+    ) -> Result<usize> {
+        if let Some(i) = self.0.iter().position(|(v, _)| std::ptr::eq(*v, view)) {
+            return Ok(i);
+        }
+        let mut rows = match chunk_values(view) {
+            ColumnData::Int64(_) => ColumnData::Int64(Vec::with_capacity(selected)),
+            ColumnData::Float64(_) => ColumnData::Float64(Vec::with_capacity(selected)),
+            ColumnData::Utf8(_) => ColumnData::Utf8(Vec::with_capacity(selected)),
+        };
+        select_encoded(view, filter, &mut rows)?;
+        self.0.push((view, rows));
+        Ok(self.0.len() - 1)
+    }
+}
+
+/// Whether the aggregate of `template` over the argument `view` takes its
+/// groups' states from pair counts: the view is a dictionary, the state's
+/// answer does not depend on row order, and the pair table of `key`'s
+/// and the view's dictionaries is no larger than the `selected` rows.
+fn counts_pairs(
+    template: &PartialAgg,
+    key: &ColumnData,
+    view: &EncodedChunk,
+    selected: usize,
+) -> bool {
+    use PartialAgg::*;
+    let EncodedChunk::Dictionary { dictionary, .. } = view else {
+        return false;
+    };
+    matches!(
+        template,
+        SumInt(_) | AvgInt(..) | MinInt(_) | MaxInt(_) | MinStr(_) | MaxStr(_)
+    ) && key
+        .len()
+        .checked_mul(dictionary.len())
+        .is_some_and(|cells| cells <= selected)
+}
+
+/// Selected rows per (key code, argument code) pair of one row group:
+/// `n[key * args + arg]`.
+struct PairCounts {
+    args: usize,
+    n: Vec<usize>,
+}
+
+impl PairCounts {
+    /// Selected rows per key code.
+    fn key_counts(&self) -> Vec<usize> {
+        self.n
+            .chunks(self.args.max(1))
+            .map(|row| row.iter().sum())
+            .collect()
+    }
+
+    /// The argument codes of key `code`'s rows, each with its count.
+    fn of_key(&self, code: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.n[code * self.args..(code + 1) * self.args]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(arg, &n)| (arg, n))
+    }
+}
+
+/// Counts the selected rows of every (key code, argument code) pair of
+/// two dictionary views of one row group ([`pair_spans`]).
+fn count_pairs(key: &EncodedChunk, arg: &EncodedChunk, filter: &Bitmap) -> Result<PairCounts> {
+    let (
+        EncodedChunk::Dictionary {
+            dictionary: kd,
+            codes: kc,
+            runs: kr,
+            rows,
+            ..
+        },
+        EncodedChunk::Dictionary {
+            dictionary: ad,
+            codes: ac,
+            runs: ar,
+            ..
+        },
+    ) = (key, arg)
+    else {
+        return Err(SqlError::Invalid(
+            "pair counts need two dictionary views".into(),
+        ));
+    };
+    let key = (kr.as_slice(), kd.len());
+    let arg = (ar.as_slice(), ad.len());
+    match (kc, ac) {
+        (Codes::U8(k), Codes::U8(a)) => pair_spans(k, key, a, arg, *rows, filter),
+        (Codes::U8(k), Codes::U16(a)) => pair_spans(k, key, a, arg, *rows, filter),
+        (Codes::U16(k), Codes::U8(a)) => pair_spans(k, key, a, arg, *rows, filter),
+        (Codes::U16(k), Codes::U16(a)) => pair_spans(k, key, a, arg, *rows, filter),
+    }
+}
+
+/// [`count_pairs`] over checked views given as `(runs, dictionary
+/// entries)`: both views' spans are cut where either changes, and each
+/// piece counts its selected rows in the one shape both sides allow —
+/// two runs add one `count_range`, a run beside a literal span counts
+/// into one row of the table, two literal spans index it per row.
+fn pair_spans<K: Code, A: Code>(
+    key_codes: &[K],
+    (key_runs, key_len): (&[Run], usize),
+    arg_codes: &[A],
+    (arg_runs, arg_len): (&[Run], usize),
+    rows: usize,
+    filter: &Bitmap,
+) -> Result<PairCounts> {
+    check_view(key_codes, key_runs, key_len)?;
+    check_view(arg_codes, arg_runs, arg_len)?;
+    let keys = spans(key_runs, key_codes, rows)?;
+    let args = spans(arg_runs, arg_codes, rows)?;
+    let mut n = vec![0usize; key_len * arg_len];
+    let (mut ki, mut ai, mut pos) = (0, 0, 0);
+    while pos < rows {
+        let ((kp, k), (ap, a)) = (keys[ki], args[ai]);
+        let end = (kp + k.len()).min(ap + a.len());
+        let len = end - pos;
+        match (k.cut(pos - kp, len), a.cut(pos - ap, len)) {
+            (Span::Rle(k, _), Span::Rle(a, _)) => {
+                n[k * arg_len + a] += filter.count_range(pos, len)
+            }
+            (Span::Rle(k, _), Span::Literal(a)) => {
+                let row = &mut n[k * arg_len..(k + 1) * arg_len];
+                filter.for_each_one(pos, len, |r| row[a[r - pos].index()] += 1);
+            }
+            (Span::Literal(k), Span::Rle(a, _)) => {
+                filter.for_each_one(pos, len, |r| n[k[r - pos].index() * arg_len + a] += 1);
+            }
+            (Span::Literal(k), Span::Literal(a)) => filter.for_each_one(pos, len, |r| {
+                n[k[r - pos].index() * arg_len + a[r - pos].index()] += 1
+            }),
+        }
+        pos = end;
+        ki += usize::from(kp + k.len() == end);
+        ai += usize::from(ap + a.len() == end);
+    }
+    Ok(PairCounts { args: arg_len, n })
+}
+
+/// A view's spans in row order, each with its first row, after the
+/// structural checks of [`for_each_span`].
+fn spans<'a, C>(runs: &[Run], codes: &'a [C], rows: usize) -> Result<Vec<(usize, Span<'a, C>)>> {
+    let mut out = Vec::with_capacity(runs.len());
+    for_each_span(runs, codes, rows, |pos, span| {
+        out.push((pos, span));
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -839,6 +1098,77 @@ impl Dense {
                 Dense::States(states)
             }
             (state, values) => return Err(mismatch(state, values)),
+        })
+    }
+
+    /// The per-code accumulator of an order-free aggregate from pair
+    /// counts over the argument's dictionary `values` (see
+    /// [`counts_pairs`]), or `None` when an integer SUM must take the
+    /// row-order fold: some group's positive terms sum past `i64::MAX` or
+    /// its negative ones past `i64::MIN`, so only the row order decides
+    /// whether a prefix overflows.
+    fn from_pairs(template: &PartialAgg, values: &ColumnData, pairs: &PairCounts) -> Option<Dense> {
+        use PartialAgg::*;
+        let keys = 0..pairs.n.len() / pairs.args.max(1);
+        Some(match (template, values) {
+            (SumInt(_), ColumnData::Int64(v)) => {
+                let mut sums = Vec::with_capacity(keys.len());
+                for code in keys {
+                    let (mut pos, mut neg) = (0i128, 0i128);
+                    for (arg, n) in pairs.of_key(code) {
+                        let term = v[arg] as i128 * n as i128;
+                        if term > 0 {
+                            pos += term;
+                        } else {
+                            neg += term;
+                        }
+                    }
+                    if pos > i64::MAX as i128 || neg < i64::MIN as i128 {
+                        return None;
+                    }
+                    sums.push(pos + neg);
+                }
+                Dense::Int(sums)
+            }
+            (AvgInt(..), ColumnData::Int64(v)) => Dense::Int(
+                keys.map(|code| {
+                    pairs
+                        .of_key(code)
+                        .map(|(arg, n)| v[arg] as i128 * n as i128)
+                        .sum()
+                })
+                .collect(),
+            ),
+            (MinInt(_), ColumnData::Int64(v)) => Dense::Extreme(
+                keys.map(|code| {
+                    pairs
+                        .of_key(code)
+                        .map(|(arg, _)| v[arg])
+                        .min()
+                        .unwrap_or(i64::MAX)
+                })
+                .collect(),
+            ),
+            (MaxInt(_), ColumnData::Int64(v)) => Dense::Extreme(
+                keys.map(|code| {
+                    pairs
+                        .of_key(code)
+                        .map(|(arg, _)| v[arg])
+                        .max()
+                        .unwrap_or(i64::MIN)
+                })
+                .collect(),
+            ),
+            (MinStr(_) | MaxStr(_), ColumnData::Utf8(_)) => {
+                let mut states = vec![template.clone(); keys.len()];
+                for (code, state) in states.iter_mut().enumerate() {
+                    for (arg, _) in pairs.of_key(code) {
+                        state.add(values, arg, 1).ok()?;
+                    }
+                }
+                Dense::States(states)
+            }
+            _ => return None,
         })
     }
 
@@ -1118,6 +1448,7 @@ mod tests {
             runs,
             rows,
             stream_weight: 0,
+            used: Default::default(),
         };
         let bad_code = view(vec![], vec![Run::Rle { value: 9, len: 4 }], 4);
         assert!(eval_filter_encoded(&l, &bad_code).is_err());
@@ -1143,6 +1474,7 @@ mod tests {
             ],
             rows: 65,
             stream_weight: 0,
+            used: Default::default(),
         };
         assert!(eval_filter_encoded(&l, &wide).is_err());
         let all = Bitmap::ones_with_len(65);
@@ -1293,6 +1625,7 @@ mod tests {
             runs: vec![Run::Rle { value: 9, len: 3 }],
             rows: 3,
             stream_weight: 0,
+            used: Default::default(),
         };
         assert!(group_aggregate_encoded(
             &chunk,
@@ -1398,6 +1731,7 @@ mod tests {
             runs: vec![Run::Literal { start: 0, len: 3 }],
             rows: 3,
             stream_weight: 0,
+            used: Default::default(),
         };
         assert!(select_encoded(&bad_code, &all, &mut out).is_err());
         let mut max = PartialAgg::new(AggFunc::Max, LogicalType::Int64).unwrap();

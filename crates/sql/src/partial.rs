@@ -158,23 +158,13 @@ impl PartialAgg {
                 Ok(())
             }
             (MinInt(m), ColumnData::Int64(v)) => {
-                let (mut lo, mut seen) = (i64::MAX, false);
-                rows.for_each_used(|i| {
-                    lo = lo.min(v[i]);
-                    seen = true;
-                })?;
-                if seen {
+                if let Some(lo) = rows.int_extreme(v, i64::MAX, i64::min)? {
                     *m = Some(m.map_or(lo, |m| m.min(lo)));
                 }
                 Ok(())
             }
             (MaxInt(m), ColumnData::Int64(v)) => {
-                let (mut hi, mut seen) = (i64::MIN, false);
-                rows.for_each_used(|i| {
-                    hi = hi.max(v[i]);
-                    seen = true;
-                })?;
-                if seen {
+                if let Some(hi) = rows.int_extreme(v, i64::MIN, i64::max)? {
                     *m = Some(m.map_or(hi, |m| m.max(hi)));
                 }
                 Ok(())
@@ -355,7 +345,12 @@ impl PartialAgg {
 /// [`PartialAgg::fold`] reads them. The dictionary codes those rows use
 /// are marked once, by the first integer or string extreme folded over
 /// the selection, and shared with the next: `min(c), max(c)` walk the
-/// chunk's rows once.
+/// chunk's rows once. A filter that selects every row reads the view's
+/// own memo of its used entries instead ([`UsedEntries`]), which one
+/// walk fills for the view's life: an all-rows extreme over a cached
+/// view walks no rows.
+///
+/// [`UsedEntries`]: fusion_format::chunk::UsedEntries
 #[derive(Debug)]
 pub struct Selection<'a> {
     chunk: &'a EncodedChunk,
@@ -379,19 +374,68 @@ impl<'a> Selection<'a> {
     /// use this: codes follow first occurrence, so a fold in code order
     /// could pick the other signed zero.
     fn for_each_used(&self, mut f: impl FnMut(usize)) -> Result<()> {
-        let EncodedChunk::Dictionary { dictionary, .. } = self.chunk else {
-            return for_each_selected(self.chunk, self.filter, |i, _| f(i));
+        match self.used()? {
+            Some(used) => (0..used.len()).filter(|&i| used[i]).for_each(f),
+            None => for_each_selected(self.chunk, self.filter, |i, _| f(i))?,
+        }
+        Ok(())
+    }
+
+    /// The `pick` (`min` or `max`, identity `init`) of the integer values
+    /// `v` the selected rows use, `None` when no row is selected. Over a
+    /// dictionary's used entries this is one branch-free pass, which the
+    /// compiler vectorizes.
+    fn int_extreme(&self, v: &[i64], init: i64, pick: fn(i64, i64) -> i64) -> Result<Option<i64>> {
+        let Some(used) = self.used()? else {
+            let (mut acc, mut seen) = (init, false);
+            for_each_selected(self.chunk, self.filter, |i, _| {
+                acc = pick(acc, v[i]);
+                seen = true;
+            })?;
+            return Ok(seen.then_some(acc));
         };
-        let used = match self.used.get() {
-            Some(used) => used,
-            None => {
-                let mut used = vec![false; dictionary.len()];
-                for_each_selected(self.chunk, self.filter, |i, _| used[i] = true)?;
-                self.used.get_or_init(|| used)
+        let acc = v
+            .iter()
+            .zip(used)
+            .fold(init, |acc, (&x, &u)| pick(acc, if u { x } else { init }));
+        Ok(used.contains(&true).then_some(acc))
+    }
+
+    /// `used[i]` for each dictionary entry `i` the selected rows use, or
+    /// `None` for a plain chunk: the view's memo when the filter selects
+    /// every row, else this selection's own walk, made once.
+    fn used(&self) -> Result<Option<&[bool]>> {
+        let EncodedChunk::Dictionary {
+            dictionary,
+            used: memo,
+            ..
+        } = self.chunk
+        else {
+            return Ok(None);
+        };
+        let walk = || {
+            let mut used = vec![false; dictionary.len()];
+            for_each_selected(self.chunk, self.filter, |i, _| used[i] = true)?;
+            Ok(used)
+        };
+        let used: &[bool] = if self.selects_every_row() {
+            memo.get_or_walk(walk)?
+        } else {
+            match self.used.get() {
+                Some(used) => used,
+                None => {
+                    let used = walk()?;
+                    self.used.get_or_init(|| used)
+                }
             }
         };
-        (0..used.len()).filter(|&i| used[i]).for_each(f);
-        Ok(())
+        Ok(Some(used))
+    }
+
+    /// Whether the filter is the chunk's length and selects every row,
+    /// so the rows use exactly the entries the view's memo records.
+    fn selects_every_row(&self) -> bool {
+        self.filter.len() == self.chunk.rows() && self.filter.count_ones() == self.filter.len()
     }
 }
 
@@ -843,6 +887,127 @@ mod tests {
         // key 16+2, one Count state 16.
         assert_eq!(g.wire_bytes(), 34);
         assert!(!g.is_empty());
+    }
+
+    /// A hand-built view over `dictionary` whose rows use `codes`, in
+    /// one literal span.
+    fn view(dictionary: ColumnData, codes: Vec<u8>) -> EncodedChunk {
+        let rows = codes.len();
+        EncodedChunk::Dictionary {
+            dictionary,
+            codes: fusion_format::chunk::Codes::U8(codes),
+            runs: vec![fusion_format::encoding::rle::Run::Literal {
+                start: 0,
+                len: rows,
+            }],
+            rows,
+            stream_weight: 0,
+            used: Default::default(),
+        }
+    }
+
+    fn fold_all(func: AggFunc, ty: LogicalType, chunk: &EncodedChunk) -> Result<Value> {
+        let mut state = PartialAgg::new(func, ty)?;
+        let all = Bitmap::ones_with_len(chunk.rows());
+        state.fold(&Selection::new(chunk, &all))?;
+        Ok(state.finalize())
+    }
+
+    #[test]
+    fn all_rows_extremes_read_only_the_used_entries() {
+        // Entries 0 and 4 sit below and above every used one, unused.
+        let ints = view(
+            ColumnData::Int64(vec![1, 5, 10, 20, 30]),
+            vec![2, 1, 3, 2, 1],
+        );
+        let strs = view(
+            ColumnData::Utf8(["a", "m", "k", "q", "z"].map(String::from).to_vec()),
+            vec![1, 3, 2, 2],
+        );
+        for _ in 0..2 {
+            // The first fold fills the memo, the second reads it.
+            assert_eq!(
+                fold_all(AggFunc::Min, LogicalType::Int64, &ints).unwrap(),
+                Value::Int(5)
+            );
+            assert_eq!(
+                fold_all(AggFunc::Max, LogicalType::Date, &ints).unwrap(),
+                Value::Int(20)
+            );
+            assert_eq!(
+                fold_all(AggFunc::Min, LogicalType::Utf8, &strs).unwrap(),
+                Value::from("k")
+            );
+            assert_eq!(
+                fold_all(AggFunc::Max, LogicalType::Utf8, &strs).unwrap(),
+                Value::from("q")
+            );
+        }
+        let EncodedChunk::Dictionary { used, .. } = &ints else {
+            unreachable!("a dictionary view")
+        };
+        assert_eq!(used.get(), Some(&[false, true, true, true, false][..]));
+        // Derived data: a filled memo leaves equality alone.
+        let fresh = view(
+            ColumnData::Int64(vec![1, 5, 10, 20, 30]),
+            vec![2, 1, 3, 2, 1],
+        );
+        assert_eq!(ints, fresh);
+        // A partial filter walks its own rows, not the memo.
+        let mut max = PartialAgg::new(AggFunc::Max, LogicalType::Int64).unwrap();
+        let first_two: Bitmap = [true, true, false, false, false].into_iter().collect();
+        max.fold(&Selection::new(&ints, &first_two)).unwrap();
+        assert_eq!(max.finalize(), Value::Int(10));
+    }
+
+    #[test]
+    fn threads_share_one_memo() {
+        // 2,519 entries (u16 codes) in a scattered order, so the writer
+        // keeps the dictionary.
+        let draws = (0..15_000u64).map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % 2_519);
+        let col = ColumnData::Int64(
+            (0..2_519)
+                .chain(draws)
+                .map(|k| (k as i64 + 1).wrapping_mul(0x5851_F42D_4C95_7F2D))
+                .collect(),
+        );
+        let (bytes, _) = fusion_format::chunk::encode_column_chunk(&col);
+        let chunk = std::sync::Arc::new(
+            fusion_format::chunk::read_encoded_chunk(&bytes, LogicalType::Date).unwrap(),
+        );
+        let want = col.min_max().unwrap();
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let chunk = std::sync::Arc::clone(&chunk);
+                std::thread::spawn(move || {
+                    (
+                        fold_all(AggFunc::Min, LogicalType::Date, &chunk).unwrap(),
+                        fold_all(AggFunc::Max, LogicalType::Date, &chunk).unwrap(),
+                    )
+                })
+            })
+            .collect();
+        for h in handles {
+            assert_eq!(h.join().unwrap(), want);
+        }
+        let EncodedChunk::Dictionary { used, .. } = &*chunk else {
+            panic!("expected a dictionary view")
+        };
+        assert!(used.get().is_some_and(|used| used.iter().all(|&u| u)));
+    }
+
+    #[test]
+    fn malformed_views_fail_every_time() {
+        // Code 7 indexes no entry of a 2-entry dictionary.
+        let bad = view(ColumnData::Int64(vec![10, 20]), vec![0, 7, 1]);
+        let first = fold_all(AggFunc::Min, LogicalType::Int64, &bad).unwrap_err();
+        let second = fold_all(AggFunc::Min, LogicalType::Int64, &bad).unwrap_err();
+        assert!(matches!(first, SqlError::Invalid(_)));
+        assert_eq!(format!("{first:?}"), format!("{second:?}"));
+        let EncodedChunk::Dictionary { used, .. } = &bad else {
+            unreachable!("a dictionary view")
+        };
+        assert!(used.get().is_none(), "a failed walk stores nothing");
     }
 
     #[test]

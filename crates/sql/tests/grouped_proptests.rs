@@ -413,3 +413,146 @@ proptest! {
         chunked_merge_case(case.0, case.1, chunk_rows, AggFunc::Avg)?;
     }
 }
+
+/// Runs each aggregate of a dictionary-keyed group over the argument
+/// column `arg` handed over as its view ([`AggInput::View`]: pair counts
+/// when the function and table size allow, the row-order fold otherwise),
+/// alone and all together, against the decoded oracle.
+fn pair_case(
+    key: &ColumnData,
+    arg: &ColumnData,
+    arg_ty: LogicalType,
+    filter: &Bitmap,
+) -> Result<(), TestCaseError> {
+    let view = |col: &ColumnData, ty| {
+        let (bytes, _) = encode_column_chunk(col);
+        read_encoded_chunk(&bytes, ty).unwrap()
+    };
+    let (key_view, arg_view) = (view(key, LogicalType::Int64), view(arg, arg_ty));
+    let funcs: &[AggFunc] = match arg_ty {
+        LogicalType::Utf8 => &[AggFunc::Count, AggFunc::Min, AggFunc::Max],
+        _ => &[
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+        ],
+    };
+    let mut runs: Vec<Vec<AggFunc>> = funcs.iter().map(|&f| vec![f]).collect();
+    runs.push(funcs.to_vec());
+    for run in runs {
+        let enc: Vec<_> = run
+            .iter()
+            .map(|&f| (f, AggInput::View(&arg_view)))
+            .collect();
+        let dec: Vec<_> = run.iter().map(|&f| (f, Some(arg))).collect();
+        let fast = group_aggregate_encoded(&key_view, &enc, filter);
+        let slow = group_aggregate_decoded(&[key], &dec, filter);
+        match (fast, slow) {
+            (Ok(fast), Ok(slow)) => prop_assert_eq!(finalized(fast), finalized(slow), "{:?}", run),
+            (Err(SqlError::Overflow(_)), Err(SqlError::Overflow(_))) => {}
+            (fast, slow) => {
+                return Err(TestCaseError::fail(format!(
+                    "{run:?}: encoded={fast:?} decoded={slow:?}"
+                )))
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A 3-entry key with a 128-row run, literal codes, then a 100-row run.
+fn runs_and_literals_key(n: usize) -> ColumnData {
+    ColumnData::Int64(
+        (0..n)
+            .map(|i| match i {
+                i if i < 128 => 0,
+                i if i + 100 >= n => 2,
+                i => (i * 7 % 3) as i64,
+            })
+            .collect(),
+    )
+}
+
+#[test]
+fn pair_counts_match_the_oracle_over_u8_and_u16_arguments() {
+    let n = 4000;
+    let key = runs_and_literals_key(n);
+    // u8 codes: 50 entries (negative ones too), with a 200-row run that
+    // straddles the key's literal span.
+    let small = ColumnData::Int64(
+        (0..n)
+            .map(|i| match i {
+                300..500 => 77,
+                i => (i * 31 % 50) as i64 * 3 - 40,
+            })
+            .collect(),
+    );
+    // u16 codes: 300 entries, so 3 × 300 = 900 cells — on the pair side
+    // of the table-size rule under a dense filter, the gather side under
+    // a sparse one.
+    let wide = ColumnData::Int64((0..n).map(|i| wide_dict_value(i * 7 % 300)).collect());
+    let strings = ColumnData::Utf8((0..n).map(|i| format!("s{:03}", i * 13 % 40)).collect());
+    let dense: Bitmap = (0..n).map(|i| i % 7 != 3).collect();
+    let sparse: Bitmap = (0..n).map(|i| i % 16 == 5).collect();
+    let runs: Bitmap = (0..n).map(|i| (i / 64) % 3 != 1).collect();
+    for filter in [&dense, &sparse, &runs, &Bitmap::ones_with_len(n)] {
+        pair_case(&key, &small, LogicalType::Int64, filter).unwrap();
+        pair_case(&key, &wide, LogicalType::Int64, filter).unwrap();
+        pair_case(&key, &strings, LogicalType::Utf8, filter).unwrap();
+    }
+    for (col, u16_codes) in [(&small, false), (&wide, true)] {
+        let (bytes, _) = encode_column_chunk(col);
+        let view = read_encoded_chunk(&bytes, LogicalType::Int64).unwrap();
+        let fusion_format::chunk::EncodedChunk::Dictionary { codes, .. } = view else {
+            panic!("expected a dictionary view");
+        };
+        assert_eq!(
+            matches!(codes, fusion_format::chunk::Codes::U16(_)),
+            u16_codes
+        );
+    }
+}
+
+#[test]
+fn pair_counted_sum_defers_to_row_order_when_only_a_prefix_can_overflow() {
+    // One group, 256 rows: the first three hold the terms below, the rest
+    // 0. (MAX, 1, -1) overflows on its second row although the total fits;
+    // (-1, MAX, 1) never leaves i64. Both exceed the pair bound, so both
+    // are decided by the row-order fold, as the oracle decides them.
+    let key = ColumnData::Int64(vec![7; 256]);
+    for head in [[i64::MAX, 1, -1], [-1, i64::MAX, 1], [i64::MIN, -1, 1]] {
+        let mut vals = head.to_vec();
+        vals.resize(256, 0);
+        let arg = ColumnData::Int64(vals);
+        pair_case(&key, &arg, LogicalType::Int64, &Bitmap::ones_with_len(256)).unwrap();
+    }
+}
+
+#[test]
+fn float_arguments_keep_the_row_order_fold() {
+    // n × 0.1 and n additions of 0.1 round differently: a float SUM or
+    // AVG from pair counts would not be bit-identical to the oracle.
+    let n = 3000;
+    let key = runs_and_literals_key(n);
+    let arg = ColumnData::Float64((0..n).map(|i| [0.1, 0.2, 0.3][i % 3]).collect());
+    pair_case(&key, &arg, LogicalType::Float64, &Bitmap::ones_with_len(n)).unwrap();
+}
+
+proptest! {
+    #[test]
+    fn pair_counts_match_oracle(
+        key in arb_runs_int(),
+        arg in arb_runs_int(),
+        dense in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let n = key.len().min(arg.len());
+        let (key, arg) = (ColumnData::Int64(key[..n].to_vec()), ColumnData::Int64(arg[..n].to_vec()));
+        let filter: Bitmap = (0..n)
+            .map(|i| (seed.rotate_left(i as u32 % 64) & if dense { 3 } else { 1 }) != 0)
+            .collect();
+        pair_case(&key, &arg, LogicalType::Int64, &filter)?;
+    }
+}
