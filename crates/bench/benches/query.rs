@@ -149,11 +149,12 @@ fn bench_grouped_aggregate(c: &mut Criterion) {
     let hot = read_encoded_chunk(&bytes, LogicalType::Int64).expect("valid chunk");
     let arg = ColumnData::Float64((0..ROWS).map(|i| i as f64 * 0.25).collect());
     let filter: Bitmap = (0..ROWS).map(|i| i % 10 != 0).collect();
-    // The encoded kernel reads the argument's selected rows only.
-    let arg_sel = arg.take(&filter.ones().collect::<Vec<_>>());
+    // The encoded kernel reads the argument as its chunk view.
+    let (arg_bytes, _) = encode_column_chunk(&arg);
+    let arg_view = read_encoded_chunk(&arg_bytes, LogicalType::Float64).expect("valid chunk");
     let aggs_enc = [
         (AggFunc::Count, AggInput::Star),
-        (AggFunc::Sum, AggInput::Col(&arg_sel)),
+        (AggFunc::Sum, AggInput::View(&arg_view)),
         (AggFunc::Min, AggInput::Key),
     ];
     let decoded_key = decode_column_chunk(&bytes, LogicalType::Int64).expect("decode");

@@ -592,11 +592,6 @@ pub enum AggInput<'a> {
     /// The argument *is* the group-key column (e.g. `SELECT k, min(k)`),
     /// so the encoded kernel can read it straight from the dictionary.
     Key,
-    /// A separate argument column holding only the rows the filter
-    /// selects, in row order — what [`select_encoded`] appends: its `k`-th
-    /// value is the `k`-th selected row's, and its length is the filter's
-    /// `count_ones`.
-    Col(&'a ColumnData),
     /// A separate argument column's whole chunk view, one row per key
     /// row, under the same filter. The kernel counts (key code, argument
     /// code) pairs when it can ([`group_aggregate_encoded`]) and gathers
@@ -611,7 +606,6 @@ impl<'a> AggInput<'a> {
         match self {
             AggInput::Star => None,
             AggInput::Key => Some(key),
-            AggInput::Col(c) => Some(c),
             AggInput::View(v) => Some(chunk_values(v)),
         }
     }
@@ -687,9 +681,8 @@ pub fn group_aggregate_decoded(
 }
 
 /// Grouped aggregation in the encoded domain over a single group-key
-/// chunk — the node-side kernel of GROUP BY pushdown. `Col` arguments
-/// hold the selected rows only ([`AggInput::Col`]); `View` arguments are
-/// whole chunks under the key's filter ([`AggInput::View`]).
+/// chunk — the node-side kernel of GROUP BY pushdown. Argument columns
+/// come as whole chunk views under the key's filter ([`AggInput::View`]).
 ///
 /// * **Dictionary** keys group by code, never by hashing a value. Each
 ///   aggregate has one dense accumulator indexed by code, picked once by
@@ -743,15 +736,8 @@ pub fn group_aggregate_encoded(
     check_filter_len(key, filter)?;
     let selected = filter.count_ones();
     for (_, input) in aggs {
-        match input {
-            AggInput::Col(c) if c.len() != selected => {
-                return Err(SqlError::Invalid(format!(
-                    "aggregate column has {} rows but the filter selects {selected}",
-                    c.len()
-                )))
-            }
-            AggInput::View(v) => check_filter_len(v, filter)?,
-            _ => {}
+        if let AggInput::View(v) = input {
+            check_filter_len(v, filter)?;
         }
     }
     let mut gathered = Gathered(Vec::new());
@@ -802,7 +788,7 @@ pub fn group_aggregate_encoded(
                 };
                 Dense::from_pairs(template, chunk_values(view), &tables[i].1)
             }
-            AggInput::Col(_) | AggInput::View(_) => None,
+            AggInput::View(_) => None,
         };
         dense.push(acc);
     }
@@ -834,11 +820,8 @@ pub fn group_aggregate_encoded(
                 let i = gathered.gather(view, filter, selected)?;
                 Dense::fold(template, &gathered.0[i].1, &row_codes, dictionary.len())?
             }
-            (None, arg) => {
-                let values = arg
-                    .values(dictionary)
-                    .expect("a folded aggregate has an argument");
-                Dense::fold(template, values, &row_codes, dictionary.len())?
+            (None, AggInput::Star | AggInput::Key) => {
+                unreachable!("COUNT(*) and aggregates of the key are counted")
             }
         });
     }
@@ -1511,12 +1494,12 @@ mod tests {
 
         let filter: Bitmap = (0..n).map(|i| i % 3 != 0).collect();
         // The encoded kernel takes the argument's selected rows only.
-        let arg_sel = arg.take(&filter.ones().collect::<Vec<_>>());
+        let arg_view = encoded(&arg);
         let aggs_enc = [
             (AggFunc::Count, AggInput::Star),
             (AggFunc::Sum, AggInput::Key),
-            (AggFunc::Avg, AggInput::Col(&arg_sel)),
-            (AggFunc::Min, AggInput::Col(&arg_sel)),
+            (AggFunc::Avg, AggInput::View(&arg_view)),
+            (AggFunc::Min, AggInput::View(&arg_view)),
             (AggFunc::Max, AggInput::Key),
         ];
         let aggs_dec = [
@@ -1601,9 +1584,10 @@ mod tests {
         );
         let chunk = encoded(&key_col);
         let filter = Bitmap::ones_with_len(96);
+        let arg_view = encoded(&arg);
         let aggs_enc = [
-            (AggFunc::Min, AggInput::Col(&arg)),
-            (AggFunc::Max, AggInput::Col(&arg)),
+            (AggFunc::Min, AggInput::View(&arg_view)),
+            (AggFunc::Max, AggInput::View(&arg_view)),
         ];
         let aggs_dec = [(AggFunc::Min, Some(&arg)), (AggFunc::Max, Some(&arg))];
         let fast = group_aggregate_encoded(&chunk, &aggs_enc, &filter).unwrap();
@@ -1633,13 +1617,14 @@ mod tests {
             &Bitmap::ones_with_len(3)
         )
         .is_err());
-        // An argument column holds the selected rows only: a full-length
-        // one under a filter that drops rows is refused.
+        // An argument view covers the key's rows: a shorter one is
+        // refused.
         let key = encoded(&ColumnData::Int64(vec![1, 1, 2]));
         let some: Bitmap = [true, false, true].into_iter().collect();
-        let full = ColumnData::Int64(vec![5, 6, 7]);
+        let short = encoded(&ColumnData::Int64(vec![5, 6]));
         assert!(
-            group_aggregate_encoded(&key, &[(AggFunc::Sum, AggInput::Col(&full))], &some).is_err()
+            group_aggregate_encoded(&key, &[(AggFunc::Sum, AggInput::View(&short))], &some)
+                .is_err()
         );
         // A group's integer SUM overflows when any prefix of it leaves
         // i64, even if later rows bring it back.
@@ -1647,7 +1632,11 @@ mod tests {
         let all = Bitmap::ones_with_len(3);
         let key = encoded(&ColumnData::Int64(vec![4, 4, 4]));
         assert!(matches!(
-            group_aggregate_encoded(&key, &[(AggFunc::Sum, AggInput::Col(&args))], &all),
+            group_aggregate_encoded(
+                &key,
+                &[(AggFunc::Sum, AggInput::View(&encoded(&args)))],
+                &all
+            ),
             Err(SqlError::Overflow(_))
         ));
     }

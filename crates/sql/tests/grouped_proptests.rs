@@ -15,7 +15,9 @@
 //! under a constant key answer every aggregate as `eval_aggregate` does
 //! over the same rows, bit for bit, or with the same error.
 
-use fusion_format::chunk::{decode_column_chunk, encode_column_chunk, read_encoded_chunk};
+use fusion_format::chunk::{
+    decode_column_chunk, encode_column_chunk, read_encoded_chunk, EncodedChunk,
+};
 use fusion_format::schema::LogicalType;
 use fusion_format::value::{ColumnData, Value};
 use fusion_sql::ast::AggFunc;
@@ -47,10 +49,15 @@ fn float_arg(n: usize) -> ColumnData {
     )
 }
 
-/// The rows of `col` that `filter` selects, in row order: the argument
-/// column [`AggInput::Col`] takes.
-fn selected(col: &ColumnData, filter: &Bitmap) -> ColumnData {
-    col.take(&filter.ones().collect::<Vec<_>>())
+/// The chunk view of an argument column, as [`AggInput::View`] takes it.
+fn view_of(col: &ColumnData) -> EncodedChunk {
+    let ty = match col {
+        ColumnData::Int64(_) => LogicalType::Int64,
+        ColumnData::Float64(_) => LogicalType::Float64,
+        ColumnData::Utf8(_) => LogicalType::Utf8,
+    };
+    let (bytes, _) = encode_column_chunk(col);
+    read_encoded_chunk(&bytes, ty).unwrap()
 }
 
 /// Finalized rows with values wrapped in [`GroupKey`] so floats compare
@@ -100,7 +107,7 @@ fn int_key_case(key: Vec<i64>, filter: Vec<bool>) -> Result<(), TestCaseError> {
     let key = ColumnData::Int64(key);
     let filter = bitmap(&filter);
     let arg = float_arg(n);
-    let arg_sel = selected(&arg, &filter);
+    let arg_view = view_of(&arg);
     // SUM of a key holding i64 extremes overflows in most cases, which
     // would leave the other aggregates uncompared: it runs on its own.
     assert_grouped_agree(
@@ -116,10 +123,10 @@ fn int_key_case(key: Vec<i64>, filter: Vec<bool>) -> Result<(), TestCaseError> {
         (AggFunc::Avg, AggInput::Key),
         (AggFunc::Min, AggInput::Key),
         (AggFunc::Max, AggInput::Key),
-        (AggFunc::Avg, AggInput::Col(&arg_sel)),
-        (AggFunc::Sum, AggInput::Col(&arg_sel)),
-        (AggFunc::Min, AggInput::Col(&arg_sel)),
-        (AggFunc::Max, AggInput::Col(&arg_sel)),
+        (AggFunc::Avg, AggInput::View(&arg_view)),
+        (AggFunc::Sum, AggInput::View(&arg_view)),
+        (AggFunc::Min, AggInput::View(&arg_view)),
+        (AggFunc::Max, AggInput::View(&arg_view)),
     ];
     let aggs_dec = [
         (AggFunc::Count, None),
@@ -135,13 +142,13 @@ fn int_key_case(key: Vec<i64>, filter: Vec<bool>) -> Result<(), TestCaseError> {
     assert_grouped_agree(&key, LogicalType::Int64, &aggs_enc, &aggs_dec, &filter)?;
     // Integer arguments: every integer accumulator and COUNT(col).
     let ints = ColumnData::Int64((0..n as i64).map(|i| i * 7919 % 2001 - 1000).collect());
-    let ints_sel = selected(&ints, &filter);
+    let ints_view = view_of(&ints);
     let aggs_enc = [
-        (AggFunc::Sum, AggInput::Col(&ints_sel)),
-        (AggFunc::Avg, AggInput::Col(&ints_sel)),
-        (AggFunc::Min, AggInput::Col(&ints_sel)),
-        (AggFunc::Max, AggInput::Col(&ints_sel)),
-        (AggFunc::Count, AggInput::Col(&ints_sel)),
+        (AggFunc::Sum, AggInput::View(&ints_view)),
+        (AggFunc::Avg, AggInput::View(&ints_view)),
+        (AggFunc::Min, AggInput::View(&ints_view)),
+        (AggFunc::Max, AggInput::View(&ints_view)),
+        (AggFunc::Count, AggInput::View(&ints_view)),
     ];
     let aggs_dec = [
         (AggFunc::Sum, Some(&ints)),
@@ -158,11 +165,11 @@ fn plain_int_key_case(key: Vec<i64>, filter: Vec<bool>) -> Result<(), TestCaseEr
     let key = ColumnData::Int64(key);
     let filter = bitmap(&filter);
     let arg = float_arg(n);
-    let arg_sel = selected(&arg, &filter);
+    let arg_view = view_of(&arg);
     let aggs_enc = [
         (AggFunc::Count, AggInput::Star),
         (AggFunc::Sum, AggInput::Key),
-        (AggFunc::Avg, AggInput::Col(&arg_sel)),
+        (AggFunc::Avg, AggInput::View(&arg_view)),
     ];
     let aggs_dec = [
         (AggFunc::Count, None),
@@ -209,15 +216,15 @@ fn utf8_key_case(key: Vec<String>, filter: Vec<bool>) -> Result<(), TestCaseErro
         ColumnData::Utf8(v) => ColumnData::Utf8(v.iter().rev().cloned().collect()),
         _ => unreachable!(),
     };
-    let (arg_sel, strs_sel) = (selected(&arg, &filter), selected(&strs, &filter));
+    let (arg_view, strs_view) = (view_of(&arg), view_of(&strs));
     let aggs_enc = [
         (AggFunc::Count, AggInput::Star),
         (AggFunc::Min, AggInput::Key),
         (AggFunc::Max, AggInput::Key),
-        (AggFunc::Avg, AggInput::Col(&arg_sel)),
-        (AggFunc::Min, AggInput::Col(&arg_sel)),
-        (AggFunc::Min, AggInput::Col(&strs_sel)),
-        (AggFunc::Max, AggInput::Col(&strs_sel)),
+        (AggFunc::Avg, AggInput::View(&arg_view)),
+        (AggFunc::Min, AggInput::View(&arg_view)),
+        (AggFunc::Min, AggInput::View(&strs_view)),
+        (AggFunc::Max, AggInput::View(&strs_view)),
     ];
     let aggs_dec = [
         (AggFunc::Count, None),
@@ -258,14 +265,14 @@ fn chunked_merge_case(
             _ => unreachable!(),
         };
         let fchunk = bitmap(&filter[start..end]);
-        let arg_sel = selected(&arg_chunk, &fchunk);
+        let arg_view = view_of(&arg_chunk);
         let (bytes, _) = encode_column_chunk(&key_chunk);
         let view = read_encoded_chunk(&bytes, LogicalType::Int64).unwrap();
         let aggs_enc = [
             (AggFunc::Count, AggInput::Star),
             (key_agg, AggInput::Key),
-            (AggFunc::Avg, AggInput::Col(&arg_sel)),
-            (AggFunc::Min, AggInput::Col(&arg_sel)),
+            (AggFunc::Avg, AggInput::View(&arg_view)),
+            (AggFunc::Min, AggInput::View(&arg_view)),
         ];
         let aggs_dec = [
             (AggFunc::Count, None),
@@ -332,6 +339,7 @@ fn constant_key_case(values: ColumnData, filter: Vec<bool>) -> Result<(), TestCa
     let filter = bitmap(&filter);
     let ones: Vec<usize> = filter.ones().collect();
     let selected = values.take(&ones);
+    let values_view = view_of(&values);
     for func in [
         AggFunc::Count,
         AggFunc::Sum,
@@ -352,7 +360,7 @@ fn constant_key_case(values: ColumnData, filter: Vec<bool>) -> Result<(), TestCa
             }
         });
         for grouped in [
-            group_aggregate_encoded(&key_view, &[(func, AggInput::Col(&selected))], &filter),
+            group_aggregate_encoded(&key_view, &[(func, AggInput::View(&values_view))], &filter),
             group_aggregate_decoded(&[&key], &[(func, Some(&values))], &filter),
         ] {
             let got = grouped.map(|g| {
@@ -424,11 +432,7 @@ fn pair_case(
     arg_ty: LogicalType,
     filter: &Bitmap,
 ) -> Result<(), TestCaseError> {
-    let view = |col: &ColumnData, ty| {
-        let (bytes, _) = encode_column_chunk(col);
-        read_encoded_chunk(&bytes, ty).unwrap()
-    };
-    let (key_view, arg_view) = (view(key, LogicalType::Int64), view(arg, arg_ty));
+    let (key_view, arg_view) = (view_of(key), view_of(arg));
     let funcs: &[AggFunc] = match arg_ty {
         LogicalType::Utf8 => &[AggFunc::Count, AggFunc::Min, AggFunc::Max],
         _ => &[
