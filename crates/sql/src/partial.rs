@@ -385,7 +385,12 @@ impl<'a> Selection<'a> {
     /// `v` the selected rows use, `None` when no row is selected. Over a
     /// dictionary's used entries this is one branch-free pass, which the
     /// compiler vectorizes.
-    fn int_extreme(&self, v: &[i64], init: i64, pick: fn(i64, i64) -> i64) -> Result<Option<i64>> {
+    fn int_extreme(
+        &self,
+        v: &[i64],
+        init: i64,
+        pick: impl Fn(i64, i64) -> i64,
+    ) -> Result<Option<i64>> {
         let Some(used) = self.used()? else {
             let (mut acc, mut seen) = (init, false);
             for_each_selected(self.chunk, self.filter, |i, _| {
