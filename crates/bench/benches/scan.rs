@@ -20,6 +20,10 @@
 //!   `discount < 0.03`, as the grouped stage runs it: `quantity` goes in
 //!   as its view, so `group_aggregate_encoded` counts (key code,
 //!   argument code) pairs in one walk of both views;
+//! * `group/returnflag_rows`: `count(*), sum(extendedprice),
+//!   avg(discount), max(discount)` by `returnflag` under the same
+//!   filter: float arguments, so each aggregate takes the row walk, over
+//!   a plain view (`extendedprice`) and a dictionary view (`discount`);
 //! * `select/<column>`: `select_encoded` of `extendedprice` (where
 //!   `quantity < 5`) and `orderkey` (where `returnflag = 'A' AND
 //!   shipmode = 'AIR'`).
@@ -209,27 +213,60 @@ fn bench_scan(c: &mut Criterion) {
         b.iter(|| fold_case(&[AggFunc::Sum], extendedprice, &qty_le_10))
     });
 
+    // GROUP BY returnflag where discount < 0.03, each case's aggregates as
+    // (function, argument column or `None` for `*`), arguments as views.
     let disc_lt_3 = filters(discount, &leaves[1].2);
-    let group = |rg: usize| {
-        let aggs = [
-            (AggFunc::Count, AggInput::Star),
-            (AggFunc::Sum, AggInput::View(&quantity.views[rg])),
-        ];
-        group_aggregate_encoded(&returnflag.views[rg], &aggs, &disc_lt_3[rg]).expect("group")
-    };
-    for (rg, filter) in disc_lt_3.iter().enumerate() {
-        let (key, qty) = (returnflag.decoded(rg), quantity.decoded(rg));
-        let oracle = group_aggregate_decoded(
-            &[&key],
-            &[(AggFunc::Count, None), (AggFunc::Sum, Some(&qty))],
-            filter,
-        )
-        .expect("oracle");
-        assert_eq!(group(rg), oracle, "group/returnflag");
+    let count = (AggFunc::Count, None);
+    for (name, aggs) in [
+        ("returnflag", vec![count, (AggFunc::Sum, Some(quantity))]),
+        (
+            "returnflag_rows",
+            vec![
+                count,
+                (AggFunc::Sum, Some(extendedprice)),
+                (AggFunc::Avg, Some(discount)),
+                (AggFunc::Max, Some(discount)),
+            ],
+        ),
+    ] {
+        let inputs: Vec<Vec<(AggFunc, AggInput)>> = (0..returnflag.views.len())
+            .map(|rg| {
+                aggs.iter()
+                    .map(|&(f, col)| {
+                        (
+                            f,
+                            col.map_or(AggInput::Star, |c| AggInput::View(&c.views[rg])),
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        let group = |rg: usize| {
+            group_aggregate_encoded(&returnflag.views[rg], &inputs[rg], &disc_lt_3[rg])
+                .expect("group")
+        };
+        for (rg, filter) in disc_lt_3.iter().enumerate() {
+            let key = returnflag.decoded(rg);
+            let args: Vec<Option<ColumnData>> = aggs
+                .iter()
+                .map(|(_, col)| col.map(|c| c.decoded(rg)))
+                .collect();
+            let decoded: Vec<_> = aggs
+                .iter()
+                .zip(&args)
+                .map(|(&(f, _), arg)| (f, arg.as_ref()))
+                .collect();
+            let oracle = group_aggregate_decoded(&[&key], &decoded, filter).expect("oracle");
+            assert_eq!(group(rg), oracle, "group/{name}");
+        }
+        g.bench_function(format!("group/{name}"), |b| {
+            b.iter(|| {
+                for rg in 0..returnflag.views.len() {
+                    std::hint::black_box(group(rg));
+                }
+            })
+        });
     }
-    g.bench_function("group/returnflag", |b| {
-        b.iter(|| (0..returnflag.views.len()).map(group).count())
-    });
 
     let qty_lt_5 = filters(quantity, &leaf(CmpOp::Lt, Value::Int(5)));
     let air_a: Vec<Bitmap> = filters(returnflag, &leaves[2].2)

@@ -2,7 +2,6 @@
 //! policy, and the simulated cluster spec.
 
 use fusion_cluster::spec::ClusterSpec;
-use fusion_cluster::time::Nanos;
 use fusion_ec::rs::CodeParamsError;
 use fusion_ec::ErasureCode;
 
@@ -353,11 +352,6 @@ impl StoreConfig {
         } else {
             1.0
         }
-    }
-
-    /// Fixed per-query coordinator overhead from the cost model.
-    pub fn query_overhead(&self) -> Nanos {
-        self.cluster.cost.query_overhead
     }
 }
 

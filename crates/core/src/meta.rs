@@ -473,11 +473,6 @@ impl Namespace {
         self.record_bytes
     }
 
-    /// Number of index shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Inserts or replaces a record, returning the previous one.
     ///
     /// # Panics

@@ -823,11 +823,11 @@ fn grouped_aggregate_stage(plan: &QueryPlan, inputs: AggStageInputs<'_>) -> Resu
 /// Groups one row group's matched rows from the views of its `touched`
 /// chunks (the group keys, then the other argument columns, as the
 /// grouped stage reads them). A single key groups in the encoded domain:
-/// its codes index the accumulators and its RLE runs fold whole, and
-/// each argument column is handed over as its view, from which the
-/// kernel counts (key code, argument code) pairs or gathers the selected
-/// rows ([`AggInput::View`]). Several keys group decoded values with the
-/// row-at-a-time oracle.
+/// its codes index the groups' states and its RLE runs fold whole, and
+/// each argument column is handed over as its view, which the kernel
+/// walks beside the key, counting (key code, argument entry) pairs or
+/// adding rows in row order ([`AggInput::View`]). Several keys group
+/// decoded values with the row-at-a-time oracle.
 ///
 /// [`AggInput::View`]: fusion_sql::eval::AggInput::View
 fn group_views(

@@ -28,6 +28,9 @@ use fusion_cluster::time::Nanos;
 use fusion_format::footer::FileMeta;
 use fusion_format::value::{ColumnData, Value};
 use fusion_obs::trace::{Phase, Trace};
+use fusion_sql::ast::Query;
+use fusion_sql::error::SqlError;
+use fusion_sql::parser::parse;
 use fusion_sql::plan::{BoolTree, FilterLeaf, QueryPlan};
 use std::collections::HashMap;
 
@@ -97,8 +100,8 @@ impl Store {
     /// Parse/plan failures, unknown objects, non-analytics objects, or
     /// data-plane failures.
     pub fn query(&self, sql: &str) -> Result<QueryOutput> {
-        let q = fusion_sql::parser::parse(sql)?;
-        self.query_as(&q.table, sql)
+        let q = parse(sql)?;
+        self.run_query(&q.table, Ok(&q), true)
     }
 
     /// Runs a SQL query against an explicit object, ignoring the `FROM`
@@ -109,7 +112,7 @@ impl Store {
     ///
     /// See [`Store::query`].
     pub fn query_as(&self, object: &str, sql: &str) -> Result<QueryOutput> {
-        self.run_query(object, sql, true)
+        self.run_query(object, parse(sql).as_ref(), true)
     }
 
     /// The answer [`Store::query_as`] gives, without building the time
@@ -122,21 +125,27 @@ impl Store {
     ///
     /// See [`Store::query`].
     pub fn answer(&self, object: &str, sql: &str) -> Result<QueryResult> {
-        Ok(self.run_query(object, sql, false)?.result)
+        Ok(self.run_query(object, parse(sql).as_ref(), false)?.result)
     }
 
-    /// Parses, plans and dispatches `sql` on `object` to the configured
-    /// executor, recording the time plane iff `record`.
-    fn run_query(&self, object: &str, sql: &str, record: bool) -> Result<QueryOutput> {
+    /// Plans and dispatches the parsed query `q` on `object` to the
+    /// configured executor, recording the time plane iff `record`. A
+    /// parse error is returned after the object's own errors, as if
+    /// parsing came after resolving the object.
+    fn run_query(
+        &self,
+        object: &str,
+        q: std::result::Result<&Query, &SqlError>,
+        record: bool,
+    ) -> Result<QueryOutput> {
         crate::store::validate_key(object)?;
         let meta = self.object(object)?;
         let fm = meta
             .file_meta
             .as_ref()
             .ok_or_else(|| StoreError::NotAnalytics(object.to_string()))?;
-        let q = fusion_sql::parser::parse(sql)?;
-        let plan = fusion_sql::plan::plan(&q, &fm.schema)?;
-        let ctx = Ctx::new(self, object, record)?;
+        let plan = fusion_sql::plan::plan(q.map_err(SqlError::clone)?, &fm.schema)?;
+        let ctx = Ctx::new(self, object, meta, fm, record)?;
         match self.query_mode() {
             crate::config::QueryMode::Reassemble => baseline::execute(ctx, &plan),
             crate::config::QueryMode::AdaptivePushdown => fusion::execute(ctx, &plan, true),
@@ -251,18 +260,20 @@ pub(crate) struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    /// Starts a query on `object`: resolves its metadata and coordinator.
-    /// The time plane is built iff `record`.
+    /// Starts a query on `object`, whose resolved metadata and footer are
+    /// `meta` and `fm`: picks its coordinator. The time plane is built iff
+    /// `record`.
     ///
     /// # Errors
     ///
-    /// Unknown or non-analytics objects, or no alive node to coordinate.
-    pub fn new(store: &'a Store, object: &'a str, record: bool) -> Result<Ctx<'a>> {
-        let meta = store.object(object)?;
-        let fm = meta
-            .file_meta
-            .as_ref()
-            .ok_or_else(|| StoreError::NotAnalytics(object.to_string()))?;
+    /// No alive node to coordinate.
+    pub fn new(
+        store: &'a Store,
+        object: &'a str,
+        meta: &'a ObjectMeta,
+        fm: &'a FileMeta,
+        record: bool,
+    ) -> Result<Ctx<'a>> {
         let coord = store.coordinator_of(object)?;
         Ok(Ctx {
             store,

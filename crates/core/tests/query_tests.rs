@@ -394,16 +394,48 @@ fn predicates_at_the_depth_cap_fit_a_worker_stack() {
         .expect("no stack overflow");
 }
 
+/// Both query paths report the first failing check in one order: the
+/// object key, the object, its footer, the SQL, then a live coordinator.
 #[test]
 fn query_errors() {
+    use fusion_core::StoreError;
     let table = test_table(100);
-    let store = store_with(QueryMode::AdaptivePushdown, &table, 50);
-    assert!(store.query("SELECT ghost FROM t").is_err());
-    assert!(store.query("SELECT orderkey FROM missing").is_err());
-    assert!(store.query("not sql at all").is_err());
+    let mut store = store_with(QueryMode::AdaptivePushdown, &table, 50);
     assert!(store
         .query("SELECT orderkey FROM t WHERE flag < 5")
         .is_err());
+    store.put("blob", vec![7u8; 4096]).unwrap();
+    let kind = |r: std::result::Result<QueryResult, StoreError>| match r {
+        Err(StoreError::InvalidRequest(_)) => "key",
+        Err(StoreError::ObjectNotFound(_)) => "missing",
+        Err(StoreError::NotAnalytics(_)) => "blob",
+        Err(StoreError::Sql(_)) => "sql",
+        Err(StoreError::Unavailable(_)) => "unavailable",
+        other => panic!("unexpected {other:?}"),
+    };
+    let check = |store: &Store, object: &str, sql: &str, want: &str| {
+        assert_eq!(kind(store.answer(object, sql)), want, "{object}: {sql}");
+        assert_eq!(
+            kind(store.query_as(object, sql).map(|out| out.result)),
+            want,
+            "{object}: {sql}"
+        );
+    };
+    for (object, want) in [("", "key"), ("missing", "missing"), ("blob", "blob")] {
+        check(&store, object, "not sql at all", want);
+    }
+    check(&store, "t", "not sql at all", "sql");
+    check(&store, "t", "SELECT ghost FROM t", "sql");
+    // `query` names the object in its SQL, so it parses first.
+    let query = |sql: &str| kind(store.query(sql).map(|out| out.result));
+    assert_eq!(query("not sql at all"), "sql");
+    assert_eq!(query("SELECT orderkey FROM missing"), "missing");
+    assert_eq!(query("SELECT ghost FROM t"), "sql");
+    for node in 0..store.config().cluster.nodes {
+        store.fail_node(node).unwrap();
+    }
+    check(&store, "t", "SELECT ghost FROM t", "sql");
+    check(&store, "t", "SELECT orderkey FROM t", "unavailable");
 }
 
 #[test]

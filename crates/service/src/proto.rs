@@ -548,42 +548,6 @@ impl Response {
     }
 }
 
-/// Wraps a body into a full frame (length prefix + body).
-///
-/// # Panics
-///
-/// Panics if the body exceeds [`MAX_FRAME`] — callers build bodies from
-/// requests they sized themselves; the cap is validated on `decode` for
-/// the untrusted direction.
-pub fn to_frame(body: &[u8]) -> Vec<u8> {
-    assert!(body.len() <= MAX_FRAME, "frame body exceeds MAX_FRAME");
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    out
-}
-
-/// Splits one frame off the front of `buf`, if complete. Returns the
-/// body and the bytes consumed.
-///
-/// # Errors
-///
-/// [`FrameError::Oversized`] on a hostile length prefix (callers must
-/// drop the connection rather than wait for 4 GiB that never comes).
-pub fn from_frame(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>, FrameError> {
-    if buf.len() < 4 {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().expect("4")) as usize;
-    if len > MAX_FRAME {
-        return Err(FrameError::Oversized(len));
-    }
-    if buf.len() < 4 + len {
-        return Ok(None);
-    }
-    Ok(Some((buf[4..4 + len].to_vec(), 4 + len)))
-}
-
 /// Reads one full frame from a byte stream (blocking). `Ok(None)` on a
 /// clean EOF at a frame boundary.
 ///
@@ -771,16 +735,15 @@ mod tests {
             len: 10,
         }
         .encode();
-        let frame = to_frame(&body);
-        // Partial prefixes are "not yet".
-        assert_eq!(from_frame(&frame[..3]).unwrap(), None);
-        assert_eq!(from_frame(&frame[..frame.len() - 1]).unwrap(), None);
-        let (got, used) = from_frame(&frame).unwrap().unwrap();
-        assert_eq!(got, body);
-        assert_eq!(used, frame.len());
-        // Hostile length prefix.
+        // A hostile length prefix is refused before any body is read.
         let huge = ((MAX_FRAME + 1) as u32).to_le_bytes();
-        assert!(matches!(from_frame(&huge), Err(FrameError::Oversized(_))));
+        let err = read_frame(&mut &huge[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let inner = err.into_inner().expect("a frame error");
+        assert_eq!(
+            inner.downcast_ref::<FrameError>(),
+            Some(&FrameError::Oversized(MAX_FRAME + 1))
+        );
         // Stream io round-trip, two frames back to back.
         let mut stream = Vec::new();
         write_frame(&mut stream, &body).unwrap();

@@ -1,16 +1,17 @@
 //! Predicate and aggregate evaluation over decoded column chunks — the
 //! code that actually runs *in situ* on a storage node during pushdown.
 //! Every aggregate answers in one state type,
-//! [`crate::partial::PartialAgg`]: the decoded GROUP BY kernel hands it
-//! rows as `(value, count)` pairs, the encoded one fills it from typed
-//! per-code accumulators, and [`eval_aggregate`] is the ungrouped oracle
-//! both are tested against.
+//! [`crate::partial::PartialAgg`]: both GROUP BY kernels hand it rows as
+//! `(value, count)` pairs through [`PartialAgg::add`] (the decoded one
+//! per row; the encoded one per code count, pair-table cell or piece of
+//! its row walk), and [`eval_aggregate`] is the ungrouped oracle both are
+//! tested against.
 
 use crate::ast::AggFunc;
 use crate::bitmap::{or_span, Bitmap};
 use crate::error::{Result, SqlError};
 use crate::kernel::{LiteralPath, MatchTable};
-use crate::partial::{mismatch, overflow, GroupKey, GroupedAggs, PartialAgg};
+use crate::partial::{overflow, GroupKey, GroupedAggs, PartialAgg};
 use crate::plan::{AggregateSpec, BoolTree, FilterLeaf};
 use fusion_format::chunk::{Codes, EncodedChunk};
 use fusion_format::encoding::bitpack::Code;
@@ -593,9 +594,10 @@ pub enum AggInput<'a> {
     /// so the encoded kernel can read it straight from the dictionary.
     Key,
     /// A separate argument column's whole chunk view, one row per key
-    /// row, under the same filter. The kernel counts (key code, argument
-    /// code) pairs when it can ([`group_aggregate_encoded`]) and gathers
-    /// the selected rows ([`select_encoded`]) when it must.
+    /// row, under the same filter. The kernel walks it beside the key
+    /// ([`group_aggregate_encoded`]): into a table of (key code,
+    /// argument entry) counts when the aggregate's answer does not
+    /// depend on row order, else row by row.
     View(&'a EncodedChunk),
 }
 
@@ -684,39 +686,33 @@ pub fn group_aggregate_decoded(
 /// chunk — the node-side kernel of GROUP BY pushdown. Argument columns
 /// come as whole chunk views under the key's filter ([`AggInput::View`]).
 ///
-/// * **Dictionary** keys group by code, never by hashing a value. Each
-///   aggregate has one dense accumulator indexed by code, picked once by
-///   its state and argument type, so no row pays a state dispatch or a
-///   `Result`:
-///   * `COUNT` and every aggregate of the key take their state from the
-///     code's selected-row count, as one [`PartialAgg::add`]`(dictionary,
-///     code, n)`: a group's rows all hold its key value, so this is the
-///     state that run-by-run adds leave (a float sum still loops its `n`
-///     adds);
-///   * an aggregate whose answer does not depend on row order — integer
-///     SUM and AVG, integer and string MIN and MAX — over a dictionary
-///     `View` takes its state from **pair counts**: one walk of the filter
-///     over both views' spans (RLE runs and literal spans, u8 or u16
-///     codes) counts the selected rows of every (key code, argument code)
-///     pair, and each group's state follows from its counts and the
-///     argument's dictionary. Only when the pair table is no larger than
-///     the selected rows (key entries × argument entries ≤ selected rows;
-///     wider tables gather). An integer SUM is exact from counts when a
-///     group's positive terms sum to at most `i64::MAX` and its negative
-///     ones to at least `i64::MIN`, as then no prefix of the row-order sum
-///     leaves `i64`; otherwise that aggregate takes the row-order fold,
-///     which decides the overflow as sequential checked adds do;
-///   * every other aggregate folds the argument's selected rows in row
-///     order (a `View` is gathered first): integer SUM/AVG sum in `i128`,
-///     and SUM checks every prefix of every group's sum against `i64`
-///     (the [`SqlError::Overflow`] of sequential checked adds); float
-///     SUM/AVG add in row order; MIN/MAX fold with `min`/`max`, floats
-///     with `min_f64`/`max_f64`; a string extreme takes one `add` per row.
-///     The key's walk ([`for_each_selected`]) notes each selected row's
-///     code for them.
+/// * **Dictionary** keys group by code, never by hashing a value: each
+///   aggregate keeps one [`PartialAgg`] per code, filled only by
+///   [`PartialAgg::add`] from one of three sources:
+///   * **counts**: `COUNT` and every aggregate of the key take one
+///     `add(dictionary, code, n)` per code with `n` selected rows. A
+///     group's rows all hold its key value, so this is the state that
+///     row-by-row adds leave (a float sum still loops its `n` adds);
+///   * **pair cells**: an aggregate whose answer does not depend on row
+///     order (integer SUM and AVG, integer and string MIN and MAX) over a
+///     dictionary view takes one `add(values, entry, n)` per cell of that
+///     view's pair table, the selected rows of each (key code, argument
+///     entry) pair (`add` ignores an empty cell), when the table is no
+///     larger than the selected rows (key entries × argument entries ≤
+///     selected rows). An integer SUM takes the cells only when the
+///     argument's widest entry times the selected rows fits `i64`, as
+///     then no prefix of any row order leaves `i64`; otherwise it takes
+///     the row walk, which decides the overflow as sequential checked
+///     adds do;
+///   * **the row walk**: every other aggregate takes one `add(values,
+///     entry, n)` for each `(code, entry, n)` its walk visits, in row
+///     order.
 ///
-///   Codes resolve to key [`Value`]s once, at the end; only codes with
-///   selected rows form a group.
+///   One walk of the key beside an argument view ([`for_each_pair`])
+///   fills a pair table or drives a row walk. The key's per-code counts
+///   come from a pair table, or from one walk of the key
+///   ([`for_each_selected`]). Codes resolve to key [`Value`]s once, at
+///   the end; only codes with selected rows form a group.
 /// * **Plain** keys group their selected rows with
 ///   [`group_aggregate_decoded`].
 ///
@@ -734,105 +730,106 @@ pub fn group_aggregate_encoded(
     filter: &Bitmap,
 ) -> Result<GroupedAggs> {
     check_filter_len(key, filter)?;
-    let selected = filter.count_ones();
     for (_, input) in aggs {
         if let AggInput::View(v) = input {
             check_filter_len(v, filter)?;
         }
     }
-    let mut gathered = Gathered(Vec::new());
     let dictionary = match key {
-        EncodedChunk::Plain(col) => {
+        EncodedChunk::Plain(_) => {
             // The key's selected rows line up with the arguments'.
-            let mut keys = col.slice(0..0);
-            select_encoded(key, filter, &mut keys)?;
-            let mut slots = Vec::with_capacity(aggs.len());
-            for &(_, arg) in aggs {
-                slots.push(match arg {
-                    AggInput::View(v) => Some(gathered.gather(v, filter, selected)?),
-                    _ => None,
-                });
-            }
+            let selected_rows = |view: &EncodedChunk| {
+                let mut rows = chunk_values(view).slice(0..0);
+                select_encoded(view, filter, &mut rows).map(|()| rows)
+            };
+            let keys = selected_rows(key)?;
+            let args = aggs
+                .iter()
+                .map(|&(_, arg)| match arg {
+                    AggInput::View(v) => selected_rows(v).map(Some),
+                    _ => Ok(None),
+                })
+                .collect::<Result<Vec<_>>>()?;
             let decoded: Vec<_> = aggs
                 .iter()
-                .zip(&slots)
-                .map(|(&(f, arg), slot)| match slot {
-                    Some(i) => (f, Some(&gathered.0[*i].1)),
-                    None => (f, arg.values(&keys)),
-                })
+                .zip(&args)
+                .map(|(&(func, arg), rows)| (func, rows.as_ref().or(arg.values(&keys))))
                 .collect();
-            return group_aggregate_decoded(&[&keys], &decoded, &Bitmap::ones_with_len(selected));
+            return group_aggregate_decoded(&[&keys], &decoded, &Bitmap::ones_with_len(keys.len()));
         }
         EncodedChunk::Dictionary { dictionary, .. } => dictionary,
     };
+    let selected = filter.count_ones();
     let templates: Vec<PartialAgg> = aggs
         .iter()
         .map(|&(func, arg)| state_over(func, arg.values(dictionary)))
         .collect::<Result<_>>()?;
+    let mut states: Vec<Vec<PartialAgg>> = templates
+        .iter()
+        .map(|template| vec![template.clone(); dictionary.len()])
+        .collect();
 
-    // Pair counts, one table per argument view that some aggregate
-    // counts; `None` marks an aggregate that folds rows instead.
-    let mut tables: Vec<(&EncodedChunk, PairCounts)> = Vec::new();
-    let mut dense = Vec::with_capacity(aggs.len());
-    for (&(_, arg), template) in aggs.iter().zip(&templates) {
-        let acc = match arg {
-            AggInput::Star | AggInput::Key => Some(Dense::Counted),
-            _ if matches!(template, PartialAgg::Count(_)) => Some(Dense::Counted),
-            AggInput::View(view) if counts_pairs(template, dictionary, view, selected) => {
-                let i = match tables.iter().position(|(v, _)| std::ptr::eq(*v, view)) {
-                    Some(i) => i,
-                    None => {
-                        tables.push((view, count_pairs(key, view, filter)?));
-                        tables.len() - 1
-                    }
-                };
-                Dense::from_pairs(template, chunk_values(view), &tables[i].1)
+    // Argument views: pair cells where they give the state, else the row
+    // walk. One pair table per view, `cells[code * entries + entry]`.
+    let mut tables: Vec<(&EncodedChunk, Vec<usize>)> = Vec::new();
+    for ((&(_, arg), template), states) in aggs.iter().zip(&templates).zip(&mut states) {
+        let AggInput::View(view) = arg else { continue };
+        if counted(template, arg) {
+            continue;
+        }
+        let values = chunk_values(view);
+        if counts_pairs(template, dictionary, view, selected) {
+            let entries = values.len().max(1);
+            let i = match tables.iter().position(|(v, _)| std::ptr::eq(*v, view)) {
+                Some(i) => i,
+                None => {
+                    let mut cells = vec![0usize; dictionary.len() * values.len()];
+                    for_each_pair(key, view, filter, |code, entry, n| {
+                        cells[code * entries + entry] += n
+                    })?;
+                    tables.push((view, cells));
+                    tables.len() - 1
+                }
+            };
+            for (state, row) in states.iter_mut().zip(tables[i].1.chunks(entries)) {
+                for (entry, &n) in row.iter().enumerate() {
+                    state.add(values, entry, n)?;
+                }
             }
-            AggInput::View(_) => None,
-        };
-        dense.push(acc);
-    }
-
-    // One walk of the key, unless a pair table already holds its counts:
-    // selected rows per code, and the code of every selected row when an
-    // argument folds rows.
-    let fold_rows = dense.iter().any(Option::is_none);
-    let mut row_codes: Vec<u32> = Vec::new();
-    let counts = match &tables[..] {
-        [(_, pairs), ..] if !fold_rows => pairs.key_counts(),
-        _ => {
-            let mut counts = vec![0usize; dictionary.len()];
-            row_codes.reserve(if fold_rows { selected } else { 0 });
-            for_each_selected(key, filter, |code, n| {
-                counts[code] += n;
-                if fold_rows {
-                    push_n(&mut row_codes, code as u32, n);
+        } else {
+            let mut walked = Ok(());
+            for_each_pair(key, view, filter, |code, entry, n| {
+                if let Err(e) = states[code].add(values, entry, n) {
+                    walked = Err(e);
                 }
             })?;
+            walked?;
+        }
+    }
+
+    // Selected rows per key code, for the groups and the counted states.
+    let counts: Vec<usize> = match tables.first() {
+        Some((view, cells)) => cells
+            .chunks(chunk_values(view).len().max(1))
+            .map(|row| row.iter().sum())
+            .collect(),
+        None => {
+            let mut counts = vec![0usize; dictionary.len()];
+            for_each_selected(key, filter, |code, n| counts[code] += n)?;
             counts
         }
     };
-    let mut accs = Vec::with_capacity(aggs.len());
-    for ((&(_, arg), template), acc) in aggs.iter().zip(&templates).zip(dense) {
-        accs.push(match (acc, arg) {
-            (Some(acc), _) => acc,
-            (None, AggInput::View(view)) => {
-                let i = gathered.gather(view, filter, selected)?;
-                Dense::fold(template, &gathered.0[i].1, &row_codes, dictionary.len())?
+    for ((&(_, arg), template), states) in aggs.iter().zip(&templates).zip(&mut states) {
+        if counted(template, arg) {
+            for (code, (state, &n)) in states.iter_mut().zip(&counts).enumerate() {
+                state.add(dictionary, code, n)?;
             }
-            (None, AggInput::Star | AggInput::Key) => {
-                unreachable!("COUNT(*) and aggregates of the key are counted")
-            }
-        });
+        }
     }
 
-    let mut out = GroupedAggs::new(templates.clone());
-    for (code, &n) in counts.iter().enumerate().filter(|&(_, &n)| n > 0) {
-        let parts = templates
-            .iter()
-            .zip(&accs)
-            .map(|(template, acc)| acc.state(template, dictionary, code, n))
-            .collect::<Result<Vec<_>>>()?;
+    let mut out = GroupedAggs::new(templates);
+    for (code, _) in counts.iter().enumerate().filter(|&(_, &n)| n > 0) {
+        let parts: Vec<PartialAgg> = states.iter().map(|s| s[code].clone()).collect();
         let key = GroupKey(vec![dictionary.value(code)]);
         // Dictionaries dedupe by bit pattern so codes map 1:1 to keys,
         // but merge defensively rather than overwrite.
@@ -850,37 +847,20 @@ pub fn group_aggregate_encoded(
     Ok(out)
 }
 
-/// The selected rows of [`AggInput::View`] arguments that fold rows,
-/// gathered once per view.
-struct Gathered<'v>(Vec<(&'v EncodedChunk, ColumnData)>);
-
-impl<'v> Gathered<'v> {
-    /// The index of `view`'s `selected` rows under `filter`, gathered on
-    /// first use.
-    fn gather(
-        &mut self,
-        view: &'v EncodedChunk,
-        filter: &Bitmap,
-        selected: usize,
-    ) -> Result<usize> {
-        if let Some(i) = self.0.iter().position(|(v, _)| std::ptr::eq(*v, view)) {
-            return Ok(i);
-        }
-        let mut rows = match chunk_values(view) {
-            ColumnData::Int64(_) => ColumnData::Int64(Vec::with_capacity(selected)),
-            ColumnData::Float64(_) => ColumnData::Float64(Vec::with_capacity(selected)),
-            ColumnData::Utf8(_) => ColumnData::Utf8(Vec::with_capacity(selected)),
-        };
-        select_encoded(view, filter, &mut rows)?;
-        self.0.push((view, rows));
-        Ok(self.0.len() - 1)
-    }
+/// Whether an aggregate takes its groups' states from their selected-row
+/// counts: `COUNT`, and every aggregate of the key itself.
+fn counted(template: &PartialAgg, arg: AggInput<'_>) -> bool {
+    !matches!(arg, AggInput::View(_)) || matches!(template, PartialAgg::Count(_))
 }
 
 /// Whether the aggregate of `template` over the argument `view` takes its
-/// groups' states from pair counts: the view is a dictionary, the state's
+/// groups' states from pair cells: the view is a dictionary, the state's
 /// answer does not depend on row order, and the pair table of `key`'s
-/// and the view's dictionaries is no larger than the `selected` rows.
+/// and the view's dictionaries is no larger than the `selected` rows. An
+/// integer SUM's answer depends on row order only when a prefix of some
+/// group's sum can leave `i64`, which none can when the widest argument
+/// entry times the selected rows fits `i64`; otherwise only the row
+/// order decides the overflow.
 fn counts_pairs(
     template: &PartialAgg,
     key: &ColumnData,
@@ -891,92 +871,110 @@ fn counts_pairs(
     let EncodedChunk::Dictionary { dictionary, .. } = view else {
         return false;
     };
-    matches!(
-        template,
-        SumInt(_) | AvgInt(..) | MinInt(_) | MaxInt(_) | MinStr(_) | MaxStr(_)
-    ) && key
-        .len()
-        .checked_mul(dictionary.len())
-        .is_some_and(|cells| cells <= selected)
-}
-
-/// Selected rows per (key code, argument code) pair of one row group:
-/// `n[key * args + arg]`.
-struct PairCounts {
-    args: usize,
-    n: Vec<usize>,
-}
-
-impl PairCounts {
-    /// Selected rows per key code.
-    fn key_counts(&self) -> Vec<usize> {
-        self.n
-            .chunks(self.args.max(1))
-            .map(|row| row.iter().sum())
-            .collect()
-    }
-
-    /// The argument codes of key `code`'s rows, each with its count.
-    fn of_key(&self, code: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.n[code * self.args..(code + 1) * self.args]
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(arg, &n)| (arg, n))
-    }
-}
-
-/// Counts the selected rows of every (key code, argument code) pair of
-/// two dictionary views of one row group ([`pair_spans`]).
-fn count_pairs(key: &EncodedChunk, arg: &EncodedChunk, filter: &Bitmap) -> Result<PairCounts> {
-    let (
-        EncodedChunk::Dictionary {
-            dictionary: kd,
-            codes: kc,
-            runs: kr,
-            rows,
-            ..
-        },
-        EncodedChunk::Dictionary {
-            dictionary: ad,
-            codes: ac,
-            runs: ar,
-            ..
-        },
-    ) = (key, arg)
-    else {
-        return Err(SqlError::Invalid(
-            "pair counts need two dictionary views".into(),
-        ));
+    let order_free = match (template, dictionary) {
+        (SumInt(_), ColumnData::Int64(v)) => {
+            let widest = v.iter().map(|x| x.unsigned_abs()).max().unwrap_or(0);
+            widest as u128 * selected as u128 <= i64::MAX as u128
+        }
+        (AvgInt(..) | MinInt(_) | MaxInt(_) | MinStr(_) | MaxStr(_), _) => true,
+        _ => false,
     };
-    let key = (kr.as_slice(), kd.len());
-    let arg = (ar.as_slice(), ad.len());
-    match (kc, ac) {
-        (Codes::U8(k), Codes::U8(a)) => pair_spans(k, key, a, arg, *rows, filter),
-        (Codes::U8(k), Codes::U16(a)) => pair_spans(k, key, a, arg, *rows, filter),
-        (Codes::U16(k), Codes::U8(a)) => pair_spans(k, key, a, arg, *rows, filter),
-        (Codes::U16(k), Codes::U16(a)) => pair_spans(k, key, a, arg, *rows, filter),
+    order_free
+        && key
+            .len()
+            .checked_mul(dictionary.len())
+            .is_some_and(|cells| cells <= selected)
+}
+
+/// Calls `f(code, entry, n)` for the rows of `key`, a dictionary view,
+/// and `arg`, a view of the same rows, that `filter` selects, in row
+/// order: `n` rows whose key holds `code` and whose argument holds
+/// `chunk_values(arg)[entry]` (a plain argument's entries are its rows).
+/// Both views' spans are cut where either changes, and each piece visits
+/// its selected rows in the one shape both sides allow: two RLE runs make
+/// one call with their `count_range`, any other piece one call per
+/// selected row.
+///
+/// # Errors
+///
+/// A plain key, malformed run structure, or a code out of range for its
+/// dictionary.
+fn for_each_pair(
+    key: &EncodedChunk,
+    arg: &EncodedChunk,
+    filter: &Bitmap,
+    f: impl FnMut(usize, usize, usize),
+) -> Result<()> {
+    let EncodedChunk::Dictionary {
+        dictionary,
+        codes,
+        runs,
+        rows,
+        ..
+    } = key
+    else {
+        return Err(SqlError::Invalid("pairs need a dictionary key".into()));
+    };
+    let runs = (runs.as_slice(), dictionary.len());
+    match codes {
+        Codes::U8(codes) => key_pairs(codes, runs, *rows, arg, filter, f),
+        Codes::U16(codes) => key_pairs(codes, runs, *rows, arg, filter, f),
     }
 }
 
-/// [`count_pairs`] over checked views given as `(runs, dictionary
-/// entries)`: both views' spans are cut where either changes, and each
-/// piece counts its selected rows in the one shape both sides allow —
-/// two runs add one `count_range`, a run beside a literal span counts
-/// into one row of the table, two literal spans index it per row.
+/// [`for_each_pair`] over the key's codes, given with its `(runs,
+/// dictionary entries)`.
+fn key_pairs<K: Code>(
+    codes: &[K],
+    (runs, entries): (&[Run], usize),
+    rows: usize,
+    arg: &EncodedChunk,
+    filter: &Bitmap,
+    mut f: impl FnMut(usize, usize, usize),
+) -> Result<()> {
+    check_view(codes, runs, entries)?;
+    let keys = spans(runs, codes, rows)?;
+    match arg {
+        EncodedChunk::Plain(_) => {
+            for (pos, span) in keys {
+                match span {
+                    Span::Rle(k, len) => filter.for_each_one(pos, len, |r| f(k, r, 1)),
+                    Span::Literal(k) => {
+                        filter.for_each_one(pos, k.len(), |r| f(k[r - pos].index(), r, 1))
+                    }
+                }
+            }
+            Ok(())
+        }
+        EncodedChunk::Dictionary {
+            dictionary,
+            codes,
+            runs,
+            ..
+        } => {
+            let runs = (runs.as_slice(), dictionary.len());
+            match codes {
+                Codes::U8(codes) => pair_spans(&keys, codes, runs, rows, filter, f),
+                Codes::U16(codes) => pair_spans(&keys, codes, runs, rows, filter, f),
+            }
+        }
+    }
+}
+
+/// [`for_each_pair`] over the key's spans and a dictionary argument's
+/// codes, given with its `(runs, dictionary entries)`: two runs make one
+/// call with their `count_range`, a run beside a literal span or two
+/// literal spans one call per selected row.
 fn pair_spans<K: Code, A: Code>(
-    key_codes: &[K],
-    (key_runs, key_len): (&[Run], usize),
-    arg_codes: &[A],
-    (arg_runs, arg_len): (&[Run], usize),
+    keys: &[(usize, Span<'_, K>)],
+    codes: &[A],
+    (runs, entries): (&[Run], usize),
     rows: usize,
     filter: &Bitmap,
-) -> Result<PairCounts> {
-    check_view(key_codes, key_runs, key_len)?;
-    check_view(arg_codes, arg_runs, arg_len)?;
-    let keys = spans(key_runs, key_codes, rows)?;
-    let args = spans(arg_runs, arg_codes, rows)?;
-    let mut n = vec![0usize; key_len * arg_len];
+    mut f: impl FnMut(usize, usize, usize),
+) -> Result<()> {
+    check_view(codes, runs, entries)?;
+    let args = spans(runs, codes, rows)?;
     let (mut ki, mut ai, mut pos) = (0, 0, 0);
     while pos < rows {
         let ((kp, k), (ap, a)) = (keys[ki], args[ai]);
@@ -984,24 +982,26 @@ fn pair_spans<K: Code, A: Code>(
         let len = end - pos;
         match (k.cut(pos - kp, len), a.cut(pos - ap, len)) {
             (Span::Rle(k, _), Span::Rle(a, _)) => {
-                n[k * arg_len + a] += filter.count_range(pos, len)
+                let n = filter.count_range(pos, len);
+                if n > 0 {
+                    f(k, a, n);
+                }
             }
             (Span::Rle(k, _), Span::Literal(a)) => {
-                let row = &mut n[k * arg_len..(k + 1) * arg_len];
-                filter.for_each_one(pos, len, |r| row[a[r - pos].index()] += 1);
+                filter.for_each_one(pos, len, |r| f(k, a[r - pos].index(), 1))
             }
             (Span::Literal(k), Span::Rle(a, _)) => {
-                filter.for_each_one(pos, len, |r| n[k[r - pos].index() * arg_len + a] += 1);
+                filter.for_each_one(pos, len, |r| f(k[r - pos].index(), a, 1))
             }
-            (Span::Literal(k), Span::Literal(a)) => filter.for_each_one(pos, len, |r| {
-                n[k[r - pos].index() * arg_len + a[r - pos].index()] += 1
-            }),
+            (Span::Literal(k), Span::Literal(a)) => {
+                filter.for_each_one(pos, len, |r| f(k[r - pos].index(), a[r - pos].index(), 1))
+            }
         }
         pos = end;
         ki += usize::from(kp + k.len() == end);
         ai += usize::from(ap + a.len() == end);
     }
-    Ok(PairCounts { args: arg_len, n })
+    Ok(())
 }
 
 /// A view's spans in row order, each with its first row, after the
@@ -1013,192 +1013,6 @@ fn spans<'a, C>(runs: &[Run], codes: &'a [C], rows: usize) -> Result<Vec<(usize,
         Ok(())
     })?;
     Ok(out)
-}
-
-/// One aggregate's accumulator in [`group_aggregate_encoded`]: one slot
-/// per dictionary code.
-enum Dense {
-    /// The state follows from the code's selected-row count: `COUNT`,
-    /// and every aggregate of the key itself.
-    Counted,
-    /// Integer SUM/AVG: exact sums.
-    Int(Vec<i128>),
-    /// Integer MIN/MAX.
-    Extreme(Vec<i64>),
-    /// Float SUM/AVG (row-order sums) and MIN/MAX.
-    Float(Vec<f64>),
-    /// String MIN/MAX, one [`PartialAgg::add`] per row.
-    States(Vec<PartialAgg>),
-}
-
-impl Dense {
-    /// Folds the selected rows of `values` (the `k`-th row's code is
-    /// `codes[k]`) into per-code slots shaped by `template`.
-    fn fold(
-        template: &PartialAgg,
-        values: &ColumnData,
-        codes: &[u32],
-        slots: usize,
-    ) -> Result<Dense> {
-        use PartialAgg::*;
-        Ok(match (template, values) {
-            (Count(_), _) => Dense::Counted,
-            (SumInt(_), ColumnData::Int64(v)) => {
-                let mut fits = true;
-                let sums = per_code(codes, v, slots, 0i128, |s, x| {
-                    let s = s + x as i128;
-                    fits &= i64::try_from(s).is_ok();
-                    s
-                });
-                if !fits {
-                    return Err(overflow("aggregate"));
-                }
-                Dense::Int(sums)
-            }
-            (AvgInt(..), ColumnData::Int64(v)) => {
-                Dense::Int(per_code(codes, v, slots, 0i128, |s, x| s + x as i128))
-            }
-            (MinInt(_), ColumnData::Int64(v)) => {
-                Dense::Extreme(per_code(codes, v, slots, i64::MAX, i64::min))
-            }
-            (MaxInt(_), ColumnData::Int64(v)) => {
-                Dense::Extreme(per_code(codes, v, slots, i64::MIN, i64::max))
-            }
-            (SumFloat(zero) | AvgFloat(zero, _), ColumnData::Float64(v)) => {
-                Dense::Float(per_code(codes, v, slots, *zero, |s, x| s + x))
-            }
-            (MinFloat(inf), ColumnData::Float64(v)) => {
-                Dense::Float(per_code(codes, v, slots, *inf, min_f64))
-            }
-            (MaxFloat(inf), ColumnData::Float64(v)) => {
-                Dense::Float(per_code(codes, v, slots, *inf, max_f64))
-            }
-            (MinStr(_) | MaxStr(_), ColumnData::Utf8(_)) => {
-                let mut states = vec![template.clone(); slots];
-                for (k, &code) in codes.iter().enumerate() {
-                    states[code as usize].add(values, k, 1)?;
-                }
-                Dense::States(states)
-            }
-            (state, values) => return Err(mismatch(state, values)),
-        })
-    }
-
-    /// The per-code accumulator of an order-free aggregate from pair
-    /// counts over the argument's dictionary `values` (see
-    /// [`counts_pairs`]), or `None` when an integer SUM must take the
-    /// row-order fold: some group's positive terms sum past `i64::MAX` or
-    /// its negative ones past `i64::MIN`, so only the row order decides
-    /// whether a prefix overflows.
-    fn from_pairs(template: &PartialAgg, values: &ColumnData, pairs: &PairCounts) -> Option<Dense> {
-        use PartialAgg::*;
-        let keys = 0..pairs.n.len() / pairs.args.max(1);
-        Some(match (template, values) {
-            (SumInt(_), ColumnData::Int64(v)) => {
-                let mut sums = Vec::with_capacity(keys.len());
-                for code in keys {
-                    let (mut pos, mut neg) = (0i128, 0i128);
-                    for (arg, n) in pairs.of_key(code) {
-                        let term = v[arg] as i128 * n as i128;
-                        if term > 0 {
-                            pos += term;
-                        } else {
-                            neg += term;
-                        }
-                    }
-                    if pos > i64::MAX as i128 || neg < i64::MIN as i128 {
-                        return None;
-                    }
-                    sums.push(pos + neg);
-                }
-                Dense::Int(sums)
-            }
-            (AvgInt(..), ColumnData::Int64(v)) => Dense::Int(
-                keys.map(|code| {
-                    pairs
-                        .of_key(code)
-                        .map(|(arg, n)| v[arg] as i128 * n as i128)
-                        .sum()
-                })
-                .collect(),
-            ),
-            (MinInt(_), ColumnData::Int64(v)) => Dense::Extreme(
-                keys.map(|code| {
-                    pairs
-                        .of_key(code)
-                        .map(|(arg, _)| v[arg])
-                        .min()
-                        .unwrap_or(i64::MAX)
-                })
-                .collect(),
-            ),
-            (MaxInt(_), ColumnData::Int64(v)) => Dense::Extreme(
-                keys.map(|code| {
-                    pairs
-                        .of_key(code)
-                        .map(|(arg, _)| v[arg])
-                        .max()
-                        .unwrap_or(i64::MIN)
-                })
-                .collect(),
-            ),
-            (MinStr(_) | MaxStr(_), ColumnData::Utf8(_)) => {
-                let mut states = vec![template.clone(); keys.len()];
-                for (code, state) in states.iter_mut().enumerate() {
-                    for (arg, _) in pairs.of_key(code) {
-                        state.add(values, arg, 1).ok()?;
-                    }
-                }
-                Dense::States(states)
-            }
-            _ => return None,
-        })
-    }
-
-    /// The state of the group of `code`, which has `n` selected rows.
-    fn state(
-        &self,
-        template: &PartialAgg,
-        dictionary: &ColumnData,
-        code: usize,
-        n: usize,
-    ) -> Result<PartialAgg> {
-        use PartialAgg::*;
-        let mut state = template.clone();
-        match (self, &mut state) {
-            (Dense::Counted, state) => state.add(dictionary, code, n)?,
-            // In range: `fold` checked every prefix.
-            (Dense::Int(s), SumInt(acc)) => *acc = s[code] as i64,
-            (Dense::Int(s), AvgInt(acc, cnt)) => (*acc, *cnt) = (s[code], n as i64),
-            (Dense::Extreme(x), MinInt(m) | MaxInt(m)) => *m = Some(x[code]),
-            (Dense::Float(x), SumFloat(acc) | MinFloat(acc) | MaxFloat(acc)) => *acc = x[code],
-            (Dense::Float(x), AvgFloat(acc, cnt)) => (*acc, *cnt) = (x[code], n as i64),
-            (Dense::States(s), state) => *state = s[code].clone(),
-            (_, state) => {
-                return Err(SqlError::Invalid(format!(
-                    "grouped accumulator does not fit {state:?}"
-                )))
-            }
-        }
-        Ok(state)
-    }
-}
-
-/// Folds `values[k]` into the slot of `codes[k]`, for every `k` in
-/// order, each slot starting from `init`.
-fn per_code<T: Copy, V: Copy>(
-    codes: &[u32],
-    values: &[V],
-    slots: usize,
-    init: T,
-    mut f: impl FnMut(T, V) -> T,
-) -> Vec<T> {
-    let mut acc = vec![init; slots];
-    for (&code, &x) in codes.iter().zip(values) {
-        let slot = &mut acc[code as usize];
-        *slot = f(*slot, x);
-    }
-    acc
 }
 
 #[cfg(test)]

@@ -7,10 +7,10 @@
 //! A [`PartialAgg`] takes rows three ways, all with the semantics of the
 //! ungrouped oracle [`crate::eval::eval_aggregate`]: [`PartialAgg::fold`]
 //! folds an encoded chunk's selected rows (the ungrouped projection
-//! stage), [`PartialAgg::add`] one value `n` times (the decoded GROUP BY
-//! kernel's rows; the encoded kernel's counted states and string
-//! extremes), and [`PartialAgg::merge`] another partial (the
-//! coordinator).
+//! stage), [`PartialAgg::add`] one value `n` times (every state of both
+//! GROUP BY kernels: the decoded one's rows; the encoded one's code
+//! counts, pair-table cells and row-walk pieces), and
+//! [`PartialAgg::merge`] another partial (the coordinator).
 //! [`PartialAgg::wire_bytes`] prices every pushed partial.
 //!
 //! A storage node builds a [`GroupedAggs`] map from [`GroupKey`] to one
@@ -231,12 +231,14 @@ impl PartialAgg {
     /// shape of an RLE run or a single row. `COUNT`, integer SUM and AVG
     /// take the run in O(1) (integer SUM overflows exactly when `n`
     /// sequential checked adds would); float sums loop `n` adds, as
-    /// [`PartialAgg::fold`] does.
+    /// [`PartialAgg::fold`] does. Inlined, because the encoded GROUP BY
+    /// kernel's row walk calls it once per selected row.
     ///
     /// # Errors
     ///
     /// A value of another physical type than the state, or
     /// [`SqlError::Overflow`] when an integer SUM leaves `i64`.
+    #[inline]
     pub fn add(&mut self, values: &ColumnData, i: usize, n: usize) -> Result<()> {
         use PartialAgg::*;
         match (&mut *self, values) {
@@ -452,7 +454,7 @@ fn keep<T: Ord + Clone>(acc: &mut Option<T>, x: &T, want: Ordering) {
     }
 }
 
-pub(crate) fn mismatch(state: &PartialAgg, values: &ColumnData) -> SqlError {
+fn mismatch(state: &PartialAgg, values: &ColumnData) -> SqlError {
     SqlError::TypeError(format!(
         "cannot fold {} column into {state:?}",
         values.physical_name()

@@ -18,6 +18,7 @@
 use fusion_format::chunk::{
     decode_column_chunk, encode_column_chunk, read_encoded_chunk, EncodedChunk,
 };
+use fusion_format::encoding::rle::Run;
 use fusion_format::schema::LogicalType;
 use fusion_format::value::{ColumnData, Value};
 use fusion_sql::ast::AggFunc;
@@ -424,7 +425,7 @@ proptest! {
 
 /// Runs each aggregate of a dictionary-keyed group over the argument
 /// column `arg` handed over as its view ([`AggInput::View`]: pair counts
-/// when the function and table size allow, the row-order fold otherwise),
+/// when the function and table size allow, the row walk otherwise),
 /// alone and all together, against the decoded oracle.
 fn pair_case(
     key: &ColumnData,
@@ -432,7 +433,18 @@ fn pair_case(
     arg_ty: LogicalType,
     filter: &Bitmap,
 ) -> Result<(), TestCaseError> {
-    let (key_view, arg_view) = (view_of(key), view_of(arg));
+    pair_case_over(key, arg, &view_of(arg), arg_ty, filter)
+}
+
+/// [`pair_case`] with `arg` handed over as `arg_view`.
+fn pair_case_over(
+    key: &ColumnData,
+    arg: &ColumnData,
+    arg_view: &EncodedChunk,
+    arg_ty: LogicalType,
+    filter: &Bitmap,
+) -> Result<(), TestCaseError> {
+    let key_view = view_of(key);
     let funcs: &[AggFunc] = match arg_ty {
         LogicalType::Utf8 => &[AggFunc::Count, AggFunc::Min, AggFunc::Max],
         _ => &[
@@ -446,10 +458,7 @@ fn pair_case(
     let mut runs: Vec<Vec<AggFunc>> = funcs.iter().map(|&f| vec![f]).collect();
     runs.push(funcs.to_vec());
     for run in runs {
-        let enc: Vec<_> = run
-            .iter()
-            .map(|&f| (f, AggInput::View(&arg_view)))
-            .collect();
+        let enc: Vec<_> = run.iter().map(|&f| (f, AggInput::View(arg_view))).collect();
         let dec: Vec<_> = run.iter().map(|&f| (f, Some(arg))).collect();
         let fast = group_aggregate_encoded(&key_view, &enc, filter);
         let slow = group_aggregate_decoded(&[key], &dec, filter);
@@ -524,13 +533,17 @@ fn pair_counted_sum_defers_to_row_order_when_only_a_prefix_can_overflow() {
     // One group, 256 rows: the first three hold the terms below, the rest
     // 0. (MAX, 1, -1) overflows on its second row although the total fits;
     // (-1, MAX, 1) never leaves i64. Both exceed the pair bound, so both
-    // are decided by the row-order fold, as the oracle decides them.
+    // are decided by the row walk, as the oracle decides them. A plain
+    // argument view always takes the row walk.
     let key = ColumnData::Int64(vec![7; 256]);
+    let all = Bitmap::ones_with_len(256);
     for head in [[i64::MAX, 1, -1], [-1, i64::MAX, 1], [i64::MIN, -1, 1]] {
         let mut vals = head.to_vec();
         vals.resize(256, 0);
         let arg = ColumnData::Int64(vals);
-        pair_case(&key, &arg, LogicalType::Int64, &Bitmap::ones_with_len(256)).unwrap();
+        pair_case(&key, &arg, LogicalType::Int64, &all).unwrap();
+        let plain = EncodedChunk::Plain(arg.clone());
+        pair_case_over(&key, &arg, &plain, LogicalType::Int64, &all).unwrap();
     }
 }
 
@@ -540,8 +553,26 @@ fn float_arguments_keep_the_row_order_fold() {
     // AVG from pair counts would not be bit-identical to the oracle.
     let n = 3000;
     let key = runs_and_literals_key(n);
+    let all = Bitmap::ones_with_len(n);
     let arg = ColumnData::Float64((0..n).map(|i| [0.1, 0.2, 0.3][i % 3]).collect());
-    pair_case(&key, &arg, LogicalType::Float64, &Bitmap::ones_with_len(n)).unwrap();
+    pair_case(&key, &arg, LogicalType::Float64, &all).unwrap();
+    // A 200-row run of one value covers the key's 128-row run and goes on
+    // into its literal span: the row walk adds the run-against-run piece
+    // as one `add` of 128 rows, then the rest of the run row by row.
+    let arg = ColumnData::Float64(
+        (0..n)
+            .map(|i| if i < 200 { 0.7 } else { [0.1, 0.2, 0.3][i % 3] })
+            .collect(),
+    );
+    let EncodedChunk::Dictionary { runs, .. } = view_of(&arg) else {
+        panic!("expected a dictionary view");
+    };
+    assert!(
+        matches!(runs[0], Run::Rle { len, .. } if len >= 200),
+        "{:?}",
+        runs[0]
+    );
+    pair_case(&key, &arg, LogicalType::Float64, &all).unwrap();
 }
 
 proptest! {
