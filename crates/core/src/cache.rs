@@ -5,19 +5,25 @@
 //! nodes scan chunks in situ; OASIS-style offloading engines keep exactly
 //! this working set hot). The cache holds [`EncodedChunk`] views — decoded
 //! dictionary plus run structure, cheap to hold and immediately scannable
-//! by the encoded-domain kernels — keyed by `(object, chunk ordinal)`,
+//! by the encoded-domain kernels — keyed by object, then chunk ordinal,
 //! evicting least-recently-used entries once the configured byte capacity
-//! is exceeded.
+//! is exceeded. A healthy chunk's view is modelled as held by its node;
+//! a split or degraded chunk's view, which the coordinator reassembled or
+//! rebuilt, as held by the coordinator. Either way the view holds the
+//! chunk's exact bytes, since objects are immutable.
 //!
 //! Queries run on `&Store`, so the cache uses interior mutability; all
 //! state sits behind one mutex, locked only for the brief lookup/insert
-//! bookkeeping (never across a parse or a scan). Entries are `Arc`s, so
+//! bookkeeping (never across a parse or a scan), and a lookup borrows the
+//! object name rather than building a key. Entries are `Arc`s, so
 //! concurrent requests that hit share one view without copying.
 //!
 //! Invalidation: anything that rewrites or loses blocks drops the affected
 //! entries — delete and scrub-heal invalidate per object; node failure,
 //! recovery, and injected faults clear the cache wholesale (the data any
-//! node cached may no longer match what the data plane would serve).
+//! node cached may no longer match what the data plane would serve, and a
+//! rebuilt view belongs to the coordinator of the membership that built
+//! it).
 
 use fusion_format::chunk::EncodedChunk;
 use std::collections::HashMap;
@@ -47,7 +53,10 @@ struct Entry {
 
 #[derive(Debug, Default)]
 struct Inner {
-    entries: HashMap<(String, usize), Entry>,
+    /// Object → chunk ordinal → entry: a lookup borrows the object name
+    /// instead of building an owned key, and an object's entries drop
+    /// together. No inner map is left empty.
+    entries: HashMap<String, HashMap<usize, Entry>>,
     tick: u64,
     resident: usize,
     hits: u64,
@@ -98,8 +107,11 @@ impl ChunkCache {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        // Borrow-split: key lookup needs a owned-ish key; build once.
-        match inner.entries.get_mut(&(object.to_string(), ordinal)) {
+        let found = inner
+            .entries
+            .get_mut(object)
+            .and_then(|m| m.get_mut(&ordinal));
+        match found {
             Some(e) => {
                 e.last_used = tick;
                 let chunk = e.chunk.clone();
@@ -148,30 +160,38 @@ impl ChunkCache {
         let mut inner = self.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        let key = (object.to_string(), ordinal);
-        if let Some(existing) = inner.entries.get_mut(&key) {
-            // Lost the race (or a refresh of a live entry): keep the
-            // resident view and its accounting, refresh recency only.
-            existing.last_used = tick;
-            return existing.chunk.clone();
+        let entry = || Entry {
+            chunk: chunk.clone(),
+            weight,
+            last_used: tick,
+        };
+        match inner.entries.get_mut(object) {
+            Some(chunks) => {
+                if let Some(existing) = chunks.get_mut(&ordinal) {
+                    // Lost the race (or a refresh of a live entry): keep
+                    // the resident view and its accounting, refresh
+                    // recency only.
+                    existing.last_used = tick;
+                    return existing.chunk.clone();
+                }
+                chunks.insert(ordinal, entry());
+            }
+            None => {
+                let chunks = HashMap::from([(ordinal, entry())]);
+                inner.entries.insert(object.to_string(), chunks);
+            }
         }
-        inner.entries.insert(
-            key,
-            Entry {
-                chunk: chunk.clone(),
-                weight,
-                last_used: tick,
-            },
-        );
         inner.resident += weight;
         while inner.resident > self.capacity {
             // Linear LRU scan: entry counts are modest (chunks, not rows),
-            // and eviction is off the scan hot path.
-            let Some(victim) = inner
+            // and eviction is off the scan hot path. Ticks are unique, so
+            // the victim does not depend on iteration order.
+            let Some((object, ordinal)) = inner
                 .entries
                 .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
+                .flat_map(|(o, chunks)| chunks.iter().map(move |(&c, e)| (o, c, e.last_used)))
+                .min_by_key(|&(_, _, last_used)| last_used)
+                .map(|(o, c, _)| (o.clone(), c))
             else {
                 // Accounting drift (resident > 0 with no entries) must
                 // degrade to a reset, not a panic on the query path.
@@ -179,7 +199,11 @@ impl ChunkCache {
                 inner.resident = 0;
                 break;
             };
-            let evicted = inner.entries.remove(&victim).expect("victim present");
+            let chunks = inner.entries.get_mut(&object).expect("victim present");
+            let evicted = chunks.remove(&ordinal).expect("victim present");
+            if chunks.is_empty() {
+                inner.entries.remove(&object);
+            }
             inner.resident = inner.resident.saturating_sub(evicted.weight);
             inner.evictions += 1;
         }
@@ -189,15 +213,9 @@ impl ChunkCache {
     /// Drops every entry of one object (delete, scrub heal, re-put).
     pub fn invalidate_object(&self, object: &str) {
         let mut inner = self.lock();
-        let removed: Vec<(String, usize)> = inner
-            .entries
-            .keys()
-            .filter(|(o, _)| o == object)
-            .cloned()
-            .collect();
-        for k in removed {
-            let e = inner.entries.remove(&k).expect("key present");
-            inner.resident -= e.weight;
+        if let Some(chunks) = inner.entries.remove(object) {
+            let weight: usize = chunks.values().map(|e| e.weight).sum();
+            inner.resident -= weight;
         }
     }
 
@@ -216,7 +234,7 @@ impl ChunkCache {
             misses: inner.misses,
             evictions: inner.evictions,
             resident_bytes: inner.resident as u64,
-            entries: inner.entries.len(),
+            entries: inner.entries.values().map(HashMap::len).sum(),
         }
     }
 }

@@ -25,6 +25,14 @@
 //! every healthy chunk's node folds its matched rows and ships back only
 //! partials.
 //!
+//! **Degraded chunks** — a chunk that is not whole on a live node (FAC
+//! fell back and split it, or a fragment is lost) is worked on at the
+//! coordinator, which reassembles it, rebuilding lost fragments from
+//! their stripes (DESIGN.md §8). The coordinator caches the view it
+//! parsed just as a node does, so a lost chunk is rebuilt once per
+//! failure, not on every query: a later hit costs the coordinator only
+//! its scan, projection or grouping.
+//!
 //! Wherever the time plane places that work, the data plane computes
 //! every answer from the encoded chunk views it already holds: projected
 //! rows are gathered straight from dictionary codes and RLE runs into one
@@ -88,25 +96,25 @@ struct Access {
     /// Whole on a live node, so work can be pushed to `frags[0].node`.
     healthy: bool,
     view: Arc<EncodedChunk>,
-    /// The view came from that node's chunk cache.
+    /// The view came from the chunk cache: held by the chunk's node if
+    /// the chunk is healthy, else by the coordinator that reassembled or
+    /// rebuilt it.
     hit: bool,
 }
 
 /// Reads the chunk of column `col` in row group `rg` for the data plane
-/// and counts the access. A healthy chunk is looked up in its node's
-/// chunk cache and, on a miss, parsed from the bytes the node reads;
-/// [`publish`] caches that view. Any other chunk is parsed from bytes
-/// the coordinator reassembles, rebuilding lost fragments from their
-/// stripes — a one-off view that bypasses the cache but still reads the
-/// data plane, so it counts as a miss.
+/// and counts the access. Every chunk is looked up in the chunk cache
+/// and, on a miss, parsed from bytes: the node's own for a healthy
+/// chunk, else bytes the coordinator reassembles, rebuilding lost
+/// fragments from their stripes. [`publish`] caches that view, so a
+/// lost chunk is rebuilt once per failure, not on every query.
 fn access(ctx: &mut Ctx<'_>, rg: usize, col: usize) -> Result<Access> {
     let (store, object) = (ctx.store, ctx.object);
     let ordinal = ctx.ordinal(rg, col)?;
     let frags = ctx.meta.chunk_fragments(ordinal);
     let healthy = frags.len() == 1 && store.blocks().has_block(frags[0].node, frags[0].block);
     ctx.chunks.considered += 1;
-    let cached = healthy.then(|| store.chunk_cache().get(object, ordinal));
-    let (view, hit) = match cached.flatten() {
+    let (view, hit) = match store.chunk_cache().get(object, ordinal) {
         Some(view) => {
             ctx.chunks.hits += 1;
             (view, true)
@@ -127,13 +135,34 @@ fn access(ctx: &mut Ctx<'_>, rg: usize, col: usize) -> Result<Access> {
     })
 }
 
-/// Caches, on its node, the view [`access`] parsed for a healthy chunk
-/// it missed.
+/// Caches the view [`access`] parsed for a chunk it missed: on the
+/// chunk's node if it is healthy, else on the coordinator.
 fn publish(ctx: &Ctx<'_>, at: &Access) {
-    if at.healthy && !at.hit {
+    if !at.hit {
         let cache = ctx.store.chunk_cache();
         cache.insert(ctx.object, at.ordinal, at.view.clone());
     }
+}
+
+/// Models bringing the chunk `at` to the coordinator once `after` is
+/// done, for work that runs there: the coordinator fetches its fragments
+/// in stored form, rebuilding lost ones from their stripes
+/// ([`Ctx::fetch_fragments`]), and spends `decode` on them. A view of a
+/// chunk that is not healthy comes from the cache only if the
+/// coordinator put it there, so a hit on one costs neither: every
+/// membership change clears the cache, and the coordinator, which
+/// hashes over the alive nodes, is the one that rebuilt it. Returns the
+/// arrivals and the decode to charge.
+fn to_coordinator(
+    ctx: &mut Ctx<'_>,
+    at: &Access,
+    after: StepId,
+    decode: Nanos,
+) -> Result<(Vec<StepId>, Nanos)> {
+    if at.hit && !at.healthy {
+        return Ok((vec![after], Nanos::ZERO));
+    }
+    Ok((ctx.fetch_fragments(&at.frags, after)?, decode))
 }
 
 /// Models `work` pushed to the node hosting the healthy chunk `at`, once
@@ -216,9 +245,9 @@ pub(crate) fn execute(mut ctx: Ctx<'_>, plan: &QueryPlan, adaptive: bool) -> Res
         record: ctx.recording(),
         sizes: vec![None; num_rgs],
     };
-    // Healthy chunks' sub-queries in dispatch order, each with the `(raw,
-    // wire)` sizes of the bitmap it returns.
-    let mut dispatched: Vec<(Access, &ChunkMeta, (u64, u64))> = Vec::new();
+    // Every chunk scanned, in scan order, with the `(raw, wire)` sizes of
+    // its bitmap; the healthy ones become sub-queries to their nodes.
+    let mut scans: Vec<(Access, &ChunkMeta, (u64, u64))> = Vec::new();
     // `rg` also indexes the footer metadata, not just `leaf_acc`.
     #[allow(clippy::needless_range_loop)]
     for rg in 0..num_rgs {
@@ -254,31 +283,30 @@ pub(crate) fn execute(mut ctx: Ctx<'_>, plan: &QueryPlan, adaptive: bool) -> Res
                 bm_sizes.sizes[rg] = Some(sizes);
             }
             leaf_acc[rg][li] = Some(bm);
-            if at.healthy {
-                dispatched.push((at, cm, sizes));
-                continue;
+            if !at.healthy {
+                // Split chunk (FAC fell back to fixed blocks) or lost
+                // fragments: the coordinator scans it, once it has the
+                // fragments (lost ones rebuilt) or if it holds the view.
+                let decode = cost.decode_at(cm.plain_size, speedup * csp);
+                let (arrived, decode) = to_coordinator(&mut ctx, &at, plan_step, decode)?;
+                let eval = ctx.cpu(
+                    Loc::Node(coord),
+                    decode + cost.eval_at(cm.value_count, speedup) + cost.compress_at(sizes.0, csp),
+                    CostClass::Processing,
+                    &arrived,
+                );
+                filter_frontier.push(eval);
             }
-            // Split chunk (FAC fell back to fixed blocks) or lost
-            // fragments: the coordinator fetches the fragments, rebuilding
-            // lost ones from their stripes, and scans there.
-            let arrived = ctx.fetch_fragments(&at.frags, plan_step)?;
-            let eval = ctx.cpu(
-                Loc::Node(coord),
-                cost.decode_at(cm.plain_size, speedup * csp)
-                    + cost.eval_at(cm.value_count, speedup)
-                    + cost.compress_at(sizes.0, csp),
-                CostClass::Processing,
-                &arrived,
-            );
-            filter_frontier.push(eval);
+            scans.push((at, cm, sizes));
         }
     }
 
-    // Healthy chunks' views enter the cache only now, in dispatch order,
-    // so a second leaf on a column misses on a cold cache as the first
-    // did.
-    for (at, cm, (bm_raw, bm_wire)) in dispatched {
-        publish(&ctx, &at);
+    // Views enter the cache only now, in scan order, so a second leaf on
+    // a column misses on a cold cache as the first did.
+    for (at, ..) in &scans {
+        publish(&ctx, at);
+    }
+    for (at, cm, (bm_raw, bm_wire)) in scans.into_iter().filter(|(at, ..)| at.healthy) {
         let node = at.frags[0].node;
         // The node compresses its result bitmap before shipping it back.
         let bm_compress = cost.compress_at(bm_raw, csp);
@@ -514,12 +542,12 @@ pub(crate) fn execute(mut ctx: Ctx<'_>, plan: &QueryPlan, adaptive: bool) -> Res
                 let back = ctx.transfer(Loc::Node(node), Loc::Node(coord), out_bytes, &[work]);
                 proj_frontier.extend(back);
             } else {
-                // Fetch the chunk in compressed form (rebuilding lost
-                // fragments from their stripes); finish locally.
-                let arrived = ctx.fetch_fragments(&at.frags, combine_step)?;
+                // Bring the chunk to the coordinator; finish there.
+                let decode = cost.decode_at(cm.plain_size, csp);
+                let (arrived, decode) = to_coordinator(&mut ctx, &at, combine_step, decode)?;
                 let work = ctx.cpu(
                     Loc::Node(coord),
-                    cost.decode_at(cm.plain_size, csp) + coord_cpu,
+                    decode + coord_cpu,
                     CostClass::Processing,
                     &arrived,
                 );
@@ -770,14 +798,16 @@ fn grouped_aggregate_stage(plan: &QueryPlan, inputs: AggStageInputs<'_>) -> Resu
             }
         } else {
             // ---- Time plane: coordinator fallback ----
-            // Fetch every touched chunk (rebuilding lost fragments from
-            // their stripes) and group at the coordinator.
+            // Bring every touched chunk to the coordinator and group
+            // there.
             let mut arrived: Vec<StepId> = Vec::new();
             let mut decode_cost = Nanos::ZERO;
             for (&col_idx, at) in touched.iter().zip(&views) {
                 let cm = fm.chunk(rg, col_idx)?;
-                arrived.extend(ctx.fetch_fragments(&at.frags, combine_step)?);
-                decode_cost += cost.decode_at(cm.plain_size, csp) + cost.eval(cm.value_count);
+                let decode = cost.decode_at(cm.plain_size, csp);
+                let (deps, decode) = to_coordinator(&mut ctx, at, combine_step, decode)?;
+                arrived.extend(deps);
+                decode_cost += decode + cost.eval(cm.value_count);
             }
             frontier.push(ctx.cpu(
                 Loc::Node(coord),

@@ -79,8 +79,10 @@ pub struct QueryOutput {
     /// Chunk accesses this query served from the encoded-chunk cache.
     pub cache_hits: usize,
     /// Chunk accesses this query that read (and parsed) from the data
-    /// plane — healthy misses populate the cache; degraded and
-    /// coordinator-side reads bypass it but still count here.
+    /// plane. Every Fusion miss populates the cache, a degraded or split
+    /// chunk's included (its view is the coordinator's), so a degraded
+    /// read counts here only when it misses; the baseline, which has no
+    /// node caches, counts every chunk it fetches.
     pub cache_misses: usize,
     /// Every chunk access the executor considered. Conservation
     /// invariant, healthy or degraded, for both executors:

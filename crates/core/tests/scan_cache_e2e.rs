@@ -47,6 +47,11 @@ fn fusion_store(cfg_mut: impl FnOnce(&mut StoreConfig)) -> Store {
 
 const SQL: &str = "SELECT amount FROM t WHERE flag = 'O' AND orderkey >= 0";
 
+/// Whether a trace records a degraded rebuild anywhere in its tree.
+fn has_degraded(span: &fusion_obs::trace::Span) -> bool {
+    span.name == "degraded_reconstruct" || span.children.iter().any(has_degraded)
+}
+
 #[test]
 fn repeated_query_hits_the_cache() {
     let store = fusion_store(|_| {});
@@ -145,6 +150,85 @@ fn degraded_mode_stays_correct_through_the_scan_path() {
     let recovered = store.query(SQL).unwrap();
     assert_eq!(healthy.result, recovered.result);
     assert_eq!(recovered.cache_hits, 0, "cache must be cold after recovery");
+}
+
+/// A lost chunk is rebuilt once per failure, not on every query: the
+/// coordinator caches the views it rebuilt, so a repeat query reads no
+/// block and rebuilds nothing, through `answer` and through `query_as`,
+/// until a membership change clears the cache. Past the code's
+/// tolerance the query fails typed, whatever was cached before.
+#[test]
+fn rebuilt_views_are_cached_until_membership_changes() {
+    use fusion_core::error::StoreError;
+    let expected = fusion_store(|_| {}).query(SQL).unwrap().result;
+    let mut store = fusion_store(|c| c.observability = true);
+    // The node hosting row group 0's `flag` chunk, which `SQL` scans.
+    let lost = {
+        let meta = store.object("t").unwrap();
+        let flag = meta.chunk_ordinal(0, 2).unwrap();
+        meta.chunk_fragments(flag)[0].node
+    };
+    let others: Vec<usize> = store
+        .blocks()
+        .alive_nodes()
+        .into_iter()
+        .filter(|&n| n != lost)
+        .collect();
+    let rebuilt = |s: &Store| s.metrics().node(lost).counter("shards_reconstructed").get();
+
+    store.fail_node(lost).unwrap();
+    let cold = store.query_as("t", SQL).unwrap();
+    assert_eq!(cold.result, expected);
+    assert!(cold.cache_misses > 0 && rebuilt(&store) > 0);
+    assert!(has_degraded(cold.trace.root()), "the cold query rebuilds");
+
+    // Warm, through both paths: every view, rebuilt ones included, comes
+    // from the cache.
+    let reads = store.blocks().reads();
+    let shards = rebuilt(&store);
+    let misses = store.chunk_cache().stats().misses;
+    assert_eq!(store.answer("t", SQL).unwrap(), expected);
+    let warm = store.query_as("t", SQL).unwrap();
+    assert_eq!(warm.result, expected);
+    assert_eq!(store.blocks().reads(), reads, "a warm query reads no block");
+    assert_eq!(rebuilt(&store), shards, "a warm query rebuilds no shard");
+    assert_eq!(store.chunk_cache().stats().misses, misses);
+    assert_eq!(warm.cache_misses, 0);
+    assert!(warm.cache_hits > 0);
+    assert!(!has_degraded(warm.trace.root()), "no rebuild is modelled");
+
+    // Recovery clears the cache: the next query parses every view again.
+    store.recover_node(lost).unwrap();
+    assert_eq!(store.chunk_cache().stats().entries, 0);
+    let recovered = store.query_as("t", SQL).unwrap();
+    assert_eq!(recovered.result, expected);
+    assert_eq!(recovered.cache_hits, 0);
+
+    // So does a second failure, and the next query rebuilds again.
+    store.fail_node(lost).unwrap();
+    assert_eq!(store.chunk_cache().stats().entries, 0);
+    let shards = rebuilt(&store);
+    let again = store.query_as("t", SQL).unwrap();
+    assert_eq!(again.result, expected);
+    assert_eq!(again.cache_hits, 0);
+    assert!(rebuilt(&store) > shards, "a new failure rebuilds afresh");
+
+    // RS(9,6) tolerates three lost nodes; with views cached, a fourth
+    // failure still ends in the typed error, never in cached rows.
+    for &n in &others[..2] {
+        store.fail_node(n).unwrap();
+    }
+    assert_eq!(store.answer("t", SQL).unwrap(), expected);
+    assert!(store.chunk_cache().stats().entries > 0);
+    store.fail_node(others[2]).unwrap();
+    assert!(matches!(
+        store.answer("t", SQL),
+        Err(StoreError::Unrecoverable(_))
+    ));
+    assert!(matches!(
+        store.query_as("t", SQL),
+        Err(StoreError::Unrecoverable(_))
+    ));
 }
 
 /// Counter conservation: `pruned + hits + misses == considered` must hold
@@ -256,9 +340,6 @@ fn observability_flag_gates_trace_recording() {
     // stage, and the JSON export round-trips the tree shape.
     on.fail_node(0).unwrap();
     let degraded = on.query(SQL).unwrap();
-    fn has_degraded(span: &fusion_obs::trace::Span) -> bool {
-        span.name == "degraded_reconstruct" || span.children.iter().any(has_degraded)
-    }
     assert!(
         has_degraded(degraded.trace.root()),
         "degraded query must record reconstruct spans"

@@ -14,6 +14,14 @@
 //! The code may change how answers are computed and how steps are built;
 //! it must not change what the time plane charges, so every paper figure
 //! stays put.
+//!
+//! One change moved the time plane on purpose: views the coordinator
+//! rebuilds for a lost chunk enter the chunk cache, so a warm query with
+//! a node failed serves them from the coordinator (scan, projection or
+//! grouping only) instead of rebuilding them again. The 15 Fusion
+//! digests that read a lost chunk warm (node 2 and node 5 failed, warm)
+//! were re-pinned then; every healthy, degraded-cold and baseline digest
+//! predates that change.
 
 use fusion_core::config::StoreConfig;
 use fusion_core::query::QueryOutput;
@@ -129,14 +137,15 @@ fn run(bytes: &[u8], sql: &str, cfg: &StoreConfig) -> [u64; 6] {
     out
 }
 
-/// Fusion, captured before the encoded-view data plane; one row per
-/// query in [`QUERIES`] order.
+/// Fusion, captured before the encoded-view data plane (the degraded
+/// warm columns since rebuilt views are cached); one row per query in
+/// [`QUERIES`] order.
 const GOLDEN: [[u64; 6]; 11] = [
     [
         0x8f1f_0974_73d6_f8e5,
         0xd2b7_2d46_0fd1_7483,
         0xc632_94ad_3a50_2d03,
-        0x36d0_0c71_0554_4032,
+        0x6cf6_a0e1_531a_f09a,
         0x8f1f_0974_73d6_f8e5,
         0xd2b7_2d46_0fd1_7483,
     ],
@@ -144,7 +153,7 @@ const GOLDEN: [[u64; 6]; 11] = [
         0x2515_5ad0_7404_8518,
         0x3baa_1b37_dfdd_6dd4,
         0x1b7b_4566_1902_e616,
-        0xfedb_3e34_b2d5_a11f,
+        0x0416_dbf9_f8b9_310d,
         0x2515_5ad0_7404_8518,
         0x3baa_1b37_dfdd_6dd4,
     ],
@@ -154,45 +163,45 @@ const GOLDEN: [[u64; 6]; 11] = [
         0x7722_b7ae_a37f_f903,
         0xb97c_1c5c_2bf5_79ab,
         0x5d97_b14a_b2d1_6b21,
-        0x0a87_0b84_f066_29e1,
+        0xdb61_2855_41d2_3144,
     ],
     [
         0xdc8b_ac71_3aef_028e,
         0xf9e8_13cb_88ce_b557,
         0x75bb_b16b_fdf9_47f6,
-        0x2480_8932_1780_5794,
+        0xebdd_bb0f_9c46_08d7,
         0x2e1d_57f5_e7ed_2463,
-        0xff04_c933_20f4_d6b9,
+        0xd09b_ee47_aea6_17ee,
     ],
     [
         0xd563_a398_8a9c_b906,
         0xdcb1_84ad_5007_dc6e,
         0xb56e_2940_2e50_6f2d,
-        0x7303_002f_f822_e57b,
+        0xa6a6_b4c1_2ccc_df60,
         0x8e30_0bf5_8a99_8465,
-        0xcc10_4189_ef8f_f45c,
+        0xf0c7_991c_5581_07fb,
     ],
     [
         0xef20_a0b6_514f_7eb9,
         0x6f82_b6cb_5d04_a4b9,
         0x4093_5dc3_d68a_7477,
-        0x66cf_e8cf_be58_3925,
+        0xb20f_1554_e1d2_b53c,
         0xafca_3a25_366b_feb5,
-        0x61c0_4970_d347_7482,
+        0xe84a_7f7f_7ae7_7e2c,
     ],
     [
         0x2eb5_eff9_147c_3191,
         0x676d_23f5_2b51_ee23,
         0xd087_ea47_b5e0_91c5,
-        0x54b6_6e91_66b6_34ea,
+        0x51ee_7443_62dc_1df4,
         0xf34c_c228_dbc1_6f72,
-        0x2add_46cc_6bd7_795a,
+        0xd6f1_c0bb_20b5_78d9,
     ],
     [
         0x1433_b22c_53c5_0799,
         0x702b_3bba_4a21_093f,
         0xd3a3_c0d5_42ba_0fba,
-        0x7d78_8d6b_f7de_b3e9,
+        0xa2c1_9ca9_8f30_46ce,
         0x1433_b22c_53c5_0799,
         0x702b_3bba_4a21_093f,
     ],
@@ -202,7 +211,7 @@ const GOLDEN: [[u64; 6]; 11] = [
         0x078d_a317_eff5_2ef6,
         0x2381_9f72_83c6_0aa0,
         0xd04b_1623_edba_9e70,
-        0xc1a0_e865_6e37_5670,
+        0x7771_0334_cd5c_1ba8,
     ],
     [
         0x6ece_5488_6f7d_dc45,
@@ -216,9 +225,9 @@ const GOLDEN: [[u64; 6]; 11] = [
         0x4517_aac5_b712_0ba7,
         0x94f6_6d14_be7a_bdd8,
         0x6586_a76f_a998_e742,
-        0xa9ca_bcb9_9751_95f7,
+        0x4638_54bf_92f4_83a8,
         0x2035_bb9e_c818_9002,
-        0x0647_b2f9_9ff8_0276,
+        0xf149_7320_549f_eb10,
     ],
 ];
 

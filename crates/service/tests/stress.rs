@@ -3,7 +3,8 @@
 //!
 //! These tests are what the `service` CI job additionally runs under
 //! ThreadSanitizer: they exercise the RwLock'd store, the chunk cache's
-//! insert race, and the bounded queue under real interleavings.
+//! insert race (healthy views, and with a node down the views rebuilt
+//! from parity), and the bounded queue under real interleavings.
 
 use fusion_core::config::StoreConfig;
 use fusion_core::store::Store;
@@ -12,7 +13,7 @@ use fusion_service::{
     Client, ErrorCode, Loopback, PipelinedTcp, Request, Response, Service, TcpServer,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn analytics_bytes(rows: usize, per_group: usize) -> Vec<u8> {
     let schema = Schema::new(vec![
@@ -36,7 +37,7 @@ fn analytics_bytes(rows: usize, per_group: usize) -> Vec<u8> {
     .unwrap()
 }
 
-fn service_with_objects(workers: usize, objects: usize) -> Arc<Service> {
+fn store_with_objects(objects: usize) -> Store {
     let mut cfg = StoreConfig::fusion();
     cfg.overhead_threshold = 0.9;
     let mut store = Store::new(cfg).unwrap();
@@ -44,7 +45,11 @@ fn service_with_objects(workers: usize, objects: usize) -> Arc<Service> {
     for i in 0..objects {
         store.put(&format!("obj-{i}"), bytes.clone()).unwrap();
     }
-    Arc::new(Service::start(store, workers))
+    store
+}
+
+fn service_with_objects(workers: usize, objects: usize) -> Arc<Service> {
+    Arc::new(Service::start(store_with_objects(objects), workers))
 }
 
 const MIX_QUERIES: &[&str] = &[
@@ -195,6 +200,59 @@ fn query_conservation_holds_under_racing_clients() {
         // Cache-wide: counters moved and stayed consistent.
         let stats = store.chunk_cache().stats();
         assert!(stats.hits + stats.misses > 0);
+    });
+}
+
+#[test]
+fn degraded_queries_converge_under_racing_clients() {
+    // With a node down, racing clients that miss on the same lost chunk
+    // each rebuild it, and their views must converge on one cached view
+    // (`insert_or_get`) while every answer stays the healthy one.
+    let oracle = store_with_objects(1);
+    let healthy: Vec<_> = MIX_QUERIES
+        .iter()
+        .map(|q| oracle.answer("obj-0", q).expect(q))
+        .collect();
+    let service = service_with_objects(4, 1);
+    // The node hosting the object's first chunk (`v` in row group 0).
+    let lost = service
+        .with_store(|store| store.object("obj-0").unwrap().chunk_fragments(0)[0].node as u32);
+    let mut admin = Client::new(Loopback::new(Arc::clone(&service)));
+    admin.fail_node(lost).expect("fail a node");
+
+    let clients = 8;
+    let start = Arc::new(Barrier::new(clients));
+    let handles: Vec<_> = (0..clients)
+        .map(|c| {
+            let service = Arc::clone(&service);
+            let start = Arc::clone(&start);
+            let healthy = healthy.clone();
+            std::thread::spawn(move || {
+                let mut client = Client::new(Loopback::new(service));
+                start.wait();
+                for r in 0..30 {
+                    let i = (c + r) % MIX_QUERIES.len();
+                    let got = client.query("obj-0", MIX_QUERIES[i]).expect(MIX_QUERIES[i]);
+                    assert_eq!(got, healthy[i], "{}", MIX_QUERIES[i]);
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("client thread panicked");
+    }
+    service.with_store(|store| {
+        let reads = store.blocks().reads();
+        for q in MIX_QUERIES {
+            let out = store.query_as("obj-0", q).unwrap();
+            assert_eq!(
+                out.pruned_chunks + out.cache_hits + out.cache_misses,
+                out.chunks_considered,
+                "per-query conservation"
+            );
+            assert_eq!(out.cache_misses, 0, "every view is cached: {q}");
+        }
+        assert_eq!(store.blocks().reads(), reads, "no block is read");
     });
 }
 
